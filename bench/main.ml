@@ -24,6 +24,9 @@
      --against FILE with --check-regression: gate the bench --json record
                     in FILE instead of running any benchmarks
 
+   A filter that selects no benchmark, and --against without
+   --check-regression, exit 2 with the usage line.
+
    With PMI_BENCH_WARM_AB set in the environment, only the warm-start
    A/B count records run (cold vs warm durable-store inference, with the
    zero-measurement and identical-mapping assertions) — the cheap
@@ -82,10 +85,8 @@ let zen_block =
 let reduced_harness () =
   Harness.create (Machine.create (Catalog.reduced ~per_bucket:2 ()))
 
-let cegis_toy ?(incremental_sat = true) ?(memoized_oracle = true)
-    ?(clause_db_reduction = true) ?(domains = 1) ?(cube_conquer = 0)
-    ?(certify = false) ?(enclint = false) ?(enclint_simplify = false)
-    ?(mapcheck = false) ~symmetry_breaking ~max_size () =
+let cegis_toy ?(domains = 1) ?(cube_conquer = 0) ?(certify = false)
+    ?(enclint = false) ?(mapcheck = false) ~symmetry_breaking ~max_size () =
   let truth = Mapping.create ~num_ports:3 in
   Mapping.set truth toy_add [ (Portset.of_list [ 0; 1 ], 1) ];
   Mapping.set truth toy_mul [ (Portset.of_list [ 1; 2 ], 1) ];
@@ -93,9 +94,7 @@ let cegis_toy ?(incremental_sat = true) ?(memoized_oracle = true)
   let config =
     { Cegis.default_config with
       Cegis.num_ports = 3; r_max = 4; max_experiment_size = max_size;
-      symmetry_breaking; incremental_sat; memoized_oracle;
-      clause_db_reduction; domains; cube_conquer; certify; enclint;
-      enclint_simplify; mapcheck }
+      symmetry_breaking; domains; cube_conquer; certify; enclint; mapcheck }
   in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
@@ -282,17 +281,9 @@ let solve_pigeonhole_sub ~proof ~pigeons ~holes =
   | Sat.Unsat -> s
   | Sat.Sat _ -> failwith "bench: pigeonhole must be unsat"
 
-(* The cube-vs-portfolio A/B: the same UNSAT pigeonhole instance through
-   the 4-clone diversified portfolio and through cube-and-conquer (the
-   same 4 workers pulling 2^3 assumption cubes off the stealing queue,
-   continuously exchanging low-glue learnt clauses). *)
-let portfolio_pigeonhole ~pigeons ~holes =
-  let open Pmi_smt in
-  let s = pigeonhole_cnf ~proof:false ~pigeons ~holes in
-  match Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> failwith "bench: pigeonhole must be unsat"
-
+(* Cube-and-conquer on the UNSAT pigeonhole workhorse: 4 workers pulling
+   2^3 assumption cubes off the stealing queue, continuously exchanging
+   low-glue learnt clauses.  Its sequential partner is sat/pigeonhole-8-7. *)
 let cubes_pigeonhole ~pigeons ~holes =
   let open Pmi_smt in
   let s = pigeonhole_cnf ~proof:false ~pigeons ~holes in
@@ -302,18 +293,6 @@ let cubes_pigeonhole ~pigeons ~holes =
 
 let solve_pigeonhole ~pigeons ~holes =
   ignore (solve_pigeonhole_sub ~proof:false ~pigeons ~holes)
-
-(* The certified-simplification A/B: EncLint's subsumption/SSR/BCE pass
-   over the same UNSAT workhorse before solving.  Its baseline partner is
-   sat/pigeonhole-8-7 — the simplification must pay for itself (or at
-   least stay within noise) on the end-to-end wall-clock. *)
-let simplify_pigeonhole ~pigeons ~holes =
-  let open Pmi_smt in
-  let s = pigeonhole_cnf ~proof:false ~pigeons ~holes in
-  ignore (Pmi_analysis.Enclint.simplify s);
-  match Sat.solve s with
-  | Sat.Unsat -> ()
-  | Sat.Sat _ -> failwith "bench: pigeonhole must be unsat"
 
 let certify_pigeonhole ~pigeons ~holes =
   let s = solve_pigeonhole_sub ~proof:true ~pigeons ~holes in
@@ -372,23 +351,6 @@ let solve_random_3sat () =
            random_3sat_clauses)
     then failwith "bench: 3-SAT model violates a clause"
   | Sat.Unsat ->
-    if random_3sat_expected then failwith "bench: 3-SAT verdict flipped"
-
-(* The same instance through the diversified portfolio (4 clones over the
-   domain pool), used by the sanitizer ablation: every solve-path
-   instrumentation point (pool cursor, winner slot, clone/parent shadow
-   words) is on this path. *)
-let portfolio_random_3sat () =
-  let open Pmi_smt in
-  let s = Sat.create () in
-  for _ = 1 to 120 do
-    ignore (Sat.fresh_var s)
-  done;
-  List.iter (Sat.add_clause s) random_3sat_clauses;
-  match Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s with
-  | Solver.Sat _ ->
-    if not random_3sat_expected then failwith "bench: 3-SAT verdict flipped"
-  | Solver.Unsat ->
     if random_3sat_expected then failwith "bench: 3-SAT verdict flipped"
 
 let eval_schemes =
@@ -460,8 +422,6 @@ let micro_tests =
     ("sat/pigeonhole-7-6", fun () -> solve_pigeonhole ~pigeons:7 ~holes:6);
     ("sat/pigeonhole-8-7", fun () -> solve_pigeonhole ~pigeons:8 ~holes:7);
     ("sat/pigeonhole-9-8", fun () -> solve_pigeonhole ~pigeons:9 ~holes:8);
-    ("sat/portfolio-php-8-7", fun () ->
-        portfolio_pigeonhole ~pigeons:8 ~holes:7);
     ("sat/cube-vs-portfolio-php-8-7", fun () ->
         cubes_pigeonhole ~pigeons:8 ~holes:7);
     ("sat/random-3sat", fun () -> solve_random_3sat ()) ]
@@ -498,28 +458,6 @@ let ablation_tests =
     ("ablation/characterize-uops-info", fun () ->
         let _, with_counters, target = characterize_fixture in
         ignore (Uops_info.characterize zen_machine ~blockers:with_counters target));
-    (* Incremental SAT: one persistent encoding with activation literals vs
-       a fresh encoding per CEGIS iteration. *)
-    ("ablation/cegis-incremental-sat", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/cegis-fresh-sat", fun () ->
-        ignore
-          (cegis_toy ~incremental_sat:false ~symmetry_breaking:true
-             ~max_size:4 ()));
-    (* Memoized oracle vs naive per-query throughput in the same search. *)
-    ("ablation/cegis-memoized-oracle", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/cegis-naive-oracle", fun () ->
-        ignore
-          (cegis_toy ~memoized_oracle:false ~symmetry_breaking:true
-             ~max_size:4 ()));
-    (* Clause-database reduction inside the CEGIS solvers. *)
-    ("ablation/cegis-clause-db", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/cegis-no-clause-db", fun () ->
-        ignore
-          (cegis_toy ~clause_db_reduction:false ~symmetry_breaking:true
-             ~max_size:4 ()));
     (* Symmetry breaking: CEGIS convergence cost with and without. *)
     ("ablation/cegis-with-symmetry", fun () ->
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
@@ -530,8 +468,10 @@ let ablation_tests =
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:3 ()));
     ("ablation/cegis-bound-6", fun () ->
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:6 ()));
-    (* SAT back-end of the CEGIS loop over the same 4 domains: diversified
-       portfolio racing vs cube-and-conquer decomposition. *)
+    (* The CEGIS loop over 4 domains: the stratified search and the
+       validation sweep fan out with the sequential SAT back-end (this
+       entry keeps its historical name), vs cube-and-conquer
+       decomposition of each SAT query. *)
     ("ablation/cegis-portfolio", fun () ->
         ignore (cegis_toy ~domains:4 ~symmetry_breaking:true ~max_size:4 ()));
     ("ablation/cegis-cube-conquer", fun () ->
@@ -587,7 +527,7 @@ let ablation_tests =
         ignore (warm_start_infer ~warm:true (Lazy.force warm_start_store)));
     (* Proof logging (trust-but-verify): the trace-recording overhead on an
        UNSAT workhorse, the independent checker on top of it, and a fully
-       certified CEGIS run (its baseline is ablation/cegis-incremental-sat
+       certified CEGIS run (its baseline is ablation/cegis-with-symmetry
        above).  Compare proof-off vs proof-log for the logging tax, and
        proof-log vs proof-check for the checker's own cost. *)
     ("ablation/proof-off-pigeonhole-7-6", fun () ->
@@ -602,14 +542,11 @@ let ablation_tests =
        (structural checks per episode, exhaustive cardinality-cone
        verification once per network shape).  The analysis tax over the
        identical ungated run must stay small — the gate is a debugging
-       aid, not a solver pass.  The simplify bench pairs with
-       sat/pigeonhole-8-7 above. *)
+       aid, not a solver pass. *)
     ("ablation/enclint-off-cegis", fun () ->
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
     ("ablation/enclint-on-cegis", fun () ->
         ignore (cegis_toy ~enclint:true ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/simplify-php-8-7", fun () ->
-        simplify_pigeonhole ~pigeons:8 ~holes:7);
     (* MapCheck: the abstract-interpretation refutation pass inside the
        loop.  The interval bookkeeping must cost less than the harness
        measurements and solver work it saves (see the
@@ -619,18 +556,9 @@ let ablation_tests =
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
     ("ablation/mapcheck-on-cegis", fun () ->
         ignore (cegis_toy ~mapcheck:true ~symmetry_breaking:true ~max_size:4 ()));
-    (* Concurrency sanitizer: the same 4-clone portfolio solve with the
-       race detector off (the shipping default — one predicted branch per
-       instrumentation point, so this must stay within noise of the PR 3
-       portfolio numbers) and on (all shadow bookkeeping under the global
-       detector mutex). *)
-    ("ablation/sanitize-off-portfolio", fun () -> portfolio_random_3sat ());
-    ("ablation/sanitize-on-portfolio", fun () ->
-        Pmi_diag.Race.enable ();
-        Fun.protect portfolio_random_3sat ~finally:Pmi_diag.Race.disable);
     (* Telemetry: the same toy CEGIS inference with tracing off (the
        shipping default — one predicted branch per instrumentation point,
-       so this must stay within noise of ablation/cegis-incremental-sat)
+       so this must stay within noise of ablation/cegis-with-symmetry)
        and on (spans into the per-domain rings, counters on atomics). *)
     ("ablation/obs-off-cegis", fun () ->
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
@@ -954,6 +882,16 @@ let () =
   let skips = ref [] in
   let regression = ref None in
   let against = ref None in
+  let usage fmt =
+    Printf.ksprintf
+      (fun msg ->
+         Printf.eprintf
+           "usage: %s [--smoke] [--only SUBSTR] [--skip SUBSTR]... [--json FILE] \
+            [--store DIR] [--check-regression HISTORY [--against FILE]]\n%s\n"
+           Sys.argv.(0) msg;
+         exit 2)
+      fmt
+  in
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest -> smoke_mode := true; parse rest
@@ -963,20 +901,15 @@ let () =
     | "--skip" :: substr :: rest -> skips := substr :: !skips; parse rest
     | "--check-regression" :: file :: rest -> regression := Some file; parse rest
     | "--against" :: file :: rest -> against := Some file; parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: %s [--smoke] [--only SUBSTR] [--skip SUBSTR]... [--json FILE] \
-         [--store DIR] [--check-regression HISTORY [--against FILE]]\n\
-         unknown argument %s\n"
-        Sys.argv.(0) arg;
-      exit 2
+    | arg :: _ -> usage "unknown argument %s" arg
   in
   parse (List.tl (Array.to_list Sys.argv));
   match (!regression, !against) with
   | Some history, (Some _ as against) ->
     (* Pure gate mode: both sides come from files, nothing runs. *)
     check_regression ~history ~against []
-  | regression, _ ->
+  | None, Some _ -> usage "--against needs --check-regression"
+  | regression, None ->
     let driver = if !smoke_mode then smoke else benchmark in
     let contains hay needle =
       let nh = String.length hay and nn = String.length needle in
@@ -989,17 +922,25 @@ let () =
       (match !only with None -> true | Some s -> contains name s)
       && not (List.exists (contains name) !skips)
     in
+    let selected =
+      List.filter_map
+        (fun (title, tests) ->
+           match List.filter (fun (name, _) -> keep name) tests with
+           | [] -> None
+           | tests -> Some (title, tests))
+        sections
+    in
+    (* A filter that matches nothing (say, after its bench was deleted)
+       must fail loudly, not pass with an empty record. *)
+    if selected = [] then usage "no benchmark matches --only/--skip";
     let results =
       List.concat_map
         (fun (title, tests) ->
-           match List.filter (fun (name, _) -> keep name) tests with
-           | [] -> []
-           | tests ->
-             Format.printf "== %s ==@." title;
-             let rs = driver tests in
-             Format.printf "@.";
-             rs)
-        sections
+           Format.printf "== %s ==@." title;
+           let rs = driver tests in
+           Format.printf "@.";
+           rs)
+        selected
     in
     (match (!json, !store) with
      | None, None -> ()
@@ -1009,8 +950,7 @@ let () =
        in
        Option.iter (emit_json record) json;
        Option.iter (fun dir -> archive_record dir record) store);
-    (match regression with
-     | None -> Format.printf "done.@."
-     | Some history ->
-       Format.printf "done.@.";
-       check_regression ~history ~against:None results)
+    Format.printf "done.@.";
+    Option.iter
+      (fun history -> check_regression ~history ~against:None results)
+      regression

@@ -15,36 +15,38 @@ let setup_logs level =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level level
 
-(* [--store DIR]: the durable measurement/certificate store.  Opened
-   lazily on first use — `store verify` must be able to inspect the
-   directory read-only before recovery truncates anything — and closed at
-   exit.  One handle per process, shared by the harness tier and the
-   CEGIS certificate cache. *)
-let store_dir = ref None
-let store_handle = ref None
+(* The options every inference command shares, parsed once by [opts_term]
+   at the bottom of this file. *)
+type opts = {
+  reduced : int;              (* [--reduced N]: schemes per bucket, 0 = all *)
+  seed : int;                 (* [--seed]: measurement-noise seed *)
+  dump_cnf : string option;   (* [--dump-cnf PREFIX] *)
+  certify : bool;             (* [--certify]: checked certificate per verdict *)
+  cubes : int;                (* [--cubes K]: cube-and-conquer over 2^K cubes *)
+  enclint : bool;             (* [--enclint]: static gate per solver episode *)
+  mapcheck : bool;            (* [--mapcheck]: static refutation of rows *)
+  store : Store.t option Lazy.t;
+      (* [--store DIR]: the durable measurement/certificate store, opened
+         on first use and closed at exit; one handle per process, shared
+         by the harness tier and the CEGIS certificate cache *)
+}
 
-let get_store () =
-  match !store_dir with
-  | None -> None
-  | Some dir ->
-    (match !store_handle with
-     | Some s -> Some s
-     | None ->
-       let s = Store.open_ dir in
-       store_handle := Some s;
-       at_exit (fun () -> Store.close s);
-       Some s)
+let open_store dir =
+  let s = Store.open_ dir in
+  at_exit (fun () -> Store.close s);
+  s
+
+let catalog_of ~reduced =
+  if reduced > 0 then Catalog.reduced ~per_bucket:reduced ()
+  else Catalog.zen_plus ()
 
 let make_machine ~reduced ~seed =
-  let catalog =
-    if reduced > 0 then Catalog.reduced ~per_bucket:reduced ()
-    else Catalog.zen_plus ()
-  in
   let config = { Machine.default_config with Machine.seed } in
-  Machine.create ~config catalog
+  Machine.create ~config (catalog_of ~reduced)
 
-let make_harness ~reduced ~seed =
-  Harness.create ?store:(get_store ()) (make_machine ~reduced ~seed)
+let make_harness opts =
+  Harness.create ?store:(Lazy.force opts.store)
+    (make_machine ~reduced:opts.reduced ~seed:opts.seed)
 
 module Obs = Pmi_obs.Obs
 
@@ -67,53 +69,29 @@ let setup_obs ~trace ~metrics =
         if metrics then prerr_string (Obs.summary ()))
   end
 
-(* Set once from the command line (see [with_logs]) before any pipeline
-   run; [None] leaves the CEGIS solvers silent. *)
-let cnf_prefix = ref None
-
-(* [--certify]: have every CEGIS verdict carry an independently checked
-   certificate (DRAT proof for UNSAT, CNF + theory replay for SAT). *)
-let certify = ref false
-
-(* [--cubes K]: replace the CEGIS portfolio with cube-and-conquer over
-   2^K assumption cubes.  Implies a multi-domain solver pool. *)
-let cubes = ref 0
-
-(* [--enclint] / [--enclint-simplify]: gate every CEGIS solver episode
-   behind the static encoding analyzer, optionally running the certified
-   simplification on the clause database first. *)
-let enclint_on = ref false
-let enclint_simplify_on = ref false
-
-(* [--mapcheck]: static refutation through the abstract interpreter — the
-   CEGIS loop prunes candidate rows whose throughput interval excludes an
-   observation and skips statically determined singleton measurements. *)
-let mapcheck_on = ref false
-
-let make_cegis_config () =
+let make_cegis_config opts =
   let base = Pipeline.default_config.Pipeline.cegis in
   let domains =
     (* Cube-and-conquer needs a worker pool; force one even on a single
        core (domains timeshare), where [default_domains] would say 1. *)
-    if !cubes > 0 then
+    if opts.cubes > 0 then
       max 2
         (max base.Pmi_core.Cegis.domains (Pmi_parallel.Pool.default_domains ()))
     else base.Pmi_core.Cegis.domains
   in
   { base with
-    Pmi_core.Cegis.dump_cnf = !cnf_prefix;
-    Pmi_core.Cegis.certify = !certify;
-    Pmi_core.Cegis.cube_conquer = !cubes;
-    Pmi_core.Cegis.domains = domains;
-    Pmi_core.Cegis.enclint = !enclint_on || !enclint_simplify_on;
-    Pmi_core.Cegis.enclint_simplify = !enclint_simplify_on;
-    Pmi_core.Cegis.mapcheck = !mapcheck_on;
-    Pmi_core.Cegis.store = get_store () }
+    Pmi_core.Cegis.dump_cnf = opts.dump_cnf;
+    certify = opts.certify;
+    cube_conquer = opts.cubes;
+    domains;
+    enclint = opts.enclint;
+    mapcheck = opts.mapcheck;
+    store = Lazy.force opts.store }
 
-let run_pipeline ~reduced ~seed =
-  let harness = make_harness ~reduced ~seed in
+let run_pipeline opts =
+  let harness = make_harness opts in
   let config =
-    { Pipeline.default_config with Pipeline.cegis = make_cegis_config () }
+    { Pipeline.default_config with Pipeline.cegis = make_cegis_config opts }
   in
   let t0 = Unix.gettimeofday () in
   let result = Pipeline.run ~config harness in
@@ -130,7 +108,7 @@ let print_funnel (_, result) =
   Format.printf "@.== Case-study funnel ==@.%a" Pipeline.pp_funnel
     result.Pipeline.funnel
 
-let funnel reduced seed = print_funnel (run_pipeline ~reduced ~seed)
+let funnel opts = print_funnel (run_pipeline opts)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: blocking-instruction classes                               *)
@@ -167,7 +145,7 @@ let print_table1 (_, result) =
     (List.length result.Pipeline.filtering.Blocking.unstable)
     (List.length result.Pipeline.filtering.Blocking.contradictory)
 
-let table1 reduced seed = print_table1 (run_pipeline ~reduced ~seed)
+let table1 opts = print_table1 (run_pipeline opts)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: inferred port usage of the blocking instructions           *)
@@ -236,7 +214,7 @@ let print_table2 (harness, result) =
        s.Pmi_smt.Sat.deleted
    | None -> ())
 
-let table2 reduced seed = print_table2 (run_pipeline ~reduced ~seed)
+let table2 opts = print_table2 (run_pipeline opts)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: prediction accuracy vs PMEvo and Palmed                   *)
@@ -255,7 +233,7 @@ let print_figure5 reduced (harness, result) =
     (Unix.gettimeofday () -. t0);
   Format.printf "%a@." Pmi_eval.Figure5.pp fig
 
-let figure5 reduced seed = print_figure5 reduced (run_pipeline ~reduced ~seed)
+let figure5 opts = print_figure5 opts.reduced (run_pipeline opts)
 
 (* ------------------------------------------------------------------ *)
 (* Infer: the CEGIS loop itself, front and center                      *)
@@ -266,8 +244,8 @@ let figure5 reduced seed = print_figure5 reduced (run_pipeline ~reduced ~seed)
    spans show the findMapping / findOtherMapping / distinguish / observe
    cadence of the whole dialogue.  The textual output is the CEGIS digest
    the other reproduction commands only print in passing. *)
-let infer reduced seed =
-  let _, result = run_pipeline ~reduced ~seed in
+let infer opts =
+  let _, result = run_pipeline opts in
   Format.printf "@.== CEGIS inference ==@.";
   Format.printf "inferred port usage for %d schemes@."
     (Mapping.size result.Pipeline.mapping);
@@ -360,8 +338,8 @@ let mapping_mape config harness mapping schemes =
    at a time against a session seeded with the rest, then the same final
    spec set is re-inferred from scratch (on a fresh harness, so both
    sides pay their own measurement cost) for the A/B comparison. *)
-let delta_stream stream batch_size reduced seed =
-  let harness, result = run_pipeline ~reduced ~seed in
+let delta_stream stream batch_size opts =
+  let harness, result = run_pipeline opts in
   let all_specs =
     List.filter_map
       (fun k ->
@@ -378,7 +356,7 @@ let delta_stream stream batch_size reduced seed =
            | None -> None)
       result.Pipeline.filtering.Blocking.classes
   in
-  let all_specs = shuffle seed all_specs in
+  let all_specs = shuffle opts.seed all_specs in
   let n = List.length all_specs in
   if n < 2 then begin
     Format.eprintf
@@ -394,7 +372,7 @@ let delta_stream stream batch_size reduced seed =
     (fun (s, _) ->
        Mapping.set base_mapping s (Mapping.usage result.Pipeline.blocker_mapping s))
     base;
-  let config = make_cegis_config () in
+  let config = make_cegis_config opts in
   let session =
     Cegis.Delta.start ~config
       ~measure:(Harness.cycles harness)
@@ -404,7 +382,7 @@ let delta_stream stream batch_size reduced seed =
   Format.printf
     "@.== Delta re-inference: %d frozen schemes, %d arrivals, batch %d%s ==@."
     (List.length base) stream batch_size
-    (if !certify then ", certified" else "");
+    (if opts.certify then ", certified" else "");
   let t_delta = ref 0.0 in
   let flushes = ref 0 in
   let flush () =
@@ -441,7 +419,7 @@ let delta_stream stream batch_size reduced seed =
   (* The A/B leg: full re-inference of the identical final spec set on a
      fresh harness, so its measurements are not answered from the delta
      run's cache. *)
-  let harness2 = make_harness ~reduced ~seed in
+  let harness2 = make_harness opts in
   let t0 = Unix.gettimeofday () in
   let full_outcome =
     Cegis.infer ~config ~measure:(Harness.cycles harness2) ~specs:all_specs ()
@@ -507,8 +485,8 @@ let delta_stream stream batch_size reduced seed =
 
 let export_path = "zenplus_portmap.txt"
 
-let export reduced seed =
-  let _, result = run_pipeline ~reduced ~seed in
+let export opts =
+  let _, result = run_pipeline opts in
   let oc = open_out export_path in
   Pmi_portmap.Mapping_io.write oc result.Pipeline.mapping;
   close_out oc;
@@ -529,8 +507,8 @@ let resolve_fuzzy catalog text =
          && String.sub name 0 (String.length text) = text)
       (Catalog.schemes catalog)
 
-let analyze_block insns reduced seed =
-  let harness = make_harness ~reduced ~seed in
+let analyze_block insns opts =
+  let harness = make_harness opts in
   let machine = Harness.machine harness in
   let catalog = Machine.catalog machine in
   let mapping =
@@ -584,10 +562,10 @@ let analyze_block insns reduced seed =
 (* Report: a markdown summary of the whole study                        *)
 (* ------------------------------------------------------------------ *)
 
-let report reduced seed =
-  let harness, result = run_pipeline ~reduced ~seed in
+let report opts =
+  let harness, result = run_pipeline opts in
   let options =
-    if reduced > 0 then Pmi_eval.Figure5.quick_options
+    if opts.reduced > 0 then Pmi_eval.Figure5.quick_options
     else Pmi_eval.Figure5.default_options
   in
   let fig =
@@ -601,8 +579,8 @@ let report reduced seed =
 (* Diff: inferred mapping vs the documented ground truth               *)
 (* ------------------------------------------------------------------ *)
 
-let diff reduced seed =
-  let harness, result = run_pipeline ~reduced ~seed in
+let diff opts =
+  let harness, result = run_pipeline opts in
   let docs = Machine.ground_truth (Harness.machine harness) in
   let d = Pmi_portmap.Diff.compute ~left:result.Pipeline.mapping ~right:docs in
   Format.printf "@.== Inferred mapping vs documented ground truth ==@.";
@@ -615,8 +593,8 @@ let diff reduced seed =
 (* Explain: the witness chain behind one scheme's inferred usage        *)
 (* ------------------------------------------------------------------ *)
 
-let explain_scheme insns reduced seed =
-  let harness, result = run_pipeline ~reduced ~seed in
+let explain_scheme insns opts =
+  let harness, result = run_pipeline opts in
   let catalog = Machine.catalog (Harness.machine harness) in
   let blockers = result.Pipeline.blockers in
   let insns = if insns <> [] then insns else [ "add <GPR[32]>, <MEM[32]>" ] in
@@ -653,11 +631,8 @@ let explain_scheme insns reduced seed =
 module Lint = Pmi_analysis.Lint
 module Diag = Pmi_diag.Diag
 
-let lint_files files json reduced _seed =
-  let catalog =
-    if reduced > 0 then Catalog.reduced ~per_bucket:reduced ()
-    else Catalog.zen_plus ()
-  in
+let lint_files files json opts =
+  let catalog = catalog_of ~reduced:opts.reduced in
   let lint_file path =
     if not (Sys.file_exists path) then
       [ { Lint.rule = "mapping-file-missing"; severity = Lint.Error;
@@ -699,11 +674,8 @@ module Mapcheck = Pmi_analysis.Mapcheck
    rational oracle and the LP model, counter-consistency replay,
    dominance/symmetry structure — plus every mapping file given on the
    command line. *)
-let mapcheck_run files json reduced _seed =
-  let catalog =
-    if reduced > 0 then Catalog.reduced ~per_bucket:reduced ()
-    else Catalog.zen_plus ()
-  in
+let mapcheck_run files json opts =
+  let catalog = catalog_of ~reduced:opts.reduced in
   let r_max = Pmi_machine.Profile.zen_plus.Pmi_machine.Profile.r_max in
   let from_file path =
     if not (Sys.file_exists path) then
@@ -737,30 +709,13 @@ module Enclint = Pmi_analysis.Enclint
 (* [pmi_repro enclint] analyzes the built-in encoding shapes — a
    creation-time encoding with symmetry breaking, and a delta session
    after an append/retire/re-append cycle — plus one encoding rebuilt
-   from each mapping file given on the command line.  With [--simplify]
-   the certified simplification runs first, so the analysis also vets the
-   simplifier's output. *)
-let enclint_run files simplify json reduced _seed =
+   from each mapping file given on the command line. *)
+let enclint_run files json opts =
   let module Encoding = Pmi_core.Encoding in
-  let catalog =
-    if reduced > 0 then Catalog.reduced ~per_bucket:reduced ()
-    else Catalog.zen_plus ()
-  in
-  let analyze_encoding ?frozen ?accepted subject encoding =
-    let sat = Encoding.sat encoding in
-    if simplify then begin
-      let st =
-        Enclint.simplify ~protect:(Encoding.protected_vars encoding) sat
-      in
-      if Enclint.total st > 0 then
-        Format.eprintf
-          "%s: simplified %d clause(s) (%d satisfied, %d subsumed, %d \
-           strengthened, %d blocked)@."
-          subject (Enclint.total st) st.Enclint.satisfied_removed
-          st.Enclint.subsumed_removed st.Enclint.strengthened
-          st.Enclint.blocked_removed
-    end;
-    Enclint.analyze sat (Encoding.enclint_view ?frozen ?accepted encoding)
+  let catalog = catalog_of ~reduced:opts.reduced in
+  let analyze_encoding ?frozen ?accepted encoding =
+    Enclint.analyze (Encoding.sat encoding)
+      (Encoding.enclint_view ?frozen ?accepted encoding)
   in
   let toy_schemes () =
     let toy =
@@ -781,7 +736,7 @@ let enclint_run files simplify json reduced _seed =
         [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2);
           (fma, Encoding.Proper 1) ]
     in
-    analyze_encoding "encoding(creation)" encoding
+    analyze_encoding encoding
   in
   let delta () =
     let add, mul, fma = toy_schemes () in
@@ -791,8 +746,7 @@ let enclint_run files simplify json reduced _seed =
     Encoding.append_row encoding fma (Encoding.Proper 1);
     Encoding.retire_row encoding mul;
     Encoding.append_row encoding mul (Encoding.Proper 3);
-    analyze_encoding "encoding(delta append/retire)"
-      ~frozen:(Encoding.row_assumptions encoding) encoding
+    analyze_encoding ~frozen:(Encoding.row_assumptions encoding) encoding
   in
   let from_file path =
     if not (Sys.file_exists path) then
@@ -833,9 +787,7 @@ let enclint_run files simplify json reduced _seed =
             Encoding.create ~num_ports:(Mapping.num_ports m)
               ~symmetry_breaking:false specs
           in
-          analyze_encoding ~accepted:m
-            (Printf.sprintf "encoding(%s)" path)
-            encoding
+          analyze_encoding ~accepted:m encoding
     end
   in
   let diags = creation () @ delta () @ List.concat_map from_file files in
@@ -915,32 +867,11 @@ let sanitize_3sat_clauses =
       in
       pick [])
 
-let sanitize_portfolio ~schedules =
-  let open Pmi_smt in
-  let solve () =
-    let s = Sat.create () in
-    for _ = 1 to 80 do
-      ignore (Sat.fresh_var s)
-    done;
-    List.iter (Sat.add_clause s) sanitize_3sat_clauses;
-    match Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s with
-    | Solver.Sat _ -> true
-    | Solver.Unsat -> false
-  in
-  Pool.set_schedule Pool.Os;
-  let reference = solve () in
-  List.iter
-    (fun seed ->
-       Pool.set_schedule (Pool.Replay seed);
-       check_invariant (solve () = reference)
-         "portfolio verdict changed under schedule %d" seed)
-    (replay_seeds (min schedules 10) 4)
-
 let sanitize_cubes ~schedules =
-  (* Cube-and-conquer on the same fixed formula: the work-stealing cube
-     queue and the cross-worker clause pool are shared state beyond what
-     the portfolio exercises, and a small conflict budget forces re-splits
-     so the queue sees pushes from inside the race. *)
+  (* Cube-and-conquer on a fixed formula: the work-stealing cube queue and
+     the cross-worker clause pool are shared state, and a small conflict
+     budget forces re-splits so the queue sees pushes from inside the
+     race. *)
   let open Pmi_smt in
   let solve () =
     let s = Sat.create () in
@@ -1008,8 +939,8 @@ let sanitize_cegis ~schedules =
     (replay_seeds (min schedules 4) 2)
 
 let sanitize_delta ~schedules =
-  (* A parallel delta batch: the session's validation sweep and SAT
-     portfolio fan out over the pool while the flush mutates the shared
+  (* A parallel delta batch: the session's distinguishing search and
+     validation sweep fan out over the pool while the flush mutates the shared
      observation vector and lemma pool, which is exactly the shape the
      vector clocks need to see.  Two schemes are frozen, one arrives. *)
   let toy =
@@ -1059,8 +990,8 @@ let sanitize_delta ~schedules =
        run_once ())
     (replay_seeds (min schedules 4) 2)
 
-let sanitize_harness_sweep ~schedules ~reduced =
-  let per_bucket = if reduced > 0 then reduced else 2 in
+let sanitize_harness_sweep ~schedules opts =
+  let reduced = if opts.reduced > 0 then opts.reduced else 2 in
   let experiments catalog =
     let schemes = Catalog.schemes catalog in
     let n = min 12 (Array.length schemes) in
@@ -1069,7 +1000,7 @@ let sanitize_harness_sweep ~schedules ~reduced =
         Pmi_portmap.Experiment.singleton schemes.(i mod n))
   in
   let sweep () =
-    let harness = make_harness ~reduced:per_bucket ~seed:42 in
+    let harness = make_harness { opts with reduced; seed = 42 } in
     let exps = experiments (Machine.catalog (Harness.machine harness)) in
     let cycles = Pool.map_list ~domains:4 (Harness.cycles harness) exps in
     check_invariant
@@ -1098,17 +1029,16 @@ let sanitize_planted () =
   let cell = Race.tracked_ref ~name:"sanitize.planted" 0 in
   Pool.parallel_for ~domains:2 ~n:2 (fun i -> Race.write cell i)
 
-let sanitize schedules plant json reduced _seed =
+let sanitize schedules plant json opts =
   let schedules = max 1 schedules in
   Race.enable ();
   let outcome =
     try
       sanitize_pool_primitives ~schedules;
-      sanitize_portfolio ~schedules;
       sanitize_cubes ~schedules;
       sanitize_cegis ~schedules;
       sanitize_delta ~schedules;
-      sanitize_harness_sweep ~schedules ~reduced;
+      sanitize_harness_sweep ~schedules opts;
       if plant then sanitize_planted ();
       Ok ()
     with
@@ -1130,13 +1060,13 @@ let sanitize schedules plant json reduced _seed =
 (* Everything                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let all reduced seed =
+let all opts =
   (* One pipeline run shared by every table and figure. *)
-  let run = run_pipeline ~reduced ~seed in
+  let run = run_pipeline opts in
   print_funnel run;
   print_table1 run;
   print_table2 run;
-  print_figure5 reduced run
+  print_figure5 opts.reduced run
 
 (* ------------------------------------------------------------------ *)
 (* Store maintenance (`pmi_repro store {stats,compact,verify,gc}`)     *)
@@ -1144,16 +1074,8 @@ let all reduced seed =
 
 module Json = Pmi_obs.Json
 
-let store_required () =
-  match !store_dir with
-  | Some dir -> dir
-  | None ->
-    Format.eprintf "pmi_repro store: --store DIR is required@.";
-    exit 2
-
-let store_stats json =
-  let dir = store_required () in
-  let s = Option.get (get_store ()) in
+let store_stats dir json =
+  let s = open_store dir in
   let st = Store.stats s in
   if json then begin
     let n i = Json.Num (float_of_int i) in
@@ -1200,9 +1122,8 @@ let store_stats json =
       st.Store.replayed st.Store.corrupt st.Store.truncated_bytes
   end
 
-let store_compact () =
-  ignore (store_required ());
-  let s = Option.get (get_store ()) in
+let store_compact dir =
+  let s = open_store dir in
   let before = Store.stats s in
   Store.compact s;
   let after = Store.stats s in
@@ -1212,8 +1133,7 @@ let store_compact () =
     before.Store.journal_records after.Store.segment_records
     after.Store.segment_bytes
 
-let store_verify json =
-  let dir = store_required () in
+let store_verify dir json =
   let r = Store.verify dir in
   if json then
     print_endline
@@ -1236,9 +1156,8 @@ let store_verify json =
    one [--reduced]/[--seed] name (stale catalogs, old noise seeds).
    Certificates and bench history are never dropped — they are small and
    keyed by content. *)
-let store_gc reduced seed =
-  ignore (store_required ());
-  let s = Option.get (get_store ()) in
+let store_gc dir reduced seed =
+  let s = open_store dir in
   let prefix = Machine.fingerprint (make_machine ~reduced ~seed) ^ "|" in
   let plen = String.length prefix in
   let keep kind ~key _value =
@@ -1288,12 +1207,12 @@ let certify_flag =
   Arg.(value & flag & info [ "certify" ] ~doc)
 
 let cubes_flag =
-  let doc = "Solve each CEGIS SAT query by cube-and-conquer instead of the \
-             diversified portfolio: split the search space on $(docv) \
-             most-constrained variables into 2^$(docv) assumption cubes, \
-             scheduled across the domain pool with work stealing and \
-             continuous cross-worker clause sharing.  Implies a \
-             multi-domain solver pool; 0 keeps the portfolio." in
+  let doc = "Solve each CEGIS SAT query by cube-and-conquer: split the \
+             search space on $(docv) most-constrained variables into \
+             2^$(docv) assumption cubes, scheduled across the domain pool \
+             with work stealing and continuous cross-worker clause sharing. \
+             Implies a multi-domain solver pool; 0 keeps the sequential \
+             solver." in
   Arg.(value & opt int 0 & info [ "cubes" ] ~docv:"K" ~doc)
 
 let enclint_global_flag =
@@ -1302,13 +1221,6 @@ let enclint_global_flag =
              retired-row reachability, cube-split hints); an \
              error-severity finding aborts the run." in
   Arg.(value & flag & info [ "enclint" ] ~doc)
-
-let enclint_simplify_flag =
-  let doc = "Run the DRAT-certified simplification (subsumption, \
-             self-subsuming resolution, blocked-clause elimination) on \
-             each CEGIS encoding before its solver episode.  Implies \
-             $(b,--enclint)." in
-  Arg.(value & flag & info [ "enclint-simplify" ] ~doc)
 
 let mapcheck_flag =
   let doc = "Statically refute candidate port sets through the abstract \
@@ -1342,24 +1254,49 @@ let metrics =
              finishes." in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
-let with_logs f reduced seed verbose dump_cnf certify_opt cubes_opt
-    enclint_opt enclint_simplify_opt mapcheck_opt store_opt trace metrics =
-  setup_logs (if verbose then Some Logs.Info else Some Logs.Warning);
-  setup_obs ~trace ~metrics;
-  cnf_prefix := dump_cnf;
-  certify := certify_opt;
-  cubes := cubes_opt;
-  enclint_on := enclint_opt;
-  enclint_simplify_on := enclint_simplify_opt;
-  mapcheck_on := mapcheck_opt;
-  store_dir := store_opt;
-  f reduced seed
+(* Every inference flag in one term: parsing it also configures logging
+   and telemetry, so the command body runs with both already in place. *)
+let opts_term =
+  let make reduced seed verbose dump_cnf certify cubes enclint mapcheck store
+      trace metrics =
+    setup_logs (Some (if verbose then Logs.Info else Logs.Warning));
+    setup_obs ~trace ~metrics;
+    { reduced; seed; dump_cnf; certify; cubes; enclint; mapcheck;
+      store = lazy (Option.map open_store store) }
+  in
+  Term.(const make $ reduced $ seed $ verbose $ dump_cnf $ certify_flag
+        $ cubes_flag $ enclint_global_flag $ mapcheck_flag $ store_flag
+        $ trace_out $ metrics)
 
-let cmd name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const (with_logs f) $ reduced $ seed $ verbose $ dump_cnf
-          $ certify_flag $ cubes_flag $ enclint_global_flag
-          $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out $ metrics)
+(* A subcommand: [body] parses the command's own arguments into a
+   function that runs with the shared options. *)
+let cmd name doc body = Cmd.v (Cmd.info name ~doc) Term.(body $ opts_term)
+
+let json_flag doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let diag_json =
+  json_flag
+    "Emit one JSON object per diagnostic instead of human-readable text \
+     (same schema as `lint --json`)."
+
+let insns =
+  let doc = "Instruction scheme (name or unique prefix); repeatable." in
+  Arg.(value & opt_all string [] & info [ "i"; "insn" ] ~docv:"SCHEME" ~doc)
+
+let files doc = Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc)
+
+(* [store] subcommands take only [--store] (required) and, for gc,
+   [--reduced]/[--seed]. *)
+let store_cmd name doc body =
+  let run store f =
+    setup_logs (Some Logs.Warning);
+    match store with
+    | Some dir -> f dir
+    | None ->
+      Format.eprintf "pmi_repro store: --store DIR is required@.";
+      exit 2
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ store_flag $ body)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -1367,15 +1304,19 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ cmd "funnel" "Reproduce the §4 case-study funnel" funnel;
-            cmd "table1" "Reproduce Table 1 (blocking classes)" table1;
-            cmd "table2" "Reproduce Table 2 (inferred port usage)" table2;
-            cmd "figure5" "Reproduce Figure 5 (prediction accuracy)" figure5;
-            cmd "all" "Reproduce every table and figure" all;
+          [ cmd "funnel" "Reproduce the §4 case-study funnel"
+              (Term.const funnel);
+            cmd "table1" "Reproduce Table 1 (blocking classes)"
+              (Term.const table1);
+            cmd "table2" "Reproduce Table 2 (inferred port usage)"
+              (Term.const table2);
+            cmd "figure5" "Reproduce Figure 5 (prediction accuracy)"
+              (Term.const figure5);
+            cmd "all" "Reproduce every table and figure" (Term.const all);
             cmd "infer"
               "Run the CEGIS inference and print its statistics (pair with \
                --trace/--metrics for a full telemetry timeline)"
-              infer;
+              (Term.const infer);
             (let stream_n =
                let doc = "Number of blocking classes replayed as arrivals \
                           (the rest seed the frozen session)." in
@@ -1386,150 +1327,60 @@ let () =
                           covers the whole batch)." in
                Arg.(value & opt int 1 & info [ "batch" ] ~docv:"B" ~doc)
              in
-             Cmd.v
-               (Cmd.info "delta"
-                  ~doc:"Replay the catalog as a shuffled arrival stream \
-                        through a delta-CEGIS session and A/B it against \
-                        full re-inference (per-flush latency, speedup, and \
-                        a mapping-equivalence report)")
-               Term.(const (fun stream_n batch reduced seed verbose dump_cnf
-                             certify cubes enclint enclint_simplify mapcheck
-                             store trace metrics ->
-                   with_logs (delta_stream stream_n batch) reduced seed
-                     verbose dump_cnf certify cubes enclint enclint_simplify
-                     mapcheck store trace metrics)
-                     $ stream_n $ batch $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
-            cmd "export" "Infer the port mapping and write it to a file" export;
-            cmd "diff" "Compare the inferred mapping with the documentation" diff;
-            cmd "report" "Write a markdown report of the whole study" report;
-            (let insns =
-               let doc = "Instruction scheme (name or unique prefix); repeatable." in
-               Arg.(value & opt_all string [] & info [ "i"; "insn" ] ~docv:"SCHEME" ~doc)
-             in
-             Cmd.v
-               (Cmd.info "analyze"
-                  ~doc:"Port-pressure analysis of a basic block (llvm-mca style)")
-               Term.(const (fun insns reduced seed verbose dump_cnf certify
-                             cubes enclint enclint_simplify mapcheck store
-                             trace metrics ->
-                   with_logs (analyze_block insns) reduced seed verbose
-                     dump_cnf certify cubes enclint enclint_simplify mapcheck
-                     store trace metrics)
-                     $ insns $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
-            (let insns =
-               let doc = "Instruction scheme (name or unique prefix); repeatable." in
-               Arg.(value & opt_all string [] & info [ "i"; "insn" ] ~docv:"SCHEME" ~doc)
-             in
-             Cmd.v
-               (Cmd.info "explain"
-                  ~doc:"Show the explanatory microbenchmarks behind a scheme's \
-                        inferred port usage")
-               Term.(const (fun insns reduced seed verbose dump_cnf certify
-                             cubes enclint enclint_simplify mapcheck store
-                             trace metrics ->
-                   with_logs (explain_scheme insns) reduced seed verbose
-                     dump_cnf certify cubes enclint enclint_simplify mapcheck
-                     store trace metrics)
-                     $ insns $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
-            (let files =
-               let doc = "Port-mapping file(s) in the export format, linted \
-                          in addition to the built-in profiles, catalog and \
-                          ground truth; repeatable." in
-               Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc)
-             in
-             let json =
-               let doc = "Emit one JSON object per diagnostic instead of \
-                          human-readable text." in
-               Arg.(value & flag & info [ "json" ] ~doc)
-             in
-             Cmd.v
-               (Cmd.info "lint"
-                  ~doc:"Lint the built-in machine profiles, catalog and \
-                        ground-truth mappings (plus optional mapping files); \
-                        exits non-zero on any error-severity diagnostic")
-               Term.(const (fun files json reduced seed verbose dump_cnf
-                             certify cubes enclint enclint_simplify mapcheck
-                             store trace metrics ->
-                   with_logs (lint_files files json) reduced seed verbose
-                     dump_cnf certify cubes enclint enclint_simplify mapcheck
-                     store trace metrics)
-                     $ files $ json $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
-            (let files =
-               let doc = "Port-mapping file(s) in the export format, audited \
-                          in addition to the built-in ground-truth mappings; \
-                          repeatable." in
-               Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc)
-             in
-             let json =
-               let doc = "Emit one JSON object per diagnostic instead of \
-                          human-readable text (same schema as `lint \
-                          --json`)." in
-               Arg.(value & flag & info [ "json" ] ~doc)
-             in
-             Cmd.v
-               (Cmd.info "mapcheck"
-                  ~doc:"Semantically audit port mappings through the \
-                        abstract interpreter (throughput-interval soundness \
-                        against the exact oracle and the LP model, \
-                        counter-consistency replay, dominated and \
-                        interchangeable ports); exits non-zero on any \
-                        error-severity diagnostic")
-               Term.(const (fun files json reduced seed verbose dump_cnf
-                             certify cubes enclint enclint_simplify mapcheck
-                             store trace metrics ->
-                   with_logs (mapcheck_run files json) reduced seed verbose
-                     dump_cnf certify cubes enclint enclint_simplify mapcheck
-                     store trace metrics)
-                     $ files $ json $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
-            (let files =
-               let doc = "Port-mapping file(s) whose implied encodings are \
-                          analyzed in addition to the built-in shapes; \
-                          repeatable." in
-               Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc)
-             in
-             let simplify =
-               let doc = "Run the DRAT-certified simplification on each \
-                          encoding before analyzing it." in
-               Arg.(value & flag & info [ "simplify" ] ~doc)
-             in
-             let json =
-               let doc = "Emit one JSON object per diagnostic instead of \
-                          human-readable text (same schema as `lint \
-                          --json`)." in
-               Arg.(value & flag & info [ "json" ] ~doc)
-             in
-             Cmd.v
-               (Cmd.info "enclint"
-                  ~doc:"Statically analyze the CEGIS encodings (guard \
-                        structure, cardinality-network bounds, retired-row \
-                        reachability, cube-split hints) without running the \
-                        solver; exits non-zero on any error-severity \
-                        diagnostic")
-               Term.(const (fun files simplify json reduced seed verbose
-                             dump_cnf certify cubes enclint enclint_simplify
-                             mapcheck store trace metrics ->
-                   with_logs (enclint_run files simplify json) reduced seed
-                     verbose dump_cnf certify cubes enclint enclint_simplify
-                     mapcheck store trace metrics)
-                     $ files $ simplify $ json $ reduced $ seed $ verbose
-                     $ dump_cnf $ certify_flag $ cubes_flag
-                     $ enclint_global_flag $ enclint_simplify_flag
-                     $ mapcheck_flag $ store_flag $ trace_out $ metrics));
+             cmd "delta"
+               "Replay the catalog as a shuffled arrival stream through a \
+                delta-CEGIS session and A/B it against full re-inference \
+                (per-flush latency, speedup, and a mapping-equivalence \
+                report)"
+               Term.(const delta_stream $ stream_n $ batch));
+            cmd "export" "Infer the port mapping and write it to a file"
+              (Term.const export);
+            cmd "diff" "Compare the inferred mapping with the documentation"
+              (Term.const diff);
+            cmd "report" "Write a markdown report of the whole study"
+              (Term.const report);
+            cmd "analyze"
+              "Port-pressure analysis of a basic block (llvm-mca style)"
+              Term.(const analyze_block $ insns);
+            cmd "explain"
+              "Show the explanatory microbenchmarks behind a scheme's \
+               inferred port usage"
+              Term.(const explain_scheme $ insns);
+            cmd "lint"
+              "Lint the built-in machine profiles, catalog and ground-truth \
+               mappings (plus optional mapping files); exits non-zero on any \
+               error-severity diagnostic"
+              Term.(const lint_files
+                    $ files
+                        "Port-mapping file(s) in the export format, linted in \
+                         addition to the built-in profiles, catalog and \
+                         ground truth; repeatable."
+                    $ json_flag
+                        "Emit one JSON object per diagnostic instead of \
+                         human-readable text.");
+            cmd "mapcheck"
+              "Semantically audit port mappings through the abstract \
+               interpreter (throughput-interval soundness against the exact \
+               oracle and the LP model, counter-consistency replay, \
+               dominated and interchangeable ports); exits non-zero on any \
+               error-severity diagnostic"
+              Term.(const mapcheck_run
+                    $ files
+                        "Port-mapping file(s) in the export format, audited \
+                         in addition to the built-in ground-truth mappings; \
+                         repeatable."
+                    $ diag_json);
+            cmd "enclint"
+              "Statically analyze the CEGIS encodings (guard structure, \
+               cardinality-network bounds, retired-row reachability, \
+               cube-split hints) without running the solver; exits non-zero \
+               on any error-severity diagnostic"
+              Term.(const enclint_run
+                    $ files
+                        "Port-mapping file(s) whose implied encodings are \
+                         analyzed in addition to the built-in shapes; \
+                         repeatable."
+                    $ diag_json);
             (let schedules =
                let doc = "Number of deterministic replay schedules to shake \
                           each parallel workload through (capped at the \
@@ -1542,63 +1393,35 @@ let () =
                           (detector soundness check; forces exit code 1)." in
                Arg.(value & flag & info [ "plant-race" ] ~doc)
              in
-             let json =
-               let doc = "Emit one JSON object per diagnostic instead of \
-                          human-readable text (same schema as `lint \
-                          --json`)." in
-               Arg.(value & flag & info [ "json" ] ~doc)
-             in
-             Cmd.v
-               (Cmd.info "sanitize"
-                  ~doc:"Run the parallel workloads (pool primitives, solver \
-                        portfolio, cube-and-conquer, CEGIS sweeps, harness \
-                        cache) under the vector-clock race detector, across \
-                        OS scheduling and deterministic schedule replay; \
-                        exits non-zero on any data race")
-               Term.(const (fun schedules plant json reduced seed verbose
-                             dump_cnf certify cubes enclint enclint_simplify
-                             mapcheck store trace metrics ->
-                   with_logs (sanitize schedules plant json) reduced seed
-                     verbose dump_cnf certify cubes enclint enclint_simplify
-                     mapcheck store trace metrics)
-                     $ schedules $ plant $ json $ reduced $ seed $ verbose
-                     $ dump_cnf $ certify_flag $ cubes_flag
-                     $ enclint_global_flag $ enclint_simplify_flag
-                     $ mapcheck_flag $ store_flag $ trace_out $ metrics));
+             cmd "sanitize"
+               "Run the parallel workloads (pool primitives, cube-and-conquer, \
+                CEGIS sweeps, harness cache) under the vector-clock race \
+                detector, across OS scheduling and deterministic schedule \
+                replay; exits non-zero on any data race"
+               Term.(const sanitize $ schedules $ plant $ diag_json));
             (let json =
-               let doc = "Emit a JSON object instead of human-readable text." in
-               Arg.(value & flag & info [ "json" ] ~doc)
+               json_flag "Emit a JSON object instead of human-readable text."
              in
-             let run store f = setup_logs (Some Logs.Warning); store_dir := store; f () in
              Cmd.group
                (Cmd.info "store"
                   ~doc:"Maintain a durable measurement/certificate store \
                         directory (see --store)")
-               [ Cmd.v
-                   (Cmd.info "stats"
-                      ~doc:"Open the store (running recovery) and report \
-                            live records, file sizes and recovery counts")
-                   Term.(const (fun store json ->
-                       run store (fun () -> store_stats json))
-                         $ store_flag $ json);
-                 Cmd.v
-                   (Cmd.info "compact"
-                      ~doc:"Fold the journal into a fresh segment (atomic \
-                            rename) and truncate the journal")
-                   Term.(const (fun store -> run store store_compact)
-                         $ store_flag);
-                 Cmd.v
-                   (Cmd.info "verify"
-                      ~doc:"Read-only integrity scan: nothing is truncated \
-                            or repaired; exits non-zero when any record \
-                            fails its checksum")
-                   Term.(const (fun store json ->
-                       run store (fun () -> store_verify json))
-                         $ store_flag $ json);
-                 Cmd.v
-                   (Cmd.info "gc"
-                      ~doc:"Drop measurements whose machine fingerprint \
-                            does not match --reduced/--seed, then compact")
-                   Term.(const (fun store reduced seed ->
-                       run store (fun () -> store_gc reduced seed))
-                         $ store_flag $ reduced $ seed) ]) ]))
+               [ store_cmd "stats"
+                   "Open the store (running recovery) and report live \
+                    records, file sizes and recovery counts"
+                   Term.(const (fun json dir -> store_stats dir json) $ json);
+                 store_cmd "compact"
+                   "Fold the journal into a fresh segment (atomic rename) and \
+                    truncate the journal"
+                   (Term.const store_compact);
+                 store_cmd "verify"
+                   "Read-only integrity scan: nothing is truncated or \
+                    repaired; exits non-zero when any record fails its \
+                    checksum"
+                   Term.(const (fun json dir -> store_verify dir json) $ json);
+                 store_cmd "gc"
+                   "Drop measurements whose machine fingerprint does not \
+                    match --reduced/--seed, then compact"
+                   Term.(const (fun reduced seed dir ->
+                             store_gc dir reduced seed)
+                         $ reduced $ seed) ]) ]))

@@ -14,14 +14,7 @@
      declared bound by exhaustive enumeration of the input cone (a
      mini-DPLL decides each of the 2^n input assignments over the
      recorded clauses), and vet theory lemmas against an accepted
-     assignment and against each other;
-   - [simplify] is the certified rewrite mode: subsumption,
-     self-subsuming resolution and blocked-clause elimination over the
-     long problem clauses, with every rewrite emitted into the solver's
-     DRAT trace (strengthened clauses as derivations, removals as
-     deletions) and blocked-clause removals backed by the solver's model
-     reconstruction, so both UNSAT certificates and SAT model replays
-     still pass the independent checker afterwards. *)
+     assignment and against each other. *)
 
 module Diag = Pmi_diag.Diag
 module Lit = Pmi_smt.Lit
@@ -298,9 +291,8 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
     List.iter mark (Sat.root_units sat);
     (* Dead variables: allocated, never constrained, never assigned.  The
        solver will branch on them and double the model count for nothing.
-       Retired rows are exempt — once simplification strips their
-       root-satisfied clauses, their variables are unconstrained by
-       design. *)
+       Retired rows are exempt: once the guard is forced off their
+       variables carry no meaning. *)
     for v = 0 to nv - 1 do
       if
         (not occurs.(v))
@@ -522,181 +514,3 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
       lemmas
   end;
   List.rev !out
-
-(* ------------------------------------------------------------------ *)
-(* Certified simplification                                            *)
-(* ------------------------------------------------------------------ *)
-
-type simplify_stats = {
-  satisfied_removed : int;
-  subsumed_removed : int;
-  strengthened : int;
-  blocked_removed : int;
-}
-
-let total stats =
-  stats.satisfied_removed + stats.subsumed_removed + stats.strengthened
-  + stats.blocked_removed
-
-let simplify ?(bce = true) ?(protect = []) sat =
-  let protected_ = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace protected_ v ()) protect;
-  let lit_root l =
-    let v = Sat.root_value sat (Lit.var l) in
-    if v = 0 then 0 else if (v = 1) = Lit.is_pos l then 1 else -1
-  in
-  let satisfied = ref 0 and subsumed = ref 0 in
-  let strengthened = ref 0 and blocked = ref 0 in
-  let longs = ref [] in
-  Sat.iter_long_problem_clauses sat (fun cr lits ->
-      longs := (cr, List.sort_uniq compare lits) :: !longs);
-  let longs = Array.of_list (List.rev !longs) in
-  let bins = Sat.binary_problem_clauses sat in
-  let removed = Hashtbl.create 64 in
-  let removals = ref [] in
-  let remove cr blocker =
-    Hashtbl.replace removed cr ();
-    removals := (cr, blocker) :: !removals
-  in
-  let live cr = not (Hashtbl.mem removed cr) in
-  (* Pass 1: clauses satisfied at the root.  The root trail persists, so
-     every later model satisfies them; deletion is certificate-safe. *)
-  Array.iter
-    (fun (cr, lits) ->
-       if List.exists (fun l -> lit_root l = 1) lits then begin
-         remove cr None;
-         incr satisfied
-       end)
-    longs;
-  (* Pass 2: subsumption.  A binary or a (live) smaller long clause whose
-     literals all occur in C makes C redundant; exact duplicates keep their
-     first copy.  Removed clauses stay implied by the remaining database,
-     so both proof checking and model replay are unaffected. *)
-  Array.iter
-    (fun (cr, lits) ->
-       if
-         live cr
-         && List.exists
-              (fun (a, b) -> List.mem a lits && List.mem b lits)
-              bins
-       then begin
-         remove cr None;
-         incr subsumed
-       end)
-    longs;
-  Array.iteri
-    (fun j (cr, lits) ->
-       if live cr then begin
-         let len = List.length lits in
-         let found = ref false in
-         Array.iteri
-           (fun i (cr', lits') ->
-              if
-                (not !found)
-                && i <> j
-                && live cr'
-                && (List.length lits' < len
-                    || (List.length lits' = len && i < j))
-                && List.for_all (fun l -> List.mem l lits) lits'
-              then found := true)
-           longs;
-         if !found then begin
-           remove cr None;
-           incr subsumed
-         end
-       end)
-    longs;
-  (* Pass 3: self-subsuming resolution against binary clauses.  With
-     D = (a ∨ b), ¬a ∈ C and b ∈ C, resolving on a strengthens C to
-     C \ {¬a}; the strengthened clause is RUP by that one resolution, so
-     it is logged as a derivation ([Sat.add_derived]) and the original is
-     deleted. *)
-  Array.iter
-    (fun (cr, lits) ->
-       if live cr then begin
-         let current = ref lits in
-         let changed = ref false in
-         let progress = ref true in
-         while !progress do
-           progress := false;
-           List.iter
-             (fun (a, b) ->
-                let drop l keep =
-                  if
-                    List.mem (Lit.negate l) !current
-                    && List.mem keep !current
-                  then begin
-                    current :=
-                      List.filter (fun x -> x <> Lit.negate l) !current;
-                    changed := true;
-                    progress := true
-                  end
-                in
-                drop a b;
-                drop b a)
-             bins
-         done;
-         if !changed then begin
-           Sat.add_derived sat !current;
-           remove cr None;
-           incr strengthened
-         end
-       end)
-    longs;
-  (* Pass 4: blocked-clause elimination.  Only unnamed, unprotected,
-     non-guard, root-unassigned variables qualify as blocking literals —
-     cardinality registers and symmetry auxiliaries, which no future
-     CEGIS clause (lemma, blocking clause, retirement unit) ever
-     mentions, keeping blockedness stable across episodes.  Blockedness
-     is checked against the full pre-removal database, which is
-     conservative (monotone under deletion), so batch removal is sound;
-     each removal records its blocking literal and the solver patches
-     later SAT models (newest elimination first). *)
-  if bce then begin
-    let eligible v =
-      v >= 0
-      && (not (Hashtbl.mem protected_ v))
-      && (not (Sat.is_guard sat v))
-      && Sat.var_name sat v = None
-      && Sat.root_value sat v = 0
-    in
-    (* Occurrence lists over the original database (longs + binaries). *)
-    let occ = Hashtbl.create 256 in
-    let add_occ l c =
-      Hashtbl.replace occ l
-        (c :: Option.value ~default:[] (Hashtbl.find_opt occ l))
-    in
-    Array.iter (fun (_, lits) -> List.iter (fun l -> add_occ l lits) lits)
-      longs;
-    List.iter
-      (fun (a, b) ->
-         add_occ a [ a; b ];
-         add_occ b [ a; b ])
-      bins;
-    Array.iter
-      (fun (cr, lits) ->
-         if live cr then begin
-           let blocked_on l =
-             eligible (Lit.var l)
-             && List.for_all
-                  (fun d ->
-                     (* Resolvent of C and D on l must be a tautology. *)
-                     List.exists
-                       (fun x -> x <> l && List.mem (Lit.negate x) d)
-                       lits)
-                  (Option.value ~default:[]
-                     (Hashtbl.find_opt occ (Lit.negate l)))
-           in
-           match List.find_opt blocked_on lits with
-           | Some l ->
-             remove cr (Some l);
-             incr blocked
-           | None -> ()
-         end)
-      longs
-  end;
-  Sat.remove_long_problem_clauses sat (List.rev !removals);
-  { satisfied_removed = !satisfied;
-    subsumed_removed = !subsumed;
-    strengthened = !strengthened;
-    blocked_removed = !blocked }

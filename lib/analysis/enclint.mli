@@ -1,5 +1,5 @@
-(** EncLint: solver-free static analysis of a constructed CEGIS encoding,
-    plus DRAT-certified simplification.
+(** EncLint: solver-free static analysis of a constructed CEGIS
+    encoding.
 
     The encoding layer ([Pmi_core.Encoding]) describes itself through a
     {!view} — rows, activation literals, recorded cardinality networks,
@@ -80,27 +80,3 @@ val analyze :
     lemmas — which is what the CEGIS gate uses on repeat episodes of a
     solver whose database it has already vetted.  Must be called at
     decision level 0. *)
-
-(** {1 Certified simplification} *)
-
-type simplify_stats = {
-  satisfied_removed : int;   (** clauses satisfied by the root trail *)
-  subsumed_removed : int;    (** subsumed by a binary or smaller clause *)
-  strengthened : int;        (** self-subsuming resolution rewrites *)
-  blocked_removed : int;     (** blocked-clause eliminations *)
-}
-
-val total : simplify_stats -> int
-
-val simplify :
-  ?bce:bool -> ?protect:int list -> Pmi_smt.Sat.t -> simplify_stats
-(** Simplify the long problem clauses in place, emitting every rewrite
-    into the solver's DRAT trace: strengthened clauses are logged as
-    derivations ({!Pmi_smt.Sat.add_derived}), removals as deletions, so
-    [--certify] verdicts on the simplified encoding still pass the
-    independent {!Drat} checker.  Blocked-clause elimination ([?bce],
-    default on) only blocks on unnamed, unmarked, root-unassigned
-    variables outside [protect] (cardinality registers and symmetry
-    auxiliaries); each elimination records a model-reconstruction entry
-    in the solver, so SAT models keep satisfying every input clause.
-    Must be called at decision level 0, before the episode's solve. *)

@@ -14,12 +14,11 @@
 
     The detector is {e off} by default.  Every entry point starts with a
     single [Atomic.get] on the enable flag and returns immediately when
-    disabled, so instrumented hot paths (pool cursors, solver portfolios,
-    harness caches) pay one predictable branch — see the
-    [ablation/sanitize-off-portfolio] bench.  When enabled, all shadow
-    bookkeeping runs under one global mutex: sanitizing serializes the
-    program, which is fine because races are found by {e logical}
-    interleavings (vector clocks + schedule replay in
+    disabled, so instrumented hot paths (pool cursors, cube-and-conquer
+    workers, harness caches) pay one predictable branch.  When enabled,
+    all shadow bookkeeping runs under one global mutex: sanitizing
+    serializes the program, which is fine because races are found by
+    {e logical} interleavings (vector clocks + schedule replay in
     {!Pmi_parallel.Pool}), not by physical timing.
 
     Threads here are {e logical} threads, not domains: the pool forks one

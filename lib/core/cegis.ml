@@ -17,7 +17,6 @@ let c_certificates = Obs.counter "cegis.certificates_checked"
 let c_candidates = Obs.counter "cegis.candidates_tried"
 let c_observations = Obs.counter "cegis.observations"
 let c_enclint_findings = Obs.counter "cegis.enclint.findings"
-let c_enclint_removed = Obs.counter "cegis.enclint.clauses_removed"
 let c_sat_episodes = Obs.counter "cegis.sat_episodes"
 let c_mapcheck_refuted = Obs.counter "cegis.mapcheck.refuted_rows"
 let c_mapcheck_saved = Obs.counter "cegis.mapcheck.measurements_saved"
@@ -52,15 +51,11 @@ type config = {
   max_other_candidates : int;
   max_iterations : int;
   symmetry_breaking : bool;
-  incremental_sat : bool;
-  memoized_oracle : bool;
   domains : int;
   cube_conquer : int;
-  clause_db_reduction : bool;
   dump_cnf : string option;
   certify : bool;
   enclint : bool;
-  enclint_simplify : bool;
   mapcheck : bool;
   store : Pmi_store.Store.t option;
 }
@@ -76,15 +71,11 @@ let default_config =
     max_other_candidates = 400;
     max_iterations = 400;
     symmetry_breaking = true;
-    incremental_sat = true;
-    memoized_oracle = true;
     domains = 1;
     cube_conquer = 0;
-    clause_db_reduction = true;
     dump_cnf = None;
     certify = false;
     enclint = false;
-    enclint_simplify = false;
     mapcheck = false;
     store = None }
 
@@ -112,13 +103,13 @@ let modeled_inverse config mapping experiment =
 
 (* The memoized oracle is a drop-in replacement for the naive throughput
    computation (same exact rationals); it only declines when the port count
-   exceeds its dense-table bound, in which case we keep the naive path. *)
-let inverse_fn config mapping =
-  if config.memoized_oracle then
-    match Oracle.create mapping with
-    | oracle -> fun e -> Oracle.inverse_bounded ~r_max:config.r_max oracle e
-    | exception Invalid_argument _ -> modeled_inverse config mapping
-  else modeled_inverse config mapping
+   exceeds its dense-table bound, in which case we keep the naive path.
+   The oracle itself is returned too, so parallel callers can warm its
+   tables before fanning out. *)
+let oracle_fn config mapping =
+  match Oracle.create mapping with
+  | o -> ((fun e -> Oracle.inverse_bounded ~r_max:config.r_max o e), Some o)
+  | exception Invalid_argument _ -> (modeled_inverse config mapping, None)
 
 let consistent config mapping obs =
   let modeled = modeled_inverse config mapping obs.experiment in
@@ -131,7 +122,7 @@ let consistent config mapping obs =
    seeded with everything already learned. *)
 let theory_check config encoding observations pool model =
   let mapping = Encoding.decode encoding model in
-  let inv = inverse_fn config mapping in
+  let inv, _ = oracle_fn config mapping in
   let lemmas = ref [] in
   Race.touch_read obs_loc;
   Vec.iter
@@ -161,15 +152,12 @@ let fresh_encoding config specs pool =
       ~symmetry_breaking:config.symmetry_breaking ~certify:config.certify
       specs
   in
-  Pmi_smt.Sat.set_reduce_enabled (Encoding.sat encoding)
-    config.clause_db_reduction;
   Race.touch_read lemma_loc;
   Vec.iter (Pmi_smt.Sat.add_clause (Encoding.sat encoding)) pool;
   encoding
 
 (* Static gate on a constructed encoding (behind [config.enclint]): run
-   the EncLint analysis — optionally preceded by the certified
-   simplification — once per solver episode, before the episode's first
+   the EncLint analysis once per solver episode, before the episode's first
    solve.  Two caches keep the gate sub-linear over a CEGIS run:
 
    - [enclint_cone_memo] is handed to the analyzer, which memoizes clean
@@ -181,9 +169,8 @@ let fresh_encoding config specs pool =
    - [enclint_db_seen] maps [Sat.id] to the retired-row signature under
      which the clause-database passes (dead vars, duplicates, retired
      reachability, frozen-unused) last ran.  Those passes only change
-     when the database does structurally: a new solver, a retirement, or
-     a simplification that removed clauses; episodes in between run the
-     view-layer checks only. *)
+     when the database does structurally: a new solver or a retirement;
+     episodes in between run the view-layer checks only. *)
 let enclint_cone_memo : (string, unit) Hashtbl.t = Hashtbl.create 64
 let enclint_db_seen : (int, string) Hashtbl.t = Hashtbl.create 16
 
@@ -208,29 +195,6 @@ let enclint_gate config ?lemmas ?frozen encoding =
       | Some s when s = retired_sig -> false
       | _ -> true
     in
-    (* Simplification rides the same trigger as the database passes: the
-       subsumption/SSR/BCE sweep is only worth its cost when the database
-       changed structurally, so it runs on a solver's first episode and
-       after each retirement (lemmas added in between wait for the next
-       trigger) — and the analysis below scans the post-simplify
-       database. *)
-    if db && config.enclint_simplify then begin
-      let stats =
-        Obs.span "cegis.enclint.simplify" (fun () ->
-            Pmi_analysis.Enclint.simplify
-              ~protect:(Encoding.protected_vars encoding) sat)
-      in
-      let removed = Pmi_analysis.Enclint.total stats in
-      Obs.add c_enclint_removed removed;
-      if removed > 0 then
-        Log.debug (fun m ->
-            m "enclint: simplified %d clause(s) (%d satisfied, %d subsumed, \
-               %d strengthened, %d blocked)"
-              removed stats.Pmi_analysis.Enclint.satisfied_removed
-              stats.Pmi_analysis.Enclint.subsumed_removed
-              stats.Pmi_analysis.Enclint.strengthened
-              stats.Pmi_analysis.Enclint.blocked_removed)
-    end;
     if db then
       Hashtbl.replace enclint_db_seen (Pmi_smt.Sat.id sat) retired_sig;
     let diags =
@@ -253,8 +217,8 @@ let enclint_gate config ?lemmas ?frozen encoding =
                  (List.map Pmi_diag.Diag.to_string errs))))
 
 (* Theory-level solving: cube-and-conquer when [cube_conquer] grants split
-   variables, a diversified solver portfolio otherwise — both only when the
-   config grants more than one domain. *)
+   variables and the config grants more than one domain, the sequential
+   lazy-SMT loop otherwise. *)
 let solve_sub config encoding ?assumptions ~check sat =
   if config.cube_conquer > 0 && config.domains > 1 then
     Obs.span
@@ -265,8 +229,6 @@ let solve_sub config encoding ?assumptions ~check sat =
            ~cubes:config.cube_conquer
            ~hint:(fun () -> Encoding.split_hint encoding)
            ~check sat)
-  else if config.domains > 1 then
-    Solver.solve_portfolio ?assumptions ~domains:config.domains ~check sat
   else Solver.solve ?assumptions ~check sat
 
 (* ------------------------------------------------------------------ *)
@@ -355,7 +317,7 @@ let certify_sat config encoding observations model =
   end
 
 (* Every solver verdict the CEGIS loop consumes flows through here, so the
-   fresh, incremental, and portfolio paths are all certified when the knob
+   sequential and cube-and-conquer paths are both certified when the knob
    is on. *)
 let certified_solve config encoding observations ?assumptions ~check () =
   let sat = Encoding.sat encoding in
@@ -521,11 +483,9 @@ let distinguishing_memoized config o1 o2 schemes =
 let distinguishing_experiment config m1 m2 schemes =
   Obs.span "cegis.distinguish" (fun () ->
       let oracles =
-        if config.memoized_oracle then
-          match (Oracle.create m1, Oracle.create m2) with
-          | o1, o2 -> Some (o1, o2)
-          | exception Invalid_argument _ -> None
-        else None
+        match (Oracle.create m1, Oracle.create m2) with
+        | o1, o2 -> Some (o1, o2)
+        | exception Invalid_argument _ -> None
       in
       match oracles with
       | Some (o1, o2) -> distinguishing_memoized config o1 o2 schemes
@@ -572,10 +532,8 @@ let sync_lemmas state pool =
    current experiment bound must be reconsidered once new observations
    arrive), so each call guards them behind a fresh activation literal that
    is assumed during the call and retired with a unit clause afterwards. *)
-let find_other_mapping_incremental config state specs observations pool m1
-    tried_counter =
-  Obs.span ~args:[ ("mode", Obs.Str "incremental") ] "cegis.find_other_mapping"
-  @@ fun () ->
+let find_other_mapping config state specs observations pool m1 tried_counter =
+  Obs.span "cegis.find_other_mapping" @@ fun () ->
   sync_lemmas state pool;
   let encoding = state.o_encoding in
   (* Gate before the per-call activation variable exists: it would read as
@@ -622,48 +580,6 @@ let find_other_mapping_incremental config state specs observations pool m1
      during [check] are already in, so fast-forward the sync mark. *)
   Pmi_smt.Sat.add_clause sat [ retract ];
   state.o_synced <- Vec.length pool;
-  result
-
-(* [sat_acc] accumulates the throwaway encoding's solver counters so the
-   per-run statistics stay comparable with the incremental path. *)
-let find_other_mapping_fresh config specs observations pool m1 tried_counter
-    sat_acc ~register =
-  Obs.span ~args:[ ("mode", Obs.Str "fresh") ] "cegis.find_other_mapping"
-  @@ fun () ->
-  let encoding = fresh_encoding config specs pool in
-  register encoding;
-  enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) encoding;
-  let sat = Encoding.sat encoding in
-  let check = theory_check config encoding observations pool in
-  let schemes = List.map fst specs in
-  let rec search budget =
-    if budget = 0 then begin
-      Log.warn (fun m ->
-          m "findOtherMapping: candidate budget exhausted; treating as converged");
-      None
-    end
-    else begin
-      match certified_solve config encoding observations ~check () with
-      | Solver.Unsat -> None
-      | Solver.Sat model ->
-        incr tried_counter;
-        Obs.incr c_candidates;
-        let m2 = Encoding.decode encoding model in
-        if same_mapping specs m1 m2 then begin
-          Pmi_smt.Sat.add_clause sat (Encoding.block_model encoding model);
-          search (budget - 1)
-        end
-        else begin
-          match distinguishing_experiment config m1 m2 schemes with
-          | Some e -> Some (m2, e)
-          | None ->
-            Pmi_smt.Sat.add_clause sat (Encoding.block_model encoding model);
-            search (budget - 1)
-        end
-    end
-  in
-  let result = search config.max_other_candidates in
-  sat_acc := Pmi_smt.Sat.add_stats !sat_acc (Pmi_smt.Sat.stats sat);
   result
 
 (* Canonical flooding experiments used to validate a converged mapping:
@@ -740,16 +656,13 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
            (Encoding.refute_row enc scheme ports))
       !refutation_targets
   in
-  let replay_refutations enc =
+  let register_target enc =
+    refutation_targets := enc :: !refutation_targets;
     List.iter
       (fun (scheme, ports) ->
          Pmi_smt.Sat.add_clause (Encoding.sat enc)
            (Encoding.refute_row enc scheme ports))
       (List.rev !refuted_log)
-  in
-  let register_target enc =
-    refutation_targets := enc :: !refutation_targets;
-    replay_refutations enc
   in
   let record obs =
     Race.touch_write obs_loc;
@@ -845,44 +758,21 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
   let fm_encoding = fresh_encoding config specs pool in
   register_target fm_encoding;
   let other_state =
-    if config.incremental_sat then begin
-      let o_encoding =
-        Encoding.create ~num_ports:config.num_ports
-          ~symmetry_breaking:config.symmetry_breaking
-          ~certify:config.certify specs
-      in
-      Pmi_smt.Sat.set_reduce_enabled (Encoding.sat o_encoding)
-        config.clause_db_reduction;
-      register_target o_encoding;
-      Some { o_encoding; o_synced = 0 }
-    end
-    else None
-  in
-  (* Solver counters of throwaway findOtherMapping encodings (fresh path). *)
-  let sat_extra = ref Pmi_smt.Sat.zero_stats in
-  let find_other m1 tried =
-    match other_state with
-    | Some state ->
-      find_other_mapping_incremental config state specs observations pool m1
-        tried
-    | None ->
-      find_other_mapping_fresh config specs observations pool m1 tried
-        sat_extra ~register:replay_refutations
+    let o_encoding =
+      Encoding.create ~num_ports:config.num_ports
+        ~symmetry_breaking:config.symmetry_breaking ~certify:config.certify
+        specs
+    in
+    register_target o_encoding;
+    { o_encoding; o_synced = 0 }
   in
   let tried = ref 0 in
-  let sat_stats () =
-    let acc = Pmi_smt.Sat.stats (Encoding.sat fm_encoding) in
-    let acc =
-      match other_state with
-      | Some state ->
-        Pmi_smt.Sat.add_stats acc
-          (Pmi_smt.Sat.stats (Encoding.sat state.o_encoding))
-      | None -> acc
-    in
-    Pmi_smt.Sat.add_stats acc !sat_extra
-  in
   let finish mk =
-    let sat = sat_stats () in
+    let sat =
+      Pmi_smt.Sat.add_stats
+        (Pmi_smt.Sat.stats (Encoding.sat fm_encoding))
+        (Pmi_smt.Sat.stats (Encoding.sat other_state.o_encoding))
+    in
     Log.info (fun m ->
         m "solver: %d decisions, %d propagations, %d conflicts, %d restarts, \
            %d learned (max glue %d), %d deleted by reduction"
@@ -893,12 +783,9 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
     (match config.dump_cnf with
      | Some prefix ->
        dump_cnf_file (Encoding.sat fm_encoding) (prefix ^ "-findmapping.cnf");
-       (match other_state with
-        | Some state ->
-          dump_cnf_file
-            (Encoding.sat state.o_encoding)
-            (prefix ^ "-findothermapping.cnf")
-        | None -> ())
+       dump_cnf_file
+         (Encoding.sat other_state.o_encoding)
+         (prefix ^ "-findothermapping.cnf")
      | None -> ());
     mk
       { iterations = 0;
@@ -916,14 +803,7 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
        [None] means the convergence is confirmed.  Only one refutation is
        reported per round so that an UNSAT can be traced to a single
        observation (the §4.3 culprit search depends on that). *)
-    let inv, oracle =
-      if config.memoized_oracle then
-        match Oracle.create m1 with
-        | o ->
-          ((fun e -> Oracle.inverse_bounded ~r_max:config.r_max o e), Some o)
-        | exception Invalid_argument _ -> (modeled_inverse config m1, None)
-      else (modeled_inverse config m1, None)
-    in
+    let inv, oracle = oracle_fn config m1 in
     let failing e =
       Race.touch_read obs_loc;
       if
@@ -963,7 +843,10 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
              (finish (fun s ->
                   No_consistent_mapping { s with iterations = iteration }))
          | Some m1 ->
-           (match find_other m1 tried with
+           (match
+              find_other_mapping config other_state specs observations pool
+                m1 tried
+            with
             | None ->
               (match validate m1 with
                | None ->
@@ -1103,8 +986,6 @@ module Delta = struct
       Encoding.create ~num_ports:config.num_ports ~symmetry_breaking:false
         ~certify:config.certify []
     in
-    Pmi_smt.Sat.set_reduce_enabled (Encoding.sat encoding)
-      config.clause_db_reduction;
     List.iter (fun (s, spec) -> Encoding.append_row encoding s spec) specs;
     encoding
 
@@ -1313,15 +1194,7 @@ module Delta = struct
           ~args:[ ("sweep", Obs.Int (Array.length sweep)) ]
           "cegis.validate"
         @@ fun () ->
-        let inv, oracle =
-          if config.memoized_oracle then
-            match Oracle.create m1 with
-            | o ->
-              ((fun e -> Oracle.inverse_bounded ~r_max:config.r_max o e),
-               Some o)
-            | exception Invalid_argument _ -> (modeled_inverse config m1, None)
-          else (modeled_inverse config m1, None)
-        in
+        let inv, oracle = oracle_fn config m1 in
         let failing e =
           Race.touch_read obs_loc;
           if

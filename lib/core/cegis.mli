@@ -25,30 +25,17 @@ type config = {
                                    convergence *)
   max_iterations : int;        (** Algorithm-2 iteration budget *)
   symmetry_breaking : bool;
-  incremental_sat : bool;      (** keep one persistent [findOtherMapping]
-                                   solver per specs set instead of rebuilding
-                                   the encoding every iteration; per-call
-                                   [block_model] clauses are guarded behind
-                                   activation literals and retired when the
-                                   call returns, while learned clauses and
-                                   theory lemmas persist (default [true]) *)
-  memoized_oracle : bool;      (** evaluate the throughput oracle against
-                                   memoized dense subset-sum tables
-                                   ({!Pmi_portmap.Oracle}) rather than
-                                   recomputing per query; exact same
-                                   rationals (default [true]) *)
   domains : int;               (** > 1 fans the stratified
-                                   distinguishing-experiment search, the
-                                   convergence validation sweep, {e and} the
-                                   SAT portfolio
-                                   ({!Pmi_smt.Solver.solve_portfolio}) out
-                                   over that many OCaml domains.  The
-                                   validation sweep calls [measure]
-                                   concurrently, so only raise this with a
-                                   thread-safe measure function (default
-                                   [1]) *)
-  cube_conquer : int;          (** > 0 replaces the SAT portfolio with
-                                   cube-and-conquer
+                                   distinguishing-experiment search and the
+                                   convergence validation sweep out over
+                                   that many OCaml domains; both pick the
+                                   sequential winner, so the result does
+                                   not depend on the count.  The validation
+                                   sweep calls [measure] concurrently, so
+                                   only raise this with a thread-safe
+                                   measure function (default [1]) *)
+  cube_conquer : int;          (** > 0 replaces the sequential SAT loop
+                                   with cube-and-conquer
                                    ({!Pmi_smt.Solver.solve_cubes}): each
                                    theory round splits the search space on
                                    that many variables — hinted by
@@ -60,12 +47,6 @@ type config = {
                                    and continuous cross-worker clause
                                    sharing.  Only effective with
                                    [domains > 1] (default [0], off) *)
-  clause_db_reduction : bool;  (** let the SAT engine periodically discard
-                                   high-glue learnt clauses
-                                   ({!Pmi_smt.Sat.set_reduce_enabled});
-                                   theory lemmas and blocking clauses are
-                                   problem clauses and never touched
-                                   (default [true]) *)
   dump_cnf : string option;    (** [Some prefix] writes the final CNF of
                                    each persistent solver in DIMACS format
                                    to [prefix ^ "-findmapping.cnf"] etc.,
@@ -74,9 +55,9 @@ type config = {
                                    in every solver and have the independent
                                    checker ({!Pmi_analysis.Drat}) accept a
                                    certificate for {e each} verdict the loop
-                                   consumes — UNSAT answers (fresh,
-                                   incremental-with-assumptions, and
-                                   portfolio paths alike) must re-derive as
+                                   consumes — UNSAT answers (plain,
+                                   under assumptions, and cube-and-conquer
+                                   alike) must re-derive as
                                    RUP, SAT models must satisfy every input
                                    clause and their decoded mapping must
                                    explain every observation under the naive
@@ -97,17 +78,6 @@ type config = {
                                    {!Enclint_failure}; findings are also
                                    logged and tallied under the
                                    [cegis.enclint.*] counters (default
-                                   [false]) *)
-  enclint_simplify : bool;     (** with [enclint], additionally run the
-                                   DRAT-certified simplification
-                                   ({!Pmi_analysis.Enclint.simplify}) on
-                                   the episode's clause database before
-                                   analyzing: subsumption, self-subsuming
-                                   resolution, and blocked-clause
-                                   elimination over the anonymous
-                                   auxiliary variables, with every rewrite
-                                   emitted into the proof trace so
-                                   [certify] verdicts still check (default
                                    [false]) *)
   mapcheck : bool;             (** static refutation through the abstract
                                    interpreter ({!Pmi_analysis.Mapcheck}):

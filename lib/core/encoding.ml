@@ -456,18 +456,6 @@ let order_ports ?schemes t p q =
 (* Static analysis support (EncLint)                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Every variable that carries encoding meaning: µop rows, selectors,
-   activation literals.  Certified simplification must never eliminate or
-   flip these — theory lemmas, blocking clauses and decode all read them —
-   whereas cardinality registers and symmetry auxiliaries are fair game. *)
-let protected_vars t =
-  Array.to_list t.rows
-  |> List.concat_map (fun r ->
-      (if r.act >= 0 then [ r.act ] else [])
-      @ Array.to_list r.own
-      @ Array.to_list r.shared
-      @ Array.to_list r.selectors)
-
 let enclint_view ?(lemmas = []) ?(frozen = []) ?accepted t =
   let module E = Pmi_analysis.Enclint in
   let rows =

@@ -141,13 +141,6 @@ val split_hint : t -> int list
 
 (** {1 Static analysis support} *)
 
-val protected_vars : t -> int list
-(** Every variable with encoding meaning (µop rows, selectors, activation
-    literals) across live {e and} retired rows.  Certified simplification
-    ({!Pmi_analysis.Enclint.simplify}) must not eliminate these; the
-    remaining variables — cardinality registers, symmetry auxiliaries —
-    are anonymous plumbing. *)
-
 val enclint_view :
   ?lemmas:Pmi_smt.Lit.t list list ->
   ?frozen:Pmi_smt.Lit.t list ->

@@ -97,7 +97,7 @@ type t = {
   mutable learnt_buf : int array;
   mutable lbd_mark : int array;      (* keyed by decision level *)
   mutable lbd_stamp : int;
-  (* Search policy (diversification knobs for the portfolio). *)
+  (* Search policy (diversification knobs for cube workers). *)
   mutable seed : int;
   mutable rand_freq : float;
   mutable luby : bool;
@@ -105,9 +105,6 @@ type t = {
   mutable reduce_enabled : bool;
   mutable reduce_budget : int;       (* conflicts until the next reduction *)
   mutable reduce_step : int;
-  (* Learned-clause export log (enabled on portfolio clones). *)
-  mutable log_enabled : bool;
-  mutable learnt_log : (int * int list) list;  (* (lbd, lits), newest first *)
   (* Cube-and-conquer hooks (see [Solver.solve_cubes]).  [on_learnt] fires
      synchronously on every clause the search learns, so a driver can
      export low-glue clauses to a shared pool while the solver is still
@@ -128,12 +125,8 @@ type t = {
   (* Optional variable names, for DIMACS/DRAT cross-referencing. *)
   names : (int, string) Hashtbl.t;
   (* Guard/activation variables, declared via [mark_guard]: annotated in
-     DIMACS dumps and protected from blocked-clause elimination. *)
+     DIMACS dumps. *)
   guards : (int, unit) Hashtbl.t;
-  (* Model-reconstruction stack for eliminated blocked clauses, newest
-     first: [(blocking literal, clause literals)].  Applied to every SAT
-     model before it leaves the solver (see [reconstruct_model]). *)
-  mutable recon : (int * int array) list;
   (* Invariant sanitizer (debug): checked at decision-level-0 boundaries. *)
   mutable sanitize : bool;
   (* Statistics. *)
@@ -151,8 +144,8 @@ type result =
   | Unsat
 
 (* Unique instance ids let analysis passes keep per-solver side tables
-   without retaining the solver itself.  Atomic: clones are taken from
-   other domains in the portfolio. *)
+   without retaining the solver itself.  Atomic: cube workers' clones are
+   taken from other domains. *)
 let next_id = Atomic.make 0
 
 let id s = s.id
@@ -202,8 +195,6 @@ let create () =
     reduce_enabled = true;
     reduce_budget = 2000;
     reduce_step = 2000;
-    log_enabled = false;
-    learnt_log = [];
     on_learnt = None;
     on_restart = None;
     proof_enabled = false;
@@ -212,7 +203,6 @@ let create () =
     proof_len = 0;
     names = Hashtbl.create 16;
     guards = Hashtbl.create 16;
-    recon = [];
     sanitize = false;
     st_decisions = 0;
     st_propagations = 0;
@@ -872,10 +862,6 @@ let analyze s confl =
 let record_learnt s n lbd =
   s.st_learned <- s.st_learned + 1;
   if lbd > s.st_max_lbd then s.st_max_lbd <- lbd;
-  if s.log_enabled then begin
-    let lits = Array.to_list (Array.sub s.learnt_buf 0 n) in
-    s.learnt_log <- (lbd, lits) :: s.learnt_log
-  end;
   (match s.on_learnt with
    | None -> ()
    | Some f -> f lbd (Array.to_list (Array.sub s.learnt_buf 0 n)));
@@ -914,11 +900,9 @@ let add_clause_internal s ~learned ~tag ~lbd lits =
   assert (s.n_levels = 0);
   (* Log the clause exactly as given, before simplification: the checker's
      database must mirror what the caller asserted.  [tag] is the DRAT tag
-     (0 = Input axiom, 1 = Derive): a clause imported from a portfolio
-     winner is RUP w.r.t. the winner's derivations (which the portfolio
-     driver logs first), and a clause strengthened by certified
-     simplification is RUP by one resolution step against its subsumer —
-     both log as derivations, not axioms. *)
+     (0 = Input axiom, 1 = Derive): a clause imported from a cube worker
+     is RUP w.r.t. the worker's derivations (which the cube driver logs
+     first), so it logs as a derivation, not an axiom. *)
   proof_push_list s tag lits;
   if s.ok then begin
     (* Simplify: drop duplicates and root-level-false literals, detect
@@ -953,18 +937,11 @@ let add_clause_internal s ~learned ~tag ~lbd lits =
 
 let add_clause s lits = add_clause_internal s ~learned:false ~tag:0 ~lbd:0 lits
 
-(* A clause implied by the current database (certified-simplification
-   strengthening): logged as a DRAT derivation, installed as a problem
-   clause so reduction never discards it. *)
-let add_derived s lits = add_clause_internal s ~learned:false ~tag:1 ~lbd:0 lits
-
 let add_learnt s ~lbd lits =
   let lbd = max 1 lbd in
   s.st_learned <- s.st_learned + 1;
   if lbd > s.st_max_lbd then s.st_max_lbd <- lbd;
   add_clause_internal s ~learned:true ~tag:1 ~lbd lits
-
-let new_learnts s = List.rev s.learnt_log
 
 let set_on_learnt s f = s.on_learnt <- f
 let set_on_restart s f = s.on_restart <- f
@@ -1019,9 +996,8 @@ let most_constrained_vars s k =
 (* ------------------------------------------------------------------ *)
 
 (* Enumerate the live long problem clauses as (cref, literals).  Crefs stay
-   valid until the next arena compaction (clause-DB reduction, solve, or
-   [remove_long_problem_clauses]); adding clauses only appends, so a
-   gather → strengthen → remove sequence at level 0 is safe. *)
+   valid until the next arena compaction (a solve with clause-DB
+   reduction). *)
 let iter_long_problem_clauses s f =
   for i = 0 to s.n_problem - 1 do
     let cr = s.clauses.(i) in
@@ -1150,36 +1126,6 @@ let reduce_db s =
      time, so reductions get rarer as the search matures. *)
   s.reduce_step <- s.reduce_step + 300;
   s.reduce_budget <- s.st_conflicts + s.reduce_step
-
-(* Remove a batch of long problem clauses by cref (as enumerated by
-   [iter_long_problem_clauses], with no intervening compaction), logging a
-   DRAT deletion for each.  An optional blocking literal per clause records
-   a model-reconstruction entry: a blocked clause is not implied by the
-   remaining database, so every later SAT model must be patched to satisfy
-   it (see [reconstruct_model]).  Must run at decision level 0, outside a
-   search. *)
-let remove_long_problem_clauses s removals =
-  assert (s.n_levels = 0);
-  if s.ok && removals <> [] then begin
-    (* Level-0 reasons must not survive the compaction: crefs move. *)
-    for i = 0 to s.trail_size - 1 do
-      s.reason.(Lit.var s.trail.(i)) <- -1
-    done;
-    List.iter
-      (fun (cr, blocker) ->
-         if not (c_deleted s cr) then begin
-           let len = c_len s cr in
-           proof_push_sub s 2 s.arena (cr + 2) len;
-           (match blocker with
-            | None -> ()
-            | Some l ->
-              let lits = Array.init len (fun j -> c_lit s cr j) in
-              s.recon <- (l, lits) :: s.recon);
-           c_delete s cr
-         end)
-      removals;
-    rebuild_clause_db s
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Invariant sanitizer                                                 *)
@@ -1414,24 +1360,6 @@ let luby_unit i =
   done;
   1 lsl !seq
 
-(* Patch a total model to satisfy the blocked clauses removed by certified
-   simplification: newest elimination first (reverse elimination order),
-   flip the blocking literal true whenever the model falsifies the clause.
-   Sound because each clause was blocked on its literal w.r.t. the database
-   it was removed from: all resolvents on that literal were tautologies, so
-   the flip cannot falsify a remaining clause, and the eliminator only
-   blocks on variables no later clause mentions. *)
-let reconstruct_model s model =
-  List.iter
-    (fun (blocker, lits) ->
-       let sat_lit l =
-         let v = Lit.var l in
-         if Lit.is_pos l then model.(v) else not model.(v)
-       in
-       if not (Array.exists sat_lit lits) then
-         model.(Lit.var blocker) <- Lit.is_pos blocker)
-    s.recon
-
 let pick_branch_var s =
   let v = ref (-1) in
   if s.rand_freq > 0.0 && s.nvars > 0 && rand_float s < s.rand_freq then begin
@@ -1529,7 +1457,6 @@ let solve_opt ?(assumptions = []) ?(stop = fun () -> false) s =
         match pick_branch_var s with
         | -1 ->
           let model = Array.init s.nvars (fun v -> var_value s v = 1) in
-          reconstruct_model s model;
           result := Some (Sat model);
           finished := true
         | v ->
@@ -1549,14 +1476,12 @@ let solve ?assumptions s =
   | None -> assert false (* no [stop] hook was given *)
 
 (* ------------------------------------------------------------------ *)
-(* Copying (portfolio support)                                         *)
+(* Copying (cube-and-conquer support)                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* An independent snapshot of the solver, safe to drive from another domain.
-   The clone records every clause it learns (so the winner of a portfolio
-   race can hand them back, see [new_learnts]) and starts with zeroed
-   statistics (so the winner's counters are a delta the caller can fold into
-   the original with [absorb_stats]). *)
+   The clone starts with zeroed statistics, so its counters are a delta the
+   caller can fold into the original with [absorb_stats]. *)
 let copy s =
   cancel_until s 0;
   { id = Atomic.fetch_and_add next_id 1;
@@ -1600,25 +1525,19 @@ let copy s =
     reduce_enabled = s.reduce_enabled;
     reduce_budget = s.reduce_budget;
     reduce_step = s.reduce_step;
-    log_enabled = true;
-    learnt_log = [];
     (* Sharing hooks are per-instance wiring, installed by the driver that
        owns the clone; they never survive a copy. *)
     on_learnt = None;
     on_restart = None;
-    (* The parent assembles the proof: it replays the winner's learnt log as
-       derivation steps (see [Solver.solve_portfolio]), so clones never
-       record their own trace. *)
+    (* The parent assembles the proof: it replays the workers' learnt
+       clauses as derivation steps (see [Solver.solve_cubes]), so clones
+       never record their own trace. *)
     proof_enabled = false;
     proof_buf = [||];
     proof_pos = 0;
     proof_len = 0;
     names = Hashtbl.copy s.names;
     guards = Hashtbl.copy s.guards;
-    (* The entries are immutable (the literal arrays are never written
-       after elimination), so structural sharing with the parent is safe
-       across domains. *)
-    recon = s.recon;
     sanitize = s.sanitize;
     st_decisions = 0;
     st_propagations = 0;

@@ -50,14 +50,6 @@ val add_clause : t -> Lit.t list -> unit
     clause that simplifies to it) makes the solver permanently
     unsatisfiable. *)
 
-val add_derived : t -> Lit.t list -> unit
-(** Add a clause that is {e implied} by the current database (e.g. the
-    strengthened clause of a self-subsuming resolution step, which is RUP
-    by one resolution against its subsumer).  Identical to {!add_clause}
-    except that, under proof logging, the clause is recorded as a DRAT
-    derivation rather than an input axiom — the independent checker will
-    verify it instead of trusting it. *)
-
 val solve : ?assumptions:Lit.t list -> t -> result
 (** Solve under the given assumptions.  The model of a [Sat] answer assigns
     every allocated variable.  [Unsat] under assumptions means
@@ -79,20 +71,15 @@ val num_conflicts : t -> int
 
 val stats : t -> stats
 
-(** {1 Portfolio support} *)
+(** {1 Parallel-solving support} *)
 
 val copy : t -> t
 (** An independent snapshot, safe to drive from another domain.  The clone
-    starts with zeroed statistics and records every clause it learns, so a
-    portfolio winner's progress can be folded back into the original via
-    [new_learnts]/[add_learnt] and [absorb_stats]. *)
-
-val new_learnts : t -> (int * Lit.t list) list
-(** Clauses learnt by a [copy] since it was created, oldest first, as
-    [(lbd, literals)] pairs.  Empty on solvers not created by [copy]. *)
+    starts with zeroed statistics, so a worker's progress can be folded
+    back into the original via [add_learnt] and [absorb_stats]. *)
 
 val add_learnt : t -> lbd:int -> Lit.t list -> unit
-(** Import a clause learnt elsewhere (e.g. by a portfolio member).  Like
+(** Import a clause learnt elsewhere (e.g. by a cube worker).  Like
     [add_clause] but the clause is registered as learnt, so it stays
     subject to clause-database reduction unless its glue is [<= 2]. *)
 
@@ -117,8 +104,7 @@ val most_constrained_vars : t -> int -> int list
 (** {1 Encoding introspection (static analysis support)}
 
     Read-only views of the problem-clause database, consumed by the
-    EncLint static analyzer ([Pmi_analysis.Enclint]), plus the certified
-    clause-removal hook its simplification mode uses.  All of these must
+    EncLint static analyzer ([Pmi_analysis.Enclint]).  All of these must
     be called at decision level 0 (between [solve] calls). *)
 
 val id : t -> int
@@ -128,8 +114,7 @@ val id : t -> int
 val iter_long_problem_clauses : t -> (int -> Lit.t list -> unit) -> unit
 (** Iterate [f cref lits] over every live long (>= 3 literal) problem
     clause.  Crefs remain valid until the next arena compaction (a solve
-    with clause-DB reduction, or {!remove_long_problem_clauses}); adding
-    clauses only appends, so gather → strengthen → remove is safe. *)
+    with clause-DB reduction). *)
 
 val binary_problem_clauses : t -> (Lit.t * Lit.t) list
 (** Every binary problem clause, in assertion order. *)
@@ -137,22 +122,9 @@ val binary_problem_clauses : t -> (Lit.t * Lit.t) list
 val root_units : t -> Lit.t list
 (** The decision-level-0 trail: unit-implied and asserted literals. *)
 
-val remove_long_problem_clauses : t -> (int * Lit.t option) list -> unit
-(** Remove a batch of long problem clauses by cref, logging a DRAT
-    deletion for each and rebuilding the watch lists.  The optional
-    literal marks a {e blocked-clause} removal: the clause is not implied
-    by the remaining database, so the solver records a reconstruction
-    entry and patches every later SAT model to satisfy it (flipping the
-    blocking literal when needed, newest elimination first).  Clauses
-    whose removal is implied (root-satisfied, subsumed, strengthened)
-    pass [None].  Crefs must come from {!iter_long_problem_clauses} with
-    no intervening solve. *)
-
 val mark_guard : t -> int -> unit
 (** Declare a variable to be a guard/activation literal (delta-session
-    rows, per-call blocking activations).  {!to_dimacs} annotates it, and
-    certified simplification refuses to treat it as an eliminable
-    auxiliary. *)
+    rows, per-call blocking activations).  {!to_dimacs} annotates it. *)
 
 val is_guard : t -> int -> bool
 
@@ -181,7 +153,7 @@ val set_random_var_freq : t -> float -> unit
 val set_restart : t -> [ `Luby of int | `Geometric of int ] -> unit
 (** Restart policy: Luby sequence scaled by the given unit, or the
     geometric policy growing by 3/2 from the given base (the default is
-    [`Geometric 300]; the portfolio diversifies over both). *)
+    [`Geometric 300]; cube workers diversify over both). *)
 
 val set_reduce_enabled : t -> bool -> unit
 (** Enable/disable clause-database reduction (default enabled). *)
@@ -199,7 +171,7 @@ val randomize_phases : t -> unit
     cardinality chains, theory lemmas).  [Derive] clauses are additions that
     must have the reverse-unit-propagation (RUP) property with respect to
     every step logged before them: first-UIP learnt clauses, and clauses
-    imported from a portfolio winner.  [Delete] records a clause discarded
+    imported from a cube worker.  [Delete] records a clause discarded
     by clause-database reduction.  Literals appear exactly as produced; the
     independent checker ([Pmi_analysis.Drat]) canonicalizes. *)
 type proof_step =
@@ -222,7 +194,7 @@ val proof_length : t -> int
 
 val proof_derive : t -> Lit.t list -> unit
 (** [proof_derive s lits] appends an externally justified derivation step
-    (e.g. a portfolio clone's learnt clause) to the trace.  No-op when proof
+    (e.g. a cube worker's learnt clause) to the trace.  No-op when proof
     logging is off. *)
 
 exception Invariant_violation of string

@@ -77,9 +77,8 @@ let solve ?(assumptions = []) ?(max_rounds = 100_000) ~check sat =
   in
   loop 1
 
-(* Diversification table for portfolio members.  Member 0 keeps the
-   reference configuration so a one-member portfolio behaves exactly like
-   [solve]; the others vary seed, polarity, random-decision rate, and
+(* Diversification table for cube workers.  Worker 0 keeps the reference
+   configuration; the others vary seed, polarity, random-decision rate, and
    restart policy, the classic axes along which CDCL runtimes diverge. *)
 let diversify i member =
   if i > 0 then begin
@@ -99,166 +98,11 @@ let diversify i member =
       Sat.set_restart member (`Luby 1024)
   end
 
-(* Glue bound for importing a portfolio winner's learnt clauses back into
-   the persistent solver.  Low-LBD clauses are the ones worth keeping across
-   solves (Audemard & Simon 2009); importing everything would bloat the
-   clause database faster than reduction can prune it. *)
+(* Glue bound for sharing a cube worker's learnt clauses with its peers
+   and the persistent solver.  Low-LBD clauses are the ones worth keeping
+   across solves (Audemard & Simon 2009); sharing everything would bloat
+   the clause database faster than reduction can prune it. *)
 let import_lbd_limit = 8
-
-let solve_portfolio ?(assumptions = []) ?(max_rounds = 100_000) ?domains
-    ~check sat =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Pmi_parallel.Pool.default_domains ()
-  in
-  if domains <= 1 then solve ~assumptions ~max_rounds ~check sat
-  else begin
-    let members = min domains 8 in
-    (* Sanitizer shadow locations: the parent solver (read by every clone
-       at copy time, written by the winner import below) and each clone's
-       private state.  The import must stay ordered after the race's join
-       edge — a loser writing the parent, or anything touching a clone
-       concurrently with its owner, is a race. *)
-    let parent_loc = Race.location "portfolio.parent-solver" in
-    let clone_locs =
-      Array.init members (fun i ->
-          Race.location (Printf.sprintf "portfolio.clone-%d" i))
-    in
-    (* One portfolio round; [None] means the theory rejected the model and
-       added lemmas, so the caller should go around again.  Keeping the
-       round in its own function lets the "sat.portfolio" span close
-       before the next round opens — rounds are siblings in the trace,
-       not a nest of max_rounds frames. *)
-    let solve_round round =
-      let round_frame =
-        if not (Obs.enabled ()) then None
-        else
-          Some
-            (Obs.enter
-               ~args:[ ("round", Obs.Int round); ("members", Obs.Int members) ]
-               "sat.portfolio")
-      in
-      let close_round args =
-        match round_frame with
-        | None -> ()
-        | Some frame -> Obs.leave ~args frame
-      in
-      (* Common verdict continuation: UNSAT concludes the call, a
-         theory-consistent model concludes it, and theory lemmas send the
-         caller around for another round. *)
-      let conclude ~round_args verdict =
-        match verdict with
-        | Sat.Unsat ->
-          close_round (round_args 0);
-          Some Unsat
-        | Sat.Sat model ->
-          (match theory_span check model with
-           | [] ->
-             close_round (round_args 0);
-             Some (Sat model)
-           | lemmas ->
-             assert (List.exists (falsified_by model) lemmas);
-             List.iter (Sat.add_clause sat) lemmas;
-             close_round (round_args (List.length lemmas));
-             None)
-      in
-      match
-        Race.touch_read parent_loc;
-        let clones =
-          Array.init members (fun i ->
-              let c = Sat.copy sat in
-              diversify i c;
-              Race.touch_write clone_locs.(i);
-              c)
-        in
-        let tasks =
-          Array.mapi
-            (fun i c ->
-               fun stop ->
-                 (* A member that starts after some other member has won
-                    exits before touching its clone at all. *)
-                 if stop () then None
-                 else begin
-                   Race.touch_write clone_locs.(i);
-                   let r =
-                     sat_span
-                       ~args:[ ("member", Obs.Int i) ]
-                       "sat.portfolio.member" c
-                       (fun () -> Sat.solve_opt ~assumptions ~stop c)
-                   in
-                   Race.touch_write clone_locs.(i);
-                   match r with
-                   | Some verdict -> Some (i, c, verdict)
-                   | None -> None
-                 end)
-            clones
-        in
-        match Pmi_parallel.Pool.race ~domains:members tasks with
-        | None ->
-          (* Should be unreachable — a member only returns [None] once some
-             other member has already published a verdict — but a scheduling
-             anomaly here must not abort a whole inference run.  Degrade
-             gracefully: solve the round sequentially on the parent, whose
-             proof trace and learnt clauses accrue natively. *)
-          Race.touch_write parent_loc;
-          let verdict =
-            sat_span "sat.solve" sat (fun () -> Sat.solve ~assumptions sat)
-          in
-          conclude
-            ~round_args:(fun lemmas ->
-              [ ("winner", Obs.Int (-1));
-                ("learnt_imported", Obs.Int 0);
-                ("lemmas", Obs.Int lemmas) ])
-            verdict
-        | Some (wi, winner, verdict) ->
-          Race.touch_read clone_locs.(wi);
-          Race.touch_write parent_loc;
-          (* Certification: clones never log their own trace, so replay the
-             winner's *entire* learnt sequence into the parent's proof
-             first, in learning order.  Each clause is RUP w.r.t. the shared
-             clause database plus the winner's earlier learnts, so the
-             sequence is a valid DRAT suffix — and it must precede the
-             selective imports below, whose RUP certificates depend on
-             winner learnts that fall outside the LBD bound. *)
-          let winner_learnts = Sat.new_learnts winner in
-          if Sat.proof_logging sat then
-            List.iter (fun (_, lits) -> Sat.proof_derive sat lits)
-              winner_learnts;
-          (* Fold the winner's work back into the persistent encoding: its
-             low-glue learnt clauses (all implied by the clause database
-             alone, so safe to keep) and its search counters. *)
-          let imported = ref 0 in
-          List.iter
-            (fun (lbd, lits) ->
-               if lbd <= import_lbd_limit then begin
-                 incr imported;
-                 Sat.add_learnt sat ~lbd lits
-               end)
-            winner_learnts;
-          Sat.absorb_stats sat winner;
-          conclude
-            ~round_args:(fun lemmas ->
-              [ ("winner", Obs.Int wi);
-                ("learnt_imported", Obs.Int !imported);
-                ("lemmas", Obs.Int lemmas) ])
-            verdict
-      with
-      | outcome -> outcome
-      | exception e ->
-        close_round [ ("exn", Obs.Str (Printexc.to_string e)) ];
-        raise e
-    in
-    let rec loop round =
-      if round > max_rounds then
-        failwith "Smt.Solver.solve_portfolio: theory loop diverges"
-      else
-        match solve_round round with
-        | Some verdict -> verdict
-        | None -> loop (round + 1)
-    in
-    loop 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Cube-and-conquer                                                    *)
@@ -704,9 +548,9 @@ let solve_cubes ?(assumptions = []) ?(max_rounds = 100_000) ?domains
                 Sat.Unsat
             end
             else begin
-              (* Defensive fallback, mirroring [solve_portfolio]: a worker
-                 anomaly left cubes unresolved — finish the round
-                 sequentially on the parent rather than aborting. *)
+              (* Defensive fallback: a worker anomaly left cubes
+                 unresolved — finish the round sequentially on the parent
+                 rather than aborting. *)
               Race.touch_write parent_loc;
               let verdict =
                 sat_span "sat.solve" sat (fun () ->

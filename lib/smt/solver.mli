@@ -25,29 +25,6 @@ val solve :
     @raise Failure if [max_rounds] (default 100,000) is exceeded, which
     indicates a diverging theory encoding. *)
 
-val solve_portfolio :
-  ?assumptions:Lit.t list ->
-  ?max_rounds:int ->
-  ?domains:int ->
-  check:(bool array -> Lit.t list list) ->
-  Sat.t ->
-  result
-(** [solve] with a diversified solver portfolio per theory round: the
-    persistent solver is cloned [min domains 8] times (member 0 keeps the
-    reference configuration; the others vary seed, polarity, random-decision
-    rate, and restart policy), the clones race across
-    {!Pmi_parallel.Pool.race}, and the first verdict wins.  The winner's
-    low-glue learnt clauses and its statistics are folded back into [sat],
-    so later rounds (and later calls) start from the accumulated work
-    exactly as in the sequential path.  SAT/UNSAT verdicts are identical to
-    [solve]; which model witnesses SAT may differ run to run.  [domains]
-    defaults to {!Pmi_parallel.Pool.default_domains}; with [domains <= 1]
-    this is exactly [solve].
-
-    If the race anomalously produces no winner, the round degrades to a
-    sequential solve on the persistent solver instead of aborting the
-    inference. *)
-
 (** {1 Cube-and-conquer} *)
 
 val cube_cover :

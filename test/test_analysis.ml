@@ -138,7 +138,7 @@ let test_drat_model_rejects_violation () =
 (* Property: on random 3-SAT, every verdict the engine produces is
    independently certifiable — UNSAT traces pass the DRAT check, SAT
    models satisfy every input clause — including across incremental
-   solves and under the domain-parallel portfolio. *)
+   solves. *)
 
 let cnf3_gen =
   let open QCheck2.Gen in
@@ -180,30 +180,6 @@ let prop_drat_random =
          List.iteri (fun i c -> if i >= half then Sat.add_clause s c) clauses;
        first && certify_verdict "second solve" s (Sat.solve s))
 
-let prop_drat_portfolio =
-  QCheck2.Test.make ~name:"portfolio verdicts are certifiable" ~count:25
-    cnf3_gen
-    (fun (n, clauses) ->
-       let s = Sat.create () in
-       Sat.set_proof_logging s true;
-       for _ = 1 to n do
-         ignore (Sat.fresh_var s)
-       done;
-       List.iter (Sat.add_clause s) clauses;
-       match Solver.solve_portfolio ~domains:3 ~check:(fun _ -> []) s with
-       | Solver.Sat model ->
-         (match Drat.validate_model ~model (Sat.proof s) with
-          | Ok () -> true
-          | Error e ->
-            QCheck2.Test.fail_reportf "portfolio model rejected: %s"
-              (Format.asprintf "%a" Drat.pp_error e))
-       | Solver.Unsat ->
-         (match Drat.check (Sat.proof s) with
-          | Ok () -> true
-          | Error e ->
-            QCheck2.Test.fail_reportf "portfolio proof rejected: %s"
-              (Format.asprintf "%a" Drat.pp_error e)))
-
 (* ------------------------------------------------------------------ *)
 (* Certified CEGIS                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -214,28 +190,26 @@ let toy_catalog n =
          (Printf.sprintf "i%c" (Char.chr (Char.code 'A' + i)),
           [ Operand.gpr 32 ], Iclass.plain (Iclass.Single Iclass.Alu))))
 
-let certified_config ?(domains = 1) ?(cube_conquer = 0) ?(incremental = true)
-    num_ports =
+let certified_config ?(domains = 1) ?(cube_conquer = 0) num_ports =
   { Cegis.default_config with
     Cegis.num_ports;
     r_max = num_ports + 1;
     max_experiment_size = 4;
     certify = true;
     domains;
-    cube_conquer;
-    incremental_sat = incremental }
+    cube_conquer }
 
 (* Infer from perfect measurements of a hidden mapping with [certify] on:
    every UNSAT along the way must check as DRAT, every model must
    validate, or [Certification_failure] aborts the run. *)
-let certified_cegis ?domains ?cube_conquer ?incremental truth_usage =
+let certified_cegis ?domains ?cube_conquer truth_usage =
   let catalog = toy_catalog (List.length truth_usage) in
   let num_ports = 2 in
   let truth = Mapping.create ~num_ports in
   List.iteri
     (fun i usage -> Mapping.set truth (Catalog.find catalog i) usage)
     truth_usage;
-  let config = certified_config ?domains ?cube_conquer ?incremental num_ports in
+  let config = certified_config ?domains ?cube_conquer num_ports in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
     List.mapi
@@ -260,11 +234,10 @@ let expect_converged label = function
 let test_certified_cegis_incremental () =
   expect_converged "incremental" (certified_cegis figure4b)
 
-let test_certified_cegis_fresh () =
-  expect_converged "fresh" (certified_cegis ~incremental:false figure4b)
-
-let test_certified_cegis_portfolio () =
-  expect_converged "portfolio" (certified_cegis ~domains:2 figure4b)
+let test_certified_cegis_parallel () =
+  (* Parallel stratified search and validation sweep under certification:
+     every verdict still flows through the checker. *)
+  expect_converged "parallel" (certified_cegis ~domains:3 figure4b)
 
 let test_certified_cegis_cubes () =
   (* Cube-and-conquer with certification: every UNSAT verdict along the
@@ -381,11 +354,10 @@ let () =
          Alcotest.test_case "deletions" `Quick test_drat_deletions;
          Alcotest.test_case "model validation" `Quick
            test_drat_model_rejects_violation ]
-       @ qsuite [ prop_drat_random; prop_drat_portfolio ]);
+       @ qsuite [ prop_drat_random ]);
       ("certified-cegis",
        [ Alcotest.test_case "incremental" `Quick test_certified_cegis_incremental;
-         Alcotest.test_case "fresh encodings" `Quick test_certified_cegis_fresh;
-         Alcotest.test_case "portfolio" `Slow test_certified_cegis_portfolio;
+         Alcotest.test_case "parallel" `Slow test_certified_cegis_parallel;
          Alcotest.test_case "cube-and-conquer" `Slow
            test_certified_cegis_cubes;
          Alcotest.test_case "certified UNSAT" `Quick

@@ -1,7 +1,7 @@
 (* The concurrency sanitizer: detector soundness on planted races,
    cleanliness of the instrumented primitives under every small schedule
-   permutation, the portfolio solve with learnt-import racing, and the
-   shared diagnostics schema.
+   permutation, the cube-and-conquer solve with its shared cube queue and
+   clause pool, and the shared diagnostics schema.
 
    Every test runs with the detector enabled and (mostly) in deterministic
    replay mode: the pool serializes tasks in seeded permutation order while
@@ -262,7 +262,7 @@ let test_parallel_for_exception () =
   Alcotest.(check bool) "exception propagated" true raised
 
 (* ------------------------------------------------------------------ *)
-(* The portfolio under replay                                          *)
+(* The parallel solver stack under replay                              *)
 
 let random_clauses ~vars ~clauses ~state =
   let state = ref state in
@@ -280,35 +280,10 @@ let random_clauses ~vars ~clauses ~state =
       in
       pick [])
 
-let test_portfolio_replay () =
-  let clauses = random_clauses ~vars:50 ~clauses:205 ~state:0xBEEF in
-  let solve () =
-    let s = Sat.create () in
-    for _ = 1 to 50 do
-      ignore (Sat.fresh_var s)
-    done;
-    List.iter (Sat.add_clause s) clauses;
-    match Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s with
-    | Solver.Sat _ -> true
-    | Solver.Unsat -> false
-  in
-  let reference = solve () in
-  (* Diversified clones racing + learnt import into the parent, across
-     six schedules: verdicts agree, and neither the winner slot nor the
-     parent solver is written by a late loser. *)
-  for seed = 0 to 5 do
-    let verdict = ref reference in
-    expect_clean "portfolio"
-      (with_detector ~schedule:seed (fun () -> verdict := solve ()));
-    Alcotest.(check bool)
-      (Printf.sprintf "verdict stable (seed %d)" seed)
-      reference !verdict
-  done
-
 let test_cubes_replay () =
-  (* Cube-and-conquer adds two more pieces of shared state on top of the
-     portfolio: the work-stealing cube queue and the cross-worker clause
-     pool, both lock-protected.  A small conflict budget forces re-splits,
+  (* Cube-and-conquer shares state between workers beyond their solver
+     clones: the work-stealing cube queue and the cross-worker clause pool,
+     both lock-protected.  A small conflict budget forces re-splits,
      so the queue sees concurrent pushes as well as pops.  Verdicts must
      be schedule-independent and every schedule race-free. *)
   let clauses = random_clauses ~vars:50 ~clauses:205 ~state:0xCAFE in
@@ -402,9 +377,9 @@ let test_cegis_replay_clean () =
   done
 
 let test_delta_replay_clean () =
-  (* A parallel delta batch: the flush's validation sweep and SAT
-     portfolio fan out over the pool while the session mutates the shared
-     observation vector and lemma pool between sweeps — the delta-mode
+  (* A parallel delta batch: the flush's distinguishing search and
+     validation sweep fan out over the pool while the session mutates the
+     shared observation vector and lemma pool between sweeps — the delta-mode
      analogue of the plain CEGIS check above, run under deterministic
      schedule replay. *)
   let open Pmi_core in
@@ -519,8 +494,7 @@ let () =
          Alcotest.test_case "find_first_index minimal" `Quick
            test_find_first_index_minimal ]);
       ("stack",
-       [ Alcotest.test_case "portfolio replay" `Quick test_portfolio_replay;
-         Alcotest.test_case "cube-and-conquer replay" `Quick test_cubes_replay;
+       [ Alcotest.test_case "cube-and-conquer replay" `Quick test_cubes_replay;
          Alcotest.test_case "harness sweep" `Quick
            test_harness_parallel_sweep;
          Alcotest.test_case "parallel CEGIS" `Slow test_cegis_replay_clean;

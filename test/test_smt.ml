@@ -300,9 +300,7 @@ let prop_sat_matches_dpll =
        | Sat.Unsat -> not expected)
 
 (* Property: incremental sequences of add_clause / solve ~assumptions give
-   the same verdicts whether clause-database reduction is on or off, and
-   whether solving goes through [Sat.solve] or the domain-parallel
-   portfolio. *)
+   the same verdicts whether clause-database reduction is on or off. *)
 
 let script_gen =
   let open QCheck2.Gen in
@@ -314,9 +312,9 @@ let script_gen =
   in
   map (fun steps -> (n, steps)) (list_size (int_range 2 5) step)
 
-let prop_reduction_portfolio_parity =
+let prop_reduction_parity =
   QCheck2.Test.make
-    ~name:"reduction/portfolio never change incremental verdicts" ~count:40
+    ~name:"reduction never changes incremental verdicts" ~count:40
     script_gen
     (fun (n, steps) ->
        let mk reduce =
@@ -329,49 +327,16 @@ let prop_reduction_portfolio_parity =
        in
        let with_reduction = mk true in
        let without_reduction = mk false in
-       let via_portfolio = mk true in
-       let all_clauses = ref [] in
        List.for_all
          (fun (clauses, assumptions) ->
             List.iter
               (fun c ->
-                 all_clauses := c :: !all_clauses;
                  Sat.add_clause with_reduction c;
-                 Sat.add_clause without_reduction c;
-                 Sat.add_clause via_portfolio c)
+                 Sat.add_clause without_reduction c)
               clauses;
-            let va = is_sat (Sat.solve ~assumptions with_reduction) in
-            let vb = is_sat (Sat.solve ~assumptions without_reduction) in
-            let vc =
-              match
-                Solver.solve_portfolio ~assumptions ~domains:3
-                  ~check:(fun _ -> [])
-                  via_portfolio
-              with
-              | Solver.Sat model ->
-                (* A portfolio model must satisfy every clause added so
-                   far (assumptions aside, which only constrain further). *)
-                List.for_all
-                  (List.exists (fun l ->
-                       if Lit.is_pos l then model.(Lit.var l)
-                       else not model.(Lit.var l)))
-                  !all_clauses
-                || QCheck2.Test.fail_report "portfolio model violates a clause"
-              | Solver.Unsat -> false
-            in
-            va = vb && vb = vc)
+            is_sat (Sat.solve ~assumptions with_reduction)
+            = is_sat (Sat.solve ~assumptions without_reduction))
          steps)
-
-let test_portfolio_pigeonhole () =
-  (* The portfolio must agree with the sequential solver on an UNSAT
-     instance hard enough that members genuinely race. *)
-  let s = Sat.create () in
-  pigeonhole s ~pigeons:7 ~holes:6;
-  match
-    Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s
-  with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> Alcotest.fail "php 7/6 is unsat"
 
 (* ------------------------------------------------------------------ *)
 (* Cube-and-conquer                                                    *)
@@ -1016,13 +981,11 @@ let () =
          Alcotest.test_case "reduction parity on pigeonhole 8/7" `Slow
            test_sat_reduction_parity_pigeonhole;
          Alcotest.test_case "solver statistics" `Quick test_sat_stats;
-         Alcotest.test_case "portfolio on pigeonhole 7/6" `Slow
-           test_portfolio_pigeonhole;
          Alcotest.test_case "sanitizer on pigeonhole 6/5" `Slow
            test_sanitize_pigeonhole ]
        @ qsuite
            [ prop_sat_matches_brute_force; prop_sat_3sat_stress;
-             prop_sat_matches_dpll; prop_reduction_portfolio_parity;
+             prop_sat_matches_dpll; prop_reduction_parity;
              prop_sanitize_random ]);
       ("cubes",
        [ Alcotest.test_case "cover is exhaustive and disjoint" `Quick
