@@ -85,8 +85,8 @@ let zen_block =
 let reduced_harness () =
   Harness.create (Machine.create (Catalog.reduced ~per_bucket:2 ()))
 
-let cegis_toy ?(domains = 1) ?(cube_conquer = 0) ?(certify = false)
-    ?(enclint = false) ?(mapcheck = false) ~symmetry_breaking ~max_size () =
+let cegis_toy ?(domains = 1) ?(certify = false) ?(enclint = false)
+    ?(mapcheck = false) ~symmetry_breaking ~max_size () =
   let truth = Mapping.create ~num_ports:3 in
   Mapping.set truth toy_add [ (Portset.of_list [ 0; 1 ], 1) ];
   Mapping.set truth toy_mul [ (Portset.of_list [ 1; 2 ], 1) ];
@@ -94,7 +94,7 @@ let cegis_toy ?(domains = 1) ?(cube_conquer = 0) ?(certify = false)
   let config =
     { Cegis.default_config with
       Cegis.num_ports = 3; r_max = 4; max_experiment_size = max_size;
-      symmetry_breaking; domains; cube_conquer; certify; enclint; mapcheck }
+      symmetry_breaking; domains; certify; enclint; mapcheck }
   in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
@@ -281,16 +281,6 @@ let solve_pigeonhole_sub ~proof ~pigeons ~holes =
   | Sat.Unsat -> s
   | Sat.Sat _ -> failwith "bench: pigeonhole must be unsat"
 
-(* Cube-and-conquer on the UNSAT pigeonhole workhorse: 4 workers pulling
-   2^3 assumption cubes off the stealing queue, continuously exchanging
-   low-glue learnt clauses.  Its sequential partner is sat/pigeonhole-8-7. *)
-let cubes_pigeonhole ~pigeons ~holes =
-  let open Pmi_smt in
-  let s = pigeonhole_cnf ~proof:false ~pigeons ~holes in
-  match Solver.solve_cubes ~domains:4 ~cubes:3 ~check:(fun _ -> []) s with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> failwith "bench: pigeonhole must be unsat"
-
 let solve_pigeonhole ~pigeons ~holes =
   ignore (solve_pigeonhole_sub ~proof:false ~pigeons ~holes)
 
@@ -422,8 +412,6 @@ let micro_tests =
     ("sat/pigeonhole-7-6", fun () -> solve_pigeonhole ~pigeons:7 ~holes:6);
     ("sat/pigeonhole-8-7", fun () -> solve_pigeonhole ~pigeons:8 ~holes:7);
     ("sat/pigeonhole-9-8", fun () -> solve_pigeonhole ~pigeons:9 ~holes:8);
-    ("sat/cube-vs-portfolio-php-8-7", fun () ->
-        cubes_pigeonhole ~pigeons:8 ~holes:7);
     ("sat/random-3sat", fun () -> solve_random_3sat ()) ]
 
 let characterize_fixture =
@@ -469,15 +457,9 @@ let ablation_tests =
     ("ablation/cegis-bound-6", fun () ->
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:6 ()));
     (* The CEGIS loop over 4 domains: the stratified search and the
-       validation sweep fan out with the sequential SAT back-end (this
-       entry keeps its historical name), vs cube-and-conquer
-       decomposition of each SAT query. *)
-    ("ablation/cegis-portfolio", fun () ->
+       validation sweep fan out; SAT stays sequential. *)
+    ("ablation/cegis-4-domains", fun () ->
         ignore (cegis_toy ~domains:4 ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/cegis-cube-conquer", fun () ->
-        ignore
-          (cegis_toy ~domains:4 ~cube_conquer:2 ~symmetry_breaking:true
-             ~max_size:4 ()));
     (* Delta mode: the cost of absorbing new schemes into a standing
        session (frozen rows pinned through assumptions, one solver episode
        per flush) vs re-inferring the identical 10-scheme spec set from

@@ -22,7 +22,6 @@ type opts = {
   seed : int;                 (* [--seed]: measurement-noise seed *)
   dump_cnf : string option;   (* [--dump-cnf PREFIX] *)
   certify : bool;             (* [--certify]: checked certificate per verdict *)
-  cubes : int;                (* [--cubes K]: cube-and-conquer over 2^K cubes *)
   enclint : bool;             (* [--enclint]: static gate per solver episode *)
   mapcheck : bool;            (* [--mapcheck]: static refutation of rows *)
   store : Store.t option Lazy.t;
@@ -70,20 +69,9 @@ let setup_obs ~trace ~metrics =
   end
 
 let make_cegis_config opts =
-  let base = Pipeline.default_config.Pipeline.cegis in
-  let domains =
-    (* Cube-and-conquer needs a worker pool; force one even on a single
-       core (domains timeshare), where [default_domains] would say 1. *)
-    if opts.cubes > 0 then
-      max 2
-        (max base.Pmi_core.Cegis.domains (Pmi_parallel.Pool.default_domains ()))
-    else base.Pmi_core.Cegis.domains
-  in
-  { base with
+  { Pipeline.default_config.Pipeline.cegis with
     Pmi_core.Cegis.dump_cnf = opts.dump_cnf;
     certify = opts.certify;
-    cube_conquer = opts.cubes;
-    domains;
     enclint = opts.enclint;
     mapcheck = opts.mapcheck;
     store = Lazy.force opts.store }
@@ -823,18 +811,6 @@ let sanitize_pool_primitives ~schedules =
     Pool.parallel_for ~domains:3 ~n:12 (fun _ ->
         ignore (Race.afetch_add counter 1));
     check_invariant (Race.aget counter = 12) "parallel_for lost updates";
-    let cell = Race.tracked_ref ~name:"sanitize.forked-cell" 0 in
-    Race.write cell 41;
-    let tasks =
-      Array.init 3 (fun i ->
-          fun stop ->
-            if stop () then None
-            else if i = Race.read cell - 40 then Some i
-            else None)
-    in
-    (match Pool.race ~domains:3 tasks with
-     | Some 1 -> ()
-     | _ -> raise (Sanitize_broken "race winner changed"));
     let arr = Array.init 8 (fun i -> i) in
     (match Pool.find_first_index ~domains:3 (fun x -> x >= 5) arr with
      | Some 5 -> ()
@@ -847,54 +823,6 @@ let sanitize_pool_primitives ~schedules =
        Pool.set_schedule (Pool.Replay seed);
        run_once ())
     (replay_seeds schedules 3)
-
-(* A fixed random 3-SAT instance (80 vars, 330 clauses), deterministic so
-   every schedule solves the same formula. *)
-let sanitize_3sat_clauses =
-  let state = ref 0x5151 in
-  let next bound =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
-  in
-  let n = 80 in
-  List.init 330 (fun _ ->
-      let rec pick acc =
-        if List.length acc = 3 then acc
-        else
-          let v = next n in
-          if List.exists (fun l -> Pmi_smt.Lit.var l = v) acc then pick acc
-          else pick (Pmi_smt.Lit.make v (next 2 = 0) :: acc)
-      in
-      pick [])
-
-let sanitize_cubes ~schedules =
-  (* Cube-and-conquer on a fixed formula: the work-stealing cube queue and
-     the cross-worker clause pool are shared state, and a small conflict
-     budget forces re-splits so the queue sees pushes from inside the
-     race. *)
-  let open Pmi_smt in
-  let solve () =
-    let s = Sat.create () in
-    for _ = 1 to 80 do
-      ignore (Sat.fresh_var s)
-    done;
-    List.iter (Sat.add_clause s) sanitize_3sat_clauses;
-    match
-      Solver.solve_cubes ~domains:4 ~cubes:2 ~conflict_budget:64
-        ~check:(fun _ -> [])
-        s
-    with
-    | Solver.Sat _ -> true
-    | Solver.Unsat -> false
-  in
-  Pool.set_schedule Pool.Os;
-  let reference = solve () in
-  List.iter
-    (fun seed ->
-       Pool.set_schedule (Pool.Replay seed);
-       check_invariant (solve () = reference)
-         "cube-and-conquer verdict changed under schedule %d" seed)
-    (replay_seeds (min schedules 10) 4)
 
 let sanitize_cegis ~schedules =
   let toy =
@@ -1035,7 +963,6 @@ let sanitize schedules plant json opts =
   let outcome =
     try
       sanitize_pool_primitives ~schedules;
-      sanitize_cubes ~schedules;
       sanitize_cegis ~schedules;
       sanitize_delta ~schedules;
       sanitize_harness_sweep ~schedules opts;
@@ -1206,19 +1133,10 @@ let certify_flag =
              throughput oracle.  A certificate failure aborts the run." in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
-let cubes_flag =
-  let doc = "Solve each CEGIS SAT query by cube-and-conquer: split the \
-             search space on $(docv) most-constrained variables into \
-             2^$(docv) assumption cubes, scheduled across the domain pool \
-             with work stealing and continuous cross-worker clause sharing. \
-             Implies a multi-domain solver pool; 0 keeps the sequential \
-             solver." in
-  Arg.(value & opt int 0 & info [ "cubes" ] ~docv:"K" ~doc)
-
 let enclint_global_flag =
   let doc = "Statically analyze every CEGIS encoding before each solver \
              episode (guard structure, cardinality-network bounds, \
-             retired-row reachability, cube-split hints); an \
+             retired-row reachability); an \
              error-severity finding aborts the run." in
   Arg.(value & flag & info [ "enclint" ] ~doc)
 
@@ -1257,15 +1175,15 @@ let metrics =
 (* Every inference flag in one term: parsing it also configures logging
    and telemetry, so the command body runs with both already in place. *)
 let opts_term =
-  let make reduced seed verbose dump_cnf certify cubes enclint mapcheck store
-      trace metrics =
+  let make reduced seed verbose dump_cnf certify enclint mapcheck store trace
+      metrics =
     setup_logs (Some (if verbose then Logs.Info else Logs.Warning));
     setup_obs ~trace ~metrics;
-    { reduced; seed; dump_cnf; certify; cubes; enclint; mapcheck;
+    { reduced; seed; dump_cnf; certify; enclint; mapcheck;
       store = lazy (Option.map open_store store) }
   in
   Term.(const make $ reduced $ seed $ verbose $ dump_cnf $ certify_flag
-        $ cubes_flag $ enclint_global_flag $ mapcheck_flag $ store_flag
+        $ enclint_global_flag $ mapcheck_flag $ store_flag
         $ trace_out $ metrics)
 
 (* A subcommand: [body] parses the command's own arguments into a
@@ -1372,9 +1290,9 @@ let () =
                     $ diag_json);
             cmd "enclint"
               "Statically analyze the CEGIS encodings (guard structure, \
-               cardinality-network bounds, retired-row reachability, \
-               cube-split hints) without running the solver; exits non-zero \
-               on any error-severity diagnostic"
+               cardinality-network bounds, retired-row reachability) \
+               without running the solver; exits non-zero on any \
+               error-severity diagnostic"
               Term.(const enclint_run
                     $ files
                         "Port-mapping file(s) whose implied encodings are \
@@ -1394,8 +1312,8 @@ let () =
                Arg.(value & flag & info [ "plant-race" ] ~doc)
              in
              cmd "sanitize"
-               "Run the parallel workloads (pool primitives, cube-and-conquer, \
-                CEGIS sweeps, harness cache) under the vector-clock race \
+               "Run the parallel workloads (pool primitives, CEGIS sweeps, \
+                delta flush, harness cache) under the vector-clock race \
                 detector, across OS scheduling and deterministic schedule \
                 replay; exits non-zero on any data race"
                Term.(const sanitize $ schedules $ plant $ diag_json));

@@ -2,14 +2,14 @@
 
    The encoding layer hands us a [view] — rows with their activation
    literals and recorded cardinality networks, theory lemmas, frozen
-   assumption literals, the cube-split hint — and the solver exposes its
-   problem-clause database read-only.  Everything here runs without a
+   assumption literals — and the solver exposes its problem-clause
+   database read-only.  Everything here runs without a
    single [Sat.solve] call:
 
    - structural checks walk the clause database and the guard layer
      (dead variables, duplicate/tautological clauses, networks missing
-     their guard literal, retired-row literals still reachable, split
-     hints over dead variables, frozen literals that no longer occur);
+     their guard literal, retired-row literals still reachable, frozen
+     literals that no longer occur);
    - semantic checks re-verify every cardinality network against its
      declared bound by exhaustive enumeration of the input cone (a
      mini-DPLL decides each of the 2^n input assignments over the
@@ -40,11 +40,9 @@ type view = {
   lemmas : Lit.t list list;
   frozen : Lit.t list;
   accepted : (int * bool) list;
-  hint : int list;
 }
 
-let empty_view =
-  { rows = []; lemmas = []; frozen = []; accepted = []; hint = [] }
+let empty_view = { rows = []; lemmas = []; frozen = []; accepted = [] }
 
 (* ------------------------------------------------------------------ *)
 (* A mini-DPLL for tiny cones                                          *)
@@ -411,23 +409,6 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
               "retired row's activation literal is not false at the \
                root: its constraints are still in force"))
     view.rows;
-  (* Split hint: cube-and-conquer must never split on a decided or retired
-     variable — each such cube halves the search space on paper only. *)
-  List.iter
-    (fun v ->
-       if Sat.root_value sat v <> 0 then
-         push
-           (diag "split-dead" Error
-              (Printf.sprintf "split_hint var %d" (v + 1))
-              "cube-split hint proposes a root-assigned variable")
-       else
-         match Hashtbl.find_opt retired v with
-         | Some subject ->
-           push
-             (diag "split-dead" Error subject
-                "cube-split hint proposes a variable of a retired row")
-         | None -> ())
-    view.hint;
   (* Semantic cardinality verification. *)
   List.iter
     (fun r ->

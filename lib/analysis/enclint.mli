@@ -3,17 +3,16 @@
 
     The encoding layer ([Pmi_core.Encoding]) describes itself through a
     {!view} — rows, activation literals, recorded cardinality networks,
-    theory lemmas, frozen assumptions, the cube-split hint — and
-    {!analyze} cross-checks that description against the solver's
-    problem-clause database without ever calling [solve]:
+    theory lemmas, frozen assumptions — and {!analyze} cross-checks that
+    description against the solver's problem-clause database without
+    ever calling [solve]:
 
     {b Structural} — [dead-var] (allocated but unconstrained variables),
     [duplicate-clause], [tautology], [missing-guard] (a guarded row's
     network clause without its [¬act] literal), [unguarded-row] (a live
     row with no activation in a guarded encoding), [retired-reachable]
     (retired-row literals in live, non-root-satisfied clauses, or a
-    retirement that never forced [¬act]), [split-dead] (cube-split hints
-    over root-assigned or retired variables), [frozen-unused].
+    retirement that never forced [¬act]), [frozen-unused].
 
     {b Semantic} — [card-bound]/[card-guard]/[bound-mismatch]: every
     recorded [Card] network with at most [max_cone] inputs is verified
@@ -46,11 +45,10 @@ type view = {
   lemmas : Pmi_smt.Lit.t list list;    (** theory lemmas asserted so far *)
   frozen : Pmi_smt.Lit.t list;         (** frozen assumption literals *)
   accepted : (int * bool) list;        (** accepted (pinned) assignment *)
-  hint : int list;                     (** cube-split candidate variables *)
 }
 
 val empty_view : view
-(** No rows, lemmas, frozen literals, accepted assignment, or hint —
+(** No rows, lemmas, frozen literals, or accepted assignment —
     [analyze] then runs the pure CNF-level checks only. *)
 
 val analyze :
@@ -76,7 +74,7 @@ val analyze :
     [db] (default [true]) controls the clause-database passes (dead
     variables, duplicate clauses, retired-literal reachability over the
     clauses, frozen-unused).  With [~db:false] only the view-layer checks
-    run — guards, retirement root-values, split hints, cardinality cones,
-    lemmas — which is what the CEGIS gate uses on repeat episodes of a
-    solver whose database it has already vetted.  Must be called at
+    run — guards, retirement root-values, cardinality cones, lemmas —
+    which is what the CEGIS gate uses on repeat episodes of a solver whose
+    database it has already vetted.  Must be called at
     decision level 0. *)

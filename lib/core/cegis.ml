@@ -52,7 +52,6 @@ type config = {
   max_iterations : int;
   symmetry_breaking : bool;
   domains : int;
-  cube_conquer : int;
   dump_cnf : string option;
   certify : bool;
   enclint : bool;
@@ -72,7 +71,6 @@ let default_config =
     max_iterations = 400;
     symmetry_breaking = true;
     domains = 1;
-    cube_conquer = 0;
     dump_cnf = None;
     certify = false;
     enclint = false;
@@ -216,21 +214,6 @@ let enclint_gate config ?lemmas ?frozen encoding =
               (String.concat "; "
                  (List.map Pmi_diag.Diag.to_string errs))))
 
-(* Theory-level solving: cube-and-conquer when [cube_conquer] grants split
-   variables and the config grants more than one domain, the sequential
-   lazy-SMT loop otherwise. *)
-let solve_sub config encoding ?assumptions ~check sat =
-  if config.cube_conquer > 0 && config.domains > 1 then
-    Obs.span
-      ~args:[ ("k", Obs.Int config.cube_conquer) ]
-      "cegis.cubes"
-      (fun () ->
-         Solver.solve_cubes ?assumptions ~domains:config.domains
-           ~cubes:config.cube_conquer
-           ~hint:(fun () -> Encoding.split_hint encoding)
-           ~check sat)
-  else Solver.solve ?assumptions ~check sat
-
 (* ------------------------------------------------------------------ *)
 (* Trust-but-verify layer                                              *)
 (* ------------------------------------------------------------------ *)
@@ -316,14 +299,13 @@ let certify_sat config encoding observations model =
       observations
   end
 
-(* Every solver verdict the CEGIS loop consumes flows through here, so the
-   sequential and cube-and-conquer paths are both certified when the knob
-   is on. *)
+(* Every solver verdict the CEGIS loop consumes flows through here, so
+   each one is certified when the knob is on. *)
 let certified_solve config encoding observations ?assumptions ~check () =
   let sat = Encoding.sat encoding in
   Atomic.incr episode_count;
   Obs.incr c_sat_episodes;
-  let verdict = solve_sub config encoding ?assumptions ~check sat in
+  let verdict = Solver.solve ?assumptions ~check sat in
   (match verdict with
    | Solver.Unsat -> certify_unsat config ?assumptions sat
    | Solver.Sat model -> certify_sat config encoding observations model);

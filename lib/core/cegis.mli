@@ -34,19 +34,6 @@ type config = {
                                    sweep calls [measure] concurrently, so
                                    only raise this with a thread-safe
                                    measure function (default [1]) *)
-  cube_conquer : int;          (** > 0 replaces the sequential SAT loop
-                                   with cube-and-conquer
-                                   ({!Pmi_smt.Solver.solve_cubes}): each
-                                   theory round splits the search space on
-                                   that many variables — hinted by
-                                   {!Pmi_core.Encoding.split_hint}, the
-                                   port-set rows of the most-constrained
-                                   instruction classes — into [2^k]
-                                   assumption cubes scheduled across
-                                   [domains] workers with work stealing
-                                   and continuous cross-worker clause
-                                   sharing.  Only effective with
-                                   [domains > 1] (default [0], off) *)
   dump_cnf : string option;    (** [Some prefix] writes the final CNF of
                                    each persistent solver in DIMACS format
                                    to [prefix ^ "-findmapping.cnf"] etc.,
@@ -55,13 +42,13 @@ type config = {
                                    in every solver and have the independent
                                    checker ({!Pmi_analysis.Drat}) accept a
                                    certificate for {e each} verdict the loop
-                                   consumes — UNSAT answers (plain,
-                                   under assumptions, and cube-and-conquer
-                                   alike) must re-derive as
-                                   RUP, SAT models must satisfy every input
-                                   clause and their decoded mapping must
-                                   explain every observation under the naive
-                                   exact-rational oracle.  A failure raises
+                                   consumes — UNSAT answers (plain and
+                                   under assumptions alike) must re-derive
+                                   as RUP, SAT models must satisfy every
+                                   input clause and their decoded mapping
+                                   must explain every observation under
+                                   the naive exact-rational oracle.  A
+                                   failure raises
                                    {!Certification_failure} (default
                                    [false]) *)
   enclint : bool;              (** run the solver-off static analyzer
@@ -70,8 +57,8 @@ type config = {
                                    before every [findMapping] /
                                    [findOtherMapping] / delta-flush solve.
                                    Structural checks (guards, duplicates,
-                                   retired-row reachability, split hints)
-                                   re-run each episode; the exhaustive
+                                   retired-row reachability) re-run each
+                                   episode; the exhaustive
                                    cardinality-cone verification is paid
                                    once per solver instance.  Any
                                    [Error]-severity finding raises

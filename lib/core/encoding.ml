@@ -259,31 +259,6 @@ let row_assumptions t =
     (fun r -> if r.act >= 0 then Some (Lit.pos r.act) else None)
     (live_rows t)
 
-(* Cube-split hint: the own-port variables of the instruction classes,
-   most constrained first.  A class's constrainedness is the summed VSIDS
-   activity of its own µop row — the classes the solver fights over the
-   most — with the catalog order as the tie-break on a fresh solver.
-   Within a row, ports are likewise ordered by activity, so the first few
-   variables of the hint are the hottest port-set literals overall.
-
-   Only live rows contribute, and root-assigned variables are dropped:
-   splitting on a decided variable (a port pinned by unit propagation, or
-   any variable of a retired delta row, all of whose constraints are
-   root-satisfied) yields one empty cube and one that re-searches the
-   whole space — the cube budget is spent without splitting anything. *)
-let split_hint t =
-  let activity v = Sat.var_activity t.solver v in
-  let row_score row =
-    Array.fold_left (fun acc v -> acc +. activity v) 0.0 row.own
-  in
-  live_rows t
-  |> List.map (fun r -> (row_score r, r))
-  |> List.stable_sort (fun (a, _) (b, _) -> compare (b : float) a)
-  |> List.concat_map (fun (_, r) ->
-      Array.to_list r.own
-      |> List.filter (fun v -> Sat.root_value t.solver v = 0)
-      |> List.stable_sort (fun a b -> compare (activity b) (activity a)))
-
 let ports_of_row model vars =
   let ports = ref Portset.empty in
   Array.iteri (fun k v -> if model.(v) then ports := Portset.add k !ports) vars;
@@ -477,4 +452,4 @@ let enclint_view ?(lemmas = []) ?(frozen = []) ?accepted t =
         (fun l -> (Lit.var l, Lit.is_pos l))
         (freeze_lits t mapping)
   in
-  { E.rows; lemmas; frozen; accepted; hint = split_hint t }
+  { E.rows; lemmas; frozen; accepted }

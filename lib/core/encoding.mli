@@ -71,8 +71,8 @@ val append_row : t -> Pmi_isa.Scheme.t -> instr_spec -> unit
 val retire_row : t -> Pmi_isa.Scheme.t -> unit
 (** Permanently drop a guarded row by unit-negating its activation literal:
     its cardinality chain and every lemma mentioning it become inert, and
-    the row disappears from {!schemes}/{!decode}/{!split_hint}/lemma
-    construction.  The variables stay in the solver.
+    the row disappears from {!schemes}/{!decode}/lemma construction.  The
+    variables stay in the solver.
     @raise Invalid_argument if the scheme has no live row or the row is an
     unguarded creation-time row. *)
 
@@ -130,15 +130,6 @@ val order_ports : ?schemes:Pmi_isa.Scheme.t list -> t -> int -> int -> unit
     every covered guarded row, so the fact never outlives the rows it
     orders.  @raise Invalid_argument on an out-of-range or equal pair. *)
 
-val split_hint : t -> int list
-(** Cube-split hint for {!Pmi_smt.Solver.solve_cubes}: the own-port µop
-    variables of the instruction classes, most constrained first — classes
-    ranked by the summed VSIDS activity of their own µop row (catalog order
-    on a fresh solver), ports within a row likewise by activity.  Retired
-    rows and root-assigned variables are excluded — splitting on a decided
-    variable wastes the cube.  Re-query after each solve; the ranking
-    follows the search. *)
-
 (** {1 Static analysis support} *)
 
 val enclint_view :
@@ -148,7 +139,7 @@ val enclint_view :
   t ->
   Pmi_analysis.Enclint.view
 (** Describe the encoding to the static analyzer: every row with its
-    activation literal, liveness, and recorded cardinality networks, plus
-    the current {!split_hint}.  [?lemmas] are the theory lemmas asserted
-    so far, [?frozen] the delta-mode assumption literals, [?accepted] a
-    mapping whose pinned assignment lemmas are vetted against. *)
+    activation literal, liveness, and recorded cardinality networks.
+    [?lemmas] are the theory lemmas asserted so far, [?frozen] the
+    delta-mode assumption literals, [?accepted] a mapping whose pinned
+    assignment lemmas are vetted against. *)

@@ -57,9 +57,23 @@ let floor a =
 let ceil a = Bigint.neg (floor (neg a))
 
 let to_float a =
-  (* Values in this project have small numerators/denominators, so a direct
-     float division is exact enough for reporting. *)
-  float_of_string (Bigint.to_string a.num) /. float_of_string (Bigint.to_string a.den)
+  match (Bigint.to_int_opt a.num, Bigint.to_int_opt a.den) with
+  | Some n, Some d -> float_of_int n /. float_of_int d
+  | _ ->
+    (* A part with more than ~308 digits overflows a float on its own even
+       when the quotient does not, so drop the same number of trailing
+       digits from both until the longer one has 300 left. *)
+    let n = Bigint.to_string (Bigint.abs a.num)
+    and d = Bigint.to_string a.den in
+    let drop =
+      Stdlib.max 0 (Stdlib.max (String.length n) (String.length d) - 300)
+    in
+    let head s =
+      let keep = String.length s - drop in
+      if keep <= 0 then 0.0 else float_of_string (String.sub s 0 keep)
+    in
+    let q = head n /. head d in
+    if Bigint.sign a.num < 0 then -.q else q
 
 let to_string a =
   if is_integer a then Bigint.to_string a.num

@@ -46,7 +46,9 @@ val floor : t -> Bigint.t
 val ceil : t -> Bigint.t
 
 val to_float : t -> float
-(** Nearest float; exact for the small values used in this project. *)
+(** The quotient as a float: [float n /. float d] when both parts fit a
+    native int, otherwise computed from the leading decimal digits of
+    each part, so huge parts never overflow to NaN. *)
 
 val to_string : t -> string
 (** ["n"] for integers, ["n/d"] otherwise. *)

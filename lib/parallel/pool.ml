@@ -176,58 +176,6 @@ let map_array ?domains f arr =
 let map_list ?domains f xs =
   Array.to_list (map_array ?domains f (Array.of_list xs))
 
-let race ?domains tasks =
-  let n = Array.length tasks in
-  if n = 0 then None
-  else
-    match current_schedule () with
-    | Replay seed ->
-      (* Serial, permuted.  The winner slot keeps its release/acquire
-         discipline so the detector checks the same protocol the parallel
-         path uses; once somebody has won, later tasks still run but see
-         [stop () = true] immediately — the loser bail-out path is
-         exercised on every schedule. *)
-      let winner = Race.tracked_atomic ~name:"pool.race.winner" None in
-      let already_won () = Race.aget winner <> None in
-      replay_run ~seed ~n (fun i ->
-          if already_won () then ignore (tasks.(i) (fun () -> true))
-          else
-            match tasks.(i) already_won with
-            | Some _ as r -> ignore (Race.acas winner None r)
-            | None -> ());
-      Race.aget winner
-    | Os ->
-      let domains =
-        match domains with Some d -> max 1 d | None -> default_domains ()
-      in
-      let domains = min domains n in
-      if domains = 1 then begin
-        (* Sequential fallback: try the tasks in order. *)
-        let never () = false in
-        let rec go i =
-          if i >= n then None
-          else
-            match tasks.(i) never with
-            | Some _ as r -> r
-            | None -> go (i + 1)
-        in
-        go 0
-      end
-      else begin
-        let winner = Race.tracked_atomic ~name:"pool.race.winner" None in
-        let stop () = Race.aget winner <> None in
-        Obs.span
-          ~args:[ ("tasks", Obs.Int n); ("domains", Obs.Int domains) ]
-          "pool.race"
-          (fun () ->
-             parallel_for ~domains ~n (fun i ->
-                 if not (stop ()) then
-                   match tasks.(i) stop with
-                   | Some _ as r -> ignore (Race.acas winner None r)
-                   | None -> ()));
-        Race.aget winner
-      end
-
 let find_first_index ?domains p arr =
   let n = Array.length arr in
   if n = 0 then None

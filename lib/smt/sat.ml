@@ -57,7 +57,7 @@ type proof_step =
   | Delete of Lit.t list
 
 type t = {
-  id : int;                          (* unique per instance, clones included *)
+  id : int;                          (* unique per instance *)
   (* Clause arena (long clauses only). *)
   mutable arena : int array;
   mutable arena_top : int;
@@ -97,22 +97,10 @@ type t = {
   mutable learnt_buf : int array;
   mutable lbd_mark : int array;      (* keyed by decision level *)
   mutable lbd_stamp : int;
-  (* Search policy (diversification knobs for cube workers). *)
-  mutable seed : int;
-  mutable rand_freq : float;
-  mutable luby : bool;
-  mutable restart_base : int;
+  (* Clause-database reduction policy. *)
   mutable reduce_enabled : bool;
   mutable reduce_budget : int;       (* conflicts until the next reduction *)
   mutable reduce_step : int;
-  (* Cube-and-conquer hooks (see [Solver.solve_cubes]).  [on_learnt] fires
-     synchronously on every clause the search learns, so a driver can
-     export low-glue clauses to a shared pool while the solver is still
-     running; the callback must not reenter the solver.  [on_restart]
-     fires at every decision-level-0 boundary inside [solve_opt] (each
-     restart), where importing foreign clauses via [add_learnt] is legal. *)
-  mutable on_learnt : (int -> int list -> unit) option;
-  mutable on_restart : (unit -> unit) option;
   (* DRAT proof trace (certification support).  Stored internally as one
      flat growable int buffer of [tag; len; lits...] records with tag
      0 = Input, 1 = Derive, 2 = Delete; logging a step on the learning hot
@@ -144,8 +132,8 @@ type result =
   | Unsat
 
 (* Unique instance ids let analysis passes keep per-solver side tables
-   without retaining the solver itself.  Atomic: cube workers' clones are
-   taken from other domains. *)
+   without retaining the solver itself.  Atomic: solvers may be created
+   from any domain. *)
 let next_id = Atomic.make 0
 
 let id s = s.id
@@ -185,18 +173,9 @@ let create () =
     learnt_buf = Array.make 8 0;
     lbd_mark = Array.make 8 0;
     lbd_stamp = 0;
-    seed = 0x2545F491;
-    rand_freq = 0.0;
-    luby = false;
-    (* Geometric restarts with a large first interval: under the slow
-       activity decay (see [decay]) short Luby bursts relitigate the same
-       prefix on the symmetric CEGIS/cardinality encodings. *)
-    restart_base = 300;
     reduce_enabled = true;
     reduce_budget = 2000;
     reduce_step = 2000;
-    on_learnt = None;
-    on_restart = None;
     proof_enabled = false;
     proof_buf = [||];
     proof_pos = 0;
@@ -277,15 +256,6 @@ let stats s =
     deleted = s.st_deleted;
     max_lbd = s.st_max_lbd }
 
-let absorb_stats s other =
-  s.st_decisions <- s.st_decisions + other.st_decisions;
-  s.st_propagations <- s.st_propagations + other.st_propagations;
-  s.st_conflicts <- s.st_conflicts + other.st_conflicts;
-  s.st_restarts <- s.st_restarts + other.st_restarts;
-  s.st_learned <- s.st_learned + other.st_learned;
-  s.st_deleted <- s.st_deleted + other.st_deleted;
-  s.st_max_lbd <- max s.st_max_lbd other.st_max_lbd
-
 (* ------------------------------------------------------------------ *)
 (* Proof trace and variable names                                      *)
 (* ------------------------------------------------------------------ *)
@@ -348,7 +318,6 @@ let proof s =
   steps 0 []
 
 let proof_length s = s.proof_len
-let proof_derive s lits = proof_push_list s 1 lits
 
 let name_var s v name = Hashtbl.replace s.names v name
 let var_name s v = Hashtbl.find_opt s.names v
@@ -356,39 +325,7 @@ let var_name s v = Hashtbl.find_opt s.names v
 let mark_guard s v = Hashtbl.replace s.guards v ()
 let is_guard s v = Hashtbl.mem s.guards v
 
-(* ------------------------------------------------------------------ *)
-(* Policy knobs                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let set_seed s n = s.seed <- (if n = 0 then 0x2545F491 else n land max_int)
-let set_random_var_freq s f = s.rand_freq <- f
 let set_reduce_enabled s b = s.reduce_enabled <- b
-
-let set_restart s = function
-  | `Luby base -> s.luby <- true; s.restart_base <- max 1 base
-  | `Geometric base -> s.luby <- false; s.restart_base <- max 1 base
-
-let rand_bits s =
-  let x = s.seed in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) in
-  let x = x land max_int in
-  s.seed <- (if x = 0 then 0x2545F491 else x);
-  s.seed
-
-let rand_float s = float_of_int (rand_bits s land 0xFFFFFF) /. 16777216.0
-let rand_int s n = rand_bits s mod n
-
-let invert_phases s =
-  for v = 0 to s.nvars - 1 do
-    s.phase.(v) <- not s.phase.(v)
-  done
-
-let randomize_phases s =
-  for v = 0 to s.nvars - 1 do
-    s.phase.(v) <- rand_bits s land 1 = 1
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Values, heap, trail                                                 *)
@@ -508,7 +445,9 @@ let c_deleted s cr = s.arena.(cr + 1) land 2 <> 0
 let c_delete s cr = s.arena.(cr + 1) <- s.arena.(cr + 1) lor 2
 let c_lbd s cr = s.arena.(cr + 1) lsr 2
 
-let alloc_clause s lits ~learned ~lbd =
+(* Copy a problem clause into the arena; learnt clauses are written
+   straight from the scratch buffer by [record_learnt]. *)
+let alloc_clause s lits =
   let len = Array.length lits in
   let need = s.arena_top + len + 2 in
   if need > Array.length s.arena then begin
@@ -518,7 +457,7 @@ let alloc_clause s lits ~learned ~lbd =
   end;
   let cr = s.arena_top in
   s.arena.(cr) <- len;
-  s.arena.(cr + 1) <- (lbd lsl 2) lor (if learned then 1 else 0);
+  s.arena.(cr + 1) <- 0;
   Array.blit lits 0 s.arena (cr + 2) len;
   s.arena_top <- need;
   cr
@@ -862,9 +801,6 @@ let analyze s confl =
 let record_learnt s n lbd =
   s.st_learned <- s.st_learned + 1;
   if lbd > s.st_max_lbd then s.st_max_lbd <- lbd;
-  (match s.on_learnt with
-   | None -> ()
-   | Some f -> f lbd (Array.to_list (Array.sub s.learnt_buf 0 n)));
   (* The minimized first-UIP clause has the RUP property w.r.t. the clauses
      logged so far, so it is a legal DRAT derivation step. *)
   proof_push_sub s 1 s.learnt_buf 0 n;
@@ -896,14 +832,11 @@ let record_learnt s n lbd =
 (* Adding clauses                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let add_clause_internal s ~learned ~tag ~lbd lits =
+let add_clause s lits =
   assert (s.n_levels = 0);
   (* Log the clause exactly as given, before simplification: the checker's
-     database must mirror what the caller asserted.  [tag] is the DRAT tag
-     (0 = Input axiom, 1 = Derive): a clause imported from a cube worker
-     is RUP w.r.t. the worker's derivations (which the cube driver logs
-     first), so it logs as a derivation, not an axiom. *)
-  proof_push_list s tag lits;
+     database must mirror what the caller asserted. *)
+  proof_push_list s 0 lits;
   if s.ok then begin
     (* Simplify: drop duplicates and root-level-false literals, detect
        tautologies and root-level-satisfied clauses. *)
@@ -921,79 +854,23 @@ let add_clause_internal s ~learned ~tag ~lbd lits =
         if propagate s >= 0 then s.ok <- false
       | [ a; b ] ->
         attach_binary s a b;
-        if not learned then begin
-          s.bin_pairs <- grow_array s.bin_pairs (s.n_bin_pairs + 2) 0;
-          s.bin_pairs.(s.n_bin_pairs) <- a;
-          s.bin_pairs.(s.n_bin_pairs + 1) <- b;
-          s.n_bin_pairs <- s.n_bin_pairs + 2
-        end
+        s.bin_pairs <- grow_array s.bin_pairs (s.n_bin_pairs + 2) 0;
+        s.bin_pairs.(s.n_bin_pairs) <- a;
+        s.bin_pairs.(s.n_bin_pairs + 1) <- b;
+        s.n_bin_pairs <- s.n_bin_pairs + 2
       | l0 :: l1 :: rest ->
-        let arr = Array.of_list (l0 :: l1 :: rest) in
-        let cr = alloc_clause s arr ~learned ~lbd in
-        push_cref s ~learned cr;
+        let cr = alloc_clause s (Array.of_list (l0 :: l1 :: rest)) in
+        push_cref s ~learned:false cr;
         attach_clause s cr
     end
-  end
-
-let add_clause s lits = add_clause_internal s ~learned:false ~tag:0 ~lbd:0 lits
-
-let add_learnt s ~lbd lits =
-  let lbd = max 1 lbd in
-  s.st_learned <- s.st_learned + 1;
-  if lbd > s.st_max_lbd then s.st_max_lbd <- lbd;
-  add_clause_internal s ~learned:true ~tag:1 ~lbd lits
-
-let set_on_learnt s f = s.on_learnt <- f
-let set_on_restart s f = s.on_restart <- f
-
-(* ------------------------------------------------------------------ *)
-(* Cube-and-conquer support                                            *)
-(* ------------------------------------------------------------------ *)
-
-let var_activity s v =
-  if v >= 0 && v < s.nvars then s.activity.(v) else 0.0
-
-let root_value s v =
-  if v >= 0 && v < s.nvars then var_value s v else 0
-
-(* The [k] best split candidates: variables unassigned at the root, ranked
-   by VSIDS activity with occurrence count (over the problem clauses) as
-   the tie-break — on a fresh solver every activity is zero, so the
-   occurrence ranking carries the choice. *)
-let most_constrained_vars s k =
-  if k <= 0 || s.nvars = 0 then []
-  else begin
-    let occ = Array.make s.nvars 0 in
-    for i = 0 to s.n_problem - 1 do
-      let cr = s.clauses.(i) in
-      if not (c_deleted s cr) then begin
-        let len = c_len s cr in
-        for j = 0 to len - 1 do
-          let v = Lit.var (c_lit s cr j) in
-          occ.(v) <- occ.(v) + 1
-        done
-      end
-    done;
-    for i = 0 to s.n_bin_pairs - 1 do
-      let v = Lit.var s.bin_pairs.(i) in
-      occ.(v) <- occ.(v) + 1
-    done;
-    let cand = ref [] in
-    for v = s.nvars - 1 downto 0 do
-      if var_value s v = 0 then cand := v :: !cand
-    done;
-    let rank a b =
-      match compare s.activity.(b) s.activity.(a) with
-      | 0 -> (match compare occ.(b) occ.(a) with 0 -> compare a b | c -> c)
-      | c -> c
-    in
-    let sorted = List.sort rank !cand in
-    List.filteri (fun i _ -> i < k) sorted
   end
 
 (* ------------------------------------------------------------------ *)
 (* Encoding introspection (EncLint support)                            *)
 (* ------------------------------------------------------------------ *)
+
+let root_value s v =
+  if v >= 0 && v < s.nvars then var_value s v else 0
 
 (* Enumerate the live long problem clauses as (cref, literals).  Crefs stay
    valid until the next arena compaction (a solve with clause-DB
@@ -1135,7 +1012,7 @@ exception Invariant_violation of string
 
 (* Structural well-formedness checks over the whole solver state.  These are
    meaningful at decision-level boundaries (between [propagate] fixpoints),
-   which is where [solve_opt] calls them when [set_sanitize] is on: at entry,
+   which is where [solve] calls them when [set_sanitize] is on: at entry,
    after every restart/reduction, and at exit.  The checks are deliberately
    exhaustive rather than fast — they exist to catch engine bugs, not to run
    in production. *)
@@ -1344,50 +1221,29 @@ let sanitize_check s =
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* luby 2 i: the i-th element (from 0) of the Luby restart sequence
-   1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
-let luby_unit i =
-  let size = ref 1 and seq = ref 0 in
-  while !size < i + 1 do
-    incr seq;
-    size := (2 * !size) + 1
-  done;
-  let x = ref i in
-  while !size - 1 <> !x do
-    size := (!size - 1) / 2;
-    decr seq;
-    x := !x mod !size
-  done;
-  1 lsl !seq
+(* Geometric restarts, growing by 3/2, with a large first interval: under
+   the slow activity decay (see [decay]) short bursts relitigate the same
+   prefix on the symmetric CEGIS/cardinality encodings. *)
+let first_restart = 300
 
 let pick_branch_var s =
   let v = ref (-1) in
-  if s.rand_freq > 0.0 && s.nvars > 0 && rand_float s < s.rand_freq then begin
-    let cand = rand_int s s.nvars in
-    if var_value s cand = 0 then v := cand
-  end;
   while !v < 0 && s.heap_size > 0 do
     let cand = heap_pop s in
     if var_value s cand = 0 then v := cand
   done;
   !v
 
-let solve_opt ?(assumptions = []) ?(stop = fun () -> false) s =
-  if not s.ok then Some Unsat
-  else if stop () then None (* lost before starting: touch nothing *)
+let solve ?(assumptions = []) s =
+  if not s.ok then Unsat
   else begin
     cancel_until s 0;
     sanitize_check s;
     let assumptions = Array.of_list assumptions in
     let n_assumptions = Array.length assumptions in
-    let restart_count = ref 0 in
-    let geometric_budget = ref s.restart_base in
-    let restart_limit () =
-      if s.luby then s.restart_base * luby_unit !restart_count
-      else !geometric_budget
-    in
+    let restart_limit = ref first_restart in
     let conflicts_here = ref 0 in
-    let result = ref None in
+    let result = ref Unsat in
     let finished = ref false in
     while not !finished do
       let confl = propagate s in
@@ -1396,12 +1252,10 @@ let solve_opt ?(assumptions = []) ?(stop = fun () -> false) s =
         incr conflicts_here;
         if s.n_levels = 0 then begin
           s.ok <- false;
-          result := Some Unsat;
           finished := true
         end
         else if s.n_levels <= n_assumptions then begin
           (* The conflict only depends on assumptions and root clauses. *)
-          result := Some Unsat;
           finished := true
         end
         else begin
@@ -1412,42 +1266,25 @@ let solve_opt ?(assumptions = []) ?(stop = fun () -> false) s =
              up in one of the terminating branches above. *)
           cancel_until s backjump;
           record_learnt s n lbd;
-          decay s;
-          if stop () then finished := true
+          decay s
         end
       end
-      else if stop () then finished := true
       else if
-        !conflicts_here >= restart_limit ()
+        !conflicts_here >= !restart_limit
         || (s.reduce_enabled && s.st_conflicts >= s.reduce_budget)
       then begin
         s.st_restarts <- s.st_restarts + 1;
-        incr restart_count;
-        geometric_budget := !geometric_budget * 3 / 2;
+        restart_limit := !restart_limit * 3 / 2;
         conflicts_here := 0;
         cancel_until s 0;
         if s.reduce_enabled && s.st_conflicts >= s.reduce_budget then
           reduce_db s;
-        (* Cube-and-conquer import point: the driver's [on_restart] hook
-           may pull foreign learnt clauses in via [add_learnt] here, at
-           decision level 0.  An import can expose root unsatisfiability
-           (level-0 conflict), which must terminate the search. *)
-        (match s.on_restart with
-         | None -> ()
-         | Some f ->
-           f ();
-           if not s.ok then begin
-             result := Some Unsat;
-             finished := true
-           end);
         sanitize_check s
       end
       else if s.n_levels < n_assumptions then begin
         let a = assumptions.(s.n_levels) in
         match lit_value s a with
-        | -1 ->
-          result := Some Unsat;
-          finished := true
+        | -1 -> finished := true
         | 1 -> new_decision_level s (* vacuous level to keep indices aligned *)
         | _ ->
           new_decision_level s;
@@ -1457,7 +1294,7 @@ let solve_opt ?(assumptions = []) ?(stop = fun () -> false) s =
         match pick_branch_var s with
         | -1 ->
           let model = Array.init s.nvars (fun v -> var_value s v = 1) in
-          result := Some (Sat model);
+          result := Sat model;
           finished := true
         | v ->
           s.st_decisions <- s.st_decisions + 1;
@@ -1469,83 +1306,6 @@ let solve_opt ?(assumptions = []) ?(stop = fun () -> false) s =
     sanitize_check s;
     !result
   end
-
-let solve ?assumptions s =
-  match solve_opt ?assumptions s with
-  | Some r -> r
-  | None -> assert false (* no [stop] hook was given *)
-
-(* ------------------------------------------------------------------ *)
-(* Copying (cube-and-conquer support)                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* An independent snapshot of the solver, safe to drive from another domain.
-   The clone starts with zeroed statistics, so its counters are a delta the
-   caller can fold into the original with [absorb_stats]. *)
-let copy s =
-  cancel_until s 0;
-  { id = Atomic.fetch_and_add next_id 1;
-    arena = Array.copy s.arena;
-    arena_top = s.arena_top;
-    clauses = Array.copy s.clauses;
-    n_problem = s.n_problem;
-    learnts = Array.copy s.learnts;
-    n_learnts = s.n_learnts;
-    bins = Array.map Array.copy s.bins;
-    bin_size = Array.copy s.bin_size;
-    bin_pairs = Array.copy s.bin_pairs;
-    n_bin_pairs = s.n_bin_pairs;
-    watch = Array.map Array.copy s.watch;
-    watch_size = Array.copy s.watch_size;
-    assigns = Array.copy s.assigns;
-    level = Array.copy s.level;
-    reason = Array.copy s.reason;
-    activity = Array.copy s.activity;
-    phase = Array.copy s.phase;
-    seen = Array.copy s.seen;
-    trail = Array.copy s.trail;
-    trail_size = s.trail_size;
-    trail_lim = Array.copy s.trail_lim;
-    n_levels = s.n_levels;
-    qhead = s.qhead;
-    nvars = s.nvars;
-    var_inc = s.var_inc;
-    ok = s.ok;
-    heap = Array.copy s.heap;
-    heap_index = Array.copy s.heap_index;
-    heap_size = s.heap_size;
-    bin_confl = Array.copy s.bin_confl;
-    learnt_buf = Array.copy s.learnt_buf;
-    lbd_mark = Array.copy s.lbd_mark;
-    lbd_stamp = s.lbd_stamp;
-    seed = s.seed;
-    rand_freq = s.rand_freq;
-    luby = s.luby;
-    restart_base = s.restart_base;
-    reduce_enabled = s.reduce_enabled;
-    reduce_budget = s.reduce_budget;
-    reduce_step = s.reduce_step;
-    (* Sharing hooks are per-instance wiring, installed by the driver that
-       owns the clone; they never survive a copy. *)
-    on_learnt = None;
-    on_restart = None;
-    (* The parent assembles the proof: it replays the workers' learnt
-       clauses as derivation steps (see [Solver.solve_cubes]), so clones
-       never record their own trace. *)
-    proof_enabled = false;
-    proof_buf = [||];
-    proof_pos = 0;
-    proof_len = 0;
-    names = Hashtbl.copy s.names;
-    guards = Hashtbl.copy s.guards;
-    sanitize = s.sanitize;
-    st_decisions = 0;
-    st_propagations = 0;
-    st_conflicts = 0;
-    st_restarts = 0;
-    st_learned = 0;
-    st_deleted = 0;
-    st_max_lbd = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* DIMACS export                                                       *)

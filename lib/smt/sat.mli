@@ -3,9 +3,9 @@
     Engine features: flat int-array watcher lists with blocking literals
     (propagation is allocation-free), dedicated binary-clause implication
     lists, an indexed binary max-heap for VSIDS decisions, first-UIP conflict
-    analysis with recursive clause minimization, phase saving, configurable
-    Luby or geometric restarts, and LBD-scored learnt clauses with periodic
-    clause-database reduction.
+    analysis with recursive clause minimization, phase saving, geometric
+    restarts, and LBD-scored learnt clauses with periodic clause-database
+    reduction.
 
     The solver is incremental: clauses may be added between [solve] calls
     (at decision level 0 — every call returns there), and [solve
@@ -56,13 +56,6 @@ val solve : ?assumptions:Lit.t list -> t -> result
     unsatisfiable *under those assumptions*; the solver stays usable.
     Learnt clauses persist across calls. *)
 
-val solve_opt :
-  ?assumptions:Lit.t list -> ?stop:(unit -> bool) -> t -> result option
-(** [solve] with a cooperative cancellation hook: [stop] is polled once per
-    search-loop iteration, and [None] is returned if it fired before a
-    verdict was reached.  The solver state stays valid (clauses learnt
-    during the partial run persist). *)
-
 val okay : t -> bool
 (** [false] once the clause database is unsatisfiable at level 0. *)
 
@@ -71,45 +64,22 @@ val num_conflicts : t -> int
 
 val stats : t -> stats
 
-(** {1 Parallel-solving support} *)
+val set_reduce_enabled : t -> bool -> unit
+(** Enable/disable clause-database reduction (default enabled). *)
 
-val copy : t -> t
-(** An independent snapshot, safe to drive from another domain.  The clone
-    starts with zeroed statistics, so a worker's progress can be folded
-    back into the original via [add_learnt] and [absorb_stats]. *)
+(** {1 Encoding introspection (static analysis support)}
 
-val add_learnt : t -> lbd:int -> Lit.t list -> unit
-(** Import a clause learnt elsewhere (e.g. by a cube worker).  Like
-    [add_clause] but the clause is registered as learnt, so it stays
-    subject to clause-database reduction unless its glue is [<= 2]. *)
-
-val absorb_stats : t -> t -> unit
-(** [absorb_stats s clone] folds the clone's counters into [s]. *)
-
-(** {1 Cube-and-conquer support} *)
-
-val var_activity : t -> int -> float
-(** Current VSIDS activity of a variable ([0.] out of range). *)
+    Read-only views of the clause database, consumed by the EncLint static
+    analyzer ([Pmi_analysis.Enclint]).  All of these must be called at
+    decision level 0 (between [solve] calls). *)
 
 val root_value : t -> int -> int
 (** Root-level (decision level 0) assignment of a variable: [1] true,
     [-1] false, [0] unassigned.  Call between [solve] calls. *)
 
-val most_constrained_vars : t -> int -> int list
-(** The [k] best cube-split candidates: variables unassigned at the root,
-    ranked by VSIDS activity with occurrence count over the problem
-    clauses as the tie-break (so a fresh solver still yields a meaningful
-    order), most constrained first. *)
-
-(** {1 Encoding introspection (static analysis support)}
-
-    Read-only views of the problem-clause database, consumed by the
-    EncLint static analyzer ([Pmi_analysis.Enclint]).  All of these must
-    be called at decision level 0 (between [solve] calls). *)
-
 val id : t -> int
-(** A process-unique instance id (clones included), so analysis passes can
-    key per-solver side tables without retaining the solver. *)
+(** A process-unique instance id, so analysis passes can key per-solver
+    side tables without retaining the solver. *)
 
 val iter_long_problem_clauses : t -> (int -> Lit.t list -> unit) -> unit
 (** Iterate [f cref lits] over every live long (>= 3 literal) problem
@@ -128,52 +98,16 @@ val mark_guard : t -> int -> unit
 
 val is_guard : t -> int -> bool
 
-val set_on_learnt : t -> (int -> Lit.t list -> unit) option -> unit
-(** Install (or clear) a hook fired synchronously as [f lbd lits] on every
-    clause the search learns — the continuous-export half of the
-    cube-and-conquer shared clause pool.  The hook runs mid-search and
-    must not reenter the solver. *)
-
-val set_on_restart : t -> (unit -> unit) option -> unit
-(** Install (or clear) a hook fired at every decision-level-0 boundary
-    inside [solve_opt] (each restart).  Importing foreign clauses via
-    {!add_learnt} is legal there; an import that exposes root
-    unsatisfiability terminates the search with [Unsat]. *)
-
-(** {1 Diversification knobs} *)
-
-val set_seed : t -> int -> unit
-(** Seed the solver's internal PRNG (used by random decisions and
-    [randomize_phases]). *)
-
-val set_random_var_freq : t -> float -> unit
-(** Probability in [[0, 1]] of picking a random decision variable instead
-    of the top of the VSIDS heap.  Default [0.]. *)
-
-val set_restart : t -> [ `Luby of int | `Geometric of int ] -> unit
-(** Restart policy: Luby sequence scaled by the given unit, or the
-    geometric policy growing by 3/2 from the given base (the default is
-    [`Geometric 300]; cube workers diversify over both). *)
-
-val set_reduce_enabled : t -> bool -> unit
-(** Enable/disable clause-database reduction (default enabled). *)
-
-val invert_phases : t -> unit
-(** Flip every saved phase (decision polarity). *)
-
-val randomize_phases : t -> unit
-(** Randomize every saved phase using the solver PRNG. *)
-
 (** {1 Certification} *)
 
 (** One step of a DRAT-style proof trace, logged when proof logging is on.
     [Input] clauses are axioms asserted via {!add_clause} (problem clauses,
     cardinality chains, theory lemmas).  [Derive] clauses are additions that
     must have the reverse-unit-propagation (RUP) property with respect to
-    every step logged before them: first-UIP learnt clauses, and clauses
-    imported from a cube worker.  [Delete] records a clause discarded
-    by clause-database reduction.  Literals appear exactly as produced; the
-    independent checker ([Pmi_analysis.Drat]) canonicalizes. *)
+    every step logged before them: first-UIP learnt clauses.  [Delete]
+    records a clause discarded by clause-database reduction.  Literals
+    appear exactly as produced; the independent checker
+    ([Pmi_analysis.Drat]) canonicalizes. *)
 type proof_step =
   | Input of Lit.t list
   | Derive of Lit.t list
@@ -191,11 +125,6 @@ val proof : t -> proof_step list
 (** The trace so far, oldest step first. *)
 
 val proof_length : t -> int
-
-val proof_derive : t -> Lit.t list -> unit
-(** [proof_derive s lits] appends an externally justified derivation step
-    (e.g. a cube worker's learnt clause) to the trace.  No-op when proof
-    logging is off. *)
 
 exception Invariant_violation of string
 

@@ -190,26 +190,25 @@ let toy_catalog n =
          (Printf.sprintf "i%c" (Char.chr (Char.code 'A' + i)),
           [ Operand.gpr 32 ], Iclass.plain (Iclass.Single Iclass.Alu))))
 
-let certified_config ?(domains = 1) ?(cube_conquer = 0) num_ports =
+let certified_config ?(domains = 1) num_ports =
   { Cegis.default_config with
     Cegis.num_ports;
     r_max = num_ports + 1;
     max_experiment_size = 4;
     certify = true;
-    domains;
-    cube_conquer }
+    domains }
 
 (* Infer from perfect measurements of a hidden mapping with [certify] on:
    every UNSAT along the way must check as DRAT, every model must
    validate, or [Certification_failure] aborts the run. *)
-let certified_cegis ?domains ?cube_conquer truth_usage =
+let certified_cegis ?domains truth_usage =
   let catalog = toy_catalog (List.length truth_usage) in
   let num_ports = 2 in
   let truth = Mapping.create ~num_ports in
   List.iteri
     (fun i usage -> Mapping.set truth (Catalog.find catalog i) usage)
     truth_usage;
-  let config = certified_config ?domains ?cube_conquer num_ports in
+  let config = certified_config ?domains num_ports in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
     List.mapi
@@ -238,14 +237,6 @@ let test_certified_cegis_parallel () =
   (* Parallel stratified search and validation sweep under certification:
      every verdict still flows through the checker. *)
   expect_converged "parallel" (certified_cegis ~domains:3 figure4b)
-
-let test_certified_cegis_cubes () =
-  (* Cube-and-conquer with certification: every UNSAT verdict along the
-     way is a stitched multi-worker certificate (merged learnt logs, one
-     clause per refuted cube, split tautology) that the independent
-     checker must accept. *)
-  expect_converged "cubes"
-    (certified_cegis ~domains:2 ~cube_conquer:2 figure4b)
 
 let test_certified_explain_unsat () =
   (* A single 1-port instruction cannot take 10 cycles: the certified
@@ -358,8 +349,6 @@ let () =
       ("certified-cegis",
        [ Alcotest.test_case "incremental" `Quick test_certified_cegis_incremental;
          Alcotest.test_case "parallel" `Slow test_certified_cegis_parallel;
-         Alcotest.test_case "cube-and-conquer" `Slow
-           test_certified_cegis_cubes;
          Alcotest.test_case "certified UNSAT" `Quick
            test_certified_explain_unsat ]);
       ("lint",

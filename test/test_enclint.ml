@@ -4,8 +4,8 @@
    - clean built-in encodings (creation-time, delta append/retire) must
      produce zero findings — no false positives;
    - seeded mutations (dropped guard, wrong cardinality bound, unguarded
-     delta row, duplicate clause, dead split hints, reachable retired
-     rows) must each be flagged with the right rule;
+     delta row, duplicate clause, reachable retired rows) must each be
+     flagged with the right rule;
    - a full certified CEGIS run, and a delta flush, with the analyzer
      gating every solver episode must still converge. *)
 
@@ -90,8 +90,7 @@ let test_clean_delta () =
 let row ?(subject = "row mut") ?(act = -1) ?(live = true) ~vars networks =
   { Enclint.subject; vars; act; live; networks }
 
-let view ?(rows = []) ?(hint = []) () =
-  { Enclint.empty_view with Enclint.rows; hint }
+let view ~rows () = { Enclint.empty_view with Enclint.rows }
 
 let test_flags_dropped_guard () =
   (* The row claims activation variable [act], but its network was built
@@ -187,50 +186,6 @@ let test_flags_retired_reachable () =
       (view ~rows:[ row ~act ~live:false ~vars [ (1, net) ] ] ())
   in
   expect_error "retired-reachable" diags
-
-let test_flags_split_dead () =
-  (* Cube-split hints over a root-assigned or retired variable waste the
-     whole cube. *)
-  let s = Sat.create () in
-  let v = Sat.fresh_var s in
-  let w = Sat.fresh_var s in
-  Sat.add_clause s [ Lit.pos v ];
-  Sat.add_clause s [ Lit.pos w; Lit.neg_of_var v ];
-  (match Sat.solve s with
-   | Sat.Sat _ -> ()
-   | Sat.Unsat -> Alcotest.fail "trivially sat");
-  expect_error "split-dead" (Enclint.analyze s (view ~hint:[ v ] ()))
-
-let test_split_hint_excludes_dead () =
-  (* The encoding-side fix the reachability check motivated: retired and
-     root-assigned variables never appear in [split_hint]. *)
-  let catalog, encoding = delta_encoding () in
-  let retired_scheme = Catalog.find catalog 1 in
-  let before = Encoding.split_hint encoding in
-  Alcotest.(check bool) "hint nonempty" true (before <> []);
-  Encoding.retire_row encoding retired_scheme;
-  (match Sat.solve
-           ~assumptions:(Encoding.row_assumptions encoding)
-           (Encoding.sat encoding)
-   with
-   | Sat.Sat _ -> ()
-   | Sat.Unsat -> Alcotest.fail "delta encoding satisfiable");
-  let sat = Encoding.sat encoding in
-  let hint = Encoding.split_hint encoding in
-  Alcotest.(check bool) "hint survives retirement" true (hint <> []);
-  List.iter
-    (fun v ->
-       if Sat.root_value sat v <> 0 then
-         Alcotest.failf "hint proposes root-assigned var %d" v)
-    hint;
-  (* No split-dead finding on the fixed hint. *)
-  let diags =
-    Enclint.analyze sat
-      (Encoding.enclint_view
-         ~frozen:(Encoding.row_assumptions encoding)
-         encoding)
-  in
-  Alcotest.(check bool) "no split-dead" false (has_rule "split-dead" diags)
 
 let test_flags_frozen_unused () =
   let s = Sat.create () in
@@ -333,9 +288,6 @@ let () =
            test_flags_duplicate_clause;
          Alcotest.test_case "reachable retired row" `Quick
            test_flags_retired_reachable;
-         Alcotest.test_case "dead split hint" `Quick test_flags_split_dead;
-         Alcotest.test_case "split_hint excludes dead vars" `Quick
-           test_split_hint_excludes_dead;
          Alcotest.test_case "frozen literal unused" `Quick
            test_flags_frozen_unused ]);
       ("cegis-gate",

@@ -192,6 +192,36 @@ let prop_rat_to_float =
        let d = float_of_string (Bigint.to_string (Rat.den a)) in
        Float.abs (f -. (n /. d)) < 1e-9)
 
+(* Parts that fit a native int convert exactly as the float division of
+   the ints, so reported figures stay bit-identical.  Bounded by 2^53, where
+   every int is an exact float and reducing by the gcd cannot change the
+   correctly rounded quotient. *)
+let prop_rat_to_float_native =
+  let bound = 1 lsl 53 in
+  let part =
+    QCheck2.Gen.(oneof [ int_range (-1000) 1000; int_range (-bound) bound ])
+  in
+  QCheck2.Test.make ~name:"rat to_float matches native float division"
+    ~count:1000
+    QCheck2.Gen.(pair part (map (fun d -> if d = 0 then 1 else d) part))
+    (fun (a, b) ->
+       Rat.to_float (Rat.of_ints a b) = float_of_int a /. float_of_int b)
+
+let test_rat_to_float_huge () =
+  let pow10 k = Bigint.of_string ("1" ^ String.make k '0') in
+  let big = pow10 400 in
+  let check name expected a =
+    Alcotest.(check (float 1e-12)) name expected (Rat.to_float a)
+  in
+  check "(10^400+1)/10^400" 1.0 (Rat.make (Bigint.add big Bigint.one) big);
+  check "-(10^400+1)/10^400" (-1.0)
+    (Rat.make (Bigint.neg (Bigint.add big Bigint.one)) big);
+  check "10^400/(3*10^399)" (10.0 /. 3.0)
+    (Rat.make big (Bigint.mul (Bigint.of_int 3) (pow10 399)));
+  check "1/10^400" 0.0 (Rat.make Bigint.one big);
+  Alcotest.(check bool) "10^400/3 overflows to infinity" true
+    (Rat.to_float (Rat.make big (Bigint.of_int 3)) = Float.infinity)
+
 (* ------------------------------------------------------------------ *)
 (* Simplex tests                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -334,8 +364,12 @@ let () =
       ("rat",
        [ Alcotest.test_case "canonical form" `Quick test_rat_canonical;
          Alcotest.test_case "arithmetic" `Quick test_rat_arith;
-         Alcotest.test_case "floor/ceil" `Quick test_rat_floor_ceil ]
-       @ qsuite [ prop_rat_field_laws; prop_rat_order_total; prop_rat_to_float ]);
+         Alcotest.test_case "floor/ceil" `Quick test_rat_floor_ceil;
+         Alcotest.test_case "to_float on huge parts" `Quick
+           test_rat_to_float_huge ]
+       @ qsuite
+           [ prop_rat_field_laws; prop_rat_order_total; prop_rat_to_float;
+             prop_rat_to_float_native ]);
       ("simplex",
        [ Alcotest.test_case "classic max" `Quick test_simplex_basic_max;
          Alcotest.test_case "min with >=" `Quick test_simplex_min_with_ge;

@@ -1,7 +1,7 @@
 (* The concurrency sanitizer: detector soundness on planted races,
    cleanliness of the instrumented primitives under every small schedule
-   permutation, the cube-and-conquer solve with its shared cube queue and
-   clause pool, and the shared diagnostics schema.
+   permutation, the parallel harness sweep, CEGIS search and delta flush,
+   and the shared diagnostics schema.
 
    Every test runs with the detector enabled and (mostly) in deterministic
    replay mode: the pool serializes tasks in seeded permutation order while
@@ -12,9 +12,6 @@
 module Race = Pmi_diag.Race
 module Diag = Pmi_diag.Diag
 module Pool = Pmi_parallel.Pool
-module Sat = Pmi_smt.Sat
-module Lit = Pmi_smt.Lit
-module Solver = Pmi_smt.Solver
 module Harness = Pmi_measure.Harness
 module Machine = Pmi_machine.Machine
 module Catalog = Pmi_isa.Catalog
@@ -196,44 +193,6 @@ let test_fence_order_dependent () =
 (* ------------------------------------------------------------------ *)
 (* Pool primitives under all small permutations                        *)
 
-let test_race_winner_stable () =
-  (* All tasks produce a value; the winner must be the first task in
-     permutation order, losers must not overwrite the slot, and the
-     winner-slot protocol must be race-free.  Tasks deliberately ignore
-     [stop] to act as worst-case late losers. *)
-  for seed = 0 to Pool.permutations 3 - 1 do
-    let order = Pool.permutation ~seed 3 in
-    let result = ref None in
-    expect_clean "race slot"
-      (with_detector ~schedule:seed (fun () ->
-           let tasks = Array.init 3 (fun i -> fun _stop -> Some i) in
-           result := Pool.race ~domains:3 tasks));
-    Alcotest.(check (option int))
-      (Printf.sprintf "winner is permutation head (seed %d)" seed)
-      (Some order.(0)) !result
-  done
-
-let test_race_stop_polled () =
-  (* A loser that *does* poll [stop] must exit promptly: under replay the
-     losers are invoked with an always-true predicate, so a polling task
-     never reaches its body. *)
-  let body_runs = Atomic.make 0 in
-  let result = ref None in
-  expect_clean "stopping race"
-    (with_detector ~schedule:0 (fun () ->
-         let tasks =
-           Array.init 3 (fun i ->
-               fun stop ->
-                 if stop () then None
-                 else begin
-                   Atomic.incr body_runs;
-                   Some i
-                 end)
-         in
-         result := Pool.race ~domains:3 tasks));
-  Alcotest.(check (option int)) "first wins" (Some 0) !result;
-  Alcotest.(check int) "losers never ran their body" 1 (Atomic.get body_runs)
-
 let test_find_first_index_minimal () =
   (* 4 elements, hits at 1 and 3: every one of the 24 schedules must agree
      on the minimal index, with a clean best-slot protocol. *)
@@ -260,56 +219,6 @@ let test_parallel_for_exception () =
   Pool.set_schedule Pool.Os;
   Race.disable ();
   Alcotest.(check bool) "exception propagated" true raised
-
-(* ------------------------------------------------------------------ *)
-(* The parallel solver stack under replay                              *)
-
-let random_clauses ~vars ~clauses ~state =
-  let state = ref state in
-  let next bound =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
-  in
-  List.init clauses (fun _ ->
-      let rec pick acc =
-        if List.length acc = 3 then acc
-        else
-          let v = next vars in
-          if List.exists (fun l -> Lit.var l = v) acc then pick acc
-          else pick (Lit.make v (next 2 = 0) :: acc)
-      in
-      pick [])
-
-let test_cubes_replay () =
-  (* Cube-and-conquer shares state between workers beyond their solver
-     clones: the work-stealing cube queue and the cross-worker clause pool,
-     both lock-protected.  A small conflict budget forces re-splits,
-     so the queue sees concurrent pushes as well as pops.  Verdicts must
-     be schedule-independent and every schedule race-free. *)
-  let clauses = random_clauses ~vars:50 ~clauses:205 ~state:0xCAFE in
-  let solve () =
-    let s = Sat.create () in
-    for _ = 1 to 50 do
-      ignore (Sat.fresh_var s)
-    done;
-    List.iter (Sat.add_clause s) clauses;
-    match
-      Solver.solve_cubes ~domains:4 ~cubes:2 ~conflict_budget:64
-        ~check:(fun _ -> [])
-        s
-    with
-    | Solver.Sat _ -> true
-    | Solver.Unsat -> false
-  in
-  let reference = solve () in
-  for seed = 0 to 5 do
-    let verdict = ref reference in
-    expect_clean "cube-and-conquer"
-      (with_detector ~schedule:seed (fun () -> verdict := solve ()));
-    Alcotest.(check bool)
-      (Printf.sprintf "verdict stable (seed %d)" seed)
-      reference !verdict
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Harness and CEGIS shared state                                      *)
@@ -488,14 +397,10 @@ let () =
          Alcotest.test_case "disabled is a no-op" `Quick
            test_disabled_is_noop ]);
       ("pool",
-       [ Alcotest.test_case "race winner stable" `Quick
-           test_race_winner_stable;
-         Alcotest.test_case "race losers stop" `Quick test_race_stop_polled;
-         Alcotest.test_case "find_first_index minimal" `Quick
+       [ Alcotest.test_case "find_first_index minimal" `Quick
            test_find_first_index_minimal ]);
       ("stack",
-       [ Alcotest.test_case "cube-and-conquer replay" `Quick test_cubes_replay;
-         Alcotest.test_case "harness sweep" `Quick
+       [ Alcotest.test_case "harness sweep" `Quick
            test_harness_parallel_sweep;
          Alcotest.test_case "parallel CEGIS" `Slow test_cegis_replay_clean;
          Alcotest.test_case "parallel delta batch" `Slow
