@@ -99,15 +99,23 @@ type outcome =
 let modeled_inverse config mapping experiment =
   Throughput.inverse_bounded ~r_max:config.r_max mapping experiment
 
-(* The memoized oracle is a drop-in replacement for the naive throughput
-   computation (same exact rationals); it only declines when the port count
-   exceeds its dense-table bound, in which case we keep the naive path.
-   The oracle itself is returned too, so parallel callers can warm its
-   tables before fanning out. *)
-let oracle_fn config mapping =
-  match Oracle.create mapping with
-  | o -> ((fun e -> Oracle.inverse_bounded ~r_max:config.r_max o e), Some o)
-  | exception Invalid_argument _ -> (modeled_inverse config mapping, None)
+(* Does the oracle explain a measured value within ε·|e|?  The modeled
+   (num, den) is compared on native ints; a measurement whose parts do not
+   fit one falls back to the exact-rational test. *)
+let explains config o experiment cycles =
+  let length = Experiment.length experiment in
+  let modeled = Oracle.inverse_bounded_frac ~r_max:config.r_max o experiment in
+  match
+    ( Pmi_numeric.Bigint.to_int_opt (Rat.num cycles),
+      Pmi_numeric.Bigint.to_int_opt (Rat.den cycles) )
+  with
+  | Some n, Some d ->
+    Pmi_measure.Harness.Compare.cpi_equal_frac ~epsilon:config.epsilon
+      ~length modeled (n, d)
+  | _ ->
+    Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon ~length
+      (Rat.of_ints (fst modeled) (snd modeled))
+      cycles
 
 let consistent config mapping obs =
   let modeled = modeled_inverse config mapping obs.experiment in
@@ -119,18 +127,12 @@ let consistent config mapping obs =
    [pool] so that later encodings (deterministic variable numbering) can be
    seeded with everything already learned. *)
 let theory_check config encoding observations pool model =
-  let mapping = Encoding.decode encoding model in
-  let inv, _ = oracle_fn config mapping in
+  let o = Oracle.create (Encoding.decode encoding model) in
   let lemmas = ref [] in
   Race.touch_read obs_loc;
   Vec.iter
     (fun obs ->
-       let explained =
-         Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
-           ~length:(Experiment.length obs.experiment) (inv obs.experiment)
-           obs.cycles
-       in
-       if not explained then
+       if not (explains config o obs.experiment obs.cycles) then
          lemmas :=
            Encoding.block_footprint encoding model
              (Experiment.schemes obs.experiment)
@@ -267,7 +269,7 @@ let certify_unsat config ?(assumptions = []) sat =
    must satisfy every input clause of the trace (problem CNF, cardinality
    chains, theory lemmas), and the decoded mapping must explain every
    observation under the naive exact-rational oracle — deliberately not the
-   memoized fast path the search itself uses. *)
+   sparse native-int path the search itself uses. *)
 let certify_sat config encoding observations model =
   if config.certify then begin
     Obs.incr c_certificates;
@@ -343,55 +345,28 @@ let find_mapping config encoding observations pool =
       | Solver.Sat model -> Some (Encoding.decode encoding model)
       | Solver.Unsat -> None)
 
-(* Multisets of the given schemes, enumerated in order of increasing size
-   (the stratified search of §3.3.4), smallest first. *)
-let iter_experiments schemes ~max_size f =
-  let schemes = Array.of_list schemes in
-  let n = Array.length schemes in
-  let rec fill size start acc =
-    if size = 0 then f (Experiment.of_counts acc)
-    else
-      for i = start to n - 1 do
-        (* Give scheme i between 1 and [size] copies, then recurse on the
-           remaining schemes with the remaining size budget. *)
-        let rec with_count c =
-          if c <= size then begin
-            fill (size - c) (i + 1) ((schemes.(i), c) :: acc);
-            with_count (c + 1)
-          end
-        in
-        with_count 1
-      done
-  in
-  let rec sizes s =
-    if s <= max_size then begin
-      fill s 0 [];
-      sizes (s + 1)
-    end
-  in
-  sizes 1
-
-exception Found of Experiment.t
-
 exception Found_counts of (Scheme.t * int) list
 
-(* One size stratum of the distinguishing-experiment search, walked with
-   incremental oracle accumulators: entering/leaving a recursion level is a
-   ±one-scheme mass delta, and each leaf is an O(2^P) scan per mapping
-   instead of a from-scratch throughput computation.  Enumeration order is
-   identical to [iter_experiments], so the first hit is deterministic.
-   [abort] is polled at every node (used by the parallel search to stop a
-   stratum once a smaller one has found a hit). *)
+(* One size stratum of the distinguishing-experiment search (§3.3.4):
+   every multiset of [size] instructions over the given schemes, in a
+   fixed order (scheme by scheme, each taking 1 up to the remaining budget
+   of copies), so the first hit is deterministic.  The walk keeps one
+   oracle accumulator per mapping: entering/leaving a recursion level is a
+   ±one-scheme mass delta, and each leaf runs the sparse kernel once per
+   mapping.  [abort] is polled at every node (used by the parallel search
+   to stop a stratum once a smaller one has found a hit). *)
 let search_stratum config o1 o2 schemes ~size ~abort =
-  let sep = Pmi_measure.Harness.Compare.well_separated ~epsilon:config.epsilon in
+  let sep =
+    Pmi_measure.Harness.Compare.well_separated_frac ~epsilon:config.epsilon
+  in
   let a1 = Oracle.Acc.create o1 and a2 = Oracle.Acc.create o2 in
   let n = Array.length schemes in
   let rec fill size start acc =
     if abort () then raise_notrace Exit;
     if size = 0 then begin
       let length = Oracle.Acc.length a1 in
-      let t1 = Oracle.Acc.inverse_bounded ~r_max:config.r_max a1 in
-      let t2 = Oracle.Acc.inverse_bounded ~r_max:config.r_max a2 in
+      let t1 = Oracle.Acc.inverse_bounded_frac ~r_max:config.r_max a1 in
+      let t2 = Oracle.Acc.inverse_bounded_frac ~r_max:config.r_max a2 in
       if sep ~length t1 t2 then raise_notrace (Found_counts acc)
     end
     else
@@ -418,11 +393,11 @@ let search_stratum config o1 o2 schemes ~size ~abort =
   | exception Found_counts acc -> Some (Experiment.of_counts acc)
   | exception Exit -> None
 
-let distinguishing_memoized config o1 o2 schemes =
+(* Smallest stratum first, so the experiment found is a smallest one. *)
+let distinguishing_experiment config m1 m2 schemes =
+  Obs.span "cegis.distinguish" @@ fun () ->
+  let o1 = Oracle.create m1 and o2 = Oracle.create m2 in
   let arr = Array.of_list schemes in
-  Obs.span "oracle.prepare" (fun () ->
-      Oracle.prepare o1 schemes;
-      Oracle.prepare o2 schemes);
   if config.domains > 1 && config.max_experiment_size > 1 then begin
     (* One domain per size stratum; every stratum reports its first hit in
        enumeration order and the smallest stratum wins, so the result is
@@ -461,29 +436,6 @@ let distinguishing_memoized config o1 o2 schemes =
     in
     go 1
   end
-
-let distinguishing_experiment config m1 m2 schemes =
-  Obs.span "cegis.distinguish" (fun () ->
-      let oracles =
-        match (Oracle.create m1, Oracle.create m2) with
-        | o1, o2 -> Some (o1, o2)
-        | exception Invalid_argument _ -> None
-      in
-      match oracles with
-      | Some (o1, o2) -> distinguishing_memoized config o1 o2 schemes
-      | None ->
-        let sep =
-          Pmi_measure.Harness.Compare.well_separated ~epsilon:config.epsilon
-        in
-        (match
-           iter_experiments schemes ~max_size:config.max_experiment_size
-             (fun e ->
-                let t1 = modeled_inverse config m1 e in
-                let t2 = modeled_inverse config m2 e in
-                if sep ~length:(Experiment.length e) t1 t2 then raise (Found e))
-         with
-         | () -> None
-         | exception Found e -> Some e))
 
 let same_mapping specs m1 m2 =
   List.for_all
@@ -785,29 +737,19 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
        [None] means the convergence is confirmed.  Only one refutation is
        reported per round so that an UNSAT can be traced to a single
        observation (the §4.3 culprit search depends on that). *)
-    let inv, oracle = oracle_fn config m1 in
+    let oracle = Oracle.create m1 in
     let failing e =
       Race.touch_read obs_loc;
       if
         Vec.exists (fun o -> Experiment.equal o.experiment e) observations
       then false
-      else begin
-        let cycles = measure e in
-        not
-          (Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
-             ~length:(Experiment.length e) (inv e) cycles)
-      end
+      else not (explains config oracle e (measure e))
     in
-    if config.domains > 1 then begin
-      (* Warm the oracle tables before fanning out: the sweep only reads
-         shared state afterwards.  [measure] must be thread-safe here. *)
-      (match oracle with
-       | Some o -> Oracle.prepare o (List.map fst specs)
-       | None -> ());
+    if config.domains > 1 then
+      (* [measure] must be thread-safe here; the oracle only reads. *)
       match Pool.find_first_index ~domains:config.domains failing sweep with
       | Some i -> Some sweep.(i)
       | None -> None
-    end
     else Array.find_opt failing sweep
   in
   (* One CEGIS iteration under its own span; [None] means "not settled,
@@ -1176,7 +1118,7 @@ module Delta = struct
           ~args:[ ("sweep", Obs.Int (Array.length sweep)) ]
           "cegis.validate"
         @@ fun () ->
-        let inv, oracle = oracle_fn config m1 in
+        let oracle = Oracle.create m1 in
         let failing e =
           Race.touch_read obs_loc;
           if
@@ -1184,22 +1126,12 @@ module Delta = struct
               (fun o -> Experiment.equal o.experiment e)
               session.d_observations
           then false
-          else begin
-            let cycles = session.d_measure e in
-            not
-              (Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
-                 ~length:(Experiment.length e) (inv e) cycles)
-          end
+          else not (explains config oracle e (session.d_measure e))
         in
-        if config.domains > 1 then begin
-          (match oracle with
-           | Some o ->
-             Oracle.prepare o (List.map fst (Encoding.schemes encoding))
-           | None -> ());
+        if config.domains > 1 then
           match Pool.find_first_index ~domains:config.domains failing sweep with
           | Some i -> Some sweep.(i)
           | None -> None
-        end
         else Array.find_opt failing sweep
       in
       (* Falling back: the delta solver proved the batch inconsistent with

@@ -1,7 +1,6 @@
 module Rat = Pmi_numeric.Rat
 module Mapping = Pmi_portmap.Mapping
 module Experiment = Pmi_portmap.Experiment
-module Throughput = Pmi_portmap.Throughput
 module Oracle = Pmi_portmap.Oracle
 module Pool = Pmi_parallel.Pool
 module Harness = Pmi_measure.Harness
@@ -73,9 +72,8 @@ let run ?(options = default_options) ?(domains = 1) harness ~mapping =
          (e, float_of_int (Experiment.length e) /. cycles))
       blocks
   in
-  (* Model predictions are pure once the oracle tables are warm, so the
-     per-block sweep fans out over the domain pool; the harness itself is
-     never touched past this point. *)
+  (* Model predictions are pure, so the per-block sweep fans out over the
+     domain pool; the harness itself is never touched past this point. *)
   let predict model_inverse =
     Pool.map_list ~domains
       (fun (e, ipc) ->
@@ -84,19 +82,12 @@ let run ?(options = default_options) ?(domains = 1) harness ~mapping =
       measured_ipc
   in
   let oracle_inverse m =
-    (* Dense tables when the port count allows, naive throughput otherwise. *)
-    match Oracle.create m with
-    | oracle ->
-      Oracle.prepare oracle schemes;
-      fun bounded e ->
-        Rat.to_float
-          (if bounded then Oracle.inverse_bounded ~r_max oracle e
-           else Oracle.inverse oracle e)
-    | exception Invalid_argument _ ->
-      fun bounded e ->
-        Rat.to_float
-          (if bounded then Throughput.inverse_bounded ~r_max m e
-           else Throughput.inverse m e)
+    let oracle = Oracle.create m in
+    Oracle.prepare oracle schemes;
+    fun bounded e ->
+      Rat.to_float
+        (if bounded then Oracle.inverse_bounded ~r_max oracle e
+         else Oracle.inverse oracle e)
   in
   (* Our model: the §2.2 LP optimum capped at the frontend rate (§4.5). *)
   let ours = result "Ours" (predict (oracle_inverse mapping true)) in

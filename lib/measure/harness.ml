@@ -261,4 +261,32 @@ module Compare = struct
   let well_separated ?(epsilon = default_epsilon) ~length t1 t2 =
     let bound = Rat.mul (Rat.of_int 2) (Rat.mul epsilon (Rat.of_int length)) in
     Rat.compare (Rat.abs (Rat.sub t1 t2)) bound > 0
+
+  (* The sign of |n1/d1 − n2/d2| − scale·ε·length, from the same test
+     cross-multiplied onto native ints: |n1·d2 − n2·d1|·ε_den against
+     scale·ε_num·length·d1·d2.  A float estimate of each side, with every
+     factor taken at least 1 in magnitude, bounds every intermediate
+     product; below 2^61 none of them can overflow.  Otherwise the test
+     runs on [Rat]. *)
+  let gap_sign ~scale epsilon ~length (n1, d1) (n2, d2) =
+    let mag x = Float.max 1. (Float.abs (float_of_int x)) in
+    let limit = 0x1p61 in
+    match
+      (Bigint.to_int_opt (Rat.num epsilon), Bigint.to_int_opt (Rat.den epsilon))
+    with
+    | Some en, Some ed
+      when d1 > 0 && d2 > 0
+           && ((mag n1 *. mag d2) +. (mag n2 *. mag d1)) *. mag ed < limit
+           && mag scale *. mag en *. mag length *. mag d1 *. mag d2 < limit ->
+      compare (abs ((n1 * d2) - (n2 * d1)) * ed) (scale * en * length * d1 * d2)
+    | _ ->
+      let gap = Rat.abs (Rat.sub (Rat.of_ints n1 d1) (Rat.of_ints n2 d2)) in
+      Rat.compare gap
+        (Rat.mul (Rat.of_int scale) (Rat.mul epsilon (Rat.of_int length)))
+
+  let cpi_equal_frac ?(epsilon = default_epsilon) ~length f1 f2 =
+    gap_sign ~scale:1 epsilon ~length f1 f2 <= 0
+
+  let well_separated_frac ?(epsilon = default_epsilon) ~length f1 f2 =
+    gap_sign ~scale:2 epsilon ~length f1 f2 > 0
 end

@@ -1,181 +1,251 @@
 module Rat = Pmi_numeric.Rat
 module Scheme = Pmi_isa.Scheme
 
-(* Dense throughput oracle over the 2^P bitmask lattice.
+(* Sparse throughput oracle.
 
-   For a fixed mapping, each scheme contributes a *cumulative mass table*
-   [tbl] with [tbl.(q) = Σ_{(ports, n) ∈ usage, ports ⊆ q} n]: the µop mass
-   of one instance of the scheme that is confined to the port set [q].  The
-   table is built once per scheme with a zeta (subset-sum) transform of the
-   scheme's point masses and cached, so evaluating
+   By the bottleneck-set theorem (§2.2), tp⁻¹(e) = max over ∅ ≠ Q of
+   mass_e(Q) / |Q| is attained at a union of the experiment's µop port
+   sets: shrinking any Q to the union of the masks inside it keeps the mass
+   and cannot grow |Q|.  So a query only needs the experiment's distinct
+   non-empty port masks and the µop mass on each (a [profile]), never the
+   2^P port lattice.  With k masks over the union U, the kernel enumerates
+   the unions of subsets of the masks (2^k leaves) or, when k > |U|, the
+   submasks of U (2^|U| leaves); both visit every candidate bottleneck, and
+   each leaf sums the masses of the masks it contains.  k is at most a
+   handful for CEGIS experiments, independent of the port count.
 
-     tp⁻¹(e) = max over ∅ ≠ q of mass_e(q) / |q|
+   Ties are broken towards the numerically smallest mask, the same set a
+   scan of the lattice in mask order returns.  Fractions stay native
+   (num, den) ints until the public [Rat] API. *)
 
-   for an experiment [e] only needs a pointwise combination of the cached
-   tables followed by a single O(2^P) scan — no hashtable rebuild, no
-   submask enumeration.  [Acc] keeps the combined table standing so the
-   stratified CEGIS search can move between neighbouring experiments with
-   ±one-scheme deltas. *)
+type t = { mapping : Mapping.t; num_ports : int }
 
-let max_ports = 20
-(* 2^20 ints per scheme table; far above any simulated profile (≤ 13). *)
-
-type t = {
-  mapping : Mapping.t;
-  num_ports : int;
-  size : int;                          (* 2^num_ports *)
-  card : int array;                    (* popcount per mask *)
-  tables : (int, int array) Hashtbl.t; (* scheme id -> cumulative masses *)
-}
-
-let create mapping =
-  let num_ports = Mapping.num_ports mapping in
-  if num_ports < 1 || num_ports > max_ports then
-    invalid_arg "Oracle.create: unsupported port count";
-  let size = 1 lsl num_ports in
-  let card = Array.make size 0 in
-  for q = 1 to size - 1 do
-    card.(q) <- card.(q lsr 1) + (q land 1)
-  done;
-  { mapping; num_ports; size; card; tables = Hashtbl.create 64 }
-
+let create mapping = { mapping; num_ports = Mapping.num_ports mapping }
 let mapping t = t.mapping
 let num_ports t = t.num_ports
 
-(* Zeta transform in place: tbl.(q) becomes Σ_{s ⊆ q} tbl.(s). *)
-let zeta num_ports tbl =
-  for k = 0 to num_ports - 1 do
-    let bit = 1 lsl k in
-    for q = 0 to Array.length tbl - 1 do
-      if q land bit <> 0 then tbl.(q) <- tbl.(q) + tbl.(q lxor bit)
-    done
-  done
+let row t scheme =
+  match Mapping.find_opt t.mapping scheme with
+  | Some usage -> usage
+  | None -> raise (Throughput.Unsupported scheme)
 
-let table t scheme =
-  let id = Scheme.id scheme in
-  match Hashtbl.find_opt t.tables id with
-  | Some tbl -> tbl
-  | None ->
-    let usage =
-      match Mapping.find_opt t.mapping scheme with
-      | Some usage -> usage
-      | None -> raise (Throughput.Unsupported scheme)
-    in
-    let tbl = Array.make t.size 0 in
-    List.iter
-      (fun (ports, n) ->
-         let q = Portset.to_mask ports in
-         tbl.(q) <- tbl.(q) + n)
-      usage;
-    zeta t.num_ports tbl;
-    Hashtbl.replace t.tables id tbl;
-    tbl
+let prepare t schemes = List.iter (fun s -> ignore (row t s)) schemes
 
-let prepare t schemes = List.iter (fun s -> ignore (table t s)) schemes
+(* Mass profile: distinct masks in slots [0, k) with positive masses. *)
+type profile = {
+  mutable k : int;
+  mutable masks : int array;
+  mutable mass : int array;
+}
 
-(* Best non-empty bottleneck of a cumulative mass table, by exact
-   cross-multiplied fraction comparison (masses and cardinalities are far
-   from native-int overflow). *)
-let best_scan ~size ~card cum =
+let profile () = { k = 0; masks = Array.make 8 0; mass = Array.make 8 0 }
+
+let slot p mask =
+  let rec find i =
+    if i = p.k then -1 else if p.masks.(i) = mask then i else find (i + 1)
+  in
+  find 0
+
+let credit p mask m =
+  let i = slot p mask in
+  if i >= 0 then p.mass.(i) <- p.mass.(i) + m
+  else begin
+    if p.k = Array.length p.masks then begin
+      let grow a = Array.append a (Array.make p.k 0) in
+      p.masks <- grow p.masks;
+      p.mass <- grow p.mass
+    end;
+    p.masks.(p.k) <- mask;
+    p.mass.(p.k) <- m;
+    p.k <- p.k + 1
+  end
+
+let popcount x =
+  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
+  go 0 x
+
+(* The kernel: a best bottleneck (mask, num, den) of a profile, compared
+   by exact cross-multiplication (masses and cardinalities are far from
+   native-int overflow).  (0, 0, 1) for the empty profile. *)
+let best p =
+  let k = p.k and masks = p.masks and mass = p.mass in
   let best_q = ref 0 and best_num = ref 0 and best_den = ref 1 in
-  for q = 1 to size - 1 do
-    let mass = cum.(q) in
-    if mass * !best_den > !best_num * card.(q) then begin
+  let consider q =
+    let m = ref 0 in
+    for i = 0 to k - 1 do
+      let mi = masks.(i) in
+      if mi land q = mi then m := !m + mass.(i)
+    done;
+    let card = popcount q in
+    let lhs = !m * !best_den and rhs = !best_num * card in
+    if lhs > rhs || (lhs = rhs && q < !best_q) then begin
       best_q := q;
-      best_num := mass;
-      best_den := card.(q)
+      best_num := !m;
+      best_den := card
     end
-  done;
+  in
+  let u = ref 0 in
+  for i = 0 to k - 1 do u := !u lor masks.(i) done;
+  let u = !u in
+  if k <= popcount u then begin
+    (* Unions of subsets; a mask already inside the running union would
+       not change it, so only the branch without it is taken. *)
+    let rec go i q =
+      if i = k then (if q <> 0 then consider q)
+      else begin
+        let mi = masks.(i) in
+        go (i + 1) q;
+        if mi land q <> mi then go (i + 1) (q lor mi)
+      end
+    in
+    go 0 0
+  end
+  else begin
+    let q = ref u in
+    while !q <> 0 do
+      consider !q;
+      q := (!q - 1) land u
+    done
+  end;
   (!best_q, !best_num, !best_den)
 
-let best_of t cum = best_scan ~size:t.size ~card:t.card cum
-
-let accumulate t cum experiment =
+let profile_of t experiment =
+  let p = profile () in
   List.iter
     (fun (s, count) ->
-       let tbl = table t s in
-       for q = 0 to t.size - 1 do
-         cum.(q) <- cum.(q) + (count * tbl.(q))
-       done)
-    (Experiment.to_counts experiment)
+       List.iter
+         (fun (ports, n) -> credit p (Portset.to_mask ports) (n * count))
+         (row t s))
+    (Experiment.to_counts experiment);
+  p
 
 let inverse t experiment =
-  let cum = Array.make t.size 0 in
-  accumulate t cum experiment;
-  let _, num, den = best_of t cum in
+  let _, num, den = best (profile_of t experiment) in
   Rat.of_ints num den
 
 let bottleneck_set t experiment =
-  let cum = Array.make t.size 0 in
-  accumulate t cum experiment;
-  let q, _, _ = best_of t cum in
+  let q, _, _ = best (profile_of t experiment) in
   Portset.of_mask q
 
+(* max (num/den) (len/r_max) without building the loser. *)
 let bounded ~r_max len num den =
   if r_max <= 0 then invalid_arg "Oracle.inverse_bounded";
-  (* max (num/den) (len/r_max) without building the loser. *)
-  if num * r_max >= len * den then Rat.of_ints num den
-  else Rat.of_ints len r_max
+  if num * r_max >= len * den then (num, den) else (len, r_max)
 
-let inverse_bounded ~r_max t experiment =
-  let cum = Array.make t.size 0 in
-  accumulate t cum experiment;
-  let _, num, den = best_of t cum in
+let inverse_bounded_frac ~r_max t experiment =
+  let _, num, den = best (profile_of t experiment) in
   bounded ~r_max (Experiment.length experiment) num den
+
+let rat (num, den) = Rat.of_ints num den
+let inverse_bounded ~r_max t experiment =
+  rat (inverse_bounded_frac ~r_max t experiment)
 
 module Acc = struct
   type oracle = t
 
   type nonrec t = {
     oracle : oracle;
-    cum : int array;
+    profile : profile;
     mutable len : int;
   }
 
-  let create oracle =
-    { oracle; cum = Array.make oracle.size 0; len = 0 }
-
+  let create oracle = { oracle; profile = profile (); len = 0 }
   let length acc = acc.len
-
-  let update acc scheme count =
-    let tbl = table acc.oracle scheme in
-    let cum = acc.cum in
-    for q = 0 to acc.oracle.size - 1 do
-      cum.(q) <- cum.(q) + (count * tbl.(q))
-    done;
-    acc.len <- acc.len + count
+  let distinct_masks acc = acc.profile.k
 
   let add acc scheme count =
     if count < 0 then invalid_arg "Oracle.Acc.add";
-    update acc scheme count
+    let usage = row acc.oracle scheme in
+    if count > 0 then begin
+      List.iter
+        (fun (ports, n) ->
+           credit acc.profile (Portset.to_mask ports) (n * count))
+        usage;
+      acc.len <- acc.len + count
+    end
 
+  (* Checked before anything moves, so a refused removal leaves the
+     accumulator as it was.  A mask whose mass reaches zero leaves the
+     profile, which keeps k small. *)
   let remove acc scheme count =
     if count < 0 then invalid_arg "Oracle.Acc.remove";
-    update acc scheme (-count)
+    let usage = row acc.oracle scheme in
+    if count > 0 then begin
+      let p = acc.profile in
+      let fits (ports, n) =
+        let i = slot p (Portset.to_mask ports) in
+        i >= 0 && p.mass.(i) >= n * count
+      in
+      if count > acc.len || not (List.for_all fits usage) then
+        invalid_arg "Oracle.Acc.remove";
+      List.iter
+        (fun (ports, n) ->
+           let i = slot p (Portset.to_mask ports) in
+           let m = p.mass.(i) - (n * count) in
+           if m > 0 then p.mass.(i) <- m
+           else begin
+             let last = p.k - 1 in
+             p.masks.(i) <- p.masks.(last);
+             p.mass.(i) <- p.mass.(last);
+             p.k <- last
+           end)
+        usage;
+      acc.len <- acc.len - count
+    end
 
   let reset acc =
-    Array.fill acc.cum 0 acc.oracle.size 0;
+    acc.profile.k <- 0;
     acc.len <- 0
 
   let inverse acc =
-    let _, num, den = best_of acc.oracle acc.cum in
+    let _, num, den = best acc.profile in
     Rat.of_ints num den
 
-  let inverse_bounded ~r_max acc =
-    let _, num, den = best_of acc.oracle acc.cum in
+  let inverse_bounded_frac ~r_max acc =
+    let _, num, den = best acc.profile in
     bounded ~r_max acc.len num den
+
+  let inverse_bounded ~r_max acc = rat (inverse_bounded_frac ~r_max acc)
 end
 
 module Bounds = struct
   (* Abstract domain for *partial* mappings: each scheme's row ranges over a
      non-empty set of candidate usages (as during a live CEGIS search).  Per
-     scheme we keep two cumulative mass tables — the pointwise min and max of
-     the per-candidate zeta tables — so a query costs the same pointwise
-     combination + O(2^P) scan as the concrete oracle, once per bound.
+     scheme we keep two cumulative mass tables over the 2^P port lattice —
+     the pointwise min and max of the per-candidate zeta (subset-sum)
+     tables — so a query is a pointwise combination plus one O(2^P) scan
+     per bound.  MapCheck's candidate sets can hold hundreds of masks, so
+     the sparse kernel above would gain nothing here.
 
      Soundness: for any completion σ (one candidate per scheme) and any mask
      Q, Σ count·mass_{σ(s)}(Q) lies between the combined lo and hi tables at
      Q; taking max_Q mass/|Q| of each bound therefore brackets tp⁻¹_σ. *)
+
+  let max_ports = 20
+  (* 2^20 ints per scheme table. *)
+
+  (* Zeta transform in place: tbl.(q) becomes Σ_{s ⊆ q} tbl.(s). *)
+  let zeta num_ports tbl =
+    for k = 0 to num_ports - 1 do
+      let bit = 1 lsl k in
+      for q = 0 to Array.length tbl - 1 do
+        if q land bit <> 0 then tbl.(q) <- tbl.(q) + tbl.(q lxor bit)
+      done
+    done
+
+  (* Best non-empty bottleneck of a cumulative mass table. *)
+  let best_scan ~size ~card cum =
+    let best_num = ref 0 and best_den = ref 1 in
+    for q = 1 to size - 1 do
+      let mass = cum.(q) in
+      if mass * !best_den > !best_num * card.(q) then begin
+        best_num := mass;
+        best_den := card.(q)
+      end
+    done;
+    (!best_num, !best_den)
+
+  let bounded ~r_max len num den = rat (bounded ~r_max len num den)
 
   type interval = { lo : Rat.t; hi : Rat.t }
 
@@ -289,8 +359,8 @@ module Bounds = struct
     let lcum = Array.make t.size 0 in
     let ucum = Array.make t.size 0 in
     accumulate t lcum ucum experiment;
-    let _, lnum, lden = best_scan ~size:t.size ~card:t.card lcum in
-    let _, unum, uden = best_scan ~size:t.size ~card:t.card ucum in
+    let lnum, lden = best_scan ~size:t.size ~card:t.card lcum in
+    let unum, uden = best_scan ~size:t.size ~card:t.card ucum in
     { lo = Rat.of_ints lnum lden; hi = Rat.of_ints unum uden }
 
   let inverse_bounded ~r_max t experiment =
@@ -298,8 +368,8 @@ module Bounds = struct
     let ucum = Array.make t.size 0 in
     accumulate t lcum ucum experiment;
     let len = Experiment.length experiment in
-    let _, lnum, lden = best_scan ~size:t.size ~card:t.card lcum in
-    let _, unum, uden = best_scan ~size:t.size ~card:t.card ucum in
+    let lnum, lden = best_scan ~size:t.size ~card:t.card lcum in
+    let unum, uden = best_scan ~size:t.size ~card:t.card ucum in
     (* The frontend bound |e|/r_max holds for every completion, so it lifts
        onto both ends of the interval. *)
     { lo = bounded ~r_max len lnum lden; hi = bounded ~r_max len unum uden }

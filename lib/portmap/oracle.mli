@@ -1,35 +1,33 @@
-(** Memoized subset-sum throughput oracle.
+(** Sparse throughput oracle.
 
     Computes exactly the same value as {!Throughput.inverse} — the
-    bottleneck-set optimum [max over ∅≠Q⊆P of mass(Q)/|Q|] — but against
-    dense per-scheme mass tables over the 2^P bitmask lattice.  Each
-    scheme's cumulative table ([tbl.(q)] = µop mass of one instance confined
-    to port set [q]) is built once with a zeta/subset-sum transform and
-    cached for the lifetime of the oracle, so a query is a pointwise table
-    combination plus one O(2^P) scan instead of a hashtable rebuild and a
-    submask enumeration per query.
+    bottleneck-set optimum [max over ∅≠Q⊆P of mass(Q)/|Q|] — from the
+    experiment's distinct non-empty µop port masks and their masses alone.
+    By the bottleneck-set theorem (§2.2) the optimum is attained at a union
+    of those masks, so with k masks over their union U a query enumerates
+    the unions of subsets of the masks, or the submasks of U when k > |U|:
+    O(2^min(k,|U|)·k), independent of the port count.  Rows are read from
+    the mapping on every query; nothing is cached, so one oracle can be
+    shared across domains as is.
 
-    All results are exact rationals and agree with {!Throughput} up to
+    All results are exact and agree with {!Throughput} up to
     {!Pmi_numeric.Rat.equal} (property-tested in [test/test_oracle.ml]).
-
-    Thread safety: the per-scheme table cache is filled lazily.  Call
-    {!prepare} with every scheme that will be queried before sharing one
-    oracle across domains; after that, queries through {!Acc} values owned
-    by distinct domains only read shared state. *)
+    The [_frac] queries return the value as a native [(num, den)] pair
+    ([den > 0], not necessarily reduced) for hot loops that compare
+    fractions without building a {!Pmi_numeric.Rat.t}. *)
 
 type t
 
 val create : Mapping.t -> t
-(** Build an oracle for the mapping.  The mapping is captured by reference
-    and must not be mutated afterwards.  @raise Invalid_argument for more
-    than 20 ports (the dense tables would not fit). *)
+(** An oracle for the mapping.  The mapping is captured by reference and
+    must not be mutated afterwards. *)
 
 val mapping : t -> Mapping.t
 val num_ports : t -> int
 
 val prepare : t -> Pmi_isa.Scheme.t list -> unit
-(** Eagerly build the cumulative tables of the given schemes.
-    @raise Throughput.Unsupported if the mapping does not map one of them. *)
+(** Check that the mapping maps every given scheme.
+    @raise Throughput.Unsupported if it does not map one of them. *)
 
 val inverse : t -> Experiment.t -> Pmi_numeric.Rat.t
 (** [tp⁻¹(e)], exactly as {!Throughput.inverse}.
@@ -39,14 +37,19 @@ val inverse_bounded : r_max:int -> t -> Experiment.t -> Pmi_numeric.Rat.t
 (** As {!Throughput.inverse_bounded}: the oracle value capped below by the
     §3.4 frontend bound [|e| / r_max].  @raise Throughput.Unsupported *)
 
-val bottleneck_set : t -> Experiment.t -> Portset.t
-(** A port set attaining the optimum; empty for an empty experiment. *)
+val inverse_bounded_frac : r_max:int -> t -> Experiment.t -> int * int
+(** {!inverse_bounded} as a native [(num, den)] pair.
+    @raise Throughput.Unsupported *)
 
-(** Incremental experiment accumulator: the running cumulative mass table
-    of a working experiment, updated by ±one scheme at a time.  This is the
-    inner loop of the stratified distinguishing-experiment search: moving
-    to a neighbouring multiset costs one table update, and each throughput
-    query is a pure O(2^P) scan. *)
+val bottleneck_set : t -> Experiment.t -> Portset.t
+(** The smallest mask (as an integer) attaining the optimum; empty for an
+    empty experiment. *)
+
+(** Incremental experiment accumulator: the mass profile of a working
+    experiment, updated by ±one scheme at a time.  This is the inner loop
+    of the stratified distinguishing-experiment search: moving to a
+    neighbouring multiset costs one profile update, and each throughput
+    query runs the sparse kernel on the standing profile. *)
 module Acc : sig
   type oracle := t
   type t
@@ -58,15 +61,27 @@ module Acc : sig
   (** Add [count] copies of the scheme.  @raise Throughput.Unsupported *)
 
   val remove : t -> Pmi_isa.Scheme.t -> int -> unit
-  (** Remove [count] copies previously added. *)
+  (** Remove [count] copies previously added.  A mask whose mass reaches
+      zero leaves the profile.
+      @raise Invalid_argument ["Oracle.Acc.remove"] on a negative count or
+      when the removal would take the length or any mask's mass below zero;
+      the accumulator is then unchanged.
+      @raise Throughput.Unsupported *)
 
   val length : t -> int
   (** Instruction count of the current experiment. *)
+
+  val distinct_masks : t -> int
+  (** Distinct port masks with positive mass in the current experiment:
+      the k the kernel enumerates over. *)
 
   val reset : t -> unit
 
   val inverse : t -> Pmi_numeric.Rat.t
   val inverse_bounded : r_max:int -> t -> Pmi_numeric.Rat.t
+
+  val inverse_bounded_frac : r_max:int -> t -> int * int
+  (** {!inverse_bounded} as a native [(num, den)] pair. *)
 end
 
 (** Interval oracle over {e partial} mappings.
@@ -75,8 +90,9 @@ end
     usages — the shape of a live CEGIS search, where a row is only known up
     to the cardinality constraint and the refutations learned so far.  For
     each scheme the pointwise min and max of the per-candidate cumulative
-    (zeta) mass tables are cached; a query combines them like the concrete
-    oracle and scans each bound once, yielding an interval [lo, hi] that is
+    (zeta) mass tables over the 2^P port lattice are cached; a query sums
+    them pointwise and scans each bound once, yielding an interval [lo, hi]
+    that is
     {b sound}: for every completion (one candidate per scheme), the exact
     {!inverse} lies inside it.  When every queried scheme has exactly one
     candidate, the interval is the point equal to the concrete oracle value
@@ -90,7 +106,8 @@ module Bounds : sig
   type t
 
   val create : num_ports:int -> t
-  (** An empty partial mapping.  @raise Invalid_argument as {!create}. *)
+  (** An empty partial mapping.  @raise Invalid_argument for more than 20
+      ports (the dense tables would not fit). *)
 
   val num_ports : t -> int
 

@@ -281,7 +281,7 @@ let test_cegis_three_instructions () =
 
 let test_cegis_incremental_matches_fresh () =
   (* The incremental solver path (one persistent encoding, activation
-     literals, memoized oracle) must converge on the 3-port toy to a
+     literals, sparse oracle) must converge on the 3-port toy to a
      mapping throughput-equivalent to the truth.  The fresh-encoding path
      it was once compared against no longer exists; the name is kept. *)
   let s01 = Portset.of_list [ 0; 1 ] in

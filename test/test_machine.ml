@@ -257,6 +257,65 @@ let test_compare_epsilon () =
   Alcotest.(check bool) "not separated" false
     (well_separated ~length:1 Rat.one (Rat.of_ints 103 100))
 
+(* The native-int comparisons against the [Rat] ones they shortcut.  Part
+   magnitudes come in three classes: small, where every product fits a
+   native int; 2^30, where the cross products overflow 63 bits; and near
+   max_int.  A third of the cases put the second value exactly at
+   ε·|e| or 2ε·|e| from the first, where the verdicts flip. *)
+let frac_case_gen =
+  let open QCheck2.Gen in
+  let* bound = oneofl [ 1_000; 1 lsl 30; max_int / 4 ] in
+  let* n1 = int_range (-bound) bound
+  and* d1 = int_range 1 bound
+  and* ep = int_range 0 50
+  and* eq = int_range 1 1000
+  and* length = int_range 0 20
+  and* boundary = oneofl [ None; None; Some 1; Some 2; Some (-1); Some (-2) ]
+  and* n2 = int_range (-bound) bound
+  and* d2 = int_range 1 bound in
+  let f2, boundary =
+    match boundary with
+    | Some k when bound <= 1 lsl 30 ->
+      (* n1/d1 + k·ε·length, built exactly: fits for these classes. *)
+      (((n1 * eq) + (k * ep * length * d1), d1 * eq), boundary)
+    | _ -> ((n2, d2), None)
+  in
+  return (Rat.of_ints ep eq, length, (n1, d1), f2, boundary)
+
+let prop_frac_compare_agrees =
+  QCheck2.Test.make ~name:"native-int ε tests = Rat ε tests" ~count:2000
+    ~print:(fun (epsilon, length, (n1, d1), (n2, d2), _) ->
+        Printf.sprintf "ε=%s |e|=%d %d/%d vs %d/%d" (Rat.to_string epsilon)
+          length n1 d1 n2 d2)
+    frac_case_gen
+    (fun (epsilon, length, ((n1, d1) as f1), ((n2, d2) as f2), boundary) ->
+       let open Pmi_measure.Harness.Compare in
+       let t1 = Rat.of_ints n1 d1 and t2 = Rat.of_ints n2 d2 in
+       let eq = cpi_equal_frac ~epsilon ~length f1 f2 in
+       let sep = well_separated_frac ~epsilon ~length f1 f2 in
+       eq = cpi_equal ~epsilon ~length t1 t2
+       && sep = well_separated ~epsilon ~length t1 t2
+       &&
+       match boundary with
+       | Some (1 | -1) -> eq
+       | Some (2 | -2) -> not sep
+       | _ -> true)
+
+let test_frac_compare_overflow () =
+  let open Pmi_measure.Harness.Compare in
+  let big = max_int / 2 in
+  (* Equal values whose cross products overflow: still equal. *)
+  Alcotest.(check bool) "huge equal" true
+    (cpi_equal_frac ~length:1 (big, big - 1) (big, big - 1));
+  (* 1/big apart: within ε·1, not separated. *)
+  Alcotest.(check bool) "huge close" true
+    (cpi_equal_frac ~length:1 (big, big - 1) (big - 1, big - 2));
+  (* Wrapped products would flip these verdicts. *)
+  Alcotest.(check bool) "huge far" false
+    (cpi_equal_frac ~length:1 (big, 1) (big - 1, 2));
+  Alcotest.(check bool) "huge separated" true
+    (well_separated_frac ~length:3 (big, 3) (-big, 7))
+
 let prop_true_inverse_at_least_frontend =
   QCheck2.Test.make ~name:"tp⁻¹ ≥ |e|/5 always" ~count:200
     QCheck2.Gen.(list_size (int_range 1 5) (int_range 0 (Catalog.size catalog - 1)))
@@ -304,5 +363,9 @@ let () =
        [ Alcotest.test_case "deterministic" `Quick test_measurement_deterministic;
          Alcotest.test_case "tiers" `Quick test_noise_tiers;
          Alcotest.test_case "harness median/cache" `Quick test_harness_median_and_cache;
-         Alcotest.test_case "ε comparisons" `Quick test_compare_epsilon ]
-       @ qsuite [ prop_true_inverse_at_least_frontend; prop_retired_ops_additive ]) ]
+         Alcotest.test_case "ε comparisons" `Quick test_compare_epsilon;
+         Alcotest.test_case "native-int ε overflow" `Quick
+           test_frac_compare_overflow ]
+       @ qsuite
+           [ prop_true_inverse_at_least_frontend; prop_retired_ops_additive;
+             prop_frac_compare_agrees ]) ]

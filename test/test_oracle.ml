@@ -40,25 +40,33 @@ let random_catalog =
          (Printf.sprintf "i%d" i, [ Operand.gpr 32 ],
           Iclass.plain (Iclass.Single Iclass.Alu))))
 
-(* Generates (usages, counts): a full random mapping over [random_ports]
-   ports and an experiment over the same schemes. *)
-let mapping_experiment_gen =
+(* Generates (usages, counts): a full random mapping whose port sets draw
+   on the [live] ports, and an experiment over the same schemes.  Keeping
+   [live] short bounds the naive reference's subset enumeration however
+   wide the mapping is. *)
+let gen_over ?(usage_len = QCheck2.Gen.int_range 1 3) live =
   let open QCheck2.Gen in
+  let live = Array.of_list live in
+  let n = Array.length live in
   let portset =
     map
       (fun bits ->
          Portset.of_list
-           (List.filter (fun p -> bits land (1 lsl p) <> 0)
-              (List.init random_ports Fun.id)))
-      (int_range 1 ((1 lsl random_ports) - 1))
+           (List.filter_map
+              (fun i ->
+                 if bits land (1 lsl i) <> 0 then Some live.(i) else None)
+              (List.init n Fun.id)))
+      (int_range 1 ((1 lsl n) - 1))
   in
-  let usage = list_size (int_range 1 3) (pair portset (int_range 1 3)) in
+  let usage = list_size usage_len (pair portset (int_range 1 3)) in
   let usages = list_repeat num_random_schemes usage in
   let counts = list_repeat num_random_schemes (int_range 0 4) in
   pair usages counts
 
-let build_mapping usages =
-  let m = Mapping.create ~num_ports:random_ports in
+let mapping_experiment_gen = gen_over (List.init random_ports Fun.id)
+
+let build_mapping ?(num_ports = random_ports) usages =
+  let m = Mapping.create ~num_ports in
   List.iteri
     (fun i usage -> Mapping.set m (Catalog.find random_catalog i) usage)
     usages;
@@ -99,10 +107,30 @@ let test_unsupported () =
   Alcotest.check_raises "unsupported in prepare" (Throughput.Unsupported add)
     (fun () -> Oracle.prepare o [ add ])
 
+(* No port-count limit: 21 ports, one above the old dense-table bound. *)
+(* Only the dense bound tables of [Oracle.Bounds] keep a port limit; the
+   oracle itself takes any port count (see "21 ports accepted"). *)
 let test_port_limit () =
   Alcotest.check_raises "too many ports"
-    (Invalid_argument "Oracle.create: unsupported port count")
-    (fun () -> ignore (Oracle.create (Mapping.create ~num_ports:21)))
+    (Invalid_argument "Oracle.Bounds.create: unsupported port count")
+    (fun () -> ignore (Oracle.Bounds.create ~num_ports:21));
+  Alcotest.(check int) "20 ports" 20
+    (Oracle.Bounds.num_ports (Oracle.Bounds.create ~num_ports:20))
+
+let test_21_ports () =
+  let m = Mapping.create ~num_ports:21 in
+  Mapping.set m add [ (Portset.of_list [ 0; 20 ], 1) ];
+  Mapping.set m mul [ (Portset.singleton 20, 1) ];
+  Mapping.set m fma
+    [ (Portset.of_list [ 3; 20 ], 2); (Portset.singleton 7, 1) ];
+  let o = Oracle.create m in
+  List.iter
+    (fun e ->
+       Alcotest.check rat (Experiment.to_string e) (Throughput.inverse m e)
+         (Oracle.inverse o e))
+    [ Experiment.of_counts [ (add, 3); (mul, 2) ];
+      Experiment.of_counts [ (add, 1); (mul, 1); (fma, 4) ];
+      Experiment.replicate 5 fma ]
 
 (* ------------------------------------------------------------------ *)
 (* Exact agreement with the naive oracle                               *)
@@ -148,30 +176,115 @@ let prop_bottleneck_optimal =
 
 (* The accumulator must agree with the naive oracle after any add/remove
    walk.  Each scheme is added in unit steps plus [extra] copies that are
-   removed again, exercising both table-update directions. *)
+   removed again, exercising both profile-update directions. *)
+let acc_walk_agrees m counts extras r_max =
+  let e = build_experiment counts in
+  let acc = Oracle.Acc.create (Oracle.create m) in
+  List.iteri
+    (fun i n ->
+       let s = Catalog.find random_catalog i in
+       let extra = List.nth extras i in
+       Oracle.Acc.add acc s extra;
+       for _ = 1 to n do Oracle.Acc.add acc s 1 done;
+       Oracle.Acc.remove acc s extra)
+    counts;
+  Oracle.Acc.length acc = Experiment.length e
+  && Rat.equal (Oracle.Acc.inverse acc) (Throughput.inverse m e)
+  && Rat.equal
+       (Oracle.Acc.inverse_bounded ~r_max acc)
+       (Throughput.inverse_bounded ~r_max m e)
+
+let extras_gen =
+  QCheck2.Gen.(list_repeat num_random_schemes (int_range 0 2))
+
 let prop_acc_agrees =
   QCheck2.Test.make ~name:"Acc add/remove path = naive on the result" ~count:300
-    QCheck2.Gen.(
-      triple mapping_experiment_gen
-        (list_repeat num_random_schemes (int_range 0 2))
-        (int_range 1 6))
+    QCheck2.Gen.(triple mapping_experiment_gen extras_gen (int_range 1 6))
     (fun ((usages, counts), extras, r_max) ->
-       let m = build_mapping usages in
+       acc_walk_agrees (build_mapping usages) counts extras r_max)
+
+(* The kernel against the naive oracle on shapes the 6-port generator does
+   not reach: mappings wider than the old 20-port dense limit, and many
+   masks on few ports, where k > |U| selects the submask branch.  Each
+   case checks [inverse], [inverse_bounded] and an [Acc] walk. *)
+let prop_kernel_shape ~name ~num_ports ?usage_len live =
+  QCheck2.Test.make ~name ~count:200
+    QCheck2.Gen.(triple (gen_over ?usage_len live) extras_gen (int_range 1 6))
+    (fun ((usages, counts), extras, r_max) ->
+       let m = build_mapping ~num_ports usages in
        let e = build_experiment counts in
-       let acc = Oracle.Acc.create (Oracle.create m) in
-       List.iteri
-         (fun i n ->
-            let s = Catalog.find random_catalog i in
-            let extra = List.nth extras i in
-            Oracle.Acc.add acc s extra;
-            for _ = 1 to n do Oracle.Acc.add acc s 1 done;
-            Oracle.Acc.remove acc s extra)
-         counts;
-       Oracle.Acc.length acc = Experiment.length e
-       && Rat.equal (Oracle.Acc.inverse acc) (Throughput.inverse m e)
+       let o = Oracle.create m in
+       Rat.equal (Oracle.inverse o e) (Throughput.inverse m e)
        && Rat.equal
-            (Oracle.Acc.inverse_bounded ~r_max acc)
-            (Throughput.inverse_bounded ~r_max m e))
+            (Oracle.inverse_bounded ~r_max o e)
+            (Throughput.inverse_bounded ~r_max m e)
+       && acc_walk_agrees m counts extras r_max)
+
+let kernel_shapes =
+  [ prop_kernel_shape ~name:"kernel = naive, 24 ports" ~num_ports:24
+      [ 0; 5; 11; 19; 20; 23 ];
+    prop_kernel_shape ~name:"kernel = naive, 40 ports" ~num_ports:40
+      [ 2; 13; 21; 30; 38; 39 ];
+    prop_kernel_shape ~name:"kernel = naive, many masks on 3 ports"
+      ~num_ports:8 ~usage_len:(QCheck2.Gen.int_range 2 4) [ 1; 4; 6 ] ]
+
+(* The submask branch really runs in the last shape: k exceeds |U|. *)
+let test_submask_branch () =
+  let m = Mapping.create ~num_ports:3 in
+  let p = Portset.of_list in
+  Mapping.set m add [ (p [ 0 ], 1); (p [ 0; 1 ], 1) ];
+  Mapping.set m mul [ (p [ 1 ], 2); (p [ 1; 2 ], 1) ];
+  Mapping.set m fma [ (p [ 0; 2 ], 1); (p [ 0; 1; 2 ], 3) ];
+  let acc = Oracle.Acc.create (Oracle.create m) in
+  List.iter (fun s -> Oracle.Acc.add acc s 2) [ add; mul; fma ];
+  Alcotest.(check int) "k = 6 > |U| = 3" 6 (Oracle.Acc.distinct_masks acc);
+  let e = Experiment.of_counts [ (add, 2); (mul, 2); (fma, 2) ] in
+  Alcotest.check rat "= naive" (Throughput.inverse m e) (Oracle.Acc.inverse acc)
+
+(* A seeded Figure 5 style fixture on the 12-port golden-cove ground
+   truth, against the simplex LP of §2.2, which shares no code with the
+   kernel. *)
+let test_golden_cove_lp () =
+  let catalog = Catalog.zen_plus () in
+  let machine =
+    Pmi_machine.Machine.create ~profile:Pmi_machine.Profile.golden_cove catalog
+  in
+  let m = Pmi_machine.Machine.ground_truth machine in
+  Alcotest.(check int) "ports" 12 (Mapping.num_ports m);
+  let covered =
+    List.filter (Mapping.supports m) (Array.to_list (Catalog.schemes catalog))
+  in
+  let o = Oracle.create m in
+  List.iteri
+    (fun i e ->
+       Alcotest.check rat (Printf.sprintf "block %d" i) (Lp_model.inverse m e)
+         (Oracle.inverse o e))
+    (Pmi_eval.Blocks.generate ~seed:15 ~count:40 ~block_size:5 covered)
+
+(* Removing what was never added is refused and leaves the accumulator
+   unchanged; a mask whose mass reaches zero leaves the profile. *)
+let test_acc_remove_checked () =
+  let m = toy_mapping () in
+  let acc = Oracle.Acc.create (Oracle.create m) in
+  let refused what f =
+    Alcotest.check_raises what (Invalid_argument "Oracle.Acc.remove") f
+  in
+  Oracle.Acc.add acc add 2;
+  refused "never added" (fun () -> Oracle.Acc.remove acc mul 1);
+  refused "partly never added" (fun () -> Oracle.Acc.remove acc fma 1);
+  refused "beyond the length" (fun () -> Oracle.Acc.remove acc add 3);
+  refused "negative count" (fun () -> Oracle.Acc.remove acc add (-1));
+  Alcotest.(check int) "length kept" 2 (Oracle.Acc.length acc);
+  Alcotest.check rat "value kept" Rat.one (Oracle.Acc.inverse acc);
+  Oracle.Acc.add acc mul 1;
+  Alcotest.(check int) "two masks" 2 (Oracle.Acc.distinct_masks acc);
+  Oracle.Acc.remove acc mul 1;
+  Alcotest.(check int) "zero-mass mask dropped" 1
+    (Oracle.Acc.distinct_masks acc);
+  refused "dropped mask" (fun () -> Oracle.Acc.remove acc mul 1);
+  Oracle.Acc.remove acc add 2;
+  Alcotest.(check int) "empty" 0 (Oracle.Acc.distinct_masks acc);
+  Alcotest.check rat "empty value" Rat.zero (Oracle.Acc.inverse acc)
 
 let test_acc_reset () =
   let m = toy_mapping () in
@@ -226,10 +339,10 @@ let prop_pool_find_first_minimal =
        Pool.find_first_index ~domains:4 Fun.id arr = expected)
 
 let test_pool_oracle_sweep () =
-  (* The validate-style fan-out: one prepared oracle shared by domains. *)
+  (* The validate-style fan-out: one oracle shared by domains, with no
+     warm-up. *)
   let m = toy_mapping () in
   let o = Oracle.create m in
-  Oracle.prepare o [ add; mul; fma ];
   let blocks =
     Array.init 64 (fun i ->
         Experiment.of_counts [ (add, (i mod 5) + 1); (mul, i mod 3); (fma, 1) ])
@@ -249,12 +362,18 @@ let () =
     [ ("oracle",
        [ Alcotest.test_case "toy known values" `Quick test_toy_known_values;
          Alcotest.test_case "unsupported scheme" `Quick test_unsupported;
-         Alcotest.test_case "port limit" `Quick test_port_limit ]
+         Alcotest.test_case "port limit" `Quick test_port_limit;
+         Alcotest.test_case "21 ports accepted" `Quick test_21_ports;
+         Alcotest.test_case "golden-cove = LP" `Quick test_golden_cove_lp ]
        @ qsuite
            [ prop_inverse_agrees; prop_inverse_bounded_agrees;
              prop_bottleneck_optimal ]);
+      ("kernel",
+       [ Alcotest.test_case "submask branch" `Quick test_submask_branch ]
+       @ qsuite kernel_shapes);
       ("acc",
-       [ Alcotest.test_case "reset" `Quick test_acc_reset ]
+       [ Alcotest.test_case "reset" `Quick test_acc_reset;
+         Alcotest.test_case "remove checked" `Quick test_acc_remove_checked ]
        @ qsuite [ prop_acc_agrees ]);
       ("pool",
        [ Alcotest.test_case "parallel_for covers indices" `Quick
