@@ -122,21 +122,39 @@ let consistent config mapping obs =
   Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
     ~length:(Experiment.length obs.experiment) modeled obs.cycles
 
+(* The two lemma shapes of the theory check.  [Footprint] refutes the
+   violated experiment's rows exactly as the model assigns them; it is what
+   Algorithm 2 ([infer]) learns from, and its trajectory (experiment count,
+   inferred mapping) is pinned by the golden test.  [Bottleneck] refutes
+   every mapping that keeps the model's bottleneck shape (§2.2) and is used
+   where only the SAT/UNSAT verdict is read: [explain]. *)
+type lemma_shape = Footprint | Bottleneck
+
+let lemma config shape encoding o model obs =
+  let schemes = Experiment.schemes obs.experiment in
+  match shape with
+  | Footprint -> Encoding.block_footprint encoding model schemes
+  | Bottleneck ->
+    let modeled = Oracle.inverse_bounded ~r_max:config.r_max o obs.experiment in
+    let violation =
+      if Rat.compare modeled obs.cycles > 0 then
+        Encoding.Too_slow (Oracle.bottleneck_set o obs.experiment)
+      else Encoding.Too_fast
+    in
+    Encoding.block_bottleneck encoding model schemes violation
+
 (* Theory check: decode the SAT model, evaluate every observation, and
-   learn a footprint lemma for each violated one.  Lemmas are collected in
-   [pool] so that later encodings (deterministic variable numbering) can be
-   seeded with everything already learned. *)
-let theory_check config encoding observations pool model =
+   learn a lemma of the given shape for each violated one.  Lemmas are
+   collected in [pool] so that later encodings (deterministic variable
+   numbering) can be seeded with everything already learned. *)
+let theory_check config ~shape encoding observations pool model =
   let o = Oracle.create (Encoding.decode encoding model) in
   let lemmas = ref [] in
   Race.touch_read obs_loc;
   Vec.iter
     (fun obs ->
        if not (explains config o obs.experiment obs.cycles) then
-         lemmas :=
-           Encoding.block_footprint encoding model
-             (Experiment.schemes obs.experiment)
-           :: !lemmas)
+         lemmas := lemma config shape encoding o model obs :: !lemmas)
     observations;
   let lemmas = List.rev !lemmas in
   if lemmas <> [] then begin
@@ -337,10 +355,10 @@ let mapcheck_refuter config specs =
         (Mapcheck.Refuter.create ~epsilon:config.epsilon
            ~num_ports:config.num_ports ~r_max:config.r_max rows)
 
-let find_mapping config encoding observations pool =
+let find_mapping config ~shape encoding observations pool =
   Obs.span "cegis.find_mapping" (fun () ->
       enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) encoding;
-      let check = theory_check config encoding observations pool in
+      let check = theory_check config ~shape encoding observations pool in
       match certified_solve config encoding observations ~check () with
       | Solver.Sat model -> Some (Encoding.decode encoding model)
       | Solver.Unsat -> None)
@@ -477,7 +495,7 @@ let find_other_mapping config state specs observations pool m1 tried_counter =
   let act = Pmi_smt.Sat.fresh_var sat in
   let assumptions = [ Pmi_smt.Lit.pos act ] in
   let retract = Pmi_smt.Lit.neg_of_var act in
-  let check = theory_check config encoding observations pool in
+  let check = theory_check config ~shape:Footprint encoding observations pool in
   let schemes = List.map fst specs in
   let rec search budget =
     if budget = 0 then begin
@@ -563,7 +581,7 @@ let explain ?(config = default_config) ~specs ~observations () =
   let obs = Vec.create () in
   List.iter (Vec.push obs) observations;
   let encoding = fresh_encoding config specs pool in
-  let result = find_mapping config encoding obs pool in
+  let result = find_mapping config ~shape:Bottleneck encoding obs pool in
   (match config.dump_cnf with
    | Some prefix -> dump_cnf_file (Encoding.sat encoding) (prefix ^ "-explain.cnf")
    | None -> ());
@@ -761,7 +779,9 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
       ~args:[ ("iteration", Obs.Int iteration) ]
       "cegis.iteration"
       (fun () ->
-         match find_mapping config fm_encoding observations pool with
+         match
+           find_mapping config ~shape:Footprint fm_encoding observations pool
+         with
          | None ->
            Some
              (finish (fun s ->
@@ -835,7 +855,7 @@ let find_other_mapping_delta config encoding observations pool
   let act = Pmi_smt.Sat.fresh_var sat in
   let assumptions = Pmi_smt.Lit.pos act :: base_assumptions in
   let retract = Pmi_smt.Lit.neg_of_var act in
-  let check = theory_check config encoding observations pool in
+  let check = theory_check config ~shape:Footprint encoding observations pool in
   let specs = Encoding.schemes encoding in
   let schemes = List.map fst specs in
   let rec search budget =
@@ -1098,8 +1118,8 @@ module Delta = struct
               ~lemmas:(fun () -> Vec.to_list session.d_pool)
               ~frozen:assumptions encoding;
             let check =
-              theory_check config encoding session.d_observations
-                session.d_pool
+              theory_check config ~shape:Footprint encoding
+                session.d_observations session.d_pool
             in
             match
               certified_solve config encoding session.d_observations

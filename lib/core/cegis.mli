@@ -191,7 +191,20 @@ val explain :
   Pmi_portmap.Mapping.t option
 (** One standalone [findMapping] call: a mapping over [specs] consistent
     with the observations, if any.  Used for the §4.3 culprit search when
-    the full inference reports UNSAT. *)
+    the full inference reports UNSAT.
+
+    The theory check here learns bottleneck-set lemmas
+    ({!Encoding.block_bottleneck}): a model that is too slow for an
+    observation refutes every mapping that keeps the µops inside its
+    bottleneck set inside it, and a model that is too fast refutes every
+    mapping whose port sets contain its own.  One such lemma covers many
+    port-set combinations at once, where {!infer}'s footprint lemmas
+    ({!Encoding.block_footprint}) refute one at a time.  Both shapes are
+    sound, so the verdict — whether any consistent mapping exists — is the
+    same under either; which mapping is returned may differ.  {!infer}
+    keeps the footprint because its SAT trajectory fixes the experiments
+    it measures and the mapping it converges to (DESIGN.md, "Theory
+    lemmas"). *)
 
 (** {1 Online incremental re-inference (delta mode)} *)
 

@@ -326,30 +326,54 @@ let freeze_lits t mapping =
     (live_rows t);
   !lits
 
-let block_footprint t model schemes =
+(* A lemma over the live rows of [schemes]: [refute] turns each µop row's
+   variables (own, then shared) into literals.  Guarded rows scope the
+   lemma to their own lifetime: once the row is retired (act unit-negated)
+   the clause is satisfied and inert, exactly like the cardinality chain
+   it refutes. *)
+let row_lemma t schemes refute =
   let interesting s = List.exists (Scheme.equal s) schemes in
-  let lits = ref [] in
-  let flip vars =
-    Array.iter
-      (fun v ->
-         lits := (if model.(v) then Lit.neg_of_var v else Lit.pos v) :: !lits)
-      vars
-  in
-  List.iter
+  List.concat_map
     (fun row ->
-       if interesting row.scheme then begin
-         (* Guarded rows scope the lemma to their own lifetime: once the
-            row is retired (act unit-negated) the clause is satisfied and
-            inert, exactly like the cardinality chain it refutes. *)
-         if row.act >= 0 then lits := Lit.neg_of_var row.act :: !lits;
-         flip row.own;
-         flip row.shared
-       end)
-    (live_rows t);
-  !lits
+       if not (interesting row.scheme) then []
+       else
+         (if row.act >= 0 then [ Lit.neg_of_var row.act ] else [])
+         @ refute row.own @ refute row.shared)
+    (live_rows t)
+
+let block_footprint t model schemes =
+  row_lemma t schemes (fun vars ->
+      Array.to_list vars
+      |> List.map (fun v -> if model.(v) then Lit.neg_of_var v else Lit.pos v))
 
 let block_model t model =
   block_footprint t model (List.map (fun r -> r.scheme) (live_rows t))
+
+type violation =
+  | Too_slow of Portset.t
+  | Too_fast
+
+(* Bottleneck-set lemmas (§2.2).  Too slow: every mapping that keeps the
+   µops lying inside the bottleneck Q inside Q has at least the model's
+   mass on Q, so it is at least as slow; the clause demands that one of
+   them leaves Q.  Too fast: every mapping whose µop port sets contain the
+   model's is at least as fast, so one true literal must go.  Each µop
+   row — own and shared alike — is judged on its own. *)
+let block_bottleneck t model schemes violation =
+  row_lemma t schemes (fun vars ->
+      let lits = ref [] in
+      (match violation with
+       | Too_slow q ->
+         if Portset.subset (ports_of_row model vars) q then
+           Array.iteri
+             (fun k v ->
+                if not (Portset.mem k q) then lits := Lit.pos v :: !lits)
+             vars
+       | Too_fast ->
+         Array.iter
+           (fun v -> if model.(v) then lits := Lit.neg_of_var v :: !lits)
+           vars);
+      !lits)
 
 (* ------------------------------------------------------------------ *)
 (* Static refutation support (MapCheck)                                 *)

@@ -107,6 +107,33 @@ val block_footprint :
 val block_model : t -> bool array -> Pmi_smt.Lit.t list
 (** [block_footprint] over all schemes. *)
 
+(** How a decoded model fails an observation. *)
+type violation =
+  | Too_slow of Pmi_portmap.Portset.t
+  (** modeled throughput above the measured interval; carries the
+      model's bottleneck set ({!Pmi_portmap.Oracle.bottleneck_set}) *)
+  | Too_fast  (** modeled throughput below the measured interval *)
+
+val block_bottleneck :
+  t -> bool array -> Pmi_isa.Scheme.t list -> violation -> Pmi_smt.Lit.t list
+(** A lemma clause that [model] falsifies and that refutes only
+    assignments failing the observation in the same direction, by the
+    bottleneck-set theorem (§2.2) and the monotonicity of [tp⁻¹] in the
+    µops' port sets.  Every µop row (own and shared) of the given schemes
+    is judged separately:
+    - [Too_slow q]: the OR, over the rows whose port set lies inside [q]
+      and the ports [k ∉ q], of [m\[u,k\]].  A mapping that keeps those
+      rows inside [q] puts at least as much mass on [q], so it is at least
+      as slow.  With [q] the whole port set the clause is empty: no mapping
+      is fast enough.
+    - [Too_fast]: the negation of every true literal of the rows.  A
+      mapping whose port sets contain the model's is at least as fast.
+
+    One lemma covers every mapping with the violating shape, where
+    {!block_footprint} refutes one combination of the rows' port sets.
+    Guarded rows contribute their negated activation literal, as in
+    {!block_footprint}. *)
+
 val refute_row :
   t -> Pmi_isa.Scheme.t -> Pmi_portmap.Portset.t -> Pmi_smt.Lit.t list
 (** A lemma clause asserting that the scheme's own µop row is {e not}

@@ -600,6 +600,224 @@ let prop_cegis_sound =
        | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Bottleneck-set lemmas and the explain verdict                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A random spec list over [toy_catalog]: the first row is proper (an
+   improper row needs a partner), the others improper one time in three.
+   Port counts are drawn in [1, num_ports]. *)
+let gen_specs ~num_ports ~max_schemes =
+  let open QCheck2.Gen in
+  let* n = int_range 1 max_schemes in
+  let+ rows = list_repeat n (pair (int_range 0 2) (int_range 1 num_ports)) in
+  let catalog = toy_catalog n in
+  List.mapi
+    (fun i (kind, c) ->
+       let spec =
+         if i > 0 && kind = 0 then Encoding.Improper { own_ports = c }
+         else Encoding.Proper c
+       in
+       (Catalog.find catalog i, spec))
+    rows
+
+let port_sets num_ports size =
+  List.init (1 lsl num_ports) Portset.of_mask
+  |> List.filter (fun s -> Portset.cardinal s = size)
+
+let rec product = function
+  | [] -> [ [] ]
+  | choices :: rest ->
+    let tails = product rest in
+    List.concat_map (fun c -> List.map (fun tail -> c :: tail) tails) choices
+
+(* Every mapping the encoding of [specs] admits, by brute force: own rows
+   of the declared size, and each improper row's shared µop equal to the
+   own µop of some other row. *)
+let all_mappings num_ports specs =
+  let own_size = function
+    | Encoding.Proper c -> c
+    | Encoding.Improper { own_ports } -> own_ports
+  in
+  product (List.map (fun (_, spec) -> port_sets num_ports (own_size spec)) specs)
+  |> List.concat_map (fun owns ->
+      let usages =
+        List.mapi
+          (fun i ((_, spec), own) ->
+             match spec with
+             | Encoding.Proper _ -> [ [ (own, 1) ] ]
+             | Encoding.Improper _ ->
+               List.filteri (fun j _ -> j <> i) owns
+               |> List.map (fun shared -> [ (own, 1); (shared, 1) ]))
+          (List.combine specs owns)
+      in
+      List.map
+        (fun rows ->
+           let m = Mapping.create ~num_ports in
+           List.iter2 (fun (s, _) u -> Mapping.set m s u) specs rows;
+           m)
+        (product usages))
+
+(* Soundness of [Encoding.block_bottleneck]: take the k-th model of a
+   throwaway encoding, measure its experiment [gap] away from the naive
+   oracle's value (too slow or too fast), and build the lemma the way the
+   theory check does.  The model must falsify the lemma, and every model of
+   the encoding that also falsifies it — all of them, enumerated by
+   blocking — must fail the observation under [Throughput] and
+   [Harness.Compare.cpi_equal]. *)
+let prop_bottleneck_lemma_sound =
+  let gen =
+    let open QCheck2.Gen in
+    let* num_ports = int_range 2 6 in
+    let* specs = gen_specs ~num_ports ~max_schemes:3 in
+    let* counts = list_repeat (List.length specs) (int_range 1 3) in
+    let* nth_model = int_range 0 20 in
+    let* too_slow = bool in
+    let* off = int_range 1 8 in
+    let+ r_max = int_range 1 6 in
+    (num_ports, specs, counts, nth_model, too_slow, off, r_max)
+  in
+  let print (num_ports, specs, counts, nth_model, too_slow, off, r_max) =
+    Printf.sprintf "ports=%d rows=[%s] counts=[%s] model=%d %s off=%d/16 r_max=%d"
+      num_ports
+      (String.concat "; "
+         (List.map
+            (fun (_, spec) ->
+               match spec with
+               | Encoding.Proper c -> Printf.sprintf "proper %d" c
+               | Encoding.Improper { own_ports } ->
+                 Printf.sprintf "improper %d" own_ports)
+            specs))
+      (String.concat "; " (List.map string_of_int counts))
+      nth_model
+      (if too_slow then "too-slow" else "too-fast")
+      off r_max
+  in
+  QCheck2.Test.make ~name:"bottleneck lemmas are sound"
+    ~count:300 ~print gen
+    (fun (num_ports, specs, counts, nth_model, too_slow, off, r_max) ->
+       let create () =
+         Encoding.create ~num_ports ~symmetry_breaking:false specs
+       in
+       let model =
+         let enc = create () in
+         let sat = Encoding.sat enc in
+         let rec go k last =
+           match Pmi_smt.Sat.solve sat with
+           | Pmi_smt.Sat.Unsat -> last
+           | Pmi_smt.Sat.Sat model ->
+             if k = 0 then Some model
+             else begin
+               Pmi_smt.Sat.add_clause sat (Encoding.block_model enc model);
+               go (k - 1) (Some model)
+             end
+         in
+         match go nth_model None with
+         | Some m -> m
+         | None -> Alcotest.fail "the encoding has no model"
+       in
+       let enc = create () in
+       let mapping = Encoding.decode enc model in
+       let e =
+         Experiment.of_counts (List.map2 (fun (s, _) c -> (s, c)) specs counts)
+       in
+       let length = Experiment.length e in
+       let epsilon = Pmi_measure.Harness.Compare.default_epsilon in
+       let modeled = Throughput.inverse_bounded ~r_max mapping e in
+       let gap = Rat.add (Rat.mul epsilon (Rat.of_int length)) (Rat.of_ints off 16) in
+       let measured =
+         if too_slow then Rat.sub modeled gap else Rat.add modeled gap
+       in
+       QCheck2.assume (Rat.compare measured Rat.zero > 0);
+       let fails m =
+         not
+           (Pmi_measure.Harness.Compare.cpi_equal ~epsilon ~length
+              (Throughput.inverse_bounded ~r_max m e) measured)
+       in
+       let violation =
+         if too_slow then
+           Encoding.Too_slow
+             (Pmi_portmap.Oracle.bottleneck_set
+                (Pmi_portmap.Oracle.create mapping) e)
+         else Encoding.Too_fast
+       in
+       let lemma =
+         Encoding.block_bottleneck enc model (Experiment.schemes e) violation
+       in
+       let falsified_by_model =
+         List.for_all
+           (fun l ->
+              let v = Pmi_smt.Lit.var l in
+              if Pmi_smt.Lit.is_pos l then not model.(v) else model.(v))
+           lemma
+       in
+       let sat = Encoding.sat enc in
+       List.iter
+         (fun l -> Pmi_smt.Sat.add_clause sat [ Pmi_smt.Lit.negate l ])
+         lemma;
+       let rec all_fail () =
+         match Pmi_smt.Sat.solve sat with
+         | Pmi_smt.Sat.Unsat -> true
+         | Pmi_smt.Sat.Sat m ->
+           fails (Encoding.decode enc m)
+           && begin
+             Pmi_smt.Sat.add_clause sat (Encoding.block_model enc m);
+             all_fail ()
+           end
+       in
+       fails mapping && falsified_by_model && all_fail ())
+
+(* [Cegis.explain] now learns bottleneck lemmas; its verdict must still be
+   exactly "some mapping explains every observation".  Observations are a
+   hidden mapping's values, some replaced by arbitrary quarter-cycle
+   values, so both verdicts occur. *)
+let prop_explain_verdict =
+  let num_ports = 4 in
+  let gen =
+    let open QCheck2.Gen in
+    let* specs = gen_specs ~num_ports ~max_schemes:3 in
+    let n = List.length specs in
+    let* experiments =
+      list_size (int_range 1 5) (list_repeat n (int_range 0 3))
+    in
+    let* noise =
+      list_repeat (List.length experiments)
+        (pair (int_range 0 2) (int_range 1 16))
+    in
+    let+ truth = nat in
+    (specs, experiments, noise, truth)
+  in
+  QCheck2.Test.make ~name:"explain verdict matches brute force"
+    ~count:200 gen
+    (fun (specs, experiments, noise, truth) ->
+       let config = cegis_config num_ports in
+       let mappings = all_mappings num_ports specs in
+       let truth = List.nth mappings (truth mod List.length mappings) in
+       let observations =
+         List.concat
+           (List.map2
+              (fun counts (replace, k) ->
+                 let e =
+                   Experiment.of_counts
+                     (List.map2 (fun (s, _) c -> (s, c)) specs counts)
+                 in
+                 if Experiment.is_empty e then []
+                 else
+                   let cycles =
+                     if replace = 0 then Rat.of_ints k 4
+                     else Cegis.modeled_inverse config truth e
+                   in
+                   [ { Cegis.experiment = e; cycles } ])
+              experiments noise)
+       in
+       let explains_all m =
+         List.for_all (Cegis.consistent config m) observations
+       in
+       let brute = List.exists explains_all mappings in
+       match Cegis.explain ~config ~specs ~observations () with
+       | Some m -> brute && explains_all m
+       | None -> not brute)
+
+(* ------------------------------------------------------------------ *)
 (* Relabel                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -845,6 +1063,9 @@ let () =
          Alcotest.test_case "UNSAT on the imul anomaly (§4.3)" `Quick
            test_cegis_unsat_on_anomaly;
          QCheck_alcotest.to_alcotest prop_cegis_sound ]);
+      ("lemmas",
+       [ QCheck_alcotest.to_alcotest prop_bottleneck_lemma_sound;
+         QCheck_alcotest.to_alcotest prop_explain_verdict ]);
       ("relabel",
        [ Alcotest.test_case "perfect alignment" `Quick test_relabel_perfect;
          Alcotest.test_case "drops ambiguous schemes" `Quick
