@@ -106,70 +106,6 @@ let cegis_toy ?(domains = 1) ?(certify = false) ?(enclint = false)
   | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
     failwith "bench: toy CEGIS failed"
 
-(* Delta-mode fixture: a 16-scheme, 3-port catalog (port sets drawn
-   cyclically from a palette), hidden-truth measurements, and the two base
-   mappings the delta benchmarks stream against — all inferred once here,
-   outside the timed region.  The A/B partner of every delta benchmark is
-   [ablation/cegis-full-reinfer] over the identical final spec set. *)
-let delta_bench =
-  let n = 16 in
-  let palette =
-    [| [ (Portset.of_list [ 0; 1 ], 1) ]; [ (Portset.of_list [ 1; 2 ], 1) ];
-       [ (Portset.singleton 2, 1) ]; [ (Portset.of_list [ 0; 2 ], 1) ];
-       [ (Portset.singleton 0, 1) ]; [ (Portset.of_list [ 0; 1; 2 ], 1) ];
-       [ (Portset.singleton 1, 1) ] |]
-  in
-  let catalog =
-    Catalog.of_list
-      (List.init n (fun i ->
-           (Printf.sprintf "d%02d" i,
-            [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-            Iclass.plain (Iclass.Single Iclass.Alu))))
-  in
-  let truth = Mapping.create ~num_ports:3 in
-  List.iteri
-    (fun i u -> Mapping.set truth (Catalog.find catalog i) u)
-    (List.init n (fun i -> palette.(i mod Array.length palette)));
-  let config =
-    { Cegis.default_config with
-      Cegis.num_ports = 3; r_max = 4; max_experiment_size = 4;
-      symmetry_breaking = true }
-  in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let specs =
-    List.init n (fun i ->
-        let s = Catalog.find catalog i in
-        let ports =
-          List.fold_left
-            (fun a (p, _) -> a + Portset.cardinal p)
-            0 (Mapping.usage truth s)
-        in
-        (s, Encoding.Proper ports))
-  in
-  let infer_over specs =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-      failwith "bench: delta fixture inference failed"
-  in
-  let split k = (List.filteri (fun i _ -> i < k) specs,
-                 List.filteri (fun i _ -> i >= k) specs) in
-  let base15, tail1 = split (n - 1) in
-  let base8, tail8 = split (n - 8) in
-  let mapping15 = infer_over base15 in
-  let mapping8 = infer_over base8 in
-  (config, measure, specs, (base15, tail1, mapping15), (base8, tail8, mapping8))
-
-let delta_session ~mapping ~specs =
-  let config, measure, _, _, _ = delta_bench in
-  Cegis.Delta.start ~config ~measure ~mapping ~specs ()
-
-let delta_flush session =
-  match Cegis.Delta.flush session with
-  | Cegis.Delta_applied (Cegis.Converged _) -> ()
-  | Cegis.Delta_applied _ | Cegis.Delta_fallback _ ->
-    failwith "bench: delta flush did not converge"
-
 (* Durable-store fixture (the warm-start ablation): a harness-backed CEGIS
    inference over quirk-free single-µop schemes of the reduced catalog on
    the 7-port a64fx profile (a small solver side), with the measurement
@@ -458,40 +394,6 @@ let ablation_tests =
        validation sweep fan out; SAT stays sequential. *)
     ("ablation/cegis-4-domains", fun () ->
         ignore (cegis_toy ~domains:4 ~symmetry_breaking:true ~max_size:4 ()));
-    (* Delta mode: the cost of absorbing new schemes into a standing
-       session (frozen rows pinned through assumptions, one solver episode
-       per flush) vs re-inferring the identical 10-scheme spec set from
-       scratch.  The single-scheme delta is the headline: it should beat
-       the full re-inference by well over an order of magnitude. *)
-    ("ablation/cegis-full-reinfer", fun () ->
-        let config, measure, specs, _, _ = delta_bench in
-        match Cegis.infer ~config ~measure ~specs () with
-        | Cegis.Converged _ -> ()
-        | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-          failwith "bench: full re-inference failed");
-    ("ablation/cegis-delta-1-schemes", fun () ->
-        let _, _, _, (base15, tail1, mapping15), _ = delta_bench in
-        let session = delta_session ~mapping:mapping15 ~specs:base15 in
-        List.iter (fun (s, spec) -> Cegis.Delta.enqueue session s spec) tail1;
-        delta_flush session);
-    ("ablation/cegis-delta-8-schemes", fun () ->
-        (* Eight arrivals batched into one solver episode (one sweep, one
-           encoding extension) against two frozen rows. *)
-        let _, _, _, _, (base8, tail8, mapping8) = delta_bench in
-        let session = delta_session ~mapping:mapping8 ~specs:base8 in
-        List.iter (fun (s, spec) -> Cegis.Delta.enqueue session s spec) tail8;
-        delta_flush session);
-    ("ablation/cegis-delta-soak", fun () ->
-        (* The streaming soak: the same eight arrivals drip through one
-           long-lived session, one flush each, so the persistent encoding
-           accumulates rows, lemmas, and learnt clauses across flushes. *)
-        let _, _, _, _, (base8, tail8, mapping8) = delta_bench in
-        let session = delta_session ~mapping:mapping8 ~specs:base8 in
-        List.iter
-          (fun (s, spec) ->
-             Cegis.Delta.enqueue session s spec;
-             delta_flush session)
-          tail8);
     (* Durable store warm start: the identical harness-backed inference
        against an empty store (every observation measured at reps:3001
        and persisted) vs a store already holding the history (CEGIS

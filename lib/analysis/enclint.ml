@@ -330,7 +330,7 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
     (* Retired rows: their literals must be unreachable from live clauses.
        Every clause that mentions one must be root-satisfied (by the ¬act
        retirement unit or otherwise) — anything else re-animates a dead
-       delta row. *)
+       guarded row. *)
     if Hashtbl.length retired > 0 then begin
       let flagged = Hashtbl.create 8 in
       let scan c =

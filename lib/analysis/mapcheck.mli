@@ -27,10 +27,9 @@
       experiments whose outcome is statically determined (a point interval)
       so their harness measurement can be skipped.
 
-    - {b Symmetry facts} ({!interchangeable_ports}) — port pairs whose swap
-      leaves a mapping invariant; [Cegis] feeds them to [Encoding] as
-      symmetry-breaking facts for delta sessions (which run with global
-      symmetry breaking off because frozen rows pin port identities). *)
+    - {b Interchangeable ports} ({!interchangeable_ports}) — port pairs
+      whose swap leaves a mapping invariant, reported by the audit as the
+      [interchangeable-ports] diagnostic. *)
 
 type severity = Pmi_diag.Diag.severity =
   | Error

@@ -20,7 +20,6 @@ let c_enclint_findings = Obs.counter "cegis.enclint.findings"
 let c_sat_episodes = Obs.counter "cegis.sat_episodes"
 let c_mapcheck_refuted = Obs.counter "cegis.mapcheck.refuted_rows"
 let c_mapcheck_saved = Obs.counter "cegis.mapcheck.measurements_saved"
-let c_mapcheck_symmetries = Obs.counter "cegis.mapcheck.symmetry_facts"
 let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_warm_obs = Obs.counter "cegis.warm_observations"
 
@@ -184,37 +183,25 @@ let fresh_encoding config specs pool =
      re-enumerated — neither on later episodes of the same solver nor
      when a fresh same-spec encoding rebuilds them, as the §4.3 culprit
      search does once per [explain] call.
-   - [enclint_db_seen] maps [Sat.id] to the retired-row signature under
-     which the clause-database passes (dead vars, duplicates, retired
-     reachability, frozen-unused) last ran.  Those passes only change
-     when the database does structurally: a new solver or a retirement;
-     episodes in between run the view-layer checks only. *)
+   - [enclint_db_seen] holds the [Sat.id]s whose clause database (dead
+     vars, duplicates, retired reachability, frozen-unused) was already
+     analyzed.  No CEGIS encoding retires a row, so the database only
+     changes structurally with a new solver; later episodes run the
+     view-layer checks only. *)
 let enclint_cone_memo : (string, unit) Hashtbl.t = Hashtbl.create 64
-let enclint_db_seen : (int, string) Hashtbl.t = Hashtbl.create 16
+let enclint_db_seen : (int, unit) Hashtbl.t = Hashtbl.create 16
 
 (* [lemmas] is a thunk so the (possibly large) pool-to-list conversion
    is only paid when the gate is actually on. *)
-let enclint_gate config ?lemmas ?frozen encoding =
+let enclint_gate config ?lemmas encoding =
   if config.enclint then
     Obs.span "cegis.enclint" @@ fun () ->
     let sat = Encoding.sat encoding in
     let lemmas = Option.map (fun f -> f ()) lemmas in
-    let view = Encoding.enclint_view ?lemmas ?frozen encoding in
-    let retired_sig =
-      String.concat ";"
-        (List.filter_map
-           (fun (r : Pmi_analysis.Enclint.row) ->
-              if r.Pmi_analysis.Enclint.live then None
-              else Some r.Pmi_analysis.Enclint.subject)
-           view.Pmi_analysis.Enclint.rows)
-    in
-    let db =
-      match Hashtbl.find_opt enclint_db_seen (Pmi_smt.Sat.id sat) with
-      | Some s when s = retired_sig -> false
-      | _ -> true
-    in
-    if db then
-      Hashtbl.replace enclint_db_seen (Pmi_smt.Sat.id sat) retired_sig;
+    let view = Encoding.enclint_view ?lemmas encoding in
+    let id = Pmi_smt.Sat.id sat in
+    let db = not (Hashtbl.mem enclint_db_seen id) in
+    if db then Hashtbl.replace enclint_db_seen id ();
     let diags =
       Obs.span "cegis.enclint.analyze" (fun () ->
           Pmi_analysis.Enclint.analyze ~cone_memo:enclint_cone_memo ~db sat
@@ -822,409 +809,3 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
       | None -> loop (iteration + 1)
   in
   loop 1
-
-(* ------------------------------------------------------------------ *)
-(* Delta mode: online incremental re-inference                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Batch counters of the streaming path: flushes, schemes per flush,
-   retired (changed-scheme) rows, and falls back to full re-inference. *)
-let c_delta_batches = Obs.counter "cegis.delta.batches"
-let c_delta_schemes = Obs.counter "cegis.delta.schemes"
-let c_delta_retired = Obs.counter "cegis.delta.retired_rows"
-let c_delta_fallbacks = Obs.counter "cegis.delta.fallbacks"
-
-type delta_outcome =
-  | Delta_applied of outcome
-  | Delta_fallback of outcome
-
-(* findOtherMapping against a delta encoding: same per-call activation
-   discipline as the incremental path, with the session's standing
-   assumptions (frozen-row pins + row activation literals) underneath.
-   Any second consistent mapping necessarily differs on the delta rows
-   only, so a distinguishing experiment always involves a batch scheme. *)
-let find_other_mapping_delta config encoding observations pool
-    base_assumptions m1 tried_counter =
-  Obs.span ~args:[ ("mode", Obs.Str "delta") ] "cegis.find_other_mapping"
-  @@ fun () ->
-  enclint_gate config
-    ~lemmas:(fun () -> Vec.to_list pool)
-    ~frozen:base_assumptions
-    encoding;
-  let sat = Encoding.sat encoding in
-  let act = Pmi_smt.Sat.fresh_var sat in
-  let assumptions = Pmi_smt.Lit.pos act :: base_assumptions in
-  let retract = Pmi_smt.Lit.neg_of_var act in
-  let check = theory_check config ~shape:Footprint encoding observations pool in
-  let specs = Encoding.schemes encoding in
-  let schemes = List.map fst specs in
-  let rec search budget =
-    if budget = 0 then begin
-      Log.warn (fun m ->
-          m "findOtherMapping: candidate budget exhausted; treating as converged");
-      None
-    end
-    else begin
-      match certified_solve config encoding observations ~assumptions ~check () with
-      | Solver.Unsat -> None
-      | Solver.Sat model ->
-        incr tried_counter;
-        Obs.incr c_candidates;
-        let m2 = Encoding.decode encoding model in
-        if same_mapping specs m1 m2 then begin
-          Pmi_smt.Sat.add_clause sat
-            (retract :: Encoding.block_model encoding model);
-          search (budget - 1)
-        end
-        else begin
-          match distinguishing_experiment config m1 m2 schemes with
-          | Some e -> Some (m2, e)
-          | None ->
-            Pmi_smt.Sat.add_clause sat
-              (retract :: Encoding.block_model encoding model);
-            search (budget - 1)
-        end
-    end
-  in
-  let result = search config.max_other_candidates in
-  Pmi_smt.Sat.add_clause sat [ retract ];
-  result
-
-(* The delta-scoped convergence sweep: the canonical flooding experiments
-   restricted to pairs that involve at least one batch scheme — the
-   frozen×frozen pairs were already validated when the base mapping was
-   accepted, so re-measuring them would defeat the latency story. *)
-let validation_experiments_delta specs batch_schemes =
-  let in_batch s = List.exists (Scheme.equal s) batch_schemes in
-  validation_experiments specs
-  |> List.filter (fun e -> List.exists in_batch (Experiment.schemes e))
-
-module Delta = struct
-  type session = {
-    d_config : config;
-    d_measure : Experiment.t -> Rat.t;
-    d_measure_batch : Experiment.t list -> Rat.t list;
-    mutable d_encoding : Encoding.t;
-    mutable d_mapping : Mapping.t;
-    mutable d_observations : observation Vec.t;
-    mutable d_pool : Pmi_smt.Lit.t list Vec.t;
-    mutable d_pending : (Scheme.t * Encoding.instr_spec) list; (* newest first *)
-    mutable d_batches : int;
-    mutable d_fallbacks : int;
-  }
-
-  let reject_improper = function
-    | Encoding.Proper _ -> ()
-    | Encoding.Improper _ ->
-      invalid_arg
-        "Cegis.Delta: improper (store-blocker) schemes are not streamable; \
-         run full re-inference"
-
-  (* Delta encodings always disable symmetry breaking: the frozen rows are
-     pinned to the accepted mapping as-is, which need not be the
-     lex-minimal column representative, so the lex clauses could wrongly
-     refute it.  The pins break the port symmetry far more strongly than
-     the lex ordering anyway. *)
-  let build_encoding config specs =
-    let encoding =
-      Encoding.create ~num_ports:config.num_ports ~symmetry_breaking:false
-        ~certify:config.certify []
-    in
-    List.iter (fun (s, spec) -> Encoding.append_row encoding s spec) specs;
-    encoding
-
-  let start ?(config = default_config) ~measure ?measure_batch ~mapping
-      ~specs ?(observations = []) () =
-    List.iter (fun (_, spec) -> reject_improper spec) specs;
-    List.iter
-      (fun (s, _) ->
-         if Mapping.find_opt mapping s = None then
-           invalid_arg "Cegis.Delta.start: mapping does not cover the specs")
-      specs;
-    let obs = Vec.create () in
-    List.iter (Vec.push obs) observations;
-    { d_config = config;
-      d_measure = measure;
-      d_measure_batch =
-        (match measure_batch with
-         | Some f -> f
-         | None -> fun es -> List.map measure es);
-      d_encoding = build_encoding config specs;
-      d_mapping = mapping;
-      d_observations = obs;
-      d_pool = Vec.create ();
-      d_pending = [];
-      d_batches = 0;
-      d_fallbacks = 0 }
-
-  let enqueue session scheme spec =
-    reject_improper spec;
-    (* Last enqueue wins when a scheme is queued twice before a flush. *)
-    session.d_pending <-
-      (scheme, spec)
-      :: List.filter
-           (fun (s, _) -> not (Scheme.equal s scheme))
-           session.d_pending
-
-  let pending session = List.length session.d_pending
-  let mapping session = session.d_mapping
-  let batches session = session.d_batches
-  let fallbacks session = session.d_fallbacks
-
-  let empty_stats session =
-    { iterations = 0;
-      observations = Vec.to_list session.d_observations;
-      candidates_tried = 0;
-      theory_lemmas = Vec.length session.d_pool;
-      sat_episodes = 0;
-      sat = Pmi_smt.Sat.stats (Encoding.sat session.d_encoding) }
-
-  let flush session =
-    match List.rev session.d_pending with
-    | [] -> Delta_applied (Converged (session.d_mapping, empty_stats session))
-    | batch ->
-      session.d_pending <- [];
-      let config = session.d_config in
-      let episodes_before = Atomic.get episode_count in
-      Obs.span
-        ~args:[ ("batch", Obs.Int (List.length batch)) ]
-        "cegis.delta"
-      @@ fun () ->
-      session.d_batches <- session.d_batches + 1;
-      Obs.incr c_delta_batches;
-      Obs.add c_delta_schemes (List.length batch);
-      let encoding = session.d_encoding in
-      let batch_schemes = List.map fst batch in
-      (* Retire the stale rows of changed schemes — one unit clause each,
-         which also deactivates every lemma scoped to them — and drop the
-         observations that mention a changed scheme: the measurements that
-         motivated the change are presumed stale too.  The accepted mapping
-         sheds {e every} batch scheme, changed or merely over-covered by the
-         seed mapping, so no freshly appended row can be frozen to a stale
-         port usage. *)
-      let in_batch s = List.exists (Scheme.equal s) batch_schemes in
-      let changed =
-        List.filter (fun s -> Encoding.has_scheme encoding s) batch_schemes
-      in
-      List.iter
-        (fun s ->
-           Encoding.retire_row encoding s;
-           Obs.incr c_delta_retired)
-        changed;
-      if changed <> [] then begin
-        let keep = Vec.create () in
-        Race.touch_write obs_loc;
-        Vec.iter
-          (fun o ->
-             let stale =
-               List.exists
-                 (fun s -> List.exists (Scheme.equal s) changed)
-                 (Experiment.schemes o.experiment)
-             in
-             if not stale then Vec.push keep o)
-          session.d_observations;
-        session.d_observations <- keep
-      end;
-      if List.exists in_batch (Mapping.schemes session.d_mapping) then begin
-        let m = Mapping.create ~num_ports:config.num_ports in
-        List.iter
-          (fun s ->
-             if not (in_batch s) then
-               Mapping.set m s (Mapping.usage session.d_mapping s))
-          (Mapping.schemes session.d_mapping);
-        session.d_mapping <- m
-      end;
-      List.iter (fun (s, spec) -> Encoding.append_row encoding s spec) batch;
-      (* MapCheck symmetry restoration: delta encodings are built without
-         symmetry breaking (frozen rows pin port identities), but any port
-         pair whose swap leaves the accepted mapping invariant is still
-         interchangeable over the batch rows.  Feed those pairs back as
-         ordering facts scoped to the fresh rows. *)
-      if config.mapcheck then begin
-        let pairs = Mapcheck.interchangeable_ports session.d_mapping in
-        List.iter
-          (fun (p, q) ->
-             Encoding.order_ports ~schemes:batch_schemes encoding p q;
-             Obs.incr c_mapcheck_symmetries)
-          pairs
-      end;
-      (* One batched harness sweep over every queued scheme's singleton
-         before the solver episode starts, so measurement round-trips
-         amortise across the batch.  Under MapCheck, singletons whose
-         throughput is statically determined by the model class (point
-         interval over all candidate rows) are excluded — the measurement
-         could never refute anything. *)
-      let refuter = mapcheck_refuter config batch in
-      let statically_determined e =
-        match refuter with
-        | None -> false
-        | Some r ->
-          (match Mapcheck.Refuter.statically_determined r e with
-           | Some _ ->
-             Obs.incr c_mapcheck_saved;
-             Log.debug (fun m ->
-                 m "mapcheck: skipping statically determined %s"
-                   (Experiment.to_string e));
-             true
-           | None -> false)
-      in
-      let singletons =
-        List.filter
-          (fun e -> not (statically_determined e))
-          (List.map Experiment.singleton batch_schemes)
-      in
-      let sweep_cycles =
-        Obs.span
-          ~args:[ ("experiments", Obs.Int (List.length singletons)) ]
-          "cegis.delta.sweep"
-          (fun () -> session.d_measure_batch singletons)
-      in
-      Race.touch_write obs_loc;
-      List.iter2
-        (fun experiment cycles ->
-           Obs.incr c_observations;
-           Vec.push session.d_observations { experiment; cycles })
-        singletons sweep_cycles;
-      (* Standing assumptions of every solve in this flush: activation
-         literals of all live rows plus the frozen-row pins.  The batch
-         rows are live but unmapped, so only their activation literals
-         appear — their port sets are exactly what the solve determines. *)
-      let assumptions =
-        Encoding.row_assumptions encoding
-        @ Encoding.freeze_lits encoding session.d_mapping
-      in
-      let tried = ref 0 in
-      let finish iterations =
-        { iterations;
-          observations = Vec.to_list session.d_observations;
-          candidates_tried = !tried;
-          theory_lemmas = Vec.length session.d_pool;
-          sat_episodes = Atomic.get episode_count - episodes_before;
-          sat = Pmi_smt.Sat.stats (Encoding.sat encoding) }
-      in
-      let observe experiment =
-        let cycles =
-          Obs.span "cegis.observe" (fun () -> session.d_measure experiment)
-        in
-        Obs.incr c_observations;
-        let obs = { experiment; cycles } in
-        Race.touch_write obs_loc;
-        Vec.push session.d_observations obs;
-        obs
-      in
-      let find_mapping_assumed () =
-        Obs.span "cegis.find_mapping" (fun () ->
-            enclint_gate config
-              ~lemmas:(fun () -> Vec.to_list session.d_pool)
-              ~frozen:assumptions encoding;
-            let check =
-              theory_check config ~shape:Footprint encoding
-                session.d_observations session.d_pool
-            in
-            match
-              certified_solve config encoding session.d_observations
-                ~assumptions ~check ()
-            with
-            | Solver.Sat model -> Some (Encoding.decode encoding model)
-            | Solver.Unsat -> None)
-      in
-      let sweep =
-        Array.of_list
-          (validation_experiments_delta (Encoding.schemes encoding)
-             batch_schemes)
-      in
-      let validate m1 =
-        Obs.span
-          ~args:[ ("sweep", Obs.Int (Array.length sweep)) ]
-          "cegis.validate"
-        @@ fun () ->
-        let oracle = Oracle.create m1 in
-        let failing e =
-          Race.touch_read obs_loc;
-          if
-            Vec.exists
-              (fun o -> Experiment.equal o.experiment e)
-              session.d_observations
-          then false
-          else not (explains config oracle e (session.d_measure e))
-        in
-        if config.domains > 1 then
-          match Pool.find_first_index ~domains:config.domains failing sweep with
-          | Some i -> Some sweep.(i)
-          | None -> None
-        else Array.find_opt failing sweep
-      in
-      (* Falling back: the delta solver proved the batch inconsistent with
-         the frozen rows (or a validation failure drove it there), so the
-         whole live spec set is re-inferred from scratch and the session
-         is rebuilt around the accepted result.  If even the full
-         inference fails, the session keeps its pre-flush mapping and the
-         batch rows stay live but unaccepted. *)
-      let fallback () =
-        session.d_fallbacks <- session.d_fallbacks + 1;
-        Obs.incr c_delta_fallbacks;
-        let specs = Encoding.schemes encoding in
-        Log.info (fun m ->
-            m "delta batch inconsistent with frozen rows; full re-inference \
-               over %d schemes" (List.length specs));
-        let outcome = infer ~config ~measure:session.d_measure ~specs () in
-        (match outcome with
-         | Converged (m, stats) ->
-           session.d_encoding <- build_encoding config specs;
-           session.d_mapping <- m;
-           let obs = Vec.create () in
-           List.iter (Vec.push obs) stats.observations;
-           session.d_observations <- obs;
-           session.d_pool <- Vec.create ()
-         | No_consistent_mapping _ | Iteration_limit _ -> ());
-        Delta_fallback outcome
-      in
-      let step iteration =
-        Obs.span
-          ~args:[ ("iteration", Obs.Int iteration) ]
-          "cegis.delta.iteration"
-          (fun () ->
-             match find_mapping_assumed () with
-             | None -> `Fallback
-             | Some m1 ->
-               (match
-                  find_other_mapping_delta config encoding
-                    session.d_observations session.d_pool assumptions m1
-                    tried
-                with
-                | None ->
-                  (match validate m1 with
-                   | None -> `Converged m1
-                   | Some failure ->
-                     Log.info (fun m ->
-                         m "delta iteration %d: validation experiment %s \
-                            refutes the converged mapping" iteration
-                           (Experiment.to_string failure));
-                     ignore (observe failure);
-                     `Continue)
-                | Some (_, new_exp) ->
-                  ignore (observe new_exp);
-                  `Continue))
-      in
-      let rec loop iteration =
-        if iteration > config.max_iterations then
-          Delta_applied (Iteration_limit (finish (iteration - 1)))
-        else
-          match step iteration with
-          | `Converged m1 ->
-            session.d_mapping <- m1;
-            Delta_applied (Converged (m1, finish iteration))
-          | `Continue -> loop (iteration + 1)
-          | `Fallback -> fallback ()
-      in
-      loop 1
-end
-
-let infer_delta ?config ~measure ?measure_batch ~mapping ~specs
-    ?observations ~updates () =
-  let session =
-    Delta.start ?config ~measure ?measure_batch ~mapping ~specs
-      ?observations ()
-  in
-  List.iter (fun (s, spec) -> Delta.enqueue session s spec) updates;
-  Delta.flush session

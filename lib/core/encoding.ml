@@ -200,7 +200,7 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Delta rows: guarded append and activation-literal retirement        *)
+(* Guarded rows: append and activation-literal retirement             *)
 (* ------------------------------------------------------------------ *)
 
 let append_row t scheme spec =
@@ -209,8 +209,7 @@ let append_row t scheme spec =
     | Proper c -> c
     | Improper _ ->
       (* Improper rows need the selector machinery over a partner set that
-         would itself have to follow appends/retirements; delta sessions
-         route store-blocker changes through full re-inference instead. *)
+         would itself have to follow appends/retirements. *)
       invalid_arg "Encoding.append_row: improper rows are not appendable"
   in
   check_count t.num_ports count;
@@ -303,19 +302,6 @@ let pin_row lits row usage =
   | (Proper _ | Improper _), _ ->
     invalid_arg "Encoding: µop structure mismatch"
 
-let encode_mapping t mapping =
-  let lits = ref [] in
-  List.iter
-    (fun row ->
-       let usage =
-         match Mapping.find_opt mapping row.scheme with
-         | Some u -> u
-         | None -> invalid_arg "Encoding.encode_mapping: scheme not mapped"
-       in
-       pin_row lits row usage)
-    (live_rows t);
-  !lits
-
 let freeze_lits t mapping =
   let lits = ref [] in
   List.iter
@@ -397,59 +383,6 @@ let refute_row t scheme ports =
            :: !lits)
       row.own;
     !lits
-
-let order_ports ?schemes t p q =
-  if p < 0 || q < 0 || p >= t.num_ports || q >= t.num_ports || p = q then
-    invalid_arg "Encoding.order_ports: bad port pair";
-  let selected =
-    live_rows t
-    |> List.filter (fun r ->
-        match r.spec with
-        | Improper _ -> false
-        | Proper _ ->
-          (match schemes with
-           | None -> true
-           | Some ss -> List.exists (Scheme.equal r.scheme) ss))
-  in
-  if selected <> [] then begin
-    (* Every clause of the chain carries the ¬act guard of each selected
-       guarded row: retiring any of those rows root-satisfies the fact, so
-       it can never outlive the rows it orders. *)
-    let guards =
-      List.filter_map
-        (fun r -> if r.act >= 0 then Some (Lit.neg_of_var r.act) else None)
-        selected
-    in
-    let add cl = Sat.add_clause t.solver (guards @ cl) in
-    let xs = List.map (fun r -> r.own.(p)) selected in
-    let ys = List.map (fun r -> r.own.(q)) selected in
-    (* Same lexicographic chain as the create-time column ordering. *)
-    let rec go prefix_equal xs ys =
-      match (xs, ys) with
-      | [], [] -> ()
-      | x :: xs', y :: ys' ->
-        (match prefix_equal with
-         | None -> add [ Lit.pos x; Lit.neg_of_var y ]
-         | Some a -> add [ Lit.neg_of_var a; Lit.pos x; Lit.neg_of_var y ]);
-        if xs' <> [] then begin
-          let a' = Sat.fresh_var t.solver in
-          let prefix_lits =
-            match prefix_equal with None -> [] | Some a -> [ a ]
-          in
-          List.iter
-            (fun a -> add [ Lit.neg_of_var a'; Lit.pos a ])
-            prefix_lits;
-          add [ Lit.neg_of_var a'; Lit.neg_of_var x; Lit.pos y ];
-          add [ Lit.neg_of_var a'; Lit.pos x; Lit.neg_of_var y ];
-          let base = List.map Lit.neg_of_var prefix_lits in
-          add (Lit.pos a' :: Lit.pos x :: Lit.pos y :: base);
-          add (Lit.pos a' :: Lit.neg_of_var x :: Lit.neg_of_var y :: base);
-          go (Some a') xs' ys'
-        end
-      | _, _ -> assert false
-    in
-    go None xs ys
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis support (EncLint)                                   *)

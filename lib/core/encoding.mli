@@ -19,14 +19,15 @@
     has such a representative, so no behaviour is lost, while the SAT search
     stops enumerating port renamings of the same mapping.
 
-    {b Delta rows.}  Rows may also be appended after creation
+    {b Guarded rows.}  Rows may also be appended after creation
     ({!append_row}): such rows are {e guarded} — their cardinality chain is
     conditional on a fresh activation variable, and every lemma built by
     {!block_footprint} that mentions them carries the negated activation
     literal.  Assume {!row_assumptions} on each solve to activate them;
     {!retire_row} permanently drops a row (and every lemma scoped to it)
-    with a single unit clause, no rebuild.  This is the encoding half of
-    the incremental re-inference mode ({!Pmi_core.Cegis.Delta}). *)
+    with a single unit clause, no rebuild.  No CEGIS path appends rows
+    today; they are the building block for switching scheme rows on and
+    off inside one persistent encoding. *)
 
 type instr_spec =
   | Proper of int               (** single µop with the given port count *)
@@ -56,16 +57,13 @@ val num_ports : t -> int
 val schemes : t -> (Pmi_isa.Scheme.t * instr_spec) list
 (** The live rows, in row order (retired rows are excluded everywhere). *)
 
-val has_scheme : t -> Pmi_isa.Scheme.t -> bool
-(** Is there a live row for the scheme? *)
-
 val append_row : t -> Pmi_isa.Scheme.t -> instr_spec -> unit
 (** Append a guarded row: fresh named µop variables plus a fresh activation
     variable [act(<scheme>)] whose negation guards the cardinality chain.
     The row only binds while its activation literal ({!row_assumptions}) is
     assumed true.
     @raise Invalid_argument on an [Improper] spec (store blockers need the
-    selector machinery and go through full re-inference), an out-of-range
+    selector machinery over a fixed partner set), an out-of-range
     port count, or a scheme that already has a live row. *)
 
 val retire_row : t -> Pmi_isa.Scheme.t -> unit
@@ -78,21 +76,16 @@ val retire_row : t -> Pmi_isa.Scheme.t -> unit
 
 val row_assumptions : t -> Pmi_smt.Lit.t list
 (** The positive activation literals of every live guarded row — assume
-    these on each solve of a delta-mode encoding. *)
+    these on each solve of an encoding with appended rows. *)
 
 val decode : t -> bool array -> Pmi_portmap.Mapping.t
 (** Read a port mapping out of a SAT model. *)
 
-val encode_mapping : t -> Pmi_portmap.Mapping.t -> Pmi_smt.Lit.t list
-(** Literals asserting that the µop variables take exactly the port sets of
-    the given mapping (used to hard-wire [M₁] in [findOtherMapping]).
-    @raise Invalid_argument if the mapping lacks one of the schemes or has
-    an incompatible µop structure. *)
-
 val freeze_lits : t -> Pmi_portmap.Mapping.t -> Pmi_smt.Lit.t list
-(** Like {!encode_mapping}, but rows whose scheme the mapping does not
-    cover are simply left free — the delta-mode assumption set pinning the
-    previously accepted rows while the freshly appended ones are solved.
+(** Literals pinning every live row whose scheme the mapping covers to
+    exactly the mapping's port sets; rows the mapping does not cover are
+    left free.  {!enclint_view} uses them to vet lemmas against an
+    accepted mapping ([?accepted]).
     @raise Invalid_argument on an incompatible µop structure. *)
 
 val block_footprint :
@@ -145,18 +138,6 @@ val refute_row :
     with the row.
     @raise Invalid_argument if the scheme has no live row. *)
 
-val order_ports : ?schemes:Pmi_isa.Scheme.t list -> t -> int -> int -> unit
-(** Add a lexicographic column-ordering fact: column [p] ≥ column [q] read
-    along the own rows of [schemes] (default: all live proper rows).  Sound
-    whenever ports [p] and [q] are interchangeable for every row {e not}
-    covered by the constraint — in delta sessions (created with symmetry
-    breaking off because frozen rows pin port identities), MapCheck detects
-    port pairs whose swap leaves the accepted mapping invariant and feeds
-    them here over the freshly appended rows, restoring the symmetry
-    breaking the frozen rows still admit.  Clauses carry the ¬act guard of
-    every covered guarded row, so the fact never outlives the rows it
-    orders.  @raise Invalid_argument on an out-of-range or equal pair. *)
-
 (** {1 Static analysis support} *)
 
 val enclint_view :
@@ -167,6 +148,6 @@ val enclint_view :
   Pmi_analysis.Enclint.view
 (** Describe the encoding to the static analyzer: every row with its
     activation literal, liveness, and recorded cardinality networks.
-    [?lemmas] are the theory lemmas asserted so far, [?frozen] the
-    delta-mode assumption literals, [?accepted] a mapping whose pinned
+    [?lemmas] are the theory lemmas asserted so far, [?frozen] assumption
+    literals that pin rows for a solve, [?accepted] a mapping whose pinned
     assignment lemmas are vetted against. *)

@@ -8,12 +8,6 @@
     module is the "what it cost" half — every CEGIS iteration, solver call,
     oracle search and harness measurement opens a span, so one [--trace]
     run of [pmi_repro infer] yields a timeline of the whole CEGIS dialogue.
-    The incremental path is covered too: delta sessions open
-    [cegis.delta] / [cegis.delta.sweep] / [cegis.delta.iteration] spans
-    and count [cegis.delta.{batches,schemes,retired_rows,fallbacks}],
-    and batched measurement passes record one [harness.sweep] span
-    (counters [harness.sweeps], [harness.sweep.experiments]) instead of
-    n scattered measures.
 
     Like [Pmi_diag.Race], the library is {e off} by default and every entry
     point starts with a single [Atomic.get] on the enable flag: disabled

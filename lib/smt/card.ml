@@ -4,7 +4,7 @@
    The optional [?guard] literal is prepended to every emitted clause, so
    the whole constraint is conditional on the guard: pass [guard = ¬act]
    and the cardinality chain only binds while [act] is assumed true.  The
-   delta-mode encoding uses this to make a row's constraints retirable
+   encoding's guarded rows use this to make a row's constraints retirable
    with one unit clause instead of a rebuild.
 
    Every constructor returns a [network] record describing exactly what was

@@ -6,7 +6,7 @@
     With [?guard] every emitted clause is prepended with the guard literal,
     making the constraint conditional: pass the negation of an activation
     variable and the chain only binds while that variable is assumed true.
-    Delta-mode encodings ({!Pmi_core.Encoding}) use this to retire a row's
+    Guarded encoding rows ({!Pmi_core.Encoding}) use this to retire a row's
     cardinality constraints with a single unit clause.
 
     Each constructor returns a {!network} record describing exactly what

@@ -245,7 +245,6 @@ let fresh_var s =
 
 let num_vars s = s.nvars
 let okay s = s.ok
-let num_conflicts s = s.st_conflicts
 
 let stats s =
   { decisions = s.st_decisions;
@@ -1340,9 +1339,9 @@ let to_dimacs ?(learned = false) s buf =
   (* Cross-reference comments: map 1-based DIMACS variable ids back to the
      caller-supplied [Expr]/encoding names, so dumped CNFs and DRAT traces
      can be read against the port-mapping model.  Guard/activation
-     variables (delta-session rows, per-call blocking activations) are
+     variables (guarded encoding rows, per-call blocking activations) are
      tagged, and get a line even without a caller-supplied name — a dumped
-     delta CNF is unreadable without knowing which literals are guards. *)
+     guarded CNF is unreadable without knowing which literals are guards. *)
   if Hashtbl.length s.names > 0 || Hashtbl.length s.guards > 0 then begin
     let entries =
       Hashtbl.fold (fun v name acc -> (v, Some name) :: acc) s.names []

@@ -59,13 +59,12 @@ val solve : ?assumptions:Lit.t list -> t -> result
 val okay : t -> bool
 (** [false] once the clause database is unsatisfiable at level 0. *)
 
-val num_conflicts : t -> int
-(** Total conflicts encountered so far (statistics). *)
-
 val stats : t -> stats
 
 val set_reduce_enabled : t -> bool -> unit
-(** Enable/disable clause-database reduction (default enabled). *)
+(** Enable/disable clause-database reduction (default enabled).  No
+    library path turns it off: the reduce-off solver is the reference
+    that the reduction-parity tests compare a reducing solver against. *)
 
 (** {1 Encoding introspection (static analysis support)}
 
@@ -93,7 +92,7 @@ val root_units : t -> Lit.t list
 (** The decision-level-0 trail: unit-implied and asserted literals. *)
 
 val mark_guard : t -> int -> unit
-(** Declare a variable to be a guard/activation literal (delta-session
+(** Declare a variable to be a guard/activation literal (guarded encoding
     rows, per-call blocking activations).  {!to_dimacs} annotates it. *)
 
 val is_guard : t -> int -> bool

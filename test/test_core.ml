@@ -309,182 +309,6 @@ let test_cegis_incremental_matches_fresh () =
   | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
   | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
 
-(* ------------------------------------------------------------------ *)
-(* Delta mode: online incremental re-inference                         *)
-(* ------------------------------------------------------------------ *)
-
-let delta_toy () =
-  (* 3 ports, 5 single-µop schemes: rich enough that every arrival
-     interacts with several frozen rows. *)
-  let usages =
-    [ [ (Portset.of_list [ 0; 1 ], 1) ];
-      [ (Portset.of_list [ 1; 2 ], 1) ];
-      [ (Portset.singleton 2, 1) ];
-      [ (Portset.of_list [ 0; 2 ], 1) ];
-      [ (Portset.singleton 0, 1) ] ]
-  in
-  let catalog = toy_catalog (List.length usages) in
-  let truth = Mapping.create ~num_ports:3 in
-  List.iteri (fun i u -> Mapping.set truth (Catalog.find catalog i) u) usages;
-  let specs =
-    List.mapi
-      (fun i u ->
-         let ports =
-           List.fold_left (fun a (p, _) -> a + Portset.cardinal p) 0 u
-         in
-         (Catalog.find catalog i, Encoding.Proper ports))
-      usages
-  in
-  (truth, cegis_config 3, specs)
-
-(* Infer a base mapping over all but the last [arrivals] specs, then feed
-   the held-out specs through a delta session one flush at a time, in
-   shuffled (here: reversed) arrival order. *)
-let run_delta_stream ?(certify = false) ~arrivals () =
-  let truth, config, specs = delta_toy () in
-  let config = { config with Cegis.certify } in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let n = List.length specs in
-  let base = List.filteri (fun i _ -> i < n - arrivals) specs in
-  let stream = List.rev (List.filteri (fun i _ -> i >= n - arrivals) specs) in
-  let mapping =
-    match Cegis.infer ~config ~measure ~specs:base () with
-    | Cegis.Converged (m, _) -> m
-    | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-      Alcotest.fail "base inference did not converge"
-  in
-  let session = Cegis.Delta.start ~config ~measure ~mapping ~specs:base () in
-  List.iter
-    (fun (s, spec) ->
-       Cegis.Delta.enqueue session s spec;
-       match Cegis.Delta.flush session with
-       | Cegis.Delta_applied (Cegis.Converged _) -> ()
-       | Cegis.Delta_fallback _ ->
-         Alcotest.failf "unexpected fallback on %s" (Scheme.name s)
-       | Cegis.Delta_applied _ ->
-         Alcotest.failf "delta flush did not converge on %s" (Scheme.name s))
-    stream;
-  Alcotest.(check int) "no fallbacks" 0 (Cegis.Delta.fallbacks session);
-  Alcotest.(check int) "one batch per arrival" arrivals
-    (Cegis.Delta.batches session);
-  (truth, config, Cegis.Delta.mapping session)
-
-let test_delta_matches_full () =
-  (* A shuffled arrival stream must converge to a mapping throughput-
-     equivalent to both the hidden truth and a batch inference over the
-     same final spec set: the delta path changes latency, never answers. *)
-  let truth, config, m_delta = run_delta_stream ~arrivals:2 () in
-  check_equivalent config truth m_delta (Mapping.schemes truth);
-  let _, _, specs = delta_toy () in
-  let measure e = Cegis.modeled_inverse config truth e in
-  match Cegis.infer ~config ~measure ~specs () with
-  | Cegis.Converged (m_full, _) ->
-    check_equivalent config m_full m_delta (Mapping.schemes truth)
-  | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-    Alcotest.fail "batch inference did not converge"
-
-let test_delta_certified () =
-  (* Under [certify] every delta verdict carries a checked certificate:
-     assumption-scoped UNSAT answers re-derive through the DRAT checker,
-     SAT models replay against the CNF and the exact oracle.  Any
-     certificate failure raises, so converging at all is the assertion. *)
-  let truth, config, m_delta = run_delta_stream ~certify:true ~arrivals:1 () in
-  check_equivalent config truth m_delta (Mapping.schemes truth)
-
-let test_delta_changed_scheme () =
-  (* The machine changes under the session: iB's usage moves to a
-     different (smaller) port set.  Re-enqueueing iB retires its stale row
-     and observations; the session re-converges on the new truth with iA
-     and iC still frozen. *)
-  let s01 = Portset.of_list [ 0; 1 ] in
-  let s12 = Portset.of_list [ 1; 2 ] in
-  let s2 = Portset.singleton 2 in
-  let catalog = toy_catalog 3 in
-  let scheme i = Catalog.find catalog i in
-  let make usages =
-    let m = Mapping.create ~num_ports:3 in
-    List.iteri (fun i u -> Mapping.set m (scheme i) u) usages;
-    m
-  in
-  let truth1 = make [ [ (s01, 1) ]; [ (s12, 1) ]; [ (s2, 1) ] ] in
-  let truth2 =
-    make [ [ (s01, 1) ]; [ (Portset.singleton 1, 1) ]; [ (s2, 1) ] ]
-  in
-  let config = cegis_config 3 in
-  let current = ref truth1 in
-  let measure e = Cegis.modeled_inverse config !current e in
-  let specs =
-    [ (scheme 0, Encoding.Proper 2); (scheme 1, Encoding.Proper 2);
-      (scheme 2, Encoding.Proper 1) ]
-  in
-  let mapping =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | _ -> Alcotest.fail "base inference did not converge"
-  in
-  let session = Cegis.Delta.start ~config ~measure ~mapping ~specs () in
-  current := truth2;
-  Cegis.Delta.enqueue session (scheme 1) (Encoding.Proper 1);
-  (match Cegis.Delta.flush session with
-   | Cegis.Delta_applied (Cegis.Converged _) -> ()
-   | Cegis.Delta_fallback _ -> Alcotest.fail "unexpected fallback"
-   | Cegis.Delta_applied _ -> Alcotest.fail "re-inference did not converge");
-  check_equivalent config truth2 (Cegis.Delta.mapping session)
-    (Mapping.schemes truth2)
-
-let test_delta_fallback_on_inconsistency () =
-  (* Measurements no port assignment can explain: iB floods to 1 CPI alone
-     but a mixed experiment with frozen iA measures 3 cycles, far beyond
-     any 2-port schedule.  The delta solve must go UNSAT against the
-     frozen rows and fall back to full re-inference — which is equally
-     unsatisfiable, so the session keeps its pre-flush mapping. *)
-  let catalog = toy_catalog 2 in
-  let ia = Catalog.find catalog 0 and ib = Catalog.find catalog 1 in
-  let truth = Mapping.create ~num_ports:2 in
-  Mapping.set truth ia [ (Portset.of_list [ 0; 1 ], 1) ];
-  let config = cegis_config 2 in
-  let measure e =
-    let has s = List.exists (Scheme.equal s) (Experiment.schemes e) in
-    if has ib && has ia then Rat.of_int 3
-    else if has ib then Rat.one
-    else Cegis.modeled_inverse config truth e
-  in
-  let specs = [ (ia, Encoding.Proper 2) ] in
-  let mapping =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | _ -> Alcotest.fail "base inference did not converge"
-  in
-  let session = Cegis.Delta.start ~config ~measure ~mapping ~specs () in
-  Cegis.Delta.enqueue session ib (Encoding.Proper 1);
-  (match Cegis.Delta.flush session with
-   | Cegis.Delta_fallback (Cegis.No_consistent_mapping _) -> ()
-   | Cegis.Delta_fallback _ -> Alcotest.fail "fallback unexpectedly converged"
-   | Cegis.Delta_applied _ ->
-     Alcotest.fail "expected a fallback to full re-inference");
-  Alcotest.(check int) "one fallback" 1 (Cegis.Delta.fallbacks session);
-  Alcotest.(check bool) "pre-flush mapping kept" true
-    (Mapping.find_opt (Cegis.Delta.mapping session) ia <> None);
-  Alcotest.(check bool) "failed arrival not accepted" true
-    (Mapping.find_opt (Cegis.Delta.mapping session) ib = None)
-
-let test_delta_rejects_improper () =
-  let truth, config, specs = delta_toy () in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let mapping =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | _ -> Alcotest.fail "base inference did not converge"
-  in
-  let session = Cegis.Delta.start ~config ~measure ~mapping ~specs () in
-  Alcotest.check_raises "improper enqueue rejected"
-    (Invalid_argument
-       "Cegis.Delta: improper (store-blocker) schemes are not streamable; \
-        run full re-inference")
-    (fun () ->
-       Cegis.Delta.enqueue session (List.hd (List.map fst specs))
-         (Encoding.Improper { own_ports = 1 }))
-
 let test_cegis_domain_count_invariant () =
   (* With [domains > 1] only the stratified distinguishing search and the
      validation sweep fan out, and both pick the sequential winner, so the
@@ -996,6 +820,67 @@ let test_block_footprint_progress () =
   in
   Alcotest.(check int) "exactly two 1-port mappings" 2 (count 0)
 
+let test_guarded_rows () =
+  (* A creation-time row [a] plus an appended, guarded row [b] on 3 ports. *)
+  let catalog = toy_catalog 2 in
+  let a = Catalog.find catalog 0 and b = Catalog.find catalog 1 in
+  let module Sat = Pmi_smt.Sat in
+  let enc =
+    Encoding.create ~num_ports:3 ~symmetry_breaking:false
+      [ (a, Encoding.Proper 1) ]
+  in
+  Encoding.append_row enc b (Encoding.Proper 2);
+  let sat = Encoding.sat enc in
+  let is_sat assumptions =
+    match Sat.solve ~assumptions sat with Sat.Sat _ -> true | Sat.Unsat -> false
+  in
+  (* Literals pinning [b]'s current row to the given ports. *)
+  let pin ports =
+    let m = Mapping.create ~num_ports:3 in
+    Mapping.set m b [ (Portset.of_list ports, 1) ];
+    Encoding.freeze_lits enc m
+  in
+  let act = Encoding.row_assumptions enc in
+  Alcotest.(check int) "one guarded row" 1 (List.length act);
+  (* The row's "exactly 2" chain binds only under its activation literal. *)
+  Alcotest.(check bool) "3 ports allowed while inactive" true
+    (is_sat (pin [ 0; 1; 2 ]));
+  Alcotest.(check bool) "3 ports refuted while active" false
+    (is_sat (pin [ 0; 1; 2 ] @ act));
+  let model =
+    match Sat.solve ~assumptions:act sat with
+    | Sat.Sat model -> model
+    | Sat.Unsat -> Alcotest.fail "active guarded row should be satisfiable"
+  in
+  let usage = Mapping.usage (Encoding.decode enc model) b in
+  let ports = Portset.to_list (fst (List.hd usage)) in
+  Alcotest.(check int) "2 ports while active" 2 (List.length ports);
+  (* A footprint lemma over [b] refutes its port set, but only while the
+     row is active. *)
+  let old_pin = pin ports in
+  Sat.add_clause sat (Encoding.block_footprint enc model [ b ]);
+  Alcotest.(check bool) "lemma binds while active" false
+    (is_sat (old_pin @ act));
+  Alcotest.(check bool) "lemma inert while inactive" true
+    (is_sat old_pin);
+  (* Retiring the row retires the lemma with it: the old variables are
+     free again, even with the lemma's port set pinned. *)
+  Encoding.retire_row enc b;
+  Alcotest.(check int) "no guarded rows left" 0
+    (List.length (Encoding.row_assumptions enc));
+  Alcotest.(check bool) "lemma inert after retirement" true
+    (is_sat old_pin);
+  (* Re-appending the scheme with another count gives a fresh row. *)
+  Encoding.append_row enc b (Encoding.Proper 3);
+  match Sat.solve ~assumptions:(old_pin @ Encoding.row_assumptions enc) sat with
+  | Sat.Sat model ->
+    let m = Encoding.decode enc model in
+    Alcotest.(check int) "re-appended row has 3 ports" 3
+      (Portset.cardinal (fst (List.hd (Mapping.usage m b))));
+    Alcotest.(check int) "creation-time row keeps 1 port" 1
+      (Portset.cardinal (fst (List.hd (Mapping.usage m a))))
+  | Sat.Unsat -> Alcotest.fail "re-appended row should be satisfiable"
+
 let test_symmetry_breaking_reduces_models () =
   let catalog = toy_catalog 1 in
   let scheme = Catalog.find catalog 0 in
@@ -1040,22 +925,13 @@ let () =
        [ Alcotest.test_case "cardinality" `Quick test_encoding_cardinality;
          Alcotest.test_case "improper blockers (§4.3)" `Quick test_encoding_improper;
          Alcotest.test_case "model blocking" `Quick test_block_footprint_progress;
+         Alcotest.test_case "guarded rows" `Quick test_guarded_rows;
          Alcotest.test_case "symmetry breaking" `Quick
            test_symmetry_breaking_reduces_models ]);
       ("cegis",
        [ Alcotest.test_case "Figure 4 example" `Quick test_cegis_figure4;
          Alcotest.test_case "disjoint ports" `Quick test_cegis_disjoint;
          Alcotest.test_case "three instructions" `Quick test_cegis_three_instructions;
-         Alcotest.test_case "delta stream matches batch inference" `Quick
-           test_delta_matches_full;
-         Alcotest.test_case "delta under certification" `Slow
-           test_delta_certified;
-         Alcotest.test_case "delta re-infers a changed scheme" `Quick
-           test_delta_changed_scheme;
-         Alcotest.test_case "delta falls back on inconsistency" `Quick
-           test_delta_fallback_on_inconsistency;
-         Alcotest.test_case "delta rejects improper specs" `Quick
-           test_delta_rejects_improper;
          Alcotest.test_case "incremental matches fresh encodings" `Quick
            test_cegis_incremental_matches_fresh;
          Alcotest.test_case "domain count does not change the result" `Slow

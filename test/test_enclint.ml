@@ -1,13 +1,13 @@
 (* EncLint: the solver-off static analyzer over CEGIS encodings.
 
    Three families of tests:
-   - clean built-in encodings (creation-time, delta append/retire) must
+   - clean built-in encodings (creation-time, guarded append/retire) must
      produce zero findings — no false positives;
    - seeded mutations (dropped guard, wrong cardinality bound, unguarded
-     delta row, duplicate clause, reachable retired rows) must each be
+     appended row, duplicate clause, reachable retired rows) must each be
      flagged with the right rule;
-   - a full certified CEGIS run, and a delta flush, with the analyzer
-     gating every solver episode must still converge. *)
+   - a full certified CEGIS run with the analyzer gating every solver
+     episode must still converge. *)
 
 open Pmi_smt
 module Enclint = Pmi_analysis.Enclint
@@ -65,7 +65,7 @@ let test_clean_improper () =
   check_clean "improper"
     (Enclint.analyze (Encoding.sat encoding) (Encoding.enclint_view encoding))
 
-let delta_encoding () =
+let guarded_encoding () =
   let catalog = toy_catalog 3 in
   let encoding = Encoding.create ~num_ports:3 ~symmetry_breaking:false [] in
   Encoding.append_row encoding (Catalog.find catalog 0) (Encoding.Proper 2);
@@ -73,11 +73,11 @@ let delta_encoding () =
   Encoding.append_row encoding (Catalog.find catalog 2) (Encoding.Proper 1);
   (catalog, encoding)
 
-let test_clean_delta () =
-  let catalog, encoding = delta_encoding () in
+let test_clean_guarded () =
+  let catalog, encoding = guarded_encoding () in
   Encoding.retire_row encoding (Catalog.find catalog 1);
   Encoding.append_row encoding (Catalog.find catalog 1) (Encoding.Proper 3);
-  check_clean "delta"
+  check_clean "guarded"
     (Enclint.analyze (Encoding.sat encoding)
        (Encoding.enclint_view
           ~frozen:(Encoding.row_assumptions encoding)
@@ -239,34 +239,6 @@ let test_cegis_gated_certified () =
   | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
   | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
 
-let test_cegis_gated_delta () =
-  let catalog = toy_catalog 3 in
-  let num_ports = 3 in
-  let truth = Mapping.create ~num_ports in
-  Mapping.set truth (Catalog.find catalog 0)
-    [ (Portset.of_list [ 0; 1 ], 1) ];
-  Mapping.set truth (Catalog.find catalog 1)
-    [ (Portset.of_list [ 1; 2 ], 1) ];
-  Mapping.set truth (Catalog.find catalog 2) [ (Portset.singleton 2, 1) ];
-  let config = { (gated_config num_ports) with Cegis.max_experiment_size = 3 } in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let base =
-    [ (Catalog.find catalog 0, Encoding.Proper 2);
-      (Catalog.find catalog 1, Encoding.Proper 2) ]
-  in
-  let base_mapping =
-    match Cegis.infer ~config ~measure ~specs:base () with
-    | Cegis.Converged (m, _) -> m
-    | _ -> Alcotest.fail "base inference failed"
-  in
-  match
-    Cegis.infer_delta ~config ~measure ~mapping:base_mapping ~specs:base
-      ~updates:[ (Catalog.find catalog 2, Encoding.Proper 1) ]
-      ()
-  with
-  | Cegis.Delta_applied (Cegis.Converged _) -> ()
-  | _ -> Alcotest.fail "gated delta flush failed to converge"
-
 let () =
   Alcotest.run "enclint"
     [ ("clean",
@@ -274,7 +246,7 @@ let () =
            test_clean_creation;
          Alcotest.test_case "improper (store-blocker) encoding" `Quick
            test_clean_improper;
-         Alcotest.test_case "delta append/retire" `Quick test_clean_delta ]);
+         Alcotest.test_case "delta append/retire" `Quick test_clean_guarded ]);
       ("mutations",
        [ Alcotest.test_case "dropped guard (metadata)" `Quick
            test_flags_dropped_guard;
@@ -292,6 +264,4 @@ let () =
            test_flags_frozen_unused ]);
       ("cegis-gate",
        [ Alcotest.test_case "certified run with gate" `Quick
-           test_cegis_gated_certified;
-         Alcotest.test_case "gated delta flush" `Quick
-           test_cegis_gated_delta ]) ]
+           test_cegis_gated_certified ]) ]

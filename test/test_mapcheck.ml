@@ -211,9 +211,9 @@ let test_observe_refutes_soundly () =
 
 let test_observe_refutes_determined () =
   (* With both schemes free the intervals stay wide and nothing is
-     refutable; once add and mul are pinned (as in a delta session, where
-     the frozen rows are known), an observation of [2 fma + 4 mul] = 3
-     pins fma off port 0: fma={0} yields exactly 2 there. *)
+     refutable; once add and mul are pinned to known rows, an observation
+     of [2 fma + 4 mul] = 3 pins fma off port 0: fma={0} yields exactly 2
+     there. *)
   let truth = toy_truth () in
   let r =
     Mapcheck.Refuter.create ~num_ports:3 ~r_max:toy_r_max
@@ -375,60 +375,6 @@ let test_cegis_equivalence_certified () =
   Alcotest.(check bool) "still saves measurements" true
     (List.length s_on.Cegis.observations > 0)
 
-let test_delta_equivalence () =
-  let truth = toy_truth () in
-  let base = [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2) ] in
-  let run mapcheck =
-    let config =
-      { (toy_config ~mapcheck ()) with Cegis.symmetry_breaking = false }
-    in
-    let measure e = Cegis.modeled_inverse config truth e in
-    let base_mapping =
-      match Cegis.infer ~config ~measure ~specs:base () with
-      | Cegis.Converged (m, _) -> m
-      | _ -> Alcotest.fail "delta base inference failed"
-    in
-    match
-      Cegis.infer_delta ~config ~measure ~mapping:base_mapping ~specs:base
-        ~updates:[ (fma, Encoding.Proper 1) ]
-        ()
-    with
-    | Cegis.Delta_applied (Cegis.Converged (m, stats)) -> (m, stats)
-    | _ -> Alcotest.fail "delta flush failed to converge"
-  in
-  let m_off, _ = run false in
-  let m_on, _ = run true in
-  check_same_mapping "delta" m_off m_on
-
-let test_delta_symmetry_facts () =
-  (* A 4-port base whose frozen rows admit the (0,1) and (2,3) swaps:
-     with --mapcheck the pairs are re-fed as ordering facts over the
-     batch row, so the indistinguishable fma ∈ {0} vs {1} ambiguity
-     resolves deterministically to the lex-smaller port 0. *)
-  let truth = Mapping.create ~num_ports:4 in
-  Mapping.set truth add [ (Portset.of_list [ 0; 1 ], 1) ];
-  Mapping.set truth mul [ (Portset.of_list [ 0; 1 ], 1) ];
-  Mapping.set truth fma [ (Portset.singleton 0, 1) ];
-  let config =
-    { Cegis.default_config with
-      Cegis.num_ports = 4; r_max = 5; max_experiment_size = 4;
-      symmetry_breaking = false; mapcheck = true }
-  in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let base = [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2) ] in
-  let base_mapping = Mapping.create ~num_ports:4 in
-  Mapping.set base_mapping add (Mapping.usage truth add);
-  Mapping.set base_mapping mul (Mapping.usage truth mul);
-  match
-    Cegis.infer_delta ~config ~measure ~mapping:base_mapping ~specs:base
-      ~updates:[ (fma, Encoding.Proper 1) ]
-      ()
-  with
-  | Cegis.Delta_applied (Cegis.Converged (m, _)) ->
-    Alcotest.(check string) "fma pinned to the lex-smaller port" "[0]"
-      (Mapping.usage_to_string (Mapping.usage m fma))
-  | _ -> Alcotest.fail "symmetric delta flush failed to converge"
-
 (* ------------------------------------------------------------------ *)
 (* Hardening pins: Mapping_io and Diff                                 *)
 (* ------------------------------------------------------------------ *)
@@ -486,10 +432,7 @@ let () =
        [ Alcotest.test_case "mapcheck preserves the mapping" `Quick
            test_cegis_equivalence;
          Alcotest.test_case "certified run unchanged" `Quick
-           test_cegis_equivalence_certified;
-         Alcotest.test_case "delta equivalence" `Quick test_delta_equivalence;
-         Alcotest.test_case "delta symmetry facts" `Quick
-           test_delta_symmetry_facts ]);
+           test_cegis_equivalence_certified ]);
       ("hardening",
        [ Alcotest.test_case "duplicate scheme row rejected" `Quick
            test_duplicate_row_rejected;
