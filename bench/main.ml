@@ -338,8 +338,8 @@ let micro_tests =
         ignore (Oracle.Acc.inverse_bounded ~r_max:5 zen_acc);
         Oracle.Acc.remove zen_acc acc_delta 1);
     (* Machine and harness costs per measurement. *)
-    ("machine/measure-cycles", fun () ->
-        ignore (Machine.measure_cycles zen_machine ~rep:0 zen_block));
+    ("machine/samples-11", fun () ->
+        ignore (Machine.samples zen_machine ~reps:11 zen_block));
     ("harness/median-of-11", fun () ->
         ignore (Harness.cycles (Harness.create zen_machine) zen_block));
     (* SAT solver on classic instances. *)

@@ -22,6 +22,7 @@ let c_mapcheck_refuted = Obs.counter "cegis.mapcheck.refuted_rows"
 let c_mapcheck_saved = Obs.counter "cegis.mapcheck.measurements_saved"
 let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_warm_obs = Obs.counter "cegis.warm_observations"
+let c_distinguish_memo = Obs.counter "cegis.distinguish.memo_hits"
 
 module Mapcheck = Pmi_analysis.Mapcheck
 module IntSet = Set.Make (Int)
@@ -454,11 +455,28 @@ let same_mapping specs m1 m2 =
    set, kept across CEGIS iterations so learned clauses, variable
    activities and theory lemmas survive.  [synced] counts the pool lemmas
    already present in the solver (both encodings number their variables
-   deterministically, so lemmas learned on one transfer verbatim). *)
+   deterministically, so lemmas learned on one transfer verbatim).
+   [inseparable] holds the {!pair_key}s of the (m1, m2) pairs whose
+   distinguishing search came back empty: the search is a pure function of
+   the config, the two mappings and the spec schemes, so a repeat of the
+   pair needs no second search. *)
 type other_state = {
   o_encoding : Encoding.t;
   mutable o_synced : int;
+  o_inseparable : (string, unit) Hashtbl.t;
 }
+
+(* The rows of [m1] and [m2] over the spec schemes, as one string. *)
+let pair_key schemes m1 m2 =
+  let rows m =
+    List.map
+      (fun s ->
+         match Mapping.find_opt m s with
+         | Some usage -> Mapping.usage_to_string usage
+         | None -> "-")
+      schemes
+  in
+  String.concat ";" (rows m1 @ ("|" :: rows m2))
 
 let sync_lemmas state pool =
   Race.touch_read lemma_loc;
@@ -503,7 +521,20 @@ let find_other_mapping config state specs observations pool m1 tried_counter =
           search (budget - 1)
         end
         else begin
-          match distinguishing_experiment config m1 m2 schemes with
+          let key = pair_key schemes m1 m2 in
+          let found =
+            if Hashtbl.mem state.o_inseparable key then begin
+              Obs.incr c_distinguish_memo;
+              None
+            end
+            else begin
+              let found = distinguishing_experiment config m1 m2 schemes in
+              if Option.is_none found then
+                Hashtbl.replace state.o_inseparable key ();
+              found
+            end
+          in
+          match found with
           | Some e -> Some (m2, e)
           | None ->
             (* Indistinguishable within the experiment bound: block this
@@ -703,7 +734,7 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
         specs
     in
     register_target o_encoding;
-    { o_encoding; o_synced = 0 }
+    { o_encoding; o_synced = 0; o_inseparable = Hashtbl.create 16 }
   in
   let tried = ref 0 in
   let finish mk =

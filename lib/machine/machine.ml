@@ -3,6 +3,7 @@ module Rat = Pmi_numeric.Rat
 module Portset = Pmi_portmap.Portset
 module Mapping = Pmi_portmap.Mapping
 module Experiment = Pmi_portmap.Experiment
+module Oracle = Pmi_portmap.Oracle
 
 type config = {
   seed : int;
@@ -28,7 +29,6 @@ type t = {
   config : config;
   profile : Profile.t;
   ground_truth : Mapping.t;
-  cache : Rat.t Experiment.Tbl.t;
   measurements : int Atomic.t; (* bumped from parallel sweeps *)
 }
 
@@ -38,7 +38,6 @@ let create ?(config = default_config) ?(profile = Profile.zen_plus) catalog =
     config;
     profile;
     ground_truth = Ground_truth.mapping_for profile catalog;
-    cache = Experiment.Tbl.create 4096;
     measurements = Atomic.make 0 }
 
 let catalog t = t.catalog
@@ -101,15 +100,19 @@ let gpr_cross_ports profile =
     (profile.Profile.ports_of_base Iclass.Vec_to_gpr)
 
 (* Scaled-integer µop masses of one experiment iteration, including the
-   phantom pressure of the quirks (see the .mli for the catalogue). *)
+   phantom pressure of the quirks (see the .mli for the catalogue), as
+   parallel arrays of distinct port masks and their masses. *)
 let scaled_masses profile experiment =
   let ports_of = profile.Profile.ports_of_base in
-  let tbl = Hashtbl.create 16 in
+  let acc = ref [] in
+  let rec credit mask mass = function
+    | [] -> [ (mask, mass) ]
+    | (m, x) :: rest when m = mask -> (m, x + mass) :: rest
+    | entry :: rest -> entry :: credit mask mass rest
+  in
   let bump ports mass =
-    if mass <> 0 && not (Portset.is_empty ports) then begin
-      let prev = try Hashtbl.find tbl ports with Not_found -> 0 in
-      Hashtbl.replace tbl ports (prev + mass)
-    end
+    if mass <> 0 && not (Portset.is_empty ports) then
+      acc := credit (Portset.to_mask ports) mass !acc
   in
   let other_scheme_exists ~than pred =
     Experiment.exists
@@ -173,32 +176,8 @@ let scaled_masses profile experiment =
         | None -> ())
     )
     experiment ();
-  Hashtbl.fold (fun ports mass acc -> (ports, mass) :: acc) tbl []
-
-let port_inverse_scaled masses =
-  match masses with
-  | [] -> Rat.zero
-  | _ ->
-    let universe =
-      List.fold_left (fun acc (ports, _) -> Portset.union acc ports)
-        Portset.empty masses
-    in
-    let best_num = ref 0 and best_den = ref 1 in
-    Portset.iter_subsets universe (fun q ->
-        if not (Portset.is_empty q) then begin
-          let mass =
-            List.fold_left
-              (fun acc (ports, m) ->
-                 if Portset.subset ports q then acc + m else acc)
-              0 masses
-          in
-          let card = Portset.cardinal q in
-          if mass * !best_den > !best_num * card then begin
-            best_num := mass;
-            best_den := card
-          end
-        end);
-    Rat.of_ints !best_num (!best_den * scale)
+  let masses = Array.of_list !acc in
+  (Array.map fst masses, Array.map snd masses)
 
 let ms_stall profile experiment =
   (* Microcoded schemes are emitted by the microcode sequencer at a fixed
@@ -217,20 +196,18 @@ let ms_stall profile experiment =
          | Some _ | None -> acc)
       experiment 0
   in
-  Rat.of_int stall
+  stall
 
+(* max (ports, frontend) + stall, on native fractions (every term is a
+   few hundred at most), reduced once into a [Rat].  The port bound is
+   the bottleneck optimum of the scaled masses, by Oracle's kernel. *)
 let true_inverse t experiment =
-  let key = Experiment.key experiment in
-  match Experiment.Tbl.find_opt t.cache key with
-  | Some v -> v
-  | None ->
-    let ports = port_inverse_scaled (scaled_masses t.profile experiment) in
-    let frontend =
-      Rat.of_ints (Experiment.length experiment) t.profile.Profile.r_max
-    in
-    let v = Rat.add (Rat.max ports frontend) (ms_stall t.profile experiment) in
-    Experiment.Tbl.replace t.cache key v;
-    v
+  let masks, masses = scaled_masses t.profile experiment in
+  let pn, pd = Oracle.masses_frac masks masses in
+  let pd = pd * scale in
+  let fn = Experiment.length experiment and fd = t.profile.Profile.r_max in
+  let num, den = if pn * fd >= fn * pd then (pn, pd) else (fn, fd) in
+  Rat.of_ints (num + (ms_stall t.profile experiment * den)) den
 
 (* Noise tier of an experiment: inherently unreliable schemes dominate,
    then pairing instability (which only shows when at least two distinct
@@ -249,15 +226,17 @@ let amplitude t experiment =
 
 let c_measurements = Pmi_obs.Obs.counter "machine.measurements"
 
-let measure_cycles t ~rep experiment =
-  Atomic.incr t.measurements;
-  Pmi_obs.Obs.incr c_measurements;
+let samples t ~reps experiment =
+  if reps < 0 then invalid_arg "Machine.samples";
+  ignore (Atomic.fetch_and_add t.measurements reps);
+  Pmi_obs.Obs.add c_measurements reps;
   let base = Rat.to_float (true_inverse t experiment) in
   let amp = amplitude t experiment in
-  if amp = 0.0 then base
+  if amp = 0.0 then Array.make reps base
   else begin
-    let key = Noise.hash_experiment experiment in
-    base *. (1.0 +. Noise.jitter ~seed:t.config.seed ~key ~rep ~amplitude:amp)
+    let seed = t.config.seed and key = Noise.hash_experiment experiment in
+    Array.init reps (fun rep ->
+        base *. (1.0 +. Noise.jitter ~seed ~key ~rep ~amplitude:amp))
   end
 
 let true_uop_count t experiment =

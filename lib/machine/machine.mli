@@ -56,17 +56,27 @@ val r_max : t -> int
 val num_ports : t -> int
 
 val true_inverse : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
-(** Noise-free inverse throughput including all quirk effects (memoised). *)
+(** Noise-free inverse throughput including all quirk effects: the
+    bottleneck optimum of the quirk-adjusted µop masses
+    ({!Pmi_portmap.Oracle.masses_frac}), capped below by the frontend
+    bound [|e| / r_max], plus the microcode-sequencer stall.  Computed
+    afresh on every call; repeated measurements are the harness's cache's
+    job. *)
 
-val measure_cycles : t -> rep:int -> Pmi_portmap.Experiment.t -> float
-(** One noisy steady-state measurement of cycles per experiment iteration. *)
+val samples : t -> reps:int -> Pmi_portmap.Experiment.t -> float array
+(** [reps] noisy steady-state measurements of cycles per experiment
+    iteration: element [rep] is repetition [rep]'s sample, the noise-free
+    value jittered by {!Noise.jitter}[ ~rep].  The noise-free value, the
+    noise amplitude and the noise key are computed once for all
+    repetitions.  @raise Invalid_argument on a negative [reps]. *)
 
 val retired_ops : t -> Pmi_portmap.Experiment.t -> int
 (** The PMCx0C1 "Retired Uops" counter reading for one iteration: it counts
     macro-ops, not µops (§4.1.1). *)
 
 val measurement_count : t -> int
-(** Number of [measure_cycles] calls so far (benchmarking statistics). *)
+(** Number of samples taken so far: the sum of [reps] over {!samples}
+    calls (benchmarking statistics). *)
 
 (** {2 Intel-style counters}
 

@@ -170,14 +170,10 @@ let run t experiment =
             Obs.incr c_store_misses
           end;
           Obs.span "harness.measure" (fun () ->
-              let runs =
-                List.init t.reps (fun rep ->
-                    Machine.measure_cycles t.machine ~rep experiment)
-              in
-              let sorted = List.sort Float.compare runs in
-              let median = List.nth sorted (t.reps / 2) in
-              let low = List.nth sorted 0 in
-              let high = List.nth sorted (t.reps - 1) in
+              let runs = Machine.samples t.machine ~reps:t.reps experiment in
+              Array.sort Float.compare runs;
+              let median = runs.(t.reps / 2) in
+              let low = runs.(0) and high = runs.(t.reps - 1) in
               let len = Experiment.length experiment in
               let spread_cpi =
                 if len = 0 then 0.0 else (high -. low) /. float_of_int len

@@ -46,19 +46,6 @@ let equal a b = compare a b = 0
 
 let key t = List.map (fun (s, n) -> (Scheme.id s, n)) t
 
-module Key = struct
-  type t = (int * int) list
-
-  let equal a b =
-    List.equal (fun (i, n) (j, m) -> i = j && n = m) a b
-
-  let hash k =
-    List.fold_left (fun h (i, n) -> (((h * 31) + i) * 31) + n) 17 k
-    land max_int
-end
-
-module Tbl = Hashtbl.Make (Key)
-
 let to_string t =
   let item (s, n) = Printf.sprintf "%d x %s" n (Scheme.name s) in
   "[" ^ String.concat "; " (List.map item t) ^ "]"

@@ -40,12 +40,6 @@ val key : t -> (int * int) list
     multiset's sorted order.  Equal experiments have equal keys; no string
     rendering or [Buffer] allocation involved. *)
 
-(** Hashing over {!key} values, for memoisation tables keyed by
-    experiment. *)
-module Key : Hashtbl.HashedType with type t = (int * int) list
-
-module Tbl : Hashtbl.S with type key = (int * int) list
-
 val to_string : t -> string
 (** e.g. ["[4 x add <GPR[32]>, <GPR[32]>; 1 x imul ...]"]. *)
 

@@ -137,6 +137,12 @@ let inverse_bounded_frac ~r_max t experiment =
   bounded ~r_max (Experiment.length experiment) num den
 
 let rat (num, den) = Rat.of_ints num den
+
+let masses_frac masks masses =
+  if Array.length masks <> Array.length masses then
+    invalid_arg "Oracle.masses_frac";
+  let _, num, den = best { k = Array.length masks; masks; mass = masses } in
+  (num, den)
 let inverse_bounded ~r_max t experiment =
   rat (inverse_bounded_frac ~r_max t experiment)
 

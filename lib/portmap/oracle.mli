@@ -41,6 +41,16 @@ val inverse_bounded_frac : r_max:int -> t -> Experiment.t -> int * int
 (** {!inverse_bounded} as a native [(num, den)] pair.
     @raise Throughput.Unsupported *)
 
+val masses_frac : int array -> int array -> int * int
+(** [masses_frac masks masses]: the bottleneck optimum
+    [max over ∅≠Q of mass(Q)/|Q|] of a mass profile given directly, as
+    parallel arrays of port masks ({!Portset.to_mask}) and their
+    non-negative µop masses, by the same kernel as every other query.  A
+    native [(num, den)] pair, [(0, 1)] for empty arrays.  This is the entry
+    point for callers that build their own profile (the simulated machine,
+    whose quirks add phantom masses no mapping row has).
+    @raise Invalid_argument when the arrays differ in length. *)
+
 val bottleneck_set : t -> Experiment.t -> Portset.t
 (** The smallest mask (as an integer) attaining the optimum; empty for an
     empty experiment. *)

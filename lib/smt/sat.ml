@@ -838,11 +838,16 @@ let add_clause s lits =
   proof_push_list s 0 lits;
   if s.ok then begin
     (* Simplify: drop duplicates and root-level-false literals, detect
-       tautologies and root-level-satisfied clauses. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (Lit.negate l) lits) lits
+       tautologies and root-level-satisfied clauses.  Sorted, a variable's
+       two literals 2v and 2v+1 are neighbours, so one pass finds a
+       tautology.  The sorted order is the stored order: its first two
+       literals become the watched pair. *)
+    let lits = List.sort_uniq Int.compare lits in
+    let rec tautology = function
+      | a :: (b :: _ as rest) -> b = Lit.negate a || tautology rest
+      | [] | [ _ ] -> false
     in
+    let tautology = tautology lits in
     let satisfied = List.exists (fun l -> lit_value s l = 1) lits in
     if not (tautology || satisfied) then begin
       let lits = List.filter (fun l -> lit_value s l = 0) lits in

@@ -200,11 +200,32 @@ let test_port_uops_blocking_shape () =
 
 let test_measurement_deterministic () =
   let e = mix [ (add_rr, 4); (vpor, 2) ] in
-  let a = Machine.measure_cycles noisy ~rep:3 e in
-  let b = Machine.measure_cycles noisy ~rep:3 e in
-  Alcotest.(check (float 0.0)) "same rep, same value" a b;
-  let c = Machine.measure_cycles noisy ~rep:4 e in
-  Alcotest.(check bool) "different rep jitters" true (a <> c)
+  let run1 = Machine.samples noisy ~reps:11 e in
+  let run2 = Machine.samples noisy ~reps:11 e in
+  Alcotest.(check (float 0.0)) "same rep, same value" run1.(3) run2.(3);
+  Alcotest.(check bool) "different rep jitters" true (run1.(3) <> run1.(4));
+  (* Sample [rep] is the noise-free value jittered by [Noise.jitter ~rep],
+     whatever the number of repetitions asked for. *)
+  let base = Rat.to_float (Machine.true_inverse noisy e) in
+  let cfg = Machine.config noisy in
+  let expected rep =
+    base
+    *. (1.0
+        +. Noise.jitter ~seed:cfg.Machine.seed ~key:(Noise.hash_experiment e)
+             ~rep ~amplitude:cfg.Machine.noise_amplitude)
+  in
+  List.iter
+    (fun rep ->
+       Alcotest.(check (float 0.0)) (Printf.sprintf "rep %d" rep)
+         (expected rep) run1.(rep))
+    [ 0; 3; 4; 10 ];
+  let short = Machine.samples noisy ~reps:5 e in
+  Alcotest.(check (array (float 0.0))) "a prefix of the 11-rep run"
+    (Array.sub run1 0 5) short;
+  let before = Machine.measurement_count noisy in
+  ignore (Machine.samples noisy ~reps:11 e);
+  Alcotest.(check int) "11 measurements counted" (before + 11)
+    (Machine.measurement_count noisy)
 
 let test_noise_tiers () =
   let within_rel pct value reference =
@@ -212,23 +233,21 @@ let test_noise_tiers () =
   in
   let stable = mix [ (add_rr, 4); (vpor, 2) ] in
   let t0 = Rat.to_float (Machine.true_inverse noisy stable) in
-  let m = Machine.measure_cycles noisy ~rep:1 stable in
+  let m = (Machine.samples noisy ~reps:2 stable).(1) in
   Alcotest.(check bool) "stable within 0.5%" true (within_rel 0.005 m t0);
   (* Unstable pairing: wide jitter when mixed, tight alone. *)
   let cmov = first "unstable-pair/cmov-rr" in
-  let alone = Machine.measure_cycles noisy ~rep:1 (exp1 cmov) in
+  let alone = (Machine.samples noisy ~reps:2 (exp1 cmov)).(1) in
   let t1 = Rat.to_float (Machine.true_inverse noisy (exp1 cmov)) in
   Alcotest.(check bool) "unstable scheme tight alone" true
     (within_rel 0.005 alone t1);
   (* The unreliable tier applies even alone. *)
   let imm64 = first "excluded/mov64-imm" in
-  let samples =
-    List.init 11 (fun rep -> Machine.measure_cycles noisy ~rep (exp1 imm64))
-  in
+  let samples = Machine.samples noisy ~reps:11 (exp1 imm64) in
   let t2 = Rat.to_float (Machine.true_inverse noisy (exp1 imm64)) in
   let spread =
-    List.fold_left Float.max neg_infinity samples
-    -. List.fold_left Float.min infinity samples
+    Array.fold_left Float.max neg_infinity samples
+    -. Array.fold_left Float.min infinity samples
   in
   Alcotest.(check bool) "imm64 spread is wide" true (spread > 0.05 *. t2)
 
@@ -325,6 +344,34 @@ let prop_true_inverse_at_least_frontend =
          (Rat.of_ints (Experiment.length e) 5)
        >= 0)
 
+(* The simulator's throughput goes through Oracle's sparse kernel; the
+   reference here is Throughput's naive lattice scan over the hidden
+   mapping, which shares no code with it.  Without quirks the two models
+   differ only by the frontend bound. *)
+let quirk_free_ids =
+  Array.of_list
+    (List.filter_map
+       (fun s ->
+          if (Scheme.klass s).Iclass.quirk = None then Some (Scheme.id s)
+          else None)
+       (Array.to_list (Catalog.schemes catalog)))
+
+let prop_true_inverse_matches_reference =
+  QCheck2.Test.make ~name:"quirk-free tp⁻¹ = max (naive scan) (|e|/r_max)"
+    ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 5)
+        (map (Array.get quirk_free_ids)
+           (int_range 0 (Array.length quirk_free_ids - 1))))
+    (fun ids ->
+       let e = Experiment.of_list (List.map (Catalog.find catalog) ids) in
+       let reference =
+         Rat.max
+           (Throughput.inverse (Machine.ground_truth machine) e)
+           (Rat.of_ints (Experiment.length e) (Machine.r_max machine))
+       in
+       Rat.equal (Machine.true_inverse machine e) reference)
+
 let prop_retired_ops_additive =
   QCheck2.Test.make ~name:"retired ops are additive" ~count:200
     QCheck2.Gen.(pair
@@ -344,7 +391,8 @@ let () =
        [ Alcotest.test_case "single-instruction throughput" `Quick
            test_single_instruction_throughputs;
          Alcotest.test_case "frontend limit" `Quick test_frontend_limit;
-         Alcotest.test_case "nop/mov elimination" `Quick test_nop_free ]);
+         Alcotest.test_case "nop/mov elimination" `Quick test_nop_free ]
+       @ qsuite [ prop_true_inverse_matches_reference ]);
       ("counters",
        [ Alcotest.test_case "store-mov evidence (§4.1)" `Quick test_store_mov_evidence;
          Alcotest.test_case "macro-op counter (§4.1.1)" `Quick test_macro_op_counter ]);

@@ -785,6 +785,85 @@ let test_theory_unsat () =
   | Solver.Unsat -> ()
   | Solver.Sat _ -> Alcotest.fail "theory rejects everything"
 
+(* Clause intake: the clause the solver stores for a freshly added one
+   must be the reference simplification below — sorted, deduplicated, no
+   tautology, not satisfied at the root, root-false literals filtered —
+   in exactly that literal order (its first two literals are the watched
+   pair).  The root assignment comes from unit clauses over distinct
+   variables; the clause under test mixes duplicates, complementary pairs
+   and literals already true or false there. *)
+let prop_add_clause_intake =
+  let n = 8 in
+  let gen =
+    let open QCheck2.Gen in
+    let units =
+      map
+        (fun (vars, signs) ->
+           List.mapi
+             (fun i v -> Lit.make v (List.nth signs i))
+             (List.sort_uniq Int.compare vars))
+        (pair
+           (list_size (int_range 0 4) (int_range 0 (n - 1)))
+           (list_repeat n bool))
+    in
+    let clause =
+      (* Half the clauses draw polarities from one fixed sign per variable,
+         so they are never tautologies and reach the solver's store. *)
+      bool >>= fun consistent ->
+      list_repeat n bool >>= fun signs ->
+      list_size (int_range 0 10)
+        (map2
+           (fun v pos -> Lit.make v (if consistent then List.nth signs v else pos))
+           (int_range 0 (n - 1)) bool)
+    in
+    pair units clause
+  in
+  let print (units, clause) =
+    let lits ls = String.concat " " (List.map Lit.to_string ls) in
+    Printf.sprintf "units [%s] clause [%s]" (lits units) (lits clause)
+  in
+  QCheck2.Test.make ~name:"add_clause stores the reference simplification"
+    ~count:500 ~print gen
+    (fun (units, clause) ->
+       let s = Sat.create () in
+       for _ = 1 to n do
+         ignore (Sat.fresh_var s)
+       done;
+       List.iter (fun l -> Sat.add_clause s [ l ]) units;
+       let root l =
+         let v = Sat.root_value s (Lit.var l) in
+         if Lit.is_pos l then v else -v
+       in
+       let sorted = List.sort_uniq Int.compare clause in
+       let dropped =
+         List.exists (fun l -> List.mem (Lit.negate l) sorted) sorted
+         || List.exists (fun l -> root l = 1) sorted
+       in
+       let expected = List.filter (fun l -> root l = 0) sorted in
+       let units_before = Sat.root_units s in
+       Sat.add_clause s clause;
+       let binaries = Sat.binary_problem_clauses s in
+       let longs = ref [] in
+       Sat.iter_long_problem_clauses s (fun _ lits -> longs := lits :: !longs);
+       let units_after = Sat.root_units s in
+       let stored_nothing =
+         Sat.okay s && binaries = [] && !longs = []
+         && units_after = units_before
+       in
+       if dropped then stored_nothing
+       else
+         match expected with
+         | [] -> not (Sat.okay s)
+         | [ l ] ->
+           Sat.okay s && binaries = [] && !longs = []
+           && units_after = units_before @ [ l ]
+         | [ a; b ] ->
+           Sat.okay s && binaries = [ (a, b) ] && !longs = []
+           && units_after = units_before
+         | lits ->
+           Sat.okay s && binaries = [] && !longs = [ lits ]
+           && units_after = units_before)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -809,7 +888,7 @@ let () =
        @ qsuite
            [ prop_sat_matches_brute_force; prop_sat_3sat_stress;
              prop_sat_matches_dpll; prop_reduction_parity;
-             prop_sanitize_random ]);
+             prop_sanitize_random; prop_add_clause_intake ]);
       ("dimacs",
        [ Alcotest.test_case "export round-trips" `Quick test_dimacs_export;
          Alcotest.test_case "unsat export" `Quick test_dimacs_unsat_export;
