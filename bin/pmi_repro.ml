@@ -638,7 +638,7 @@ let sanitize_cegis ~schedules =
   let config =
     { Pmi_core.Cegis.default_config with
       Pmi_core.Cegis.num_ports = 3; r_max = 4; max_experiment_size = 3;
-      symmetry_breaking = true; domains = 2 }
+      domains = 2 }
   in
   let measure e = Pmi_core.Cegis.modeled_inverse config truth e in
   let specs =
@@ -892,9 +892,9 @@ let mapcheck_flag =
 
 let store_flag =
   let doc = "Durable crash-safe store directory.  Measurements are read \
-             back before the harness re-benchmarks (warm-starting CEGIS \
-             from stored observations) and written through as they are \
-             taken; with $(b,--certify), checker-accepted UNSAT \
+             back before the harness re-benchmarks and written through as \
+             they are taken, so a re-run takes the same path without \
+             touching the machine; with $(b,--certify), checker-accepted UNSAT \
              certificates short-circuit re-checking.  The directory is \
              created on first use and recovers automatically from a \
              crashed writer." in

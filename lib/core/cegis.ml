@@ -21,11 +21,9 @@ let c_sat_episodes = Obs.counter "cegis.sat_episodes"
 let c_mapcheck_refuted = Obs.counter "cegis.mapcheck.refuted_rows"
 let c_mapcheck_saved = Obs.counter "cegis.mapcheck.measurements_saved"
 let c_cert_cached = Obs.counter "cegis.certificates_cached"
-let c_warm_obs = Obs.counter "cegis.warm_observations"
 let c_distinguish_memo = Obs.counter "cegis.distinguish.memo_hits"
 
 module Mapcheck = Pmi_analysis.Mapcheck
-module IntSet = Set.Make (Int)
 
 (* Process-wide episode tally; per-run numbers are snapshots around one
    inference (the repo never runs two inferences concurrently). *)
@@ -50,7 +48,6 @@ type config = {
   max_experiment_size : int;
   max_other_candidates : int;
   max_iterations : int;
-  symmetry_breaking : bool;
   domains : int;
   dump_cnf : string option;
   certify : bool;
@@ -69,7 +66,6 @@ let default_config =
     max_experiment_size = 5;
     max_other_candidates = 400;
     max_iterations = 400;
-    symmetry_breaking = true;
     domains = 1;
     dump_cnf = None;
     certify = false;
@@ -166,9 +162,7 @@ let theory_check config ~shape encoding observations pool model =
 
 let fresh_encoding config specs pool =
   let encoding =
-    Encoding.create ~num_ports:config.num_ports
-      ~symmetry_breaking:config.symmetry_breaking ~certify:config.certify
-      specs
+    Encoding.create ~num_ports:config.num_ports ~certify:config.certify specs
   in
   Race.touch_read lemma_loc;
   Vec.iter (Pmi_smt.Sat.add_clause (Encoding.sat encoding)) pool;
@@ -605,7 +599,7 @@ let explain ?(config = default_config) ~specs ~observations () =
    | None -> ());
   result
 
-let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
+let infer ?(config = default_config) ~measure ~specs () =
   Obs.span "cegis.infer" @@ fun () ->
   let pool = Vec.create () in
   let observations = Vec.create () in
@@ -665,41 +659,6 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
     Obs.incr c_observations;
     record { experiment; cycles }
   in
-  let already_observed e =
-    Vec.exists (fun o -> Experiment.equal o.experiment e) observations
-  in
-  (* Warm start: replay durable observations from a previous run as if
-     they had just been measured — they enter the observation log and the
-     MapCheck refuter before any encoding exists, so replayed refutations
-     land in every encoding via [register_target].  Observations naming
-     schemes outside [specs] (another stage's floods, a retry after a
-     culprit removal) are skipped. *)
-  (match warm_start with
-   | [] -> ()
-   | warm ->
-     let spec_ids =
-       List.fold_left
-         (fun acc (s, _) -> IntSet.add (Scheme.id s) acc)
-         IntSet.empty specs
-     in
-     let in_specs e =
-       List.for_all
-         (fun s -> IntSet.mem (Scheme.id s) spec_ids)
-         (Experiment.schemes e)
-     in
-     let replayed = ref 0 in
-     List.iter
-       (fun obs ->
-          if in_specs obs.experiment && not (already_observed obs.experiment)
-          then begin
-            incr replayed;
-            Obs.incr c_warm_obs;
-            ignore (record obs)
-          end)
-       warm;
-     if !replayed > 0 then
-       Log.info (fun m ->
-           m "warm start: replayed %d stored observation(s)" !replayed));
   List.iter
     (fun (s, _) ->
        let e = Experiment.singleton s in
@@ -718,20 +677,13 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
              m "mapcheck: %s statically determined; measurement skipped"
                (Experiment.to_string e))
        end
-       else if already_observed e then
-         (* Warm-started: the durable store already answered this one. *)
-         Log.debug (fun m ->
-             m "warm start: %s already observed; measurement skipped"
-               (Experiment.to_string e))
        else ignore (observe e))
     specs;
   let fm_encoding = fresh_encoding config specs pool in
   register_target fm_encoding;
   let other_state =
     let o_encoding =
-      Encoding.create ~num_ports:config.num_ports
-        ~symmetry_breaking:config.symmetry_breaking ~certify:config.certify
-        specs
+      Encoding.create ~num_ports:config.num_ports ~certify:config.certify specs
     in
     register_target o_encoding;
     { o_encoding; o_synced = 0; o_inseparable = Hashtbl.create 16 }
@@ -771,8 +723,8 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
     @@ fun () ->
     (* The first sweep experiment the converged mapping fails to explain;
        [None] means the convergence is confirmed.  Only one refutation is
-       reported per round so that an UNSAT can be traced to a single
-       observation (the §4.3 culprit search depends on that). *)
+       reported per round, so an UNSAT the §4.3 culprit search sees
+       follows from a single new observation. *)
     let oracle = Oracle.create m1 in
     let failing e =
       Race.touch_read obs_loc;

@@ -24,7 +24,6 @@ type config = {
                                    [find_other_mapping] call before declaring
                                    convergence *)
   max_iterations : int;        (** Algorithm-2 iteration budget *)
-  symmetry_breaking : bool;
   domains : int;               (** > 1 fans the stratified
                                    distinguishing-experiment search and the
                                    convergence validation sweep out over
@@ -160,25 +159,16 @@ val consistent :
 
 val infer :
   ?config:config ->
-  ?warm_start:observation list ->
   measure:(Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t) ->
   specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
   unit ->
   outcome
 (** Run Algorithm 2.  [measure] performs one steady-state benchmark; the
     initial experiment set is the singleton benchmark of every scheme.
-
-    [warm_start] (default [[]]) replays previously measured observations
-    — typically {!Pmi_measure.Harness.stored_observations} from a
-    durable store — before the initial singleton round: they join the
-    observation log and feed the MapCheck refuter exactly as fresh
-    measurements would, singleton measurements they already cover are
-    skipped, and the convergence-time validation sweep skips every
-    experiment they answer.  Observations mentioning schemes outside
-    [specs] are ignored ([cegis.warm_observations] counts the replayed
-    ones).  Warm starting is sound: replayed values are real
-    measurements of the same machine, so they constrain the search
-    exactly as they did in the run that produced them. *)
+    Every run starts cold: the only history it sees is what [measure]
+    answers, so a {!Pmi_measure.Harness} over a populated durable store
+    answers every measurement from disk and the run takes the same
+    trajectory as without the store. *)
 
 val explain :
   ?config:config ->
@@ -188,7 +178,7 @@ val explain :
   Pmi_portmap.Mapping.t option
 (** One standalone [findMapping] call: a mapping over [specs] consistent
     with the observations, if any.  Used for the §4.3 culprit search when
-    the full inference reports UNSAT.
+    the full inference reports UNSAT ({!Pipeline}).
 
     The theory check here learns bottleneck-set lemmas
     ({!Encoding.block_bottleneck}): a model that is too slow for an

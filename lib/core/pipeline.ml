@@ -110,8 +110,7 @@ let own_port_count harness scheme =
   let tp = Rat.to_float (Harness.cycles harness (Experiment.singleton scheme)) in
   max 1 (int_of_float (Float.round (1.0 /. tp)))
 
-let specs_of config harness classes improper =
-  ignore config;
+let specs_of harness classes improper =
   List.map
     (fun k -> (k.Blocking.representative, Encoding.Proper k.Blocking.port_count))
     classes
@@ -120,71 +119,41 @@ let specs_of config harness classes improper =
          (s, Encoding.Improper { own_ports = own_port_count harness s }))
       improper
 
-let scheme_in_observation s obs =
-  Experiment.count obs.Cegis.experiment s > 0
-
 (* When findMapping is UNSAT, find the scheme(s) whose removal (together
    with the observations naming them) restores consistency.
 
-   The refuting observation usually names an innocent flooding instruction
-   alongside the real anomaly, and removing either restores SAT, so the
-   choice needs evidence beyond the single refutation.  Two mechanisms:
+   One criterion, applied to every spec.  A scheme is a culprit when
+   (a) removing it, with every observation that names it, lets some
+   mapping explain the rest, and (b) its probe certificate flags it.
+   (a) alone does not decide: the refuting observation usually names an
+   innocent flooding instruction alongside the real anomaly, and removing
+   either restores SAT.  (b) grounds the choice in fresh evidence: pair
+   the scheme with kernels of every other class and ask whether {e any}
+   mapping explains its own behaviour.  Cross-observation contradictions
+   (the vmovd case) and saturation anomalies (the imul case, which needs
+   its flood partner present) both reappear in this focused set.
 
-   - {e probing}: pair each suspect with kernels of other classes and check
-     whether its inconsistency reproduces independently of the co-suspects
-     (a multi-partner anomaly like vmovd flags itself decisively).  A probe
-     that clashes with exactly one kernel is attributed by a mirrored
-     probe: if the partner also clashes with others once the suspect is
-     out of the way, the partner owns the anomaly and the suspect is
-     exonerated (vpslld paired with vmovd); a partner that is clean on its
-     own convicts the suspect (imul against its saturated add partner);
-   - {e second-chance probing}: the refuting experiment may name only
-     innocent instructions — the real anomaly can sit in an {e earlier}
-     observation that merely clashes with the newest one, and which
-     observation arrives last depends on the solver's model enumeration
-     order.  When every suspect's probe abstains, re-probe every scheme
-     mentioned in any observation, this time excluding nobody from the
-     partner kernels: a saturation anomaly (the imul case) needs its flood
-     partner in the probe set, and that partner is often a co-suspect that
-     first-stage probing removed;
-   - {e heuristic ordering}: if both probe stages abstain, the fallback
-     prefers the single-copy instruction of the refuting experiment over
-     its flooded kernel, then the scheme with fewer observations overall. *)
+   A probe that clashes with exactly one kernel is attributed by a
+   mirrored probe: if the partner also clashes with others once the
+   suspect is out of the way, the partner owns the anomaly and the suspect
+   is exonerated (vpslld paired with vmovd); a partner that is clean on
+   its own convicts the suspect (imul against its saturated add
+   partner). *)
 let find_culprit config harness specs observations =
-  let try_without victims =
-    let specs' =
-      List.filter (fun (s, _) -> not (List.exists (Scheme.equal s) victims)) specs
-    in
-    let observations' =
-      List.filter
-        (fun obs -> not (List.exists (fun v -> scheme_in_observation v obs) victims))
-        observations
-    in
-    match Cegis.explain ~config ~specs:specs' ~observations:observations' () with
-    | Some _ -> true
-    | None -> false
-  in
-  let newest =
-    match List.rev observations with
-    | [] -> Experiment.empty
-    | last :: _ -> last.Cegis.experiment
-  in
-  let suspects =
-    List.filter
-      (fun (s, _) -> Experiment.count newest s > 0)
-      specs
-  in
-  (* Per-suspect consistency certificate: benchmark the suspect against
-     every other class (in isolation from the other suspects and from any
-     unrelated observation — other anomalies must not pollute the test) and
-     ask whether {e any} mapping explains the suspect's own behaviour.
-     Cross-observation contradictions (the vmovd case) and saturation
-     anomalies (the imul case) both reappear in this focused set. *)
   let observe e =
     { Cegis.experiment = e; cycles = Harness.cycles harness e }
   in
-  let specs_excluding excluding =
-    List.filter (fun (s, _) -> not (List.exists (Scheme.equal s) excluding)) specs
+  let explains specs' observations =
+    Cegis.explain ~config ~specs:specs' ~observations () <> None
+  in
+  let specs_without s =
+    List.filter (fun (s', _) -> not (Scheme.equal s s')) specs
+  in
+  let restores_consistency suspect =
+    explains (specs_without suspect)
+      (List.filter
+         (fun obs -> Experiment.count obs.Cegis.experiment suspect = 0)
+         observations)
   in
   let kernels_of specs' suspect =
     List.filter_map
@@ -203,132 +172,56 @@ let find_culprit config harness specs observations =
          observe (Experiment.add suspect (Experiment.replicate copies kernel)))
       [ 1; c; 2 * c ]
   in
-  let explains specs' observations =
-    Cegis.explain ~config ~specs:specs' ~observations () <> None
-  in
   (* Which kernels does [suspect] clash with pairwise?  Stops counting at
-     [limit] partners — the callers only distinguish zero, one, and many. *)
-  let clash_partners ~excluding ~limit suspect =
-    let specs' = specs_excluding excluding in
+     two partners — the caller only distinguishes zero, one, and many. *)
+  let clash_partners specs' suspect =
     let singletons = singletons_of specs' in
     let rec go acc = function
       | [] -> acc
       | k :: rest ->
-        if List.length acc >= limit then acc
+        if List.length acc >= 2 then acc
         else if explains specs' (singletons @ pair_probes suspect k) then
           go acc rest
         else go (fst k :: acc) rest
     in
     go [] (kernels_of specs' suspect)
   in
-  let probe_flags ~excluding ((suspect, _)) =
-    let specs' = specs_excluding excluding in
-    let singletons = singletons_of specs' in
-    if not (explains specs' singletons) then
-      (* Degenerate: the per-class baselines alone are inconsistent, so
-         every probe inherits the contradiction and pair attribution is
-         meaningless.  Flag and let [try_without] arbitrate. *)
-      true
-    else begin
-      let kernels = kernels_of specs' suspect in
-      let probes = List.concat_map (pair_probes suspect) kernels in
-      if explains specs' (singletons @ probes) then false
-      else
-        match clash_partners ~excluding ~limit:2 suspect with
-        | [ k ] ->
-          (* Single clashing partner: the pair alone cannot say which of
-             the two is anomalous, so mirror the question (see the header
-             comment). *)
-          List.length (clash_partners ~excluding:[ suspect ] ~limit:2 k) < 2
-        | _ -> true
-    end
-  in
-  let flagged_by_probes ((suspect, _) as sp) =
-    let others =
-      List.filter (fun (s, _) -> not (Scheme.equal s suspect)) suspects
-      |> List.map fst
-    in
-    probe_flags ~excluding:others sp
-  in
-  let heuristic_fallback () =
-    let mentions s =
-      List.length (List.filter (scheme_in_observation s) observations)
-    in
-    let key s =
-      let in_newest = Experiment.count newest s > 0 in
-      let copies = Experiment.count newest s in
-      ((if in_newest then 0 else 1),
-       (if in_newest then copies else 0),
-       mentions s, Scheme.id s)
-    in
-    let candidates =
-      List.map fst specs |> List.sort (fun a b -> compare (key a) (key b))
-    in
-    let single = List.find_opt (fun s -> try_without [ s ]) candidates in
-    match single with
-    | Some s -> Some [ s ]
-    | None ->
-      (* Rare: two anomalies surfaced in the same round. *)
-      let rec pairs = function
-        | [] -> None
-        | s :: rest ->
-          (match List.find_opt (fun s' -> try_without [ s; s' ]) rest with
-           | Some s' -> Some [ s; s' ]
-           | None -> pairs rest)
+  let singletons = singletons_of specs in
+  (* Degenerate: the per-class baselines alone are inconsistent, so every
+     probe inherits the contradiction and pair attribution is
+     meaningless.  Every scheme is flagged and (a) arbitrates. *)
+  let baselines_inconsistent = not (explains specs singletons) in
+  let probe_flags suspect =
+    if baselines_inconsistent then true
+    else
+      let probes =
+        List.concat_map (pair_probes suspect) (kernels_of specs suspect)
       in
-      pairs candidates
+      if explains specs (singletons @ probes) then false
+      else
+        match clash_partners specs suspect with
+        | [ k ] ->
+          (* Single clashing partner: mirror the question (see the header
+             comment). *)
+          List.length (clash_partners (specs_without suspect) k) < 2
+        | _ -> true
   in
-  let flagged = List.map fst (List.filter flagged_by_probes suspects) in
-  let flagged = List.filter (fun s -> try_without [ s ]) flagged in
-  if flagged <> [] then Some flagged
-  else begin
-    (* Second-chance probing (see the header comment): the anomaly may not
-       be named by the newest observation at all.  Probe every scheme that
-       any observation mentions, without excluding co-suspects — a
-       saturation anomaly only reproduces with its flood partner present —
-       and keep those whose removal also restores consistency. *)
-    let mentioned =
-      List.filter
-        (fun (s, _) -> List.exists (scheme_in_observation s) observations)
-        specs
-    in
-    let flagged =
-      List.map fst (List.filter (probe_flags ~excluding:[]) mentioned)
-    in
-    let flagged = List.filter (fun s -> try_without [ s ]) flagged in
-    if flagged <> [] then Some flagged
-    else heuristic_fallback ()
-  end
+  match
+    List.filter (fun (s, _) -> restores_consistency s && probe_flags s) specs
+  with
+  | [] -> None
+  | flagged -> Some (List.map fst flagged)
 
 let run_cegis config harness classes improper =
   let measure e = Harness.cycles harness e in
-  (* Durable warm start: every stored measurement of this machine enters
-     the inference as a replayed observation ([Cegis.infer] filters to
-     the current specs, so floods from other pipeline stages and retired
-     culprits drop out).  An empty list without a store — zero change to
-     the cold path. *)
-  let warm_start =
-    List.map
-      (fun (experiment, cycles) -> { Cegis.experiment; cycles })
-      (Harness.stored_observations harness)
-  in
-  let rec attempt ~warm_start classes improper removed =
-    let specs = specs_of config harness classes improper in
-    match Cegis.infer ~config:config.cegis ~warm_start ~measure ~specs () with
+  let rec attempt classes improper removed =
+    let specs = specs_of harness classes improper in
+    match Cegis.infer ~config:config.cegis ~measure ~specs () with
     | Cegis.Converged (m, stats) -> (m, stats, classes, improper, removed)
     | Cegis.Iteration_limit _ ->
       failwith "Pipeline: CEGIS iteration limit exceeded"
     | Cegis.No_consistent_mapping stats ->
       (match find_culprit config.cegis harness specs stats.Cegis.observations with
-       | None when warm_start <> [] ->
-         (* A full replayed history can implicate several §4.3 anomalies at
-            once, which the one-culprit-per-round search cannot untangle.
-            Re-run this attempt cold: the culprit protocol then sees
-            observations arrive in its own order, and every measurement is
-            still answered by the durable store, not the machine. *)
-         Log.info (fun m ->
-             m "warm start left no single culprit; replaying this round cold");
-         attempt ~warm_start:[] classes improper removed
        | None -> failwith "Pipeline: observations admit no mapping and no culprit"
        | Some victims ->
          Log.info (fun m ->
@@ -337,26 +230,14 @@ let run_cegis config harness classes improper =
                 | [] -> "-"
                 | o :: _ -> Experiment.to_string o.Cegis.experiment)
                (String.concat ", " (List.map Scheme.name victims)));
-         let removed_classes =
-           List.filter
-             (fun k ->
-                List.exists (Scheme.equal k.Blocking.representative) victims)
-             classes
+         let is_victim s = List.exists (Scheme.equal s) victims in
+         let removed_classes, classes' =
+           List.partition (fun k -> is_victim k.Blocking.representative) classes
          in
-         let classes' =
-           List.filter
-             (fun k ->
-                not (List.exists (Scheme.equal k.Blocking.representative) victims))
-             classes
-         in
-         let improper' =
-           List.filter
-             (fun s -> not (List.exists (Scheme.equal s) victims))
-             improper
-         in
-         attempt ~warm_start classes' improper' (removed @ removed_classes))
+         let improper' = List.filter (fun s -> not (is_victim s)) improper in
+         attempt classes' improper' (removed @ removed_classes))
   in
-  attempt ~warm_start classes improper []
+  attempt classes improper []
 
 (* ------------------------------------------------------------------ *)
 (* Regular-pattern detection (§4.4)                                    *)

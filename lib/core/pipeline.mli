@@ -6,10 +6,15 @@
       dropping unstable and contradictory schemes and excluding every
       scheme that shares a mnemonic with a dropped one (§4.2);
     + add the improper store blockers and infer the blocking-instruction
-      port mapping with the counter-example-guided algorithm; when the
-      observations admit no mapping, greedily remove culprit classes (the
-      imul / vpmuldq / vmovd anomalies of §4.3) together with all schemes
-      sharing their mnemonics;
+      port mapping with the counter-example-guided algorithm.  When the
+      observations admit no mapping, remove every culprit class (the
+      imul / vpmuldq / vmovd anomalies of §4.3) and infer again from
+      scratch; all schemes sharing a culprit's mnemonic are excluded.  A
+      scheme is a culprit when both hold: removing it, with every
+      observation naming it, lets some mapping explain the rest; and its
+      pair probes against the kernels of the other classes admit no
+      mapping, with a single clashing partner attributed by the mirrored
+      probe;
     + rename ports against the documented layout (Table 2);
     + characterise every remaining scheme against the blocking suite with
       the adapted Algorithm 1 (§4.4) and assemble the final port mapping. *)

@@ -1,7 +1,6 @@
 module Rat = Pmi_numeric.Rat
 module Bigint = Pmi_numeric.Bigint
 module Experiment = Pmi_portmap.Experiment
-module Catalog = Pmi_isa.Catalog
 module Machine = Pmi_machine.Machine
 module Race = Pmi_diag.Race
 module Obs = Pmi_obs.Obs
@@ -10,7 +9,7 @@ module Store = Pmi_store.Store
 (* Telemetry counters (process-wide, not per-harness: a trace wants the
    aggregate question-asking cost of the whole run, and per-harness
    hit/miss stays available via the accessors).  The two cache tiers
-   count separately so a warm-start ablation can attribute its savings:
+   count separately so a re-run over a populated store shows its savings:
    [mem] is the in-process table, [store] the durable tier. *)
 let c_mem_hits = Obs.counter "harness.cache.mem.hit"
 let c_mem_misses = Obs.counter "harness.cache.mem.miss"
@@ -108,23 +107,6 @@ let decode_sample v =
      with _ -> None)
   | _ -> None
 
-let decode_experiment catalog part =
-  let n = Catalog.size catalog in
-  try
-    let counts =
-      List.map
-        (fun pair ->
-           match String.split_on_char '.' pair with
-           | [ id; count ] ->
-             let id = int_of_string id and count = int_of_string count in
-             if id < 0 || id >= n || count <= 0 then raise Exit;
-             (Catalog.find catalog id, count)
-           | _ -> raise Exit)
-        (String.split_on_char ',' part)
-    in
-    if counts = [] then None else Some (Experiment.of_counts counts)
-  with Exit | Failure _ -> None
-
 (* Durable-tier probe + write-through; both run under the harness lock.
    A record that fails to decode (foreign version, manual edit) is
    treated as a miss and overwritten by the write-through. *)
@@ -203,32 +185,6 @@ let cache_hits t = Atomic.get t.hits
 let cache_misses t = Atomic.get t.misses
 let store_hits t = Atomic.get t.store_hits
 let store_misses t = Atomic.get t.store_misses
-
-(* Every stored measurement of this machine, decoded back to experiments
-   against the live catalog.  Records that do not parse, name unknown
-   scheme ids, or belong to another machine fingerprint are skipped — the
-   store may hold history from other configurations. *)
-let stored_observations t =
-  match t.store with
-  | None -> []
-  | Some store ->
-    let catalog = Machine.catalog t.machine in
-    let prefix = t.fingerprint ^ "|" in
-    let plen = String.length prefix in
-    Store.fold store Store.Measurement
-      (fun ~key value acc ->
-         if
-           String.length key > plen
-           && String.equal (String.sub key 0 plen) prefix
-         then
-           match decode_experiment catalog (String.sub key plen (String.length key - plen)) with
-           | Some e ->
-             (match decode_sample value with
-              | Some sample -> (e, sample.cycles) :: acc
-              | None -> acc)
-           | None -> acc
-         else acc)
-      []
 
 module Compare = struct
   let default_epsilon = Rat.of_ints 2 100

@@ -17,8 +17,9 @@
     ({!Pmi_store.Store}): a memory miss probes the store before running
     the benchmark, and fresh measurements are written through, keyed by
     the machine's {!Pmi_machine.Machine.fingerprint} plus the experiment
-    key — so measurements survive the process and a later run warm-starts
-    from them.  Both tiers run under the same lock.  Telemetry splits the
+    key — so measurements survive the process and a later run over the
+    same store answers them from disk instead of re-running the
+    benchmark.  Both tiers run under the same lock.  Telemetry splits the
     tiers: [harness.cache.mem.{hit,miss}] and
     [harness.cache.store.{hit,miss}]. *)
 
@@ -63,12 +64,6 @@ val store_hits : t -> int
 val store_misses : t -> int
 (** Memory misses that also missed the durable tier and had to run the
     benchmark (0 without a store). *)
-
-val stored_observations : t -> (Pmi_portmap.Experiment.t * Pmi_numeric.Rat.t) list
-(** Every measurement stored for {e this} machine (matching fingerprint),
-    decoded against the live catalog — the warm-start feed for
-    {!Pmi_core.Cegis.infer}.  Records from other machines or with unknown
-    scheme ids are skipped.  [[]] without a store. *)
 
 (** ε-tolerant throughput comparisons (§3.3.4, §4). *)
 module Compare : sig

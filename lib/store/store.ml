@@ -422,11 +422,6 @@ let iter t kind f =
   in
   List.iter (fun (key, value) -> f ~key value) entries
 
-let fold t kind f init =
-  let acc = ref init in
-  iter t kind (fun ~key value -> acc := f ~key value !acc);
-  !acc
-
 let live t kind = with_lock t (fun () -> Hashtbl.length t.tables.(kind_code kind))
 
 let gc t ~keep =

@@ -96,8 +96,6 @@ val mem : t -> kind -> key:string -> bool
 val iter : t -> kind -> (key:string -> string -> unit) -> unit
 (** Live records of one kind, in unspecified order. *)
 
-val fold : t -> kind -> (key:string -> string -> 'a -> 'a) -> 'a -> 'a
-
 val live : t -> kind -> int
 (** Number of live records of one kind. *)
 

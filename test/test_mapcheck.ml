@@ -48,7 +48,7 @@ let toy_specs =
 let toy_config ?(mapcheck = false) ?(certify = false) () =
   { Cegis.default_config with
     Cegis.num_ports = 3; r_max = toy_r_max; max_experiment_size = 4;
-    symmetry_breaking = true; mapcheck; certify }
+    mapcheck; certify }
 
 (* ------------------------------------------------------------------ *)
 (* Interval soundness (QCheck)                                         *)

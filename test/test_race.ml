@@ -269,7 +269,7 @@ let test_cegis_replay_clean () =
   let config =
     { Cegis.default_config with
       Cegis.num_ports = 3; r_max = 4; max_experiment_size = 3;
-      symmetry_breaking = true; domains = 2 }
+      domains = 2 }
   in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
