@@ -86,7 +86,7 @@ let reduced_harness () =
   Harness.create (Machine.create (Catalog.reduced ~per_bucket:2 ()))
 
 let cegis_toy ?(domains = 1) ?(certify = false) ?(enclint = false)
-    ?(mapcheck = false) ~max_size () =
+    ~max_size () =
   let truth = Mapping.create ~num_ports:3 in
   Mapping.set truth toy_add [ (Portset.of_list [ 0; 1 ], 1) ];
   Mapping.set truth toy_mul [ (Portset.of_list [ 1; 2 ], 1) ];
@@ -94,7 +94,7 @@ let cegis_toy ?(domains = 1) ?(certify = false) ?(enclint = false)
   let config =
     { Cegis.default_config with
       Cegis.num_ports = 3; r_max = 4; max_experiment_size = max_size;
-      domains; certify; enclint; mapcheck }
+      domains; certify; enclint }
   in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
@@ -418,15 +418,6 @@ let ablation_tests =
         ignore (cegis_toy ~max_size:4 ()));
     ("ablation/enclint-on-cegis", fun () ->
         ignore (cegis_toy ~enclint:true ~max_size:4 ()));
-    (* MapCheck: the abstract-interpretation refutation pass inside the
-       loop.  The interval bookkeeping must cost less than the harness
-       measurements and solver work it saves (see the
-       cegis-toy/measurements-* and sat-episodes-* count records for the
-       saved units themselves). *)
-    ("ablation/mapcheck-off-cegis", fun () ->
-        ignore (cegis_toy ~max_size:4 ()));
-    ("ablation/mapcheck-on-cegis", fun () ->
-        ignore (cegis_toy ~mapcheck:true ~max_size:4 ()));
     (* Telemetry: the same toy CEGIS inference with tracing off (the
        shipping default — one predicted branch per instrumentation point,
        so this must stay within noise of ablation/cegis-with-symmetry)
@@ -551,55 +542,6 @@ let solver_stat_records () =
     ("cegis-toy/sat-deleted", s.Sat.deleted);
     ("cegis-toy/sat-max-lbd", s.Sat.max_lbd) ]
 
-(* The MapCheck A/B in the units that matter: harness measurements paid
-   and SAT episodes run for the identical toy inference with static
-   refutation off and on.  The acceptance bar is an identical inferred
-   mapping with strictly fewer measurements — asserted here so the bench
-   run itself is the witness. *)
-let mapcheck_count_records () =
-  let run mapcheck =
-    let truth = Mapping.create ~num_ports:3 in
-    Mapping.set truth toy_add [ (Portset.of_list [ 0; 1 ], 1) ];
-    Mapping.set truth toy_mul [ (Portset.of_list [ 1; 2 ], 1) ];
-    Mapping.set truth toy_fma [ (Portset.singleton 2, 1) ];
-    let config =
-      { Cegis.default_config with
-        Cegis.num_ports = 3; r_max = 4; max_experiment_size = 4; mapcheck }
-    in
-    let measure e = Cegis.modeled_inverse config truth e in
-    let specs =
-      [ (toy_add, Encoding.Proper 2); (toy_mul, Encoding.Proper 2);
-        (toy_fma, Encoding.Proper 1) ]
-    in
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, stats) -> (m, stats)
-    | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-      failwith "bench: toy CEGIS failed"
-  in
-  let m_off, s_off = run false in
-  let m_on, s_on = run true in
-  assert (
-    List.for_all
-      (fun s ->
-         match (Mapping.find_opt m_off s, Mapping.find_opt m_on s) with
-         | Some a, Some b -> Mapping.equal_usage a b
-         | _ -> false)
-      [ toy_add; toy_mul; toy_fma ]);
-  assert (List.length s_on.Cegis.observations
-          < List.length s_off.Cegis.observations);
-  Format.printf
-    "mapcheck A/B: %d -> %d measurements, %d -> %d SAT episodes \
-     (identical mapping)@."
-    (List.length s_off.Cegis.observations)
-    (List.length s_on.Cegis.observations)
-    s_off.Cegis.sat_episodes s_on.Cegis.sat_episodes;
-  [ ("cegis-toy/measurements-baseline",
-     List.length s_off.Cegis.observations);
-    ("cegis-toy/measurements-mapcheck",
-     List.length s_on.Cegis.observations);
-    ("cegis-toy/sat-episodes-baseline", s_off.Cegis.sat_episodes);
-    ("cegis-toy/sat-episodes-mapcheck", s_on.Cegis.sat_episodes) ]
-
 (* The warm-start A/B in the units that matter: machine measurements paid
    by the identical harness-backed inference against an empty store and
    against the history it persisted.  The acceptance bar — zero warm
@@ -642,8 +584,7 @@ module Gj = Pmi_obs.Json
 let bench_record ?(with_stats = true) results =
   let stats =
     if with_stats then
-      solver_stat_records () @ mapcheck_count_records ()
-      @ warm_start_records ()
+      solver_stat_records () @ warm_start_records ()
     else []
   in
   let obs = if with_stats then obs_counter_records () else [] in

@@ -23,7 +23,6 @@ type opts = {
   dump_cnf : string option;   (* [--dump-cnf PREFIX] *)
   certify : bool;             (* [--certify]: checked certificate per verdict *)
   enclint : bool;             (* [--enclint]: static gate per solver episode *)
-  mapcheck : bool;            (* [--mapcheck]: static refutation of rows *)
   store : Store.t option Lazy.t;
       (* [--store DIR]: the durable measurement/certificate store, opened
          on first use and closed at exit; one handle per process, shared
@@ -73,7 +72,6 @@ let make_cegis_config opts =
     Pmi_core.Cegis.dump_cnf = opts.dump_cnf;
     certify = opts.certify;
     enclint = opts.enclint;
-    mapcheck = opts.mapcheck;
     store = Lazy.force opts.store }
 
 let run_pipeline opts =
@@ -451,11 +449,11 @@ let lint_files files json opts =
 
 module Mapcheck = Pmi_analysis.Mapcheck
 
-(* [pmi_repro mapcheck] audits the built-in ground-truth mappings through
-   the abstract interpreter — interval soundness against the exact
-   rational oracle and the LP model, counter-consistency replay,
-   dominance/symmetry structure — plus every mapping file given on the
-   command line. *)
+(* [pmi_repro mapcheck] audits the built-in ground-truth mappings, plus
+   every mapping file given on the command line, on the sparse throughput
+   kernel: its agreement with the naive bottleneck formula and the LP
+   model, frontend-masked rows, and dominated and interchangeable ports.
+   Any port count is accepted. *)
 let mapcheck_run files json opts =
   let catalog = catalog_of ~reduced:opts.reduced in
   let r_max = Pmi_machine.Profile.zen_plus.Pmi_machine.Profile.r_max in
@@ -881,15 +879,6 @@ let enclint_global_flag =
              error-severity finding aborts the run." in
   Arg.(value & flag & info [ "enclint" ] ~doc)
 
-let mapcheck_flag =
-  let doc = "Statically refute candidate port sets through the abstract \
-             interpreter before paying for measurements or solver \
-             episodes: candidates whose sound throughput interval \
-             excludes an observation are pruned with a clause, and \
-             singleton measurements whose value is already statically \
-             determined are skipped.  The inferred mapping is unchanged." in
-  Arg.(value & flag & info [ "mapcheck" ] ~doc)
-
 let store_flag =
   let doc = "Durable crash-safe store directory.  Measurements are read \
              back before the harness re-benchmarks and written through as \
@@ -916,16 +905,14 @@ let metrics =
 (* Every inference flag in one term: parsing it also configures logging
    and telemetry, so the command body runs with both already in place. *)
 let opts_term =
-  let make reduced seed verbose dump_cnf certify enclint mapcheck store trace
-      metrics =
+  let make reduced seed verbose dump_cnf certify enclint store trace metrics =
     setup_logs (Some (if verbose then Logs.Info else Logs.Warning));
     setup_obs ~trace ~metrics;
-    { reduced; seed; dump_cnf; certify; enclint; mapcheck;
+    { reduced; seed; dump_cnf; certify; enclint;
       store = lazy (Option.map open_store store) }
   in
   Term.(const make $ reduced $ seed $ verbose $ dump_cnf $ certify_flag
-        $ enclint_global_flag $ mapcheck_flag $ store_flag
-        $ trace_out $ metrics)
+        $ enclint_global_flag $ store_flag $ trace_out $ metrics)
 
 (* A subcommand: [body] parses the command's own arguments into a
    function that runs with the shared options. *)
@@ -1002,10 +989,10 @@ let () =
                         "Emit one JSON object per diagnostic instead of \
                          human-readable text.");
             cmd "mapcheck"
-              "Semantically audit port mappings through the abstract \
-               interpreter (throughput-interval soundness against the exact \
-               oracle and the LP model, counter-consistency replay, \
-               dominated and interchangeable ports); exits non-zero on any \
+              "Semantically audit port mappings on the sparse throughput \
+               kernel (agreement with the naive bottleneck formula and the \
+               LP model, frontend-masked rows, dominated and \
+               interchangeable ports); exits non-zero on any \
                error-severity diagnostic"
               Term.(const mapcheck_run
                     $ files

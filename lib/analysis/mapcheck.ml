@@ -4,7 +4,6 @@ module Mapping = Pmi_portmap.Mapping
 module Experiment = Pmi_portmap.Experiment
 module Throughput = Pmi_portmap.Throughput
 module Oracle = Pmi_portmap.Oracle
-module Bounds = Pmi_portmap.Oracle.Bounds
 module Lp_model = Pmi_portmap.Lp_model
 module Scheme = Pmi_isa.Scheme
 module Catalog = Pmi_isa.Catalog
@@ -25,157 +24,17 @@ type diag = Diag.t = {
 let errors = Diag.errors
 let diag = Diag.make
 
-(* ------------------------------------------------------------------ *)
-(* Abstract domain helpers                                             *)
-(* ------------------------------------------------------------------ *)
-
-type interval = Bounds.interval = {
-  lo : Rat.t;
-  hi : Rat.t;
-}
-
 (* [pmi_analysis] sits below [pmi_measure], so the harness tolerance
    (Harness.Compare.default_epsilon = 0.02) is mirrored here as an exact
    rational rather than imported. *)
 let default_epsilon = Rat.of_ints 1 50
 
-let excludes ~epsilon ~length { lo; hi } value =
+(* [value] lies outside [expected ± ε·length]: the harness' [cpi_equal]
+   tolerance, so no value the CEGIS loop would accept is flagged. *)
+let excludes ~epsilon ~length expected value =
   let slack = Rat.mul epsilon (Rat.of_int length) in
-  Rat.compare value (Rat.sub lo slack) < 0
-  || Rat.compare value (Rat.add hi slack) > 0
-
-let portsets_of_cardinality ~num_ports c =
-  if num_ports < 1 || num_ports > 20 then
-    invalid_arg "Mapcheck.portsets_of_cardinality: unsupported port count";
-  let out = ref [] in
-  for mask = (1 lsl num_ports) - 1 downto 1 do
-    let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1) in
-    if popcount mask = c then out := Portset.of_mask mask :: !out
-  done;
-  !out
-
-let proper_candidates ~num_ports c =
-  List.map (fun ports -> [ (ports, 1) ]) (portsets_of_cardinality ~num_ports c)
-
-(* ------------------------------------------------------------------ *)
-(* Static refutation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Refuter = struct
-  type t = {
-    epsilon : Rat.t;
-    r_max : int;
-    bounds : Bounds.t;
-    ids : (int, unit) Hashtbl.t; (* tracked scheme ids *)
-    mutable refuted : int;
-  }
-
-  let create ?(epsilon = default_epsilon) ~num_ports ~r_max rows =
-    let bounds = Bounds.create ~num_ports in
-    let ids = Hashtbl.create 16 in
-    List.iter
-      (fun (scheme, cands) ->
-         if cands <> [] then begin
-           Bounds.set_candidates bounds scheme cands;
-           Hashtbl.replace ids (Scheme.id scheme) ()
-         end)
-      rows;
-    { epsilon; r_max; bounds; ids; refuted = 0 }
-
-  let tracked t experiment =
-    List.for_all
-      (fun (s, _) -> Hashtbl.mem t.ids (Scheme.id s))
-      (Experiment.to_counts experiment)
-
-  let surviving t scheme = Bounds.candidates t.bounds scheme
-  let refuted_count t = t.refuted
-
-  let statically_determined t experiment =
-    if not (tracked t experiment) then None
-    else
-      match Bounds.inverse_bounded ~r_max:t.r_max t.bounds experiment with
-      | iv when Bounds.is_point iv -> Some iv.lo
-      | _ ->
-        (* The pointwise interval is loose exactly when it mixes tables of
-           different candidates, so a non-point interval can still hide a
-           statically determined value — the Proper-c singleton benchmark,
-           where every c-port candidate gives the same 1/c.  When a single
-           scheme of the experiment is undetermined, pin it to each
-           candidate in turn: if every pinned interval collapses to the
-           same point, no measurement outcome could distinguish or refute
-           anything. *)
-        let multi =
-          List.filter
-            (fun (s, _) ->
-               match Bounds.candidates t.bounds s with
-               | Some (_ :: _ :: _) -> true
-               | Some _ | None -> false)
-            (Experiment.to_counts experiment)
-        in
-        (match multi with
-         | [ (scheme, _) ] ->
-           let cands =
-             Option.value ~default:[] (Bounds.candidates t.bounds scheme)
-           in
-           let pinned =
-             List.map
-               (fun u ->
-                  Bounds.inverse_bounded ~r_max:t.r_max
-                    (Bounds.pin t.bounds scheme u)
-                    experiment)
-               cands
-           in
-           (match pinned with
-            | iv0 :: rest
-              when Bounds.is_point iv0
-                   && List.for_all
-                        (fun iv ->
-                           Bounds.is_point iv && Rat.equal iv.Bounds.lo iv0.lo)
-                        rest -> Some iv0.lo
-            | _ -> None)
-         | _ -> None)
-      | exception Throughput.Unsupported _ -> None
-
-  let observe t experiment value =
-    if not (tracked t experiment) then []
-    else begin
-      let length = Experiment.length experiment in
-      let refuted = ref [] in
-      let changed = ref true in
-      (* Fixpoint over the experiment's schemes: shrinking one scheme's
-         surviving set tightens the intervals of the others. *)
-      while !changed do
-        changed := false;
-        List.iter
-          (fun (scheme, _) ->
-             match Bounds.candidates t.bounds scheme with
-             | None -> ()
-             | Some [ _ ] -> ()
-             | Some cands ->
-               let keep, drop =
-                 List.partition
-                   (fun usage ->
-                      let pinned = Bounds.pin t.bounds scheme usage in
-                      let iv =
-                        Bounds.inverse_bounded ~r_max:t.r_max pinned experiment
-                      in
-                      not (excludes ~epsilon:t.epsilon ~length iv value))
-                   cands
-               in
-               (* keep = [] would mean the observation contradicts the model
-                  class; leave the scheme alone and let the SAT loop surface
-                  the inconsistency. *)
-               if drop <> [] && keep <> [] then begin
-                 Bounds.set_candidates t.bounds scheme keep;
-                 t.refuted <- t.refuted + List.length drop;
-                 refuted := List.map (fun u -> (scheme, u)) drop @ !refuted;
-                 changed := true
-               end)
-          (Experiment.to_counts experiment)
-      done;
-      List.rev !refuted
-    end
-end
+  Rat.compare value (Rat.sub expected slack) < 0
+  || Rat.compare value (Rat.add expected slack) > 0
 
 (* ------------------------------------------------------------------ *)
 (* Dominance analysis                                                  *)
@@ -238,17 +97,6 @@ let dominated_ports m =
 (* Auditor                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let audit_rows ~subject rows =
-  List.filter_map
-    (fun (scheme, cands) ->
-       if cands = [] then
-         Some
-           (diag "empty-candidates" Error subject
-              "scheme %s has no candidate rows left: no completion of the \
-               partial mapping exists" (Scheme.name scheme))
-       else None)
-    rows
-
 let pair_list_to_string pairs =
   let shown = List.filteri (fun i _ -> i < 8) pairs in
   let rendered =
@@ -281,35 +129,20 @@ let audit_mapping ?(epsilon = default_epsilon) ?(samples = 12) ?(lp_samples = 3)
   let out = ref [] in
   let push d = out := d :: !out in
   if Mapping.size m > 0 then begin
-    let bounds = Bounds.of_mapping m in
+    let oracle = Oracle.create m in
     let sampled = sample_experiments ~samples m in
-    (* Interval machinery vs the exact oracles: on a concrete mapping every
-       interval must be the point equal to the bottleneck-formula value. *)
+    (* The sparse kernel the search uses vs the naive bottleneck formula. *)
     List.iter
       (fun e ->
-         match
-           ( Bounds.inverse_bounded ~r_max bounds e,
-             Throughput.inverse_bounded ~r_max m e )
-         with
-         | iv, exact ->
-           if Rat.compare iv.lo iv.hi > 0 then
-             push
-               (diag "interval-mismatch" Error subject
-                  "experiment %s: interval has lo > hi (%s > %s)"
-                  (Experiment.to_string e) (Rat.to_string iv.lo)
-                  (Rat.to_string iv.hi));
-           if not (Rat.equal iv.lo exact && Rat.equal iv.hi exact) then
-             push
-               (diag "interval-mismatch" Error subject
-                  "experiment %s: interval [%s, %s] but the exact oracle \
-                   gives %s"
-                  (Experiment.to_string e) (Rat.to_string iv.lo)
-                  (Rat.to_string iv.hi) (Rat.to_string exact))
-         | exception Throughput.Unsupported s ->
+         let sparse = Oracle.inverse_bounded ~r_max oracle e in
+         let naive = Throughput.inverse_bounded ~r_max m e in
+         if not (Rat.equal sparse naive) then
            push
-             (diag "interval-mismatch" Error subject
-                "experiment %s: scheme %s unsupported by the interval oracle"
-                (Experiment.to_string e) (Scheme.name s)))
+             (diag "oracle-mismatch" Error subject
+                "experiment %s: the sparse oracle gives %s but the naive \
+                 bottleneck formula gives %s"
+                (Experiment.to_string e) (Rat.to_string sparse)
+                (Rat.to_string naive)))
       sampled;
     (* Exact-rational cross-check against the §2.2 linear program. *)
     List.iteri
@@ -338,15 +171,16 @@ let audit_mapping ?(epsilon = default_epsilon) ?(samples = 12) ?(lp_samples = 3)
     (* Counter-consistency: replay recorded observations. *)
     List.iter
       (fun (e, observed) ->
-         match Bounds.inverse_bounded ~r_max bounds e with
-         | iv ->
-           if excludes ~epsilon ~length:(Experiment.length e) iv observed then
+         match Oracle.inverse_bounded ~r_max oracle e with
+         | expected ->
+           if excludes ~epsilon ~length:(Experiment.length e) expected observed
+           then
              push
                (diag "counter-inconsistent" Error subject
-                  "observation %s = %s cycles contradicts the mapping: \
-                   interval [%s, %s] ± ε·|e|"
+                  "observation %s = %s cycles contradicts the mapping: it \
+                   predicts %s ± ε·|e|"
                   (Experiment.to_string e) (Rat.to_string observed)
-                  (Rat.to_string iv.lo) (Rat.to_string iv.hi))
+                  (Rat.to_string expected))
          | exception Throughput.Unsupported s ->
            push
              (diag "observation-unmapped-scheme" Error subject

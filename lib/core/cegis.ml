@@ -18,12 +18,8 @@ let c_candidates = Obs.counter "cegis.candidates_tried"
 let c_observations = Obs.counter "cegis.observations"
 let c_enclint_findings = Obs.counter "cegis.enclint.findings"
 let c_sat_episodes = Obs.counter "cegis.sat_episodes"
-let c_mapcheck_refuted = Obs.counter "cegis.mapcheck.refuted_rows"
-let c_mapcheck_saved = Obs.counter "cegis.mapcheck.measurements_saved"
 let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_distinguish_memo = Obs.counter "cegis.distinguish.memo_hits"
-
-module Mapcheck = Pmi_analysis.Mapcheck
 
 (* Process-wide episode tally; per-run numbers are snapshots around one
    inference (the repo never runs two inferences concurrently). *)
@@ -52,7 +48,6 @@ type config = {
   dump_cnf : string option;
   certify : bool;
   enclint : bool;
-  mapcheck : bool;
   store : Pmi_store.Store.t option;
 }
 
@@ -70,7 +65,6 @@ let default_config =
     dump_cnf = None;
     certify = false;
     enclint = false;
-    mapcheck = false;
     store = None }
 
 type observation = {
@@ -312,30 +306,6 @@ let certified_solve config encoding observations ?assumptions ~check () =
    | Solver.Unsat -> certify_unsat config ?assumptions sat
    | Solver.Sat model -> certify_sat config encoding observations model);
   verdict
-
-(* Candidate-row tracker behind [config.mapcheck]: every proper scheme
-   starts from all C(num_ports, c) cardinality-c rows; observations then
-   refute candidates whose throughput interval excludes the measured value.
-   Wide layouts opt out (the tracker enumerates dense candidate tables), and
-   improper schemes are simply untracked — the refuter ignores experiments
-   that mention them. *)
-let mapcheck_refuter config specs =
-  if (not config.mapcheck) || config.num_ports > 12 then None
-  else
-    let rows =
-      List.filter_map
-        (fun (s, spec) ->
-           match spec with
-           | Encoding.Proper c ->
-             Some (s, Mapcheck.proper_candidates ~num_ports:config.num_ports c)
-           | Encoding.Improper _ -> None)
-        specs
-    in
-    if rows = [] then None
-    else
-      Some
-        (Mapcheck.Refuter.create ~epsilon:config.epsilon
-           ~num_ports:config.num_ports ~r_max:config.r_max rows)
 
 let find_mapping config ~shape encoding observations pool =
   Obs.span "cegis.find_mapping" (fun () ->
@@ -604,88 +574,22 @@ let infer ?(config = default_config) ~measure ~specs () =
   let pool = Vec.create () in
   let observations = Vec.create () in
   let episodes_before = Atomic.get episode_count in
-  (* Static refutation (MapCheck): the refuter tracks every proper scheme's
-     surviving candidate rows.  Refuted rows become clauses in every
-     standing encoding ([refutation_targets]) and are replayed into any
-     encoding built later ([refuted_log]) — all before those encodings pay
-     a SAT episode for rediscovering the contradiction. *)
-  let refuter = mapcheck_refuter config specs in
-  let refuted_log = ref [] in
-  let refutation_targets = ref [] in
-  let add_refuted scheme ports =
-    refuted_log := (scheme, ports) :: !refuted_log;
-    List.iter
-      (fun enc ->
-         Pmi_smt.Sat.add_clause (Encoding.sat enc)
-           (Encoding.refute_row enc scheme ports))
-      !refutation_targets
-  in
-  let register_target enc =
-    refutation_targets := enc :: !refutation_targets;
-    List.iter
-      (fun (scheme, ports) ->
-         Pmi_smt.Sat.add_clause (Encoding.sat enc)
-           (Encoding.refute_row enc scheme ports))
-      (List.rev !refuted_log)
-  in
-  let record obs =
-    Race.touch_write obs_loc;
-    Vec.push observations obs;
-    (match refuter with
-     | None -> ()
-     | Some r ->
-       let dropped =
-         Obs.span "cegis.mapcheck" (fun () ->
-             Mapcheck.Refuter.observe r obs.experiment obs.cycles)
-       in
-       if dropped <> [] then begin
-         Obs.add c_mapcheck_refuted (List.length dropped);
-         Log.debug (fun m ->
-             m "mapcheck: observation %s refutes %d candidate row(s)"
-               (Experiment.to_string obs.experiment) (List.length dropped));
-         List.iter
-           (fun (scheme, usage) ->
-              match usage with
-              | [ (ports, _) ] -> add_refuted scheme ports
-              | _ -> ())
-           dropped
-       end);
-    obs
-  in
   let observe experiment =
     let cycles =
       Obs.span "cegis.observe" (fun () -> measure experiment)
     in
     Obs.incr c_observations;
-    record { experiment; cycles }
+    let obs = { experiment; cycles } in
+    Race.touch_write obs_loc;
+    Vec.push observations obs;
+    obs
   in
-  List.iter
-    (fun (s, _) ->
-       let e = Experiment.singleton s in
-       let statically_known =
-         match refuter with
-         | Some r -> Mapcheck.Refuter.statically_determined r e <> None
-         | None -> false
-       in
-       if statically_known then begin
-         (* A point interval: under the port-mapping model every candidate
-            completion predicts the same value, so the measurement can
-            refute nothing.  The convergence-time validation sweep still
-            floods every scheme against the live machine. *)
-         Obs.incr c_mapcheck_saved;
-         Log.debug (fun m ->
-             m "mapcheck: %s statically determined; measurement skipped"
-               (Experiment.to_string e))
-       end
-       else ignore (observe e))
-    specs;
+  List.iter (fun (s, _) -> ignore (observe (Experiment.singleton s))) specs;
   let fm_encoding = fresh_encoding config specs pool in
-  register_target fm_encoding;
   let other_state =
     let o_encoding =
       Encoding.create ~num_ports:config.num_ports ~certify:config.certify specs
     in
-    register_target o_encoding;
     { o_encoding; o_synced = 0; o_inseparable = Hashtbl.create 16 }
   in
   let tried = ref 0 in

@@ -66,29 +66,6 @@ type config = {
                                    logged and tallied under the
                                    [cegis.enclint.*] counters (default
                                    [false]) *)
-  mapcheck : bool;             (** static refutation through the abstract
-                                   interpreter ({!Pmi_analysis.Mapcheck}):
-                                   the loop tracks every proper scheme's
-                                   candidate port sets and, on each new
-                                   observation, refutes candidates whose
-                                   sound throughput interval excludes the
-                                   measured value (same ε·|e| tolerance as
-                                   consistency) — each refutation lands as
-                                   a clause ({!Encoding.refute_row}) in
-                                   every live encoding before any solver
-                                   episode pays for rediscovering it.
-                                   Initial singleton measurements whose
-                                   value is already statically determined
-                                   (point interval across all surviving
-                                   candidates under the frontend bound)
-                                   are skipped entirely.  Refutation
-                                   is sound w.r.t. the model class, so the
-                                   inferred mapping is unchanged — only
-                                   the measurement and search effort
-                                   shrink.  Tallied under the
-                                   [cegis.mapcheck.*] counters; off for
-                                   [num_ports] > 12 where the candidate
-                                   spaces explode (default [false]) *)
   store : Pmi_store.Store.t option;
                                (** durable store for checker-accepted
                                    certificates: with [certify] on, an
@@ -134,9 +111,7 @@ type stats = {
   sat_episodes : int;               (** solver episodes this run paid for —
                                         every [findMapping] /
                                         [findOtherMapping] solve,
-                                        certified or not; the unit
-                                        MapCheck's static refutation tries
-                                        to save *)
+                                        certified or not *)
   sat : Pmi_smt.Sat.stats;          (** aggregated solver counters across
                                         the [findMapping] and
                                         [findOtherMapping] encodings *)

@@ -362,29 +362,6 @@ let block_bottleneck t model schemes violation =
       !lits)
 
 (* ------------------------------------------------------------------ *)
-(* Static refutation support (MapCheck)                                 *)
-(* ------------------------------------------------------------------ *)
-
-let refute_row t scheme ports =
-  match
-    List.find_opt (fun r -> r.live && Scheme.equal r.scheme scheme)
-      (Array.to_list t.rows)
-  with
-  | None -> invalid_arg "Encoding.refute_row: no live row for scheme"
-  | Some row ->
-    let lits = ref [] in
-    (* Guarded rows scope the refutation to their lifetime, exactly like
-       theory lemmas. *)
-    if row.act >= 0 then lits := Lit.neg_of_var row.act :: !lits;
-    Array.iteri
-      (fun k v ->
-         lits :=
-           (if Portset.mem k ports then Lit.neg_of_var v else Lit.pos v)
-           :: !lits)
-      row.own;
-    !lits
-
-(* ------------------------------------------------------------------ *)
 (* Static analysis support (EncLint)                                   *)
 (* ------------------------------------------------------------------ *)
 

@@ -127,17 +127,6 @@ val block_bottleneck :
     Guarded rows contribute their negated activation literal, as in
     {!block_footprint}. *)
 
-val refute_row :
-  t -> Pmi_isa.Scheme.t -> Pmi_portmap.Portset.t -> Pmi_smt.Lit.t list
-(** A lemma clause asserting that the scheme's own µop row is {e not}
-    exactly the given port set — the MapCheck static-refutation step
-    ([Cegis] [config.mapcheck]): a candidate row whose throughput interval
-    excludes an already-observed value is ruled out before any SAT episode
-    pays for discovering it.  Like {!block_footprint}, guarded rows
-    contribute their negated activation literal, so the refutation retires
-    with the row.
-    @raise Invalid_argument if the scheme has no live row. *)
-
 (** {1 Static analysis support} *)
 
 val enclint_view :

@@ -213,170 +213,3 @@ module Acc = struct
 
   let inverse_bounded ~r_max acc = rat (inverse_bounded_frac ~r_max acc)
 end
-
-module Bounds = struct
-  (* Abstract domain for *partial* mappings: each scheme's row ranges over a
-     non-empty set of candidate usages (as during a live CEGIS search).  Per
-     scheme we keep two cumulative mass tables over the 2^P port lattice —
-     the pointwise min and max of the per-candidate zeta (subset-sum)
-     tables — so a query is a pointwise combination plus one O(2^P) scan
-     per bound.  MapCheck's candidate sets can hold hundreds of masks, so
-     the sparse kernel above would gain nothing here.
-
-     Soundness: for any completion σ (one candidate per scheme) and any mask
-     Q, Σ count·mass_{σ(s)}(Q) lies between the combined lo and hi tables at
-     Q; taking max_Q mass/|Q| of each bound therefore brackets tp⁻¹_σ. *)
-
-  let max_ports = 20
-  (* 2^20 ints per scheme table. *)
-
-  (* Zeta transform in place: tbl.(q) becomes Σ_{s ⊆ q} tbl.(s). *)
-  let zeta num_ports tbl =
-    for k = 0 to num_ports - 1 do
-      let bit = 1 lsl k in
-      for q = 0 to Array.length tbl - 1 do
-        if q land bit <> 0 then tbl.(q) <- tbl.(q) + tbl.(q lxor bit)
-      done
-    done
-
-  (* Best non-empty bottleneck of a cumulative mass table. *)
-  let best_scan ~size ~card cum =
-    let best_num = ref 0 and best_den = ref 1 in
-    for q = 1 to size - 1 do
-      let mass = cum.(q) in
-      if mass * !best_den > !best_num * card.(q) then begin
-        best_num := mass;
-        best_den := card.(q)
-      end
-    done;
-    (!best_num, !best_den)
-
-  let bounded ~r_max len num den = rat (bounded ~r_max len num den)
-
-  type interval = { lo : Rat.t; hi : Rat.t }
-
-  let is_point { lo; hi } = Rat.equal lo hi
-
-  type nonrec t = {
-    num_ports : int;
-    size : int;
-    card : int array;
-    cands : (int, Mapping.usage list) Hashtbl.t;
-    tables : (int, int array * int array) Hashtbl.t;
-        (* scheme id -> (cumulative min-mass, cumulative max-mass) *)
-  }
-
-  let create ~num_ports =
-    if num_ports < 1 || num_ports > max_ports then
-      invalid_arg "Oracle.Bounds.create: unsupported port count";
-    let size = 1 lsl num_ports in
-    let card = Array.make size 0 in
-    for q = 1 to size - 1 do
-      card.(q) <- card.(q lsr 1) + (q land 1)
-    done;
-    { num_ports; size; card;
-      cands = Hashtbl.create 16; tables = Hashtbl.create 16 }
-
-  let num_ports t = t.num_ports
-
-  let check_usage t usage =
-    List.iter
-      (fun (ports, n) ->
-         if Portset.is_empty ports then
-           invalid_arg "Oracle.Bounds: empty port set in candidate usage";
-         if Portset.to_mask ports >= t.size then
-           invalid_arg "Oracle.Bounds: candidate port out of range";
-         if n <= 0 then
-           invalid_arg "Oracle.Bounds: non-positive µop multiplicity")
-      usage
-
-  let set_candidates t scheme candidates =
-    if candidates = [] then
-      invalid_arg "Oracle.Bounds.set_candidates: no candidates";
-    List.iter (check_usage t) candidates;
-    let id = Scheme.id scheme in
-    Hashtbl.replace t.cands id candidates;
-    Hashtbl.remove t.tables id
-
-  let candidates t scheme = Hashtbl.find_opt t.cands (Scheme.id scheme)
-
-  let of_mapping mapping =
-    let t = create ~num_ports:(Mapping.num_ports mapping) in
-    List.iter
-      (fun scheme ->
-         match Mapping.find_opt mapping scheme with
-         | Some usage -> set_candidates t scheme [ usage ]
-         | None -> ())
-      (Mapping.schemes mapping);
-    t
-
-  let pin t scheme usage =
-    check_usage t usage;
-    let cands = Hashtbl.copy t.cands in
-    let tables = Hashtbl.copy t.tables in
-    let id = Scheme.id scheme in
-    Hashtbl.replace cands id [ usage ];
-    Hashtbl.remove tables id;
-    (* The copies are shallow: the other schemes' table arrays are shared
-       with [t], so pinning one row is cheap. *)
-    { t with cands; tables }
-
-  let scheme_tables t scheme =
-    let id = Scheme.id scheme in
-    match Hashtbl.find_opt t.tables id with
-    | Some pair -> pair
-    | None ->
-      let cands =
-        match Hashtbl.find_opt t.cands id with
-        | Some cs -> cs
-        | None -> raise (Throughput.Unsupported scheme)
-      in
-      let lo = Array.make t.size max_int in
-      let hi = Array.make t.size 0 in
-      List.iter
-        (fun usage ->
-           let tbl = Array.make t.size 0 in
-           List.iter
-             (fun (ports, n) ->
-                let q = Portset.to_mask ports in
-                tbl.(q) <- tbl.(q) + n)
-             usage;
-           zeta t.num_ports tbl;
-           for q = 0 to t.size - 1 do
-             if tbl.(q) < lo.(q) then lo.(q) <- tbl.(q);
-             if tbl.(q) > hi.(q) then hi.(q) <- tbl.(q)
-           done)
-        cands;
-      let pair = (lo, hi) in
-      Hashtbl.replace t.tables id pair;
-      pair
-
-  let accumulate t lcum ucum experiment =
-    List.iter
-      (fun (s, count) ->
-         let lo, hi = scheme_tables t s in
-         for q = 0 to t.size - 1 do
-           lcum.(q) <- lcum.(q) + (count * lo.(q));
-           ucum.(q) <- ucum.(q) + (count * hi.(q))
-         done)
-      (Experiment.to_counts experiment)
-
-  let inverse t experiment =
-    let lcum = Array.make t.size 0 in
-    let ucum = Array.make t.size 0 in
-    accumulate t lcum ucum experiment;
-    let lnum, lden = best_scan ~size:t.size ~card:t.card lcum in
-    let unum, uden = best_scan ~size:t.size ~card:t.card ucum in
-    { lo = Rat.of_ints lnum lden; hi = Rat.of_ints unum uden }
-
-  let inverse_bounded ~r_max t experiment =
-    let lcum = Array.make t.size 0 in
-    let ucum = Array.make t.size 0 in
-    accumulate t lcum ucum experiment;
-    let len = Experiment.length experiment in
-    let lnum, lden = best_scan ~size:t.size ~card:t.card lcum in
-    let unum, uden = best_scan ~size:t.size ~card:t.card ucum in
-    (* The frontend bound |e|/r_max holds for every completion, so it lifts
-       onto both ends of the interval. *)
-    { lo = bounded ~r_max len lnum lden; hi = bounded ~r_max len unum uden }
-end

@@ -93,53 +93,3 @@ module Acc : sig
   val inverse_bounded_frac : r_max:int -> t -> int * int
   (** {!inverse_bounded} as a native [(num, den)] pair. *)
 end
-
-(** Interval oracle over {e partial} mappings.
-
-    A partial mapping assigns each scheme a non-empty set of {e candidate}
-    usages — the shape of a live CEGIS search, where a row is only known up
-    to the cardinality constraint and the refutations learned so far.  For
-    each scheme the pointwise min and max of the per-candidate cumulative
-    (zeta) mass tables over the 2^P port lattice are cached; a query sums
-    them pointwise and scans each bound once, yielding an interval [lo, hi]
-    that is
-    {b sound}: for every completion (one candidate per scheme), the exact
-    {!inverse} lies inside it.  When every queried scheme has exactly one
-    candidate, the interval is the point equal to the concrete oracle value
-    (property-tested in [test/test_mapcheck.ml]). *)
-module Bounds : sig
-  type interval = { lo : Pmi_numeric.Rat.t; hi : Pmi_numeric.Rat.t }
-
-  val is_point : interval -> bool
-  (** [lo = hi]: the value is statically determined over all completions. *)
-
-  type t
-
-  val create : num_ports:int -> t
-  (** An empty partial mapping.  @raise Invalid_argument for more than 20
-      ports (the dense tables would not fit). *)
-
-  val num_ports : t -> int
-
-  val set_candidates : t -> Pmi_isa.Scheme.t -> Mapping.usage list -> unit
-  (** Define (or replace) the scheme's candidate usages.
-      @raise Invalid_argument on an empty candidate list, an empty port set,
-      an out-of-range port or a non-positive multiplicity. *)
-
-  val candidates : t -> Pmi_isa.Scheme.t -> Mapping.usage list option
-
-  val of_mapping : Mapping.t -> t
-  (** The fully-determined partial mapping: one candidate per scheme. *)
-
-  val pin : t -> Pmi_isa.Scheme.t -> Mapping.usage -> t
-  (** A copy with the scheme fixed to a single candidate.  Cached tables of
-      the other schemes are shared, so pinning is cheap; [t] is unchanged. *)
-
-  val inverse : t -> Experiment.t -> interval
-  (** Sound bracket of [tp⁻¹(e)] over all completions.
-      @raise Throughput.Unsupported for a scheme without candidates. *)
-
-  val inverse_bounded : r_max:int -> t -> Experiment.t -> interval
-  (** As {!inverse} with the §3.4 frontend bound [|e|/r_max] lifted onto
-      both ends.  @raise Throughput.Unsupported *)
-end

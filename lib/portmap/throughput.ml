@@ -68,56 +68,6 @@ let inverse_bounded ~r_max mapping experiment =
   let frontend = Rat.of_ints (Experiment.length experiment) r_max in
   Rat.max t frontend
 
-(* Naive reference for the interval oracle (Oracle.Bounds): enumerate the
-   subsets of the union of all candidate port sets and bound the mass of
-   each subset by minimising/maximising every scheme's contribution over
-   its candidates independently.  Monotonicity of cumulative masses means
-   subsets outside the union can never improve either optimum. *)
-let inverse_interval ~candidates experiment =
-  let counts = Experiment.to_counts experiment in
-  let rows =
-    List.map
-      (fun (scheme, count) ->
-         match candidates scheme with
-         | [] | (exception Not_found) -> raise (Unsupported scheme)
-         | cands -> (count, cands))
-      counts
-  in
-  let universe =
-    List.fold_left
-      (fun acc (_, cands) ->
-         List.fold_left
-           (fun acc usage ->
-              List.fold_left
-                (fun acc (ports, _) -> Portset.union acc ports)
-                acc usage)
-           acc cands)
-      Portset.empty rows
-  in
-  let usage_mass q usage =
-    List.fold_left
-      (fun acc (ports, n) -> if Portset.subset ports q then acc + n else acc)
-      0 usage
-  in
-  let best_lo = ref Rat.zero and best_hi = ref Rat.zero in
-  Portset.iter_subsets universe (fun q ->
-      if not (Portset.is_empty q) then begin
-        let card = Portset.cardinal q in
-        let lmass, umass =
-          List.fold_left
-            (fun (l, u) (count, cands) ->
-               let masses = List.map (usage_mass q) cands in
-               let mn = List.fold_left min max_int masses in
-               let mx = List.fold_left max 0 masses in
-               (l + (count * mn), u + (count * mx)))
-            (0, 0) rows
-        in
-        let lo = Rat.of_ints lmass card and hi = Rat.of_ints umass card in
-        if Rat.compare lo !best_lo > 0 then best_lo := lo;
-        if Rat.compare hi !best_hi > 0 then best_hi := hi
-      end);
-  (!best_lo, !best_hi)
-
 let ipc ~r_max mapping experiment =
   let n = Experiment.length experiment in
   if n = 0 then Rat.zero

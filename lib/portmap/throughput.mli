@@ -33,18 +33,6 @@ val inverse_bounded : r_max:int -> Mapping.t -> Experiment.t -> Pmi_numeric.Rat.
     retirement bottleneck of [r_max] instructions per cycle.
     @raise Unsupported *)
 
-val inverse_interval :
-  candidates:(Pmi_isa.Scheme.t -> Mapping.usage list) ->
-  Experiment.t ->
-  Pmi_numeric.Rat.t * Pmi_numeric.Rat.t
-(** Naive reference for {!Oracle.Bounds}: a sound [(lo, hi)] bracket of
-    [tp⁻¹(e)] over all completions of a partial mapping, computed by subset
-    enumeration instead of dense tables.  [candidates] must return the
-    non-empty candidate-usage list of every scheme in the experiment.
-    Exponential in the union of candidate ports — test/reference use only.
-    @raise Unsupported when [candidates] returns [[]] or raises
-    [Not_found]. *)
-
 val ipc : r_max:int -> Mapping.t -> Experiment.t -> Pmi_numeric.Rat.t
 (** Instructions per cycle under the bounded model; 0 for empty experiments.
     @raise Unsupported *)

@@ -1,19 +1,12 @@
-(* The @mapcheck gate: the abstract interpreter over partial port mappings
-   must be sound (every completion's exact throughput lies in the computed
-   interval), exact on determined mappings, loud on seeded corruption, and
-   silent on everything the repo ships.  The CEGIS hook must be a pure
-   optimisation: --mapcheck never changes the inferred mapping, only the
-   number of harness measurements paid for it. *)
+(* The @mapcheck gate: the semantic auditor must stay silent on everything
+   the repo ships and on a mapping replayed against its own observations,
+   loud on seeded corruption, and usable at any port count, since it runs
+   on the sparse throughput kernel. *)
 
 open Pmi_isa
 open Pmi_portmap
 module Rat = Pmi_numeric.Rat
 module Mapcheck = Pmi_analysis.Mapcheck
-module Bounds = Oracle.Bounds
-module Cegis = Pmi_core.Cegis
-module Encoding = Pmi_core.Encoding
-
-let rat = Alcotest.testable Rat.pp Rat.equal
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures                                                            *)
@@ -40,205 +33,6 @@ let toy_truth () =
   Mapping.set m mul [ (Portset.of_list [ 1; 2 ], 1) ];
   Mapping.set m fma [ (Portset.singleton 2, 1) ];
   m
-
-let toy_specs =
-  [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2);
-    (fma, Encoding.Proper 1) ]
-
-let toy_config ?(mapcheck = false) ?(certify = false) () =
-  { Cegis.default_config with
-    Cegis.num_ports = 3; r_max = toy_r_max; max_experiment_size = 4;
-    mapcheck; certify }
-
-(* ------------------------------------------------------------------ *)
-(* Interval soundness (QCheck)                                         *)
-(* ------------------------------------------------------------------ *)
-
-let num_random_schemes = 3
-let random_ports = 3
-
-let random_catalog =
-  Catalog.of_list
-    (List.init num_random_schemes (fun i ->
-         (Printf.sprintf "i%d" i, [ Operand.gpr 32 ],
-          Iclass.plain (Iclass.Single Iclass.Alu))))
-
-let scheme i = Catalog.find random_catalog i
-
-(* (candidate lists, experiment counts, r_max): each scheme ranges over
-   1-3 candidate usages of 1-2 µops each, over 3 ports. *)
-let partial_gen =
-  let open QCheck2.Gen in
-  let portset =
-    map
-      (fun bits ->
-         Portset.of_list
-           (List.filter (fun p -> bits land (1 lsl p) <> 0)
-              (List.init random_ports Fun.id)))
-      (int_range 1 ((1 lsl random_ports) - 1))
-  in
-  let usage = list_size (int_range 1 2) (pair portset (int_range 1 2)) in
-  let candidates = list_size (int_range 1 3) usage in
-  triple
-    (list_repeat num_random_schemes candidates)
-    (list_repeat num_random_schemes (int_range 0 3))
-    (int_range 1 5)
-
-let build_bounds candidate_lists =
-  let b = Bounds.create ~num_ports:random_ports in
-  List.iteri (fun i cands -> Bounds.set_candidates b (scheme i) cands)
-    candidate_lists;
-  b
-
-let build_experiment counts =
-  Experiment.of_counts (List.mapi (fun i n -> (scheme i, n)) counts)
-
-(* Every completion: one candidate per scheme, as a concrete mapping. *)
-let completions candidate_lists =
-  List.fold_left
-    (fun acc (i, cands) ->
-       List.concat_map
-         (fun partial -> List.map (fun c -> (i, c) :: partial) cands)
-         acc)
-    [ [] ]
-    (List.mapi (fun i c -> (i, c)) candidate_lists)
-  |> List.map (fun rows ->
-      let m = Mapping.create ~num_ports:random_ports in
-      List.iter (fun (i, usage) -> Mapping.set m (scheme i) usage) rows;
-      m)
-
-let prop_interval_sound =
-  QCheck2.Test.make
-    ~name:"every completion's exact tp lies in the interval" ~count:200
-    partial_gen
-    (fun (candidate_lists, counts, r_max) ->
-       let e = build_experiment counts in
-       QCheck2.assume (not (Experiment.is_empty e));
-       let b = build_bounds candidate_lists in
-       let iv = Bounds.inverse_bounded ~r_max b e in
-       Rat.compare iv.Bounds.lo iv.Bounds.hi <= 0
-       && List.for_all
-            (fun m ->
-               let v = Throughput.inverse_bounded ~r_max m e in
-               Rat.compare iv.Bounds.lo v <= 0
-               && Rat.compare v iv.Bounds.hi <= 0)
-            (completions candidate_lists))
-
-let prop_point_equals_exact =
-  QCheck2.Test.make
-    ~name:"singleton candidates give the exact oracle as a point" ~count:200
-    partial_gen
-    (fun (candidate_lists, counts, r_max) ->
-       let e = build_experiment counts in
-       QCheck2.assume (not (Experiment.is_empty e));
-       let m = Mapping.create ~num_ports:random_ports in
-       List.iteri (fun i cands -> Mapping.set m (scheme i) (List.hd cands))
-         candidate_lists;
-       let iv = Bounds.inverse_bounded ~r_max (Bounds.of_mapping m) e in
-       Bounds.is_point iv
-       && Rat.equal iv.Bounds.lo (Throughput.inverse_bounded ~r_max m e))
-
-let prop_matches_naive_reference =
-  QCheck2.Test.make
-    ~name:"memoized interval = naive subset-enumeration interval" ~count:200
-    partial_gen
-    (fun (candidate_lists, counts, _) ->
-       let e = build_experiment counts in
-       QCheck2.assume (not (Experiment.is_empty e));
-       let b = build_bounds candidate_lists in
-       let iv = Bounds.inverse b e in
-       let candidates s =
-         let rec find i =
-           if i >= num_random_schemes then raise Not_found
-           else if Scheme.equal (scheme i) s then List.nth candidate_lists i
-           else find (i + 1)
-         in
-         find 0
-       in
-       let lo, hi = Throughput.inverse_interval ~candidates e in
-       Rat.equal iv.Bounds.lo lo && Rat.equal iv.Bounds.hi hi)
-
-(* ------------------------------------------------------------------ *)
-(* Refuter                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let toy_refuter () =
-  Mapcheck.Refuter.create ~num_ports:3 ~r_max:toy_r_max
-    (List.map
-       (fun (s, spec) ->
-          match spec with
-          | Encoding.Proper c ->
-            (s, Mapcheck.proper_candidates ~num_ports:3 c)
-          | Encoding.Improper _ -> assert false)
-       toy_specs)
-
-let test_statically_determined () =
-  let r = toy_refuter () in
-  (* Every c-port candidate of a Proper-c singleton benchmark gives the
-     same 1/c, so the measurement is statically determined... *)
-  Alcotest.(check (option rat)) "add singleton" (Some (Rat.of_ints 1 2))
-    (Mapcheck.Refuter.statically_determined r (Experiment.singleton add));
-  Alcotest.(check (option rat)) "fma singleton" (Some (Rat.of_int 1))
-    (Mapcheck.Refuter.statically_determined r (Experiment.singleton fma));
-  (* ... while a pair depends on whether the two port sets overlap. *)
-  Alcotest.(check (option rat)) "pair undetermined" None
-    (Mapcheck.Refuter.statically_determined r
-       (Experiment.of_list [ add; mul ]))
-
-let test_observe_refutes_soundly () =
-  let truth = toy_truth () in
-  let config = toy_config () in
-  let r = toy_refuter () in
-  let observe e =
-    ignore (Mapcheck.Refuter.observe r e (Cegis.modeled_inverse config truth e))
-  in
-  observe (Experiment.of_counts [ (add, 2); (fma, 1) ]);
-  observe (Experiment.of_list [ add; mul ]);
-  observe (Experiment.of_counts [ (mul, 2); (fma, 1) ]);
-  (* Whatever was refuted, the ground-truth rows must survive. *)
-  List.iter
-    (fun s ->
-       match Mapcheck.Refuter.surviving r s with
-       | None -> Alcotest.failf "%s lost all candidates" (Scheme.name s)
-       | Some cands ->
-         Alcotest.(check bool)
-           (Scheme.name s ^ " truth survives")
-           true
-           (List.exists
-              (fun u -> Mapping.equal_usage u (Mapping.usage truth s))
-              cands))
-    [ add; mul; fma ]
-
-let test_observe_refutes_determined () =
-  (* With both schemes free the intervals stay wide and nothing is
-     refutable; once add and mul are pinned to known rows, an observation
-     of [2 fma + 4 mul] = 3 pins fma off port 0: fma={0} yields exactly 2
-     there. *)
-  let truth = toy_truth () in
-  let r =
-    Mapcheck.Refuter.create ~num_ports:3 ~r_max:toy_r_max
-      [ (add, [ Mapping.usage truth add ]); (mul, [ Mapping.usage truth mul ]);
-        (fma, Mapcheck.proper_candidates ~num_ports:3 1) ]
-  in
-  let e = Experiment.of_counts [ (fma, 2); (mul, 4) ] in
-  let v = Throughput.inverse_bounded ~r_max:toy_r_max truth e in
-  Alcotest.check rat "observed value" (Rat.of_int 3) v;
-  let refuted = Mapcheck.Refuter.observe r e v in
-  Alcotest.(check bool) "fma={0} refuted" true
-    (List.exists
-       (fun (s, u) ->
-          Scheme.equal s fma
-          && Mapping.equal_usage u [ (Portset.singleton 0, 1) ])
-       refuted);
-  Alcotest.(check int) "refuted count" 1 (Mapcheck.Refuter.refuted_count r);
-  match Mapcheck.Refuter.surviving r fma with
-  | Some cands ->
-    Alcotest.(check int) "two fma candidates left" 2 (List.length cands);
-    Alcotest.(check bool) "truth survives" true
-      (List.exists
-         (fun u -> Mapping.equal_usage u (Mapping.usage truth fma))
-         cands)
-  | None -> Alcotest.fail "fma untracked"
 
 (* ------------------------------------------------------------------ *)
 (* Auditor                                                             *)
@@ -337,43 +131,25 @@ let test_dominance () =
   Alcotest.(check (list (pair int int))) "dominated pair" [ (0, 1) ]
     (Mapcheck.dominated_ports d)
 
-(* ------------------------------------------------------------------ *)
-(* CEGIS equivalence: --mapcheck is a pure optimisation                *)
-(* ------------------------------------------------------------------ *)
-
-let infer_toy config =
-  let truth = toy_truth () in
-  let measure e = Cegis.modeled_inverse config truth e in
-  match Cegis.infer ~config ~measure ~specs:toy_specs () with
-  | Cegis.Converged (m, stats) -> (m, stats)
-  | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-    Alcotest.fail "toy CEGIS failed to converge"
-
-let check_same_mapping label m1 m2 =
-  List.iter
-    (fun s ->
-       Alcotest.(check string)
-         (Printf.sprintf "%s: %s" label (Scheme.name s))
-         (Mapping.usage_to_string (Mapping.usage m1 s))
-         (Mapping.usage_to_string (Mapping.usage m2 s)))
-    [ add; mul; fma ]
-
-let test_cegis_equivalence () =
-  let m_off, s_off = infer_toy (toy_config ()) in
-  let m_on, s_on = infer_toy (toy_config ~mapcheck:true ()) in
-  check_same_mapping "plain" m_off m_on;
-  let n_off = List.length s_off.Cegis.observations in
-  let n_on = List.length s_on.Cegis.observations in
-  if n_on >= n_off then
-    Alcotest.failf "mapcheck did not save measurements: %d -> %d" n_off n_on;
-  Alcotest.(check bool) "episodes counted" true (s_on.Cegis.sat_episodes > 0)
-
-let test_cegis_equivalence_certified () =
-  let m_off, _ = infer_toy (toy_config ~certify:true ()) in
-  let m_on, s_on = infer_toy (toy_config ~mapcheck:true ~certify:true ()) in
-  check_same_mapping "certified" m_off m_on;
-  Alcotest.(check bool) "still saves measurements" true
-    (List.length s_on.Cegis.observations > 0)
+(* No port limit: on a 24-port mapping, one observation the mapping
+   explains and one it contradicts give exactly one error. *)
+let test_wide_mapping () =
+  let m = Mapping.create ~num_ports:24 in
+  Mapping.set m add [ (Portset.of_list [ 0; 23 ], 1) ];
+  Mapping.set m fma [ (Portset.singleton 20, 1) ];
+  let e = Experiment.of_counts [ (add, 2); (fma, 2) ] in
+  let against =
+    [ (e, Throughput.inverse_bounded ~r_max:toy_r_max m e);
+      (Experiment.singleton add, Rat.of_int 2) ]
+  in
+  let diags =
+    Mapcheck.audit_mapping ~against ~r_max:toy_r_max ~subject:"wide" m
+  in
+  match Mapcheck.errors diags with
+  | [ d ] when d.Mapcheck.rule = "counter-inconsistent" -> ()
+  | errors ->
+    Alcotest.failf "expected one counter-inconsistent error:\n%s"
+      (show errors)
 
 (* ------------------------------------------------------------------ *)
 (* Hardening pins: Mapping_io and Diff                                 *)
@@ -406,33 +182,17 @@ let test_diff_empty_agreement () =
 
 (* ------------------------------------------------------------------ *)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let () =
   Alcotest.run "mapcheck"
-    [ ("intervals",
-       qsuite
-         [ prop_interval_sound; prop_point_equals_exact;
-           prop_matches_naive_reference ]);
-      ("refuter",
-       [ Alcotest.test_case "statically determined singletons" `Quick
-           test_statically_determined;
-         Alcotest.test_case "observe refutes soundly" `Quick
-           test_observe_refutes_soundly;
-         Alcotest.test_case "observe refutes in determined context" `Quick
-           test_observe_refutes_determined ]);
-      ("auditor",
+    [ ("auditor",
        [ Alcotest.test_case "shipped mappings clean" `Quick test_builtin_clean;
          Alcotest.test_case "truth consistent with itself" `Quick
            test_truth_consistent;
          Alcotest.test_case "seeded mutations flagged" `Quick
            test_mutations_flagged;
-         Alcotest.test_case "dominance analysis" `Quick test_dominance ]);
-      ("cegis",
-       [ Alcotest.test_case "mapcheck preserves the mapping" `Quick
-           test_cegis_equivalence;
-         Alcotest.test_case "certified run unchanged" `Quick
-           test_cegis_equivalence_certified ]);
+         Alcotest.test_case "dominance analysis" `Quick test_dominance;
+         Alcotest.test_case "24-port mapping audited" `Quick
+           test_wide_mapping ]);
       ("hardening",
        [ Alcotest.test_case "duplicate scheme row rejected" `Quick
            test_duplicate_row_rejected;
