@@ -25,12 +25,7 @@
                     in FILE instead of running any benchmarks
 
    A filter that selects no benchmark, and --against without
-   --check-regression, exit 2 with the usage line.
-
-   With PMI_BENCH_WARM_AB set in the environment, only the warm-start
-   A/B count records run (cold vs warm durable-store inference, with the
-   zero-measurement and identical-mapping assertions) — the cheap
-   assertion pass the CI crash-recovery job uses. *)
+   --check-regression, exit 2 with the usage line. *)
 
 open Bechamel
 open Toolkit
@@ -41,6 +36,7 @@ module Rat = Pmi_numeric.Rat
 module Machine = Pmi_machine.Machine
 module Harness = Pmi_measure.Harness
 module Pool = Pmi_parallel.Pool
+module Store = Pmi_store.Store
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures (built once, outside the timed region)              *)
@@ -85,8 +81,7 @@ let zen_block =
 let reduced_harness () =
   Harness.create (Machine.create (Catalog.reduced ~per_bucket:2 ()))
 
-let cegis_toy ?(domains = 1) ?(certify = false) ?(enclint = false)
-    ~max_size () =
+let cegis_toy ?(certify = false) ?(enclint = false) ~max_size () =
   let truth = Mapping.create ~num_ports:3 in
   Mapping.set truth toy_add [ (Portset.of_list [ 0; 1 ], 1) ];
   Mapping.set truth toy_mul [ (Portset.of_list [ 1; 2 ], 1) ];
@@ -94,7 +89,7 @@ let cegis_toy ?(domains = 1) ?(certify = false) ?(enclint = false)
   let config =
     { Cegis.default_config with
       Cegis.num_ports = 3; r_max = 4; max_experiment_size = max_size;
-      domains; certify; enclint }
+      certify; enclint }
   in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
@@ -105,82 +100,6 @@ let cegis_toy ?(domains = 1) ?(certify = false) ?(enclint = false)
   | Cegis.Converged (_, stats) -> stats
   | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
     failwith "bench: toy CEGIS failed"
-
-(* Durable-store fixture (the warm-start ablation): a harness-backed CEGIS
-   inference over quirk-free single-µop schemes of the reduced catalog on
-   the 7-port a64fx profile (a small solver side), with the measurement
-   tier made expensive (median-of-3001 per benchmark, standing in for the
-   steady-state runs on real hardware) so the cost the store avoids
-   dominates the run.  Cold infers against an empty store and persists
-   every observation; warm is the same cold inference against the
-   populated store, which must answer every measurement without touching
-   the machine. *)
-module Store = Pmi_store.Store
-
-let temp_store_dir () =
-  let path = Filename.temp_file "pmi-bench-store" "" in
-  Sys.remove path;
-  Sys.mkdir path 0o700;
-  path
-
-let remove_store_dir dir =
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
-
-let warm_start_machine () =
-  Machine.create ~config:Machine.quiet_config
-    ~profile:Pmi_machine.Profile.a64fx
-    (Catalog.reduced ~per_bucket:1 ())
-
-(* Specs are confined to the machine's vector-port cluster {0,1,2}: its
-   singleton, pair and triple port sets overlap enough that every row is
-   pinned by experiments within the size bound.  (A scheme on a port no
-   other spec touches — a64fx's add on {4,5,6} — stays legitimately
-   under-determined at this bound, which would make the A/B's
-   mapping-equality assertion weaker.) *)
-let warm_start_specs machine =
-  let truth = Machine.ground_truth machine in
-  let quirk_free s = (Scheme.klass s).Iclass.quirk = None in
-  Array.to_list (Catalog.schemes (Machine.catalog machine))
-  |> List.filter_map (fun s ->
-      match Mapping.find_opt truth s with
-      | Some [ (ports, 1) ]
-        when quirk_free s
-          && List.for_all (fun p -> p <= 2) (Portset.to_list ports) ->
-        Some (s, Encoding.Proper (Portset.cardinal ports))
-      | Some _ | None -> None)
-
-(* Returns the inferred mapping, machine measurements paid, and store
-   misses — the warm run must report zero for both counters. *)
-let warm_start_infer store_dir =
-  let machine = warm_start_machine () in
-  let store = Store.open_ store_dir in
-  Fun.protect
-    ~finally:(fun () -> Store.close store)
-    (fun () ->
-       let harness = Harness.create ~reps:3001 ~store machine in
-       let config =
-         { Cegis.default_config with
-           Cegis.num_ports = Machine.num_ports machine;
-           r_max = Machine.r_max machine; max_experiment_size = 4 }
-       in
-       match
-         Cegis.infer ~config ~measure:(Harness.cycles harness)
-           ~specs:(warm_start_specs machine) ()
-       with
-       | Cegis.Converged (m, _) ->
-         (m, Machine.measurement_count machine, Harness.store_misses harness)
-       | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-         failwith "bench: warm-start inference failed")
-
-(* The warm bench re-runs against one pre-populated store, built outside
-   the timed region by a single cold run. *)
-let warm_start_store =
-  lazy
-    (let dir = temp_store_dir () in
-     at_exit (fun () -> try remove_store_dir dir with Sys_error _ -> ());
-     ignore (warm_start_infer dir);
-     dir)
 
 let pigeonhole_cnf ~proof ~pigeons ~holes =
   let open Pmi_smt in
@@ -380,22 +299,6 @@ let ablation_tests =
         ignore (cegis_toy ~max_size:3 ()));
     ("ablation/cegis-bound-6", fun () ->
         ignore (cegis_toy ~max_size:6 ()));
-    (* The CEGIS loop over 4 domains: the stratified search and the
-       validation sweep fan out; SAT stays sequential. *)
-    ("ablation/cegis-4-domains", fun () ->
-        ignore (cegis_toy ~domains:4 ~max_size:4 ()));
-    (* Durable store warm start: the identical harness-backed inference
-       against an empty store (every observation measured at reps:3001
-       and persisted) vs a store already holding the history (every
-       measurement answered from disk; zero machine measurements).  The
-       measurement tier dominates the cold run, as on real hardware. *)
-    ("ablation/cegis-warm-start-cold", fun () ->
-        let dir = temp_store_dir () in
-        Fun.protect
-          ~finally:(fun () -> remove_store_dir dir)
-          (fun () -> ignore (warm_start_infer dir)));
-    ("ablation/cegis-warm-start-warm", fun () ->
-        ignore (warm_start_infer (Lazy.force warm_start_store)));
     (* Proof logging (trust-but-verify): the trace-recording overhead on an
        UNSAT workhorse, the independent checker on top of it, and a fully
        certified CEGIS run (its baseline is ablation/cegis-with-symmetry
@@ -432,7 +335,7 @@ let ablation_tests =
              ignore (cegis_toy ~max_size:4 ()))) ]
 
 let parallel_tests =
-  [ (* The validation/prediction sweep, sequential vs the domain pool. *)
+  [ (* Figure 5's prediction sweep, sequential vs the domain pool. *)
     ("parallel/predict-seq", fun () -> predict_sweep 1);
     ("parallel/predict-domains", fun () ->
         predict_sweep (Pool.default_domains ())) ]
@@ -542,30 +445,6 @@ let solver_stat_records () =
     ("cegis-toy/sat-deleted", s.Sat.deleted);
     ("cegis-toy/sat-max-lbd", s.Sat.max_lbd) ]
 
-(* The warm-start A/B in the units that matter: machine measurements paid
-   by the identical harness-backed inference against an empty store and
-   against the history it persisted.  The acceptance bar — zero warm
-   measurements, zero warm store misses, and the identical mapping (the
-   re-run takes the same trajectory) — is asserted here so the bench run
-   itself is the witness. *)
-let warm_start_records () =
-  let dir = temp_store_dir () in
-  Fun.protect ~finally:(fun () -> remove_store_dir dir) @@ fun () ->
-  let m_cold, cold_measured, _ = warm_start_infer dir in
-  let m_warm, warm_measured, warm_misses = warm_start_infer dir in
-  assert (cold_measured > 0);
-  assert (warm_measured = 0);
-  assert (warm_misses = 0);
-  let rows m = Format.asprintf "%a" Mapping.pp m in
-  assert (String.equal (rows m_cold) (rows m_warm));
-  Format.printf
-    "warm-start A/B: %d -> %d machine measurements, %d warm store misses \
-     (identical mapping)@."
-    cold_measured warm_measured warm_misses;
-  [ ("warm-start/measurements-cold", cold_measured);
-    ("warm-start/measurements-warm", warm_measured);
-    ("warm-start/store-misses-warm", warm_misses) ]
-
 (* Telemetry counters of the same toy inference run with tracing on: the
    obs_counters section of the JSON record, a second canary family
    (question-asking volume rather than solver policy). *)
@@ -582,11 +461,7 @@ module Gj = Pmi_obs.Json
    means bumping [Gate.schema_version], which makes old and new records
    incomparable rather than silently misread. *)
 let bench_record ?(with_stats = true) results =
-  let stats =
-    if with_stats then
-      solver_stat_records () @ warm_start_records ()
-    else []
-  in
+  let stats = if with_stats then solver_stat_records () else [] in
   let obs = if with_stats then obs_counter_records () else [] in
   let timing (name, ns) =
     Gj.Obj [ ("name", Gj.Str name); ("ns_per_run", Gj.Num ns) ]
@@ -664,12 +539,6 @@ let check_regression ~history ~against results =
        if Gate.regressions verdicts <> [] then exit 1)
 
 let () =
-  (* The warm-start A/B alone (cheap, assertion-bearing): the CI
-     crash-recovery job runs this without paying for the full suite. *)
-  if Sys.getenv_opt "PMI_BENCH_WARM_AB" <> None then begin
-    ignore (warm_start_records ());
-    exit 0
-  end;
   let smoke_mode = ref false in
   let json = ref None in
   let store = ref None in

@@ -24,9 +24,8 @@ type opts = {
   certify : bool;             (* [--certify]: checked certificate per verdict *)
   enclint : bool;             (* [--enclint]: static gate per solver episode *)
   store : Store.t option Lazy.t;
-      (* [--store DIR]: the durable measurement/certificate store, opened
-         on first use and closed at exit; one handle per process, shared
-         by the harness tier and the CEGIS certificate cache *)
+      (* [--store DIR]: the durable certificate store, opened on first use
+         and closed at exit; one handle per process *)
 }
 
 let open_store dir =
@@ -43,8 +42,7 @@ let make_machine ~reduced ~seed =
   Machine.create ~config (catalog_of ~reduced)
 
 let make_harness opts =
-  Harness.create ?store:(Lazy.force opts.store)
-    (make_machine ~reduced:opts.reduced ~seed:opts.seed)
+  Harness.create (make_machine ~reduced:opts.reduced ~seed:opts.seed)
 
 module Obs = Pmi_obs.Obs
 
@@ -616,47 +614,35 @@ let sanitize_pool_primitives ~schedules =
        run_once ())
     (replay_seeds schedules 3)
 
-let sanitize_cegis ~schedules =
-  let toy =
-    Catalog.of_list
-      [ ("add", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-         Iclass.plain (Iclass.Single Iclass.Alu));
-        ("mul", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-         Iclass.plain (Iclass.Single Iclass.Alu));
-        ("fma", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-         Iclass.plain (Iclass.Single Iclass.Alu)) ]
+(* Figure 5's fan-out: one prepared oracle shared by every worker of a
+   pure per-block prediction sweep; every schedule must return the
+   sequential predictions. *)
+let sanitize_prediction ~schedules opts =
+  let reduced = if opts.reduced > 0 then opts.reduced else 2 in
+  let machine = make_machine ~reduced ~seed:42 in
+  let truth = Machine.ground_truth machine in
+  let schemes =
+    List.filter (Mapping.supports truth)
+      (Array.to_list (Catalog.schemes (Machine.catalog machine)))
   in
-  let add = Catalog.find toy 0
-  and mul = Catalog.find toy 1
-  and fma = Catalog.find toy 2 in
-  let truth = Mapping.create ~num_ports:3 in
-  Mapping.set truth add [ (Pmi_portmap.Portset.of_list [ 0; 1 ], 1) ];
-  Mapping.set truth mul [ (Pmi_portmap.Portset.of_list [ 1; 2 ], 1) ];
-  Mapping.set truth fma [ (Pmi_portmap.Portset.singleton 2, 1) ];
-  let config =
-    { Pmi_core.Cegis.default_config with
-      Pmi_core.Cegis.num_ports = 3; r_max = 4; max_experiment_size = 3;
-      domains = 2 }
+  let blocks = Pmi_eval.Blocks.generate ~seed:7 ~count:24 ~block_size:5 schemes in
+  let oracle = Pmi_portmap.Oracle.create truth in
+  Pmi_portmap.Oracle.prepare oracle schemes;
+  let predict =
+    Pmi_portmap.Oracle.inverse_bounded ~r_max:(Machine.r_max machine) oracle
   in
-  let measure e = Pmi_core.Cegis.modeled_inverse config truth e in
-  let specs =
-    [ (add, Pmi_core.Encoding.Proper 2); (mul, Pmi_core.Encoding.Proper 2);
-      (fma, Pmi_core.Encoding.Proper 1) ]
+  let reference = List.map predict blocks in
+  let sweep schedule =
+    Pool.set_schedule schedule;
+    check_invariant
+      (List.equal Pmi_numeric.Rat.equal reference
+         (Pool.map_list ~domains:4 predict blocks))
+      "prediction sweep differs from the sequential one"
   in
-  let infer () =
-    match Pmi_core.Cegis.infer ~config ~measure ~specs () with
-    | Pmi_core.Cegis.Converged _ -> ()
-    | Pmi_core.Cegis.No_consistent_mapping _
-    | Pmi_core.Cegis.Iteration_limit _ ->
-      raise (Sanitize_broken "toy CEGIS failed to converge")
-  in
-  Pool.set_schedule Pool.Os;
-  infer ();
+  sweep Pool.Os;
   List.iter
-    (fun seed ->
-       Pool.set_schedule (Pool.Replay seed);
-       infer ())
-    (replay_seeds (min schedules 4) 2)
+    (fun seed -> sweep (Pool.Replay seed))
+    (replay_seeds schedules (List.length blocks))
 
 let sanitize_harness_sweep ~schedules opts =
   let reduced = if opts.reduced > 0 then opts.reduced else 2 in
@@ -703,7 +689,7 @@ let sanitize schedules plant json opts =
   let outcome =
     try
       sanitize_pool_primitives ~schedules;
-      sanitize_cegis ~schedules;
+      sanitize_prediction ~schedules opts;
       sanitize_harness_sweep ~schedules opts;
       if plant then sanitize_planted ();
       Ok ()
@@ -735,7 +721,7 @@ let all opts =
   print_figure5 opts.reduced run
 
 (* ------------------------------------------------------------------ *)
-(* Store maintenance (`pmi_repro store {stats,compact,verify,gc}`)     *)
+(* Store maintenance (`pmi_repro store {stats,compact,verify}`)        *)
 (* ------------------------------------------------------------------ *)
 
 module Json = Pmi_obs.Json
@@ -751,8 +737,7 @@ let store_stats dir json =
             [ ("dir", Json.Str dir);
               ("live",
                Json.Obj
-                 [ ("measurements", n st.Store.live_measurements);
-                   ("certificates", n st.Store.live_certificates);
+                 [ ("certificates", n st.Store.live_certificates);
                    ("bench_history", n st.Store.live_bench) ]);
               ("journal",
                Json.Obj
@@ -776,9 +761,8 @@ let store_stats dir json =
   end
   else begin
     Format.printf "store: %s@." dir;
-    Format.printf "live: %d measurement(s), %d certificate(s), %d bench \
-                   record(s)@."
-      st.Store.live_measurements st.Store.live_certificates st.Store.live_bench;
+    Format.printf "live: %d certificate(s), %d bench record(s)@."
+      st.Store.live_certificates st.Store.live_bench;
     Format.printf "journal: %d record(s), %d bytes; segment: %d record(s), \
                    %d bytes@."
       st.Store.journal_records st.Store.journal_bytes st.Store.segment_records
@@ -817,28 +801,6 @@ let store_verify dir json =
       dir r.Store.r_segment_records r.Store.r_journal_records r.Store.r_corrupt
       r.Store.r_torn_bytes;
   if r.Store.r_corrupt > 0 then exit 1
-
-(* Drop measurements recorded under a machine fingerprint other than the
-   one [--reduced]/[--seed] name (stale catalogs, old noise seeds).
-   Certificates and bench history are never dropped — they are small and
-   keyed by content. *)
-let store_gc dir reduced seed =
-  let s = open_store dir in
-  let prefix = Machine.fingerprint (make_machine ~reduced ~seed) ^ "|" in
-  let plen = String.length prefix in
-  let keep kind ~key _value =
-    match kind with
-    | Store.Measurement ->
-      String.length key >= plen && String.equal (String.sub key 0 plen) prefix
-    | Store.Certificate | Store.Bench_history -> true
-  in
-  let dropped = Store.gc s ~keep in
-  let st = Store.stats s in
-  Format.printf
-    "gc: dropped %d foreign measurement(s); %d measurement(s), %d \
-     certificate(s), %d bench record(s) live@."
-    dropped st.Store.live_measurements st.Store.live_certificates
-    st.Store.live_bench
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -880,13 +842,12 @@ let enclint_global_flag =
   Arg.(value & flag & info [ "enclint" ] ~doc)
 
 let store_flag =
-  let doc = "Durable crash-safe store directory.  Measurements are read \
-             back before the harness re-benchmarks and written through as \
-             they are taken, so a re-run takes the same path without \
-             touching the machine; with $(b,--certify), checker-accepted UNSAT \
-             certificates short-circuit re-checking.  The directory is \
-             created on first use and recovers automatically from a \
-             crashed writer." in
+  let doc = "Durable crash-safe certificate store directory.  With \
+             $(b,--certify), UNSAT certificates the checker accepted are \
+             written through, and a later run that meets the same proof \
+             skips re-checking it.  Measurements are never stored: every \
+             run measures afresh.  The directory is created on first use \
+             and recovers automatically from a crashed writer." in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
 let trace_out =
@@ -931,8 +892,7 @@ let insns =
 
 let files doc = Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc)
 
-(* [store] subcommands take only [--store] (required) and, for gc,
-   [--reduced]/[--seed]. *)
+(* [store] subcommands take only [--store] (required). *)
 let store_cmd name doc body =
   let run store f =
     setup_logs (Some Logs.Warning);
@@ -1024,8 +984,8 @@ let () =
                Arg.(value & flag & info [ "plant-race" ] ~doc)
              in
              cmd "sanitize"
-               "Run the parallel workloads (pool primitives, CEGIS sweeps, \
-                harness cache) under the vector-clock race \
+               "Run the parallel workloads (pool primitives, Figure 5's \
+                prediction sweep, harness cache) under the vector-clock race \
                 detector, across OS scheduling and deterministic schedule \
                 replay; exits non-zero on any data race"
                Term.(const sanitize $ schedules $ plant $ diag_json));
@@ -1034,8 +994,8 @@ let () =
              in
              Cmd.group
                (Cmd.info "store"
-                  ~doc:"Maintain a durable measurement/certificate store \
-                        directory (see --store)")
+                  ~doc:"Maintain a durable certificate store directory \
+                        (see --store)")
                [ store_cmd "stats"
                    "Open the store (running recovery) and report live \
                     records, file sizes and recovery counts"
@@ -1048,10 +1008,5 @@ let () =
                    "Read-only integrity scan: nothing is truncated or \
                     repaired; exits non-zero when any record fails its \
                     checksum"
-                   Term.(const (fun json dir -> store_verify dir json) $ json);
-                 store_cmd "gc"
-                   "Drop measurements whose machine fingerprint does not \
-                    match --reduced/--seed, then compact"
-                   Term.(const (fun reduced seed dir ->
-                             store_gc dir reduced seed)
-                         $ reduced $ seed) ]) ]))
+                   Term.(const (fun json dir -> store_verify dir json)
+                         $ json) ]) ]))

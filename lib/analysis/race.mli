@@ -1,4 +1,4 @@
-(** Dynamic data-race detection for the parallel CEGIS stack.
+(** Dynamic data-race detection for the parallel stack.
 
     A FastTrack-style happens-before detector (Flanagan & Freund, PLDI
     2009): every logical thread carries a vector clock; every tracked
@@ -14,8 +14,8 @@
 
     The detector is {e off} by default.  Every entry point starts with a
     single [Atomic.get] on the enable flag and returns immediately when
-    disabled, so instrumented hot paths (pool cursors, CEGIS shared
-    vectors, harness caches) pay one predictable branch.  When enabled,
+    disabled, so instrumented hot paths (pool cursors, harness caches)
+    pay one predictable branch.  When enabled,
     all shadow bookkeeping runs under one global mutex: sanitizing
     serializes the program, which is fine because races are found by
     {e logical} interleavings (vector clocks + schedule replay in

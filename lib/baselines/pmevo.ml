@@ -14,7 +14,6 @@ type config = {
   mutation_rate : float;   (* expected mutations per child genome *)
   max_uops : int;
   num_ports : int;
-  r_max : int;
   elite : int;
   seed : int;
 }
@@ -27,7 +26,6 @@ let default_config =
     mutation_rate = 2.5;
     max_uops = 4;
     num_ports = 10;
-    r_max = 5;
     elite = 2;
     seed = 7 }
 
@@ -101,17 +99,15 @@ let mutate_usage config rng usage =
 (* Relative error of one benchmark under one genome-as-mapping.  PMEvo's
    model has no frontend term (the paper's footnote 10: predictions are not
    adjusted for the IPC bottleneck), so training is consistent with it. *)
-let benchmark_error ~r_max mapping bench =
-  ignore r_max;
+let benchmark_error mapping bench =
   let modeled = Throughput.inverse mapping bench.experiment in
   let measured = Rat.to_float bench.cycles in
   if measured = 0.0 then 0.0
   else Float.abs (Rat.to_float modeled -. measured) /. measured
 
-let fitness ~num_ports ~r_max mapping benchmarks =
-  ignore num_ports;
+let fitness mapping benchmarks =
   let total =
-    List.fold_left (fun acc b -> acc +. benchmark_error ~r_max mapping b) 0.0
+    List.fold_left (fun acc b -> acc +. benchmark_error mapping b) 0.0
       benchmarks
   in
   100.0 *. total /. float_of_int (max 1 (List.length benchmarks))
@@ -162,8 +158,7 @@ let infer ?(config = default_config) benchmarks schemes =
     Array.init config.population (fun i -> random_genome (i mod 4 <> 3))
   in
   let score genome =
-    fitness ~num_ports:config.num_ports ~r_max:config.r_max
-      (to_mapping config schemes genome) benchmarks
+    fitness (to_mapping config schemes genome) benchmarks
   in
   let scores = Array.map score population in
   let tournament () =

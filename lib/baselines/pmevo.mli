@@ -18,7 +18,6 @@ type config = {
   mutation_rate : float;   (** expected mutations per child genome *)
   max_uops : int;          (** µops allowed per instruction *)
   num_ports : int;
-  r_max : int;
   elite : int;             (** individuals copied unchanged each generation *)
   seed : int;
 }
@@ -41,8 +40,6 @@ val infer :
   Pmi_portmap.Mapping.t
 (** Evolve a mapping for the given schemes against the benchmarks. *)
 
-val fitness :
-  num_ports:int -> r_max:int -> Pmi_portmap.Mapping.t -> benchmark list ->
-  float
+val fitness : Pmi_portmap.Mapping.t -> benchmark list -> float
 (** Mean absolute percentage error of the mapping on the benchmarks
     (lower is better). *)

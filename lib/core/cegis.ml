@@ -4,9 +4,7 @@ module Experiment = Pmi_portmap.Experiment
 module Mapping = Pmi_portmap.Mapping
 module Throughput = Pmi_portmap.Throughput
 module Oracle = Pmi_portmap.Oracle
-module Pool = Pmi_parallel.Pool
 module Solver = Pmi_smt.Solver
-module Race = Pmi_diag.Race
 module Obs = Pmi_obs.Obs
 
 (* Telemetry counters: the CEGIS-level tallies a [--metrics] run reports
@@ -25,14 +23,6 @@ let c_distinguish_memo = Obs.counter "cegis.distinguish.memo_hits"
    inference (the repo never runs two inferences concurrently). *)
 let episode_count = Atomic.make 0
 
-(* Sanitizer shadow locations for the two Vecs every CEGIS phase shares:
-   the observation log (read by parallel validation sweeps, written only
-   between fan-outs) and the theory-lemma pool (caller-thread only).  One
-   location per role is enough — the sanitizer runs one inference at a
-   time. *)
-let obs_loc = Race.location "cegis.observations"
-let lemma_loc = Race.location "cegis.lemma-pool"
-
 let log = Logs.Src.create "pmi.cegis" ~doc:"counter-example-guided inference"
 
 module Log = (val Logs.src_log log : Logs.LOG)
@@ -44,7 +34,6 @@ type config = {
   max_experiment_size : int;
   max_other_candidates : int;
   max_iterations : int;
-  domains : int;
   dump_cnf : string option;
   certify : bool;
   enclint : bool;
@@ -61,7 +50,6 @@ let default_config =
     max_experiment_size = 5;
     max_other_candidates = 400;
     max_iterations = 400;
-    domains = 1;
     dump_cnf = None;
     certify = false;
     enclint = false;
@@ -140,17 +128,13 @@ let lemma config shape encoding o model obs =
 let theory_check config ~shape encoding observations pool model =
   let o = Oracle.create (Encoding.decode encoding model) in
   let lemmas = ref [] in
-  Race.touch_read obs_loc;
   Vec.iter
     (fun obs ->
        if not (explains config o obs.experiment obs.cycles) then
          lemmas := lemma config shape encoding o model obs :: !lemmas)
     observations;
   let lemmas = List.rev !lemmas in
-  if lemmas <> [] then begin
-    Race.touch_write lemma_loc;
-    Obs.add c_lemmas (List.length lemmas)
-  end;
+  Obs.add c_lemmas (List.length lemmas);
   List.iter (Vec.push pool) lemmas;
   lemmas
 
@@ -158,7 +142,6 @@ let fresh_encoding config specs pool =
   let encoding =
     Encoding.create ~num_ports:config.num_ports ~certify:config.certify specs
   in
-  Race.touch_read lemma_loc;
   Vec.iter (Pmi_smt.Sat.add_clause (Encoding.sat encoding)) pool;
   encoding
 
@@ -323,16 +306,14 @@ exception Found_counts of (Scheme.t * int) list
    of copies), so the first hit is deterministic.  The walk keeps one
    oracle accumulator per mapping: entering/leaving a recursion level is a
    ±one-scheme mass delta, and each leaf runs the sparse kernel once per
-   mapping.  [abort] is polled at every node (used by the parallel search
-   to stop a stratum once a smaller one has found a hit). *)
-let search_stratum config o1 o2 schemes ~size ~abort =
+   mapping. *)
+let search_stratum config o1 o2 schemes ~size =
   let sep =
     Pmi_measure.Harness.Compare.well_separated_frac ~epsilon:config.epsilon
   in
   let a1 = Oracle.Acc.create o1 and a2 = Oracle.Acc.create o2 in
   let n = Array.length schemes in
   let rec fill size start acc =
-    if abort () then raise_notrace Exit;
     if size = 0 then begin
       let length = Oracle.Acc.length a1 in
       let t1 = Oracle.Acc.inverse_bounded_frac ~r_max:config.r_max a1 in
@@ -361,51 +342,20 @@ let search_stratum config o1 o2 schemes ~size ~abort =
   match fill size 0 [] with
   | () -> None
   | exception Found_counts acc -> Some (Experiment.of_counts acc)
-  | exception Exit -> None
 
 (* Smallest stratum first, so the experiment found is a smallest one. *)
 let distinguishing_experiment config m1 m2 schemes =
   Obs.span "cegis.distinguish" @@ fun () ->
   let o1 = Oracle.create m1 and o2 = Oracle.create m2 in
   let arr = Array.of_list schemes in
-  if config.domains > 1 && config.max_experiment_size > 1 then begin
-    (* One domain per size stratum; every stratum reports its first hit in
-       enumeration order and the smallest stratum wins, so the result is
-       the same experiment the sequential search returns. *)
-    let strata = config.max_experiment_size in
-    let hits = Array.make (strata + 1) None in
-    let best = Race.tracked_atomic ~name:"cegis.distinguishing.best" max_int in
-    let rec shrink size =
-      let b = Race.aget best in
-      if size < b && not (Race.acas best b size) then shrink size
-    in
-    Pool.parallel_for ~domains:config.domains ~n:strata (fun idx ->
-        let size = idx + 1 in
-        let abort () = Race.aget best < size in
-        if not (abort ()) then
-          match search_stratum config o1 o2 arr ~size ~abort with
-          | Some e ->
-            hits.(size) <- Some e;
-            shrink size
-          | None -> ());
-    let rec first size =
-      if size > strata then None
-      else match hits.(size) with Some e -> Some e | None -> first (size + 1)
-    in
-    first 1
-  end
-  else begin
-    let rec go size =
-      if size > config.max_experiment_size then None
-      else
-        match
-          search_stratum config o1 o2 arr ~size ~abort:(fun () -> false)
-        with
-        | Some e -> Some e
-        | None -> go (size + 1)
-    in
-    go 1
-  end
+  let rec go size =
+    if size > config.max_experiment_size then None
+    else
+      match search_stratum config o1 o2 arr ~size with
+      | Some e -> Some e
+      | None -> go (size + 1)
+  in
+  go 1
 
 let same_mapping specs m1 m2 =
   List.for_all
@@ -443,7 +393,6 @@ let pair_key schemes m1 m2 =
   String.concat ";" (rows m1 @ ("|" :: rows m2))
 
 let sync_lemmas state pool =
-  Race.touch_read lemma_loc;
   let sat = Encoding.sat state.o_encoding in
   Vec.iter_from state.o_synced (Pmi_smt.Sat.add_clause sat) pool;
   state.o_synced <- Vec.length pool
@@ -580,7 +529,6 @@ let infer ?(config = default_config) ~measure ~specs () =
     in
     Obs.incr c_observations;
     let obs = { experiment; cycles } in
-    Race.touch_write obs_loc;
     Vec.push observations obs;
     obs
   in
@@ -631,18 +579,12 @@ let infer ?(config = default_config) ~measure ~specs () =
        follows from a single new observation. *)
     let oracle = Oracle.create m1 in
     let failing e =
-      Race.touch_read obs_loc;
       if
         Vec.exists (fun o -> Experiment.equal o.experiment e) observations
       then false
       else not (explains config oracle e (measure e))
     in
-    if config.domains > 1 then
-      (* [measure] must be thread-safe here; the oracle only reads. *)
-      match Pool.find_first_index ~domains:config.domains failing sweep with
-      | Some i -> Some sweep.(i)
-      | None -> None
-    else Array.find_opt failing sweep
+    Array.find_opt failing sweep
   in
   (* One CEGIS iteration under its own span; [None] means "not settled,
      go around again".  Keeping the iteration body out of the recursion

@@ -24,15 +24,6 @@ type config = {
                                    [find_other_mapping] call before declaring
                                    convergence *)
   max_iterations : int;        (** Algorithm-2 iteration budget *)
-  domains : int;               (** > 1 fans the stratified
-                                   distinguishing-experiment search and the
-                                   convergence validation sweep out over
-                                   that many OCaml domains; both pick the
-                                   sequential winner, so the result does
-                                   not depend on the count.  The validation
-                                   sweep calls [measure] concurrently, so
-                                   only raise this with a thread-safe
-                                   measure function (default [1]) *)
   dump_cnf : string option;    (** [Some prefix] writes the final CNF of
                                    each persistent solver in DIMACS format
                                    to [prefix ^ "-findmapping.cnf"] etc.,
@@ -76,10 +67,8 @@ type config = {
                                    accepted by a previous run skips the
                                    DRAT re-check ([cegis.certificates_cached]
                                    counts the skips); freshly accepted
-                                   certificates are written through.  The
-                                   {e measurement} store rides on the
-                                   harness ({!Pmi_measure.Harness.create}),
-                                   not on this field (default [None]) *)
+                                   certificates are written through
+                                   (default [None]) *)
 }
 
 exception Certification_failure of string
@@ -141,9 +130,8 @@ val infer :
 (** Run Algorithm 2.  [measure] performs one steady-state benchmark; the
     initial experiment set is the singleton benchmark of every scheme.
     Every run starts cold: the only history it sees is what [measure]
-    answers, so a {!Pmi_measure.Harness} over a populated durable store
-    answers every measurement from disk and the run takes the same
-    trajectory as without the store. *)
+    answers.  The loop is sequential; [measure] is only ever called from
+    the calling domain. *)
 
 val explain :
   ?config:config ->

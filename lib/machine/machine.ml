@@ -44,31 +44,6 @@ let catalog t = t.catalog
 let config t = t.config
 let profile t = t.profile
 
-(* Identity of the measurement context: two machines with the same
-   fingerprint answer every experiment identically (same catalog, same
-   hidden mapping, same noise stream), so a durable measurement keyed by
-   it can be replayed into a later process.  Floats go through [%h] so
-   the digest sees exact bits, not a rounded rendering. *)
-let fingerprint t =
-  let buf = Buffer.create 4096 in
-  let p = t.profile in
-  Buffer.add_string buf p.Profile.name;
-  Printf.bprintf buf "|%d|%d|%d|%d" p.Profile.num_ports p.Profile.r_max
-    p.Profile.ms_ops_per_cycle p.Profile.div_occupancy;
-  let add_ports ports =
-    List.iter (Printf.bprintf buf ",%d") (Portset.to_list ports)
-  in
-  add_ports p.Profile.fma_shadow;
-  List.iter
-    (fun base -> Buffer.add_char buf ';'; add_ports (p.Profile.ports_of_base base))
-    Profile.all_bases;
-  Printf.bprintf buf "|%d|%h|%h|%h" t.config.seed t.config.noise_amplitude
-    t.config.unstable_amplitude t.config.unreliable_amplitude;
-  Printf.bprintf buf "|%d" (Catalog.size t.catalog);
-  Array.iter
-    (fun s -> Buffer.add_char buf '\n'; Buffer.add_string buf (Scheme.name s))
-    (Catalog.schemes t.catalog);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
 let ground_truth t = t.ground_truth
 let r_max t = t.profile.Profile.r_max
 let num_ports t = t.profile.Profile.num_ports

@@ -40,14 +40,6 @@ val catalog : t -> Pmi_isa.Catalog.t
 val config : t -> config
 val profile : t -> Profile.t
 
-val fingerprint : t -> string
-(** Hex digest of everything that determines this machine's answers: the
-    profile constants and port layout, the noise configuration (seed and
-    amplitudes, exact float bits) and the catalog contents.  Two machines
-    with equal fingerprints return identical measurements for every
-    experiment, so the digest keys durable measurement records
-    ({!Pmi_store.Store}-backed harness tier) across processes. *)
-
 val ground_truth : t -> Pmi_portmap.Mapping.t
 (** The hidden mapping (base usage, no quirk effects) the inference tries to
     reconstruct.  Only tests and evaluation code may look at this. *)

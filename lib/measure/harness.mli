@@ -11,17 +11,11 @@
     A harness is safe to share across domains: the probe/measure/insert
     sequence runs under a harness-wide lock (a {!Pmi_diag.Race.with_lock}
     mutex, so the concurrency sanitizer sees the edge) and the hit/miss
-    counters are atomics.
+    counters are atomics.  Telemetry counts the cache's answers under
+    [harness.cache.mem.{hit,miss}].
 
-    With [?store], the memory cache gains a durable tier
-    ({!Pmi_store.Store}): a memory miss probes the store before running
-    the benchmark, and fresh measurements are written through, keyed by
-    the machine's {!Pmi_machine.Machine.fingerprint} plus the experiment
-    key — so measurements survive the process and a later run over the
-    same store answers them from disk instead of re-running the
-    benchmark.  Both tiers run under the same lock.  Telemetry splits the
-    tiers: [harness.cache.mem.{hit,miss}] and
-    [harness.cache.store.{hit,miss}]. *)
+    Measurements live for the process only: every run measures what it
+    asks for afresh, which is what the paper's Algorithm 2 assumes. *)
 
 type sample = {
   cycles : Pmi_numeric.Rat.t;   (** median inverse throughput, quantised *)
@@ -31,15 +25,11 @@ type sample = {
 
 type t
 
-val create :
-  ?reps:int -> ?precision:int -> ?store:Pmi_store.Store.t ->
-  Pmi_machine.Machine.t -> t
+val create : ?reps:int -> ?precision:int -> Pmi_machine.Machine.t -> t
 (** [reps] defaults to 11 (the paper's median-of-11); [precision] is the
-    denominator of the quantisation grid, default 1000 (millicycles).
-    [store] attaches the durable measurement tier (off by default). *)
+    denominator of the quantisation grid, default 1000 (millicycles). *)
 
 val machine : t -> Pmi_machine.Machine.t
-val store : t -> Pmi_store.Store.t option
 val run : t -> Pmi_portmap.Experiment.t -> sample
 val cycles : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
 
@@ -55,15 +45,7 @@ val cache_hits : t -> int
 (** Queries answered from the in-memory experiment cache. *)
 
 val cache_misses : t -> int
-(** Queries that missed the in-memory cache ([= benchmarks_run]; a store
-    hit still counts here, since the memory tier was consulted first). *)
-
-val store_hits : t -> int
-(** Memory misses answered from the durable tier (0 without a store). *)
-
-val store_misses : t -> int
-(** Memory misses that also missed the durable tier and had to run the
-    benchmark (0 without a store). *)
+(** Queries that missed the in-memory cache ([= benchmarks_run]). *)
 
 (** ε-tolerant throughput comparisons (§3.3.4, §4). *)
 module Compare : sig

@@ -9,25 +9,32 @@ let c_corrupt = Obs.counter "store.corrupt"
 let c_recovered = Obs.counter "store.recovered"
 let c_compactions = Obs.counter "store.compactions"
 
-type kind = Measurement | Certificate | Bench_history
+type kind = Certificate | Bench_history
+
+let kinds = [ Certificate; Bench_history ]
+
+(* On-disk kind codes.  Code 0 held harness measurements, a record kind
+   that no longer exists: such records are intact, so replay skips them
+   without counting them corrupt, and compaction drops them. *)
+let retired_code = 0
 
 let kind_code = function
-  | Measurement -> 0
   | Certificate -> 1
   | Bench_history -> 2
 
 let kind_of_code = function
-  | 0 -> Some Measurement
   | 1 -> Some Certificate
   | 2 -> Some Bench_history
   | _ -> None
 
+(* Index of a kind's table in [t.tables]. *)
+let slot = function
+  | Certificate -> 0
+  | Bench_history -> 1
+
 let kind_name = function
-  | Measurement -> "measurement"
   | Certificate -> "certificate"
   | Bench_history -> "bench_history"
-
-let num_kinds = 3
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3, the zlib polynomial)                             *)
@@ -93,15 +100,16 @@ let encode_record kind ~key value =
   set_u32 b 8 crc;
   b
 
-(* [payload] region of [data] at [off], length [len]; [None] when the
-   versioned payload does not parse (counts as corrupt). *)
+(* [payload] region of [data] at [off], length [len], as its kind code,
+   key and value; [None] when the versioned payload does not parse or
+   names an unknown kind (counts as corrupt). *)
 let decode_payload data off len =
   if len < 8 then None
   else if Char.code data.[off] <> record_version then None
   else
-    match kind_of_code (Char.code data.[off + 1]) with
-    | None -> None
-    | Some kind ->
+    let code = Char.code data.[off + 1] in
+    if code <> retired_code && Option.is_none (kind_of_code code) then None
+    else
       let klen = String.get_uint16_le data (off + 2) in
       if 8 + klen > len then None
       else
@@ -110,16 +118,16 @@ let decode_payload data off len =
         else
           let key = String.sub data (off + 4) klen in
           let value = String.sub data (off + 8 + klen) vlen in
-          Some (kind, key, value)
+          Some (code, key, value)
 
 type scan = {
-  mutable s_records : int;      (* checksummed records applied *)
+  mutable s_records : int;      (* checksummed records, retired included *)
   mutable s_corrupt : int;      (* complete records rejected *)
   mutable s_valid_end : int;    (* bytes of structurally valid prefix *)
 }
 
 (* Walk the record stream in [data.[off .. limit)], calling [apply] on
-   every intact record.  A short or unframed tail stops the walk (torn);
+   every intact record of a live kind.  A short or unframed tail stops the walk (torn);
    a complete record with a bad checksum or unparsable payload is skipped
    (corrupt), because the framing still carries us to the next record. *)
 let scan_records ?(apply = fun _ ~key:_ _ -> ()) data ~off ~limit =
@@ -140,9 +148,10 @@ let scan_records ?(apply = fun _ ~key:_ _ -> ()) data ~off ~limit =
          else
            match decode_payload data (p + header_bytes) len with
            | None -> s.s_corrupt <- s.s_corrupt + 1
-           | Some (kind, key, value) ->
+           | Some (code, key, value) ->
              s.s_records <- s.s_records + 1;
-             apply kind ~key value);
+             Option.iter (fun kind -> apply kind ~key value)
+               (kind_of_code code));
         pos := p + header_bytes + len;
         s.s_valid_end <- !pos
       end
@@ -159,7 +168,7 @@ type t = {
   journal_path : string;
   segment_path : string;
   auto_compact : int;
-  tables : (string, string) Hashtbl.t array; (* indexed by kind code *)
+  tables : (string, string) Hashtbl.t array; (* indexed by [slot] *)
   lock : Mutex.t;
   mutable oc : out_channel;
   mutable closed : bool;
@@ -177,7 +186,6 @@ type t = {
 }
 
 type stats = {
-  live_measurements : int;
   live_certificates : int;
   live_bench : int;
   journal_records : int;
@@ -239,10 +247,8 @@ let open_ ?(auto_compact = 8192) dir =
   mkdir_p dir;
   let journal_path = Filename.concat dir "journal.pmi" in
   let segment_path = Filename.concat dir "segment.pmi" in
-  let tables = Array.init num_kinds (fun _ -> Hashtbl.create 256) in
-  let apply kind ~key value =
-    Hashtbl.replace tables.(kind_code kind) key value
-  in
+  let tables = Array.init (List.length kinds) (fun _ -> Hashtbl.create 256) in
+  let apply kind ~key value = Hashtbl.replace tables.(slot kind) key value in
   Obs.span "store.replay" @@ fun () ->
   let seg = load_segment segment_path apply in
   let segment_bytes =
@@ -309,7 +315,7 @@ let close t =
 let maybe_crash t =
   match t.crash_after with
   | Some n when t.appends >= n ->
-    let torn = encode_record Measurement ~key:"__crash__" "torn tail" in
+    let torn = encode_record Certificate ~key:"__crash__" "torn tail" in
     let half = Bytes.sub torn 0 (Bytes.length torn / 2) in
     output_bytes t.oc half;
     flush t.oc;
@@ -328,26 +334,28 @@ let rec compact_locked t =
   let count = ref 0 in
   (* Kind order then sorted keys: compaction output is a pure function of
      the live contents, so open/close/open leaves the bytes untouched and
-     two replicas with the same records compact identically. *)
-  for code = 0 to num_kinds - 1 do
-    let kind = Option.get (kind_of_code code) in
-    let keys =
-      Hashtbl.fold (fun k _ acc -> k :: acc) t.tables.(code) []
-      |> List.sort String.compare
-    in
-    List.iter
-      (fun key ->
-         let value = Hashtbl.find t.tables.(code) key in
-         let record = encode_record kind ~key value in
-         output_bytes oc record;
-         Buffer.add_uint8 index code;
-         Buffer.add_uint16_le index (String.length key);
-         Buffer.add_string index key;
-         Buffer.add_int64_le index (Int64.of_int !offset);
-         offset := !offset + Bytes.length record;
-         incr count)
-      keys
-  done;
+     two replicas with the same records compact identically.  Retired
+     records were never loaded, so they are not written back. *)
+  List.iter
+    (fun kind ->
+       let tbl = t.tables.(slot kind) in
+       let keys =
+         Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
+         |> List.sort String.compare
+       in
+       List.iter
+         (fun key ->
+            let value = Hashtbl.find tbl key in
+            let record = encode_record kind ~key value in
+            output_bytes oc record;
+            Buffer.add_uint8 index (kind_code kind);
+            Buffer.add_uint16_le index (String.length key);
+            Buffer.add_string index key;
+            Buffer.add_int64_le index (Int64.of_int !offset);
+            offset := !offset + Bytes.length record;
+            incr count)
+         keys)
+    kinds;
   let index_off = !offset in
   let index_payload =
     let b = Buffer.create (Buffer.length index + 4) in
@@ -380,7 +388,7 @@ let rec compact_locked t =
 
 and put t kind ~key value =
   with_lock t (fun () ->
-      let tbl = t.tables.(kind_code kind) in
+      let tbl = t.tables.(slot kind) in
       match Hashtbl.find_opt tbl key with
       | Some v when String.equal v value -> () (* identical re-put: no-op *)
       | _ ->
@@ -399,7 +407,7 @@ let compact t = with_lock t (fun () -> compact_locked t)
 
 let get t kind ~key =
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.tables.(kind_code kind) key with
+      match Hashtbl.find_opt t.tables.(slot kind) key with
       | Some v ->
         t.hits <- t.hits + 1;
         Obs.incr c_hits;
@@ -418,35 +426,16 @@ let iter t kind f =
     with_lock t (fun () ->
         Hashtbl.fold
           (fun key value acc -> (key, value) :: acc)
-          t.tables.(kind_code kind) [])
+          t.tables.(slot kind) [])
   in
   List.iter (fun (key, value) -> f ~key value) entries
 
-let live t kind = with_lock t (fun () -> Hashtbl.length t.tables.(kind_code kind))
-
-let gc t ~keep =
-  with_lock t (fun () ->
-      let dropped = ref 0 in
-      for code = 0 to num_kinds - 1 do
-        let kind = Option.get (kind_of_code code) in
-        let tbl = t.tables.(code) in
-        let doomed =
-          Hashtbl.fold
-            (fun key value acc ->
-               if keep kind ~key value then acc else key :: acc)
-            tbl []
-        in
-        List.iter (Hashtbl.remove tbl) doomed;
-        dropped := !dropped + List.length doomed
-      done;
-      compact_locked t;
-      !dropped)
+let live t kind = with_lock t (fun () -> Hashtbl.length t.tables.(slot kind))
 
 let stats t =
   with_lock t (fun () ->
-      { live_measurements = Hashtbl.length t.tables.(0);
-        live_certificates = Hashtbl.length t.tables.(1);
-        live_bench = Hashtbl.length t.tables.(2);
+      { live_certificates = Hashtbl.length t.tables.(slot Certificate);
+        live_bench = Hashtbl.length t.tables.(slot Bench_history);
         journal_records = t.journal_records;
         segment_records = t.segment_records;
         journal_bytes =

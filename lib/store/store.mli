@@ -1,12 +1,11 @@
-(** Durable crash-safe store for measurements, certificates and bench
-    history (ROADMAP item 2).
+(** Durable crash-safe store for checker-accepted certificates and bench
+    history.
 
-    The paper's bottleneck is measurement: every counterexample round
-    costs real hardware experiments, so losing the experiment cache on a
-    crash re-pays the most expensive part of inference.  This store makes
-    measurements (and checker-accepted DRAT certificates) outlive the
-    process that produced them, the way nanoBench-style harnesses treat
-    measurement files as durable artifacts.
+    A [--certify] run checks every UNSAT verdict with the independent DRAT
+    checker; the store lets an accepted certificate outlive the process
+    that checked it, so a later run over the same store skips re-checking
+    the exact same proof (see {!Pmi_core.Cegis.config}'s [store]).  The
+    benchmark runner keeps its timing history here too.
 
     {2 On-disk layout}
 
@@ -28,6 +27,11 @@
       [rename], then truncates the journal — a crash between the two
       steps only leaves journal records that replay idempotently over the
       segment.
+
+    Kind code 0 is retired: it held harness measurements in stores
+    written before that record kind was deleted.  Such records are intact,
+    so replay skips them without counting them corrupt, and the next
+    compaction drops them.
 
     {2 Recovery}
 
@@ -63,12 +67,11 @@
 type t
 
 type kind =
-  | Measurement    (** experiment key + machine fingerprint → sample *)
-  | Certificate    (** goal hash → accepted DRAT proof digest *)
-  | Bench_history  (** bench name + date → timing record *)
+  | Certificate    (** goal hash → accepted DRAT proof digest (code 1) *)
+  | Bench_history  (** bench name + date → timing record (code 2) *)
 
 val kind_name : kind -> string
-(** ["measurement"], ["certificate"], ["bench_history"]. *)
+(** ["certificate"], ["bench_history"]. *)
 
 val open_ : ?auto_compact:int -> string -> t
 (** [open_ dir] creates [dir] if needed, loads the segment, replays the
@@ -103,16 +106,13 @@ val compact : t -> unit
 (** Write all live records to a fresh segment (atomic rename) and
     truncate the journal. *)
 
-val gc : t -> keep:(kind -> key:string -> string -> bool) -> int
-(** Drop every live record for which [keep] is false, then {!compact}.
-    Returns the number of records dropped. *)
-
 type stats = {
-  live_measurements : int;
   live_certificates : int;
   live_bench : int;
-  journal_records : int;      (** records currently in the journal *)
-  segment_records : int;      (** records loaded from the segment *)
+  journal_records : int;      (** records currently in the journal,
+                                  retired ones included *)
+  segment_records : int;      (** records loaded from the segment,
+                                  retired ones included *)
   journal_bytes : int;
   segment_bytes : int;
   replayed : int;             (** journal records recovered at [open_] *)

@@ -190,25 +190,24 @@ let toy_catalog n =
          (Printf.sprintf "i%c" (Char.chr (Char.code 'A' + i)),
           [ Operand.gpr 32 ], Iclass.plain (Iclass.Single Iclass.Alu))))
 
-let certified_config ?(domains = 1) num_ports =
+let certified_config num_ports =
   { Cegis.default_config with
     Cegis.num_ports;
     r_max = num_ports + 1;
     max_experiment_size = 4;
-    certify = true;
-    domains }
+    certify = true }
 
 (* Infer from perfect measurements of a hidden mapping with [certify] on:
    every UNSAT along the way must check as DRAT, every model must
    validate, or [Certification_failure] aborts the run. *)
-let certified_cegis ?domains truth_usage =
+let certified_cegis truth_usage =
   let catalog = toy_catalog (List.length truth_usage) in
   let num_ports = 2 in
   let truth = Mapping.create ~num_ports in
   List.iteri
     (fun i usage -> Mapping.set truth (Catalog.find catalog i) usage)
     truth_usage;
-  let config = certified_config ?domains num_ports in
+  let config = certified_config num_ports in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
     List.mapi
@@ -232,11 +231,6 @@ let expect_converged label = function
 
 let test_certified_cegis_incremental () =
   expect_converged "incremental" (certified_cegis figure4b)
-
-let test_certified_cegis_parallel () =
-  (* Parallel stratified search and validation sweep under certification:
-     every verdict still flows through the checker. *)
-  expect_converged "parallel" (certified_cegis ~domains:3 figure4b)
 
 let test_certified_explain_unsat () =
   (* A single 1-port instruction cannot take 10 cycles: the certified
@@ -348,7 +342,6 @@ let () =
        @ qsuite [ prop_drat_random ]);
       ("certified-cegis",
        [ Alcotest.test_case "incremental" `Quick test_certified_cegis_incremental;
-         Alcotest.test_case "parallel" `Slow test_certified_cegis_parallel;
          Alcotest.test_case "certified UNSAT" `Quick
            test_certified_explain_unsat ]);
       ("lint",

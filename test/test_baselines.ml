@@ -118,12 +118,12 @@ let test_pmevo_fitness_perfect_mapping () =
   (* The machine's own ground truth must score better than a random one. *)
   let truth = Machine.ground_truth machine in
   let training = Pmevo.training_set ~pairs:40 ~blocks:20 harness schemes in
-  let truth_fitness = Pmevo.fitness ~num_ports:10 ~r_max:5 truth training in
+  let truth_fitness = Pmevo.fitness truth training in
   let random = Mapping.create ~num_ports:10 in
   List.iter
     (fun s -> Mapping.set random s [ (Portset.singleton 9, 1) ])
     schemes;
-  let random_fitness = Pmevo.fitness ~num_ports:10 ~r_max:5 random training in
+  let random_fitness = Pmevo.fitness random training in
   Alcotest.(check bool) "truth beats everything-on-one-port" true
     (truth_fitness < random_fitness);
   Alcotest.(check bool) "truth error small" true (truth_fitness < 10.0)

@@ -309,56 +309,6 @@ let test_cegis_incremental_matches_fresh () =
   | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
   | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
 
-let test_cegis_domain_count_invariant () =
-  (* With [domains > 1] only the stratified distinguishing search and the
-     validation sweep fan out, and both pick the sequential winner, so the
-     run must be the same one: a mapping equivalent to the truth, identical
-     scheme by scheme, learnt from the identical observation sequence. *)
-  let s01 = Portset.of_list [ 0; 1 ] in
-  let s12 = Portset.of_list [ 1; 2 ] in
-  let s2 = Portset.singleton 2 in
-  let truth_usage = [ [ (s01, 1) ]; [ (s12, 1) ]; [ (s2, 1) ] ] in
-  let catalog = toy_catalog 3 in
-  let truth = Mapping.create ~num_ports:3 in
-  List.iteri
-    (fun i usage -> Mapping.set truth (Catalog.find catalog i) usage)
-    truth_usage;
-  let base = cegis_config 3 in
-  let measure e = Cegis.modeled_inverse base truth e in
-  let specs =
-    List.mapi
-      (fun i usage ->
-         let ports =
-           List.fold_left (fun acc (p, _) -> acc + Portset.cardinal p) 0 usage
-         in
-         (Catalog.find catalog i, Encoding.Proper ports))
-      truth_usage
-  in
-  let run domains =
-    match
-      Cegis.infer ~config:{ base with Cegis.domains } ~measure ~specs ()
-    with
-    | Cegis.Converged (m, stats) -> (m, stats)
-    | Cegis.No_consistent_mapping _ ->
-      Alcotest.failf "domains %d: unexpected UNSAT" domains
-    | Cegis.Iteration_limit _ ->
-      Alcotest.failf "domains %d: iteration limit" domains
-  in
-  let m1, st1 = run 1 in
-  let m3, st3 = run 3 in
-  check_equivalent base truth m1 (Mapping.schemes m1);
-  List.iter
-    (fun (s, _) ->
-       Alcotest.(check bool) (Scheme.name s) true
-         (Mapping.equal_usage (Mapping.usage m1 s) (Mapping.usage m3 s)))
-    specs;
-  let show (o : Cegis.observation) =
-    Experiment.to_string o.experiment ^ " = " ^ Rat.to_string o.cycles
-  in
-  Alcotest.(check (list string)) "observations"
-    (List.map show st1.Cegis.observations)
-    (List.map show st3.Cegis.observations)
-
 let test_cegis_unsat_on_anomaly () =
   (* Measurements that violate the port-mapping model (the §4.3 imul
      anomaly: 4 four-port adds plus a one-port imul at 1.5 cycles) must
@@ -934,8 +884,6 @@ let () =
          Alcotest.test_case "three instructions" `Quick test_cegis_three_instructions;
          Alcotest.test_case "incremental matches fresh encodings" `Quick
            test_cegis_incremental_matches_fresh;
-         Alcotest.test_case "domain count does not change the result" `Slow
-           test_cegis_domain_count_invariant;
          Alcotest.test_case "UNSAT on the imul anomaly (§4.3)" `Quick
            test_cegis_unsat_on_anomaly;
          QCheck_alcotest.to_alcotest prop_cegis_sound ]);

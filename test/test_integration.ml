@@ -29,37 +29,6 @@ let test_culprits () =
   Alcotest.(check (list string)) "§4.3 culprits"
     [ "imul"; "vmovd"; "vpmuldq" ] culprit_mnemonics
 
-let test_store_does_not_change_the_run () =
-  (* Results must not depend on warm or cold start: the same pipeline over
-     a harness backed by a fresh durable store takes the storeless run's
-     CEGIS trajectory exactly and removes the same culprits. *)
-  let dir = Filename.temp_file "pmi-test-integration" "" in
-  Sys.remove dir;
-  let store = Pmi_store.Store.open_ dir in
-  let stored =
-    Fun.protect
-      ~finally:(fun () -> Pmi_store.Store.close store)
-      (fun () -> Pipeline.run (Harness.create ~store (Machine.create catalog)))
-  in
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir;
-  let stats r = Option.get r.Pipeline.cegis_stats in
-  let plain = stats result and disk = stats stored in
-  Alcotest.(check int) "iterations" plain.Cegis.iterations disk.Cegis.iterations;
-  Alcotest.(check int) "observations"
-    (List.length plain.Cegis.observations)
-    (List.length disk.Cegis.observations);
-  Alcotest.(check int) "candidates tried" plain.Cegis.candidates_tried
-    disk.Cegis.candidates_tried;
-  Alcotest.(check int) "theory lemmas" plain.Cegis.theory_lemmas
-    disk.Cegis.theory_lemmas;
-  let culprits r =
-    List.map (fun k -> Scheme.name k.Blocking.representative)
-      r.Pipeline.removed_classes
-  in
-  Alcotest.(check (list string)) "culprit classes" (culprits result)
-    (culprits stored)
-
 let test_blocker_mapping_matches_truth () =
   (* Table 2: every surviving blocking class (and the improper store
      blockers) must match the documented = ground-truth port usage after
@@ -294,6 +263,4 @@ let () =
            test_counter_free_matches_uops_info;
          Alcotest.test_case "prediction quality" `Quick
            test_prediction_quality_of_result;
-         Alcotest.test_case "markdown report" `Quick test_markdown_report;
-         Alcotest.test_case "fresh store = storeless run" `Quick
-           test_store_does_not_change_the_run ]) ]
+         Alcotest.test_case "markdown report" `Quick test_markdown_report ]) ]

@@ -348,8 +348,7 @@ let prop_pool_find_first_minimal =
        Pool.find_first_index ~domains:4 Fun.id arr = expected)
 
 let test_pool_oracle_sweep () =
-  (* The validate-style fan-out: one oracle shared by domains, with no
-     warm-up. *)
+  (* Figure 5's fan-out: one oracle shared by domains, with no warm-up. *)
   let m = toy_mapping () in
   let o = Oracle.create m in
   let blocks =

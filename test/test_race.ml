@@ -1,7 +1,7 @@
 (* The concurrency sanitizer: detector soundness on planted races,
    cleanliness of the instrumented primitives under every small schedule
-   permutation, the parallel harness sweep, the CEGIS search, and the
-   shared diagnostics schema.
+   permutation, the parallel harness sweep, Figure 5's parallel prediction
+   sweep, and the shared diagnostics schema.
 
    Every test runs with the detector enabled and (mostly) in deterministic
    replay mode: the pool serializes tasks in seeded permutation order while
@@ -256,33 +256,35 @@ let test_harness_parallel_sweep () =
     Alcotest.(check int) "three distinct experiments" 3 distinct
   done
 
-let test_cegis_replay_clean () =
-  let open Pmi_core in
-  let add = Catalog.find toy_catalog 0
-  and mul = Catalog.find toy_catalog 1
-  and fma = Catalog.find toy_catalog 2 in
-  let truth = Pmi_portmap.Mapping.create ~num_ports:3 in
-  let both = Pmi_portmap.Portset.of_list in
-  Pmi_portmap.Mapping.set truth add [ (both [ 0; 1 ], 1) ];
-  Pmi_portmap.Mapping.set truth mul [ (both [ 1; 2 ], 1) ];
-  Pmi_portmap.Mapping.set truth fma [ (Pmi_portmap.Portset.singleton 2, 1) ];
-  let config =
-    { Cegis.default_config with
-      Cegis.num_ports = 3; r_max = 4; max_experiment_size = 3;
-      domains = 2 }
+let test_prediction_replay_clean () =
+  (* Figure 5's fan-out: one prepared oracle shared by every worker of a
+     pure per-block prediction sweep.  The sweep must be race-free, and
+     every schedule must return the sequential predictions. *)
+  let machine = Machine.create (Catalog.reduced ~per_bucket:1 ()) in
+  let truth = Machine.ground_truth machine in
+  let schemes =
+    List.filter
+      (Pmi_portmap.Mapping.supports truth)
+      (Array.to_list (Catalog.schemes (Machine.catalog machine)))
   in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let specs =
-    [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2);
-      (fma, Encoding.Proper 1) ]
+  let blocks =
+    Pmi_eval.Blocks.generate ~seed:7 ~count:24 ~block_size:5 schemes
   in
-  for seed = 0 to 1 do
-    expect_clean "parallel CEGIS"
+  let oracle = Pmi_portmap.Oracle.create truth in
+  Pmi_portmap.Oracle.prepare oracle schemes;
+  let predict =
+    Pmi_portmap.Oracle.inverse_bounded ~r_max:(Machine.r_max machine) oracle
+  in
+  let reference = List.map predict blocks in
+  for seed = 0 to 5 do
+    let result = ref [] in
+    expect_clean "parallel prediction"
       (with_detector ~schedule:seed (fun () ->
-           match Cegis.infer ~config ~measure ~specs () with
-           | Cegis.Converged _ -> ()
-           | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-             Alcotest.fail "toy CEGIS did not converge"))
+           result := Pool.map_list ~domains:4 predict blocks));
+    Alcotest.(check bool)
+      (Printf.sprintf "schedule %d: the sequential predictions" seed)
+      true
+      (List.equal Pmi_numeric.Rat.equal reference !result)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -361,6 +363,7 @@ let () =
       ("stack",
        [ Alcotest.test_case "harness sweep" `Quick
            test_harness_parallel_sweep;
-         Alcotest.test_case "parallel CEGIS" `Slow test_cegis_replay_clean;
+         Alcotest.test_case "parallel prediction" `Quick
+           test_prediction_replay_clean;
          Alcotest.test_case "diag schema shared" `Quick
            test_diag_schema_shared ]) ]

@@ -2,14 +2,11 @@
    checksum-rejected records skipped without failing open), last-writer-wins
    semantics across compaction, byte-level idempotence of open/close and of
    repeated compaction, a QCheck round-trip against a reference table, and
-   the harness's durable measurement tier (a second harness over the same
-   store re-measures nothing).  This suite is also wired as
-   `dune build @store`. *)
+   stores holding records of the retired measurement kind (code 0), which
+   open cleanly and lose those records at compaction.  This suite is also
+   wired as `dune build @store`. *)
 
 module Store = Pmi_store.Store
-module Machine = Pmi_machine.Machine
-module Harness = Pmi_measure.Harness
-open Pmi_isa
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
@@ -40,21 +37,19 @@ let with_store ?auto_compact dir f =
 let test_put_get_roundtrip () =
   let dir = temp_dir () in
   with_store dir (fun s ->
-      Store.put s Store.Measurement ~key:"m1" "1:2:0:3";
       Store.put s Store.Certificate ~key:"c1" "digest";
+      Store.put s Store.Certificate ~key:"c2" "other digest";
       Store.put s Store.Bench_history ~key:"b1" "{}";
-      Alcotest.(check (option string)) "measurement" (Some "1:2:0:3")
-        (Store.get s Store.Measurement ~key:"m1");
       Alcotest.(check (option string)) "certificate" (Some "digest")
         (Store.get s Store.Certificate ~key:"c1");
       Alcotest.(check (option string)) "kinds are separate namespaces" None
-        (Store.get s Store.Measurement ~key:"c1");
+        (Store.get s Store.Bench_history ~key:"c1");
       Alcotest.(check bool) "mem" true (Store.mem s Store.Bench_history ~key:"b1"));
   (* Everything survives a close/reopen. *)
   with_store dir (fun s ->
-      Alcotest.(check int) "measurements live" 1 (Store.live s Store.Measurement);
-      Alcotest.(check (option string)) "value survives" (Some "1:2:0:3")
-        (Store.get s Store.Measurement ~key:"m1");
+      Alcotest.(check int) "certificates live" 2 (Store.live s Store.Certificate);
+      Alcotest.(check (option string)) "value survives" (Some "other digest")
+        (Store.get s Store.Certificate ~key:"c2");
       let st = Store.stats s in
       Alcotest.(check int) "no corruption" 0 st.Store.corrupt;
       Alcotest.(check int) "replayed all three" 3 st.Store.replayed)
@@ -62,16 +57,16 @@ let test_put_get_roundtrip () =
 let test_identical_reput_is_noop () =
   let dir = temp_dir () in
   with_store dir (fun s ->
-      Store.put s Store.Measurement ~key:"k" "v";
+      Store.put s Store.Certificate ~key:"k" "v";
       let before = (Store.stats s).Store.journal_records in
-      Store.put s Store.Measurement ~key:"k" "v";
+      Store.put s Store.Certificate ~key:"k" "v";
       Alcotest.(check int) "journal did not grow" before
         (Store.stats s).Store.journal_records;
-      Store.put s Store.Measurement ~key:"k" "v2";
+      Store.put s Store.Certificate ~key:"k" "v2";
       Alcotest.(check int) "a new value does" (before + 1)
         (Store.stats s).Store.journal_records;
       Alcotest.(check (option string)) "last writer wins" (Some "v2")
-        (Store.get s Store.Measurement ~key:"k"))
+        (Store.get s Store.Certificate ~key:"k"))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -79,7 +74,7 @@ let test_identical_reput_is_noop () =
 let populate dir n =
   with_store dir (fun s ->
       for i = 0 to n - 1 do
-        Store.put s Store.Measurement
+        Store.put s Store.Certificate
           ~key:(Printf.sprintf "key-%02d" i)
           (Printf.sprintf "value-%02d" i)
       done)
@@ -106,7 +101,7 @@ let test_torn_tail_truncated () =
            let st = Store.stats s in
            Alcotest.(check int)
              (Printf.sprintf "cut %d keeps the complete records" cut)
-             3 (Store.live s Store.Measurement);
+             3 (Store.live s Store.Certificate);
            Alcotest.(check int)
              (Printf.sprintf "cut %d reports no corruption" cut)
              0 st.Store.corrupt;
@@ -114,12 +109,12 @@ let test_torn_tail_truncated () =
              (Printf.sprintf "cut %d truncates the tail" cut)
              (cut - last) st.Store.truncated_bytes;
            (* The store must stay writable on the recovered boundary. *)
-           Store.put s Store.Measurement ~key:"after" "crash");
+           Store.put s Store.Certificate ~key:"after" "crash");
        with_store dir (fun s ->
            Alcotest.(check (option string))
              (Printf.sprintf "cut %d: post-recovery append survives" cut)
              (Some "crash")
-             (Store.get s Store.Measurement ~key:"after")))
+             (Store.get s Store.Certificate ~key:"after")))
     [ last + 1; last + 11; last + 12; len - 1 ]
 
 let test_bit_flip_rejected () =
@@ -142,13 +137,13 @@ let test_bit_flip_rejected () =
       let st = Store.stats s in
       Alcotest.(check int) "one record rejected" 1 st.Store.corrupt;
       Alcotest.(check int) "the others survive" 2
-        (Store.live s Store.Measurement);
+        (Store.live s Store.Certificate);
       Alcotest.(check (option string)) "record before the flip" (Some "value-00")
-        (Store.get s Store.Measurement ~key:"key-00");
+        (Store.get s Store.Certificate ~key:"key-00");
       Alcotest.(check (option string)) "record after the flip" (Some "value-02")
-        (Store.get s Store.Measurement ~key:"key-02");
+        (Store.get s Store.Certificate ~key:"key-02");
       Alcotest.(check (option string)) "the flipped record is gone" None
-        (Store.get s Store.Measurement ~key:"key-01"))
+        (Store.get s Store.Certificate ~key:"key-01"))
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)
@@ -156,21 +151,21 @@ let test_bit_flip_rejected () =
 let test_lww_after_compaction () =
   let dir = temp_dir () in
   with_store dir (fun s ->
-      Store.put s Store.Measurement ~key:"k" "v1";
-      Store.put s Store.Measurement ~key:"k" "v2";
-      Store.put s Store.Measurement ~key:"other" "o";
-      Store.put s Store.Measurement ~key:"k" "v3";
+      Store.put s Store.Certificate ~key:"k" "v1";
+      Store.put s Store.Certificate ~key:"k" "v2";
+      Store.put s Store.Certificate ~key:"other" "o";
+      Store.put s Store.Certificate ~key:"k" "v3";
       Store.compact s;
       Alcotest.(check (option string)) "last writer wins" (Some "v3")
-        (Store.get s Store.Measurement ~key:"k");
+        (Store.get s Store.Certificate ~key:"k");
       let st = Store.stats s in
       Alcotest.(check int) "journal truncated" 0 st.Store.journal_records;
       Alcotest.(check int) "segment holds only live records" 2
         st.Store.segment_records);
   with_store dir (fun s ->
       Alcotest.(check (option string)) "winner survives reopen" (Some "v3")
-        (Store.get s Store.Measurement ~key:"k");
-      Alcotest.(check int) "still two live" 2 (Store.live s Store.Measurement))
+        (Store.get s Store.Certificate ~key:"k");
+      Alcotest.(check int) "still two live" 2 (Store.live s Store.Certificate))
 
 let test_open_close_idempotent () =
   let dir = temp_dir () in
@@ -188,39 +183,20 @@ let test_open_close_idempotent () =
   Alcotest.(check string) "re-compaction is byte-identical" seg
     (read_file (segment dir))
 
-let test_gc_drops_and_compacts () =
-  let dir = temp_dir () in
-  populate dir 6;
-  with_store dir (fun s ->
-      Store.put s Store.Certificate ~key:"keepme" "proof";
-      let dropped =
-        Store.gc s ~keep:(fun kind ~key _ ->
-            match kind with
-            | Store.Measurement -> key <= "key-02"
-            | Store.Certificate | Store.Bench_history -> true)
-      in
-      Alcotest.(check int) "dropped half" 3 dropped;
-      Alcotest.(check int) "survivors" 3 (Store.live s Store.Measurement);
-      Alcotest.(check bool) "other kinds kept" true
-        (Store.mem s Store.Certificate ~key:"keepme"));
-  with_store dir (fun s ->
-      Alcotest.(check int) "gc is durable" 3 (Store.live s Store.Measurement))
-
 (* ------------------------------------------------------------------ *)
 (* Randomised round-trip                                               *)
 
 let prop_random_roundtrip =
   let open QCheck2 in
   let kind_of = function
-    | 0 -> Store.Measurement
-    | 1 -> Store.Certificate
+    | 0 -> Store.Certificate
     | _ -> Store.Bench_history
   in
   let op =
     Gen.(oneof
            [ map3
                (fun k key v -> `Put (kind_of k, Printf.sprintf "k%d" key, v))
-               (int_range 0 2) (int_range 0 15)
+               (int_range 0 1) (int_range 0 15)
                (string_size ~gen:printable (int_range 0 40));
              return `Compact ])
   in
@@ -244,54 +220,89 @@ let prop_random_roundtrip =
                   Test.fail_reportf "key %s lost or changed" key)
              reference;
            let live_total =
-             Store.live s Store.Measurement
-             + Store.live s Store.Certificate
-             + Store.live s Store.Bench_history
+             Store.live s Store.Certificate + Store.live s Store.Bench_history
            in
            Hashtbl.length reference = live_total
            && (Store.stats s).Store.corrupt = 0))
 
 (* ------------------------------------------------------------------ *)
-(* The harness's durable tier                                          *)
+(* Stores written while measurements were a record kind                *)
 
-let test_harness_store_tier () =
-  (* Two harnesses over distinct machine instances but one store: the
-     second must answer every repeated experiment from the store and
-     leave its machine untouched. *)
+(* CRC32 (IEEE 802.3), written out here so the test frames records from
+   the documented on-disk format rather than through [Store]. *)
+let crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+       c := !c lxor Char.code ch;
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+(* One journal record: "PMIR" | u32 payload length | u32 crc | payload,
+   payload = u8 version 1 | u8 kind code | u16 key length | key | u32 value
+   length | value, all little-endian. *)
+let frame_record ~code ~key value =
+  let p = Buffer.create 64 in
+  Buffer.add_uint8 p 1;
+  Buffer.add_uint8 p code;
+  Buffer.add_uint16_le p (String.length key);
+  Buffer.add_string p key;
+  Buffer.add_int32_le p (Int32.of_int (String.length value));
+  Buffer.add_string p value;
+  let payload = Buffer.contents p in
+  let r = Buffer.create 80 in
+  Buffer.add_string r "PMIR";
+  Buffer.add_int32_le r (Int32.of_int (String.length payload));
+  Buffer.add_int32_le r (Int32.of_int (crc32 payload));
+  Buffer.add_string r payload;
+  Buffer.contents r
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_retired_measurement_kind () =
   let dir = temp_dir () in
-  let machine () =
-    Machine.create ~config:Machine.quiet_config
-      ~profile:Pmi_machine.Profile.a64fx
-      (Catalog.reduced ~per_bucket:1 ())
-  in
-  let experiments m =
-    List.filteri (fun i _ -> i < 3)
-      (Array.to_list (Catalog.schemes (Machine.catalog m)))
-    |> List.map Pmi_portmap.Experiment.singleton
-  in
-  let first =
-    with_store dir (fun store ->
-        let m = machine () in
-        let h = Harness.create ~reps:3 ~store m in
-        let cs = List.map (Harness.cycles h) (experiments m) in
-        Alcotest.(check bool) "first run measures" true
-          (Machine.measurement_count m > 0);
-        cs)
-  in
-  with_store dir (fun store ->
-      let m = machine () in
-      let h = Harness.create ~reps:3 ~store m in
-      let second = List.map (Harness.cycles h) (experiments m) in
-      Alcotest.(check int) "second run measures nothing" 0
-        (Machine.measurement_count m);
-      Alcotest.(check int) "no store misses" 0 (Harness.store_misses h);
-      Alcotest.(check int) "every probe hit the store" (List.length second)
-        (Harness.store_hits h);
-      List.iter2
-        (fun a b ->
-           Alcotest.(check bool) "identical cycles" true
-             (Pmi_numeric.Rat.equal a b))
-        first second)
+  with_store dir (fun s -> Store.put s Store.Certificate ~key:"c" "digest");
+  (* A measurement record as the harness's durable tier wrote them: kind
+     code 0, fingerprint|experiment key, num:den:spread-bits:retired-ops. *)
+  let key = "0123456789abcdef|3.1" in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 (journal dir)
+    (fun oc ->
+       Out_channel.output_string oc
+         (frame_record ~code:0 ~key "7:2:0:3"));
+  (* The framing helper matches the store's own records byte for byte. *)
+  Alcotest.(check string) "framing matches the store"
+    (frame_record ~code:1 ~key:"c" "digest")
+    (String.sub (read_file (journal dir)) 0
+       (String.length (frame_record ~code:1 ~key:"c" "digest")));
+  let report = Store.verify dir in
+  Alcotest.(check int) "verify: nothing corrupt" 0 report.Store.r_corrupt;
+  Alcotest.(check int) "verify: both records intact" 2
+    report.Store.r_journal_records;
+  with_store dir (fun s ->
+      let st = Store.stats s in
+      Alcotest.(check int) "opens with nothing corrupt" 0 st.Store.corrupt;
+      Alcotest.(check int) "nothing truncated" 0 st.Store.truncated_bytes;
+      Alcotest.(check (option string)) "certificate kept" (Some "digest")
+        (Store.get s Store.Certificate ~key:"c");
+      Alcotest.(check int) "one live record" 1
+        (Store.live s Store.Certificate + Store.live s Store.Bench_history);
+      Store.compact s;
+      Alcotest.(check int) "compaction keeps the certificate only" 1
+        (Store.stats s).Store.segment_records);
+  Alcotest.(check bool) "the measurement is compacted away" false
+    (contains (read_file (segment dir)) key);
+  let report = Store.verify dir in
+  Alcotest.(check int) "verify after compaction: nothing corrupt" 0
+    report.Store.r_corrupt;
+  with_store dir (fun s ->
+      Alcotest.(check (option string)) "certificate survives compaction"
+        (Some "digest") (Store.get s Store.Certificate ~key:"c"))
 
 (* ------------------------------------------------------------------ *)
 
@@ -310,10 +321,8 @@ let () =
       ("compaction",
        [ Alcotest.test_case "last writer wins" `Quick test_lww_after_compaction;
          Alcotest.test_case "open/close and re-compaction idempotent" `Quick
-           test_open_close_idempotent;
-         Alcotest.test_case "gc drops and compacts" `Quick
-           test_gc_drops_and_compacts ]);
+           test_open_close_idempotent ]);
       ("random", qsuite [ prop_random_roundtrip ]);
-      ("harness",
-       [ Alcotest.test_case "durable measurement tier" `Quick
-           test_harness_store_tier ]) ]
+      ("retired",
+       [ Alcotest.test_case "measurement records skipped and compacted away"
+           `Quick test_retired_measurement_kind ]) ]
