@@ -614,9 +614,10 @@ let sanitize_pool_primitives ~schedules =
        run_once ())
     (replay_seeds schedules 3)
 
-(* Figure 5's fan-out: one prepared oracle shared by every worker of a
-   pure per-block prediction sweep; every schedule must return the
-   sequential predictions. *)
+(* A Figure 5 style per-block prediction sweep fanned out over the pool:
+   one prepared oracle shared by every worker, each query on its own
+   scratch profile; every schedule must return the sequential
+   predictions. *)
 let sanitize_prediction ~schedules opts =
   let reduced = if opts.reduced > 0 then opts.reduced else 2 in
   let machine = make_machine ~reduced ~seed:42 in
@@ -984,7 +985,7 @@ let () =
                Arg.(value & flag & info [ "plant-race" ] ~doc)
              in
              cmd "sanitize"
-               "Run the parallel workloads (pool primitives, Figure 5's \
+               "Run the parallel workloads (pool primitives, a shared-oracle \
                 prediction sweep, harness cache) under the vector-clock race \
                 detector, across OS scheduling and deterministic schedule \
                 replay; exits non-zero on any data race"

@@ -85,20 +85,10 @@ val holding : lock -> (unit -> 'a) -> 'a
     vanishing. *)
 
 (* ------------------------------------------------------------------ *)
-(** {1 Tracked locations} *)
+(** {1 Tracked locations}
 
-type location
-(** A shadow word for one logical memory location (or one coarse region,
-    e.g. "this hash table" or "this solver's clause arena"). *)
-
-val location : string -> location
-
-val touch_read : location -> unit
-(** Record a read of the location by the current logical thread. *)
-
-val touch_write : location -> unit
-(** Record a write.  Checks against the previous write {e and} all
-    unordered previous reads. *)
+    Each tracked cell, atomic or table carries one shadow word for its
+    logical memory location (a coarse region for a whole table). *)
 
 (** {2 Tracked cells} *)
 

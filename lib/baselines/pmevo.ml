@@ -3,7 +3,7 @@ module Scheme = Pmi_isa.Scheme
 module Portset = Pmi_portmap.Portset
 module Mapping = Pmi_portmap.Mapping
 module Experiment = Pmi_portmap.Experiment
-module Throughput = Pmi_portmap.Throughput
+module Oracle = Pmi_portmap.Oracle
 module Harness = Pmi_measure.Harness
 
 type config = {
@@ -96,18 +96,20 @@ let mutate_usage config rng usage =
     as_usage usage
   end
 
-(* Relative error of one benchmark under one genome-as-mapping.  PMEvo's
-   model has no frontend term (the paper's footnote 10: predictions are not
-   adjusted for the IPC bottleneck), so training is consistent with it. *)
-let benchmark_error mapping bench =
-  let modeled = Throughput.inverse mapping bench.experiment in
+(* Relative error of one benchmark under one genome-as-mapping, on the
+   sparse kernel.  PMEvo's model has no frontend term (the paper's footnote
+   10: predictions are not adjusted for the IPC bottleneck), so training is
+   consistent with it. *)
+let benchmark_error oracle bench =
+  let modeled = Oracle.inverse oracle bench.experiment in
   let measured = Rat.to_float bench.cycles in
   if measured = 0.0 then 0.0
   else Float.abs (Rat.to_float modeled -. measured) /. measured
 
 let fitness mapping benchmarks =
+  let oracle = Oracle.create mapping in
   let total =
-    List.fold_left (fun acc b -> acc +. benchmark_error mapping b) 0.0
+    List.fold_left (fun acc b -> acc +. benchmark_error oracle b) 0.0
       benchmarks
   in
   100.0 *. total /. float_of_int (max 1 (List.length benchmarks))

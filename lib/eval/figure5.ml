@@ -2,7 +2,6 @@ module Rat = Pmi_numeric.Rat
 module Mapping = Pmi_portmap.Mapping
 module Experiment = Pmi_portmap.Experiment
 module Oracle = Pmi_portmap.Oracle
-module Pool = Pmi_parallel.Pool
 module Harness = Pmi_measure.Harness
 module Pmevo = Pmi_baselines.Pmevo
 module Palmed = Pmi_baselines.Palmed
@@ -51,7 +50,7 @@ type t = {
 let result name pairs =
   { model = name; pairs; summary = Metrics.summarize pairs }
 
-let run ?(options = default_options) ?(domains = 1) harness ~mapping =
+let run ?(options = default_options) harness ~mapping =
   let machine = Harness.machine harness in
   let r_max = Pmi_machine.Machine.r_max machine in
   let covered =
@@ -72,10 +71,8 @@ let run ?(options = default_options) ?(domains = 1) harness ~mapping =
          (e, float_of_int (Experiment.length e) /. cycles))
       blocks
   in
-  (* Model predictions are pure, so the per-block sweep fans out over the
-     domain pool; the harness itself is never touched past this point. *)
   let predict model_inverse =
-    Pool.map_list ~domains
+    List.map
       (fun (e, ipc) ->
          let t = model_inverse e in
          (float_of_int (Experiment.length e) /. Float.max 1e-9 t, ipc))

@@ -41,15 +41,12 @@ type t = {
 
 val run :
   ?options:options ->
-  ?domains:int ->
   Pmi_measure.Harness.t ->
   mapping:Pmi_portmap.Mapping.t ->
   t
 (** Evaluate against the harness's machine; [mapping] is the pipeline's
-    final inferred mapping.  Model predictions go through the memoised
-    {!Pmi_portmap.Oracle}; with [domains > 1] (default 1) the pure
-    prediction sweeps fan out over that many domains — measurement stays
-    sequential because the harness cache is not thread-safe. *)
+    final inferred mapping.  Model predictions go through the sparse
+    {!Pmi_portmap.Oracle}, PMEvo's training fitness included. *)
 
 val pp : Format.formatter -> t -> unit
 (** The Figure 5(a) table plus the three heatmaps. *)

@@ -21,6 +21,8 @@ let normalize sign mag =
 
 let of_int i =
   if i = 0 then zero
+  else if i > -base && i < base then
+    { sign = (if i > 0 then 1 else -1); mag = [| Stdlib.abs i |] }
   else begin
     let sign = if i > 0 then 1 else -1 in
     (* [abs min_int] overflows, so peel digits off the negative value. *)

@@ -14,7 +14,20 @@ let zero = { num = Bigint.zero; den = Bigint.one }
 let one = { num = Bigint.one; den = Bigint.one }
 
 let of_int i = { num = Bigint.of_int i; den = Bigint.one }
-let of_ints a b = make (Bigint.of_int a) (Bigint.of_int b)
+
+(* Native ints are reduced natively; only [min_int], whose negation
+   overflows, takes the bignum path. *)
+let of_ints a b =
+  if b = 0 then raise Division_by_zero
+  else if a = 0 then zero
+  else if a = min_int || b = min_int then
+    make (Bigint.of_int a) (Bigint.of_int b)
+  else begin
+    let rec gcd x y = if y = 0 then x else gcd y (x mod y) in
+    let g = gcd (Stdlib.abs a) (Stdlib.abs b) in
+    let g = if b < 0 then -g else g in
+    { num = Bigint.of_int (a / g); den = Bigint.of_int (b / g) }
+  end
 
 let num t = t.num
 let den t = t.den

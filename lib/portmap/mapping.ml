@@ -2,28 +2,37 @@ module Scheme = Pmi_isa.Scheme
 
 type usage = (Portset.t * int) list
 
+(* A row is compiled once, when it is set, into the flat arrays the
+   throughput kernel reads.  The table is keyed by scheme id; ids are dense
+   catalog indices, so they hash to themselves. *)
+type row = {
+  scheme : Scheme.t; usage : usage; masks : int array; counts : int array }
+
+module Table =
+  Hashtbl.Make (struct type t = int let equal = Int.equal let hash id = id end)
+
 type t = {
   num_ports : int;
-  table : (int, Scheme.t * usage) Hashtbl.t;
+  table : row Table.t;
 }
 
 let create ~num_ports =
   if num_ports <= 0 then invalid_arg "Mapping.create";
-  { num_ports; table = Hashtbl.create 64 }
+  { num_ports; table = Table.create 64 }
 
 let num_ports t = t.num_ports
 
+(* Sorted by port set, so equal sets are adjacent and merge in one pass. *)
 let normalize_usage usage =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (ports, n) ->
-       if n > 0 then begin
-         let prev = try Hashtbl.find tbl ports with Not_found -> 0 in
-         Hashtbl.replace tbl ports (prev + n)
-       end)
-    usage;
-  Hashtbl.fold (fun ports n acc -> (ports, n) :: acc) tbl []
+  let rec merge = function
+    | (p, n) :: (p', n') :: rest when Portset.equal p p' ->
+      merge ((p, n + n') :: rest)
+    | x :: rest -> x :: merge rest
+    | [] -> []
+  in
+  List.filter (fun (_, n) -> n > 0) usage
   |> List.sort (fun (a, _) (b, _) -> Portset.compare a b)
+  |> merge
 
 let validate t usage =
   List.iter
@@ -37,38 +46,37 @@ let validate t usage =
 let set t scheme usage =
   let usage = normalize_usage usage in
   validate t usage;
-  Hashtbl.replace t.table (Scheme.id scheme) (scheme, usage)
+  let masks = Array.of_list (List.map (fun (p, _) -> Portset.to_mask p) usage) in
+  let counts = Array.of_list (List.map snd usage) in
+  Table.replace t.table (Scheme.id scheme) { scheme; usage; masks; counts }
 
 let find_opt t scheme =
-  match Hashtbl.find_opt t.table (Scheme.id scheme) with
-  | Some (_, usage) -> Some usage
+  match Table.find_opt t.table (Scheme.id scheme) with
+  | Some r -> Some r.usage
   | None -> None
 
-let usage t scheme =
-  match find_opt t scheme with
-  | Some usage -> usage
-  | None -> raise Not_found
+let row t scheme = Table.find t.table (Scheme.id scheme)
 
-let supports t scheme = Hashtbl.mem t.table (Scheme.id scheme)
+let usage t scheme = (row t scheme).usage
+
+let supports t scheme = Table.mem t.table (Scheme.id scheme)
 
 let schemes t =
-  Hashtbl.fold (fun _ (s, _) acc -> s :: acc) t.table []
+  Table.fold (fun _ r acc -> r.scheme :: acc) t.table []
   |> List.sort Scheme.compare
 
-let size t = Hashtbl.length t.table
+let size t = Table.length t.table
 
 let uop_count t scheme =
-  match find_opt t scheme with
+  match Table.find_opt t.table (Scheme.id scheme) with
   | None -> 0
-  | Some usage -> List.fold_left (fun acc (_, n) -> acc + n) 0 usage
+  | Some r -> Array.fold_left ( + ) 0 r.counts
 
-let copy t = { t with table = Hashtbl.copy t.table }
+let copy t = { t with table = Table.copy t.table }
 
 let ports_used t =
-  Hashtbl.fold
-    (fun _ (_, usage) acc ->
-       List.fold_left (fun acc (ports, _) -> Portset.union acc ports) acc usage)
-    t.table Portset.empty
+  Portset.of_mask
+    (Table.fold (fun _ r acc -> Array.fold_left ( lor ) acc r.masks) t.table 0)
 
 let usage_to_string usage =
   match usage with

@@ -19,6 +19,14 @@ val set : t -> Pmi_isa.Scheme.t -> usage -> unit
     @raise Invalid_argument if a port set is empty, mentions a port
     [>= num_ports], or a multiplicity is non-positive. *)
 
+type row = private {
+  scheme : Pmi_isa.Scheme.t; usage : usage; masks : int array; counts : int array }
+(** A scheme's entry, with its usage compiled by {!set} into flat arrays of
+    port masks and multiplicities for {!Oracle}.  Never mutate them. *)
+
+val row : t -> Pmi_isa.Scheme.t -> row
+(** @raise Not_found if the scheme has no entry. *)
+
 val find_opt : t -> Pmi_isa.Scheme.t -> usage option
 val usage : t -> Pmi_isa.Scheme.t -> usage
 (** @raise Not_found if the scheme has no entry. *)

@@ -9,123 +9,147 @@ module Scheme = Pmi_isa.Scheme
    and cannot grow |Q|.  So a query only needs the experiment's distinct
    non-empty port masks and the µop mass on each (a [profile]), never the
    2^P port lattice.  With k masks over the union U, the kernel enumerates
-   the unions of subsets of the masks (2^k leaves) or, when k > |U|, the
-   submasks of U (2^|U| leaves); both visit every candidate bottleneck, and
-   each leaf sums the masses of the masks it contains.  k is at most a
-   handful for CEGIS experiments, independent of the port count.
+   the unions of subsets of the masks (2^k leaves, each carrying its mass
+   down the recursion) or, when k > |U|, the submasks of U (2^|U| leaves,
+   each summing the masks it contains); both visit every candidate
+   bottleneck.  k is at most a handful for CEGIS experiments, independent
+   of the port count.
 
    Ties are broken towards the numerically smallest mask, the same set a
    scan of the lattice in mask order returns.  Fractions stay native
-   (num, den) ints until the public [Rat] API. *)
+   (num, den) ints until the public [Rat] API.  Each query or accumulator
+   owns its scratch profile, so domains share only the read-only mapping. *)
 
 type t = { mapping : Mapping.t; num_ports : int }
 
 let create mapping = { mapping; num_ports = Mapping.num_ports mapping }
-let mapping t = t.mapping
 let num_ports t = t.num_ports
 
 let row t scheme =
-  match Mapping.find_opt t.mapping scheme with
-  | Some usage -> usage
-  | None -> raise (Throughput.Unsupported scheme)
+  try Mapping.row t.mapping scheme
+  with Not_found -> raise (Throughput.Unsupported scheme)
 
 let prepare t schemes = List.iter (fun s -> ignore (row t s)) schemes
 
-(* Mass profile: distinct masks in slots [0, k) with positive masses. *)
+(* Mass profile: distinct masks in slots [0, k) with their masses, and the
+   best bottleneck (mask, num, den) the last [best] found. *)
 type profile = {
   mutable k : int;
   mutable masks : int array;
   mutable mass : int array;
+  mutable best_q : int;
+  mutable best_num : int;
+  mutable best_den : int;
 }
 
-let profile () = { k = 0; masks = Array.make 8 0; mass = Array.make 8 0 }
+(* Array literals are allocated inline, without a runtime call; [credit]
+   doubles them when a query has more masks. *)
+let profile () =
+  let masks = [| 0; 0; 0; 0; 0; 0; 0; 0 |] in
+  let mass = [| 0; 0; 0; 0; 0; 0; 0; 0 |] in
+  { k = 0; masks; mass; best_q = 0; best_num = 0; best_den = 1 }
 
 let slot p mask =
-  let rec find i =
-    if i = p.k then -1 else if p.masks.(i) = mask then i else find (i + 1)
-  in
-  find 0
+  let i = ref 0 in
+  while !i < p.k && p.masks.(!i) <> mask do incr i done;
+  if !i < p.k then !i else -1
 
 let credit p mask m =
   let i = slot p mask in
   if i >= 0 then p.mass.(i) <- p.mass.(i) + m
   else begin
-    if p.k = Array.length p.masks then begin
-      let grow a = Array.append a (Array.make p.k 0) in
-      p.masks <- grow p.masks;
-      p.mass <- grow p.mass
+    let k = p.k in
+    if k = Array.length p.masks then begin
+      p.masks <- Array.append p.masks p.masks;
+      p.mass <- Array.append p.mass p.mass
     end;
-    p.masks.(p.k) <- mask;
-    p.mass.(p.k) <- m;
-    p.k <- p.k + 1
+    p.masks.(k) <- mask;
+    p.mass.(k) <- m;
+    p.k <- k + 1
   end
 
+(* Bits set in a mask below 2^62 (every port set is), by summing bit
+   fields of doubling width. *)
 let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7f
 
-(* The kernel: a best bottleneck (mask, num, den) of a profile, compared
-   by exact cross-multiplication (masses and cardinalities are far from
-   native-int overflow).  (0, 0, 1) for the empty profile. *)
-let best p =
-  let k = p.k and masks = p.masks and mass = p.mass in
-  let best_q = ref 0 and best_num = ref 0 and best_den = ref 1 in
-  let consider q =
-    let m = ref 0 in
-    for i = 0 to k - 1 do
-      let mi = masks.(i) in
-      if mi land q = mi then m := !m + mass.(i)
-    done;
-    let card = popcount q in
-    let lhs = !m * !best_den and rhs = !best_num * card in
-    if lhs > rhs || (lhs = rhs && q < !best_q) then begin
-      best_q := q;
-      best_num := !m;
-      best_den := card
-    end
-  in
-  let u = ref 0 in
-  for i = 0 to k - 1 do u := !u lor masks.(i) done;
-  let u = !u in
-  if k <= popcount u then begin
-    (* Unions of subsets; a mask already inside the running union would
-       not change it, so only the branch without it is taken. *)
-    let rec go i q =
-      if i = k then (if q <> 0 then consider q)
-      else begin
-        let mi = masks.(i) in
-        go (i + 1) q;
-        if mi land q <> mi then go (i + 1) (q lor mi)
-      end
-    in
-    go 0 0
+(* One candidate bottleneck q of mass m, compared with the best so far by
+   exact cross-multiplication (masses and cardinalities are far from
+   native-int overflow). *)
+let consider p q m =
+  let card = popcount q in
+  let lhs = m * p.best_den and rhs = p.best_num * card in
+  if lhs > rhs || (lhs = rhs && q < p.best_q) then begin
+    p.best_q <- q;
+    p.best_num <- m;
+    p.best_den <- card
   end
+
+(* Unions of q with subsets of masks [i, k), where m is the mass of the
+   masks taken so far.  A mask already inside q is always taken, so the
+   leaf of the closed subset {i | mask i ⊆ Q} of every union Q carries
+   mass(Q) exactly; any other leaf of Q undercounts, so it can neither
+   beat nor tie the optimum with a different (num, den). *)
+let rec unions p i q m =
+  if i = p.k then (if q <> 0 then consider p q m)
+  else begin
+    let mi = p.masks.(i) and mass = p.mass.(i) in
+    if mi land q = mi then unions p (i + 1) q (m + mass)
+    else begin
+      unions p (i + 1) q m;
+      unions p (i + 1) (q lor mi) (m + mass)
+    end
+  end
+
+(* The kernel: a best bottleneck of the profile into [best_*];
+   (0, 0, 1) for the empty profile. *)
+let best p =
+  p.best_q <- 0;
+  p.best_num <- 0;
+  p.best_den <- 1;
+  let u = ref 0 in
+  for i = 0 to p.k - 1 do u := !u lor p.masks.(i) done;
+  let u = !u in
+  if p.k <= popcount u then unions p 0 0 0
   else begin
     let q = ref u in
     while !q <> 0 do
-      consider !q;
+      let m = ref 0 in
+      for i = 0 to p.k - 1 do
+        if p.masks.(i) land !q = p.masks.(i) then m := !m + p.mass.(i)
+      done;
+      consider p !q !m;
       q := (!q - 1) land u
     done
-  end;
-  (!best_q, !best_num, !best_den)
+  end
 
-let profile_of t experiment =
+let credit_row p (r : Mapping.row) count =
+  for j = 0 to Array.length r.masks - 1 do
+    credit p r.masks.(j) (r.counts.(j) * count)
+  done
+
+let rec assemble t p = function
+  | [] -> ()
+  | (s, count) :: rest ->
+    credit_row p (row t s) count;
+    assemble t p rest
+
+let query t experiment =
   let p = profile () in
-  List.iter
-    (fun (s, count) ->
-       List.iter
-         (fun (ports, n) -> credit p (Portset.to_mask ports) (n * count))
-         (row t s))
-    (Experiment.to_counts experiment);
+  assemble t p (Experiment.to_counts experiment);
+  best p;
   p
 
 let inverse t experiment =
-  let _, num, den = best (profile_of t experiment) in
-  Rat.of_ints num den
+  let p = query t experiment in
+  Rat.of_ints p.best_num p.best_den
 
-let bottleneck_set t experiment =
-  let q, _, _ = best (profile_of t experiment) in
-  Portset.of_mask q
+let bottleneck_set t experiment = Portset.of_mask (query t experiment).best_q
 
 (* max (num/den) (len/r_max) without building the loser. *)
 let bounded ~r_max len num den =
@@ -133,18 +157,20 @@ let bounded ~r_max len num den =
   if num * r_max >= len * den then (num, den) else (len, r_max)
 
 let inverse_bounded_frac ~r_max t experiment =
-  let _, num, den = best (profile_of t experiment) in
-  bounded ~r_max (Experiment.length experiment) num den
+  let p = query t experiment in
+  bounded ~r_max (Experiment.length experiment) p.best_num p.best_den
 
 let rat (num, den) = Rat.of_ints num den
+
+let inverse_bounded ~r_max t experiment =
+  rat (inverse_bounded_frac ~r_max t experiment)
 
 let masses_frac masks masses =
   if Array.length masks <> Array.length masses then
     invalid_arg "Oracle.masses_frac";
-  let _, num, den = best { k = Array.length masks; masks; mass = masses } in
-  (num, den)
-let inverse_bounded ~r_max t experiment =
-  rat (inverse_bounded_frac ~r_max t experiment)
+  let p = { (profile ()) with k = Array.length masks; masks; mass = masses } in
+  best p;
+  (p.best_num, p.best_den)
 
 module Acc = struct
   type oracle = t
@@ -161,12 +187,9 @@ module Acc = struct
 
   let add acc scheme count =
     if count < 0 then invalid_arg "Oracle.Acc.add";
-    let usage = row acc.oracle scheme in
+    let r = row acc.oracle scheme in
     if count > 0 then begin
-      List.iter
-        (fun (ports, n) ->
-           credit acc.profile (Portset.to_mask ports) (n * count))
-        usage;
+      credit_row acc.profile r count;
       acc.len <- acc.len + count
     end
 
@@ -175,27 +198,27 @@ module Acc = struct
      profile, which keeps k small. *)
   let remove acc scheme count =
     if count < 0 then invalid_arg "Oracle.Acc.remove";
-    let usage = row acc.oracle scheme in
+    let r = row acc.oracle scheme in
     if count > 0 then begin
-      let p = acc.profile in
-      let fits (ports, n) =
-        let i = slot p (Portset.to_mask ports) in
-        i >= 0 && p.mass.(i) >= n * count
-      in
-      if count > acc.len || not (List.for_all fits usage) then
-        invalid_arg "Oracle.Acc.remove";
-      List.iter
-        (fun (ports, n) ->
-           let i = slot p (Portset.to_mask ports) in
-           let m = p.mass.(i) - (n * count) in
-           if m > 0 then p.mass.(i) <- m
-           else begin
-             let last = p.k - 1 in
-             p.masks.(i) <- p.masks.(last);
-             p.mass.(i) <- p.mass.(last);
-             p.k <- last
-           end)
-        usage;
+      let p = acc.profile and n = Array.length r.Mapping.masks in
+      let fits = ref (count <= acc.len) and j = ref 0 in
+      while !fits && !j < n do
+        let i = slot p r.masks.(!j) in
+        fits := i >= 0 && p.mass.(i) >= r.counts.(!j) * count;
+        incr j
+      done;
+      if not !fits then invalid_arg "Oracle.Acc.remove";
+      for j = 0 to n - 1 do
+        let i = slot p r.masks.(j) in
+        let m = p.mass.(i) - (r.counts.(j) * count) in
+        if m > 0 then p.mass.(i) <- m
+        else begin
+          let last = p.k - 1 in
+          p.masks.(i) <- p.masks.(last);
+          p.mass.(i) <- p.mass.(last);
+          p.k <- last
+        end
+      done;
       acc.len <- acc.len - count
     end
 
@@ -204,12 +227,14 @@ module Acc = struct
     acc.len <- 0
 
   let inverse acc =
-    let _, num, den = best acc.profile in
-    Rat.of_ints num den
+    let p = acc.profile in
+    best p;
+    Rat.of_ints p.best_num p.best_den
 
   let inverse_bounded_frac ~r_max acc =
-    let _, num, den = best acc.profile in
-    bounded ~r_max acc.len num den
+    let p = acc.profile in
+    best p;
+    bounded ~r_max acc.len p.best_num p.best_den
 
   let inverse_bounded ~r_max acc = rat (inverse_bounded_frac ~r_max acc)
 end

@@ -5,24 +5,25 @@
     experiment's distinct non-empty µop port masks and their masses alone.
     By the bottleneck-set theorem (§2.2) the optimum is attained at a union
     of those masks, so with k masks over their union U a query enumerates
-    the unions of subsets of the masks, or the submasks of U when k > |U|:
-    O(2^min(k,|U|)·k), independent of the port count.  Rows are read from
-    the mapping on every query; nothing is cached, so one oracle can be
-    shared across domains as is.
+    the unions of subsets of the masks in O(2^k), or the submasks of U in
+    O(2^|U|·k) when k > |U|, independent of the port count.  Queries read
+    the rows {!Mapping.set} compiled ({!Mapping.row}) into a scratch
+    profile of their own and cache nothing, so one oracle can be shared
+    across domains as is.
 
     All results are exact and agree with {!Throughput} up to
     {!Pmi_numeric.Rat.equal} (property-tested in [test/test_oracle.ml]).
-    The [_frac] queries return the value as a native [(num, den)] pair
-    ([den > 0], not necessarily reduced) for hot loops that compare
-    fractions without building a {!Pmi_numeric.Rat.t}. *)
+    The [_frac] queries return the value as a native [(num, den)] pair,
+    [den > 0], for hot loops that compare fractions without building a
+    {!Pmi_numeric.Rat.t}; the port bound is [(mass q*, |q*|)] unreduced,
+    q* the smallest maximising mask. *)
 
 type t
 
 val create : Mapping.t -> t
-(** An oracle for the mapping.  The mapping is captured by reference and
-    must not be mutated afterwards. *)
+(** An oracle for the mapping, in O(1).  The mapping is captured by
+    reference and must not be mutated afterwards. *)
 
-val mapping : t -> Mapping.t
 val num_ports : t -> int
 
 val prepare : t -> Pmi_isa.Scheme.t list -> unit

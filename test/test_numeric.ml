@@ -207,6 +207,22 @@ let prop_rat_to_float_native =
     (fun (a, b) ->
        Rat.to_float (Rat.of_ints a b) = float_of_int a /. float_of_int b)
 
+(* [of_ints] reduces natively; it must build the same canonical value as
+   the bignum path, [min_int] and the sign of the denominator included. *)
+let prop_rat_of_ints_canonical =
+  let part =
+    QCheck2.Gen.(
+      oneof
+        [ int_range (-1000) 1000; int; oneofl [ min_int; max_int; min_int + 1 ] ])
+  in
+  QCheck2.Test.make ~name:"rat of_ints = make on bignums" ~count:1000
+    QCheck2.Gen.(pair part (map (fun d -> if d = 0 then 1 else d) part))
+    (fun (a, b) ->
+       let fast = Rat.of_ints a b
+       and slow = Rat.make (Bigint.of_int a) (Bigint.of_int b) in
+       Bigint.equal (Rat.num fast) (Rat.num slow)
+       && Bigint.equal (Rat.den fast) (Rat.den slow))
+
 let test_rat_to_float_huge () =
   let pow10 k = Bigint.of_string ("1" ^ String.make k '0') in
   let big = pow10 400 in
@@ -369,7 +385,7 @@ let () =
            test_rat_to_float_huge ]
        @ qsuite
            [ prop_rat_field_laws; prop_rat_order_total; prop_rat_to_float;
-             prop_rat_to_float_native ]);
+             prop_rat_to_float_native; prop_rat_of_ints_canonical ]);
       ("simplex",
        [ Alcotest.test_case "classic max" `Quick test_simplex_basic_max;
          Alcotest.test_case "min with >=" `Quick test_simplex_min_with_ge;

@@ -304,6 +304,122 @@ let test_acc_reset () =
   Alcotest.check rat "inverse" Rat.zero (Oracle.Acc.inverse acc)
 
 (* ------------------------------------------------------------------ *)
+(* The exact kernel triple against a brute-force lattice scan          *)
+(* ------------------------------------------------------------------ *)
+
+(* The smallest-mask maximiser q* of mass(Q)/|Q| over every non-empty
+   Q ⊆ [0, ports), with its unreduced (mass q*, |q*|): an ascending scan
+   that only moves on a strictly better fraction.  (0, 0, 1) when no Q has
+   positive mass. *)
+let brute_force ~ports masses =
+  let best = ref (0, 0, 1) in
+  for q = 1 to (1 lsl ports) - 1 do
+    let m =
+      List.fold_left
+        (fun acc (mask, n) -> if mask land q = mask then acc + n else acc)
+        0 masses
+    in
+    let card = Portset.cardinal (Portset.of_mask q) in
+    let _, bn, bd = !best in
+    if m * bd > bn * card then best := (q, m, card)
+  done;
+  !best
+
+(* A random mapping on 1 to 12 ports and an experiment over it. *)
+let small_mapping_gen =
+  QCheck2.Gen.(
+    int_range 1 12 >>= fun ports ->
+    map (fun ue -> (ports, ue)) (gen_over (List.init ports Fun.id)))
+
+let prop_exact_triple =
+  QCheck2.Test.make
+    ~name:"inverse_bounded_frac and bottleneck_set = brute-force q*" ~count:300
+    QCheck2.Gen.(pair small_mapping_gen (int_range 1 6))
+    (fun ((ports, (usages, counts)), r_max) ->
+       let m = build_mapping ~num_ports:ports usages in
+       let e = build_experiment counts in
+       let o = Oracle.create m in
+       let masses =
+         List.map (fun (p, n) -> (Portset.to_mask p, n)) (Throughput.uop_masses m e)
+       in
+       let q, num, den = brute_force ~ports masses in
+       (* A frontend rate no experiment here reaches leaves the kernel's
+          own pair; a small one must give the larger of the two pairs. *)
+       let len = Experiment.length e in
+       let bounded =
+         if num * r_max >= len * den then (num, den) else (len, r_max)
+       in
+       Oracle.inverse_bounded_frac ~r_max:1_000_000 o e = (num, den)
+       && Oracle.inverse_bounded_frac ~r_max o e = bounded
+       && Portset.to_mask (Oracle.bottleneck_set o e) = q)
+
+(* [masses_frac] takes raw parallel arrays: repeated masks and zero masses
+   count as they stand. *)
+let prop_masses_frac =
+  QCheck2.Test.make ~name:"masses_frac with repeated masks and zero masses"
+    ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 10) (pair (int_range 1 63) (int_range 0 3)))
+    (fun masses ->
+       let _, num, den = brute_force ~ports:6 masses in
+       Oracle.masses_frac
+         (Array.of_list (List.map fst masses))
+         (Array.of_list (List.map snd masses))
+       = (num, den))
+
+let test_masses_frac_cases () =
+  let check what expected masks masses =
+    Alcotest.(check (pair int int)) what expected
+      (Oracle.masses_frac masks masses)
+  in
+  check "empty" (0, 1) [||] [||];
+  check "all zero" (0, 1) [| 1; 3; 1 |] [| 0; 0; 0 |];
+  check "repeated mask, unreduced" (2, 2) [| 3; 3 |] [| 1; 1 |];
+  check "repeated mask merges" (4, 1) [| 1; 2; 1 |] [| 1; 3; 3 |];
+  check "tie to the smallest mask" (1, 1) [| 1; 2 |] [| 1; 1 |];
+  check "zero mass ignored" (3, 2) [| 3; 4 |] [| 3; 0 |];
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Oracle.masses_frac")
+    (fun () -> ignore (Oracle.masses_frac [| 1 |] [||]))
+
+(* A random walk of adds and removes (a removal only of copies the
+   multiset holds) leaves the same profile as adding the final multiset to
+   a fresh accumulator: the same mask count, length and unreduced pair. *)
+let prop_acc_walk_fresh =
+  QCheck2.Test.make ~name:"Acc walk = fresh profile of the same multiset"
+    ~count:300
+    QCheck2.Gen.(
+      pair mapping_experiment_gen
+        (list_size (int_range 0 40)
+           (triple (int_range 0 (num_random_schemes - 1)) (int_range 1 3) bool)))
+    (fun ((usages, _), steps) ->
+       let o = Oracle.create (build_mapping usages) in
+       let walked = Oracle.Acc.create o in
+       let held = Array.make num_random_schemes 0 in
+       List.iter
+         (fun (i, n, add) ->
+            let s = Catalog.find random_catalog i in
+            if add then begin
+              Oracle.Acc.add walked s n;
+              held.(i) <- held.(i) + n
+            end
+            else if held.(i) >= n then begin
+              Oracle.Acc.remove walked s n;
+              held.(i) <- held.(i) - n
+            end)
+         steps;
+       let fresh = Oracle.Acc.create o in
+       Array.iteri
+         (fun i n -> Oracle.Acc.add fresh (Catalog.find random_catalog i) n)
+         held;
+       let view acc =
+         ( Oracle.Acc.distinct_masks acc,
+           Oracle.Acc.length acc,
+           Oracle.Acc.inverse_bounded_frac ~r_max:4 acc )
+       in
+       view walked = view fresh)
+
+(* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -348,7 +464,8 @@ let prop_pool_find_first_minimal =
        Pool.find_first_index ~domains:4 Fun.id arr = expected)
 
 let test_pool_oracle_sweep () =
-  (* Figure 5's fan-out: one oracle shared by domains, with no warm-up. *)
+  (* One oracle shared by domains, with no warm-up: each query owns its
+     scratch profile. *)
   let m = toy_mapping () in
   let o = Oracle.create m in
   let blocks =
@@ -375,14 +492,16 @@ let () =
          Alcotest.test_case "golden-cove = LP" `Quick test_golden_cove_lp ]
        @ qsuite
            [ prop_inverse_agrees; prop_inverse_bounded_agrees;
-             prop_bottleneck_optimal ]);
+             prop_bottleneck_optimal; prop_exact_triple ]);
       ("kernel",
        [ Alcotest.test_case "submask branch" `Quick test_submask_branch ]
-       @ qsuite kernel_shapes);
+       @ qsuite kernel_shapes
+       @ [ Alcotest.test_case "masses_frac cases" `Quick test_masses_frac_cases ]
+       @ qsuite [ prop_masses_frac ]);
       ("acc",
        [ Alcotest.test_case "reset" `Quick test_acc_reset;
          Alcotest.test_case "remove checked" `Quick test_acc_remove_checked ]
-       @ qsuite [ prop_acc_agrees ]);
+       @ qsuite [ prop_acc_agrees; prop_acc_walk_fresh ]);
       ("pool",
        [ Alcotest.test_case "parallel_for covers indices" `Quick
            test_pool_parallel_for;

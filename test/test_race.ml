@@ -1,7 +1,7 @@
 (* The concurrency sanitizer: detector soundness on planted races,
    cleanliness of the instrumented primitives under every small schedule
-   permutation, the parallel harness sweep, Figure 5's parallel prediction
-   sweep, and the shared diagnostics schema.
+   permutation, the parallel harness sweep, a Figure 5 style shared-oracle
+   prediction sweep, and the shared diagnostics schema.
 
    Every test runs with the detector enabled and (mostly) in deterministic
    replay mode: the pool serializes tasks in seeded permutation order while
@@ -257,8 +257,8 @@ let test_harness_parallel_sweep () =
   done
 
 let test_prediction_replay_clean () =
-  (* Figure 5's fan-out: one prepared oracle shared by every worker of a
-     pure per-block prediction sweep.  The sweep must be race-free, and
+  (* A Figure 5 style fan-out: one prepared oracle shared by every worker
+     of a pure per-block prediction sweep.  The sweep must be race-free, and
      every schedule must return the sequential predictions. *)
   let machine = Machine.create (Catalog.reduced ~per_bucket:1 ()) in
   let truth = Machine.ground_truth machine in
