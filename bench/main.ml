@@ -14,8 +14,6 @@
                     {name, count} SAT-solver statistics of one toy CEGIS
                     inference, and obs_counters the telemetry counters of
                     the same inference run traced
-     --store DIR    archive the same JSON record as a bench-history entry
-                    of the durable store at DIR (content-digest key)
      --check-regression HISTORY
                     compare this run's timing records against the newest
                     entry of the HISTORY file (BENCH_sat.json layout) and
@@ -36,7 +34,6 @@ module Rat = Pmi_numeric.Rat
 module Machine = Pmi_machine.Machine
 module Harness = Pmi_measure.Harness
 module Pool = Pmi_parallel.Pool
-module Store = Pmi_store.Store
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures (built once, outside the timed region)              *)
@@ -81,7 +78,7 @@ let zen_block =
 let reduced_harness () =
   Harness.create (Machine.create (Catalog.reduced ~per_bucket:2 ()))
 
-let cegis_toy ?(certify = false) ?(enclint = false) ~max_size () =
+let cegis_toy ?(certify = false) ~max_size () =
   let truth = Mapping.create ~num_ports:3 in
   Mapping.set truth toy_add [ (Portset.of_list [ 0; 1 ], 1) ];
   Mapping.set truth toy_mul [ (Portset.of_list [ 1; 2 ], 1) ];
@@ -89,7 +86,7 @@ let cegis_toy ?(certify = false) ?(enclint = false) ~max_size () =
   let config =
     { Cegis.default_config with
       Cegis.num_ports = 3; r_max = 4; max_experiment_size = max_size;
-      certify; enclint }
+      certify }
   in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
@@ -312,15 +309,6 @@ let ablation_tests =
         certify_pigeonhole ~pigeons:7 ~holes:6);
     ("ablation/cegis-certified", fun () ->
         ignore (cegis_toy ~certify:true ~max_size:4 ()));
-    (* EncLint: the solver-off static analyzer gating every solver episode
-       (structural checks per episode, exhaustive cardinality-cone
-       verification once per network shape).  The analysis tax over the
-       identical ungated run must stay small — the gate is a debugging
-       aid, not a solver pass. *)
-    ("ablation/enclint-off-cegis", fun () ->
-        ignore (cegis_toy ~max_size:4 ()));
-    ("ablation/enclint-on-cegis", fun () ->
-        ignore (cegis_toy ~enclint:true ~max_size:4 ()));
     (* Telemetry: the same toy CEGIS inference with tracing off (the
        shipping default — one predicted branch per instrumentation point,
        so this must stay within noise of ablation/cegis-with-symmetry)
@@ -481,18 +469,6 @@ let emit_json record path =
   output_string oc "\n";
   close_out oc
 
-(* Persist the run record as a [Bench_history] entry of the durable store
-   (the --store flag): keyed by content digest, so re-archiving the same
-   record is a no-op and distinct runs accumulate for later mining. *)
-let archive_record dir record =
-  let store = Store.open_ dir in
-  Fun.protect
-    ~finally:(fun () -> Store.close store)
-    (fun () ->
-       Store.put store Store.Bench_history
-         ~key:(Digest.to_hex (Digest.string record))
-         record)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -541,7 +517,6 @@ let check_regression ~history ~against results =
 let () =
   let smoke_mode = ref false in
   let json = ref None in
-  let store = ref None in
   let only = ref None in
   let skips = ref [] in
   let regression = ref None in
@@ -551,7 +526,7 @@ let () =
       (fun msg ->
          Printf.eprintf
            "usage: %s [--smoke] [--only SUBSTR] [--skip SUBSTR]... [--json FILE] \
-            [--store DIR] [--check-regression HISTORY [--against FILE]]\n%s\n"
+            [--check-regression HISTORY [--against FILE]]\n%s\n"
            Sys.argv.(0) msg;
          exit 2)
       fmt
@@ -560,7 +535,6 @@ let () =
     | [] -> ()
     | "--smoke" :: rest -> smoke_mode := true; parse rest
     | "--json" :: file :: rest -> json := Some file; parse rest
-    | "--store" :: dir :: rest -> store := Some dir; parse rest
     | "--only" :: substr :: rest -> only := Some substr; parse rest
     | "--skip" :: substr :: rest -> skips := substr :: !skips; parse rest
     | "--check-regression" :: file :: rest -> regression := Some file; parse rest
@@ -606,14 +580,12 @@ let () =
            rs)
         selected
     in
-    (match (!json, !store) with
-     | None, None -> ()
-     | json, store ->
-       let record =
-         bench_record ~with_stats:(!only = None && !skips = []) results
-       in
-       Option.iter (emit_json record) json;
-       Option.iter (fun dir -> archive_record dir record) store);
+    Option.iter
+      (fun file ->
+         emit_json
+           (bench_record ~with_stats:(!only = None && !skips = []) results)
+           file)
+      !json;
     Format.printf "done.@.";
     Option.iter
       (fun history -> check_regression ~history ~against:None results)

@@ -20,9 +20,7 @@ let setup_logs level =
 type opts = {
   reduced : int;              (* [--reduced N]: schemes per bucket, 0 = all *)
   seed : int;                 (* [--seed]: measurement-noise seed *)
-  dump_cnf : string option;   (* [--dump-cnf PREFIX] *)
   certify : bool;             (* [--certify]: checked certificate per verdict *)
-  enclint : bool;             (* [--enclint]: static gate per solver episode *)
   store : Store.t option Lazy.t;
       (* [--store DIR]: the durable certificate store, opened on first use
          and closed at exit; one handle per process *)
@@ -67,9 +65,7 @@ let setup_obs ~trace ~metrics =
 
 let make_cegis_config opts =
   { Pipeline.default_config.Pipeline.cegis with
-    Pmi_core.Cegis.dump_cnf = opts.dump_cnf;
-    certify = opts.certify;
-    enclint = opts.enclint;
+    Pmi_core.Cegis.certify = opts.certify;
     store = Lazy.force opts.store }
 
 let run_pipeline opts =
@@ -491,9 +487,9 @@ module Enclint = Pmi_analysis.Enclint
 let enclint_run files json opts =
   let module Encoding = Pmi_core.Encoding in
   let catalog = catalog_of ~reduced:opts.reduced in
-  let analyze_encoding ?frozen ?accepted encoding =
+  let analyze_encoding ?frozen encoding =
     Enclint.analyze (Encoding.sat encoding)
-      (Encoding.enclint_view ?frozen ?accepted encoding)
+      (Encoding.enclint_view ?frozen encoding)
   in
   let toy_schemes () =
     let toy =
@@ -565,7 +561,7 @@ let enclint_run files json opts =
             Encoding.create ~num_ports:(Mapping.num_ports m)
               ~symmetry_breaking:false specs
           in
-          analyze_encoding ~accepted:m encoding
+          analyze_encoding encoding
     end
   in
   let diags = creation () @ guarded () @ List.concat_map from_file files in
@@ -737,9 +733,7 @@ let store_stats dir json =
          (Json.Obj
             [ ("dir", Json.Str dir);
               ("live",
-               Json.Obj
-                 [ ("certificates", n st.Store.live_certificates);
-                   ("bench_history", n st.Store.live_bench) ]);
+               Json.Obj [ ("certificates", n st.Store.live_certificates) ]);
               ("journal",
                Json.Obj
                  [ ("records", n st.Store.journal_records);
@@ -762,8 +756,7 @@ let store_stats dir json =
   end
   else begin
     Format.printf "store: %s@." dir;
-    Format.printf "live: %d certificate(s), %d bench record(s)@."
-      st.Store.live_certificates st.Store.live_bench;
+    Format.printf "live: %d certificate(s)@." st.Store.live_certificates;
     Format.printf "journal: %d record(s), %d bytes; segment: %d record(s), \
                    %d bytes@."
       st.Store.journal_records st.Store.journal_bytes st.Store.segment_records
@@ -822,25 +815,12 @@ let verbose =
   let doc = "Enable informational logging." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let dump_cnf =
-  let doc = "Write the final CNF of each CEGIS solver in DIMACS format to \
-             $(docv)-findmapping.cnf etc., for offline triage with an \
-             external SAT solver." in
-  Arg.(value & opt (some string) None & info [ "dump-cnf" ] ~docv:"PREFIX" ~doc)
-
 let certify_flag =
   let doc = "Trust-but-verify: log DRAT proof traces in every CEGIS solver \
              and have an independent checker certify each UNSAT verdict and \
              re-validate each SAT model against the CNF and the exact \
              throughput oracle.  A certificate failure aborts the run." in
   Arg.(value & flag & info [ "certify" ] ~doc)
-
-let enclint_global_flag =
-  let doc = "Statically analyze every CEGIS encoding before each solver \
-             episode (guard structure, cardinality-network bounds, \
-             retired-row reachability); an \
-             error-severity finding aborts the run." in
-  Arg.(value & flag & info [ "enclint" ] ~doc)
 
 let store_flag =
   let doc = "Durable crash-safe certificate store directory.  With \
@@ -867,14 +847,13 @@ let metrics =
 (* Every inference flag in one term: parsing it also configures logging
    and telemetry, so the command body runs with both already in place. *)
 let opts_term =
-  let make reduced seed verbose dump_cnf certify enclint store trace metrics =
+  let make reduced seed verbose certify store trace metrics =
     setup_logs (Some (if verbose then Logs.Info else Logs.Warning));
     setup_obs ~trace ~metrics;
-    { reduced; seed; dump_cnf; certify; enclint;
-      store = lazy (Option.map open_store store) }
+    { reduced; seed; certify; store = lazy (Option.map open_store store) }
   in
-  Term.(const make $ reduced $ seed $ verbose $ dump_cnf $ certify_flag
-        $ enclint_global_flag $ store_flag $ trace_out $ metrics)
+  Term.(const make $ reduced $ seed $ verbose $ certify_flag $ store_flag
+        $ trace_out $ metrics)
 
 (* A subcommand: [body] parses the command's own arguments into a
    function that runs with the shared options. *)
@@ -893,12 +872,17 @@ let insns =
 
 let files doc = Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc)
 
-(* [store] subcommands take only [--store] (required). *)
+(* [store] subcommands take only [--store] (required), and only maintain
+   a store that exists: unlike an inference command, they never create
+   one. *)
 let store_cmd name doc body =
   let run store f =
     setup_logs (Some Logs.Warning);
     match store with
-    | Some dir -> f dir
+    | Some dir when Sys.file_exists dir && Sys.is_directory dir -> f dir
+    | Some dir ->
+      Format.eprintf "pmi_repro store: no store at %s@." dir;
+      exit 2
     | None ->
       Format.eprintf "pmi_repro store: --store DIR is required@.";
       exit 2

@@ -14,7 +14,6 @@ let c_lemmas = Obs.counter "cegis.theory_lemmas"
 let c_certificates = Obs.counter "cegis.certificates_checked"
 let c_candidates = Obs.counter "cegis.candidates_tried"
 let c_observations = Obs.counter "cegis.observations"
-let c_enclint_findings = Obs.counter "cegis.enclint.findings"
 let c_sat_episodes = Obs.counter "cegis.sat_episodes"
 let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_distinguish_memo = Obs.counter "cegis.distinguish.memo_hits"
@@ -34,14 +33,11 @@ type config = {
   max_experiment_size : int;
   max_other_candidates : int;
   max_iterations : int;
-  dump_cnf : string option;
   certify : bool;
-  enclint : bool;
   store : Pmi_store.Store.t option;
 }
 
 exception Certification_failure of string
-exception Enclint_failure of string
 
 let default_config =
   { num_ports = 10;
@@ -50,9 +46,7 @@ let default_config =
     max_experiment_size = 5;
     max_other_candidates = 400;
     max_iterations = 400;
-    dump_cnf = None;
     certify = false;
-    enclint = false;
     store = None }
 
 type observation = {
@@ -145,54 +139,6 @@ let fresh_encoding config specs pool =
   Vec.iter (Pmi_smt.Sat.add_clause (Encoding.sat encoding)) pool;
   encoding
 
-(* Static gate on a constructed encoding (behind [config.enclint]): run
-   the EncLint analysis once per solver episode, before the episode's first
-   solve.  Two caches keep the gate sub-linear over a CEGIS run:
-
-   - [enclint_cone_memo] is handed to the analyzer, which memoizes clean
-     exhaustive cardinality-cone enumerations by network shape (the
-     [Card] builder is deterministic), so shapes verified once are not
-     re-enumerated — neither on later episodes of the same solver nor
-     when a fresh same-spec encoding rebuilds them, as the §4.3 culprit
-     search does once per [explain] call.
-   - [enclint_db_seen] holds the [Sat.id]s whose clause database (dead
-     vars, duplicates, retired reachability, frozen-unused) was already
-     analyzed.  No CEGIS encoding retires a row, so the database only
-     changes structurally with a new solver; later episodes run the
-     view-layer checks only. *)
-let enclint_cone_memo : (string, unit) Hashtbl.t = Hashtbl.create 64
-let enclint_db_seen : (int, unit) Hashtbl.t = Hashtbl.create 16
-
-(* [lemmas] is a thunk so the (possibly large) pool-to-list conversion
-   is only paid when the gate is actually on. *)
-let enclint_gate config ?lemmas encoding =
-  if config.enclint then
-    Obs.span "cegis.enclint" @@ fun () ->
-    let sat = Encoding.sat encoding in
-    let lemmas = Option.map (fun f -> f ()) lemmas in
-    let view = Encoding.enclint_view ?lemmas encoding in
-    let id = Pmi_smt.Sat.id sat in
-    let db = not (Hashtbl.mem enclint_db_seen id) in
-    if db then Hashtbl.replace enclint_db_seen id ();
-    let diags =
-      Obs.span "cegis.enclint.analyze" (fun () ->
-          Pmi_analysis.Enclint.analyze ~cone_memo:enclint_cone_memo ~db sat
-            view)
-    in
-    Obs.add c_enclint_findings (List.length diags);
-    List.iter
-      (fun d -> Log.debug (fun m -> m "%s" (Pmi_diag.Diag.to_string d)))
-      diags;
-    match Pmi_diag.Diag.errors diags with
-    | [] -> ()
-    | errs ->
-      raise
-        (Enclint_failure
-           (Printf.sprintf "encoding rejected by enclint (%d error(s)): %s"
-              (List.length errs)
-              (String.concat "; "
-                 (List.map Pmi_diag.Diag.to_string errs))))
-
 (* ------------------------------------------------------------------ *)
 (* Trust-but-verify layer                                              *)
 (* ------------------------------------------------------------------ *)
@@ -232,14 +178,14 @@ let certify_unsat config ?(assumptions = []) sat =
     | Some store ->
       let key = "unsat:" ^ Pmi_analysis.Drat.goal_digest ~goal proof in
       let digest = Pmi_analysis.Drat.proof_digest ~goal proof in
-      (match Pmi_store.Store.get store Pmi_store.Store.Certificate ~key with
+      (match Pmi_store.Store.get store ~key with
        | Some stored when String.equal stored digest ->
          Obs.incr c_cert_cached;
          Log.debug (fun m ->
              m "UNSAT certificate found in store; re-check skipped")
        | _ ->
          run_checker ();
-         Pmi_store.Store.put store Pmi_store.Store.Certificate ~key digest)
+         Pmi_store.Store.put store ~key digest)
   end
 
 (* A SAT verdict is certified against the axioms, not the solver: the model
@@ -292,7 +238,6 @@ let certified_solve config encoding observations ?assumptions ~check () =
 
 let find_mapping config ~shape encoding observations pool =
   Obs.span "cegis.find_mapping" (fun () ->
-      enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) encoding;
       let check = theory_check config ~shape encoding observations pool in
       match certified_solve config encoding observations ~check () with
       | Solver.Sat model -> Some (Encoding.decode encoding model)
@@ -406,9 +351,6 @@ let find_other_mapping config state specs observations pool m1 tried_counter =
   Obs.span "cegis.find_other_mapping" @@ fun () ->
   sync_lemmas state pool;
   let encoding = state.o_encoding in
-  (* Gate before the per-call activation variable exists: it would read as
-     an allocated-but-unconstrained (dead) variable until first assumed. *)
-  enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) encoding;
   let sat = Encoding.sat encoding in
   let act = Pmi_smt.Sat.fresh_var sat in
   let assumptions = [ Pmi_smt.Lit.pos act ] in
@@ -491,32 +433,13 @@ let validation_experiments specs =
     proper
   |> List.sort_uniq Experiment.compare
 
-(* Write the current clause set of an encoding's solver to [file] in DIMACS
-   format, for offline triage of hard instances. *)
-let dump_cnf_file sat file =
-  try
-    let oc = open_out file in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-         let buf = Buffer.create 65536 in
-         Pmi_smt.Sat.to_dimacs sat buf;
-         Buffer.output_buffer oc buf);
-    Log.info (fun m -> m "wrote CNF to %s" file)
-  with Sys_error msg ->
-    Log.warn (fun m -> m "could not dump CNF: %s" msg)
-
 let explain ?(config = default_config) ~specs ~observations () =
   Obs.span "cegis.explain" @@ fun () ->
   let pool = Vec.create () in
   let obs = Vec.create () in
   List.iter (Vec.push obs) observations;
   let encoding = fresh_encoding config specs pool in
-  let result = find_mapping config ~shape:Bottleneck encoding obs pool in
-  (match config.dump_cnf with
-   | Some prefix -> dump_cnf_file (Encoding.sat encoding) (prefix ^ "-explain.cnf")
-   | None -> ());
-  result
+  find_mapping config ~shape:Bottleneck encoding obs pool
 
 let infer ?(config = default_config) ~measure ~specs () =
   Obs.span "cegis.infer" @@ fun () ->
@@ -554,13 +477,6 @@ let infer ?(config = default_config) ~measure ~specs () =
           sat.Pmi_smt.Sat.conflicts sat.Pmi_smt.Sat.restarts
           sat.Pmi_smt.Sat.learned sat.Pmi_smt.Sat.max_lbd
           sat.Pmi_smt.Sat.deleted);
-    (match config.dump_cnf with
-     | Some prefix ->
-       dump_cnf_file (Encoding.sat fm_encoding) (prefix ^ "-findmapping.cnf");
-       dump_cnf_file
-         (Encoding.sat other_state.o_encoding)
-         (prefix ^ "-findothermapping.cnf")
-     | None -> ());
     mk
       { iterations = 0;
         observations = Vec.to_list observations;

@@ -24,10 +24,6 @@ type config = {
                                    [find_other_mapping] call before declaring
                                    convergence *)
   max_iterations : int;        (** Algorithm-2 iteration budget *)
-  dump_cnf : string option;    (** [Some prefix] writes the final CNF of
-                                   each persistent solver in DIMACS format
-                                   to [prefix ^ "-findmapping.cnf"] etc.,
-                                   for offline triage (default [None]) *)
   certify : bool;              (** trust-but-verify: log DRAT proof traces
                                    in every solver and have the independent
                                    checker ({!Pmi_analysis.Drat}) accept a
@@ -40,22 +36,6 @@ type config = {
                                    the naive exact-rational oracle.  A
                                    failure raises
                                    {!Certification_failure} (default
-                                   [false]) *)
-  enclint : bool;              (** run the solver-off static analyzer
-                                   ({!Pmi_analysis.Enclint.analyze}) over
-                                   each encoding once per solver episode —
-                                   before every [findMapping] /
-                                   [findOtherMapping] solve.  The
-                                   view-layer checks (guards, lemma
-                                   scoping) re-run each episode; the
-                                   clause-database passes and the
-                                   exhaustive cardinality-cone
-                                   verification are paid once per solver
-                                   instance.  Any
-                                   [Error]-severity finding raises
-                                   {!Enclint_failure}; findings are also
-                                   logged and tallied under the
-                                   [cegis.enclint.*] counters (default
                                    [false]) *)
   store : Pmi_store.Store.t option;
                                (** durable store for checker-accepted
@@ -76,13 +56,6 @@ exception Certification_failure of string
     either a DRAT certificate was rejected, or a SAT model failed the
     CNF/theory replay.  This indicates a solver or encoding bug — the
     result must not be trusted. *)
-
-exception Enclint_failure of string
-(** The static analyzer found an [Error]-severity defect in an encoding
-    (wrong cardinality bound, missing guard literal, reachable retired
-    row, …) before the solver ran on it.  Solver verdicts on such an
-    encoding cannot be trusted, so the episode is aborted.  Only raised
-    with [config.enclint] on. *)
 
 val default_config : config
 

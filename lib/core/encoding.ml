@@ -223,7 +223,6 @@ let append_row t scheme spec =
     own;
   let act = Sat.fresh_var t.solver in
   Sat.name_var t.solver act (Printf.sprintf "act(%s)" (Scheme.name scheme));
-  Sat.mark_guard t.solver act;
   (* The cardinality chain binds only while [act] is assumed: retiring the
      row is one unit clause, no encoding rebuild. *)
   let net =
@@ -365,7 +364,7 @@ let block_bottleneck t model schemes violation =
 (* Static analysis support (EncLint)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let enclint_view ?(lemmas = []) ?(frozen = []) ?accepted t =
+let enclint_view ?(frozen = []) t =
   let module E = Pmi_analysis.Enclint in
   let rows =
     Array.to_list t.rows
@@ -378,12 +377,4 @@ let enclint_view ?(lemmas = []) ?(frozen = []) ?accepted t =
           live = r.live;
           networks = r.networks })
   in
-  let accepted =
-    match accepted with
-    | None -> []
-    | Some mapping ->
-      List.map
-        (fun l -> (Lit.var l, Lit.is_pos l))
-        (freeze_lits t mapping)
-  in
-  { E.rows; lemmas; frozen; accepted }
+  { E.rows; frozen }

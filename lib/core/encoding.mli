@@ -46,8 +46,8 @@ val create :
 (** [~certify:true] turns on the solver's DRAT proof logging {e before} any
     clause is added, so every later verdict carries a complete certificate
     ([Pmi_smt.Sat.proof]).  The µop variables are always named
-    ([own(<scheme>,p<k>)], [shared(…)], [select(<improper>,<partner>)]) for
-    DIMACS/DRAT cross-referencing.
+    ([own(<scheme>,p<k>)], [shared(…)], [select(<improper>,<partner>)]) so
+    static-analysis diagnostics ({!Pmi_analysis.Enclint}) can name them.
     @raise Invalid_argument if a port count is out of range or an improper
     instruction is given without any proper one. *)
 
@@ -84,8 +84,8 @@ val decode : t -> bool array -> Pmi_portmap.Mapping.t
 val freeze_lits : t -> Pmi_portmap.Mapping.t -> Pmi_smt.Lit.t list
 (** Literals pinning every live row whose scheme the mapping covers to
     exactly the mapping's port sets; rows the mapping does not cover are
-    left free.  {!enclint_view} uses them to vet lemmas against an
-    accepted mapping ([?accepted]).
+    left free.  Part of the guarded-row API: assumed on a solve next to
+    {!row_assumptions}, they pin the covered rows to an accepted mapping.
     @raise Invalid_argument on an incompatible µop structure. *)
 
 val block_footprint :
@@ -130,13 +130,7 @@ val block_bottleneck :
 (** {1 Static analysis support} *)
 
 val enclint_view :
-  ?lemmas:Pmi_smt.Lit.t list list ->
-  ?frozen:Pmi_smt.Lit.t list ->
-  ?accepted:Pmi_portmap.Mapping.t ->
-  t ->
-  Pmi_analysis.Enclint.view
+  ?frozen:Pmi_smt.Lit.t list -> t -> Pmi_analysis.Enclint.view
 (** Describe the encoding to the static analyzer: every row with its
     activation literal, liveness, and recorded cardinality networks.
-    [?lemmas] are the theory lemmas asserted so far, [?frozen] assumption
-    literals that pin rows for a solve, [?accepted] a mapping whose pinned
-    assignment lemmas are vetted against. *)
+    [?frozen] are assumption literals that pin rows for a solve. *)

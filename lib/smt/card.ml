@@ -57,11 +57,6 @@ let fresh r =
   v
 
 let finish r ~kind ~bound ~inputs =
-  (* Mark the guard variable in the solver so DIMACS dumps annotate it
-     next to the caller-supplied name (see [Sat.to_dimacs]). *)
-  (match r.rguard with
-   | Some g -> Sat.mark_guard r.solver (Lit.var g)
-   | None -> ());
   { kind; bound; inputs; guard = r.rguard; aux = List.rev r.raux;
     clauses = List.rev r.rclauses }
 

@@ -7,7 +7,9 @@
     making the constraint conditional: pass the negation of an activation
     variable and the chain only binds while that variable is assumed true.
     Guarded encoding rows ({!Pmi_core.Encoding}) use this to retire a row's
-    cardinality constraints with a single unit clause.
+    cardinality constraints with a single unit clause.  The guard is
+    recorded only in the returned {!network}: the solver keeps no mark of
+    which variables are guards.
 
     Each constructor returns a {!network} record describing exactly what
     was emitted, so static analysis ({!Pmi_analysis.Enclint}) can re-verify

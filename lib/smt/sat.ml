@@ -57,7 +57,6 @@ type proof_step =
   | Delete of Lit.t list
 
 type t = {
-  id : int;                          (* unique per instance *)
   (* Clause arena (long clauses only). *)
   mutable arena : int array;
   mutable arena_top : int;
@@ -110,11 +109,9 @@ type t = {
   mutable proof_buf : int array;
   mutable proof_pos : int;
   mutable proof_len : int;
-  (* Optional variable names, for DIMACS/DRAT cross-referencing. *)
+  (* Optional variable names, read back by the static analyzer's
+     messages. *)
   names : (int, string) Hashtbl.t;
-  (* Guard/activation variables, declared via [mark_guard]: annotated in
-     DIMACS dumps. *)
-  guards : (int, unit) Hashtbl.t;
   (* Invariant sanitizer (debug): checked at decision-level-0 boundaries. *)
   mutable sanitize : bool;
   (* Statistics. *)
@@ -131,16 +128,8 @@ type result =
   | Sat of bool array
   | Unsat
 
-(* Unique instance ids let analysis passes keep per-solver side tables
-   without retaining the solver itself.  Atomic: solvers may be created
-   from any domain. *)
-let next_id = Atomic.make 0
-
-let id s = s.id
-
 let create () =
-  { id = Atomic.fetch_and_add next_id 1;
-    arena = Array.make 256 0;
+  { arena = Array.make 256 0;
     arena_top = 0;
     clauses = Array.make 64 0;
     n_problem = 0;
@@ -181,7 +170,6 @@ let create () =
     proof_pos = 0;
     proof_len = 0;
     names = Hashtbl.create 16;
-    guards = Hashtbl.create 16;
     sanitize = false;
     st_decisions = 0;
     st_propagations = 0;
@@ -320,9 +308,6 @@ let proof_length s = s.proof_len
 
 let name_var s v name = Hashtbl.replace s.names v name
 let var_name s v = Hashtbl.find_opt s.names v
-
-let mark_guard s v = Hashtbl.replace s.guards v ()
-let is_guard s v = Hashtbl.mem s.guards v
 
 let set_reduce_enabled s b = s.reduce_enabled <- b
 
@@ -1310,99 +1295,3 @@ let solve ?(assumptions = []) s =
     sanitize_check s;
     !result
   end
-
-(* ------------------------------------------------------------------ *)
-(* DIMACS export                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let to_dimacs ?(learned = false) s buf =
-  let units =
-    let bound = if s.n_levels = 0 then s.trail_size else s.trail_lim.(0) in
-    Array.sub s.trail 0 bound
-  in
-  let n_long = ref 0 in
-  for i = 0 to s.n_problem - 1 do
-    if not (c_deleted s s.clauses.(i)) then incr n_long
-  done;
-  let n_learned = ref 0 in
-  if learned then
-    for i = 0 to s.n_learnts - 1 do
-      if not (c_deleted s s.learnts.(i)) then incr n_learned
-    done;
-  let total =
-    Array.length units + (s.n_bin_pairs / 2) + !n_long + !n_learned
-    + (if s.ok then 0 else 1)
-  in
-  let add_lit l =
-    let v = Lit.var l + 1 in
-    Buffer.add_string buf (string_of_int (if Lit.is_pos l then v else -v));
-    Buffer.add_char buf ' '
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "c pmi_smt export: %d vars, %d clauses%s\n" s.nvars total
-       (if learned then " (learnt clauses included)" else ""));
-  (* Cross-reference comments: map 1-based DIMACS variable ids back to the
-     caller-supplied [Expr]/encoding names, so dumped CNFs and DRAT traces
-     can be read against the port-mapping model.  Guard/activation
-     variables (guarded encoding rows, per-call blocking activations) are
-     tagged, and get a line even without a caller-supplied name — a dumped
-     guarded CNF is unreadable without knowing which literals are guards. *)
-  if Hashtbl.length s.names > 0 || Hashtbl.length s.guards > 0 then begin
-    let entries =
-      Hashtbl.fold (fun v name acc -> (v, Some name) :: acc) s.names []
-    in
-    let entries =
-      Hashtbl.fold
-        (fun v () acc ->
-           if Hashtbl.mem s.names v then acc else (v, None) :: acc)
-        s.guards entries
-    in
-    List.iter
-      (fun (v, name) ->
-         if v >= 0 && v < s.nvars then begin
-           let guard = if Hashtbl.mem s.guards v then " (guard)" else "" in
-           match name with
-           | Some name ->
-             Buffer.add_string buf
-               (Printf.sprintf "c var %d %s%s\n" (v + 1) name guard)
-           | None ->
-             Buffer.add_string buf
-               (Printf.sprintf "c var %d _%s\n" (v + 1) guard)
-         end)
-      (List.sort compare entries)
-  end;
-  Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" s.nvars total);
-  if not s.ok then Buffer.add_string buf "0\n";
-  Array.iter
-    (fun l ->
-       add_lit l;
-       Buffer.add_string buf "0\n")
-    units;
-  let i = ref 0 in
-  while !i < s.n_bin_pairs do
-    add_lit s.bin_pairs.(!i);
-    add_lit s.bin_pairs.(!i + 1);
-    Buffer.add_string buf "0\n";
-    i := !i + 2
-  done;
-  let emit cr =
-    if not (c_deleted s cr) then begin
-      let len = c_len s cr in
-      for j = 0 to len - 1 do
-        add_lit (c_lit s cr j)
-      done;
-      Buffer.add_string buf "0\n"
-    end
-  in
-  for i = 0 to s.n_problem - 1 do
-    emit s.clauses.(i)
-  done;
-  if learned then
-    for i = 0 to s.n_learnts - 1 do
-      emit s.learnts.(i)
-    done
-
-let dimacs ?learned s =
-  let buf = Buffer.create 4096 in
-  to_dimacs ?learned s buf;
-  Buffer.contents buf

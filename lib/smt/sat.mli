@@ -76,10 +76,6 @@ val root_value : t -> int -> int
 (** Root-level (decision level 0) assignment of a variable: [1] true,
     [-1] false, [0] unassigned.  Call between [solve] calls. *)
 
-val id : t -> int
-(** A process-unique instance id, so analysis passes can key per-solver
-    side tables without retaining the solver. *)
-
 val iter_long_problem_clauses : t -> (int -> Lit.t list -> unit) -> unit
 (** Iterate [f cref lits] over every live long (>= 3 literal) problem
     clause.  Crefs remain valid until the next arena compaction (a solve
@@ -90,12 +86,6 @@ val binary_problem_clauses : t -> (Lit.t * Lit.t) list
 
 val root_units : t -> Lit.t list
 (** The decision-level-0 trail: unit-implied and asserted literals. *)
-
-val mark_guard : t -> int -> unit
-(** Declare a variable to be a guard/activation literal (guarded encoding
-    rows, per-call blocking activations).  {!to_dimacs} annotates it. *)
-
-val is_guard : t -> int -> bool
 
 (** {1 Certification} *)
 
@@ -145,20 +135,10 @@ module Invariants : sig
       inside them). *)
 end
 
-(** {1 Export} *)
+(** {1 Variable names} *)
 
 val name_var : t -> int -> string -> unit
-(** Attach a human-readable name to a variable; {!to_dimacs} emits it as a
-    [c var <dimacs-id> <name>] comment so CNF dumps and DRAT traces can be
-    cross-referenced against the encoding.  Variables declared via
-    {!mark_guard} additionally carry a [(guard)] tag in that comment, and
-    anonymous guards still get a line. *)
+(** Attach a human-readable name to a variable, so diagnostics over the
+    clause database can be read against the encoding. *)
 
 val var_name : t -> int -> string option
-
-val to_dimacs : ?learned:bool -> t -> Buffer.t -> unit
-(** Append the clause set in DIMACS CNF format ([p cnf] header, 1-based
-    variables, level-0 unit clauses included).  [~learned:true] also
-    exports the live learnt clauses. *)
-
-val dimacs : ?learned:bool -> t -> string

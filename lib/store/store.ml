@@ -9,32 +9,12 @@ let c_corrupt = Obs.counter "store.corrupt"
 let c_recovered = Obs.counter "store.recovered"
 let c_compactions = Obs.counter "store.compactions"
 
-type kind = Certificate | Bench_history
-
-let kinds = [ Certificate; Bench_history ]
-
-(* On-disk kind codes.  Code 0 held harness measurements, a record kind
-   that no longer exists: such records are intact, so replay skips them
-   without counting them corrupt, and compaction drops them. *)
-let retired_code = 0
-
-let kind_code = function
-  | Certificate -> 1
-  | Bench_history -> 2
-
-let kind_of_code = function
-  | 1 -> Some Certificate
-  | 2 -> Some Bench_history
-  | _ -> None
-
-(* Index of a kind's table in [t.tables]. *)
-let slot = function
-  | Certificate -> 0
-  | Bench_history -> 1
-
-let kind_name = function
-  | Certificate -> "certificate"
-  | Bench_history -> "bench_history"
+(* On-disk kind codes.  Certificates are code 1.  Codes 0 (harness
+   measurements) and 2 (bench history) held record kinds that no longer
+   exist: such records are intact, so replay skips them without counting
+   them corrupt, and compaction drops them. *)
+let certificate_code = 1
+let retired_code code = code = 0 || code = 2
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3, the zlib polynomial)                             *)
@@ -79,7 +59,7 @@ let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-let encode_record kind ~key value =
+let encode_record ~key value =
   let klen = String.length key and vlen = String.length value in
   if klen > 0xFFFF then invalid_arg "Store.put: key longer than 65535 bytes";
   let payload_len = 2 + 2 + klen + 4 + vlen in
@@ -89,7 +69,7 @@ let encode_record kind ~key value =
   set_u32 b 0 record_magic;
   set_u32 b 4 payload_len;
   Bytes.set_uint8 b 12 record_version;
-  Bytes.set_uint8 b 13 (kind_code kind);
+  Bytes.set_uint8 b 13 certificate_code;
   Bytes.set_uint16_le b 14 klen;
   Bytes.blit_string key 0 b 16 klen;
   set_u32 b (16 + klen) vlen;
@@ -108,7 +88,7 @@ let decode_payload data off len =
   else if Char.code data.[off] <> record_version then None
   else
     let code = Char.code data.[off + 1] in
-    if code <> retired_code && Option.is_none (kind_of_code code) then None
+    if code <> certificate_code && not (retired_code code) then None
     else
       let klen = String.get_uint16_le data (off + 2) in
       if 8 + klen > len then None
@@ -127,10 +107,11 @@ type scan = {
 }
 
 (* Walk the record stream in [data.[off .. limit)], calling [apply] on
-   every intact record of a live kind.  A short or unframed tail stops the walk (torn);
-   a complete record with a bad checksum or unparsable payload is skipped
-   (corrupt), because the framing still carries us to the next record. *)
-let scan_records ?(apply = fun _ ~key:_ _ -> ()) data ~off ~limit =
+   every intact certificate record.  A short or unframed tail stops the
+   walk (torn); a complete record with a bad checksum or unparsable
+   payload is skipped (corrupt), because the framing still carries us to
+   the next record. *)
+let scan_records ?(apply = fun ~key:_ _ -> ()) data ~off ~limit =
   let s = { s_records = 0; s_corrupt = 0; s_valid_end = off } in
   let pos = ref off in
   let torn = ref false in
@@ -150,8 +131,7 @@ let scan_records ?(apply = fun _ ~key:_ _ -> ()) data ~off ~limit =
            | None -> s.s_corrupt <- s.s_corrupt + 1
            | Some (code, key, value) ->
              s.s_records <- s.s_records + 1;
-             Option.iter (fun kind -> apply kind ~key value)
-               (kind_of_code code));
+             if code = certificate_code then apply ~key value);
         pos := p + header_bytes + len;
         s.s_valid_end <- !pos
       end
@@ -168,7 +148,7 @@ type t = {
   journal_path : string;
   segment_path : string;
   auto_compact : int;
-  tables : (string, string) Hashtbl.t array; (* indexed by [slot] *)
+  table : (string, string) Hashtbl.t;
   lock : Mutex.t;
   mutable oc : out_channel;
   mutable closed : bool;
@@ -187,7 +167,6 @@ type t = {
 
 type stats = {
   live_certificates : int;
-  live_bench : int;
   journal_records : int;
   segment_records : int;
   journal_bytes : int;
@@ -247,8 +226,8 @@ let open_ ?(auto_compact = 8192) dir =
   mkdir_p dir;
   let journal_path = Filename.concat dir "journal.pmi" in
   let segment_path = Filename.concat dir "segment.pmi" in
-  let tables = Array.init (List.length kinds) (fun _ -> Hashtbl.create 256) in
-  let apply kind ~key value = Hashtbl.replace tables.(slot kind) key value in
+  let table = Hashtbl.create 256 in
+  let apply ~key value = Hashtbl.replace table key value in
   Obs.span "store.replay" @@ fun () ->
   let seg = load_segment segment_path apply in
   let segment_bytes =
@@ -280,7 +259,7 @@ let open_ ?(auto_compact = 8192) dir =
     journal_path;
     segment_path;
     auto_compact;
-    tables;
+    table;
     lock = Mutex.create ();
     oc;
     closed = false;
@@ -315,7 +294,7 @@ let close t =
 let maybe_crash t =
   match t.crash_after with
   | Some n when t.appends >= n ->
-    let torn = encode_record Certificate ~key:"__crash__" "torn tail" in
+    let torn = encode_record ~key:"__crash__" "torn tail" in
     let half = Bytes.sub torn 0 (Bytes.length torn / 2) in
     output_bytes t.oc half;
     flush t.oc;
@@ -332,30 +311,21 @@ let rec compact_locked t =
   let offset = ref (String.length segment_magic) in
   let index = Buffer.create 1024 in
   let count = ref 0 in
-  (* Kind order then sorted keys: compaction output is a pure function of
-     the live contents, so open/close/open leaves the bytes untouched and
-     two replicas with the same records compact identically.  Retired
-     records were never loaded, so they are not written back. *)
-  List.iter
-    (fun kind ->
-       let tbl = t.tables.(slot kind) in
-       let keys =
-         Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
-         |> List.sort String.compare
-       in
-       List.iter
-         (fun key ->
-            let value = Hashtbl.find tbl key in
-            let record = encode_record kind ~key value in
-            output_bytes oc record;
-            Buffer.add_uint8 index (kind_code kind);
-            Buffer.add_uint16_le index (String.length key);
-            Buffer.add_string index key;
-            Buffer.add_int64_le index (Int64.of_int !offset);
-            offset := !offset + Bytes.length record;
-            incr count)
-         keys)
-    kinds;
+  (* Sorted keys: compaction output is a pure function of the live
+     contents, so open/close/open leaves the bytes untouched and two
+     replicas with the same records compact identically.  Retired records
+     were never loaded, so they are not written back. *)
+  Hashtbl.fold (fun k _ acc -> k :: acc) t.table []
+  |> List.sort String.compare
+  |> List.iter (fun key ->
+      let record = encode_record ~key (Hashtbl.find t.table key) in
+      output_bytes oc record;
+      Buffer.add_uint8 index certificate_code;
+      Buffer.add_uint16_le index (String.length key);
+      Buffer.add_string index key;
+      Buffer.add_int64_le index (Int64.of_int !offset);
+      offset := !offset + Bytes.length record;
+      incr count);
   let index_off = !offset in
   let index_payload =
     let b = Buffer.create (Buffer.length index + 4) in
@@ -386,15 +356,14 @@ let rec compact_locked t =
   t.compactions <- t.compactions + 1;
   Obs.incr c_compactions
 
-and put t kind ~key value =
+and put t ~key value =
   with_lock t (fun () ->
-      let tbl = t.tables.(slot kind) in
-      match Hashtbl.find_opt tbl key with
+      match Hashtbl.find_opt t.table key with
       | Some v when String.equal v value -> () (* identical re-put: no-op *)
       | _ ->
         Obs.span "store.append" (fun () ->
-            Hashtbl.replace tbl key value;
-            output_bytes t.oc (encode_record kind ~key value);
+            Hashtbl.replace t.table key value;
+            output_bytes t.oc (encode_record ~key value);
             flush t.oc;
             t.journal_records <- t.journal_records + 1;
             t.appends <- t.appends + 1;
@@ -405,9 +374,9 @@ and put t kind ~key value =
 
 let compact t = with_lock t (fun () -> compact_locked t)
 
-let get t kind ~key =
+let get t ~key =
   with_lock t (fun () ->
-      match Hashtbl.find_opt t.tables.(slot kind) key with
+      match Hashtbl.find_opt t.table key with
       | Some v ->
         t.hits <- t.hits + 1;
         Obs.incr c_hits;
@@ -417,25 +386,24 @@ let get t kind ~key =
         Obs.incr c_misses;
         None)
 
-let mem t kind ~key = Option.is_some (get t kind ~key)
+let mem t ~key = Option.is_some (get t ~key)
 
-let iter t kind f =
+let iter t f =
   (* Snapshot under the lock, apply outside: [f] may call back into the
      store. *)
   let entries =
     with_lock t (fun () ->
         Hashtbl.fold
           (fun key value acc -> (key, value) :: acc)
-          t.tables.(slot kind) [])
+          t.table [])
   in
   List.iter (fun (key, value) -> f ~key value) entries
 
-let live t kind = with_lock t (fun () -> Hashtbl.length t.tables.(slot kind))
+let live t = with_lock t (fun () -> Hashtbl.length t.table)
 
 let stats t =
   with_lock t (fun () ->
-      { live_certificates = Hashtbl.length t.tables.(slot Certificate);
-        live_bench = Hashtbl.length t.tables.(slot Bench_history);
+      { live_certificates = Hashtbl.length t.table;
         journal_records = t.journal_records;
         segment_records = t.segment_records;
         journal_bytes =
@@ -457,7 +425,9 @@ type report = {
 }
 
 let verify dir =
-  let seg = load_segment (Filename.concat dir "segment.pmi") (fun _ ~key:_ _ -> ()) in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": no store directory"));
+  let seg = load_segment (Filename.concat dir "segment.pmi") (fun ~key:_ _ -> ()) in
   let data = read_file (Filename.concat dir "journal.pmi") in
   let jnl = scan_records data ~off:0 ~limit:(String.length data) in
   { r_segment_records = seg.s_records;

@@ -1,11 +1,10 @@
-(** Durable crash-safe store for checker-accepted certificates and bench
-    history.
+(** Durable crash-safe store for checker-accepted certificates.
 
     A [--certify] run checks every UNSAT verdict with the independent DRAT
     checker; the store lets an accepted certificate outlive the process
     that checked it, so a later run over the same store skips re-checking
-    the exact same proof (see {!Pmi_core.Cegis.config}'s [store]).  The
-    benchmark runner keeps its timing history here too.
+    the exact same proof (see {!Pmi_core.Cegis.config}'s [store]).  Keys
+    are goal digests, values accepted proof digests.
 
     {2 On-disk layout}
 
@@ -22,15 +21,16 @@
       behind an 8-byte header, followed by an index
       ([u32 entry count · (u8 kind · u16 key length · key · u64 offset)*])
       and a 16-byte footer ([u64 index offset · u32 index CRC32 · u32
-      magic]).  Compaction writes live records (last writer wins per
-      [kind · key]) to a temporary file and publishes it with an atomic
+      magic]).  Compaction writes live records (last writer wins per key)
+      to a temporary file and publishes it with an atomic
       [rename], then truncates the journal — a crash between the two
       steps only leaves journal records that replay idempotently over the
       segment.
 
-    Kind code 0 is retired: it held harness measurements in stores
-    written before that record kind was deleted.  Such records are intact,
-    so replay skips them without counting them corrupt, and the next
+    Certificates are kind code 1.  Codes 0 and 2 are retired: they held
+    harness measurements and bench timing history in stores written
+    before those record kinds were deleted.  Such records are intact, so
+    replay skips them without counting them corrupt, and the next
     compaction drops them.
 
     {2 Recovery}
@@ -66,13 +66,6 @@
 
 type t
 
-type kind =
-  | Certificate    (** goal hash → accepted DRAT proof digest (code 1) *)
-  | Bench_history  (** bench name + date → timing record (code 2) *)
-
-val kind_name : kind -> string
-(** ["certificate"], ["bench_history"]. *)
-
 val open_ : ?auto_compact:int -> string -> t
 (** [open_ dir] creates [dir] if needed, loads the segment, replays the
     journal (recovering as described above) and opens the journal for
@@ -86,21 +79,21 @@ val close : t -> unit
 
 val dir : t -> string
 
-val put : t -> kind -> key:string -> string -> unit
+val put : t -> key:string -> string -> unit
 (** Insert or overwrite (last writer wins).  The record is appended to
     the journal and flushed before [put] returns.  Re-putting the
     currently stored value is a no-op (no journal growth).
     @raise Invalid_argument when the key exceeds 65535 bytes or the value
     exceeds the 16 MiB record bound. *)
 
-val get : t -> kind -> key:string -> string option
-val mem : t -> kind -> key:string -> bool
+val get : t -> key:string -> string option
+val mem : t -> key:string -> bool
 
-val iter : t -> kind -> (key:string -> string -> unit) -> unit
-(** Live records of one kind, in unspecified order. *)
+val iter : t -> (key:string -> string -> unit) -> unit
+(** Live records, in unspecified order. *)
 
-val live : t -> kind -> int
-(** Number of live records of one kind. *)
+val live : t -> int
+(** Number of live records. *)
 
 val compact : t -> unit
 (** Write all live records to a fresh segment (atomic rename) and
@@ -108,7 +101,6 @@ val compact : t -> unit
 
 type stats = {
   live_certificates : int;
-  live_bench : int;
   journal_records : int;      (** records currently in the journal,
                                   retired ones included *)
   segment_records : int;      (** records loaded from the segment,
@@ -137,4 +129,6 @@ val verify : string -> report
 (** Read-only scan of a store directory: nothing is truncated or
     repaired.  A healthy store (including one whose last writer was
     SIGKILLed mid-append) reports [r_corrupt = 0]; [r_torn_bytes > 0]
-    only flags the torn tail the next {!open_} will drop. *)
+    only flags the torn tail the next {!open_} will drop.
+    @raise Sys_error if [dir] is not an existing directory: unlike
+    {!open_}, [verify] never creates a store. *)

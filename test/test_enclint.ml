@@ -1,24 +1,21 @@
 (* EncLint: the solver-off static analyzer over CEGIS encodings.
 
-   Three families of tests:
-   - clean built-in encodings (creation-time, guarded append/retire) must
-     produce zero findings — no false positives;
+   Two families of tests:
+   - clean built-in encodings (creation-time, guarded append/retire, and a
+     creation-time encoding after rounds of theory lemmas) must produce
+     no findings, or no errors once lemmas are in — no false positives;
    - seeded mutations (dropped guard, wrong cardinality bound, unguarded
      appended row, duplicate clause, reachable retired rows) must each be
-     flagged with the right rule;
-   - a full certified CEGIS run with the analyzer gating every solver
-     episode must still converge. *)
+     flagged with the right rule. *)
 
 open Pmi_smt
 module Enclint = Pmi_analysis.Enclint
 module Diag = Pmi_diag.Diag
-module Cegis = Pmi_core.Cegis
 module Encoding = Pmi_core.Encoding
 module Catalog = Pmi_isa.Catalog
 module Operand = Pmi_isa.Operand
 module Iclass = Pmi_isa.Iclass
 module Portset = Pmi_portmap.Portset
-module Mapping = Pmi_portmap.Mapping
 
 let has_rule rule diags = List.exists (fun d -> d.Diag.rule = rule) diags
 
@@ -65,6 +62,39 @@ let test_clean_improper () =
   check_clean "improper"
     (Enclint.analyze (Encoding.sat encoding) (Encoding.enclint_view encoding))
 
+let test_clean_with_lemmas () =
+  (* The lemma-heavy database a CEGIS solver carries: rounds of footprint
+     and bottleneck lemmas (both violation directions) over a
+     creation-time encoding with a store-blocker row.  Lemmas may repeat
+     or subsume one another, which is waste at most, never an error. *)
+  let catalog = toy_catalog 3 in
+  let schemes = List.init 3 (Catalog.find catalog) in
+  let encoding =
+    Encoding.create ~num_ports:3 ~symmetry_breaking:true
+      (List.combine schemes
+         [ Encoding.Proper 2; Encoding.Proper 1;
+           Encoding.Improper { own_ports = 1 } ])
+  in
+  let sat = Encoding.sat encoding in
+  let rec rounds n =
+    if n > 0 then
+      match Sat.solve sat with
+      | Sat.Unsat -> ()
+      | Sat.Sat model ->
+        let some = [ List.nth schemes (n mod 3) ] in
+        List.iter (Sat.add_clause sat)
+          [ Encoding.block_bottleneck encoding model schemes
+              (Encoding.Too_slow (Portset.of_list [ 0; 1 ]));
+            Encoding.block_bottleneck encoding model some Encoding.Too_fast;
+            Encoding.block_footprint encoding model some;
+            Encoding.block_model encoding model ];
+        rounds (n - 1)
+  in
+  rounds 8;
+  let diags = Enclint.analyze sat (Encoding.enclint_view encoding) in
+  if Diag.errors diags <> [] then
+    Alcotest.failf "lemmas: expected no errors, got %s" (show diags)
+
 let guarded_encoding () =
   let catalog = toy_catalog 3 in
   let encoding = Encoding.create ~num_ports:3 ~symmetry_breaking:false [] in
@@ -98,7 +128,6 @@ let test_flags_dropped_guard () =
      scan must fire. *)
   let s = Sat.create () in
   let act = Sat.fresh_var s in
-  Sat.mark_guard s act;
   let vars = List.init 3 (fun _ -> Sat.fresh_var s) in
   let net = Card.exactly s (List.map Lit.pos vars) 1 in
   let diags =
@@ -113,7 +142,6 @@ let test_flags_dropped_guard_semantic () =
      exhaustive vacuity sweep, not by metadata. *)
   let s = Sat.create () in
   let act = Sat.fresh_var s in
-  Sat.mark_guard s act;
   let g = Lit.neg_of_var act in
   let vars = List.init 3 (fun _ -> Sat.fresh_var s) in
   let net = Card.exactly ~guard:g s (List.map Lit.pos vars) 1 in
@@ -144,7 +172,6 @@ let test_flags_unguarded_row () =
      rows are guarded can never be retired. *)
   let s = Sat.create () in
   let act = Sat.fresh_var s in
-  Sat.mark_guard s act;
   let g = Lit.neg_of_var act in
   let vars1 = List.init 2 (fun _ -> Sat.fresh_var s) in
   let net1 = Card.exactly ~guard:g s (List.map Lit.pos vars1) 1 in
@@ -175,7 +202,6 @@ let test_flags_retired_reachable () =
      force, and so is any live clause that mentions its variables. *)
   let s = Sat.create () in
   let act = Sat.fresh_var s in
-  Sat.mark_guard s act;
   let g = Lit.neg_of_var act in
   let vars = List.init 2 (fun _ -> Sat.fresh_var s) in
   let net = Card.exactly ~guard:g s (List.map Lit.pos vars) 1 in
@@ -200,44 +226,18 @@ let test_flags_frozen_unused () =
   Alcotest.(check bool) "b occurs" false (has_rule "frozen-unused" diags);
   let s2 = Sat.create () in
   let c = Sat.fresh_var s2 in
+  Sat.name_var s2 c "own(iA,p0)";
   let diags2 =
     Enclint.analyze s2
       { Enclint.empty_view with Enclint.frozen = [ Lit.pos c ] }
   in
-  Alcotest.(check bool) "unused flagged" true (has_rule "frozen-unused" diags2)
-
-(* ------------------------------------------------------------------ *)
-(* The CEGIS gate                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let gated_config num_ports =
-  { Cegis.default_config with
-    Cegis.num_ports;
-    r_max = num_ports + 1;
-    max_experiment_size = 4;
-    certify = true;
-    enclint = true }
-
-let test_cegis_gated_certified () =
-  (* The acceptance bar: a --certify run with the analyzer gating every
-     episode still converges, meaning every encoding passed the analyzer
-     and every certificate was checker-accepted. *)
-  let catalog = toy_catalog 2 in
-  let num_ports = 2 in
-  let truth = Mapping.create ~num_ports in
-  let p0 = Portset.singleton 0 in
-  Mapping.set truth (Catalog.find catalog 0) [ (p0, 1) ];
-  Mapping.set truth (Catalog.find catalog 1) [ (p0, 1) ];
-  let config = gated_config num_ports in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let specs =
-    [ (Catalog.find catalog 0, Encoding.Proper 1);
-      (Catalog.find catalog 1, Encoding.Proper 1) ]
-  in
-  match Cegis.infer ~config ~measure ~specs () with
-  | Cegis.Converged _ -> ()
-  | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
-  | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
+  Alcotest.(check bool) "unused flagged" true (has_rule "frozen-unused" diags2);
+  (* [c] is also dead, and the finding names it by its solver name. *)
+  Alcotest.(check (list string)) "dead var named" [ "own(iA,p0)" ]
+    (List.filter_map
+       (fun d ->
+          if d.Diag.rule = "dead-var" then Some d.Diag.subject else None)
+       diags2)
 
 let () =
   Alcotest.run "enclint"
@@ -246,6 +246,8 @@ let () =
            test_clean_creation;
          Alcotest.test_case "improper (store-blocker) encoding" `Quick
            test_clean_improper;
+         Alcotest.test_case "creation-time encoding with lemmas" `Quick
+           test_clean_with_lemmas;
          Alcotest.test_case "delta append/retire" `Quick test_clean_guarded ]);
       ("mutations",
        [ Alcotest.test_case "dropped guard (metadata)" `Quick
@@ -261,7 +263,4 @@ let () =
          Alcotest.test_case "reachable retired row" `Quick
            test_flags_retired_reachable;
          Alcotest.test_case "frozen literal unused" `Quick
-           test_flags_frozen_unused ]);
-      ("cegis-gate",
-       [ Alcotest.test_case "certified run with gate" `Quick
-           test_cegis_gated_certified ]) ]
+           test_flags_frozen_unused ]) ]

@@ -377,101 +377,6 @@ let prop_reduction_parity =
          steps)
 
 (* ------------------------------------------------------------------ *)
-(* DIMACS export                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let parse_dimacs text =
-  let header = ref None in
-  let clauses = ref [] in
-  List.iter
-    (fun line ->
-       let line = String.trim line in
-       if line = "" || line.[0] = 'c' then ()
-       else if line.[0] = 'p' then
-         match List.filter (( <> ) "") (String.split_on_char ' ' line) with
-         | [ "p"; "cnf"; v; c ] ->
-           header := Some (int_of_string v, int_of_string c)
-         | _ -> Alcotest.failf "bad DIMACS header: %s" line
-       else
-         let ints =
-           List.map int_of_string
-             (List.filter (( <> ) "") (String.split_on_char ' ' line))
-         in
-         match List.rev ints with
-         | 0 :: rev_lits -> clauses := List.rev rev_lits :: !clauses
-         | _ -> Alcotest.failf "clause not 0-terminated: %s" line)
-    (String.split_on_char '\n' text);
-  match !header with
-  | None -> Alcotest.fail "no DIMACS header"
-  | Some (v, c) -> (v, c, List.rev !clauses)
-
-let test_dimacs_export () =
-  let s = Sat.create () in
-  let a = Sat.fresh_var s in
-  let b = Sat.fresh_var s in
-  let c = Sat.fresh_var s in
-  let d = Sat.fresh_var s in
-  Sat.add_clause s [ Lit.pos a; Lit.neg_of_var b ];
-  Sat.add_clause s [ Lit.pos b; Lit.pos c; Lit.neg_of_var d ];
-  Sat.add_clause s [ Lit.neg_of_var a ];
-  let num_vars, num_clauses, clauses = parse_dimacs (Sat.dimacs s) in
-  Alcotest.(check int) "header vars" (Sat.num_vars s) num_vars;
-  Alcotest.(check int) "header clause count" (List.length clauses) num_clauses;
-  List.iter
-    (List.iter (fun l ->
-         Alcotest.(check bool) "lit in range" true
-           (l <> 0 && abs l <= num_vars)))
-    clauses;
-  (* The export is equisatisfiable with the live solver: check via the
-     reference DPLL on the re-parsed clauses. *)
-  let as_lits = List.map (List.map (fun l -> Lit.make (abs l - 1) (l > 0))) in
-  Alcotest.(check bool) "same verdict" (is_sat (Sat.solve s))
-    (dpll (as_lits clauses))
-
-let test_dimacs_unsat_export () =
-  let s = Sat.create () in
-  let a = Sat.fresh_var s in
-  Sat.add_clause s [ Lit.pos a ];
-  Sat.add_clause s [ Lit.neg_of_var a ];
-  Alcotest.(check bool) "unsat" false (is_sat (Sat.solve s));
-  let _, num_clauses, clauses = parse_dimacs (Sat.dimacs s) in
-  Alcotest.(check int) "header count" (List.length clauses) num_clauses;
-  (* A dead solver's export must be trivially refutable. *)
-  Alcotest.(check bool) "contains the empty clause" true
-    (List.mem [] clauses)
-
-let test_dimacs_var_names () =
-  (* Named variables come back out of the export as [c var <id> <name>]
-     comment lines, DIMACS ids being 1-based. *)
-  let s = Sat.create () in
-  let a = Sat.fresh_var s in
-  let b = Sat.fresh_var s in
-  let c = Sat.fresh_var s in
-  Sat.name_var s a "own(iA,p0)";
-  Sat.name_var s c "select(iB,iA)";
-  Sat.add_clause s [ Lit.pos a; Lit.pos b; Lit.pos c ];
-  Alcotest.(check (option string)) "var_name set" (Some "own(iA,p0)")
-    (Sat.var_name s a);
-  Alcotest.(check (option string)) "var_name unset" None (Sat.var_name s b);
-  let parsed = ref [] in
-  List.iter
-    (fun line ->
-       match String.split_on_char ' ' (String.trim line) with
-       | "c" :: "var" :: id :: rest ->
-         parsed := (int_of_string id - 1, String.concat " " rest) :: !parsed
-       | _ -> ())
-    (String.split_on_char '\n' (Sat.dimacs s));
-  let names = List.sort compare !parsed in
-  Alcotest.(check (list (pair int string)))
-    "names round-trip"
-    [ (a, "own(iA,p0)"); (c, "select(iB,iA)") ]
-    names;
-  (* The comment lines must not confuse the DIMACS parser. *)
-  let num_vars, _, clauses = parse_dimacs (Sat.dimacs s) in
-  Alcotest.(check int) "vars" 3 num_vars;
-  Alcotest.(check int) "clauses" 1 (List.length clauses)
-
-(* ------------------------------------------------------------------ *)
 (* CDCL invariant sanitizer                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -687,8 +592,7 @@ let test_card_network_metadata () =
   Alcotest.(check bool) "guard" true (net.Card.guard = Some (Lit.pos g));
   Alcotest.(check bool) "aux allocated" true (net.Card.aux <> []);
   Alcotest.(check bool) "guard on every clause" true
-    (List.for_all (fun c -> List.mem (Lit.pos g) c) net.Card.clauses);
-  Alcotest.(check bool) "guard var marked" true (Sat.is_guard s g)
+    (List.for_all (fun c -> List.mem (Lit.pos g) c) net.Card.clauses)
 
 (* ------------------------------------------------------------------ *)
 (* Expr: formulas and Tseitin transformation                           *)
@@ -889,10 +793,6 @@ let () =
            [ prop_sat_matches_brute_force; prop_sat_3sat_stress;
              prop_sat_matches_dpll; prop_reduction_parity;
              prop_sanitize_random; prop_add_clause_intake ]);
-      ("dimacs",
-       [ Alcotest.test_case "export round-trips" `Quick test_dimacs_export;
-         Alcotest.test_case "unsat export" `Quick test_dimacs_unsat_export;
-         Alcotest.test_case "variable names" `Quick test_dimacs_var_names ]);
       ("card",
        [ Alcotest.test_case "at_most" `Quick test_card_at_most;
          Alcotest.test_case "at_least" `Quick test_card_at_least;

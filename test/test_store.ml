@@ -1,10 +1,11 @@
 (* The durable store: journal framing and recovery (torn tails truncated,
    checksum-rejected records skipped without failing open), last-writer-wins
    semantics across compaction, byte-level idempotence of open/close and of
-   repeated compaction, a QCheck round-trip against a reference table, and
-   stores holding records of the retired measurement kind (code 0), which
-   open cleanly and lose those records at compaction.  This suite is also
-   wired as `dune build @store`. *)
+   repeated compaction, a QCheck round-trip against a reference table,
+   stores holding records of the retired measurement and bench-history
+   kinds (codes 0 and 2), which open cleanly and lose those records at
+   compaction, and [verify] refusing a directory that does not exist.
+   This suite is also wired as `dune build @store`. *)
 
 module Store = Pmi_store.Store
 
@@ -37,19 +38,19 @@ let with_store ?auto_compact dir f =
 let test_put_get_roundtrip () =
   let dir = temp_dir () in
   with_store dir (fun s ->
-      Store.put s Store.Certificate ~key:"c1" "digest";
-      Store.put s Store.Certificate ~key:"c2" "other digest";
-      Store.put s Store.Bench_history ~key:"b1" "{}";
+      Store.put s ~key:"c1" "digest";
+      Store.put s ~key:"c2" "other digest";
+      Store.put s ~key:"c3" "third digest";
       Alcotest.(check (option string)) "certificate" (Some "digest")
-        (Store.get s Store.Certificate ~key:"c1");
-      Alcotest.(check (option string)) "kinds are separate namespaces" None
-        (Store.get s Store.Bench_history ~key:"c1");
-      Alcotest.(check bool) "mem" true (Store.mem s Store.Bench_history ~key:"b1"));
+        (Store.get s ~key:"c1");
+      Alcotest.(check (option string)) "absent key" None
+        (Store.get s ~key:"b1");
+      Alcotest.(check bool) "mem" true (Store.mem s ~key:"c3"));
   (* Everything survives a close/reopen. *)
   with_store dir (fun s ->
-      Alcotest.(check int) "certificates live" 2 (Store.live s Store.Certificate);
+      Alcotest.(check int) "certificates live" 3 (Store.live s);
       Alcotest.(check (option string)) "value survives" (Some "other digest")
-        (Store.get s Store.Certificate ~key:"c2");
+        (Store.get s ~key:"c2");
       let st = Store.stats s in
       Alcotest.(check int) "no corruption" 0 st.Store.corrupt;
       Alcotest.(check int) "replayed all three" 3 st.Store.replayed)
@@ -57,16 +58,16 @@ let test_put_get_roundtrip () =
 let test_identical_reput_is_noop () =
   let dir = temp_dir () in
   with_store dir (fun s ->
-      Store.put s Store.Certificate ~key:"k" "v";
+      Store.put s ~key:"k" "v";
       let before = (Store.stats s).Store.journal_records in
-      Store.put s Store.Certificate ~key:"k" "v";
+      Store.put s ~key:"k" "v";
       Alcotest.(check int) "journal did not grow" before
         (Store.stats s).Store.journal_records;
-      Store.put s Store.Certificate ~key:"k" "v2";
+      Store.put s ~key:"k" "v2";
       Alcotest.(check int) "a new value does" (before + 1)
         (Store.stats s).Store.journal_records;
       Alcotest.(check (option string)) "last writer wins" (Some "v2")
-        (Store.get s Store.Certificate ~key:"k"))
+        (Store.get s ~key:"k"))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -74,7 +75,7 @@ let test_identical_reput_is_noop () =
 let populate dir n =
   with_store dir (fun s ->
       for i = 0 to n - 1 do
-        Store.put s Store.Certificate
+        Store.put s
           ~key:(Printf.sprintf "key-%02d" i)
           (Printf.sprintf "value-%02d" i)
       done)
@@ -101,7 +102,7 @@ let test_torn_tail_truncated () =
            let st = Store.stats s in
            Alcotest.(check int)
              (Printf.sprintf "cut %d keeps the complete records" cut)
-             3 (Store.live s Store.Certificate);
+             3 (Store.live s);
            Alcotest.(check int)
              (Printf.sprintf "cut %d reports no corruption" cut)
              0 st.Store.corrupt;
@@ -109,12 +110,12 @@ let test_torn_tail_truncated () =
              (Printf.sprintf "cut %d truncates the tail" cut)
              (cut - last) st.Store.truncated_bytes;
            (* The store must stay writable on the recovered boundary. *)
-           Store.put s Store.Certificate ~key:"after" "crash");
+           Store.put s ~key:"after" "crash");
        with_store dir (fun s ->
            Alcotest.(check (option string))
              (Printf.sprintf "cut %d: post-recovery append survives" cut)
              (Some "crash")
-             (Store.get s Store.Certificate ~key:"after")))
+             (Store.get s ~key:"after")))
     [ last + 1; last + 11; last + 12; len - 1 ]
 
 let test_bit_flip_rejected () =
@@ -137,13 +138,13 @@ let test_bit_flip_rejected () =
       let st = Store.stats s in
       Alcotest.(check int) "one record rejected" 1 st.Store.corrupt;
       Alcotest.(check int) "the others survive" 2
-        (Store.live s Store.Certificate);
+        (Store.live s);
       Alcotest.(check (option string)) "record before the flip" (Some "value-00")
-        (Store.get s Store.Certificate ~key:"key-00");
+        (Store.get s ~key:"key-00");
       Alcotest.(check (option string)) "record after the flip" (Some "value-02")
-        (Store.get s Store.Certificate ~key:"key-02");
+        (Store.get s ~key:"key-02");
       Alcotest.(check (option string)) "the flipped record is gone" None
-        (Store.get s Store.Certificate ~key:"key-01"))
+        (Store.get s ~key:"key-01"))
 
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)
@@ -151,21 +152,21 @@ let test_bit_flip_rejected () =
 let test_lww_after_compaction () =
   let dir = temp_dir () in
   with_store dir (fun s ->
-      Store.put s Store.Certificate ~key:"k" "v1";
-      Store.put s Store.Certificate ~key:"k" "v2";
-      Store.put s Store.Certificate ~key:"other" "o";
-      Store.put s Store.Certificate ~key:"k" "v3";
+      Store.put s ~key:"k" "v1";
+      Store.put s ~key:"k" "v2";
+      Store.put s ~key:"other" "o";
+      Store.put s ~key:"k" "v3";
       Store.compact s;
       Alcotest.(check (option string)) "last writer wins" (Some "v3")
-        (Store.get s Store.Certificate ~key:"k");
+        (Store.get s ~key:"k");
       let st = Store.stats s in
       Alcotest.(check int) "journal truncated" 0 st.Store.journal_records;
       Alcotest.(check int) "segment holds only live records" 2
         st.Store.segment_records);
   with_store dir (fun s ->
       Alcotest.(check (option string)) "winner survives reopen" (Some "v3")
-        (Store.get s Store.Certificate ~key:"k");
-      Alcotest.(check int) "still two live" 2 (Store.live s Store.Certificate))
+        (Store.get s ~key:"k");
+      Alcotest.(check int) "still two live" 2 (Store.live s))
 
 let test_open_close_idempotent () =
   let dir = temp_dir () in
@@ -188,15 +189,11 @@ let test_open_close_idempotent () =
 
 let prop_random_roundtrip =
   let open QCheck2 in
-  let kind_of = function
-    | 0 -> Store.Certificate
-    | _ -> Store.Bench_history
-  in
   let op =
     Gen.(oneof
-           [ map3
-               (fun k key v -> `Put (kind_of k, Printf.sprintf "k%d" key, v))
-               (int_range 0 1) (int_range 0 15)
+           [ map2
+               (fun key v -> `Put (Printf.sprintf "k%d" key, v))
+               (int_range 0 31)
                (string_size ~gen:printable (int_range 0 40));
              return `Compact ])
   in
@@ -208,21 +205,18 @@ let prop_random_roundtrip =
        with_store ~auto_compact:7 dir (fun s ->
            List.iter
              (function
-               | `Put (kind, key, v) ->
-                 Hashtbl.replace reference (kind, key) v;
-                 Store.put s kind ~key v
+               | `Put (key, v) ->
+                 Hashtbl.replace reference key v;
+                 Store.put s ~key v
                | `Compact -> Store.compact s)
              ops);
        with_store dir (fun s ->
            Hashtbl.iter
-             (fun (kind, key) v ->
-                if Store.get s kind ~key <> Some v then
+             (fun key v ->
+                if Store.get s ~key <> Some v then
                   Test.fail_reportf "key %s lost or changed" key)
              reference;
-           let live_total =
-             Store.live s Store.Certificate + Store.live s Store.Bench_history
-           in
-           Hashtbl.length reference = live_total
+           Hashtbl.length reference = Store.live s
            && (Store.stats s).Store.corrupt = 0))
 
 (* ------------------------------------------------------------------ *)
@@ -265,16 +259,13 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let test_retired_measurement_kind () =
+(* A store holding one certificate and one record of a retired kind
+   [code], appended to the journal as the deleted writer framed it. *)
+let check_retired_kind ~code ~key value =
   let dir = temp_dir () in
-  with_store dir (fun s -> Store.put s Store.Certificate ~key:"c" "digest");
-  (* A measurement record as the harness's durable tier wrote them: kind
-     code 0, fingerprint|experiment key, num:den:spread-bits:retired-ops. *)
-  let key = "0123456789abcdef|3.1" in
+  with_store dir (fun s -> Store.put s ~key:"c" "digest");
   Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 (journal dir)
-    (fun oc ->
-       Out_channel.output_string oc
-         (frame_record ~code:0 ~key "7:2:0:3"));
+    (fun oc -> Out_channel.output_string oc (frame_record ~code ~key value));
   (* The framing helper matches the store's own records byte for byte. *)
   Alcotest.(check string) "framing matches the store"
     (frame_record ~code:1 ~key:"c" "digest")
@@ -289,20 +280,41 @@ let test_retired_measurement_kind () =
       Alcotest.(check int) "opens with nothing corrupt" 0 st.Store.corrupt;
       Alcotest.(check int) "nothing truncated" 0 st.Store.truncated_bytes;
       Alcotest.(check (option string)) "certificate kept" (Some "digest")
-        (Store.get s Store.Certificate ~key:"c");
+        (Store.get s ~key:"c");
       Alcotest.(check int) "one live record" 1
-        (Store.live s Store.Certificate + Store.live s Store.Bench_history);
+        (Store.live s);
       Store.compact s;
       Alcotest.(check int) "compaction keeps the certificate only" 1
         (Store.stats s).Store.segment_records);
-  Alcotest.(check bool) "the measurement is compacted away" false
+  Alcotest.(check bool) "the retired record is compacted away" false
     (contains (read_file (segment dir)) key);
   let report = Store.verify dir in
   Alcotest.(check int) "verify after compaction: nothing corrupt" 0
     report.Store.r_corrupt;
   with_store dir (fun s ->
       Alcotest.(check (option string)) "certificate survives compaction"
-        (Some "digest") (Store.get s Store.Certificate ~key:"c"))
+        (Some "digest") (Store.get s ~key:"c"))
+
+(* A measurement record as the harness's durable tier wrote them: kind
+   code 0, fingerprint|experiment key, num:den:spread-bits:retired-ops. *)
+let test_retired_measurement_kind () =
+  check_retired_kind ~code:0 ~key:"0123456789abcdef|3.1" "7:2:0:3"
+
+(* A bench-history record as `bench --store` wrote them: kind code 2, the
+   hex digest of the bench JSON record as key, the record as value. *)
+let test_retired_bench_kind () =
+  let record = {|{"schema_version":1,"results":[]}|} in
+  check_retired_kind ~code:2 ~key:(Digest.to_hex (Digest.string record))
+    record
+
+(* [verify] is read-only: on a path with no store it must fail rather than
+   report a clean empty store, and it must not create the directory. *)
+let test_verify_missing_dir () =
+  let dir = temp_dir () in
+  (match Store.verify dir with
+   | _ -> Alcotest.fail "verify accepted a directory that does not exist"
+   | exception Sys_error _ -> ());
+  Alcotest.(check bool) "nothing created" false (Sys.file_exists dir)
 
 (* ------------------------------------------------------------------ *)
 
@@ -325,4 +337,9 @@ let () =
       ("random", qsuite [ prop_random_roundtrip ]);
       ("retired",
        [ Alcotest.test_case "measurement records skipped and compacted away"
-           `Quick test_retired_measurement_kind ]) ]
+           `Quick test_retired_measurement_kind;
+         Alcotest.test_case "bench records skipped and compacted away" `Quick
+           test_retired_bench_kind ]);
+      ("verify",
+       [ Alcotest.test_case "missing directory fails" `Quick
+           test_verify_missing_dir ]) ]
