@@ -6,6 +6,7 @@ module Throughput = Pmi_portmap.Throughput
 module Oracle = Pmi_portmap.Oracle
 module Solver = Pmi_smt.Solver
 module Obs = Pmi_obs.Obs
+module Compare = Pmi_measure.Harness.Compare
 
 (* Telemetry counters: the CEGIS-level tallies a [--metrics] run reports
    next to the per-iteration spans.  All process-wide; [stats] keeps the
@@ -71,27 +72,43 @@ type outcome =
 let modeled_inverse config mapping experiment =
   Throughput.inverse_bounded ~r_max:config.r_max mapping experiment
 
+(* An observation as the theory check reads it, worked out once when it is
+   measured: the experiment's length, and the cycles as a native
+   (num, den) when both parts fit an int. *)
+type measured = {
+  obs : observation;
+  length : int;
+  frac : (int * int) option;
+}
+
+let measured obs =
+  let frac =
+    match
+      ( Pmi_numeric.Bigint.to_int_opt (Rat.num obs.cycles),
+        Pmi_numeric.Bigint.to_int_opt (Rat.den obs.cycles) )
+    with
+    | Some n, Some d -> Some (n, d)
+    | _ -> None
+  in
+  { obs; length = Experiment.length obs.experiment; frac }
+
 (* Does the oracle explain a measured value within ε·|e|?  The modeled
    (num, den) is compared on native ints; a measurement whose parts do not
    fit one falls back to the exact-rational test. *)
-let explains config o experiment cycles =
-  let length = Experiment.length experiment in
-  let modeled = Oracle.inverse_bounded_frac ~r_max:config.r_max o experiment in
-  match
-    ( Pmi_numeric.Bigint.to_int_opt (Rat.num cycles),
-      Pmi_numeric.Bigint.to_int_opt (Rat.den cycles) )
-  with
-  | Some n, Some d ->
-    Pmi_measure.Harness.Compare.cpi_equal_frac ~epsilon:config.epsilon
-      ~length modeled (n, d)
-  | _ ->
-    Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon ~length
+let explains config tolerance o m =
+  let modeled =
+    Oracle.inverse_bounded_frac ~r_max:config.r_max o m.obs.experiment
+  in
+  match m.frac with
+  | Some frac -> Compare.cpi_equal_frac ~tolerance ~length:m.length modeled frac
+  | None ->
+    Compare.cpi_equal ~epsilon:config.epsilon ~length:m.length
       (Rat.of_ints (fst modeled) (snd modeled))
-      cycles
+      m.obs.cycles
 
 let consistent config mapping obs =
   let modeled = modeled_inverse config mapping obs.experiment in
-  Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
+  Compare.cpi_equal ~epsilon:config.epsilon
     ~length:(Experiment.length obs.experiment) modeled obs.cycles
 
 (* The two lemma shapes of the theory check.  [Footprint] refutes the
@@ -115,22 +132,84 @@ let lemma config shape encoding o model obs =
     in
     Encoding.block_bottleneck encoding model schemes violation
 
-(* Theory check: decode the SAT model, evaluate every observation, and
-   learn a lemma of the given shape for each violated one.  Lemmas are
+(* The theory check of one encoding, kept across all of its solves.  An
+   observation's verdict is a pure function of the rows of its schemes, so
+   it is re-evaluated only when one of those rows changed since this
+   encoding's previous check; every other observation keeps its verdict.
+   The lemmas are those a check from scratch learns, in the same order.
+   The mapping is decoded in place, changed rows only. *)
+type verdict = { rows : int array; mutable explained : bool }
+
+let rec any_changed changed rows i =
+  i < Array.length rows
+  && (changed.(rows.(i)) || any_changed changed rows (i + 1))
+
+type theory = {
+  encoding : Encoding.t;
+  shape : lemma_shape;
+  tolerance : Compare.tolerance;
+  decoder : Encoding.decoder;
+  oracle : Oracle.t;             (* over the decoder's mapping *)
+  verdicts : verdict Vec.t;      (* one per observation checked so far *)
+}
+
+let theory config ~shape encoding =
+  let decoder = Encoding.decoder encoding in
+  { encoding; shape; tolerance = Compare.tolerance config.epsilon; decoder;
+    oracle = Oracle.create (Encoding.decoded decoder);
+    verdicts = Vec.create () }
+
+(* Theory check: decode the SAT model, evaluate the observations, and learn
+   a lemma of the theory's shape for each violated one.  Lemmas are
    collected in [pool] so that later encodings (deterministic variable
    numbering) can be seeded with everything already learned. *)
-let theory_check config ~shape encoding observations pool model =
-  let o = Oracle.create (Encoding.decode encoding model) in
+let theory_check config th observations pool model =
+  let changed = Encoding.redecode th.decoder model in
   let lemmas = ref [] in
-  Vec.iter
-    (fun obs ->
-       if not (explains config o obs.experiment obs.cycles) then
-         lemmas := lemma config shape encoding o model obs :: !lemmas)
-    observations;
+  for i = 0 to Vec.length observations - 1 do
+    let m = Vec.get observations i in
+    let explained =
+      if i < Vec.length th.verdicts then begin
+        let v = Vec.get th.verdicts i in
+        if any_changed changed v.rows 0 then
+          v.explained <- explains config th.tolerance th.oracle m;
+        v.explained
+      end
+      else begin
+        let rows =
+          Experiment.schemes m.obs.experiment
+          |> List.filter_map (fun s ->
+              let r = Encoding.row_index th.encoding s in
+              if r >= 0 then Some r else None)
+          |> Array.of_list
+        in
+        let explained = explains config th.tolerance th.oracle m in
+        Vec.push th.verdicts { rows; explained };
+        explained
+      end
+    in
+    if not explained then
+      lemmas :=
+        lemma config th.shape th.encoding th.oracle model m.obs :: !lemmas
+  done;
   let lemmas = List.rev !lemmas in
   Obs.add c_lemmas (List.length lemmas);
   List.iter (Vec.push pool) lemmas;
   lemmas
+
+let theory_rounds ?(config = default_config) ~shape encoding steps =
+  let th = theory config ~shape encoding in
+  let pool = Vec.create () in
+  let observations = Vec.create () in
+  List.map
+    (fun (obs, model) ->
+       List.iteri
+         (fun i o ->
+            if i >= Vec.length observations then
+              Vec.push observations (measured o))
+         obs;
+       theory_check config th observations pool model)
+    steps
 
 let fresh_encoding config specs pool =
   let encoding =
@@ -206,11 +285,11 @@ let certify_sat config encoding observations model =
                Pmi_analysis.Drat.pp_error e)));
     let mapping = Encoding.decode encoding model in
     Vec.iter
-      (fun obs ->
+      (fun { obs; _ } ->
          let modeled = modeled_inverse config mapping obs.experiment in
          if
            not
-             (Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
+             (Compare.cpi_equal ~epsilon:config.epsilon
                 ~length:(Experiment.length obs.experiment) modeled obs.cycles)
          then
            raise
@@ -236,9 +315,10 @@ let certified_solve config encoding observations ?assumptions ~check () =
    | Solver.Sat model -> certify_sat config encoding observations model);
   verdict
 
-let find_mapping config ~shape encoding observations pool =
+let find_mapping config th observations pool =
   Obs.span "cegis.find_mapping" (fun () ->
-      let check = theory_check config ~shape encoding observations pool in
+      let encoding = th.encoding in
+      let check = theory_check config th observations pool in
       match certified_solve config encoding observations ~check () with
       | Solver.Sat model -> Some (Encoding.decode encoding model)
       | Solver.Unsat -> None)
@@ -252,10 +332,7 @@ exception Found_counts of (Scheme.t * int) list
    oracle accumulator per mapping: entering/leaving a recursion level is a
    ±one-scheme mass delta, and each leaf runs the sparse kernel once per
    mapping. *)
-let search_stratum config o1 o2 schemes ~size =
-  let sep =
-    Pmi_measure.Harness.Compare.well_separated_frac ~epsilon:config.epsilon
-  in
+let search_stratum config tolerance o1 o2 schemes ~size =
   let a1 = Oracle.Acc.create o1 and a2 = Oracle.Acc.create o2 in
   let n = Array.length schemes in
   let rec fill size start acc =
@@ -263,7 +340,8 @@ let search_stratum config o1 o2 schemes ~size =
       let length = Oracle.Acc.length a1 in
       let t1 = Oracle.Acc.inverse_bounded_frac ~r_max:config.r_max a1 in
       let t2 = Oracle.Acc.inverse_bounded_frac ~r_max:config.r_max a2 in
-      if sep ~length t1 t2 then raise_notrace (Found_counts acc)
+      if Compare.well_separated_frac ~tolerance ~length t1 t2 then
+        raise_notrace (Found_counts acc)
     end
     else
       for i = start to n - 1 do
@@ -289,14 +367,14 @@ let search_stratum config o1 o2 schemes ~size =
   | exception Found_counts acc -> Some (Experiment.of_counts acc)
 
 (* Smallest stratum first, so the experiment found is a smallest one. *)
-let distinguishing_experiment config m1 m2 schemes =
+let distinguishing_experiment config tolerance m1 m2 schemes =
   Obs.span "cegis.distinguish" @@ fun () ->
   let o1 = Oracle.create m1 and o2 = Oracle.create m2 in
   let arr = Array.of_list schemes in
   let rec go size =
     if size > config.max_experiment_size then None
     else
-      match search_stratum config o1 o2 arr ~size with
+      match search_stratum config tolerance o1 o2 arr ~size with
       | Some e -> Some e
       | None -> go (size + 1)
   in
@@ -320,7 +398,7 @@ let same_mapping specs m1 m2 =
    the config, the two mappings and the spec schemes, so a repeat of the
    pair needs no second search. *)
 type other_state = {
-  o_encoding : Encoding.t;
+  o_theory : theory;
   mutable o_synced : int;
   o_inseparable : (string, unit) Hashtbl.t;
 }
@@ -338,7 +416,7 @@ let pair_key schemes m1 m2 =
   String.concat ";" (rows m1 @ ("|" :: rows m2))
 
 let sync_lemmas state pool =
-  let sat = Encoding.sat state.o_encoding in
+  let sat = Encoding.sat state.o_theory.encoding in
   Vec.iter_from state.o_synced (Pmi_smt.Sat.add_clause sat) pool;
   state.o_synced <- Vec.length pool
 
@@ -350,12 +428,13 @@ let sync_lemmas state pool =
 let find_other_mapping config state specs observations pool m1 tried_counter =
   Obs.span "cegis.find_other_mapping" @@ fun () ->
   sync_lemmas state pool;
-  let encoding = state.o_encoding in
+  let th = state.o_theory in
+  let encoding = th.encoding in
   let sat = Encoding.sat encoding in
   let act = Pmi_smt.Sat.fresh_var sat in
   let assumptions = [ Pmi_smt.Lit.pos act ] in
   let retract = Pmi_smt.Lit.neg_of_var act in
-  let check = theory_check config ~shape:Footprint encoding observations pool in
+  let check = theory_check config th observations pool in
   let schemes = List.map fst specs in
   let rec search budget =
     if budget = 0 then begin
@@ -383,7 +462,9 @@ let find_other_mapping config state specs observations pool m1 tried_counter =
               None
             end
             else begin
-              let found = distinguishing_experiment config m1 m2 schemes in
+              let found =
+                distinguishing_experiment config th.tolerance m1 m2 schemes
+              in
               if Option.is_none found then
                 Hashtbl.replace state.o_inseparable key ();
               found
@@ -437,9 +518,9 @@ let explain ?(config = default_config) ~specs ~observations () =
   Obs.span "cegis.explain" @@ fun () ->
   let pool = Vec.create () in
   let obs = Vec.create () in
-  List.iter (Vec.push obs) observations;
+  List.iter (fun o -> Vec.push obs (measured o)) observations;
   let encoding = fresh_encoding config specs pool in
-  find_mapping config ~shape:Bottleneck encoding obs pool
+  find_mapping config (theory config ~shape:Bottleneck encoding) obs pool
 
 let infer ?(config = default_config) ~measure ~specs () =
   Obs.span "cegis.infer" @@ fun () ->
@@ -452,23 +533,27 @@ let infer ?(config = default_config) ~measure ~specs () =
     in
     Obs.incr c_observations;
     let obs = { experiment; cycles } in
-    Vec.push observations obs;
+    Vec.push observations (measured obs);
     obs
   in
   List.iter (fun (s, _) -> ignore (observe (Experiment.singleton s))) specs;
-  let fm_encoding = fresh_encoding config specs pool in
+  let fm_theory =
+    theory config ~shape:Footprint (fresh_encoding config specs pool)
+  in
+  let fm_encoding = fm_theory.encoding in
   let other_state =
     let o_encoding =
       Encoding.create ~num_ports:config.num_ports ~certify:config.certify specs
     in
-    { o_encoding; o_synced = 0; o_inseparable = Hashtbl.create 16 }
+    { o_theory = theory config ~shape:Footprint o_encoding; o_synced = 0;
+      o_inseparable = Hashtbl.create 16 }
   in
   let tried = ref 0 in
   let finish mk =
     let sat =
       Pmi_smt.Sat.add_stats
         (Pmi_smt.Sat.stats (Encoding.sat fm_encoding))
-        (Pmi_smt.Sat.stats (Encoding.sat other_state.o_encoding))
+        (Pmi_smt.Sat.stats (Encoding.sat other_state.o_theory.encoding))
     in
     Log.info (fun m ->
         m "solver: %d decisions, %d propagations, %d conflicts, %d restarts, \
@@ -479,7 +564,7 @@ let infer ?(config = default_config) ~measure ~specs () =
           sat.Pmi_smt.Sat.deleted);
     mk
       { iterations = 0;
-        observations = Vec.to_list observations;
+        observations = List.map (fun m -> m.obs) (Vec.to_list observations);
         candidates_tried = !tried;
         theory_lemmas = Vec.length pool;
         sat_episodes = Atomic.get episode_count - episodes_before;
@@ -494,11 +579,15 @@ let infer ?(config = default_config) ~measure ~specs () =
        reported per round, so an UNSAT the §4.3 culprit search sees
        follows from a single new observation. *)
     let oracle = Oracle.create m1 in
+    let tolerance = fm_theory.tolerance in
     let failing e =
       if
-        Vec.exists (fun o -> Experiment.equal o.experiment e) observations
+        Vec.exists (fun m -> Experiment.equal m.obs.experiment e) observations
       then false
-      else not (explains config oracle e (measure e))
+      else
+        not
+          (explains config tolerance oracle
+             (measured { experiment = e; cycles = measure e }))
     in
     Array.find_opt failing sweep
   in
@@ -512,7 +601,7 @@ let infer ?(config = default_config) ~measure ~specs () =
       "cegis.iteration"
       (fun () ->
          match
-           find_mapping config ~shape:Footprint fm_encoding observations pool
+           find_mapping config fm_theory observations pool
          with
          | None ->
            Some

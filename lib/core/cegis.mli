@@ -94,6 +94,25 @@ val consistent :
   config -> Pmi_portmap.Mapping.t -> observation -> bool
 (** Does the mapping explain the observation within ε·|e|? *)
 
+type lemma_shape =
+  | Footprint   (** refute the violated experiment's rows as the model
+                    assigns them: what {!infer} learns *)
+  | Bottleneck  (** refute every mapping that keeps the model's bottleneck
+                    shape (§2.2): what {!explain} learns *)
+
+val theory_rounds :
+  ?config:config ->
+  shape:lemma_shape ->
+  Encoding.t ->
+  (observation list * bool array) list ->
+  Pmi_smt.Lit.t list list list
+(** The lemmas of one theory check per step, in order, all on one
+    encoding's theory-check state, which re-evaluates an observation only
+    when a row of its schemes changed since the previous check.  Each
+    step's observations must extend the previous step's (CEGIS only ever
+    appends).  A one-step call is a check from scratch, so tests can hold
+    every step to it. *)
+
 val infer :
   ?config:config ->
   measure:(Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t) ->

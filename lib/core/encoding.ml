@@ -257,24 +257,71 @@ let row_assumptions t =
     (fun r -> if r.act >= 0 then Some (Lit.pos r.act) else None)
     (live_rows t)
 
-let ports_of_row model vars =
-  let ports = ref Portset.empty in
-  Array.iteri (fun k v -> if model.(v) then ports := Portset.add k !ports) vars;
-  !ports
+let row_mask model vars =
+  let m = ref 0 in
+  Array.iteri (fun k v -> if model.(v) then m := !m lor (1 lsl k)) vars;
+  !m
+
+let ports_of_row model vars = Portset.of_mask (row_mask model vars)
+
+let row_usage row ~own ~shared =
+  match row.spec with
+  | Proper _ -> [ (Portset.of_mask own, 1) ]
+  | Improper _ -> [ (Portset.of_mask own, 1); (Portset.of_mask shared, 1) ]
 
 let decode t model =
   let mapping = Mapping.create ~num_ports:t.num_ports in
   List.iter
     (fun row ->
-       let own = ports_of_row model row.own in
-       let usage =
-         match row.spec with
-         | Proper _ -> [ (own, 1) ]
-         | Improper _ -> [ (own, 1); (ports_of_row model row.shared, 1) ]
-       in
-       Mapping.set mapping row.scheme usage)
+       Mapping.set mapping row.scheme
+         (row_usage row ~own:(row_mask model row.own)
+            ~shared:(row_mask model row.shared)))
     (live_rows t);
   mapping
+
+let row_index t scheme =
+  let rec find i =
+    if i = Array.length t.rows then -1
+    else if t.rows.(i).live && Scheme.equal t.rows.(i).scheme scheme then i
+    else find (i + 1)
+  in
+  find 0
+
+(* ------------------------------------------------------------------ *)
+(* Incremental decoding                                                *)
+(* ------------------------------------------------------------------ *)
+
+type decoder = {
+  enc : t;
+  mapping : Mapping.t;
+  masks : int array;  (* per row: own and shared port masks as last
+                         decoded; -1, which no model yields, before *)
+}
+
+let decoder t =
+  { enc = t;
+    mapping = Mapping.create ~num_ports:t.num_ports;
+    masks = Array.make (2 * Array.length t.rows) (-1) }
+
+let decoded d = d.mapping
+
+let redecode d model =
+  let rows = d.enc.rows and masks = d.masks in
+  if 2 * Array.length rows <> Array.length masks then
+    invalid_arg "Encoding.redecode: the encoding's rows changed";
+  Array.mapi
+    (fun i row ->
+       row.live
+       &&
+       let own = row_mask model row.own and shared = row_mask model row.shared in
+       let changed = own <> masks.(2 * i) || shared <> masks.((2 * i) + 1) in
+       if changed then begin
+         masks.(2 * i) <- own;
+         masks.((2 * i) + 1) <- shared;
+         Mapping.set d.mapping row.scheme (row_usage row ~own ~shared)
+       end;
+       changed)
+    rows
 
 let pin_row lits row usage =
   let assert_row vars ports =

@@ -81,6 +81,29 @@ val row_assumptions : t -> Pmi_smt.Lit.t list
 val decode : t -> bool array -> Pmi_portmap.Mapping.t
 (** Read a port mapping out of a SAT model. *)
 
+val row_index : t -> Pmi_isa.Scheme.t -> int
+(** The index of the scheme's live row, as {!redecode} numbers the rows;
+    [-1] when it has none. *)
+
+type decoder
+(** A mapping kept equal to {!decode} of the last model it was given,
+    updated one changed row at a time.  The encoding's rows must not
+    change (no {!append_row} or {!retire_row}) while it is in use. *)
+
+val decoder : t -> decoder
+(** A decoder that has seen no model yet. *)
+
+val decoded : decoder -> Pmi_portmap.Mapping.t
+(** The decoder's mapping: {!decode} of the last model given to
+    {!redecode}.  The same mapping, updated in place, on every call. *)
+
+val redecode : decoder -> bool array -> bool array
+(** [redecode d model] brings [decoded d] to [decode t model] by
+    re-decoding the live rows whose port sets differ from the previous
+    model's (every live row on the first call), and returns one flag per
+    row telling which did.
+    @raise Invalid_argument when the encoding's rows changed. *)
+
 val freeze_lits : t -> Pmi_portmap.Mapping.t -> Pmi_smt.Lit.t list
 (** Literals pinning every live row whose scheme the mapping covers to
     exactly the mapping's port sets; rows the mapping does not cover are

@@ -64,15 +64,22 @@ module Compare : sig
   (** The 2ε separation required of distinguishing experiments: no observed
       value can be ε-equal to both [t1] and [t2]. *)
 
+  type tolerance
+  (** An ε prepared for the native-int tests: its parts and their overflow
+      bounds are worked out once, not on every comparison. *)
+
+  val tolerance : Pmi_numeric.Rat.t -> tolerance
+
   val cpi_equal_frac :
-    ?epsilon:Pmi_numeric.Rat.t -> length:int -> int * int -> int * int -> bool
+    ?tolerance:tolerance -> length:int -> int * int -> int * int -> bool
   (** {!cpi_equal} on fractions given as native [(num, den)] pairs with
-      non-zero denominators.  Decided by cross-multiplying on native ints,
+      non-zero denominators, under the given ε (default
+      {!default_epsilon}).  Decided by cross-multiplying on native ints,
       without building a {!Pmi_numeric.Rat.t}, whenever no product can
       overflow; otherwise on {!Pmi_numeric.Rat}.  The verdict is always
       {!cpi_equal}'s. *)
 
   val well_separated_frac :
-    ?epsilon:Pmi_numeric.Rat.t -> length:int -> int * int -> int * int -> bool
+    ?tolerance:tolerance -> length:int -> int * int -> int * int -> bool
   (** {!well_separated} on native pairs, as {!cpi_equal_frac}. *)
 end

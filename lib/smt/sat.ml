@@ -22,6 +22,18 @@
      same encoding, where odd means "binary conflict, both literals in
      [bin_confl]". *)
 
+(* Dune's dev profile compiles with [-opaque], so a call into another
+   module is never inlined.  The literal arithmetic sits on every hot path
+   here; these local copies make it inline. *)
+module Lit = struct
+  include Lit
+
+  let[@inline] make v positive = (v lsl 1) lor (if positive then 0 else 1)
+  let[@inline] var l = l lsr 1
+  let[@inline] negate l = l lxor 1
+  let[@inline] is_pos l = l land 1 = 0
+end
+
 type stats = {
   decisions : int;
   propagations : int;
@@ -94,6 +106,14 @@ type t = {
   (* Scratch buffers. *)
   bin_confl : int array;             (* the two literals of a binary conflict *)
   mutable learnt_buf : int array;
+  mutable an_path : int;             (* [analyze]: current-level lits left *)
+  mutable an_learnt : int;           (* [analyze]: literals in [learnt_buf] *)
+  mutable an_clear : int array;      (* variables whose [seen] mark is set *)
+  mutable n_clear : int;
+  mutable an_stack : int array;      (* [lit_redundant]'s walk *)
+  mutable an_sp : int;
+  mutable an_backjump : int;         (* [analyze]'s other two results *)
+  mutable an_lbd : int;
   mutable lbd_mark : int array;      (* keyed by decision level *)
   mutable lbd_stamp : int;
   (* Clause-database reduction policy. *)
@@ -128,6 +148,10 @@ type result =
   | Sat of bool array
   | Unsat
 
+(* Debug: solvers created while this is set start with [sanitize] on, so a
+   test can sanitize the solvers a library call creates internally. *)
+let sanitize_default = Atomic.make false
+
 let create () =
   { arena = Array.make 256 0;
     arena_top = 0;
@@ -160,6 +184,14 @@ let create () =
     heap_size = 0;
     bin_confl = Array.make 2 0;
     learnt_buf = Array.make 8 0;
+    an_path = 0;
+    an_learnt = 0;
+    an_clear = Array.make 8 0;
+    n_clear = 0;
+    an_stack = Array.make 8 0;
+    an_sp = 0;
+    an_backjump = 0;
+    an_lbd = 0;
     lbd_mark = Array.make 8 0;
     lbd_stamp = 0;
     reduce_enabled = true;
@@ -170,7 +202,7 @@ let create () =
     proof_pos = 0;
     proof_len = 0;
     names = Hashtbl.create 16;
-    sanitize = false;
+    sanitize = Atomic.get sanitize_default;
     st_decisions = 0;
     st_propagations = 0;
     st_conflicts = 0;
@@ -318,17 +350,25 @@ let set_reduce_enabled s b = s.reduce_enabled <- b
 let[@inline] lit_value s l = s.assigns.(l)
 let[@inline] var_value s v = s.assigns.(2 * v)
 
-let heap_swap s i j =
-  let u = s.heap.(i) and v = s.heap.(j) in
-  s.heap.(i) <- v;
-  s.heap.(j) <- u;
-  s.heap_index.(v) <- i;
-  s.heap_index.(u) <- j
+(* The heap, [enqueue] and [cancel_until] index without bounds checks:
+   heap slots stay below [heap_size <= nvars], variables below [nvars],
+   literals below [2 * nvars], and a variable is enqueued only while
+   unassigned, so [trail_size < nvars] there. *)
+let[@inline] heap_swap s i j =
+  let heap = s.heap and index = s.heap_index in
+  let u = Array.unsafe_get heap i and v = Array.unsafe_get heap j in
+  Array.unsafe_set heap i v;
+  Array.unsafe_set heap j u;
+  Array.unsafe_set index v i;
+  Array.unsafe_set index u j
+
+let[@inline] heap_act s i =
+  Array.unsafe_get s.activity (Array.unsafe_get s.heap i)
 
 let rec sift_up s i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if s.activity.(s.heap.(i)) > s.activity.(s.heap.(parent)) then begin
+    if heap_act s i > heap_act s parent then begin
       heap_swap s i parent;
       sift_up s parent
     end
@@ -339,34 +379,40 @@ let rec sift_down s i =
   if l < s.heap_size then begin
     let r = l + 1 in
     let best =
-      if r < s.heap_size && s.activity.(s.heap.(r)) > s.activity.(s.heap.(l))
-      then r
-      else l
+      if r < s.heap_size && heap_act s r > heap_act s l then r else l
     in
-    if s.activity.(s.heap.(best)) > s.activity.(s.heap.(i)) then begin
+    if heap_act s best > heap_act s i then begin
       heap_swap s i best;
       sift_down s best
     end
   end
 
 let heap_insert s v =
-  if s.heap_index.(v) < 0 then begin
+  if Array.unsafe_get s.heap_index v < 0 then begin
     let i = s.heap_size in
-    s.heap.(i) <- v;
-    s.heap_index.(v) <- i;
+    Array.unsafe_set s.heap i v;
+    Array.unsafe_set s.heap_index v i;
     s.heap_size <- i + 1;
     sift_up s i
   end
 
 let heap_pop s =
-  let v = s.heap.(0) in
+  let heap = s.heap and index = s.heap_index in
+  let v = Array.unsafe_get heap 0 in
   s.heap_size <- s.heap_size - 1;
-  let last = s.heap.(s.heap_size) in
-  s.heap.(0) <- last;
-  s.heap_index.(last) <- 0;
-  s.heap_index.(v) <- -1;
+  let last = Array.unsafe_get heap s.heap_size in
+  Array.unsafe_set heap 0 last;
+  Array.unsafe_set index last 0;
+  Array.unsafe_set index v (-1);
   if s.heap_size > 1 then sift_down s 0;
   v
+
+(* Empty the heap in one pass: the state popping every entry leaves. *)
+let heap_clear s =
+  for i = 0 to s.heap_size - 1 do
+    Array.unsafe_set s.heap_index (Array.unsafe_get s.heap i) (-1)
+  done;
+  s.heap_size <- 0
 
 let rescale_activities s =
   for v = 0 to s.nvars - 1 do
@@ -375,9 +421,11 @@ let rescale_activities s =
   s.var_inc <- s.var_inc *. 1e-100
 
 let bump s v =
-  s.activity.(v) <- s.activity.(v) +. s.var_inc;
-  if s.activity.(v) > 1e100 then rescale_activities s;
-  if s.heap_index.(v) >= 0 then sift_up s s.heap_index.(v)
+  let act = Array.unsafe_get s.activity v +. s.var_inc in
+  Array.unsafe_set s.activity v act;
+  if act > 1e100 then rescale_activities s;
+  let i = Array.unsafe_get s.heap_index v in
+  if i >= 0 then sift_up s i
 
 (* A slow decay (0.99, vs MiniSat's 0.95) keeps activities closer to
    conflict *counts* than to recency.  On the symmetric instances this
@@ -387,13 +435,13 @@ let bump s v =
    roughly halves the conflicts. *)
 let decay s = s.var_inc <- s.var_inc /. 0.99
 
-let enqueue s lit reason =
+let[@inline] enqueue s lit reason =
   let v = Lit.var lit in
-  s.assigns.(lit) <- 1;
-  s.assigns.(lit lxor 1) <- -1;
-  s.level.(v) <- s.n_levels;
-  s.reason.(v) <- reason;
-  s.trail.(s.trail_size) <- lit;
+  Array.unsafe_set s.assigns lit 1;
+  Array.unsafe_set s.assigns (lit lxor 1) (-1);
+  Array.unsafe_set s.level v s.n_levels;
+  Array.unsafe_set s.reason v reason;
+  Array.unsafe_set s.trail s.trail_size lit;
   s.trail_size <- s.trail_size + 1
 
 let new_decision_level s =
@@ -403,14 +451,15 @@ let new_decision_level s =
 
 let cancel_until s lvl =
   if s.n_levels > lvl then begin
-    let bound = s.trail_lim.(lvl) in
+    let bound = Array.unsafe_get s.trail_lim lvl in
+    let trail = s.trail and assigns = s.assigns in
     for i = s.trail_size - 1 downto bound do
-      let lit = s.trail.(i) in
+      let lit = Array.unsafe_get trail i in
       let v = Lit.var lit in
-      s.phase.(v) <- Lit.is_pos lit;
-      s.assigns.(lit) <- 0;
-      s.assigns.(lit lxor 1) <- 0;
-      s.reason.(v) <- -1;
+      Array.unsafe_set s.phase v (Lit.is_pos lit);
+      Array.unsafe_set assigns lit 0;
+      Array.unsafe_set assigns (lit lxor 1) 0;
+      Array.unsafe_set s.reason v (-1);
       heap_insert s v
     done;
     s.trail_size <- bound;
@@ -621,49 +670,72 @@ let propagate s =
 (* Conflict analysis                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let abstract_level s v = 1 lsl (s.level.(v) land 62)
+let[@inline] abstract_level s v = 1 lsl (Array.unsafe_get s.level v land 62)
 
-(* Is [lit] implied by the rest of the (marked) learnt clause?  The classic
-   recursive MiniSat check: walk the implication graph below [lit]; every
-   path must end in marked literals without leaving the clause's decision
-   levels.  Newly marked variables are recorded in [extra] so the caller can
-   clear them; on failure the marks added by this call are rolled back. *)
-exception Not_redundant
+(* Set [v]'s [seen] mark and record it for [analyze]'s final sweep.  The
+   scratch stacks grow on demand: a conflict touches few variables. *)
+let[@inline] mark_seen s v =
+  Array.unsafe_set s.seen v true;
+  let n = s.n_clear in
+  if n = Array.length s.an_clear then
+    s.an_clear <- grow_array s.an_clear (n + 1) 0;
+  Array.unsafe_set s.an_clear n v;
+  s.n_clear <- n + 1
 
-let lit_redundant s abstract_levels extra lit =
-  let added = ref [] in
-  let rec go l =
-    let v = Lit.var l in
-    let r = s.reason.(v) in
-    if r < 0 then raise_notrace Not_redundant;
-    let visit q =
-      let w = Lit.var q in
-      if (not s.seen.(w)) && s.level.(w) > 0 then begin
-        if s.reason.(w) >= 0 && abstract_level s w land abstract_levels <> 0
-        then begin
-          s.seen.(w) <- true;
-          added := w :: !added;
-          go q
-        end
-        else raise_notrace Not_redundant
-      end
-    in
-    if r land 1 = 1 then visit (r lsr 1)
+(* One literal below the one [lit_redundant] is walking: [false] when it
+   ends the walk as not redundant, otherwise marked and pushed if it still
+   needs a visit. *)
+let[@inline] redundant_visit s abstract_levels q =
+  let w = Lit.var q in
+  if Array.unsafe_get s.seen w || Array.unsafe_get s.level w = 0 then true
+  else if
+    Array.unsafe_get s.reason w >= 0
+    && abstract_level s w land abstract_levels <> 0
+  then begin
+    mark_seen s w;
+    let sp = s.an_sp in
+    if sp = Array.length s.an_stack then
+      s.an_stack <- grow_array s.an_stack (sp + 1) 0;
+    Array.unsafe_set s.an_stack sp q;
+    s.an_sp <- sp + 1;
+    true
+  end
+  else false
+
+(* Is [lit] implied by the rest of the (marked) learnt clause?  MiniSat's
+   check on an explicit stack: walk the implication graph below [lit];
+   every path must end in marked literals without leaving the clause's
+   decision levels.  Marks added by a successful walk stay (the variables
+   are redundant too); on failure they are rolled back.  Either way the
+   outcome depends only on which variables are reachable, not on the order
+   of the walk. *)
+let lit_redundant s abstract_levels lit =
+  let top = s.n_clear in
+  s.an_stack.(0) <- lit;
+  s.an_sp <- 1;
+  let ok = ref true in
+  while !ok && s.an_sp > 0 do
+    s.an_sp <- s.an_sp - 1;
+    let q = Array.unsafe_get s.an_stack s.an_sp in
+    let r = Array.unsafe_get s.reason (Lit.var q) in
+    if r land 1 = 1 then ok := redundant_visit s abstract_levels (r lsr 1)
     else begin
-      let cr = r lsr 1 in
-      let len = c_len s cr in
-      for j = 1 to len - 1 do
-        visit (c_lit s cr j)
+      let arena = s.arena and cr = r lsr 1 in
+      let stop = cr + 2 + Array.unsafe_get arena cr in
+      let j = ref (cr + 3) in
+      while !ok && !j < stop do
+        ok := redundant_visit s abstract_levels (Array.unsafe_get arena !j);
+        incr j
       done
     end
-  in
-  match go lit with
-  | () ->
-    extra := List.rev_append !added !extra;
-    true
-  | exception Not_redundant ->
-    List.iter (fun w -> s.seen.(w) <- false) !added;
-    false
+  done;
+  if not !ok then begin
+    for i = top to s.n_clear - 1 do
+      Array.unsafe_set s.seen (Array.unsafe_get s.an_clear i) false
+    done;
+    s.n_clear <- top
+  end;
+  !ok
 
 (* Distinct decision levels among the first [n] literals of [lits] (the
    "glue" of a learnt clause). *)
@@ -680,44 +752,45 @@ let compute_lbd s lits n =
   done;
   !count
 
+(* One literal of a clause being resolved: a current-level variable joins
+   the resolution frontier, a lower-level one goes into the learnt
+   clause. *)
+let[@inline] analyze_mark s q =
+  let v = Lit.var q in
+  if
+    (not (Array.unsafe_get s.seen v)) && Array.unsafe_get s.level v > 0
+  then begin
+    mark_seen s v;
+    bump s v;
+    if Array.unsafe_get s.level v >= s.n_levels then s.an_path <- s.an_path + 1
+    else begin
+      Array.unsafe_set s.learnt_buf s.an_learnt q;
+      s.an_learnt <- s.an_learnt + 1
+    end
+  end
+
 (* First-UIP conflict analysis with recursive clause minimization.  Fills
-   [s.learnt_buf] (asserting literal first) and returns
-   (number of literals, backjump level, lbd). *)
+   [s.learnt_buf] (asserting literal first) and returns the number of
+   literals; the backjump level and the lbd are left in [an_backjump] and
+   [an_lbd].  Allocates nothing. *)
 let analyze s confl =
-  let to_clear = ref [] in
   let buf = s.learnt_buf in
-  let n_learnt = ref 1 in            (* slot 0 reserved for the asserting literal *)
-  let path = ref 0 in
+  s.n_clear <- 0;
+  s.an_learnt <- 1;            (* slot 0 reserved for the asserting literal *)
+  s.an_path <- 0;
   let p = ref (-1) in
   let index = ref (s.trail_size - 1) in
   let confl = ref confl in
   let continue = ref true in
   let seen = s.seen in
-  let level = s.level in
   let trail = s.trail in
-  (* Allocated once per conflict, not per resolution step. *)
-  let mark q =
-    let v = q lsr 1 in
-    if
-      (not (Array.unsafe_get seen v)) && Array.unsafe_get level v > 0
-    then begin
-      Array.unsafe_set seen v true;
-      to_clear := v :: !to_clear;
-      bump s v;
-      if Array.unsafe_get level v >= s.n_levels then incr path
-      else begin
-        Array.unsafe_set buf !n_learnt q;
-        incr n_learnt
-      end
-    end
-  in
   while !continue do
     (if !confl land 1 = 1 then begin
        if !p < 0 then begin
-         mark s.bin_confl.(0);
-         mark s.bin_confl.(1)
+         analyze_mark s s.bin_confl.(0);
+         analyze_mark s s.bin_confl.(1)
        end
-       else mark (!confl lsr 1)
+       else analyze_mark s (!confl lsr 1)
      end
      else begin
        let cr = !confl lsr 1 in
@@ -725,7 +798,7 @@ let analyze s confl =
        let stop = cr + 2 + Array.unsafe_get arena cr in
        let j = ref (if !p < 0 then cr + 2 else cr + 3) in
        while !j < stop do
-         mark (Array.unsafe_get arena !j);
+         analyze_mark s (Array.unsafe_get arena !j);
          incr j
        done
      end);
@@ -738,22 +811,23 @@ let analyze s confl =
     p := Array.unsafe_get trail !index;
     decr index;
     Array.unsafe_set seen (!p lsr 1) false;
-    decr path;
-    if !path = 0 then continue := false
+    s.an_path <- s.an_path - 1;
+    if s.an_path = 0 then continue := false
     else confl := Array.unsafe_get s.reason (!p lsr 1)
   done;
   buf.(0) <- Lit.negate !p;
+  let n_learnt = s.an_learnt in
   (* Minimize: drop tail literals implied by the rest of the clause. *)
   let abstract_levels = ref 0 in
-  for i = 1 to !n_learnt - 1 do
+  for i = 1 to n_learnt - 1 do
     abstract_levels := !abstract_levels lor abstract_level s (Lit.var buf.(i))
   done;
   let kept = ref 1 in
-  for i = 1 to !n_learnt - 1 do
+  for i = 1 to n_learnt - 1 do
     let q = buf.(i) in
     if
       s.reason.(Lit.var q) < 0
-      || not (lit_redundant s !abstract_levels to_clear q)
+      || not (lit_redundant s !abstract_levels q)
     then begin
       buf.(!kept) <- q;
       incr kept
@@ -762,23 +836,25 @@ let analyze s confl =
   let n = !kept in
   (* Move (one of) the highest-level tail literals to slot 1 so it can be
      watched: it is falsified last on backjump. *)
-  let backjump =
-    if n <= 1 then 0
-    else begin
-      let best = ref 1 in
-      for i = 2 to n - 1 do
-        if s.level.(Lit.var buf.(i)) > s.level.(Lit.var buf.(!best)) then
-          best := i
-      done;
-      let tmp = buf.(1) in
-      buf.(1) <- buf.(!best);
-      buf.(!best) <- tmp;
-      s.level.(Lit.var buf.(1))
-    end
-  in
-  let lbd = compute_lbd s buf n in
-  List.iter (fun v -> s.seen.(v) <- false) !to_clear;
-  (n, backjump, lbd)
+  s.an_backjump <-
+    (if n <= 1 then 0
+     else begin
+       let best = ref 1 in
+       for i = 2 to n - 1 do
+         if s.level.(Lit.var buf.(i)) > s.level.(Lit.var buf.(!best)) then
+           best := i
+       done;
+       let tmp = buf.(1) in
+       buf.(1) <- buf.(!best);
+       buf.(!best) <- tmp;
+       s.level.(Lit.var buf.(1))
+     end);
+  s.an_lbd <- compute_lbd s buf n;
+  for i = 0 to s.n_clear - 1 do
+    Array.unsafe_set seen (Array.unsafe_get s.an_clear i) false
+  done;
+  s.n_clear <- 0;
+  n
 
 (* Install the learnt clause sitting in [s.learnt_buf] after the backjump
    and assert its first literal. *)
@@ -1199,6 +1275,7 @@ module Invariants = struct
 end
 
 let set_sanitize s b = s.sanitize <- b
+let set_sanitize_default b = Atomic.set sanitize_default b
 
 let sanitize_check s =
   if s.sanitize then
@@ -1215,13 +1292,23 @@ let sanitize_check s =
    prefix on the symmetric CEGIS/cardinality encodings. *)
 let first_restart = 300
 
+(* The next unassigned variable by activity, or -1 when the model is
+   complete.  Once the trail covers every variable, every remaining heap
+   entry would be popped and discarded, so the heap is emptied in one pass
+   instead. *)
 let pick_branch_var s =
-  let v = ref (-1) in
-  while !v < 0 && s.heap_size > 0 do
-    let cand = heap_pop s in
-    if var_value s cand = 0 then v := cand
-  done;
-  !v
+  if s.trail_size = s.nvars then begin
+    heap_clear s;
+    -1
+  end
+  else begin
+    let v = ref (-1) in
+    while !v < 0 && s.heap_size > 0 do
+      let cand = heap_pop s in
+      if var_value s cand = 0 then v := cand
+    done;
+    !v
+  end
 
 let solve ?(assumptions = []) s =
   if not s.ok then Unsat
@@ -1248,7 +1335,8 @@ let solve ?(assumptions = []) s =
           finished := true
         end
         else begin
-          let n, backjump, lbd = analyze s confl in
+          let n = analyze s confl in
+          let backjump = s.an_backjump and lbd = s.an_lbd in
           (* Never backjump into the middle of the assumption prefix with a
              pending asserting literal that contradicts an assumption: the
              learnt clause is still sound, and if it conflicts again we end

@@ -122,6 +122,11 @@ val set_sanitize : t -> bool -> unit
     decision-level-0 boundary inside [solve] — entry, each restart/DB
     reduction, and exit — and a failure raises {!Invariant_violation}. *)
 
+val set_sanitize_default : bool -> unit
+(** Debug (default off): solvers created while it is on start with
+    {!set_sanitize} on.  Lets a test sanitize the solvers that a library
+    call such as [Cegis.infer] creates for itself. *)
+
 (** Structural well-formedness checks over the live solver state: literal
     slot consistency, trail/level segment agreement, reason clauses
     well-formed and never deleted, watcher completeness over the flat arena

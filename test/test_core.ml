@@ -591,6 +591,182 @@ let prop_explain_verdict =
        | Some m -> brute && explains_all m
        | None -> not brute)
 
+(* The incremental theory check re-evaluates an observation only when a
+   row of its schemes changed since the encoding's previous check.  Over a
+   random run of models (each a random admissible mapping, often the
+   previous one again or sharing rows with it) and a growing observation
+   list, every round must learn exactly the lemmas a check from scratch
+   learns, in the same order, for both lemma shapes. *)
+let prop_theory_incremental_matches_scratch =
+  let num_ports = 4 in
+  let gen =
+    let open QCheck2.Gen in
+    let* specs = gen_specs ~num_ports ~max_schemes:3 in
+    let n = List.length specs in
+    let* experiments =
+      list_size (int_range 1 6) (list_repeat n (int_range 0 3))
+    in
+    let* noise =
+      list_repeat (List.length experiments)
+        (pair (int_range 0 2) (int_range 1 16))
+    in
+    let* truth = nat in
+    let+ rounds =
+      list_size (int_range 1 12) (triple (int_range 0 2) nat bool)
+    in
+    (specs, experiments, noise, truth, rounds)
+  in
+  QCheck2.Test.make ~name:"incremental theory check = check from scratch"
+    ~count:200 gen
+    (fun (specs, experiments, noise, truth, rounds) ->
+       let config = cegis_config num_ports in
+       let encoding = Encoding.create ~num_ports specs in
+       (* A shared µop equal to its own merges into one usage entry, which
+          [freeze_lits] cannot pin; those mappings are left out. *)
+       let pinnable m =
+         match Encoding.freeze_lits encoding m with
+         | _ -> true
+         | exception Invalid_argument _ -> false
+       in
+       let mappings =
+         Array.of_list (List.filter pinnable (all_mappings num_ports specs))
+       in
+       Array.length mappings = 0
+       ||
+       let pick k = mappings.(k mod Array.length mappings) in
+       let truth = pick truth in
+       let observations =
+         List.concat
+           (List.map2
+              (fun counts (replace, k) ->
+                 let e =
+                   Experiment.of_counts
+                     (List.map2 (fun (s, _) c -> (s, c)) specs counts)
+                 in
+                 if Experiment.is_empty e then []
+                 else
+                   let cycles =
+                     if replace = 0 then Rat.of_ints k 4
+                     else Cegis.modeled_inverse config truth e
+                   in
+                   [ { Cegis.experiment = e; cycles } ])
+              experiments noise)
+       in
+       let model_of m =
+         let model =
+           Array.make (Pmi_smt.Sat.num_vars (Encoding.sat encoding)) false
+         in
+         List.iter
+           (fun l ->
+              if Pmi_smt.Lit.is_pos l then model.(Pmi_smt.Lit.var l) <- true)
+           (Encoding.freeze_lits encoding m);
+         model
+       in
+       (* Each round keeps the previous mapping (repeat = 0) or draws one,
+          and may reveal one more observation. *)
+       let steps =
+         let _, _, steps =
+           List.fold_left
+             (fun (m, seen, acc) (repeat, k, grow) ->
+                let m = if repeat = 0 then m else pick k in
+                let seen =
+                  if grow then min (seen + 1) (List.length observations)
+                  else seen
+                in
+                let obs = List.filteri (fun i _ -> i < seen) observations in
+                (m, seen, (obs, model_of m) :: acc))
+             (pick 0, 1, []) rounds
+         in
+         List.rev steps
+       in
+       List.for_all
+         (fun shape ->
+            Cegis.theory_rounds ~config ~shape encoding steps
+            = List.map
+                (fun step ->
+                   List.hd
+                     (Cegis.theory_rounds ~config ~shape encoding [ step ]))
+                steps)
+         [ Cegis.Footprint; Cegis.Bottleneck ])
+
+(* ------------------------------------------------------------------ *)
+(* CEGIS at scale: the solver trajectory                                *)
+(* ------------------------------------------------------------------ *)
+
+(* One blocking representative per bucket of a reduced Zen+ catalog,
+   minus the three buckets whose anomalies make the class set UNSAT
+   (§4.3), each declared with its ground-truth port count.  On the quiet
+   machine [Cegis.infer] converges after 35 iterations and some 7,700
+   conflicts: enough search to exercise learning, restarts and
+   clause-database reduction. *)
+let trajectory_specs, trajectory_measure =
+  let catalog = Catalog.reduced ~per_bucket:1 () in
+  let machine =
+    Pmi_machine.Machine.create ~config:Pmi_machine.Machine.quiet_config catalog
+  in
+  let truth = Pmi_machine.Machine.ground_truth machine in
+  let anomalous =
+    [ "blocking/scalar-mul"; "blocking/vec-to-gpr"; "blocking/vec-mul-hard" ]
+  in
+  let specs =
+    Catalog.bucket_names catalog
+    |> List.filter (fun b ->
+        String.starts_with ~prefix:"blocking/" b && not (List.mem b anomalous))
+    |> List.map (fun b ->
+        let s = List.hd (Catalog.bucket catalog b) in
+        let ports =
+          List.fold_left (fun acc (p, _) -> acc + Portset.cardinal p) 0
+            (Mapping.usage truth s)
+        in
+        (s, Encoding.Proper ports))
+  in
+  (specs, Pmi_measure.Harness.cycles (Pmi_measure.Harness.create machine))
+
+let trajectory_run ?(specs = trajectory_specs) () =
+  match Cegis.infer ~measure:trajectory_measure ~specs () with
+  | Cegis.Converged (_, stats) -> stats
+  | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
+  | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
+
+(* The search-path pin at CEGIS scale.  Every counter below is the exact
+   SAT trajectory: a change that means to keep each decision, conflict and
+   lemma must repeat them all.  Only a deliberate trajectory change (such
+   as checking the theory inside the search, ROADMAP item 5) may re-record
+   them, and must say so. *)
+let test_cegis_trajectory_pin () =
+  let stats = trajectory_run () in
+  let sat = stats.Cegis.sat in
+  List.iter
+    (fun (name, expected, got) -> Alcotest.(check int) name expected got)
+    [ ("decisions", 48_333, sat.Pmi_smt.Sat.decisions);
+      ("propagations", 581_495, sat.Pmi_smt.Sat.propagations);
+      ("conflicts", 7_732, sat.Pmi_smt.Sat.conflicts);
+      ("restarts", 3, sat.Pmi_smt.Sat.restarts);
+      ("learned", 7_731, sat.Pmi_smt.Sat.learned);
+      ("deleted", 3_561, sat.Pmi_smt.Sat.deleted);
+      ("sat episodes", 92, stats.Cegis.sat_episodes);
+      ("theory lemmas", 4_917, stats.Cegis.theory_lemmas) ]
+
+(* A smaller run of the same kind with the CDCL invariant sanitizer on in
+   both of its solvers (the full one takes ten seconds sanitized): the
+   invariants hold at every level-0 boundary, including the exit after
+   each complete model, where the decision heap is emptied in one pass.
+   Checking changes nothing, so the run repeats the unsanitized one. *)
+let test_cegis_sanitized () =
+  let specs = List.filteri (fun i _ -> i < 6) trajectory_specs in
+  let plain = trajectory_run ~specs () in
+  Pmi_smt.Sat.set_sanitize_default true;
+  let sanitized =
+    Fun.protect
+      ~finally:(fun () -> Pmi_smt.Sat.set_sanitize_default false)
+      (trajectory_run ~specs)
+  in
+  Alcotest.(check bool) "search repeats" true
+    (plain.Cegis.sat = sanitized.Cegis.sat
+     && plain.Cegis.theory_lemmas = sanitized.Cegis.theory_lemmas);
+  Alcotest.(check bool) "solves and lemmas" true
+    (sanitized.Cegis.sat_episodes > 10 && sanitized.Cegis.theory_lemmas > 100)
+
 (* ------------------------------------------------------------------ *)
 (* Relabel                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -886,10 +1062,14 @@ let () =
            test_cegis_incremental_matches_fresh;
          Alcotest.test_case "UNSAT on the imul anomaly (§4.3)" `Quick
            test_cegis_unsat_on_anomaly;
-         QCheck_alcotest.to_alcotest prop_cegis_sound ]);
+         QCheck_alcotest.to_alcotest prop_cegis_sound;
+         Alcotest.test_case "solver trajectory pin" `Quick
+           test_cegis_trajectory_pin;
+         Alcotest.test_case "sanitized run" `Quick test_cegis_sanitized ]);
       ("lemmas",
        [ QCheck_alcotest.to_alcotest prop_bottleneck_lemma_sound;
-         QCheck_alcotest.to_alcotest prop_explain_verdict ]);
+         QCheck_alcotest.to_alcotest prop_explain_verdict;
+         QCheck_alcotest.to_alcotest prop_theory_incremental_matches_scratch ]);
       ("relabel",
        [ Alcotest.test_case "perfect alignment" `Quick test_relabel_perfect;
          Alcotest.test_case "drops ambiguous schemes" `Quick

@@ -310,8 +310,9 @@ let prop_frac_compare_agrees =
     (fun (epsilon, length, ((n1, d1) as f1), ((n2, d2) as f2), boundary) ->
        let open Pmi_measure.Harness.Compare in
        let t1 = Rat.of_ints n1 d1 and t2 = Rat.of_ints n2 d2 in
-       let eq = cpi_equal_frac ~epsilon ~length f1 f2 in
-       let sep = well_separated_frac ~epsilon ~length f1 f2 in
+       let tolerance = tolerance epsilon in
+       let eq = cpi_equal_frac ~tolerance ~length f1 f2 in
+       let sep = well_separated_frac ~tolerance ~length f1 f2 in
        eq = cpi_equal ~epsilon ~length t1 t2
        && sep = well_separated ~epsilon ~length t1 t2
        &&
@@ -333,7 +334,27 @@ let test_frac_compare_overflow () =
   Alcotest.(check bool) "huge far" false
     (cpi_equal_frac ~length:1 (big, 1) (big - 1, 2));
   Alcotest.(check bool) "huge separated" true
-    (well_separated_frac ~length:3 (big, 3) (-big, 7))
+    (well_separated_frac ~length:3 (big, 3) (-big, 7));
+  (* An ε whose denominator does not fit an int: every test runs on
+     [Rat], and still agrees with it. *)
+  let module Bigint = Pmi_numeric.Bigint in
+  let epsilon =
+    Rat.make Bigint.one (Bigint.of_string "100000000000000000000000")
+  in
+  let tolerance = tolerance epsilon in
+  List.iter
+    (fun ((n1, d1), (n2, d2)) ->
+       let t1 = Rat.of_ints n1 d1 and t2 = Rat.of_ints n2 d2 in
+       Alcotest.(check bool) "Rat ε, equal"
+         (cpi_equal ~epsilon ~length:2 t1 t2)
+         (cpi_equal_frac ~tolerance ~length:2 (n1, d1) (n2, d2));
+       Alcotest.(check bool) "Rat ε, separated"
+         (well_separated ~epsilon ~length:2 t1 t2)
+         (well_separated_frac ~tolerance ~length:2 (n1, d1) (n2, d2)))
+    [ ((1, 3), (1, 3)); ((1, 3), (2, 6)); ((1, 3), (1, 4));
+      ((big, 3), (7, 2)) ];
+  Alcotest.(check bool) "Rat ε, distinct values differ" false
+    (cpi_equal_frac ~tolerance ~length:1 (1, 3) (1, 4))
 
 let prop_true_inverse_at_least_frontend =
   QCheck2.Test.make ~name:"tp⁻¹ ≥ |e|/5 always" ~count:200
