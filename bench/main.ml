@@ -20,7 +20,9 @@
                     exit 1 if any bench regressed by more than 25%, 2 if
                     the records are incomparable (schema_version mismatch)
      --against FILE with --check-regression: gate the bench --json record
-                    in FILE instead of running any benchmarks
+                    in FILE instead of running any benchmarks (repeatable:
+                    each bench is gated on its fastest record across the
+                    files)
 
    A filter that selects no benchmark, and --against without
    --check-regression, exit 2 with the usage line. *)
@@ -77,6 +79,51 @@ let zen_block =
    caching does not hide the work. *)
 let reduced_harness () =
   Harness.create (Machine.create (Catalog.reduced ~per_bucket:2 ()))
+
+(* Stage 2 on a reduced catalog: its blocking candidates, found once, and
+   a harness that has already answered every pair the stage asks for. *)
+let stage2_catalog = Catalog.reduced ~per_bucket:4 ()
+
+let stage2_candidates =
+  let harness = Harness.create (Machine.create stage2_catalog) in
+  Array.to_list (Catalog.schemes stage2_catalog)
+  |> List.filter_map (fun s ->
+      match Blocking.classify_individual harness s with
+      | Blocking.Candidate n -> Some (s, n)
+      | Blocking.Hardwired | Blocking.Unreliable | Blocking.Zero_uop
+      | Blocking.Outside_model | Blocking.Multi_uop _ -> None)
+
+(* A pair of candidates, measured by the warm harness below. *)
+let harness_pair =
+  match stage2_candidates with
+  | (a, _) :: (b, _) :: _ -> Experiment.of_list [ a; b ]
+  | _ -> failwith "bench: too few stage-2 candidates"
+
+let stage2_warm =
+  let harness = Harness.create (Machine.create stage2_catalog) in
+  ignore (Blocking.filter_candidates harness stage2_candidates);
+  ignore (Harness.run harness harness_pair);
+  harness
+
+(* Every pair of stage-2 candidates, asked in turn of one harness that is
+   replaced after each full cycle: every run is a miss, and the cost of
+   creating the harness is spread over the cycle. *)
+let miss_pairs =
+  let schemes = Array.of_list (List.map fst stage2_candidates) in
+  let n = Array.length schemes in
+  Array.concat
+    (List.init n (fun i ->
+         Array.init (n - i - 1) (fun k ->
+             Experiment.of_list [ schemes.(i); schemes.(i + k + 1) ])))
+
+let miss_harness = ref (Harness.create (Harness.machine stage2_warm))
+let miss_next = ref 0
+
+let harness_miss () =
+  if !miss_next = 0 then
+    miss_harness := Harness.create (Harness.machine stage2_warm);
+  ignore (Harness.run !miss_harness miss_pairs.(!miss_next));
+  miss_next := (!miss_next + 1) mod Array.length miss_pairs
 
 let cegis_toy ?(certify = false) ~max_size () =
   let truth = Mapping.create ~num_ports:3 in
@@ -249,6 +296,9 @@ let micro_tests =
         ignore (Machine.samples zen_machine ~reps:11 zen_block));
     ("harness/median-of-11", fun () ->
         ignore (Harness.cycles (Harness.create zen_machine) zen_block));
+    ("harness/run-hit", fun () ->
+        ignore (Harness.run stage2_warm harness_pair));
+    ("harness/run-miss", harness_miss);
     (* SAT solver on classic instances. *)
     ("sat/pigeonhole-7-6", fun () -> solve_pigeonhole ~pigeons:7 ~holes:6);
     ("sat/pigeonhole-8-7", fun () -> solve_pigeonhole ~pigeons:8 ~holes:7);
@@ -343,6 +393,13 @@ let table_figure_tests =
         in
         let result = Blocking.filter_candidates harness candidates in
         assert (List.length result.Blocking.classes = 13));
+    (* Stage 2 alone (§4.2's pair sweep): every pair measured afresh, and
+       every pair answered from the harness's cache. *)
+    ("stage2/filter-fresh", fun () ->
+        let harness = Harness.create (Harness.machine stage2_warm) in
+        ignore (Blocking.filter_candidates harness stage2_candidates));
+    ("stage2/filter-warm", fun () ->
+        ignore (Blocking.filter_candidates stage2_warm stage2_candidates));
     (* Table 2 + funnel: the whole pipeline on the reduced catalog. *)
     ("table2+funnel/pipeline", fun () ->
         let harness = reduced_harness () in
@@ -486,9 +543,18 @@ let check_regression ~history ~against results =
   in
   let current =
     match against with
-    | Some file ->
-      (try Gate.parse_run (read_file file) with Sys_error msg -> Error msg)
-    | None ->
+    | _ :: _ ->
+      let parse file =
+        try Gate.parse_run (read_file file) with Sys_error msg -> Error msg
+      in
+      List.fold_left
+        (fun acc file ->
+           match (acc, parse file) with
+           | Ok runs, Ok run -> Ok (run :: runs)
+           | (Error _ as e), _ | _, (Error _ as e) -> e)
+        (Ok []) against
+      |> Fun.flip Result.bind (fun runs -> Gate.fastest (List.rev runs))
+    | [] ->
       Ok
         { Gate.version = Some Gate.schema_version;
           records =
@@ -520,13 +586,13 @@ let () =
   let only = ref None in
   let skips = ref [] in
   let regression = ref None in
-  let against = ref None in
+  let against = ref [] in
   let usage fmt =
     Printf.ksprintf
       (fun msg ->
          Printf.eprintf
            "usage: %s [--smoke] [--only SUBSTR] [--skip SUBSTR]... [--json FILE] \
-            [--check-regression HISTORY [--against FILE]]\n%s\n"
+            [--check-regression HISTORY [--against FILE]...]\n%s\n"
            Sys.argv.(0) msg;
          exit 2)
       fmt
@@ -538,16 +604,16 @@ let () =
     | "--only" :: substr :: rest -> only := Some substr; parse rest
     | "--skip" :: substr :: rest -> skips := substr :: !skips; parse rest
     | "--check-regression" :: file :: rest -> regression := Some file; parse rest
-    | "--against" :: file :: rest -> against := Some file; parse rest
+    | "--against" :: file :: rest -> against := file :: !against; parse rest
     | arg :: _ -> usage "unknown argument %s" arg
   in
   parse (List.tl (Array.to_list Sys.argv));
-  match (!regression, !against) with
-  | Some history, (Some _ as against) ->
+  match (!regression, List.rev !against) with
+  | Some history, (_ :: _ as against) ->
     (* Pure gate mode: both sides come from files, nothing runs. *)
     check_regression ~history ~against []
-  | None, Some _ -> usage "--against needs --check-regression"
-  | regression, None ->
+  | None, _ :: _ -> usage "--against needs --check-regression"
+  | regression, [] ->
     let driver = if !smoke_mode then smoke else benchmark in
     let contains hay needle =
       let nh = String.length hay and nn = String.length needle in
@@ -588,5 +654,5 @@ let () =
       !json;
     Format.printf "done.@.";
     Option.iter
-      (fun history -> check_regression ~history ~against:None results)
+      (fun history -> check_regression ~history ~against:[] results)
       regression

@@ -485,40 +485,28 @@ let afetch_add a d =
 (* ------------------------------------------------------------------ *)
 (* Tracked hash tables                                                 *)
 
-type ('k, 'v) tracked_table = {
-  tbl : ('k, 'v) Hashtbl.t;
-  tbl_loc : location;
-}
+module Tracked_table (H : Hashtbl.HashedType) = struct
+  module Tbl = Hashtbl.Make (H)
 
-let tracked_table ~name n = { tbl = Hashtbl.create n; tbl_loc = location name }
+  type 'v t = {
+    tbl : 'v Tbl.t;
+    loc : location;
+  }
 
-let tbl_find_opt t k =
-  touch_read t.tbl_loc;
-  Hashtbl.find_opt t.tbl k
+  let create ~name n = { tbl = Tbl.create n; loc = location name }
 
-let tbl_mem t k =
-  touch_read t.tbl_loc;
-  Hashtbl.mem t.tbl k
+  let find_opt t k =
+    touch_read t.loc;
+    Tbl.find_opt t.tbl k
 
-let tbl_replace t k v =
-  touch_write t.tbl_loc;
-  Hashtbl.replace t.tbl k v
+  let replace t k v =
+    touch_write t.loc;
+    Tbl.replace t.tbl k v
 
-let tbl_remove t k =
-  touch_write t.tbl_loc;
-  Hashtbl.remove t.tbl k
-
-let tbl_length t =
-  touch_read t.tbl_loc;
-  Hashtbl.length t.tbl
-
-let tbl_reset t =
-  touch_write t.tbl_loc;
-  Hashtbl.reset t.tbl
-
-let tbl_fold f t init =
-  touch_read t.tbl_loc;
-  Hashtbl.fold f t.tbl init
+  let length t =
+    touch_read t.loc;
+    Tbl.length t.tbl
+end
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)

@@ -116,21 +116,19 @@ val afetch_add : int tracked_atomic -> int -> int
 
 (** {2 Tracked hash tables}
 
-    A polymorphic [Hashtbl] whose every operation touches one shadow
+    A [Hashtbl.Make] table whose every operation touches one shadow
     location (the table is tracked as a single coarse region: any
     unordered lookup/insert pair is a race).  Mirrors the handful of
-    operations the experiment caches actually use. *)
+    operations the experiment cache actually uses. *)
 
-type ('k, 'v) tracked_table
+module Tracked_table (H : Hashtbl.HashedType) : sig
+  type 'v t
 
-val tracked_table : name:string -> int -> ('k, 'v) tracked_table
-val tbl_find_opt : ('k, 'v) tracked_table -> 'k -> 'v option
-val tbl_mem : ('k, 'v) tracked_table -> 'k -> bool
-val tbl_replace : ('k, 'v) tracked_table -> 'k -> 'v -> unit
-val tbl_remove : ('k, 'v) tracked_table -> 'k -> unit
-val tbl_length : ('k, 'v) tracked_table -> int
-val tbl_reset : ('k, 'v) tracked_table -> unit
-val tbl_fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) tracked_table -> 'acc -> 'acc
+  val create : name:string -> int -> 'v t
+  val find_opt : 'v t -> H.t -> 'v option
+  val replace : 'v t -> H.t -> 'v -> unit
+  val length : 'v t -> int
+end
 
 (* ------------------------------------------------------------------ *)
 (** {1 Reports} *)

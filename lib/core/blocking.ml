@@ -42,14 +42,19 @@ let classify_individual ?(config = default_config) harness scheme =
   if sample.Harness.spread_cpi > config.spread_threshold then Unreliable
   else begin
     let postulated = Uop_count.postulated_uops harness scheme in
-    let cycles = Rat.to_float sample.Harness.cycles in
+    (* ticks / precision as a float: the correctly rounded quotient, the
+       same one [Rat.to_float] gives. *)
+    let cycles =
+      float_of_int sample.Harness.ticks
+      /. float_of_int (Harness.precision harness)
+    in
     if cycles > float_of_int (max postulated 1) +. config.port_tolerance then
       (* No port mapping over [postulated] µops can be this slow: the
          divider-style non-pipelined schemes of §4.1.2. *)
       Outside_model
     else if postulated >= 2 then Multi_uop postulated
     else begin
-      let throughput = 1.0 /. Rat.to_float sample.Harness.cycles in
+      let throughput = 1.0 /. cycles in
       if throughput >= float_of_int config.r_max -. config.port_tolerance then
         (* Streams at the frontend limit: no port usage to observe. *)
         Zero_uop
@@ -79,21 +84,26 @@ type filtering = {
 
 type pair_result = Additive | Not_additive | Unstable_pair
 
-let measure_pair config harness i j =
+(* The pair test on ticks: [pair ≈ ti + tj] up to 2ε, with both sides
+   over the harness's precision.  Both singletons are looked up, as the
+   hit/miss counters expect. *)
+let measure_pair config tolerance harness i j =
   let sample = Harness.run harness (Experiment.of_list [ i; j ]) in
   if sample.Harness.spread_cpi > config.spread_threshold then Unstable_pair
   else begin
-    let ti = Harness.cycles harness (Experiment.singleton i) in
-    let tj = Harness.cycles harness (Experiment.singleton j) in
+    let ti = (Harness.run harness (Experiment.singleton i)).Harness.ticks in
+    let tj = (Harness.run harness (Experiment.singleton j)).Harness.ticks in
+    let p = Harness.precision harness in
     if
-      Harness.Compare.cpi_equal ~epsilon:config.epsilon ~length:2
-        sample.Harness.cycles (Rat.add ti tj)
+      Harness.Compare.cpi_equal_frac ~tolerance ~length:2
+        (sample.Harness.ticks, p) (ti + tj, p)
     then Additive
     else Not_additive
   end
 
 let additive ?(config = default_config) harness i j =
-  measure_pair config harness i j = Additive
+  measure_pair config (Harness.Compare.tolerance config.epsilon) harness i j
+  = Additive
 
 (* Union-find over array indices. *)
 let find parent i =
@@ -114,14 +124,14 @@ let union parent i j =
   if ri <> rj then parent.(ri) <- rj
 
 (* Process one group of candidates that share a port-set size. *)
-let process_group config harness group =
+let process_group config tolerance harness group =
   let members = Array.of_list group in
   let n = Array.length members in
   let adjacency = Array.make_matrix n n false in
   let unstable_pair = Array.make_matrix n n false in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      match measure_pair config harness members.(i) members.(j) with
+      match measure_pair config tolerance harness members.(i) members.(j) with
       | Additive ->
         adjacency.(i).(j) <- true;
         adjacency.(j).(i) <- true
@@ -138,31 +148,36 @@ let process_group config harness group =
      measured against as many cmovs keeps its adds this way. *)
   let alive = Array.make n true in
   let unstable = ref [] in
+  (* [c.(i)] of the [total.(i)] live partners of [i] pair unstably with
+     it; dropping a scheme discounts its pairings. *)
+  let c =
+    Array.map
+      (Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0)
+      unstable_pair
+  in
+  let total = Array.make n (n - 1) in
   let rec peel () =
-    let count i =
-      let c = ref 0 and total = ref 0 in
-      for j = 0 to n - 1 do
-        if j <> i && alive.(j) then begin
-          incr total;
-          if unstable_pair.(i).(j) then incr c
-        end
-      done;
-      (!c, !total)
-    in
     let worst = ref (-1) in
     let worst_count = ref 0 in
     for i = 0 to n - 1 do
-      if alive.(i) then begin
-        let c, total = count i in
-        if total > 0 && 2 * c > total && c > !worst_count then begin
-          worst := i;
-          worst_count := c
-        end
+      if
+        alive.(i) && total.(i) > 0 && 2 * c.(i) > total.(i)
+        && c.(i) > !worst_count
+      then begin
+        worst := i;
+        worst_count := c.(i)
       end
     done;
     if !worst >= 0 then begin
-      alive.(!worst) <- false;
-      unstable := members.(!worst) :: !unstable;
+      let w = !worst in
+      alive.(w) <- false;
+      unstable := members.(w) :: !unstable;
+      for i = 0 to n - 1 do
+        if alive.(i) then begin
+          total.(i) <- total.(i) - 1;
+          if unstable_pair.(i).(w) then c.(i) <- c.(i) - 1
+        end
+      done;
       peel ()
     end
   in
@@ -172,25 +187,28 @@ let process_group config harness group =
      candidate involved in strictly more conflict triangles than its
      neighbours until the additivity relation is transitive. *)
   let contradictory = ref [] in
+  let neighbours = Array.make n 0 in
   let rec prune () =
     let triangles = Array.make n 0 in
     let any = ref false in
     for s = 0 to n - 1 do
       if alive.(s) then begin
-        let neighbours =
-          List.filter (fun k -> k <> s && alive.(k) && adjacency.(s).(k))
-            (List.init n Fun.id)
-        in
-        List.iteri
-          (fun idx i ->
-             List.iteri
-               (fun jdx j ->
-                  if jdx > idx && not adjacency.(i).(j) then begin
-                    triangles.(s) <- triangles.(s) + 1;
-                    any := true
-                  end)
-               neighbours)
-          neighbours
+        let deg = ref 0 in
+        for k = 0 to n - 1 do
+          if k <> s && alive.(k) && adjacency.(s).(k) then begin
+            neighbours.(!deg) <- k;
+            incr deg
+          end
+        done;
+        for a = 0 to !deg - 1 do
+          let row = adjacency.(neighbours.(a)) in
+          for b = a + 1 to !deg - 1 do
+            if not row.(neighbours.(b)) then begin
+              triangles.(s) <- triangles.(s) + 1;
+              any := true
+            end
+          done
+        done
       end
     done;
     if !any then begin
@@ -274,12 +292,15 @@ let filter_candidates ?(config = default_config) ?(prefer = default_preference)
     Hashtbl.fold (fun count ms acc -> (count, List.rev ms) :: acc) by_count []
     |> List.sort (fun (a, _) (b, _) -> compare b a)
   in
+  let tolerance = Harness.Compare.tolerance config.epsilon in
   let classes = ref [] in
   let unstable = ref [] in
   let contradictory = ref [] in
   List.iter
     (fun (count, group) ->
-       let class_members, uns, contra = process_group config harness group in
+       let class_members, uns, contra =
+         process_group config tolerance harness group
+       in
        unstable := !unstable @ uns;
        contradictory := !contradictory @ contra;
        List.iter

@@ -67,7 +67,7 @@ let characterize ?(config = default_config) harness ~blockers scheme =
     let sample = Harness.run harness experiment in
     if sample.Harness.spread_cpi > config.spread_threshold then
       raise (Fail (Unstable (Experiment.to_string experiment)))
-    else sample.Harness.cycles
+    else Harness.sample_cycles harness sample
   in
   match
     List.fold_left

@@ -24,12 +24,29 @@ let quiet_config =
     unstable_amplitude = 0.0;
     unreliable_amplitude = 0.0 }
 
+(* What the simulator needs of one scheme: its scaled µop masses per
+   instance as parallel (port mask, mass) rows, with no zero masses or
+   empty masks, alone and in the company that triggers its quirk, and
+   whether it is such company for the fma and vmovd quirks.  It depends on
+   the scheme's class and the profile only. *)
+type sim = {
+  klass : Iclass.t;
+  masks : int array;
+  masses : int array;
+  paired_masks : int array;
+  paired_masses : int array;
+  paired_by : Iclass.quirk option; (* Fma_lines, Gpr_cross or None *)
+  fma_trigger : bool;
+  cross_trigger : bool;
+}
+
 type t = {
   catalog : Catalog.t;
   config : config;
   profile : Profile.t;
   ground_truth : Mapping.t;
   measurements : int Atomic.t; (* bumped from parallel sweeps *)
+  mutable sims : sim array; (* by scheme id, filled on first use *)
 }
 
 let create ?(config = default_config) ?(profile = Profile.zen_plus) catalog =
@@ -38,7 +55,8 @@ let create ?(config = default_config) ?(profile = Profile.zen_plus) catalog =
     config;
     profile;
     ground_truth = Ground_truth.mapping_for profile catalog;
-    measurements = Atomic.make 0 }
+    measurements = Atomic.make 0;
+    sims = [||] }
 
 let catalog t = t.catalog
 let config t = t.config
@@ -56,13 +74,6 @@ let scale = 20
 
 let quirk_of scheme = (Scheme.klass scheme).Iclass.quirk
 
-(* Does the base usage of [scheme] touch any port in [ports]? *)
-let touches profile ports scheme =
-  let { Iclass.structure; _ } = Scheme.klass scheme in
-  List.exists
-    (fun (ps, _) -> not (Portset.is_empty (Portset.inter ps ports)))
-    (Ground_truth.usage_for profile structure)
-
 (* Quirk coupling sets, derived from the profile's layout so that the §4.2
    and §4.3 phenomena exist on every simulated microarchitecture. *)
 let fma_trigger_ports profile =
@@ -74,85 +85,148 @@ let gpr_cross_ports profile =
     (profile.Profile.ports_of_base Iclass.Shuffle)
     (profile.Profile.ports_of_base Iclass.Vec_to_gpr)
 
-(* Scaled-integer µop masses of one experiment iteration, including the
-   phantom pressure of the quirks (see the .mli for the catalogue), as
-   parallel arrays of distinct port masks and their masses. *)
-let scaled_masses profile experiment =
+(* The [sim] of a scheme, from its class: the phantom pressure of the
+   quirks (see the .mli for the catalogue) is folded into its rows. *)
+let make_sim profile klass =
   let ports_of = profile.Profile.ports_of_base in
-  let acc = ref [] in
-  let rec credit mask mass = function
-    | [] -> [ (mask, mass) ]
-    | (m, x) :: rest when m = mask -> (m, x + mass) :: rest
-    | entry :: rest -> entry :: credit mask mass rest
+  let { Iclass.structure; quirk } = klass in
+  let usage = Ground_truth.usage_for profile structure in
+  let per_uop =
+    match quirk with
+    | Some Iclass.Div_slow -> scale * profile.Profile.div_occupancy
+    | _ -> scale
   in
-  let bump ports mass =
-    if mass <> 0 && not (Portset.is_empty ports) then
-      acc := credit (Portset.to_mask ports) mass !acc
+  let rows ~paired =
+    let base =
+      List.map
+        (fun (ports, n) ->
+           (* The vmovd inconsistency: in the company of other FP-pipe
+              users its µop occupies both data-line ports instead of one. *)
+           if
+             paired && quirk = Some Iclass.Gpr_cross
+             && Portset.equal ports (ports_of Iclass.Vec_to_gpr)
+           then (gpr_cross_ports profile, per_uop * n)
+           else (ports, per_uop * n))
+        usage
+    in
+    let extra =
+      match quirk with
+      | Some Iclass.Mul_anomaly ->
+        (* The §4.3 anomaly: each imul also pressures the whole ALU
+           cluster for a full cycle. *)
+        [ (ports_of Iclass.Alu, scale) ]
+      | Some Iclass.Vec_mul_slow ->
+        (* Runs slightly slower than its port usage implies. *)
+        [ (ports_of Iclass.Vec_mul_hard, 1) ]
+      | Some Iclass.Fma_lines when paired ->
+        (* Data lines of a third port are occupied while the fma
+           executes. *)
+        let uops = List.fold_left (fun acc (_, n) -> acc + n) 0 usage in
+        [ (profile.Profile.fma_shadow, scale * uops) ]
+      | Some
+          ( Iclass.Fma_lines | Iclass.Imm64_unreliable | Iclass.High8
+          | Iclass.Pair_unstable | Iclass.Gpr_cross | Iclass.Ms_microcode
+          | Iclass.Tp_unstable | Iclass.Div_slow )
+      | None -> []
+    in
+    let kept =
+      List.filter (fun (ports, m) -> m <> 0 && not (Portset.is_empty ports))
+        (base @ extra)
+    in
+    ( Array.of_list (List.map (fun (ports, _) -> Portset.to_mask ports) kept),
+      Array.of_list (List.map snd kept) )
   in
-  let other_scheme_exists ~than pred =
-    Experiment.exists
-      (fun s _ -> (not (Scheme.equal s than)) && pred s)
-      experiment
+  let masks, masses = rows ~paired:false in
+  let paired_masks, paired_masses = rows ~paired:true in
+  let touches ports =
+    List.exists
+      (fun (ps, _) -> not (Portset.is_empty (Portset.inter ps ports)))
+      usage
   in
-  let fma_paired scheme =
-    other_scheme_exists ~than:scheme (fun s ->
-        quirk_of s <> Some Iclass.Fma_lines
-        && touches profile (fma_trigger_ports profile) s)
+  { klass;
+    masks;
+    masses;
+    paired_masks;
+    paired_masses;
+    paired_by =
+      (match quirk with
+       | Some (Iclass.Fma_lines | Iclass.Gpr_cross) -> quirk
+       | _ -> None);
+    fma_trigger =
+      quirk <> Some Iclass.Fma_lines && touches (fma_trigger_ports profile);
+    cross_trigger =
+      quirk <> Some Iclass.Gpr_cross && touches (gpr_cross_ports profile) }
+
+let unknown =
+  { klass = Iclass.plain Iclass.Nullary; masks = [||]; masses = [||];
+    paired_masks = [||]; paired_masses = [||]; paired_by = None;
+    fma_trigger = false; cross_trigger = false }
+
+(* The memo is keyed by id and checked against the class, the only input,
+   so a scheme from another catalog that reuses an id is still right. *)
+let sim t scheme =
+  let klass = Scheme.klass scheme and id = Scheme.id scheme in
+  let memo = t.sims in
+  if
+    id < Array.length memo
+    && (memo.(id).klass == klass || memo.(id).klass = klass)
+  then memo.(id)
+  else begin
+    let s = make_sim t.profile klass in
+    let memo =
+      if id < Array.length memo then memo
+      else begin
+        let grown = Array.make (max (id + 1) (2 * Array.length memo)) unknown in
+        Array.blit memo 0 grown 0 (Array.length memo);
+        t.sims <- grown;
+        grown
+      end
+    in
+    memo.(id) <- s;
+    s
+  end
+
+(* Scaled-integer µop masses of one experiment iteration, as parallel
+   arrays of distinct port masks and their masses.  A quirk that needs
+   company takes its paired rows when another scheme of the experiment
+   triggers it (a scheme never triggers its own quirk). *)
+let scaled_masses t experiment =
+  let fma = Experiment.exists (fun s _ -> (sim t s).fma_trigger) experiment in
+  let cross =
+    Experiment.exists (fun s _ -> (sim t s).cross_trigger) experiment
   in
-  let gpr_cross_paired scheme =
-    other_scheme_exists ~than:scheme (fun s ->
-        quirk_of s <> Some Iclass.Gpr_cross
-        && touches profile (gpr_cross_ports profile) s)
+  let masks = ref (Array.make 8 0) and masses = ref (Array.make 8 0) in
+  let k = ref 0 in
+  let credit mask m =
+    let i = ref 0 in
+    while !i < !k && !masks.(!i) <> mask do incr i done;
+    if !i < !k then !masses.(!i) <- !masses.(!i) + m
+    else begin
+      if !k = Array.length !masks then begin
+        masks := Array.append !masks !masks;
+        masses := Array.append !masses !masses
+      end;
+      !masks.(!k) <- mask;
+      !masses.(!k) <- m;
+      incr k
+    end
   in
   Experiment.fold
     (fun scheme count () ->
-       let { Iclass.structure; quirk } = Scheme.klass scheme in
-       let usage = Ground_truth.usage_for profile structure in
-       let vec_to_gpr_ports =
-         (* The vmovd inconsistency: in the company of other FP-pipe users
-            its µop occupies both data-line ports instead of one. *)
-         match quirk with
-         | Some Iclass.Gpr_cross when gpr_cross_paired scheme ->
-           gpr_cross_ports profile
-         | _ -> ports_of Iclass.Vec_to_gpr
+       let s = sim t scheme in
+       let paired =
+         match s.paired_by with
+         | Some Iclass.Fma_lines -> fma
+         | Some Iclass.Gpr_cross -> cross
+         | _ -> false
        in
-       List.iter
-         (fun (ports, n) ->
-            let ports =
-              if Portset.equal ports (ports_of Iclass.Vec_to_gpr)
-              && quirk = Some Iclass.Gpr_cross
-              then vec_to_gpr_ports
-              else ports
-            in
-            let per_uop =
-              match quirk with
-              | Some Iclass.Div_slow -> scale * profile.Profile.div_occupancy
-              | _ -> scale
-            in
-            bump ports (per_uop * n * count))
-         usage;
-       (match quirk with
-        | Some Iclass.Mul_anomaly ->
-          (* The §4.3 anomaly: each imul also pressures the whole ALU
-             cluster for a full cycle. *)
-          bump (ports_of Iclass.Alu) (scale * count)
-        | Some Iclass.Vec_mul_slow ->
-          (* Runs slightly slower than its port usage implies. *)
-          bump (ports_of Iclass.Vec_mul_hard) count
-        | Some Iclass.Fma_lines when fma_paired scheme ->
-          (* Data lines of a third port are occupied while the fma
-             executes. *)
-          let uops = List.fold_left (fun acc (_, n) -> acc + n) 0 usage in
-          bump profile.Profile.fma_shadow (scale * uops * count)
-        | Some
-            ( Iclass.Fma_lines | Iclass.Imm64_unreliable | Iclass.High8
-            | Iclass.Pair_unstable | Iclass.Gpr_cross | Iclass.Ms_microcode
-            | Iclass.Tp_unstable | Iclass.Div_slow )
-        | None -> ())
-    )
+       let ms = if paired then s.paired_masks else s.masks in
+       let xs = if paired then s.paired_masses else s.masses in
+       for j = 0 to Array.length ms - 1 do
+         credit ms.(j) (xs.(j) * count)
+       done)
     experiment ();
-  let masses = Array.of_list !acc in
-  (Array.map fst masses, Array.map snd masses)
+  (Array.sub !masks 0 !k, Array.sub !masses 0 !k)
 
 let ms_stall profile experiment =
   (* Microcoded schemes are emitted by the microcode sequencer at a fixed
@@ -174,15 +248,19 @@ let ms_stall profile experiment =
   stall
 
 (* max (ports, frontend) + stall, on native fractions (every term is a
-   few hundred at most), reduced once into a [Rat].  The port bound is
-   the bottleneck optimum of the scaled masses, by Oracle's kernel. *)
-let true_inverse t experiment =
-  let masks, masses = scaled_masses t.profile experiment in
+   few hundred at most), unreduced.  The port bound is the bottleneck
+   optimum of the scaled masses, by Oracle's kernel. *)
+let true_inverse_frac t experiment =
+  let masks, masses = scaled_masses t experiment in
   let pn, pd = Oracle.masses_frac masks masses in
   let pd = pd * scale in
   let fn = Experiment.length experiment and fd = t.profile.Profile.r_max in
   let num, den = if pn * fd >= fn * pd then (pn, pd) else (fn, fd) in
-  Rat.of_ints (num + (ms_stall t.profile experiment * den)) den
+  (num + (ms_stall t.profile experiment * den), den)
+
+let true_inverse t experiment =
+  let num, den = true_inverse_frac t experiment in
+  Rat.of_ints num den
 
 (* Noise tier of an experiment: inherently unreliable schemes dominate,
    then pairing instability (which only shows when at least two distinct
@@ -205,13 +283,21 @@ let samples t ~reps experiment =
   if reps < 0 then invalid_arg "Machine.samples";
   ignore (Atomic.fetch_and_add t.measurements reps);
   Pmi_obs.Obs.add c_measurements reps;
-  let base = Rat.to_float (true_inverse t experiment) in
+  (* Both parts are exact in a float, so this is the correctly rounded
+     quotient [Rat.to_float] gives of the reduced fraction. *)
+  let base =
+    let num, den = true_inverse_frac t experiment in
+    float_of_int num /. float_of_int den
+  in
   let amp = amplitude t experiment in
   if amp = 0.0 then Array.make reps base
   else begin
     let seed = t.config.seed and key = Noise.hash_experiment experiment in
-    Array.init reps (fun rep ->
-        base *. (1.0 +. Noise.jitter ~seed ~key ~rep ~amplitude:amp))
+    let runs = Array.make reps base in
+    for rep = 0 to reps - 1 do
+      runs.(rep) <- base *. (1.0 +. Noise.jitter ~seed ~key ~rep ~amplitude:amp)
+    done;
+    runs
   end
 
 let true_uop_count t experiment =

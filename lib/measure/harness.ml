@@ -12,10 +12,45 @@ let c_mem_hits = Obs.counter "harness.cache.mem.hit"
 let c_mem_misses = Obs.counter "harness.cache.mem.miss"
 
 type sample = {
-  cycles : Rat.t;
+  ticks : int;
   spread_cpi : float;
   retired_ops : int;
 }
+
+(* The cache key: an experiment's canonical (scheme id, count) pairs
+   packed into one int array, so an entry costs the GC one small block
+   for its key and a lookup reads one. *)
+module Key = struct
+  type t = int array
+
+  let of_experiment e =
+    let k = Array.make (2 * Experiment.distinct e) 0 in
+    ignore
+      (Experiment.fold
+         (fun s n i ->
+            k.(i) <- Pmi_isa.Scheme.id s;
+            k.(i + 1) <- n;
+            i + 2)
+         e 0);
+    k
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
+    from 0
+
+  let hash (a : t) =
+    let h = ref 17 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 1_000_003) + a.(i)
+    done;
+    let h = !h * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 32)) land max_int
+end
+
+module Cache = Race.Tracked_table (Key)
 
 (* The cache and the underlying machine are shared mutable state: a
    parallel sweep (the sanitizer's harness workload) hits [run] from
@@ -28,7 +63,7 @@ type t = {
   machine : Machine.t;
   reps : int;
   precision : int;
-  cache : ((int * int) list, sample) Race.tracked_table;
+  cache : sample Cache.t;
   lock : Race.lock;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -39,21 +74,33 @@ let create ?(reps = 11) ?(precision = 1000) machine =
   { machine;
     reps;
     precision;
-    cache = Race.tracked_table ~name:"harness.cache" 4096;
+    cache = Cache.create ~name:"harness.cache" 4096;
     lock = Race.create_lock "harness.lock";
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
 
 let machine t = t.machine
+let precision t = t.precision
 
-let quantise t value =
-  let p = float_of_int t.precision in
-  Rat.of_ints (int_of_float (Float.round (value *. p))) t.precision
+(* Insertion sort on the unboxed float array: a handful of repetitions,
+   and no boxed float per comparison as the polymorphic [Array.sort]
+   takes.  Samples are never NaN, so [<] orders them as [Float.compare]
+   does. *)
+let sort_runs (runs : float array) =
+  for i = 1 to Array.length runs - 1 do
+    let x = runs.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && x < runs.(!j) do
+      runs.(!j + 1) <- runs.(!j);
+      decr j
+    done;
+    runs.(!j + 1) <- x
+  done
 
 let run t experiment =
-  let k = Experiment.key experiment in
   Race.with_lock t.lock (fun () ->
-      match Race.tbl_find_opt t.cache k with
+      let key = Key.of_experiment experiment in
+      match Cache.find_opt t.cache key with
       | Some sample ->
         Atomic.incr t.hits;
         Obs.incr c_mem_hits;
@@ -63,22 +110,24 @@ let run t experiment =
         Obs.incr c_mem_misses;
         Obs.span "harness.measure" (fun () ->
             let runs = Machine.samples t.machine ~reps:t.reps experiment in
-            Array.sort Float.compare runs;
+            sort_runs runs;
             let median = runs.(t.reps / 2) in
             let low = runs.(0) and high = runs.(t.reps - 1) in
             let len = Experiment.length experiment in
             let spread_cpi =
               if len = 0 then 0.0 else (high -. low) /. float_of_int len
             in
+            let p = float_of_int t.precision in
             let sample =
-              { cycles = quantise t median;
+              { ticks = int_of_float (Float.round (median *. p));
                 spread_cpi;
                 retired_ops = Machine.retired_ops t.machine experiment }
             in
-            Race.tbl_replace t.cache k sample;
+            Cache.replace t.cache key sample;
             sample))
 
-let cycles t experiment = (run t experiment).cycles
+let sample_cycles t sample = Rat.of_ints sample.ticks t.precision
+let cycles t experiment = sample_cycles t (run t experiment)
 
 let cpi t experiment =
   let len = Experiment.length experiment in
@@ -88,7 +137,7 @@ let cpi t experiment =
 let retired_ops t experiment = (run t experiment).retired_ops
 
 let benchmarks_run t =
-  Race.with_lock t.lock (fun () -> Race.tbl_length t.cache)
+  Race.with_lock t.lock (fun () -> Cache.length t.cache)
 
 let cache_hits t = Atomic.get t.hits
 let cache_misses t = Atomic.get t.misses

@@ -18,7 +18,11 @@
     asks for afresh, which is what the paper's Algorithm 2 assumes. *)
 
 type sample = {
-  cycles : Pmi_numeric.Rat.t;   (** median inverse throughput, quantised *)
+  ticks : int;
+  (** The median inverse throughput quantised onto the harness's
+      precision grid: [round (median · precision)], so the sample stands
+      for [ticks / precision] cycles per iteration.  It is kept as a
+      native int; {!sample_cycles} builds the exact rational. *)
   spread_cpi : float;           (** (max - min) / |e| across repetitions *)
   retired_ops : int;            (** macro-op counter reading *)
 }
@@ -30,8 +34,21 @@ val create : ?reps:int -> ?precision:int -> Pmi_machine.Machine.t -> t
     denominator of the quantisation grid, default 1000 (millicycles). *)
 
 val machine : t -> Pmi_machine.Machine.t
+
+val precision : t -> int
+(** The denominator of the quantisation grid of every {!sample.ticks}. *)
+
 val run : t -> Pmi_portmap.Experiment.t -> sample
+(** The experiment's sample, measured on a cache miss.  The cache is keyed
+    by the experiment's canonical [(scheme id, count)] pairs
+    ({!Pmi_portmap.Experiment.key}), packed into one int array. *)
+
+val sample_cycles : t -> sample -> Pmi_numeric.Rat.t
+(** [ticks / precision] as an exact rational: the sample's median inverse
+    throughput. *)
+
 val cycles : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
+(** [sample_cycles t (run t e)]. *)
 
 val cpi : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
 (** Median cycles divided by experiment length.

@@ -60,6 +60,44 @@ let latest_history_entry text =
      | Some (Json.List []) -> Error "empty \"history\" array"
      | Some _ | None -> Error "no \"history\" array in history file")
 
+(* Several runs of the same benches as one: each timing record at its
+   fastest, since noise on a shared box only ever adds time. *)
+let fastest = function
+  | [] -> Error "no bench run to gate"
+  | first :: _ as runs ->
+    if List.exists (fun r -> r.version <> first.version) runs then
+      Error "bench runs of different schema versions"
+    else begin
+      let names =
+        List.fold_left
+          (fun acc r ->
+             List.fold_left
+               (fun acc (x : record) ->
+                  if List.mem x.name acc then acc else x.name :: acc)
+               acc r.records)
+          [] runs
+        |> List.rev
+      in
+      let merged name =
+        let all =
+          List.filter_map
+            (fun r ->
+               List.find_opt (fun (x : record) -> x.name = name) r.records)
+            runs
+        in
+        let ns =
+          List.fold_left
+            (fun acc (x : record) ->
+               match (acc, x.ns_per_run) with
+               | None, v | v, None -> v
+               | Some a, Some b -> Some (Float.min a b))
+            None all
+        in
+        { (List.hd all) with ns_per_run = ns }
+      in
+      Ok { version = first.version; records = List.map merged names }
+    end
+
 type verdict = {
   bench : string;
   baseline_ns : float;

@@ -32,6 +32,12 @@ val parse_run : string -> (run, string) result
 val latest_history_entry : string -> (run, string) result
 (** The newest entry of a [{"history": [...]}] file (newest last). *)
 
+val fastest : run list -> (run, string) result
+(** Several runs of the same benches as one run: each timing record at
+    its fastest across the runs (noise only ever adds time), every other
+    field from the first run naming the bench.  [Error] on an empty list
+    or on runs of different schema versions. *)
+
 type verdict = {
   bench : string;
   baseline_ns : float;

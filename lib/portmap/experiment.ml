@@ -4,17 +4,19 @@ type t = (Scheme.t * int) list
 
 let empty = []
 
+(* Sorted by id (stably, so the last of equal schemes is the one kept),
+   then neighbours merge: no table per experiment. *)
 let of_counts pairs =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (s, n) ->
-       if n > 0 then begin
-         let prev = try Hashtbl.find tbl (Scheme.id s) with Not_found -> (s, 0) in
-         Hashtbl.replace tbl (Scheme.id s) (s, snd prev + n)
-       end)
-    pairs;
-  Hashtbl.fold (fun _ pair acc -> pair :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Scheme.compare a b)
+  let rec merge = function
+    | (s, n) :: (s', n') :: rest when Scheme.id s = Scheme.id s' ->
+      merge ((s', n + n') :: rest)
+    | pair :: rest -> pair :: merge rest
+    | [] -> []
+  in
+  List.filter (fun (_, n) -> n > 0) pairs
+  |> List.stable_sort (fun (a, _) (b, _) ->
+      Int.compare (Scheme.id a) (Scheme.id b))
+  |> merge
 
 let of_list schemes = of_counts (List.map (fun s -> (s, 1)) schemes)
 let singleton s = [ (s, 1) ]

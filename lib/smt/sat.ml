@@ -1164,15 +1164,21 @@ module Invariants = struct
         end
     done
 
+  (* Per-clause bookkeeping on one flat byte per cref: bit 7 marks a
+     clause some clause list registers, bits 0-1 count the watch entries
+     naming it (saturating at 3), and bits 2 and 3 record a watch by its
+     first and by its second literal. *)
   let check_clauses_and_watches s =
-    let expected = Hashtbl.create 64 in
+    let top = s.arena_top in
+    let marks = Bytes.make (max 1 top) '\000' in
+    let mark cr = Char.code (Bytes.unsafe_get marks cr) in
     let scan_list name arr n ~learned =
       for i = 0 to n - 1 do
         let cr = arr.(i) in
-        if cr < 0 || cr + 2 > s.arena_top then
+        if cr < 0 || cr + 2 > top then
           failf "%s[%d]: cref %d outside the arena" name i cr;
         let len = c_len s cr in
-        if len < 3 || cr + 2 + len > s.arena_top then
+        if len < 3 || cr + 2 + len > top then
           failf "%s[%d]: clause %d malformed (len %d)" name i cr len;
         if c_deleted s cr then
           failf "%s[%d]: deleted clause %d still registered" name i cr;
@@ -1183,14 +1189,28 @@ module Invariants = struct
           if l < 0 || Lit.var l >= s.nvars then
             failf "clause %d: literal %d out of range" cr l
         done;
-        if Hashtbl.mem expected cr then
+        if mark cr <> 0 then
           failf "clause %d registered in two clause lists" cr;
-        Hashtbl.add expected cr (c_lit s cr 0, c_lit s cr 1)
+        Bytes.unsafe_set marks cr '\128'
       done
     in
     scan_list "clauses" s.clauses s.n_problem ~learned:false;
     scan_list "learnts" s.learnts s.n_learnts ~learned:true;
-    let watched = Hashtbl.create 64 in
+    let watched_wrongly cr =
+      let ws = ref [] in
+      for l = (2 * s.nvars) - 1 downto 0 do
+        let wd = s.watch.(l) in
+        let j = ref (s.watch_size.(l) - 2) in
+        while !j >= 0 do
+          if wd.(!j) = cr then ws := l :: !ws;
+          j := !j - 2
+        done
+      done;
+      failf "clause %d: watched by {%s}, expected its first two \
+             literals {%d, %d}" cr
+        (String.concat "," (List.map string_of_int !ws))
+        (c_lit s cr 0) (c_lit s cr 1)
+    in
     for l = 0 to (2 * s.nvars) - 1 do
       let wd = s.watch.(l) and wn = s.watch_size.(l) in
       if wn > Array.length wd then
@@ -1198,31 +1218,34 @@ module Invariants = struct
       let i = ref 0 in
       while !i < wn do
         let cr = wd.(!i) and blocker = wd.(!i + 1) in
-        (match Hashtbl.find_opt expected cr with
-         | None ->
-           failf "literal %d watches an unknown or deleted clause %d" l cr
-         | Some _ ->
-           let len = c_len s cr in
-           let in_clause = ref false in
-           for j = 0 to len - 1 do
-             if c_lit s cr j = blocker then in_clause := true
-           done;
-           if not !in_clause then
-             failf "literal %d: blocker %d is not in clause %d" l blocker cr);
-        Hashtbl.add watched cr l;
+        if cr < 0 || cr >= top || mark cr = 0 then
+          failf "literal %d watches an unknown or deleted clause %d" l cr;
+        let len = c_len s cr in
+        let j = ref 0 in
+        while !j < len && c_lit s cr !j <> blocker do incr j done;
+        if !j = len then
+          failf "literal %d: blocker %d is not in clause %d" l blocker cr;
+        let m = mark cr in
+        let by =
+          if l = c_lit s cr 0 then 4
+          else if l = c_lit s cr 1 then 8
+          else watched_wrongly cr
+        in
+        let count = min 3 ((m land 3) + 1) in
+        Bytes.unsafe_set marks cr
+          (Char.unsafe_chr (((m lor by) land lnot 3) lor count));
         i := !i + 2
       done
     done;
-    Hashtbl.iter
-      (fun cr (l0, l1) ->
-         match Hashtbl.find_all watched cr with
-         | [ a; b ] when (a = l0 && b = l1) || (a = l1 && b = l0) -> ()
-         | ws ->
-           failf "clause %d: watched by {%s}, expected its first two \
-                  literals {%d, %d}" cr
-             (String.concat "," (List.map string_of_int ws))
-             l0 l1)
-      expected
+    let check_watched arr n =
+      for i = 0 to n - 1 do
+        let cr = arr.(i) in
+        (* Registered, watched by both literals, twice in all. *)
+        if mark cr <> 128 lor 8 lor 4 lor 2 then watched_wrongly cr
+      done
+    in
+    check_watched s.clauses s.n_problem;
+    check_watched s.learnts s.n_learnts
 
   let check_heap s =
     if s.heap_size > s.nvars then

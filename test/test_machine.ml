@@ -256,11 +256,12 @@ let test_harness_median_and_cache () =
   let e = mix [ (add_rr, 4); (imul, 1) ] in
   let s1 = Pmi_measure.Harness.run harness e in
   let s2 = Pmi_measure.Harness.run harness e in
-  Alcotest.check rat "cached" s1.Pmi_measure.Harness.cycles s2.Pmi_measure.Harness.cycles;
+  let cycles = Pmi_measure.Harness.sample_cycles harness in
+  Alcotest.check rat "cached" (cycles s1) (cycles s2);
   Alcotest.(check int) "one benchmark" 1 (Pmi_measure.Harness.benchmarks_run harness);
   (* Median of a stable measurement lands within ε of the truth. *)
   let truth = Rat.to_float (Machine.true_inverse noisy e) in
-  let measured = Rat.to_float s1.Pmi_measure.Harness.cycles in
+  let measured = Rat.to_float (cycles s1) in
   Alcotest.(check bool) "median near truth" true
     (Float.abs (measured -. truth) < 0.02 *. float_of_int (Experiment.length e));
   Alcotest.(check int) "retired ops" 5 s1.Pmi_measure.Harness.retired_ops
@@ -404,6 +405,214 @@ let prop_retired_ops_additive =
        Machine.retired_ops machine (Experiment.union e1 e2)
        = Machine.retired_ops machine e1 + Machine.retired_ops machine e2)
 
+(* ------------------------------------------------------------------ *)
+(* The native measurement path against the code it replaced            *)
+(* ------------------------------------------------------------------ *)
+
+(* Stage 2's pair test on ticks over a precision P against the [Rat]
+   test.  A third of the cases put the pair exactly 2ε from the sum
+   (ε = e/P, so 2ε·P = 2e ticks: equal) or one tick further (not). *)
+let prop_tick_pair_verdict =
+  QCheck2.Test.make ~name:"tick pair verdict = Rat cpi_equal" ~count:2000
+    QCheck2.Gen.(
+      let* p = oneofl [ 1; 7; 1000; 4096 ] in
+      let* ti = int_range 0 (50 * p) and* tj = int_range 0 (50 * p) in
+      let* e = int_range 0 (p / 10 + 1) in
+      let* shift =
+        oneof
+          [ map (fun d -> `Free d) (int_range (-(8 * p)) (8 * p));
+            oneofl [ `Edge 0; `Edge 1; `Edge (-1) ] ]
+      in
+      return (p, ti, tj, e, shift))
+    (fun (p, ti, tj, e, shift) ->
+       let open Pmi_measure.Harness.Compare in
+       let epsilon = Rat.of_ints e p in
+       let sum = ti + tj in
+       let pair, edge =
+         match shift with
+         | `Free d -> (max 0 (sum + d), None)
+         | `Edge k ->
+           let off = (2 * e) + abs k in
+           ((if sum >= off then sum - off else sum + off), Some (k = 0))
+       in
+       let native =
+         cpi_equal_frac ~tolerance:(tolerance epsilon) ~length:2 (pair, p)
+           (sum, p)
+       in
+       let exact =
+         cpi_equal ~epsilon ~length:2 (Rat.of_ints pair p)
+           (Rat.add (Rat.of_ints ti p) (Rat.of_ints tj p))
+       in
+       native = exact && match edge with Some v -> native = v | None -> true)
+
+(* [Experiment.of_counts] as it was, on a table per experiment. *)
+let of_counts_reference pairs =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (s, n) ->
+       if n > 0 then begin
+         let prev = try Hashtbl.find tbl (Scheme.id s) with Not_found -> (s, 0) in
+         Hashtbl.replace tbl (Scheme.id s) (s, snd prev + n)
+       end)
+    pairs;
+  Hashtbl.fold (fun _ pair acc -> pair :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Scheme.compare a b)
+
+let prop_of_counts_reference =
+  QCheck2.Test.make ~name:"of_counts = table-based reference" ~count:1000
+    QCheck2.Gen.(
+      list_size (int_range 0 10) (pair (int_range 0 7) (int_range (-2) 4)))
+    (fun items ->
+       let pairs =
+         List.map (fun (i, n) -> (Catalog.find catalog (i * 37), n)) items
+       in
+       List.equal
+         (fun (s, n) (s', n') -> s == s' && n = n')
+         (Experiment.to_counts (Experiment.of_counts pairs))
+         (of_counts_reference pairs))
+
+(* The simulator as it was: list-built masses, recomputed per call. *)
+let reference_true_inverse m experiment =
+  let profile = Machine.profile m in
+  let scale = 20 in
+  let ports_of = profile.Profile.ports_of_base in
+  let quirk_of s = (Scheme.klass s).Iclass.quirk in
+  let touches ports s =
+    List.exists
+      (fun (ps, _) -> not (Portset.is_empty (Portset.inter ps ports)))
+      (Ground_truth.usage_for profile (Scheme.klass s).Iclass.structure)
+  in
+  let fma_ports =
+    Portset.union profile.Profile.fma_shadow (ports_of Iclass.Fp_add)
+  in
+  let cross_ports =
+    Portset.union (ports_of Iclass.Shuffle) (ports_of Iclass.Vec_to_gpr)
+  in
+  let acc = ref [] in
+  let bump ports mass =
+    if mass <> 0 && not (Portset.is_empty ports) then begin
+      let mask = Portset.to_mask ports in
+      let x = try List.assoc mask !acc with Not_found -> 0 in
+      acc := (mask, x + mass) :: List.remove_assoc mask !acc
+    end
+  in
+  let paired scheme quirk ports =
+    Experiment.exists
+      (fun s _ -> (not (Scheme.equal s scheme)) && quirk_of s <> Some quirk
+                  && touches ports s)
+      experiment
+  in
+  Experiment.fold
+    (fun scheme count () ->
+       let { Iclass.structure; quirk } = Scheme.klass scheme in
+       let usage = Ground_truth.usage_for profile structure in
+       let per_uop =
+         if quirk = Some Iclass.Div_slow then
+           scale * profile.Profile.div_occupancy
+         else scale
+       in
+       List.iter
+         (fun (ports, n) ->
+            let ports =
+              if quirk = Some Iclass.Gpr_cross
+              && Portset.equal ports (ports_of Iclass.Vec_to_gpr)
+              && paired scheme Iclass.Gpr_cross cross_ports
+              then cross_ports
+              else ports
+            in
+            bump ports (per_uop * n * count))
+         usage;
+       match quirk with
+       | Some Iclass.Mul_anomaly -> bump (ports_of Iclass.Alu) (scale * count)
+       | Some Iclass.Vec_mul_slow -> bump (ports_of Iclass.Vec_mul_hard) count
+       | Some Iclass.Fma_lines when paired scheme Iclass.Fma_lines fma_ports ->
+         let uops = List.fold_left (fun a (_, n) -> a + n) 0 usage in
+         bump profile.Profile.fma_shadow (scale * uops * count)
+       | _ -> ())
+    experiment ();
+  let masks = Array.of_list (List.map fst !acc) in
+  let masses = Array.of_list (List.map snd !acc) in
+  let pn, pd = Oracle.masses_frac masks masses in
+  let ports = Rat.of_ints pn (pd * scale) in
+  let frontend =
+    Rat.of_ints (Experiment.length experiment) profile.Profile.r_max
+  in
+  let stall =
+    Experiment.fold
+      (fun s count acc ->
+         if quirk_of s = Some Iclass.Ms_microcode then begin
+           let rate = profile.Profile.ms_ops_per_cycle in
+           let macro = Iclass.macro_ops (Scheme.klass s).Iclass.structure in
+           acc + (count * ((macro + rate - 1) / rate))
+         end
+         else acc)
+      experiment 0
+  in
+  Rat.add (Rat.max ports frontend) (Rat.of_int stall)
+
+(* Scheme ids by quirk class (quirk-free first), so that a generated
+   experiment can draw from every class. *)
+let quirk_classes =
+  let classes = Hashtbl.create 16 in
+  Array.iter
+    (fun s ->
+       let q = (Scheme.klass s).Iclass.quirk in
+       Hashtbl.replace classes q
+         (Scheme.id s :: Option.value ~default:[] (Hashtbl.find_opt classes q)))
+    (Catalog.schemes catalog);
+  Array.of_list
+    (Hashtbl.fold (fun _ ids acc -> Array.of_list ids :: acc) classes [])
+
+let quirky_experiment_gen =
+  QCheck2.Gen.(
+    let scheme =
+      let* c = int_bound (Array.length quirk_classes - 1) in
+      let ids = quirk_classes.(c) in
+      map (Array.get ids) (int_bound (Array.length ids - 1))
+    in
+    map
+      (fun items ->
+         Experiment.of_counts
+           (List.map (fun (id, n) -> (Catalog.find catalog id, n)) items))
+      (list_size (int_range 1 5) (pair scheme (int_range 1 4))))
+
+let golden =
+  Machine.create ~config:Machine.quiet_config ~profile:Profile.golden_cove
+    catalog
+
+let prop_simulator_reference =
+  QCheck2.Test.make ~name:"memoised simulator = list-built reference" ~count:600
+    ~print:Experiment.to_string quirky_experiment_gen
+    (fun e ->
+       List.for_all
+         (fun m ->
+            let reference = reference_true_inverse m e in
+            (* Twice: the second call reads the per-scheme memo. *)
+            Rat.equal (Machine.true_inverse m e) reference
+            && Rat.equal (Machine.true_inverse m e) reference
+            && Int64.equal
+                 (Int64.bits_of_float (Machine.samples m ~reps:3 e).(2))
+                 (Int64.bits_of_float (Rat.to_float reference)))
+         [ machine; golden ])
+
+let test_quirk_classes_covered () =
+  (* Every quirk and the quirk-free class draw: 11 classes. *)
+  Alcotest.(check int) "quirk classes" 11 (Array.length quirk_classes)
+
+let test_cache_identity () =
+  let module H = Pmi_measure.Harness in
+  let h = H.create noisy in
+  let e = Experiment.of_list [ vpor; add_rr; imul ] in
+  let permuted = Experiment.of_counts [ (imul, 1); (vpor, 1); (add_rr, 1) ] in
+  let s1 = H.run h e in
+  let s2 = H.run h permuted in
+  Alcotest.(check bool) "hit returns the stored sample" true (s1 == s2);
+  Alcotest.(check int) "one entry" 1 (H.benchmarks_run h);
+  Alcotest.(check int) "one miss" 1 (H.cache_misses h);
+  Alcotest.(check int) "one hit" 1 (H.cache_hits h);
+  Alcotest.check rat "cycles are ticks / precision"
+    (Rat.of_ints s1.H.ticks (H.precision h)) (H.cycles h e)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -428,6 +637,12 @@ let () =
        [ Alcotest.test_case "µop counter" `Quick test_true_uop_count;
          Alcotest.test_case "per-port spread" `Quick test_port_uops_spread;
          Alcotest.test_case "blocking shape" `Quick test_port_uops_blocking_shape ]);
+      ("native",
+       [ Alcotest.test_case "quirk classes" `Quick test_quirk_classes_covered;
+         Alcotest.test_case "cache identity" `Quick test_cache_identity ]
+       @ qsuite
+           [ prop_tick_pair_verdict; prop_of_counts_reference;
+             prop_simulator_reference ]);
       ("noise",
        [ Alcotest.test_case "deterministic" `Quick test_measurement_deterministic;
          Alcotest.test_case "tiers" `Quick test_noise_tiers;

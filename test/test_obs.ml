@@ -405,6 +405,30 @@ let test_gate_rejects_incomparable () =
                   Gate.version = Some (Gate.schema_version + 1) }
        ())
 
+(* Repeated runs gate on each bench's fastest record: one slow run of a
+   bench is noise, a bench slow in every run is a regression. *)
+let test_gate_fastest_of_runs () =
+  let run1 = current [ timing "a" 100.; timing "b" 300. ] in
+  let run2 = current [ timing "a" 180.; timing "b" 290.; timing "c" 5. ] in
+  (match Gate.fastest [ run1; run2 ] with
+   | Error msg -> Alcotest.failf "fastest: %s" msg
+   | Ok run ->
+     Alcotest.(check (list (pair string (option (float 0.)))))
+       "fastest per bench"
+       [ ("a", Some 100.); ("b", Some 290.); ("c", Some 5.) ]
+       (List.map (fun r -> (r.Gate.name, r.Gate.ns_per_run)) run.Gate.records);
+     let baseline = current [ timing "a" 90.; timing "b" 100. ] in
+     (match Gate.compare_runs ~baseline ~current:run () with
+      | Error msg -> Alcotest.failf "compare: %s" msg
+      | Ok verdicts ->
+        Alcotest.(check (list string)) "only the bench slow in both runs"
+          [ "b" ]
+          (List.map (fun v -> v.Gate.bench) (Gate.regressions verdicts))));
+  Alcotest.(check bool) "mixed versions refused" true
+    (Result.is_error
+       (Gate.fastest [ run1; { run2 with Gate.version = None } ]));
+  Alcotest.(check bool) "no runs refused" true (Result.is_error (Gate.fastest []))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -437,4 +461,6 @@ let () =
          Alcotest.test_case "flags 2x slowdown" `Quick
            test_gate_flags_slowdown;
          Alcotest.test_case "rejects incomparable" `Quick
-           test_gate_rejects_incomparable ]) ]
+           test_gate_rejects_incomparable;
+         Alcotest.test_case "fastest of repeated runs" `Quick
+           test_gate_fastest_of_runs ]) ]
