@@ -475,101 +475,6 @@ let mapcheck_run files json opts =
   if Diag.errors diags <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* EncLint: the static analysis pass over the CEGIS encodings           *)
-(* ------------------------------------------------------------------ *)
-
-module Enclint = Pmi_analysis.Enclint
-
-(* [pmi_repro enclint] analyzes the built-in encoding shapes — a
-   creation-time encoding with symmetry breaking, and a guarded-row
-   encoding after an append/retire/re-append cycle — plus one encoding
-   rebuilt from each mapping file given on the command line. *)
-let enclint_run files json opts =
-  let module Encoding = Pmi_core.Encoding in
-  let catalog = catalog_of ~reduced:opts.reduced in
-  let analyze_encoding ?frozen encoding =
-    Enclint.analyze (Encoding.sat encoding)
-      (Encoding.enclint_view ?frozen encoding)
-  in
-  let toy_schemes () =
-    let toy =
-      Catalog.of_list
-        [ ("add", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-           Iclass.plain (Iclass.Single Iclass.Alu));
-          ("mul", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-           Iclass.plain (Iclass.Single Iclass.Alu));
-          ("fma", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-           Iclass.plain (Iclass.Single Iclass.Alu)) ]
-    in
-    (Catalog.find toy 0, Catalog.find toy 1, Catalog.find toy 2)
-  in
-  let creation () =
-    let add, mul, fma = toy_schemes () in
-    let encoding =
-      Encoding.create ~num_ports:3 ~symmetry_breaking:true
-        [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2);
-          (fma, Encoding.Proper 1) ]
-    in
-    analyze_encoding encoding
-  in
-  let guarded () =
-    let add, mul, fma = toy_schemes () in
-    let encoding = Encoding.create ~num_ports:3 ~symmetry_breaking:false [] in
-    Encoding.append_row encoding add (Encoding.Proper 2);
-    Encoding.append_row encoding mul (Encoding.Proper 2);
-    Encoding.append_row encoding fma (Encoding.Proper 1);
-    Encoding.retire_row encoding mul;
-    Encoding.append_row encoding mul (Encoding.Proper 3);
-    analyze_encoding ~frozen:(Encoding.row_assumptions encoding) encoding
-  in
-  let from_file path =
-    if not (Sys.file_exists path) then
-      [ Diag.make "mapping-file-missing" Diag.Error path "no such file" ]
-    else begin
-      let ic = open_in path in
-      let result =
-        Pmi_portmap.Mapping_io.read
-          ~resolve:(Pmi_portmap.Mapping_io.resolver catalog) ic
-      in
-      close_in ic;
-      match result with
-      | Error e ->
-        [ Diag.make "mapping-parse-error" Diag.Error path "line %d: %s"
-            e.Pmi_portmap.Mapping_io.line e.Pmi_portmap.Mapping_io.message ]
-      | Ok m ->
-        (* Rebuild the encoding the mapping's proper rows imply: each
-           single-µop scheme contributes a [Proper] row with the port
-           count the mapping declares.  Multi-µop rows need the selector
-           machinery and are skipped in a file-driven rebuild. *)
-        let specs =
-          List.filter_map
-            (fun s ->
-               match Mapping.usage m s with
-               | [ (ports, 1) ] ->
-                 Some
-                   ( s,
-                     Encoding.Proper
-                       (List.length (Pmi_portmap.Portset.to_list ports)) )
-               | _ -> None)
-            (Mapping.schemes m)
-        in
-        if specs = [] then
-          [ Diag.make "enclint-no-proper-rows" Diag.Warning path
-              "no single-µop rows; nothing to encode" ]
-        else
-          let encoding =
-            Encoding.create ~num_ports:(Mapping.num_ports m)
-              ~symmetry_breaking:false specs
-          in
-          analyze_encoding encoding
-    end
-  in
-  let diags = creation () @ guarded () @ List.concat_map from_file files in
-  Diag.print_all ~json diags;
-  prerr_endline (Diag.summary ~pass:"enclint" diags);
-  if Diag.errors diags <> [] then exit 1
-
-(* ------------------------------------------------------------------ *)
 (* Sanitize: the dynamic concurrency pass over the parallel stack       *)
 (* ------------------------------------------------------------------ *)
 
@@ -943,17 +848,6 @@ let () =
                     $ files
                         "Port-mapping file(s) in the export format, audited \
                          in addition to the built-in ground-truth mappings; \
-                         repeatable."
-                    $ diag_json);
-            cmd "enclint"
-              "Statically analyze the CEGIS encodings (guard structure, \
-               cardinality-network bounds, retired-row reachability) \
-               without running the solver; exits non-zero on any \
-               error-severity diagnostic"
-              Term.(const enclint_run
-                    $ files
-                        "Port-mapping file(s) whose implied encodings are \
-                         analyzed in addition to the built-in shapes; \
                          repeatable."
                     $ diag_json);
             (let schedules =

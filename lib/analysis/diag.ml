@@ -3,8 +3,8 @@
    Factored out of the PR-3 [Lint] module so that every analysis pass —
    static data lint and the dynamic race sanitizer alike — speaks one
    text format and one JSON schema.  Keep this module dependency-free:
-   [Pmi_parallel.Pool] and [Pmi_smt.Solver] link against it, so anything
-   heavier would create a cycle. *)
+   [Pmi_parallel.Pool] and [Pmi_measure.Harness] link against it, so
+   anything heavier would create a cycle. *)
 
 type severity =
   | Error

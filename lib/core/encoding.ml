@@ -12,13 +12,8 @@ type row = {
   spec : instr_spec;
   own : int array;             (* own µop variables, one per port *)
   shared : int array;          (* improper only: shared µop variables *)
-  selectors : int array;       (* improper only: one per proper instr *)
   act : int;                   (* activation variable; -1 = unguarded *)
   mutable live : bool;         (* false once the row has been retired *)
-  mutable networks : (int * Card.network) list;
-                               (* (declared bound, recorded network) of
-                                  every cardinality constraint emitted for
-                                  this row, for static re-verification *)
 }
 
 type t = {
@@ -52,13 +47,6 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
      axioms later derivations resolve against. *)
   if certify then Sat.set_proof_logging solver true;
   let fresh_row () = Array.init num_ports (fun _ -> Sat.fresh_var solver) in
-  let name_row prefix scheme vars =
-    Array.iteri
-      (fun k v ->
-         Sat.name_var solver v
-           (Printf.sprintf "%s(%s,p%d)" prefix (Scheme.name scheme) k))
-      vars
-  in
   let proper_indices =
     List.filteri (fun _ (_, spec) -> match spec with Proper _ -> true | Improper _ -> false)
       specs
@@ -75,10 +63,8 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
             (match spec with
              | Proper c -> check_count num_ports c
              | Improper { own_ports } -> check_count num_ports own_ports);
-            let own = fresh_row () in
-            name_row "own" scheme own;
-            { scheme; spec; own; shared = [||]; selectors = [||];
-              act = -1; live = true; networks = [] })
+            { scheme; spec; own = fresh_row (); shared = [||]; act = -1;
+              live = true })
          specs)
   in
   (* Cardinality of every own µop. *)
@@ -87,10 +73,7 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
        let count =
          match row.spec with Proper c -> c | Improper { own_ports } -> own_ports
        in
-       let net =
-         Card.exactly solver (Array.to_list (Array.map Lit.pos row.own)) count
-       in
-       row.networks <- (count, net) :: row.networks)
+       Card.exactly solver (Array.to_list (Array.map Lit.pos row.own)) count)
     rows;
   (* Shared µops of improper instructions.  The partner may be any proper
      blocking instruction's µop, or the own µop of another improper one:
@@ -108,22 +91,10 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
              |> List.filter (fun r -> not (Scheme.equal r.scheme row.scheme))
            in
            let shared = fresh_row () in
-           name_row "shared" row.scheme shared;
            let selectors =
              Array.of_list (List.map (fun _ -> Sat.fresh_var solver) partners)
            in
-           List.iteri
-             (fun j partner ->
-                Sat.name_var solver selectors.(j)
-                  (Printf.sprintf "select(%s,%s)"
-                     (Scheme.name row.scheme)
-                     (Scheme.name partner.scheme)))
-             partners;
-           let selector_net =
-             Card.exactly solver
-               (Array.to_list (Array.map Lit.pos selectors))
-               1
-           in
+           Card.exactly solver (Array.to_list (Array.map Lit.pos selectors)) 1;
            List.iteri
              (fun j partner ->
                 for k = 0 to num_ports - 1 do
@@ -138,9 +109,7 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
                       Lit.neg_of_var partner.own.(k) ]
                 done)
              partners;
-           let row = { row with shared; selectors } in
-           row.networks <- (1, selector_net) :: row.networks;
-           row)
+           { row with shared })
       rows
   in
   let t = { solver; num_ports; rows } in
@@ -216,24 +185,13 @@ let append_row t scheme spec =
   if has_scheme t scheme then
     invalid_arg "Encoding.append_row: scheme already has a live row";
   let own = Array.init t.num_ports (fun _ -> Sat.fresh_var t.solver) in
-  Array.iteri
-    (fun k v ->
-       Sat.name_var t.solver v
-         (Printf.sprintf "own(%s,p%d)" (Scheme.name scheme) k))
-    own;
   let act = Sat.fresh_var t.solver in
-  Sat.name_var t.solver act (Printf.sprintf "act(%s)" (Scheme.name scheme));
   (* The cardinality chain binds only while [act] is assumed: retiring the
      row is one unit clause, no encoding rebuild. *)
-  let net =
-    Card.exactly ~guard:(Lit.neg_of_var act) t.solver
-      (Array.to_list (Array.map Lit.pos own))
-      count
-  in
-  let row =
-    { scheme; spec; own; shared = [||]; selectors = [||]; act; live = true;
-      networks = [ (count, net) ] }
-  in
+  Card.exactly ~guard:(Lit.neg_of_var act) t.solver
+    (Array.to_list (Array.map Lit.pos own))
+    count;
+  let row = { scheme; spec; own; shared = [||]; act; live = true } in
   t.rows <- Array.append t.rows [| row |]
 
 let retire_row t scheme =
@@ -406,22 +364,3 @@ let block_bottleneck t model schemes violation =
            (fun v -> if model.(v) then lits := Lit.neg_of_var v :: !lits)
            vars);
       !lits)
-
-(* ------------------------------------------------------------------ *)
-(* Static analysis support (EncLint)                                   *)
-(* ------------------------------------------------------------------ *)
-
-let enclint_view ?(frozen = []) t =
-  let module E = Pmi_analysis.Enclint in
-  let rows =
-    Array.to_list t.rows
-    |> List.map (fun r ->
-        { E.subject = Printf.sprintf "row %s" (Scheme.name r.scheme);
-          vars =
-            Array.to_list r.own @ Array.to_list r.shared
-            @ Array.to_list r.selectors;
-          act = r.act;
-          live = r.live;
-          networks = r.networks })
-  in
-  { E.rows; frozen }

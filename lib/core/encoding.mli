@@ -45,9 +45,7 @@ val create :
   t
 (** [~certify:true] turns on the solver's DRAT proof logging {e before} any
     clause is added, so every later verdict carries a complete certificate
-    ([Pmi_smt.Sat.proof]).  The µop variables are always named
-    ([own(<scheme>,p<k>)], [shared(…)], [select(<improper>,<partner>)]) so
-    static-analysis diagnostics ({!Pmi_analysis.Enclint}) can name them.
+    ([Pmi_smt.Sat.proof]).
     @raise Invalid_argument if a port count is out of range or an improper
     instruction is given without any proper one. *)
 
@@ -58,8 +56,8 @@ val schemes : t -> (Pmi_isa.Scheme.t * instr_spec) list
 (** The live rows, in row order (retired rows are excluded everywhere). *)
 
 val append_row : t -> Pmi_isa.Scheme.t -> instr_spec -> unit
-(** Append a guarded row: fresh named µop variables plus a fresh activation
-    variable [act(<scheme>)] whose negation guards the cardinality chain.
+(** Append a guarded row: fresh µop variables plus a fresh activation
+    variable whose negation guards the cardinality chain.
     The row only binds while its activation literal ({!row_assumptions}) is
     assumed true.
     @raise Invalid_argument on an [Improper] spec (store blockers need the
@@ -149,11 +147,3 @@ val block_bottleneck :
     {!block_footprint} refutes one combination of the rows' port sets.
     Guarded rows contribute their negated activation literal, as in
     {!block_footprint}. *)
-
-(** {1 Static analysis support} *)
-
-val enclint_view :
-  ?frozen:Pmi_smt.Lit.t list -> t -> Pmi_analysis.Enclint.view
-(** Describe the encoding to the static analyzer: every row with its
-    activation literal, liveness, and recorded cardinality networks.
-    [?frozen] are assumption literals that pin rows for a solve. *)

@@ -8,4 +8,3 @@ let negate l = l lxor 1
 let is_pos l = l land 1 = 0
 
 let to_string l = (if is_pos l then "" else "-") ^ string_of_int (var l)
-let pp ppf l = Format.pp_print_string ppf (to_string l)

@@ -17,4 +17,3 @@ val negate : t -> t
 val is_pos : t -> bool
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -79,8 +79,6 @@ type t = {
   (* Binary clauses. *)
   mutable bins : int array array;    (* implied literals, keyed by asserted literal *)
   mutable bin_size : int array;
-  mutable bin_pairs : int array;     (* problem binary clauses, flat pairs *)
-  mutable n_bin_pairs : int;         (* ints used (2 per clause) *)
   (* Watches. *)
   mutable watch : int array array;   (* flat (cref, blocker) pairs per literal *)
   mutable watch_size : int array;
@@ -129,9 +127,6 @@ type t = {
   mutable proof_buf : int array;
   mutable proof_pos : int;
   mutable proof_len : int;
-  (* Optional variable names, read back by the static analyzer's
-     messages. *)
-  names : (int, string) Hashtbl.t;
   (* Invariant sanitizer (debug): checked at decision-level-0 boundaries. *)
   mutable sanitize : bool;
   (* Statistics. *)
@@ -161,8 +156,6 @@ let create () =
     n_learnts = 0;
     bins = Array.make 16 [||];
     bin_size = Array.make 16 0;
-    bin_pairs = Array.make 32 0;
-    n_bin_pairs = 0;
     watch = Array.make 16 [||];
     watch_size = Array.make 16 0;
     assigns = Array.make 16 0;
@@ -201,7 +194,6 @@ let create () =
     proof_buf = [||];
     proof_pos = 0;
     proof_len = 0;
-    names = Hashtbl.create 16;
     sanitize = Atomic.get sanitize_default;
     st_decisions = 0;
     st_propagations = 0;
@@ -276,7 +268,7 @@ let stats s =
     max_lbd = s.st_max_lbd }
 
 (* ------------------------------------------------------------------ *)
-(* Proof trace and variable names                                      *)
+(* Proof trace                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let proof_reserve s extra =
@@ -337,9 +329,6 @@ let proof s =
   steps 0 []
 
 let proof_length s = s.proof_len
-
-let name_var s v name = Hashtbl.replace s.names v name
-let var_name s v = Hashtbl.find_opt s.names v
 
 let set_reduce_enabled s b = s.reduce_enabled <- b
 
@@ -917,12 +906,7 @@ let add_clause s lits =
       | [ l ] ->
         enqueue s l (-1);
         if propagate s >= 0 then s.ok <- false
-      | [ a; b ] ->
-        attach_binary s a b;
-        s.bin_pairs <- grow_array s.bin_pairs (s.n_bin_pairs + 2) 0;
-        s.bin_pairs.(s.n_bin_pairs) <- a;
-        s.bin_pairs.(s.n_bin_pairs + 1) <- b;
-        s.n_bin_pairs <- s.n_bin_pairs + 2
+      | [ a; b ] -> attach_binary s a b
       | l0 :: l1 :: rest ->
         let cr = alloc_clause s (Array.of_list (l0 :: l1 :: rest)) in
         push_cref s ~learned:false cr;
@@ -930,41 +914,8 @@ let add_clause s lits =
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Encoding introspection (EncLint support)                            *)
-(* ------------------------------------------------------------------ *)
-
 let root_value s v =
   if v >= 0 && v < s.nvars then var_value s v else 0
-
-(* Enumerate the live long problem clauses as (cref, literals).  Crefs stay
-   valid until the next arena compaction (a solve with clause-DB
-   reduction). *)
-let iter_long_problem_clauses s f =
-  for i = 0 to s.n_problem - 1 do
-    let cr = s.clauses.(i) in
-    if not (c_deleted s cr) then begin
-      let len = c_len s cr in
-      let lits = ref [] in
-      for j = len - 1 downto 0 do
-        lits := c_lit s cr j :: !lits
-      done;
-      f cr !lits
-    end
-  done
-
-let binary_problem_clauses s =
-  let acc = ref [] in
-  let i = ref (s.n_bin_pairs - 2) in
-  while !i >= 0 do
-    acc := (s.bin_pairs.(!i), s.bin_pairs.(!i + 1)) :: !acc;
-    i := !i - 2
-  done;
-  !acc
-
-let root_units s =
-  let bound = if s.n_levels = 0 then s.trail_size else s.trail_lim.(0) in
-  Array.to_list (Array.sub s.trail 0 bound)
 
 (* ------------------------------------------------------------------ *)
 (* Clause-database reduction                                           *)

@@ -59,33 +59,16 @@ val solve : ?assumptions:Lit.t list -> t -> result
 val okay : t -> bool
 (** [false] once the clause database is unsatisfiable at level 0. *)
 
+val root_value : t -> int -> int
+(** Root-level (decision level 0) assignment of a variable: [1] true,
+    [-1] false, [0] unassigned.  Call between [solve] calls. *)
+
 val stats : t -> stats
 
 val set_reduce_enabled : t -> bool -> unit
 (** Enable/disable clause-database reduction (default enabled).  No
     library path turns it off: the reduce-off solver is the reference
     that the reduction-parity tests compare a reducing solver against. *)
-
-(** {1 Encoding introspection (static analysis support)}
-
-    Read-only views of the clause database, consumed by the EncLint static
-    analyzer ([Pmi_analysis.Enclint]).  All of these must be called at
-    decision level 0 (between [solve] calls). *)
-
-val root_value : t -> int -> int
-(** Root-level (decision level 0) assignment of a variable: [1] true,
-    [-1] false, [0] unassigned.  Call between [solve] calls. *)
-
-val iter_long_problem_clauses : t -> (int -> Lit.t list -> unit) -> unit
-(** Iterate [f cref lits] over every live long (>= 3 literal) problem
-    clause.  Crefs remain valid until the next arena compaction (a solve
-    with clause-DB reduction). *)
-
-val binary_problem_clauses : t -> (Lit.t * Lit.t) list
-(** Every binary problem clause, in assertion order. *)
-
-val root_units : t -> Lit.t list
-(** The decision-level-0 trail: unit-implied and asserted literals. *)
 
 (** {1 Certification} *)
 
@@ -139,11 +122,3 @@ module Invariants : sig
       at decision level 0 (between [solve] calls, or via {!set_sanitize}
       inside them). *)
 end
-
-(** {1 Variable names} *)
-
-val name_var : t -> int -> string -> unit
-(** Attach a human-readable name to a variable, so diagnostics over the
-    clause database can be read against the encoding. *)
-
-val var_name : t -> int -> string option

@@ -421,30 +421,8 @@ let solve_card build =
   build s (List.map Lit.pos vars);
   (s, vars)
 
-let test_card_at_most () =
-  let s, vars = solve_card (fun s lits -> ignore (Card.at_most s lits 2)) in
-  (* Force three variables true: must be unsat. *)
-  (match
-     Sat.solve
-       ~assumptions:(List.map Lit.pos [ List.nth vars 0; List.nth vars 1; List.nth vars 2 ])
-       s
-   with
-   | Sat.Unsat -> ()
-   | Sat.Sat _ -> Alcotest.fail "3 > 2 should conflict");
-  match Sat.solve ~assumptions:(List.map Lit.pos [ List.nth vars 0; List.nth vars 4 ]) s with
-  | Sat.Sat model ->
-    Alcotest.(check bool) "≤ 2 true" true (count_true model vars <= 2)
-  | Sat.Unsat -> Alcotest.fail "2 ≤ 2 should be sat"
-
-let test_card_at_least () =
-  let s, vars = solve_card (fun s lits -> ignore (Card.at_least s lits 4)) in
-  match Sat.solve s with
-  | Sat.Sat model ->
-    Alcotest.(check bool) "≥ 4 true" true (count_true model vars >= 4)
-  | Sat.Unsat -> Alcotest.fail "at_least 4 of 6 is satisfiable"
-
 let test_card_exactly () =
-  let s, vars = solve_card (fun s lits -> ignore (Card.exactly s lits 3)) in
+  let s, vars = solve_card (fun s lits -> Card.exactly s lits 3) in
   match Sat.solve s with
   | Sat.Sat model -> Alcotest.(check int) "exactly 3" 3 (count_true model vars)
   | Sat.Unsat -> Alcotest.fail "exactly 3 of 6 is satisfiable"
@@ -453,52 +431,73 @@ let test_card_edge_cases () =
   (* k = 0 forbids everything. *)
   let s = Sat.create () in
   let a = Sat.fresh_var s in
-  ignore (Card.at_most s [ Lit.pos a ] 0);
+  Card.exactly s [ Lit.pos a ] 0;
   (match Sat.solve s with
    | Sat.Sat model -> Alcotest.(check bool) "a false" false model.(a)
    | Sat.Unsat -> Alcotest.fail "sat expected");
-  (* k = n is vacuous. *)
+  (* k = n forces everything. *)
   let s2 = Sat.create () in
   let b = Sat.fresh_var s2 in
-  ignore (Card.at_most s2 [ Lit.pos b ] 1);
-  Alcotest.(check bool) "vacuous" true
-    (match Sat.solve s2 with Sat.Sat _ -> true | Sat.Unsat -> false);
-  (* at_least more than available is unsat. *)
-  let s3 = Sat.create () in
-  let c = Sat.fresh_var s3 in
-  ignore (Card.at_least s3 [ Lit.pos c ] 2);
-  Alcotest.(check bool) "impossible at_least" false
-    (match Sat.solve s3 with Sat.Sat _ -> true | Sat.Unsat -> false)
+  Card.exactly s2 [ Lit.pos b ] 1;
+  (match Sat.solve s2 with
+   | Sat.Sat model -> Alcotest.(check bool) "b true" true model.(b)
+   | Sat.Unsat -> Alcotest.fail "sat expected");
+  (* A bound outside 0..n is unsatisfiable. *)
+  List.iter
+    (fun k ->
+       let s3 = Sat.create () in
+       let c = Sat.fresh_var s3 in
+       Card.exactly s3 [ Lit.pos c ] k;
+       Alcotest.(check bool) (Printf.sprintf "impossible k=%d" k) false
+         (is_sat (Sat.solve s3)))
+    [ -1; 2 ]
 
 let test_card_exactly_shares_registers () =
   (* [exactly] builds one shared Sinz counter chain: (n-1)·k auxiliary
      registers, not a separate chain per bound. *)
   let s = Sat.create () in
   let vars = List.init 6 (fun _ -> Sat.fresh_var s) in
-  ignore (Card.exactly s (List.map Lit.pos vars) 2);
+  Card.exactly s (List.map Lit.pos vars) 2;
   Alcotest.(check int) "aux registers" (6 + (5 * 2)) (Sat.num_vars s)
 
 let popcount mask =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
   go 0 mask
 
-let test_card_exactly_exhaustive () =
-  (* Soundness and completeness in one sweep: under every full assignment
-     of the base variables (forced via assumptions), the encoding is
-     satisfiable iff exactly k of them are true. *)
-  for n = 1 to 5 do
+(* The three ways the encoding uses [exactly]: unguarded (creation-time
+   rows), and guarded by a literal that is true (a retired row: the
+   network must accept any input count) or false (a live row: the network
+   must bind).  The sweep covers every n up to 12, the widest port count
+   of any profile, every k in 0..n and every input assignment, forced via
+   assumptions: soundness and completeness of each network. *)
+type card_mode =
+  | Unguarded
+  | Guard_true
+  | Guard_false
+
+let card_sweep mode () =
+  for n = 0 to 12 do
     for k = 0 to n do
       let s = Sat.create () in
+      let guard =
+        if mode = Unguarded then None else Some (Lit.pos (Sat.fresh_var s))
+      in
       let vars = List.init n (fun _ -> Sat.fresh_var s) in
-      ignore (Card.exactly s (List.map Lit.pos vars) k);
+      Card.exactly ?guard s (List.map Lit.pos vars) k;
+      let assume_guard =
+        match guard with
+        | None -> []
+        | Some g -> [ (if mode = Guard_true then g else Lit.negate g) ]
+      in
       for mask = 0 to (1 lsl n) - 1 do
         let assumptions =
-          List.mapi (fun i v -> Lit.make v (mask land (1 lsl i) <> 0)) vars
+          assume_guard
+          @ List.mapi (fun i v -> Lit.make v (mask land (1 lsl i) <> 0)) vars
         in
-        Alcotest.(check bool)
-          (Printf.sprintf "n=%d k=%d mask=%d" n k mask)
-          (popcount mask = k)
-          (is_sat (Sat.solve ~assumptions s))
+        let expected = mode = Guard_true || popcount mask = k in
+        if is_sat (Sat.solve ~assumptions s) <> expected then
+          Alcotest.failf "n=%d k=%d mask=%d: expected %s" n k mask
+            (if expected then "SAT" else "UNSAT")
       done
     done
   done
@@ -510,147 +509,10 @@ let prop_card_exactly_counts =
        QCheck2.assume (k <= n);
        let s = Sat.create () in
        let vars = List.init n (fun _ -> Sat.fresh_var s) in
-       ignore (Card.exactly s (List.map Lit.pos vars) k);
+       Card.exactly s (List.map Lit.pos vars) k;
        match Sat.solve s with
        | Sat.Sat model -> count_true model vars = k
        | Sat.Unsat -> false)
-
-(* Guarded networks (the guarded-row contract of [Encoding.append_row]):
-   the guard literal is prepended to every emitted clause, so a true
-   guard satisfies the whole network vacuously — any input count goes —
-   while a false guard leaves exactly the unguarded constraint. *)
-let guarded_card_case s ~which ~guard lits k =
-  match which with
-  | 0 -> Card.at_most ~guard s lits k
-  | 1 -> Card.at_least ~guard s lits k
-  | _ -> Card.exactly ~guard s lits k
-
-let guarded_card_meets ~which count k =
-  match which with 0 -> count <= k | 1 -> count >= k | _ -> count = k
-
-let prop_card_guard_vacuous =
-  QCheck2.Test.make
-    ~name:"guard true satisfies the network under any input count"
-    ~count:100
-    QCheck2.Gen.(triple (int_range 1 5) (int_range 0 5) (int_range 0 2))
-    (fun (n, k, which) ->
-       QCheck2.assume (k <= n);
-       let s = Sat.create () in
-       let g = Sat.fresh_var s in
-       let vars = List.init n (fun _ -> Sat.fresh_var s) in
-       ignore
-         (guarded_card_case s ~which ~guard:(Lit.pos g)
-            (List.map Lit.pos vars) k);
-       List.for_all
-         (fun mask ->
-            let assumptions =
-              Lit.pos g
-              :: List.mapi
-                   (fun i v -> Lit.make v (mask land (1 lsl i) <> 0))
-                   vars
-            in
-            is_sat (Sat.solve ~assumptions s))
-         (List.init (1 lsl n) (fun m -> m)))
-
-let prop_card_guard_enforces =
-  QCheck2.Test.make
-    ~name:"guard false enforces exactly the declared bound"
-    ~count:100
-    QCheck2.Gen.(triple (int_range 1 5) (int_range 0 5) (int_range 0 2))
-    (fun (n, k, which) ->
-       QCheck2.assume (k <= n);
-       let s = Sat.create () in
-       let g = Sat.fresh_var s in
-       let vars = List.init n (fun _ -> Sat.fresh_var s) in
-       ignore
-         (guarded_card_case s ~which ~guard:(Lit.pos g)
-            (List.map Lit.pos vars) k);
-       List.for_all
-         (fun mask ->
-            let assumptions =
-              Lit.neg_of_var g
-              :: List.mapi
-                   (fun i v -> Lit.make v (mask land (1 lsl i) <> 0))
-                   vars
-            in
-            is_sat (Sat.solve ~assumptions s)
-            = guarded_card_meets ~which (popcount mask) k)
-         (List.init (1 lsl n) (fun m -> m)))
-
-let test_card_network_metadata () =
-  (* The recorder hands back what it built: inputs in call order, the
-     guard, the declared kind/bound, fresh auxiliaries, and every clause
-     carrying the guard literal. *)
-  let s = Sat.create () in
-  let g = Sat.fresh_var s in
-  let vars = List.init 4 (fun _ -> Sat.fresh_var s) in
-  let lits = List.map Lit.pos vars in
-  let net = Card.exactly ~guard:(Lit.pos g) s lits 2 in
-  Alcotest.(check bool) "kind" true (net.Card.kind = Card.Exactly);
-  Alcotest.(check int) "bound" 2 net.Card.bound;
-  Alcotest.(check bool) "inputs" true (net.Card.inputs = lits);
-  Alcotest.(check bool) "guard" true (net.Card.guard = Some (Lit.pos g));
-  Alcotest.(check bool) "aux allocated" true (net.Card.aux <> []);
-  Alcotest.(check bool) "guard on every clause" true
-    (List.for_all (fun c -> List.mem (Lit.pos g) c) net.Card.clauses)
-
-(* ------------------------------------------------------------------ *)
-(* Expr: formulas and Tseitin transformation                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_expr_smart_constructors () =
-  let x = Expr.var 0 and y = Expr.var 1 in
-  Alcotest.(check bool) "neg neg" true (Expr.neg (Expr.neg x) = x);
-  Alcotest.(check bool) "conj true unit" true (Expr.conj [ Expr.tt; x ] = x);
-  Alcotest.(check bool) "conj false" true
-    (Expr.conj [ x; Expr.ff; y ] = Expr.ff);
-  Alcotest.(check bool) "disj false unit" true (Expr.disj [ Expr.ff; y ] = y);
-  Alcotest.(check bool) "imp from false" true (Expr.imp Expr.ff x = Expr.tt);
-  Alcotest.(check bool) "iff with true" true (Expr.iff Expr.tt x = x);
-  Alcotest.(check (list int)) "vars" [ 0; 1 ]
-    (Expr.vars (Expr.conj [ x; Expr.neg y; x ]))
-
-let expr_gen =
-  let open QCheck2.Gen in
-  let num_vars = 5 in
-  sized_size (int_range 0 4) @@ fix (fun self n ->
-      if n = 0 then
-        oneof
-          [ map Expr.var (int_range 0 (num_vars - 1));
-            return Expr.tt; return Expr.ff ]
-      else
-        oneof
-          [ map Expr.var (int_range 0 (num_vars - 1));
-            map Expr.neg (self (n - 1));
-            map2 (fun a b -> Expr.conj [ a; b ]) (self (n / 2)) (self (n / 2));
-            map2 (fun a b -> Expr.disj [ a; b ]) (self (n / 2)) (self (n / 2));
-            map2 Expr.imp (self (n / 2)) (self (n / 2));
-            map2 Expr.iff (self (n / 2)) (self (n / 2)) ])
-
-let brute_force_expr e =
-  let rec go env = function
-    | [] -> Expr.eval (fun v -> List.assoc v env) e
-    | v :: rest -> go ((v, true) :: env) rest || go ((v, false) :: env) rest
-  in
-  go [] (List.init 5 Fun.id)
-
-let prop_tseitin_equisatisfiable =
-  QCheck2.Test.make ~name:"Tseitin preserves satisfiability" ~count:300 expr_gen
-    (fun e ->
-       let s = Sat.create () in
-       for _ = 1 to 5 do
-         ignore (Sat.fresh_var s)
-       done;
-       Expr.assert_in s e;
-       match Sat.solve s with
-       | Sat.Sat model -> Expr.eval (fun v -> model.(v)) e
-       | Sat.Unsat -> not (brute_force_expr e))
-
-let prop_expr_eval_neg =
-  QCheck2.Test.make ~name:"eval of negation flips" ~count:200 expr_gen
-    (fun e ->
-       let env v = v mod 2 = 0 in
-       Expr.eval env (Expr.neg e) = not (Expr.eval env e))
 
 (* ------------------------------------------------------------------ *)
 (* Theory (CEGAR) driver                                               *)
@@ -689,13 +551,13 @@ let test_theory_unsat () =
   | Solver.Unsat -> ()
   | Solver.Sat _ -> Alcotest.fail "theory rejects everything"
 
-(* Clause intake: the clause the solver stores for a freshly added one
-   must be the reference simplification below — sorted, deduplicated, no
-   tautology, not satisfied at the root, root-false literals filtered —
-   in exactly that literal order (its first two literals are the watched
-   pair).  The root assignment comes from unit clauses over distinct
-   variables; the clause under test mixes duplicates, complementary pairs
-   and literals already true or false there. *)
+(* Clause intake: after every [add_clause] the solver must be
+   well-formed, and its clause database must mean exactly the reference
+   simplification of what was added — sorted, deduplicated, no tautology,
+   not satisfied at the root, root-false literals filtered.  The root
+   assignment comes from unit clauses over distinct variables; the clause
+   under test mixes duplicates, complementary pairs and literals already
+   true or false there. *)
 let prop_add_clause_intake =
   let n = 8 in
   let gen =
@@ -733,40 +595,46 @@ let prop_add_clause_intake =
        for _ = 1 to n do
          ignore (Sat.fresh_var s)
        done;
-       List.iter (fun l -> Sat.add_clause s [ l ]) units;
        let root l =
          let v = Sat.root_value s (Lit.var l) in
          if Lit.is_pos l then v else -v
        in
-       let sorted = List.sort_uniq Int.compare clause in
-       let dropped =
-         List.exists (fun l -> List.mem (Lit.negate l) sorted) sorted
-         || List.exists (fun l -> root l = 1) sorted
+       let holds mask l = (mask land (1 lsl Lit.var l) <> 0) = Lit.is_pos l in
+       let added = ref [] in
+       let intake c =
+         let sorted = List.sort_uniq Int.compare c in
+         let dropped =
+           List.exists (fun l -> List.mem (Lit.negate l) sorted) sorted
+           || List.exists (fun l -> root l = 1) sorted
+         in
+         let expected = List.filter (fun l -> root l = 0) sorted in
+         Sat.add_clause s c;
+         added := c :: !added;
+         (match Sat.Invariants.check s with
+          | Ok () -> ()
+          | Error msg -> QCheck2.Test.fail_reportf "invariant: %s" msg);
+         if Sat.okay s = (expected = [] && not dropped) then
+           QCheck2.Test.fail_reportf "okay is %b" (Sat.okay s);
+         (match expected with
+          | [ l ] when (not dropped) && root l <> 1 ->
+            QCheck2.Test.fail_reportf "unit %s not assigned at the root"
+              (Lit.to_string l)
+          | _ -> ());
+         (* Under each full assignment the solver answers what the clauses
+            added so far evaluate to. *)
+         for mask = 0 to (1 lsl n) - 1 do
+           let assumptions =
+             List.init n (fun v -> Lit.make v (mask land (1 lsl v) <> 0))
+           in
+           if
+             is_sat (Sat.solve ~assumptions s)
+             <> List.for_all (List.exists (holds mask)) !added
+           then QCheck2.Test.fail_reportf "verdict differs on mask %d" mask
+         done
        in
-       let expected = List.filter (fun l -> root l = 0) sorted in
-       let units_before = Sat.root_units s in
-       Sat.add_clause s clause;
-       let binaries = Sat.binary_problem_clauses s in
-       let longs = ref [] in
-       Sat.iter_long_problem_clauses s (fun _ lits -> longs := lits :: !longs);
-       let units_after = Sat.root_units s in
-       let stored_nothing =
-         Sat.okay s && binaries = [] && !longs = []
-         && units_after = units_before
-       in
-       if dropped then stored_nothing
-       else
-         match expected with
-         | [] -> not (Sat.okay s)
-         | [ l ] ->
-           Sat.okay s && binaries = [] && !longs = []
-           && units_after = units_before @ [ l ]
-         | [ a; b ] ->
-           Sat.okay s && binaries = [ (a, b) ] && !longs = []
-           && units_after = units_before
-         | lits ->
-           Sat.okay s && binaries = [] && !longs = [ lits ]
-           && units_after = units_before)
+       List.iter (fun l -> intake [ l ]) units;
+       intake clause;
+       true)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -794,22 +662,18 @@ let () =
              prop_sat_matches_dpll; prop_reduction_parity;
              prop_sanitize_random; prop_add_clause_intake ]);
       ("card",
-       [ Alcotest.test_case "at_most" `Quick test_card_at_most;
-         Alcotest.test_case "at_least" `Quick test_card_at_least;
-         Alcotest.test_case "exactly" `Quick test_card_exactly;
+       [ Alcotest.test_case "exactly" `Quick test_card_exactly;
          Alcotest.test_case "edge cases" `Quick test_card_edge_cases;
          Alcotest.test_case "shared registers" `Quick
            test_card_exactly_shares_registers;
          Alcotest.test_case "exactly is exact (exhaustive)" `Slow
-           test_card_exactly_exhaustive;
-         Alcotest.test_case "network metadata" `Quick
-           test_card_network_metadata ]
-       @ qsuite
-           [ prop_card_exactly_counts; prop_card_guard_vacuous;
-             prop_card_guard_enforces ]);
-      ("expr",
-       [ Alcotest.test_case "smart constructors" `Quick test_expr_smart_constructors ]
-       @ qsuite [ prop_tseitin_equisatisfiable; prop_expr_eval_neg ]);
+           (card_sweep Unguarded);
+         Alcotest.test_case
+           "guard true satisfies the network under any input count" `Slow
+           (card_sweep Guard_true);
+         Alcotest.test_case "guard false enforces exactly the declared bound"
+           `Slow (card_sweep Guard_false) ]
+       @ qsuite [ prop_card_exactly_counts ]);
       ("theory",
        [ Alcotest.test_case "cegar loop" `Quick test_theory_loop;
          Alcotest.test_case "theory unsat" `Quick test_theory_unsat ]) ]
