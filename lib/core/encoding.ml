@@ -237,6 +237,10 @@ let decode t model =
     (live_rows t);
   mapping
 
+let mapping_vars t =
+  Array.concat
+    (List.concat_map (fun r -> [ r.own; r.shared ]) (live_rows t))
+
 let row_index t scheme =
   let rec find i =
     if i = Array.length t.rows then -1
@@ -331,13 +335,12 @@ let row_lemma t schemes refute =
          @ refute row.own @ refute row.shared)
     (live_rows t)
 
-let block_footprint t model schemes =
-  row_lemma t schemes (fun vars ->
-      Array.to_list vars
-      |> List.map (fun v -> if model.(v) then Lit.neg_of_var v else Lit.pos v))
-
 let block_model t model =
-  block_footprint t model (List.map (fun r -> r.scheme) (live_rows t))
+  row_lemma t
+    (List.map (fun r -> r.scheme) (live_rows t))
+    (fun vars ->
+       Array.to_list vars
+       |> List.map (fun v -> if model.(v) then Lit.neg_of_var v else Lit.pos v))
 
 type violation =
   | Too_slow of Portset.t
