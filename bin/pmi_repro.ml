@@ -623,7 +623,7 @@ let all opts =
   print_figure5 opts.reduced run
 
 (* ------------------------------------------------------------------ *)
-(* Store maintenance (`pmi_repro store {stats,compact,verify}`)        *)
+(* Store maintenance (`pmi_repro store {stats,verify}`)                *)
 (* ------------------------------------------------------------------ *)
 
 module Json = Pmi_obs.Json
@@ -643,10 +643,6 @@ let store_stats dir json =
                Json.Obj
                  [ ("records", n st.Store.journal_records);
                    ("bytes", n st.Store.journal_bytes) ]);
-              ("segment",
-               Json.Obj
-                 [ ("records", n st.Store.segment_records);
-                   ("bytes", n st.Store.segment_bytes) ]);
               ("recovery",
                Json.Obj
                  [ ("replayed", n st.Store.replayed);
@@ -656,31 +652,17 @@ let store_stats dir json =
                Json.Obj
                  [ ("appends", n st.Store.appends);
                    ("hits", n st.Store.hits);
-                   ("misses", n st.Store.misses);
-                   ("compactions", n st.Store.compactions) ]) ]))
+                   ("misses", n st.Store.misses) ]) ]))
   end
   else begin
     Format.printf "store: %s@." dir;
     Format.printf "live: %d certificate(s)@." st.Store.live_certificates;
-    Format.printf "journal: %d record(s), %d bytes; segment: %d record(s), \
-                   %d bytes@."
-      st.Store.journal_records st.Store.journal_bytes st.Store.segment_records
-      st.Store.segment_bytes;
+    Format.printf "journal: %d record(s), %d bytes@." st.Store.journal_records
+      st.Store.journal_bytes;
     Format.printf "recovery: %d replayed, %d corrupt, %d torn byte(s) \
                    truncated@."
       st.Store.replayed st.Store.corrupt st.Store.truncated_bytes
   end
-
-let store_compact dir =
-  let s = open_store dir in
-  let before = Store.stats s in
-  Store.compact s;
-  let after = Store.stats s in
-  Format.printf
-    "compacted: %d journal record(s) folded into a %d-record segment (%d \
-     bytes)@."
-    before.Store.journal_records after.Store.segment_records
-    after.Store.segment_bytes
 
 let store_verify dir json =
   let r = Store.verify dir in
@@ -689,16 +671,13 @@ let store_verify dir json =
       (Json.to_string
          (Json.Obj
             [ ("dir", Json.Str dir);
-              ("segment_records", Json.Num (float_of_int r.Store.r_segment_records));
               ("journal_records", Json.Num (float_of_int r.Store.r_journal_records));
               ("corrupt", Json.Num (float_of_int r.Store.r_corrupt));
               ("torn_bytes", Json.Num (float_of_int r.Store.r_torn_bytes)) ]))
   else
     Format.printf
-      "verify %s: %d segment record(s), %d journal record(s), %d corrupt, \
-       %d torn byte(s)@."
-      dir r.Store.r_segment_records r.Store.r_journal_records r.Store.r_corrupt
-      r.Store.r_torn_bytes;
+      "verify %s: %d journal record(s), %d corrupt, %d torn byte(s)@." dir
+      r.Store.r_journal_records r.Store.r_corrupt r.Store.r_torn_bytes;
   if r.Store.r_corrupt > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -877,12 +856,8 @@ let () =
                         (see --store)")
                [ store_cmd "stats"
                    "Open the store (running recovery) and report live \
-                    records, file sizes and recovery counts"
+                    records, journal size and recovery counts"
                    Term.(const (fun json dir -> store_stats dir json) $ json);
-                 store_cmd "compact"
-                   "Fold the journal into a fresh segment (atomic rename) and \
-                    truncate the journal"
-                   (Term.const store_compact);
                  store_cmd "verify"
                    "Read-only integrity scan: nothing is truncated or \
                     repaired; exits non-zero when any record fails its \

@@ -150,9 +150,9 @@ let theory config encoding =
     verdicts = Vec.create () }
 
 (* Theory check: decode the SAT model, evaluate the observations, and learn
-   a lemma for each violated one.  Lemmas are collected in [pool] so that
-   later encodings (deterministic variable numbering) can be seeded with
-   everything already learned. *)
+   a lemma for each violated one.  Lemmas are also collected in [pool],
+   from which {!sync_lemmas} copies them into the findOtherMapping
+   encoding (both number their variables alike). *)
 let theory_check config th observations pool model =
   let changed = Encoding.redecode th.decoder model in
   let lemmas = ref [] in
@@ -201,12 +201,8 @@ let theory_rounds ?(config = default_config) encoding steps =
        theory_check config th observations pool model)
     steps
 
-let fresh_encoding config specs pool =
-  let encoding =
-    Encoding.create ~num_ports:config.num_ports ~certify:config.certify specs
-  in
-  Vec.iter (Pmi_smt.Sat.add_clause (Encoding.sat encoding)) pool;
-  encoding
+let fresh_encoding config specs =
+  Encoding.create ~num_ports:config.num_ports ~certify:config.certify specs
 
 (* ------------------------------------------------------------------ *)
 (* Trust-but-verify layer                                              *)
@@ -319,29 +315,55 @@ let find_mapping config th observations pool =
    true.  That is a function of the observations alone, not of the solver's
    learned clauses or model order.  [model] is a consistent model to start
    from.  A variable the current model already sets true is fixed without
-   a solve; otherwise one theory-checked solve under the fixed prefix plus
-   the variable decides it. *)
+   a solve, and so is an own-µop variable once the prefix holds that µop's
+   port count of true literals: the exactly-c constraint forces it false,
+   and the model always agrees with the prefix.  Otherwise one
+   theory-checked solve under the fixed prefix plus the variable decides
+   it. *)
 let canonical_model config th observations pool model =
   Obs.span "cegis.canonical" @@ fun () ->
   let check = theory_check config th observations pool in
-  let model = ref model and fixed = ref [] in
-  Array.iter
-    (fun v ->
-       let lit =
-         if !model.(v) then Pmi_smt.Lit.pos v
-         else
-           let assumptions = List.rev (Pmi_smt.Lit.pos v :: !fixed) in
-           match
-             certified_solve config th.encoding observations ~assumptions
-               ~check ()
-           with
-           | Solver.Sat m ->
-             model := m;
-             Pmi_smt.Lit.pos v
-           | Solver.Unsat -> Pmi_smt.Lit.neg_of_var v
+  let vars = Encoding.mapping_vars th.encoding in
+  let ports = Encoding.num_ports th.encoding in
+  let model = ref model and fixed = ref [] and next = ref 0 in
+  (* Fix the next variable of [vars]; [full] says its µop's port count is
+     already met.  Returns whether it was fixed true. *)
+  let fix ~full =
+    let v = vars.(!next) in
+    incr next;
+    let value =
+      if full then false
+      else if !model.(v) then true
+      else
+        let assumptions = List.rev (Pmi_smt.Lit.pos v :: !fixed) in
+        match
+          certified_solve config th.encoding observations ~assumptions ~check
+            ()
+        with
+        | Solver.Sat m ->
+          model := m;
+          true
+        | Solver.Unsat -> false
+    in
+    fixed := Pmi_smt.Lit.make v value :: !fixed;
+    value
+  in
+  List.iter
+    (fun (_, spec) ->
+       let own, shared =
+         match spec with
+         | Encoding.Proper c -> (c, false)
+         | Encoding.Improper { own_ports } -> (own_ports, true)
        in
-       fixed := lit :: !fixed)
-    (Encoding.mapping_vars th.encoding);
+       let trues = ref 0 in
+       for _ = 1 to ports do
+         if fix ~full:(!trues = own) then incr trues
+       done;
+       if shared then
+         for _ = 1 to ports do
+           ignore (fix ~full:false)
+         done)
+    (Encoding.schemes th.encoding);
   !model
 
 exception Found_counts of (Scheme.t * int) list
@@ -541,7 +563,7 @@ let cold config specs observations =
   let pool = Vec.create () in
   let obs = Vec.create () in
   List.iter (fun o -> Vec.push obs (measured o)) observations;
-  (theory config (fresh_encoding config specs pool), obs, pool)
+  (theory config (fresh_encoding config specs), obs, pool)
 
 let explain ?(config = default_config) ~specs ~observations () =
   Obs.span "cegis.explain" @@ fun () ->
@@ -570,13 +592,10 @@ let infer ?(config = default_config) ~measure ~specs () =
     obs
   in
   List.iter (fun (s, _) -> ignore (observe (Experiment.singleton s))) specs;
-  let fm_theory = theory config (fresh_encoding config specs pool) in
+  let fm_theory = theory config (fresh_encoding config specs) in
   let fm_encoding = fm_theory.encoding in
   let other_state =
-    let o_encoding =
-      Encoding.create ~num_ports:config.num_ports ~certify:config.certify specs
-    in
-    { o_theory = theory config o_encoding; o_synced = 0;
+    { o_theory = theory config (fresh_encoding config specs); o_synced = 0;
       o_inseparable = Hashtbl.create 16 }
   in
   let tried = ref 0 in

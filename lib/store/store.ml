@@ -7,12 +7,11 @@ let c_misses = Obs.counter "store.misses"
 let c_replayed = Obs.counter "store.replayed"
 let c_corrupt = Obs.counter "store.corrupt"
 let c_recovered = Obs.counter "store.recovered"
-let c_compactions = Obs.counter "store.compactions"
 
 (* On-disk kind codes.  Certificates are code 1.  Codes 0 (harness
    measurements) and 2 (bench history) held record kinds that no longer
    exist: such records are intact, so replay skips them without counting
-   them corrupt, and compaction drops them. *)
+   them corrupt. *)
 let certificate_code = 1
 let retired_code code = code = 0 || code = 2
 
@@ -44,16 +43,12 @@ let crc32_sub s off len =
 
 (* Journal record: "PMIR" | u32le payload_len | u32le crc32(payload) |
    payload, where payload = u8 version | u8 kind | u16le klen | key |
-   u32le vlen | value.  The segment uses the same framing behind its own
-   header. *)
+   u32le vlen | value. *)
 
 let record_magic = 0x52494D50 (* "PMIR" little-endian *)
 let record_version = 1
 let header_bytes = 12
 let max_payload = 1 lsl 24 (* 16 MiB: anything larger is framing damage *)
-let segment_magic = "PMISEG1\n"
-let footer_magic = 0x58494D50 (* "PMIX" little-endian *)
-let footer_bytes = 16
 
 let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
@@ -106,14 +101,14 @@ type scan = {
   mutable s_valid_end : int;    (* bytes of structurally valid prefix *)
 }
 
-(* Walk the record stream in [data.[off .. limit)], calling [apply] on
-   every intact certificate record.  A short or unframed tail stops the
-   walk (torn); a complete record with a bad checksum or unparsable
-   payload is skipped (corrupt), because the framing still carries us to
-   the next record. *)
-let scan_records ?(apply = fun ~key:_ _ -> ()) data ~off ~limit =
-  let s = { s_records = 0; s_corrupt = 0; s_valid_end = off } in
-  let pos = ref off in
+(* Walk the journal's records, calling [apply] on every intact
+   certificate record.  A short or unframed tail stops the walk (torn); a
+   complete record with a bad checksum or unparsable payload is skipped
+   (corrupt), because the framing still carries us to the next record. *)
+let scan_records ?(apply = fun ~key:_ _ -> ()) data =
+  let limit = String.length data in
+  let s = { s_records = 0; s_corrupt = 0; s_valid_end = 0 } in
+  let pos = ref 0 in
   let torn = ref false in
   while (not !torn) && !pos + header_bytes <= limit do
     let p = !pos in
@@ -144,21 +139,14 @@ let scan_records ?(apply = fun ~key:_ _ -> ()) data ~off ~limit =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  dir : string;
   journal_path : string;
-  segment_path : string;
-  auto_compact : int;
   table : (string, string) Hashtbl.t;
   lock : Mutex.t;
-  mutable oc : out_channel;
+  oc : out_channel;
   mutable closed : bool;
-  mutable journal_records : int;
-  mutable segment_records : int;
-  mutable segment_bytes : int;
-  mutable replayed : int;
-  mutable corrupt : int;
-  mutable truncated_bytes : int;
-  mutable compactions : int;
+  replayed : int;
+  corrupt : int;
+  truncated_bytes : int;
   mutable appends : int;
   mutable hits : int;
   mutable misses : int;
@@ -168,13 +156,10 @@ type t = {
 type stats = {
   live_certificates : int;
   journal_records : int;
-  segment_records : int;
   journal_bytes : int;
-  segment_bytes : int;
   replayed : int;
   corrupt : int;
   truncated_bytes : int;
-  compactions : int;
   appends : int;
   hits : int;
   misses : int;
@@ -192,52 +177,16 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
 
-(* The footer names the index region; the index in turn bounds the record
-   region, so a loader can stop scanning exactly where records end.  An
-   invalid footer (external damage) degrades to a journal-style sequential
-   scan — never a failed open. *)
-let segment_record_limit data =
-  let size = String.length data in
-  let hdr = String.length segment_magic in
-  if size < hdr || not (String.equal (String.sub data 0 hdr) segment_magic)
-  then None
-  else if size < hdr + footer_bytes then Some (size, false)
-  else
-    let foff = size - footer_bytes in
-    if get_u32 data (foff + 12) <> footer_magic then Some (size, false)
-    else
-      let index_off = Int64.to_int (String.get_int64_le data foff) in
-      if index_off < hdr || index_off > foff then Some (size, false)
-      else if
-        get_u32 data (foff + 8) <> crc32_sub data index_off (foff - index_off)
-      then Some (size, false)
-      else Some (index_off, true)
+let journal_file dir = Filename.concat dir "journal.pmi"
 
-let load_segment path apply =
-  let data = read_file path in
-  match segment_record_limit data with
-  | None -> { s_records = 0; s_corrupt = 0; s_valid_end = 0 }
-  | Some (limit, _indexed) ->
-    scan_records ~apply data ~off:(String.length segment_magic) ~limit
-
-let dir t = t.dir
-
-let open_ ?(auto_compact = 8192) dir =
+let open_ dir =
   mkdir_p dir;
-  let journal_path = Filename.concat dir "journal.pmi" in
-  let segment_path = Filename.concat dir "segment.pmi" in
+  let journal_path = journal_file dir in
   let table = Hashtbl.create 256 in
   let apply ~key value = Hashtbl.replace table key value in
   Obs.span "store.replay" @@ fun () ->
-  let seg = load_segment segment_path apply in
-  let segment_bytes =
-    if Sys.file_exists segment_path then
-      In_channel.with_open_bin segment_path In_channel.length
-      |> Int64.to_int
-    else 0
-  in
   let data = read_file journal_path in
-  let jnl = scan_records ~apply data ~off:0 ~limit:(String.length data) in
+  let jnl = scan_records ~apply data in
   let truncated = String.length data - jnl.s_valid_end in
   if truncated > 0 then begin
     (* Torn tail (or unframed garbage): drop it so the next append starts
@@ -246,7 +195,7 @@ let open_ ?(auto_compact = 8192) dir =
     Obs.incr c_recovered
   end;
   Obs.add c_replayed jnl.s_records;
-  Obs.add c_corrupt (jnl.s_corrupt + seg.s_corrupt);
+  Obs.add c_corrupt jnl.s_corrupt;
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 journal_path
   in
@@ -255,21 +204,14 @@ let open_ ?(auto_compact = 8192) dir =
     | Some s -> int_of_string_opt s
     | None -> None
   in
-  { dir;
-    journal_path;
-    segment_path;
-    auto_compact;
+  { journal_path;
     table;
     lock = Mutex.create ();
     oc;
     closed = false;
-    journal_records = jnl.s_records;
-    segment_records = seg.s_records;
-    segment_bytes;
     replayed = jnl.s_records;
-    corrupt = jnl.s_corrupt + seg.s_corrupt;
+    corrupt = jnl.s_corrupt;
     truncated_bytes = truncated;
-    compactions = 0;
     appends = 0;
     hits = 0;
     misses = 0;
@@ -301,62 +243,7 @@ let maybe_crash t =
     Unix.kill (Unix.getpid ()) Sys.sigkill
   | _ -> ()
 
-let rec compact_locked t =
-  Obs.span "store.compact" @@ fun () ->
-  let tmp = t.segment_path ^ ".tmp" in
-  let oc =
-    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
-  in
-  output_string oc segment_magic;
-  let offset = ref (String.length segment_magic) in
-  let index = Buffer.create 1024 in
-  let count = ref 0 in
-  (* Sorted keys: compaction output is a pure function of the live
-     contents, so open/close/open leaves the bytes untouched and two
-     replicas with the same records compact identically.  Retired records
-     were never loaded, so they are not written back. *)
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.table []
-  |> List.sort String.compare
-  |> List.iter (fun key ->
-      let record = encode_record ~key (Hashtbl.find t.table key) in
-      output_bytes oc record;
-      Buffer.add_uint8 index certificate_code;
-      Buffer.add_uint16_le index (String.length key);
-      Buffer.add_string index key;
-      Buffer.add_int64_le index (Int64.of_int !offset);
-      offset := !offset + Bytes.length record;
-      incr count);
-  let index_off = !offset in
-  let index_payload =
-    let b = Buffer.create (Buffer.length index + 4) in
-    Buffer.add_int32_le b (Int32.of_int !count);
-    Buffer.add_buffer b index;
-    Buffer.contents b
-  in
-  output_string oc index_payload;
-  let footer = Bytes.create footer_bytes in
-  Bytes.set_int64_le footer 0 (Int64.of_int index_off);
-  set_u32 footer 8 (crc32_sub index_payload 0 (String.length index_payload));
-  set_u32 footer 12 footer_magic;
-  output_bytes oc footer;
-  flush oc;
-  close_out oc;
-  (* Publish point: readers either see the old segment or the complete new
-     one.  A crash before the journal truncate below merely leaves journal
-     records that replay idempotently over the new segment. *)
-  Sys.rename tmp t.segment_path;
-  close_out t.oc;
-  t.oc <-
-    open_out_gen
-      [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-      0o644 t.journal_path;
-  t.segment_records <- !count;
-  t.segment_bytes <- index_off + String.length index_payload + footer_bytes;
-  t.journal_records <- 0;
-  t.compactions <- t.compactions + 1;
-  Obs.incr c_compactions
-
-and put t ~key value =
+let put t ~key value =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some v when String.equal v value -> () (* identical re-put: no-op *)
@@ -365,14 +252,9 @@ and put t ~key value =
             Hashtbl.replace t.table key value;
             output_bytes t.oc (encode_record ~key value);
             flush t.oc;
-            t.journal_records <- t.journal_records + 1;
             t.appends <- t.appends + 1;
             Obs.incr c_appends;
-            maybe_crash t);
-        if t.auto_compact > 0 && t.journal_records >= t.auto_compact then
-          compact_locked t)
-
-let compact t = with_lock t (fun () -> compact_locked t)
+            maybe_crash t))
 
 let get t ~key =
   with_lock t (fun () ->
@@ -386,39 +268,20 @@ let get t ~key =
         Obs.incr c_misses;
         None)
 
-let mem t ~key = Option.is_some (get t ~key)
-
-let iter t f =
-  (* Snapshot under the lock, apply outside: [f] may call back into the
-     store. *)
-  let entries =
-    with_lock t (fun () ->
-        Hashtbl.fold
-          (fun key value acc -> (key, value) :: acc)
-          t.table [])
-  in
-  List.iter (fun (key, value) -> f ~key value) entries
-
-let live t = with_lock t (fun () -> Hashtbl.length t.table)
-
 let stats t =
   with_lock t (fun () ->
       { live_certificates = Hashtbl.length t.table;
-        journal_records = t.journal_records;
-        segment_records = t.segment_records;
+        journal_records = t.replayed + t.appends;
         journal_bytes =
           (try (Unix.stat t.journal_path).Unix.st_size with Unix.Unix_error _ -> 0);
-        segment_bytes = t.segment_bytes;
         replayed = t.replayed;
         corrupt = t.corrupt;
         truncated_bytes = t.truncated_bytes;
-        compactions = t.compactions;
         appends = t.appends;
         hits = t.hits;
         misses = t.misses })
 
 type report = {
-  r_segment_records : int;
   r_journal_records : int;
   r_corrupt : int;
   r_torn_bytes : int;
@@ -427,10 +290,8 @@ type report = {
 let verify dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": no store directory"));
-  let seg = load_segment (Filename.concat dir "segment.pmi") (fun ~key:_ _ -> ()) in
-  let data = read_file (Filename.concat dir "journal.pmi") in
-  let jnl = scan_records data ~off:0 ~limit:(String.length data) in
-  { r_segment_records = seg.s_records;
-    r_journal_records = jnl.s_records;
-    r_corrupt = seg.s_corrupt + jnl.s_corrupt;
+  let data = read_file (journal_file dir) in
+  let jnl = scan_records data in
+  { r_journal_records = jnl.s_records;
+    r_corrupt = jnl.s_corrupt;
     r_torn_bytes = String.length data - jnl.s_valid_end }

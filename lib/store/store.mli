@@ -8,30 +8,23 @@
 
     {2 On-disk layout}
 
-    A store directory holds two files:
-
-    - [journal.pmi] — an append-only journal.  Every record is framed as
-      [magic · u32 payload length · u32 CRC32 · payload] where the payload
-      is [u8 version · u8 kind · u16 key length · key · u32 value length ·
-      value] (all little-endian).  Appends are flushed to the OS after
-      every record; the store deliberately does {e not} [fsync] (a
-      process crash loses nothing; an OS crash may lose the tail, which
-      recovery then treats as torn).
-    - [segment.pmi] — the compacted history: the same record framing
-      behind an 8-byte header, followed by an index
-      ([u32 entry count · (u8 kind · u16 key length · key · u64 offset)*])
-      and a 16-byte footer ([u64 index offset · u32 index CRC32 · u32
-      magic]).  Compaction writes live records (last writer wins per key)
-      to a temporary file and publishes it with an atomic
-      [rename], then truncates the journal — a crash between the two
-      steps only leaves journal records that replay idempotently over the
-      segment.
+    A store directory holds one file, [journal.pmi], an append-only
+    journal.  Every record is framed as [magic · u32 payload length · u32
+    CRC32 · payload] where the payload is [u8 version · u8 kind · u16 key
+    length · key · u32 value length · value] (all little-endian).  Appends
+    are flushed to the OS after every record; the store deliberately does
+    {e not} [fsync] (a process crash loses nothing; an OS crash may lose
+    the tail, which recovery then treats as torn).  Replay applies records
+    in order, so the last writer of a key wins.  A certified run appends
+    about a hundred records and a warm re-run appends none, so the journal
+    is never compacted.
 
     Certificates are kind code 1.  Codes 0 and 2 are retired: they held
     harness measurements and bench timing history in stores written
     before those record kinds were deleted.  Such records are intact, so
-    replay skips them without counting them corrupt, and the next
-    compaction drops them.
+    replay skips them without counting them corrupt.  A [segment.pmi]
+    that older builds wrote next to the journal is ignored: its
+    certificates are cache misses, re-checked and appended again.
 
     {2 Recovery}
 
@@ -49,9 +42,8 @@
 
     {2 Telemetry}
 
-    [store.append], [store.replay] and [store.compact] spans, plus
-    [store.{appends,hits,misses,recovered,corrupt,replayed,compactions}]
-    counters (process-wide, one-atomic-branch no-ops when telemetry is
+    [store.append] and [store.replay] spans, plus
+    [store.{appends,hits,misses,recovered,corrupt,replayed}] counters (process-wide, one-atomic-branch no-ops when telemetry is
     off).
 
     {2 Crash injection}
@@ -66,18 +58,13 @@
 
 type t
 
-val open_ : ?auto_compact:int -> string -> t
-(** [open_ dir] creates [dir] if needed, loads the segment, replays the
-    journal (recovering as described above) and opens the journal for
-    append.  [auto_compact] (default 8192, [<= 0] disables) is the number
-    of journal records that triggers an automatic {!compact} inside
-    {!put}. *)
+val open_ : string -> t
+(** [open_ dir] creates [dir] if needed, replays the journal (recovering
+    as described above) and opens it for append. *)
 
 val close : t -> unit
 (** Flush and close the journal.  Further operations raise
     [Invalid_argument]. *)
-
-val dir : t -> string
 
 val put : t -> key:string -> string -> unit
 (** Insert or overwrite (last writer wins).  The record is appended to
@@ -87,30 +74,15 @@ val put : t -> key:string -> string -> unit
     exceeds the 16 MiB record bound. *)
 
 val get : t -> key:string -> string option
-val mem : t -> key:string -> bool
-
-val iter : t -> (key:string -> string -> unit) -> unit
-(** Live records, in unspecified order. *)
-
-val live : t -> int
-(** Number of live records. *)
-
-val compact : t -> unit
-(** Write all live records to a fresh segment (atomic rename) and
-    truncate the journal. *)
 
 type stats = {
   live_certificates : int;
   journal_records : int;      (** records currently in the journal,
                                   retired ones included *)
-  segment_records : int;      (** records loaded from the segment,
-                                  retired ones included *)
   journal_bytes : int;
-  segment_bytes : int;
   replayed : int;             (** journal records recovered at [open_] *)
   corrupt : int;              (** corrupt records skipped at [open_] *)
   truncated_bytes : int;      (** torn-tail bytes removed at [open_] *)
-  compactions : int;          (** compactions since [open_] *)
   appends : int;              (** appends since [open_] *)
   hits : int;                 (** [get] hits since [open_] *)
   misses : int;               (** [get] misses since [open_] *)
@@ -119,9 +91,8 @@ type stats = {
 val stats : t -> stats
 
 type report = {
-  r_segment_records : int;
   r_journal_records : int;
-  r_corrupt : int;       (** checksum-rejected records in either file *)
+  r_corrupt : int;       (** checksum-rejected records *)
   r_torn_bytes : int;    (** trailing bytes recovery would truncate *)
 }
 

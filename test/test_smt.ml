@@ -392,6 +392,51 @@ let test_sanitize_pigeonhole () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariant violated after solve: %s" msg
 
+let test_sanitize_incremental () =
+  (* The CEGIS pattern on one sanitized solver: clauses arrive between
+     solves, every solve runs under activation assumptions, and a retired
+     activation literal is unit-negated.  Pigeons join one at a time, each
+     one's "some hole" clause guarded by its own activation literal; the
+     eighth overflows the seven holes, which takes enough conflicts to
+     cross restarts and a clause-database reduction.  The invariants must
+     hold at every level-0 boundary inside each solve and between them. *)
+  let holes = 7 and pigeons = 8 in
+  let s = Sat.create () in
+  Sat.set_sanitize s true;
+  let check what =
+    match Sat.Invariants.check s with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "invariant violated %s: %s" what msg
+  in
+  let seat =
+    Array.init pigeons (fun _ -> Array.init holes (fun _ -> Sat.fresh_var s))
+  in
+  let act = Array.init pigeons (fun _ -> Sat.fresh_var s) in
+  let active n = List.init n (fun p -> Lit.pos act.(p)) in
+  for p = 0 to pigeons - 1 do
+    Sat.add_clause s
+      (Lit.neg_of_var act.(p) :: Array.to_list (Array.map Lit.pos seat.(p)));
+    for q = 0 to p - 1 do
+      for h = 0 to holes - 1 do
+        Sat.add_clause s
+          [ Lit.neg_of_var seat.(q).(h); Lit.neg_of_var seat.(p).(h) ]
+      done
+    done;
+    check (Printf.sprintf "after adding pigeon %d" (p + 1));
+    Alcotest.(check bool)
+      (Printf.sprintf "%d pigeons in %d holes" (p + 1) holes)
+      (p < holes)
+      (is_sat (Sat.solve ~assumptions:(active (p + 1)) s));
+    check (Printf.sprintf "after solving with %d pigeons" (p + 1))
+  done;
+  Sat.add_clause s [ Lit.neg_of_var act.(pigeons - 1) ];
+  Alcotest.(check bool) "the retired pigeon frees the holes" true
+    (is_sat (Sat.solve ~assumptions:(active holes) s));
+  check "after the retired solve";
+  let st = Sat.stats s in
+  Alcotest.(check bool) "crossed a restart" true (st.Sat.restarts > 0);
+  Alcotest.(check bool) "crossed a reduction" true (st.Sat.deleted > 0)
+
 let prop_sanitize_random =
   QCheck2.Test.make ~name:"sanitizer accepts random solving" ~count:120
     cnf_gen
@@ -656,7 +701,9 @@ let () =
          Alcotest.test_case "default search path is pinned" `Quick
            test_sat_default_search_path;
          Alcotest.test_case "sanitizer on pigeonhole 6/5" `Slow
-           test_sanitize_pigeonhole ]
+           test_sanitize_pigeonhole;
+         Alcotest.test_case "sanitizer across incremental solves" `Quick
+           test_sanitize_incremental ]
        @ qsuite
            [ prop_sat_matches_brute_force; prop_sat_3sat_stress;
              prop_sat_matches_dpll; prop_reduction_parity;

@@ -1,11 +1,11 @@
 (* The durable store: journal framing and recovery (torn tails truncated,
    checksum-rejected records skipped without failing open), last-writer-wins
-   semantics across compaction, byte-level idempotence of open/close and of
-   repeated compaction, a QCheck round-trip against a reference table,
-   stores holding records of the retired measurement and bench-history
-   kinds (codes 0 and 2), which open cleanly and lose those records at
-   compaction, and [verify] refusing a directory that does not exist.
-   This suite is also wired as `dune build @store`. *)
+   semantics across a reopen, byte-level idempotence of open/close, a
+   QCheck round-trip against a reference table, stores holding records of
+   the retired measurement and bench-history kinds (codes 0 and 2), which
+   open cleanly and skip those records, a [segment.pmi] left by an older
+   build, which is ignored, and [verify] refusing a directory that does not
+   exist.  This suite is also wired as `dune build @store`. *)
 
 module Store = Pmi_store.Store
 
@@ -20,6 +20,8 @@ let temp_dir () =
 let journal dir = Filename.concat dir "journal.pmi"
 let segment dir = Filename.concat dir "segment.pmi"
 
+let live s = (Store.stats s).Store.live_certificates
+
 let read_file path =
   if Sys.file_exists path then
     In_channel.with_open_bin path In_channel.input_all
@@ -28,8 +30,8 @@ let read_file path =
 let write_file path data =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
-let with_store ?auto_compact dir f =
-  let s = Store.open_ ?auto_compact dir in
+let with_store dir f =
+  let s = Store.open_ dir in
   Fun.protect ~finally:(fun () -> Store.close s) (fun () -> f s)
 
 (* ------------------------------------------------------------------ *)
@@ -45,10 +47,13 @@ let test_put_get_roundtrip () =
         (Store.get s ~key:"c1");
       Alcotest.(check (option string)) "absent key" None
         (Store.get s ~key:"b1");
-      Alcotest.(check bool) "mem" true (Store.mem s ~key:"c3"));
+      Alcotest.(check (option string)) "third certificate"
+        (Some "third digest") (Store.get s ~key:"c3"));
+  Alcotest.(check (array string)) "the journal is the only file"
+    [| "journal.pmi" |] (Sys.readdir dir);
   (* Everything survives a close/reopen. *)
   with_store dir (fun s ->
-      Alcotest.(check int) "certificates live" 3 (Store.live s);
+      Alcotest.(check int) "certificates live" 3 (live s);
       Alcotest.(check (option string)) "value survives" (Some "other digest")
         (Store.get s ~key:"c2");
       let st = Store.stats s in
@@ -102,7 +107,7 @@ let test_torn_tail_truncated () =
            let st = Store.stats s in
            Alcotest.(check int)
              (Printf.sprintf "cut %d keeps the complete records" cut)
-             3 (Store.live s);
+             3 (live s);
            Alcotest.(check int)
              (Printf.sprintf "cut %d reports no corruption" cut)
              0 st.Store.corrupt;
@@ -138,7 +143,7 @@ let test_bit_flip_rejected () =
       let st = Store.stats s in
       Alcotest.(check int) "one record rejected" 1 st.Store.corrupt;
       Alcotest.(check int) "the others survive" 2
-        (Store.live s);
+        (live s);
       Alcotest.(check (option string)) "record before the flip" (Some "value-00")
         (Store.get s ~key:"key-00");
       Alcotest.(check (option string)) "record after the flip" (Some "value-02")
@@ -147,76 +152,65 @@ let test_bit_flip_rejected () =
         (Store.get s ~key:"key-01"))
 
 (* ------------------------------------------------------------------ *)
-(* Compaction                                                          *)
+(* Reopen                                                              *)
 
-let test_lww_after_compaction () =
+let test_lww_across_reopen () =
   let dir = temp_dir () in
   with_store dir (fun s ->
       Store.put s ~key:"k" "v1";
       Store.put s ~key:"k" "v2";
       Store.put s ~key:"other" "o";
       Store.put s ~key:"k" "v3";
-      Store.compact s;
       Alcotest.(check (option string)) "last writer wins" (Some "v3")
-        (Store.get s ~key:"k");
-      let st = Store.stats s in
-      Alcotest.(check int) "journal truncated" 0 st.Store.journal_records;
-      Alcotest.(check int) "segment holds only live records" 2
-        st.Store.segment_records);
+        (Store.get s ~key:"k"));
   with_store dir (fun s ->
       Alcotest.(check (option string)) "winner survives reopen" (Some "v3")
         (Store.get s ~key:"k");
-      Alcotest.(check int) "still two live" 2 (Store.live s))
+      Alcotest.(check int) "two live" 2 (live s);
+      Alcotest.(check int) "every write replayed" 4
+        (Store.stats s).Store.journal_records)
 
 let test_open_close_idempotent () =
   let dir = temp_dir () in
   populate dir 5;
-  with_store dir (fun s -> Store.compact s);
   let jnl = read_file (journal dir) in
-  let seg = read_file (segment dir) in
-  (* A clean open/close sequence must not move a byte of either file, and
-     re-compacting the identical live set must reproduce the segment
-     exactly (deterministic record order). *)
+  (* A clean open/close sequence, and re-putting what is stored, must not
+     move a byte of the journal. *)
   with_store dir (fun s -> ignore (Store.stats s));
   Alcotest.(check string) "journal untouched" jnl (read_file (journal dir));
-  Alcotest.(check string) "segment untouched" seg (read_file (segment dir));
-  with_store dir (fun s -> Store.compact s);
-  Alcotest.(check string) "re-compaction is byte-identical" seg
-    (read_file (segment dir))
+  with_store dir (fun s -> Store.put s ~key:"key-03" "value-03");
+  Alcotest.(check string) "identical re-put leaves the journal as is" jnl
+    (read_file (journal dir))
 
 (* ------------------------------------------------------------------ *)
 (* Randomised round-trip                                               *)
 
 let prop_random_roundtrip =
   let open QCheck2 in
-  let op =
-    Gen.(oneof
-           [ map2
-               (fun key v -> `Put (Printf.sprintf "k%d" key, v))
-               (int_range 0 31)
-               (string_size ~gen:printable (int_range 0 40));
-             return `Compact ])
+  let put =
+    Gen.(map2
+           (fun key v -> (Printf.sprintf "k%d" key, v))
+           (int_range 0 31)
+           (string_size ~gen:printable (int_range 0 40)))
   in
   Test.make ~name:"random ops survive close/reopen" ~count:50
-    Gen.(list_size (int_range 1 60) op)
-    (fun ops ->
+    Gen.(list_size (int_range 1 60) put)
+    (fun puts ->
        let dir = temp_dir () in
        let reference = Hashtbl.create 64 in
-       with_store ~auto_compact:7 dir (fun s ->
+       with_store dir (fun s ->
            List.iter
-             (function
-               | `Put (key, v) ->
-                 Hashtbl.replace reference key v;
-                 Store.put s ~key v
-               | `Compact -> Store.compact s)
-             ops);
+             (fun (key, v) ->
+                Hashtbl.replace reference key v;
+                Store.put s ~key v)
+             puts);
        with_store dir (fun s ->
            Hashtbl.iter
              (fun key v ->
                 if Store.get s ~key <> Some v then
                   Test.fail_reportf "key %s lost or changed" key)
              reference;
-           Hashtbl.length reference = Store.live s
+           Hashtbl.length reference = live s
            && (Store.stats s).Store.corrupt = 0))
 
 (* ------------------------------------------------------------------ *)
@@ -254,11 +248,6 @@ let frame_record ~code ~key value =
   Buffer.add_string r payload;
   Buffer.contents r
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* A store holding one certificate and one record of a retired kind
    [code], appended to the journal as the deleted writer framed it. *)
 let check_retired_kind ~code ~key value =
@@ -281,19 +270,9 @@ let check_retired_kind ~code ~key value =
       Alcotest.(check int) "nothing truncated" 0 st.Store.truncated_bytes;
       Alcotest.(check (option string)) "certificate kept" (Some "digest")
         (Store.get s ~key:"c");
-      Alcotest.(check int) "one live record" 1
-        (Store.live s);
-      Store.compact s;
-      Alcotest.(check int) "compaction keeps the certificate only" 1
-        (Store.stats s).Store.segment_records);
-  Alcotest.(check bool) "the retired record is compacted away" false
-    (contains (read_file (segment dir)) key);
-  let report = Store.verify dir in
-  Alcotest.(check int) "verify after compaction: nothing corrupt" 0
-    report.Store.r_corrupt;
-  with_store dir (fun s ->
-      Alcotest.(check (option string)) "certificate survives compaction"
-        (Some "digest") (Store.get s ~key:"c"))
+      Alcotest.(check int) "one live record" 1 (live s);
+      Alcotest.(check (option string)) "the retired record is skipped" None
+        (Store.get s ~key))
 
 (* A measurement record as the harness's durable tier wrote them: kind
    code 0, fingerprint|experiment key, num:den:spread-bits:retired-ops. *)
@@ -306,6 +285,52 @@ let test_retired_bench_kind () =
   let record = {|{"schema_version":1,"results":[]}|} in
   check_retired_kind ~code:2 ~key:(Digest.to_hex (Digest.string record))
     record
+
+(* A segment as older builds compacted them: "PMISEG1\n", the same record
+   framing, then an index ([u32 entry count · (u8 kind · u16 key length ·
+   key · u64 offset)*]) and a 16-byte footer ([u64 index offset · u32
+   index CRC32 · "PMIX"]). *)
+let legacy_segment ~key value =
+  let header = "PMISEG1\n" in
+  let record = frame_record ~code:1 ~key value in
+  let index = Buffer.create 32 in
+  Buffer.add_int32_le index 1l;
+  Buffer.add_uint8 index 1;
+  Buffer.add_uint16_le index (String.length key);
+  Buffer.add_string index key;
+  Buffer.add_int64_le index (Int64.of_int (String.length header));
+  let index = Buffer.contents index in
+  let footer = Buffer.create 16 in
+  Buffer.add_int64_le footer
+    (Int64.of_int (String.length header + String.length record));
+  Buffer.add_int32_le footer (Int32.of_int (crc32 index));
+  Buffer.add_string footer "PMIX";
+  String.concat "" [ header; record; index; Buffer.contents footer ]
+
+(* The store reads only its journal: a certificate that exists only in a
+   legacy segment is a cache miss, so a certified run re-checks it rather
+   than trusting it unchecked. *)
+let test_legacy_segment_ignored () =
+  let dir = temp_dir () in
+  with_store dir (fun s -> Store.put s ~key:"c" "digest");
+  let seg = legacy_segment ~key:"old" "old digest" in
+  write_file (segment dir) seg;
+  with_store dir (fun s ->
+      let st = Store.stats s in
+      Alcotest.(check int) "opens with nothing corrupt" 0 st.Store.corrupt;
+      Alcotest.(check int) "nothing truncated" 0 st.Store.truncated_bytes;
+      Alcotest.(check (option string)) "segment-only key is a miss" None
+        (Store.get s ~key:"old");
+      Alcotest.(check (option string)) "journal certificate kept"
+        (Some "digest") (Store.get s ~key:"c");
+      Alcotest.(check int) "one live record" 1 (live s));
+  let report = Store.verify dir in
+  Alcotest.(check int) "verify reports the journal only" 1
+    report.Store.r_journal_records;
+  Alcotest.(check int) "verify: nothing corrupt" 0 report.Store.r_corrupt;
+  Alcotest.(check int) "verify: no torn tail" 0 report.Store.r_torn_bytes;
+  Alcotest.(check string) "the segment is left as it was" seg
+    (read_file (segment dir))
 
 (* [verify] is read-only: on a path with no store it must fail rather than
    report a clean empty store, and it must not create the directory. *)
@@ -330,16 +355,19 @@ let () =
        [ Alcotest.test_case "torn tail truncated" `Quick
            test_torn_tail_truncated;
          Alcotest.test_case "bit flip rejected" `Quick test_bit_flip_rejected ]);
-      ("compaction",
-       [ Alcotest.test_case "last writer wins" `Quick test_lww_after_compaction;
-         Alcotest.test_case "open/close and re-compaction idempotent" `Quick
+      ("reopen",
+       [ Alcotest.test_case "last writer wins" `Quick test_lww_across_reopen;
+         Alcotest.test_case "open/close idempotent" `Quick
            test_open_close_idempotent ]);
       ("random", qsuite [ prop_random_roundtrip ]);
       ("retired",
-       [ Alcotest.test_case "measurement records skipped and compacted away"
-           `Quick test_retired_measurement_kind;
-         Alcotest.test_case "bench records skipped and compacted away" `Quick
+       [ Alcotest.test_case "measurement records skipped" `Quick
+           test_retired_measurement_kind;
+         Alcotest.test_case "bench records skipped" `Quick
            test_retired_bench_kind ]);
+      ("legacy",
+       [ Alcotest.test_case "segment ignored" `Quick
+           test_legacy_segment_ignored ]);
       ("verify",
        [ Alcotest.test_case "missing directory fails" `Quick
            test_verify_missing_dir ]) ]
