@@ -647,12 +647,7 @@ let store_stats dir json =
                Json.Obj
                  [ ("replayed", n st.Store.replayed);
                    ("corrupt", n st.Store.corrupt);
-                   ("truncated_bytes", n st.Store.truncated_bytes) ]);
-              ("session",
-               Json.Obj
-                 [ ("appends", n st.Store.appends);
-                   ("hits", n st.Store.hits);
-                   ("misses", n st.Store.misses) ]) ]))
+                   ("truncated_bytes", n st.Store.truncated_bytes) ]) ]))
   end
   else begin
     Format.printf "store: %s@." dir;

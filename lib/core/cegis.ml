@@ -577,7 +577,7 @@ let canonical ?(config = default_config) ~specs ~observations () =
        Encoding.decode th.encoding (canonical_model config th obs pool model))
     (find_mapping config th obs pool)
 
-let infer ?(config = default_config) ~measure ~specs () =
+let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () =
   Obs.span "cegis.infer" @@ fun () ->
   let pool = Vec.create () in
   let observations = Vec.create () in
@@ -625,10 +625,10 @@ let infer ?(config = default_config) ~measure ~specs () =
   let validate m1 =
     Obs.span ~args:[ ("sweep", Obs.Int (Array.length sweep)) ] "cegis.validate"
     @@ fun () ->
-    (* The first sweep experiment the converged mapping fails to explain;
-       [None] means the convergence is confirmed.  Only one refutation is
-       reported per round, so an UNSAT the §4.3 culprit search sees
-       follows from a single new observation. *)
+    (* The first sweep experiment [m1] fails to explain; [None] means
+       [m1] explains the whole sweep.  Only one refutation is reported
+       per check, so an UNSAT the §4.3 culprit search sees follows from
+       a single new observation. *)
     let oracle = Oracle.create m1 in
     let tolerance = fm_theory.tolerance in
     let failing e =
@@ -641,6 +641,18 @@ let infer ?(config = default_config) ~measure ~specs () =
              (measured { experiment = e; cycles = measure e }))
     in
     Array.find_opt failing sweep
+  in
+  (* Observe the sweep experiment that refutes [m1], if any, and go
+     around again; otherwise go on with [k]. *)
+  let refute iteration m1 k =
+    match validate m1 with
+    | Some failure ->
+      Log.info (fun m ->
+          m "iteration %d: validation experiment %s refutes the \
+             current mapping" iteration (Experiment.to_string failure));
+      ignore (observe failure);
+      None
+    | None -> k ()
   in
   (* One CEGIS iteration under its own span; [None] means "not settled,
      go around again".  Keeping the iteration body out of the recursion
@@ -660,50 +672,49 @@ let infer ?(config = default_config) ~measure ~specs () =
                   No_consistent_mapping { s with iterations = iteration }))
          | Some model ->
            let m1 = Encoding.decode fm_encoding model in
-           (match
-              find_other_mapping config other_state specs observations pool
-                m1 tried
-            with
-            | None ->
-              (match validate m1 with
-               | None ->
-                 (* Converged: return the canonical representative, unless
-                    an experiment tells it apart from m1, which shows the
-                    convergence was premature. *)
-                 let canonical =
-                   Encoding.decode fm_encoding
-                     (canonical_model config fm_theory observations pool model)
-                 in
-                 (match
-                    distinguishing_experiment config fm_theory.tolerance m1
-                      canonical schemes
-                  with
-                  | None ->
-                    Some
-                      (finish (fun s ->
-                           Converged (canonical, { s with iterations = iteration })))
-                  | Some e ->
-                    Log.info (fun m ->
-                        m "iteration %d: experiment %s tells the canonical \
-                           mapping apart from the converged one" iteration
-                          (Experiment.to_string e));
-                    ignore (observe e);
-                    None)
-               | Some failure ->
-                 Log.info (fun m ->
-                     m "iteration %d: validation experiment %s refutes the \
-                        converged mapping" iteration
-                       (Experiment.to_string failure));
-                 ignore (observe failure);
-                 None)
-            | Some (_, new_exp) ->
-              let obs = observe new_exp in
-              Log.info (fun m ->
-                  m "iteration %d: new experiment %s measured at %s cycles"
-                    iteration
-                    (Experiment.to_string new_exp)
-                    (Rat.to_string obs.cycles));
-              None))
+           (* Converged: return the canonical representative, unless an
+              experiment tells it apart from m1, which shows the
+              convergence was premature. *)
+           let converge () =
+             let canonical =
+               Encoding.decode fm_encoding
+                 (canonical_model config fm_theory observations pool model)
+             in
+             match
+               distinguishing_experiment config fm_theory.tolerance m1
+                 canonical schemes
+             with
+             | None ->
+               Some
+                 (finish (fun s ->
+                      Converged (canonical, { s with iterations = iteration })))
+             | Some e ->
+               Log.info (fun m ->
+                   m "iteration %d: experiment %s tells the canonical \
+                      mapping apart from the converged one" iteration
+                     (Experiment.to_string e));
+               ignore (observe e);
+               None
+           in
+           let distinguish () =
+             match
+               find_other_mapping config other_state specs observations pool
+                 m1 tried
+             with
+             | None ->
+               if refute_early then converge ()
+               else refute iteration m1 converge
+             | Some (_, new_exp) ->
+               let obs = observe new_exp in
+               Log.info (fun m ->
+                   m "iteration %d: new experiment %s measured at %s cycles"
+                     iteration
+                     (Experiment.to_string new_exp)
+                     (Rat.to_string obs.cycles));
+               None
+           in
+           if refute_early then refute iteration m1 distinguish
+           else distinguish ())
   in
   let rec loop iteration =
     if iteration > config.max_iterations then

@@ -115,6 +115,7 @@ val theory_rounds :
 
 val infer :
   ?config:config ->
+  ?refute_early:bool ->
   measure:(Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t) ->
   specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
   unit ->
@@ -124,7 +125,17 @@ val infer :
     Every run starts cold: the only history it sees is what [measure]
     answers.  The loop is sequential; [measure] is only ever called from
     the calling domain.  A [Converged] mapping is the {!canonical} mapping
-    of the run's observations. *)
+    of the run's observations.
+
+    Before declaring convergence the loop checks the mapping against a
+    sweep of canonical flooding experiments and observes the first one it
+    fails to explain.  By default (the paper's order) the sweep runs only
+    once [findOtherMapping] finds nothing.  With [refute_early] it runs on
+    every iteration's [findMapping] model, before [findOtherMapping]: a
+    round whose observations hold a §4.3 anomaly then reaches UNSAT in a
+    few iterations instead of converging first.  The sweep experiments
+    observed early take the place of distinguishing experiments, so a
+    converged round measures a different experiment set. *)
 
 val canonical :
   ?config:config ->

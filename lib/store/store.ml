@@ -148,8 +148,6 @@ type t = {
   corrupt : int;
   truncated_bytes : int;
   mutable appends : int;
-  mutable hits : int;
-  mutable misses : int;
   crash_after : int option; (* PMI_STORE_CRASH_AFTER: CI fault injection *)
 }
 
@@ -160,9 +158,6 @@ type stats = {
   replayed : int;
   corrupt : int;
   truncated_bytes : int;
-  appends : int;
-  hits : int;
-  misses : int;
 }
 
 let read_file path =
@@ -213,8 +208,6 @@ let open_ dir =
     corrupt = jnl.s_corrupt;
     truncated_bytes = truncated;
     appends = 0;
-    hits = 0;
-    misses = 0;
     crash_after }
 
 let check_open t = if t.closed then invalid_arg "Store: store is closed"
@@ -260,11 +253,9 @@ let get t ~key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some v ->
-        t.hits <- t.hits + 1;
         Obs.incr c_hits;
         Some v
       | None ->
-        t.misses <- t.misses + 1;
         Obs.incr c_misses;
         None)
 
@@ -276,10 +267,7 @@ let stats t =
           (try (Unix.stat t.journal_path).Unix.st_size with Unix.Unix_error _ -> 0);
         replayed = t.replayed;
         corrupt = t.corrupt;
-        truncated_bytes = t.truncated_bytes;
-        appends = t.appends;
-        hits = t.hits;
-        misses = t.misses })
+        truncated_bytes = t.truncated_bytes })
 
 type report = {
   r_journal_records : int;

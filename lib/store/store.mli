@@ -83,9 +83,6 @@ type stats = {
   replayed : int;             (** journal records recovered at [open_] *)
   corrupt : int;              (** corrupt records skipped at [open_] *)
   truncated_bytes : int;      (** torn-tail bytes removed at [open_] *)
-  appends : int;              (** appends since [open_] *)
-  hits : int;                 (** [get] hits since [open_] *)
-  misses : int;               (** [get] misses since [open_] *)
 }
 
 val stats : t -> stats

@@ -743,27 +743,19 @@ let prop_theory_incremental_matches_scratch =
 (* CEGIS at scale: the solver trajectory                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One blocking representative per bucket of a reduced Zen+ catalog,
-   minus the three buckets whose anomalies make the class set UNSAT
-   (§4.3), each declared with its ground-truth port count.  On the quiet
-   machine [Cegis.infer] converges after 32 iterations, 41 experiments and
-   some 1,800 conflicts: enough search to exercise learning, the theory
-   loop and the canonical step.  It reaches no restart and no
-   clause-database reduction; [test_smt]'s pinned runs and sanitizer cases
-   cover those. *)
-let trajectory_specs, trajectory_measure =
+(* One blocking representative per bucket of a reduced Zen+ catalog on
+   the quiet machine, each declared with its ground-truth port count,
+   leaving out the buckets in [drop]. *)
+let bucket_specs ~drop =
   let catalog = Catalog.reduced ~per_bucket:1 () in
   let machine =
     Pmi_machine.Machine.create ~config:Pmi_machine.Machine.quiet_config catalog
   in
   let truth = Pmi_machine.Machine.ground_truth machine in
-  let anomalous =
-    [ "blocking/scalar-mul"; "blocking/vec-to-gpr"; "blocking/vec-mul-hard" ]
-  in
   let specs =
     Catalog.bucket_names catalog
     |> List.filter (fun b ->
-        String.starts_with ~prefix:"blocking/" b && not (List.mem b anomalous))
+        String.starts_with ~prefix:"blocking/" b && not (List.mem b drop))
     |> List.map (fun b ->
         let s = List.hd (Catalog.bucket catalog b) in
         let ports =
@@ -773,6 +765,17 @@ let trajectory_specs, trajectory_measure =
         (s, Encoding.Proper ports))
   in
   (specs, Pmi_measure.Harness.cycles (Pmi_measure.Harness.create machine))
+
+(* Minus the three buckets whose anomalies make the class set UNSAT
+   (§4.3), [Cegis.infer] converges after 32 iterations, 41 experiments and
+   some 1,800 conflicts: enough search to exercise learning, the theory
+   loop and the canonical step.  It reaches no restart and no
+   clause-database reduction; [test_smt]'s pinned runs and sanitizer cases
+   cover those. *)
+let trajectory_specs, trajectory_measure =
+  bucket_specs
+    ~drop:
+      [ "blocking/scalar-mul"; "blocking/vec-to-gpr"; "blocking/vec-mul-hard" ]
 
 let trajectory_run () =
   match Cegis.infer ~measure:trajectory_measure ~specs:trajectory_specs () with
@@ -808,6 +811,106 @@ let check_trajectory_pin (stats : Cegis.stats) =
 
 let test_cegis_trajectory_pin () =
   check_trajectory_pin (snd (Lazy.force trajectory))
+
+(* With the imul and vmovd buckets kept the class set is UNSAT (§4.3),
+   though no singleton shows it (vpmuldq's does, so its bucket stays out).
+   In the paper's order the loop first converges and only the convergence
+   sweep refutes the mapping, so UNSAT needs a hard proof; checking the
+   sweep on every iteration's model observes a refuting experiment as soon
+   as the model fails it (2 iterations and 28 conflicts, against 41 and
+   1,196). *)
+let test_cegis_refute_early () =
+  let specs, measure = bucket_specs ~drop:[ "blocking/vec-mul-hard" ] in
+  let unsat ~refute_early =
+    match Cegis.infer ~refute_early ~measure ~specs () with
+    | Cegis.No_consistent_mapping stats -> stats
+    | Cegis.Converged _ -> Alcotest.fail "expected UNSAT, converged"
+    | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
+  in
+  let paper = unsat ~refute_early:false in
+  let early = unsat ~refute_early:true in
+  let fewer name count =
+    if count early >= count paper then
+      Alcotest.failf "%s: %d early, %d in the paper's order" name
+        (count early) (count paper)
+  in
+  fewer "iterations" (fun s -> s.Cegis.iterations);
+  fewer "conflicts" (fun s -> s.Cegis.sat.Pmi_smt.Sat.conflicts)
+
+(* [Pipeline.run] refutes every round early, then re-runs the round that
+   converged in the paper's order and reports that run.  So its final-round
+   stats are those of a paper-order [Cegis.infer] on the final specs: the
+   same iterations, experiments and solver counters. *)
+let test_pipeline_final_round_in_paper_order () =
+  let catalog = Catalog.reduced ~per_bucket:2 () in
+  let harness =
+    Pmi_measure.Harness.create (Pmi_machine.Machine.create catalog)
+  in
+  let measure = Pmi_measure.Harness.cycles harness in
+  let result = Pipeline.run harness in
+  let removed k =
+    List.exists
+      (fun r -> Scheme.equal r.Blocking.representative k.Blocking.representative)
+      result.Pipeline.removed_classes
+  in
+  let own_ports s =
+    let tp = Rat.to_float (measure (Experiment.singleton s)) in
+    max 1 (int_of_float (Float.round (1.0 /. tp)))
+  in
+  (* The final round's specs, built as the pipeline builds them: the
+     surviving classes, then the improper store blockers. *)
+  let specs =
+    List.filter_map
+      (fun k ->
+         if removed k then None
+         else
+           Some
+             (k.Blocking.representative, Encoding.Proper k.Blocking.port_count))
+      result.Pipeline.filtering.Blocking.classes
+    @ List.map
+        (fun s -> (s, Encoding.Improper { own_ports = own_ports s }))
+        result.Pipeline.improper
+  in
+  Alcotest.(check bool) "a culprit round ran first" true
+    (result.Pipeline.removed_classes <> []);
+  let config = Pipeline.default_config.Pipeline.cegis in
+  let paper =
+    match Cegis.infer ~config ~measure ~specs () with
+    | Cegis.Converged (_, stats) -> stats
+    | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
+    | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
+  in
+  let reported =
+    match result.Pipeline.cegis_stats with
+    | Some stats -> stats
+    | None -> Alcotest.fail "no CEGIS stats"
+  in
+  let experiments (stats : Cegis.stats) =
+    List.map
+      (fun o ->
+         Experiment.to_string o.Cegis.experiment ^ " @ "
+         ^ Rat.to_string o.Cegis.cycles)
+      stats.Cegis.observations
+  in
+  Alcotest.(check (list string)) "observations" (experiments paper)
+    (experiments reported);
+  let counters (stats : Cegis.stats) =
+    let sat = stats.Cegis.sat in
+    [ ("iterations", stats.Cegis.iterations);
+      ("candidates", stats.Cegis.candidates_tried);
+      ("theory lemmas", stats.Cegis.theory_lemmas);
+      ("sat episodes", stats.Cegis.sat_episodes);
+      ("decisions", sat.Pmi_smt.Sat.decisions);
+      ("propagations", sat.Pmi_smt.Sat.propagations);
+      ("conflicts", sat.Pmi_smt.Sat.conflicts);
+      ("restarts", sat.Pmi_smt.Sat.restarts);
+      ("learned", sat.Pmi_smt.Sat.learned);
+      ("deleted", sat.Pmi_smt.Sat.deleted);
+      ("max glue", sat.Pmi_smt.Sat.max_lbd) ]
+  in
+  List.iter2
+    (fun (name, expected) (_, got) -> Alcotest.(check int) name expected got)
+    (counters paper) (counters reported)
 
 (* The same run with the CDCL invariant sanitizer on in both of its
    solvers: the invariants hold at every level-0 boundary, including the
@@ -1142,6 +1245,9 @@ let () =
          QCheck_alcotest.to_alcotest prop_cegis_sound;
          Alcotest.test_case "solver trajectory pin" `Quick
            test_cegis_trajectory_pin;
+         Alcotest.test_case "early refutation" `Quick test_cegis_refute_early;
+         Alcotest.test_case "final round in the paper's order" `Quick
+           test_pipeline_final_round_in_paper_order;
          Alcotest.test_case "sanitized run" `Quick test_cegis_sanitized;
          Alcotest.test_case "canonical mapping from a cold encoding" `Quick
            test_cegis_canonical ]);
