@@ -18,6 +18,8 @@ let c_observations = Obs.counter "cegis.observations"
 let c_sat_episodes = Obs.counter "cegis.sat_episodes"
 let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_distinguish_memo = Obs.counter "cegis.distinguish.memo_hits"
+let c_distinguish_leaves = Obs.counter "cegis.distinguish.leaves"
+let c_distinguish_kernels = Obs.counter "cegis.distinguish.kernels"
 
 (* Process-wide episode tally; per-run numbers are snapshots around one
    inference (the repo never runs two inferences concurrently). *)
@@ -366,62 +368,178 @@ let canonical_model config th observations pool model =
     (Encoding.schemes th.encoding);
   !model
 
-exception Found_counts of (Scheme.t * int) list
+(* The distinguishing-experiment search (§3.3.4): every multiset of 1 up
+   to [max_experiment_size] instructions over the spec schemes, smallest
+   size first and within a size in a fixed order (scheme by scheme, each
+   taking 1 up to the remaining budget of copies), for the first one whose
+   bounded throughputs under m1 and m2 are well separated.  The first hit
+   is deterministic, so it is a smallest experiment.
 
-(* One size stratum of the distinguishing-experiment search (§3.3.4):
-   every multiset of [size] instructions over the given schemes, in a
-   fixed order (scheme by scheme, each taking 1 up to the remaining budget
-   of copies), so the first hit is deterministic.  The walk keeps one
-   oracle accumulator per mapping: entering/leaving a recursion level is a
-   ±one-scheme mass delta, and each leaf runs the sparse kernel once per
-   mapping. *)
-let search_stratum config tolerance o1 o2 schemes ~size =
-  let a1 = Oracle.Acc.create o1 and a2 = Oracle.Acc.create o2 in
-  let n = Array.length schemes in
-  let rec fill size start acc =
-    if size = 0 then begin
-      let length = Oracle.Acc.length a1 in
-      let t1 = Oracle.Acc.inverse_bounded_frac ~r_max:config.r_max a1 in
-      let t2 = Oracle.Acc.inverse_bounded_frac ~r_max:config.r_max a2 in
-      if Compare.well_separated_frac ~tolerance ~length t1 t2 then
-        raise_notrace (Found_counts acc)
-    end
-    else
-      for i = start to n - 1 do
-        let s = schemes.(i) in
-        let rec with_count c =
-          if c <= size then begin
-            Oracle.Acc.add a1 s 1;
-            Oracle.Acc.add a2 s 1;
-            fill (size - c) (i + 1) ((s, c) :: acc);
-            with_count (c + 1)
+   Two things keep the walk cheap without moving that hit:
+   - A leaf whose schemes all have the same row in m1 and m2 has equal
+     throughputs by construction, so it cannot separate them.  The walk
+     counts the differing schemes chosen so far and skips a subtree as
+     soon as none is chosen and none remains.
+   - m1 and the schemes stay fixed for a whole [find_other_mapping] call.
+     Leaves are numbered in walk order across the strata (a skipped
+     subtree advances the ordinal by its leaf count), and m1's value at a
+     leaf is tabulated under its ordinal the first time it is computed.
+     A miss rebuilds m1's profile from the leaf's rows, so m1 needs no
+     walk of its own.
+   m2 is walked on one accumulator, which moves by one row per step. *)
+module Distinguish = struct
+  type t = {
+    config : config;
+    tolerance : Compare.tolerance;
+    schemes : Scheme.t array;
+    counts : int array array;   (* [counts.(m).(size)]: multisets of
+                                   exactly [size] over [m] schemes *)
+    offsets : int array;        (* ordinal of each stratum's first leaf *)
+    table : Bytes.t;            (* m1's value per leaf ordinal, 16 bits *)
+    differs : bool array;       (* the scheme's rows in m1 and m2 differ *)
+    remains : bool array;       (* some scheme at index >= i differs *)
+    picked : int array;         (* the leaf's schemes, by index, *)
+    copies : int array;         (* and their copy counts *)
+    mutable m1 : (Mapping.row array * Oracle.Acc.t) option;
+  }
+
+  exception Found
+
+  (* Past this many leaves, the larger strata go untabulated. *)
+  let cap = 1 lsl 20
+
+  let create config schemes =
+    let schemes = Array.of_list schemes in
+    let n = Array.length schemes and top = max 0 config.max_experiment_size in
+    (* C(m + size - 1, size), by Pascal's rule on (m, size). *)
+    let counts = Array.make_matrix (n + 1) (top + 1) 0 in
+    for m = 0 to n do
+      counts.(m).(0) <- 1;
+      if m > 0 then
+        for size = 1 to top do
+          counts.(m).(size) <- counts.(m - 1).(size) + counts.(m).(size - 1)
+        done
+    done;
+    let offsets = Array.make (top + 2) 0 in
+    for size = 1 to top do
+      offsets.(size + 1) <- offsets.(size) + counts.(n).(size)
+    done;
+    { config; tolerance = Compare.tolerance config.epsilon; schemes; counts;
+      offsets; table = Bytes.make (2 * min offsets.(top + 1) cap) '\000';
+      differs = Array.make n false; remains = Array.make (n + 1) false;
+      picked = Array.make top 0; copies = Array.make top 0; m1 = None }
+
+  (* A value packs as [num lsl 6 lor den]; 0, an empty slot, stands for
+     one too large to pack, which is then recomputed at every visit. *)
+  let pack (num, den) =
+    if num >= 0 && num < 1024 && den > 0 && den < 64 then (num lsl 6) lor den
+    else 0
+
+  let unpack packed = (packed lsr 6, packed land 63)
+
+  let row m s =
+    try Mapping.row m s with Not_found -> raise (Throughput.Unsupported s)
+
+  let start t m1 =
+    Bytes.fill t.table 0 (Bytes.length t.table) '\000';
+    t.m1 <-
+      Some (Array.map (row m1) t.schemes, Oracle.Acc.create (Oracle.create m1))
+
+  let find t m2 =
+    Obs.span "cegis.distinguish" @@ fun () ->
+    let rows1, acc1 =
+      match t.m1 with
+      | Some m1 -> m1
+      | None -> invalid_arg "Cegis.Distinguish.find"
+    in
+    let n = Array.length t.schemes and r_max = t.config.r_max in
+    let rows2 = Array.map (row m2) t.schemes in
+    let acc2 = Oracle.Acc.create (Oracle.create m2) in
+    for i = n - 1 downto 0 do
+      let r1 = rows1.(i) and r2 = rows2.(i) in
+      t.differs.(i) <-
+        not (r1 == r2 || Mapping.equal_usage r1.usage r2.usage);
+      t.remains.(i) <- t.differs.(i) || t.remains.(i + 1)
+    done;
+    let ord = ref 0 and depth = ref 0 in
+    let leaves = ref 0 and kernels = ref 0 in
+    let value1 () =
+      let tabled = 2 * !ord < Bytes.length t.table in
+      let packed =
+        if tabled then Bytes.get_uint16_ne t.table (2 * !ord) else 0
+      in
+      if packed <> 0 then unpack packed
+      else begin
+        Oracle.Acc.reset acc1;
+        for d = 0 to !depth - 1 do
+          Oracle.Acc.add_row acc1 rows1.(t.picked.(d)) t.copies.(d)
+        done;
+        incr kernels;
+        let v = Oracle.Acc.inverse_bounded_frac ~r_max acc1 in
+        if tabled then Bytes.set_uint16_ne t.table (2 * !ord) (pack v);
+        v
+      end
+    in
+    (* [rem] instructions still to place on schemes [start..]; [differing]
+       of the schemes chosen so far differ between m1 and m2. *)
+    let rec fill size rem start differing =
+      if rem = 0 then begin
+        if differing > 0 then begin
+          incr leaves;
+          let t1 = value1 () in
+          incr kernels;
+          let t2 = Oracle.Acc.inverse_bounded_frac ~r_max acc2 in
+          if Compare.well_separated_frac ~tolerance:t.tolerance ~length:size
+              t1 t2
+          then raise_notrace Found
+        end;
+        incr ord
+      end
+      else begin
+        let i = ref start in
+        while !i < n do
+          let s = !i in
+          if differing = 0 && not t.remains.(s) then begin
+            ord := !ord + t.counts.(n - s).(rem);
+            i := n
           end
           else begin
-            (* All [c - 1] copies of scheme i are standing; retract them. *)
-            Oracle.Acc.remove a1 s (c - 1);
-            Oracle.Acc.remove a2 s (c - 1)
+            let r2 = rows2.(s) in
+            let differing' =
+              if t.differs.(s) then differing + 1 else differing
+            in
+            t.picked.(!depth) <- s;
+            incr depth;
+            for c = 1 to rem do
+              Oracle.Acc.add_row acc2 r2 1;
+              t.copies.(!depth - 1) <- c;
+              fill size (rem - c) (s + 1) differing'
+            done;
+            decr depth;
+            Oracle.Acc.remove_row acc2 r2 rem;
+            incr i
           end
-        in
-        with_count 1
-      done
-  in
-  match fill size 0 [] with
-  | () -> None
-  | exception Found_counts acc -> Some (Experiment.of_counts acc)
-
-(* Smallest stratum first, so the experiment found is a smallest one. *)
-let distinguishing_experiment config tolerance m1 m2 schemes =
-  Obs.span "cegis.distinguish" @@ fun () ->
-  let o1 = Oracle.create m1 and o2 = Oracle.create m2 in
-  let arr = Array.of_list schemes in
-  let rec go size =
-    if size > config.max_experiment_size then None
-    else
-      match search_stratum config tolerance o1 o2 arr ~size with
-      | Some e -> Some e
-      | None -> go (size + 1)
-  in
-  go 1
+        done
+      end
+    in
+    let rec stratum size =
+      if size > t.config.max_experiment_size then None
+      else begin
+        ord := t.offsets.(size);
+        match fill size size 0 0 with
+        | () -> stratum (size + 1)
+        | exception Found ->
+          Some
+            (Experiment.of_counts
+               (List.init !depth (fun d ->
+                    (t.schemes.(t.picked.(d)), t.copies.(d)))))
+      end
+    in
+    let found = stratum 1 in
+    Obs.add c_distinguish_leaves !leaves;
+    Obs.add c_distinguish_kernels !kernels;
+    found
+end
 
 let same_mapping specs m1 m2 =
   List.for_all
@@ -439,11 +557,13 @@ let same_mapping specs m1 m2 =
    [inseparable] holds the {!pair_key}s of the (m1, m2) pairs whose
    distinguishing search came back empty: the search is a pure function of
    the config, the two mappings and the spec schemes, so a repeat of the
-   pair needs no second search. *)
+   pair needs no second search.  [o_search] is the one search state, with
+   its m1 table, that every call shares. *)
 type other_state = {
   o_theory : theory;
   mutable o_synced : int;
   o_inseparable : (string, unit) Hashtbl.t;
+  o_search : Distinguish.t;
 }
 
 (* The rows of [m1] and [m2] over the spec schemes, as one string. *)
@@ -479,6 +599,7 @@ let find_other_mapping config state specs observations pool m1 tried_counter =
   let retract = Pmi_smt.Lit.neg_of_var act in
   let check = theory_check config th observations pool in
   let schemes = List.map fst specs in
+  Distinguish.start state.o_search m1;
   let rec search budget =
     if budget = 0 then begin
       Log.warn (fun m ->
@@ -505,9 +626,7 @@ let find_other_mapping config state specs observations pool m1 tried_counter =
               None
             end
             else begin
-              let found =
-                distinguishing_experiment config th.tolerance m1 m2 schemes
-              in
+              let found = Distinguish.find state.o_search m2 in
               if Option.is_none found then
                 Hashtbl.replace state.o_inseparable key ();
               found
@@ -596,7 +715,8 @@ let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () 
   let fm_encoding = fm_theory.encoding in
   let other_state =
     { o_theory = theory config (fresh_encoding config specs); o_synced = 0;
-      o_inseparable = Hashtbl.create 16 }
+      o_inseparable = Hashtbl.create 16;
+      o_search = Distinguish.create config (List.map fst specs) }
   in
   let tried = ref 0 in
   let finish mk =
@@ -620,7 +740,6 @@ let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () 
         sat_episodes = Atomic.get episode_count - episodes_before;
         sat }
   in
-  let schemes = List.map fst specs in
   let sweep = Array.of_list (validation_experiments specs) in
   let validate m1 =
     Obs.span ~args:[ ("sweep", Obs.Int (Array.length sweep)) ] "cegis.validate"
@@ -680,10 +799,8 @@ let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () 
                Encoding.decode fm_encoding
                  (canonical_model config fm_theory observations pool model)
              in
-             match
-               distinguishing_experiment config fm_theory.tolerance m1
-                 canonical schemes
-             with
+             Distinguish.start other_state.o_search m1;
+             match Distinguish.find other_state.o_search canonical with
              | None ->
                Some
                  (finish (fun s ->

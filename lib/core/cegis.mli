@@ -113,6 +113,41 @@ val theory_rounds :
     appends).  A one-step call is a check from scratch, so tests can hold
     every step to it. *)
 
+(** The distinguishing-experiment search of [find_other_mapping]
+    (§3.3.4): every multiset of 1 up to [max_experiment_size] instructions
+    over a fixed scheme list, smallest size first and within a size in a
+    fixed order (scheme by scheme, each taking 1 up to the remaining budget
+    of copies), for the first one whose bounded throughputs under two
+    mappings are well separated (2ε·|e|).
+
+    One [t] serves every search against one reference mapping m1.  m1's
+    value at each multiset is computed once and kept in a table that
+    {!start} clears.  Multisets whose schemes all have the same row in
+    both mappings are never evaluated, since their throughputs are equal
+    by construction.  The [cegis.distinguish.leaves] and
+    [cegis.distinguish.kernels] counters add up the multisets evaluated
+    and the throughput kernels run. *)
+module Distinguish : sig
+  type t
+
+  val create : config -> Pmi_isa.Scheme.t list -> t
+  (** A search over the schemes, in this order.  Its table is allocated
+      here, once. *)
+
+  val start : t -> Pmi_portmap.Mapping.t -> unit
+  (** Make the mapping m1, the reference of the following {!find} calls,
+      and clear the table.  The mapping must not be mutated until the next
+      [start].
+      @raise Pmi_portmap.Throughput.Unsupported if it lacks a scheme. *)
+
+  val find : t -> Pmi_portmap.Mapping.t -> Pmi_portmap.Experiment.t option
+  (** The first experiment in search order that separates m1 from the
+      given mapping, if any.
+      @raise Invalid_argument before the first {!start}.
+      @raise Pmi_portmap.Throughput.Unsupported if the mapping lacks a
+      scheme. *)
+end
+
 val infer :
   ?config:config ->
   ?refute_early:bool ->

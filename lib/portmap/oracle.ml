@@ -185,9 +185,8 @@ module Acc = struct
   let length acc = acc.len
   let distinct_masks acc = acc.profile.k
 
-  let add acc scheme count =
-    if count < 0 then invalid_arg "Oracle.Acc.add";
-    let r = row acc.oracle scheme in
+  let add_row_named name acc (r : Mapping.row) count =
+    if count < 0 then invalid_arg name;
     if count > 0 then begin
       credit_row acc.profile r count;
       acc.len <- acc.len + count
@@ -196,18 +195,17 @@ module Acc = struct
   (* Checked before anything moves, so a refused removal leaves the
      accumulator as it was.  A mask whose mass reaches zero leaves the
      profile, which keeps k small. *)
-  let remove acc scheme count =
-    if count < 0 then invalid_arg "Oracle.Acc.remove";
-    let r = row acc.oracle scheme in
+  let remove_row_named name acc (r : Mapping.row) count =
+    if count < 0 then invalid_arg name;
     if count > 0 then begin
-      let p = acc.profile and n = Array.length r.Mapping.masks in
+      let p = acc.profile and n = Array.length r.masks in
       let fits = ref (count <= acc.len) and j = ref 0 in
       while !fits && !j < n do
         let i = slot p r.masks.(!j) in
         fits := i >= 0 && p.mass.(i) >= r.counts.(!j) * count;
         incr j
       done;
-      if not !fits then invalid_arg "Oracle.Acc.remove";
+      if not !fits then invalid_arg name;
       for j = 0 to n - 1 do
         let i = slot p r.masks.(j) in
         let m = p.mass.(i) - (r.counts.(j) * count) in
@@ -221,6 +219,17 @@ module Acc = struct
       done;
       acc.len <- acc.len - count
     end
+
+  let add_row acc r count = add_row_named "Oracle.Acc.add_row" acc r count
+
+  let remove_row acc r count =
+    remove_row_named "Oracle.Acc.remove_row" acc r count
+
+  let add acc scheme count =
+    add_row_named "Oracle.Acc.add" acc (row acc.oracle scheme) count
+
+  let remove acc scheme count =
+    remove_row_named "Oracle.Acc.remove" acc (row acc.oracle scheme) count
 
   let reset acc =
     acc.profile.k <- 0;

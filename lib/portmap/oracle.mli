@@ -79,6 +79,17 @@ module Acc : sig
       the accumulator is then unchanged.
       @raise Throughput.Unsupported *)
 
+  val add_row : t -> Mapping.row -> int -> unit
+  (** {!add} of a row resolved by the caller, so a walk that adds the same
+      scheme many times looks it up once.  The row need not come from the
+      accumulator's own mapping.
+      @raise Invalid_argument ["Oracle.Acc.add_row"] on a negative count. *)
+
+  val remove_row : t -> Mapping.row -> int -> unit
+  (** {!remove} of a row resolved by the caller, with the same checks.
+      @raise Invalid_argument ["Oracle.Acc.remove_row"] where {!remove}
+      raises ["Oracle.Acc.remove"]; the accumulator is then unchanged. *)
+
   val length : t -> int
   (** Instruction count of the current experiment. *)
 

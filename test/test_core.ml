@@ -1212,6 +1212,108 @@ let test_symmetry_breaking_reduces_models () =
   Alcotest.(check int) "with symmetry breaking: canonical only" 1
     (count_models true)
 
+(* ------------------------------------------------------------------ *)
+(* The distinguishing-experiment search (§3.3.4)                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The search without its table or its prune: every multiset in the same
+   order, each evaluated from scratch. *)
+let naive_distinguish config schemes m1 m2 =
+  let tolerance = Pmi_measure.Harness.Compare.tolerance config.Cegis.epsilon in
+  let o1 = Oracle.create m1 and o2 = Oracle.create m2 in
+  let schemes = Array.of_list schemes in
+  let exception Hit of Experiment.t in
+  let rec fill size rem start acc =
+    if rem = 0 then begin
+      let e = Experiment.of_counts acc in
+      let t1 = Oracle.inverse_bounded_frac ~r_max:config.r_max o1 e in
+      let t2 = Oracle.inverse_bounded_frac ~r_max:config.r_max o2 e in
+      if Pmi_measure.Harness.Compare.well_separated_frac ~tolerance
+          ~length:size t1 t2
+      then raise (Hit e)
+    end
+    else
+      for i = start to Array.length schemes - 1 do
+        for c = 1 to rem do
+          fill size (rem - c) (i + 1) ((schemes.(i), c) :: acc)
+        done
+      done
+  in
+  let rec stratum size =
+    if size > config.max_experiment_size then None
+    else
+      match fill size size 0 [] with
+      | () -> stratum (size + 1)
+      | exception Hit e -> Some e
+  in
+  stratum 1
+
+(* Two reference mappings in turn on one search state, each against a run
+   of candidates that differ from it in no row, in one row, in every row,
+   or by a port renaming (every row differs, no experiment separates
+   them), and from the candidate before in one row or in all.  Each answer
+   must be the naive search's. *)
+let prop_distinguish_matches_naive =
+  let gen =
+    let open QCheck2.Gen in
+    let* num_ports = int_range 2 4 in
+    let* n = int_range 1 5 in
+    let usage =
+      list_size (int_range 1 2)
+        (pair (int_range 1 ((1 lsl num_ports) - 1)) (int_range 1 2))
+    in
+    let reference =
+      let* rows = list_repeat n usage in
+      let* changed = pair (int_range 0 (n - 1)) usage in
+      let* others = list_repeat n usage in
+      let+ renaming = shuffle_l (List.init num_ports Fun.id) in
+      (rows, changed, others, renaming)
+    in
+    let+ references = list_repeat 2 reference in
+    (num_ports, n, references)
+  in
+  QCheck2.Test.make ~name:"distinguishing search = naive search" ~count:300
+    gen
+    (fun (num_ports, n, references) ->
+       let config = cegis_config num_ports in
+       let schemes = Array.to_list (Catalog.schemes (toy_catalog n)) in
+       let mapping rows =
+         let m = Mapping.create ~num_ports in
+         List.iter2
+           (fun s row ->
+              Mapping.set m s
+                (Mapping.normalize_usage
+                   (List.map (fun (mask, c) -> (Portset.of_mask mask, c)) row)))
+           schemes rows;
+         m
+       in
+       let search = Cegis.Distinguish.create config schemes in
+       List.for_all
+         (fun (rows, (j, row), others, renaming) ->
+            let rename (mask, c) =
+              let renamed = ref 0 in
+              List.iteri
+                (fun p q -> if mask land (1 lsl p) <> 0 then
+                    renamed := !renamed lor (1 lsl q))
+                renaming;
+              (!renamed, c)
+            in
+            let m1 = mapping rows in
+            let change = List.mapi (fun i r -> if i = j then row else r) in
+            let renamed = List.map (List.map rename) rows in
+            let candidates =
+              [ mapping rows; mapping (change rows); mapping renamed;
+                mapping (change renamed); mapping others; mapping rows ]
+            in
+            Cegis.Distinguish.start search m1;
+            List.for_all
+              (fun m2 ->
+                 Option.equal Experiment.equal
+                   (Cegis.Distinguish.find search m2)
+                   (naive_distinguish config schemes m1 m2))
+              candidates)
+         references)
+
 let () =
   Alcotest.run "core"
     [ ("uop-count",
@@ -1249,6 +1351,7 @@ let () =
          Alcotest.test_case "final round in the paper's order" `Quick
            test_pipeline_final_round_in_paper_order;
          Alcotest.test_case "sanitized run" `Quick test_cegis_sanitized;
+         QCheck_alcotest.to_alcotest prop_distinguish_matches_naive;
          Alcotest.test_case "canonical mapping from a cold encoding" `Quick
            test_cegis_canonical ]);
       ("lemmas",

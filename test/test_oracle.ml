@@ -293,7 +293,31 @@ let test_acc_remove_checked () =
   refused "dropped mask" (fun () -> Oracle.Acc.remove acc mul 1);
   Oracle.Acc.remove acc add 2;
   Alcotest.(check int) "empty" 0 (Oracle.Acc.distinct_masks acc);
-  Alcotest.check rat "empty value" Rat.zero (Oracle.Acc.inverse acc)
+  Alcotest.check rat "empty value" Rat.zero (Oracle.Acc.inverse acc);
+  (* The row-level ops make the same checks. *)
+  let row = Mapping.row m in
+  let refused what f =
+    Alcotest.check_raises what (Invalid_argument "Oracle.Acc.remove_row") f
+  in
+  Oracle.Acc.add_row acc (row add) 2;
+  refused "row never added" (fun () -> Oracle.Acc.remove_row acc (row mul) 1);
+  refused "row partly never added" (fun () ->
+      Oracle.Acc.remove_row acc (row fma) 1);
+  refused "row beyond the length" (fun () ->
+      Oracle.Acc.remove_row acc (row add) 3);
+  refused "row negative count" (fun () ->
+      Oracle.Acc.remove_row acc (row add) (-1));
+  Alcotest.check_raises "add_row negative count"
+    (Invalid_argument "Oracle.Acc.add_row") (fun () ->
+        Oracle.Acc.add_row acc (row add) (-1));
+  Alcotest.(check int) "row length kept" 2 (Oracle.Acc.length acc);
+  Alcotest.check rat "row value kept" Rat.one (Oracle.Acc.inverse acc);
+  Oracle.Acc.add_row acc (row mul) 1;
+  Oracle.Acc.remove_row acc (row mul) 1;
+  Alcotest.(check int) "row zero-mass mask dropped" 1
+    (Oracle.Acc.distinct_masks acc);
+  Oracle.Acc.remove_row acc (row add) 2;
+  Alcotest.(check int) "row empty" 0 (Oracle.Acc.distinct_masks acc)
 
 let test_acc_reset () =
   let m = toy_mapping () in
