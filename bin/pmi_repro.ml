@@ -257,18 +257,35 @@ let infer opts =
 (* Export / analyze: the downstream-tool workflow                      *)
 (* ------------------------------------------------------------------ *)
 
+module Mapping_io = Pmi_portmap.Mapping_io
+module Diag = Pmi_diag.Diag
+
 let export_path = "zenplus_portmap.txt"
+
+(* A mapping file, its scheme names resolved against [catalog]. *)
+let read_mapping_file catalog path =
+  if not (Sys.file_exists path) then Error `Missing
+  else
+    In_channel.with_open_text path
+      (Mapping_io.read ~resolve:(Mapping_io.resolver catalog))
+    |> Result.map_error (fun e -> `Malformed e)
+
+(* The error [lint] and [mapcheck] report for a file they cannot read. *)
+let mapping_file_diag path = function
+  | `Missing -> Diag.make "mapping-file-missing" Diag.Error path "no such file"
+  | `Malformed (e : Mapping_io.error) ->
+    Diag.make "mapping-parse-error" Diag.Error path "line %d: %s" e.line
+      e.message
 
 let export opts =
   let _, result = run_pipeline opts in
-  let oc = open_out export_path in
-  Pmi_portmap.Mapping_io.write oc result.Pipeline.mapping;
-  close_out oc;
+  Out_channel.with_open_text export_path (fun oc ->
+      Mapping_io.write oc result.Pipeline.mapping);
   Format.printf "wrote %d scheme mappings to %s@."
     (Mapping.size result.Pipeline.mapping) export_path
 
 let resolve_fuzzy catalog text =
-  let exact = Pmi_portmap.Mapping_io.resolver catalog in
+  let exact = Mapping_io.resolver catalog in
   match exact text with
   | Some s -> Some s
   | None ->
@@ -286,29 +303,19 @@ let analyze_block insns opts =
   let machine = Harness.machine harness in
   let catalog = Machine.catalog machine in
   let mapping =
-    if Sys.file_exists export_path then begin
-      let ic = open_in export_path in
-      let result =
-        Pmi_portmap.Mapping_io.read
-          ~resolve:(Pmi_portmap.Mapping_io.resolver catalog) ic
-      in
-      close_in ic;
-      match result with
-      | Ok m ->
-        Format.printf "using the inferred mapping from %s@." export_path;
-        m
-      | Error e ->
-        Format.eprintf "%s:%d: %s; falling back to documented mapping@."
-          export_path e.Pmi_portmap.Mapping_io.line
-          e.Pmi_portmap.Mapping_io.message;
-        Machine.ground_truth machine
-    end
-    else begin
+    match read_mapping_file catalog export_path with
+    | Ok m ->
+      Format.printf "using the inferred mapping from %s@." export_path;
+      m
+    | Error (`Malformed e) ->
+      Format.eprintf "%s:%d: %s; falling back to documented mapping@."
+        export_path e.Mapping_io.line e.Mapping_io.message;
+      Machine.ground_truth machine
+    | Error `Missing ->
       Format.printf
         "no %s (run `pmi_repro export` first); using the documented mapping@."
         export_path;
       Machine.ground_truth machine
-    end
   in
   let insns =
     if insns <> [] then insns
@@ -403,30 +410,13 @@ let explain_scheme insns opts =
 (* ------------------------------------------------------------------ *)
 
 module Lint = Pmi_analysis.Lint
-module Diag = Pmi_diag.Diag
 
 let lint_files files json opts =
   let catalog = catalog_of ~reduced:opts.reduced in
   let lint_file path =
-    if not (Sys.file_exists path) then
-      [ { Lint.rule = "mapping-file-missing"; severity = Lint.Error;
-          subject = path; message = "no such file" } ]
-    else begin
-      let ic = open_in path in
-      let result =
-        Pmi_portmap.Mapping_io.read
-          ~resolve:(Pmi_portmap.Mapping_io.resolver catalog) ic
-      in
-      close_in ic;
-      match result with
-      | Ok m -> Lint.lint_mapping ~subject:("mapping " ^ path) m
-      | Error e ->
-        [ { Lint.rule = "mapping-parse-error"; severity = Lint.Error;
-            subject = path;
-            message =
-              Printf.sprintf "line %d: %s" e.Pmi_portmap.Mapping_io.line
-                e.Pmi_portmap.Mapping_io.message } ]
-    end
+    match read_mapping_file catalog path with
+    | Ok m -> Lint.lint_mapping ~subject:("mapping " ^ path) m
+    | Error e -> [ mapping_file_diag path e ]
   in
   let diags =
     Lint.builtin ~catalog ()
@@ -452,22 +442,9 @@ let mapcheck_run files json opts =
   let catalog = catalog_of ~reduced:opts.reduced in
   let r_max = Pmi_machine.Profile.zen_plus.Pmi_machine.Profile.r_max in
   let from_file path =
-    if not (Sys.file_exists path) then
-      [ Diag.make "mapping-file-missing" Diag.Error path "no such file" ]
-    else begin
-      let ic = open_in path in
-      let result =
-        Pmi_portmap.Mapping_io.read
-          ~resolve:(Pmi_portmap.Mapping_io.resolver catalog) ic
-      in
-      close_in ic;
-      match result with
-      | Error e ->
-        [ Diag.make "mapping-parse-error" Diag.Error path "line %d: %s"
-            e.Pmi_portmap.Mapping_io.line e.Pmi_portmap.Mapping_io.message ]
-      | Ok m ->
-        Mapcheck.audit_mapping ~r_max ~subject:("mapping " ^ path) m
-    end
+    match read_mapping_file catalog path with
+    | Ok m -> Mapcheck.audit_mapping ~r_max ~subject:("mapping " ^ path) m
+    | Error e -> [ mapping_file_diag path e ]
   in
   let diags = Mapcheck.builtin ~catalog () @ List.concat_map from_file files in
   Diag.print_all ~json diags;
@@ -719,7 +696,7 @@ let trace_out =
 
 let metrics =
   let doc = "Print a telemetry summary (span tree with call counts and \
-             self times, counters, gauges) to stderr when the command \
+             self times, counters) to stderr when the command \
              finishes." in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 

@@ -7,8 +7,3 @@ let check ~r_max ~max_port_set =
          "Bottleneck.check: frontend rate %d does not exceed the widest µop \
           port set %d; blocking-based counting would be unsound (§3.4)"
          r_max max_port_set)
-
-let distinguishable_cpi ~r_max ~port_set =
-  Printf.sprintf "%.2f CPI at %d ports vs %.2f CPI at %d ports"
-    (1.0 /. float_of_int r_max) r_max
-    (1.0 /. float_of_int port_set) port_set

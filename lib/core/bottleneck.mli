@@ -12,7 +12,3 @@ val gap_ok : r_max:int -> max_port_set:int -> bool
 
 val check : r_max:int -> max_port_set:int -> unit
 (** @raise Invalid_argument when the requirement is violated. *)
-
-val distinguishable_cpi : r_max:int -> port_set:int -> string
-(** Human-readable note of the CPI levels the ε must separate (e.g. Zen+:
-    0.20 CPI at five ports vs 0.25 CPI at four).  Used in reports. *)

@@ -32,10 +32,7 @@ module Log = (val Logs.src_log log : Logs.LOG)
 type config = {
   num_ports : int;
   r_max : int;
-  epsilon : Rat.t;
   max_experiment_size : int;
-  max_other_candidates : int;
-  max_iterations : int;
   certify : bool;
   store : Pmi_store.Store.t option;
 }
@@ -45,12 +42,14 @@ exception Certification_failure of string
 let default_config =
   { num_ports = 10;
     r_max = 5;
-    epsilon = Rat.of_ints 2 100;
     max_experiment_size = 5;
-    max_other_candidates = 400;
-    max_iterations = 400;
     certify = false;
     store = None }
+
+(* Consistent-mapping candidates one [find_other_mapping] call examines
+   before it declares convergence, and the Algorithm-2 iteration budget. *)
+let max_other_candidates = 400
+let max_iterations = 400
 
 type observation = {
   experiment : Experiment.t;
@@ -94,24 +93,25 @@ let measured obs =
   in
   { obs; length = Experiment.length obs.experiment; frac }
 
-(* Does the oracle explain a measured value within ε·|e|?  The modeled
-   (num, den) is compared on native ints; a measurement whose parts do not
-   fit one falls back to the exact-rational test. *)
-let explains config tolerance o m =
+(* Does the oracle explain a measured value within ε·|e|, with ε
+   [Compare.default_epsilon]?  The modeled (num, den) is compared on
+   native ints; a measurement whose parts do not fit one falls back to
+   the exact-rational test. *)
+let explains config o m =
   let modeled =
     Oracle.inverse_bounded_frac ~r_max:config.r_max o m.obs.experiment
   in
   match m.frac with
-  | Some frac -> Compare.cpi_equal_frac ~tolerance ~length:m.length modeled frac
+  | Some frac -> Compare.cpi_equal_frac ~length:m.length modeled frac
   | None ->
-    Compare.cpi_equal ~epsilon:config.epsilon ~length:m.length
+    Compare.cpi_equal ~length:m.length
       (Rat.of_ints (fst modeled) (snd modeled))
       m.obs.cycles
 
 let consistent config mapping obs =
   let modeled = modeled_inverse config mapping obs.experiment in
-  Compare.cpi_equal ~epsilon:config.epsilon
-    ~length:(Experiment.length obs.experiment) modeled obs.cycles
+  Compare.cpi_equal ~length:(Experiment.length obs.experiment) modeled
+    obs.cycles
 
 (* The lemma of a violated observation: refute every mapping that keeps
    the model's bottleneck shape (§2.2), not only the model's own rows. *)
@@ -139,15 +139,14 @@ let rec any_changed changed rows i =
 
 type theory = {
   encoding : Encoding.t;
-  tolerance : Compare.tolerance;
   decoder : Encoding.decoder;
   oracle : Oracle.t;             (* over the decoder's mapping *)
   verdicts : verdict Vec.t;      (* one per observation checked so far *)
 }
 
-let theory config encoding =
+let theory encoding =
   let decoder = Encoding.decoder encoding in
-  { encoding; tolerance = Compare.tolerance config.epsilon; decoder;
+  { encoding; decoder;
     oracle = Oracle.create (Encoding.decoded decoder);
     verdicts = Vec.create () }
 
@@ -164,7 +163,7 @@ let theory_check config th observations pool model =
       if i < Vec.length th.verdicts then begin
         let v = Vec.get th.verdicts i in
         if any_changed changed v.rows 0 then
-          v.explained <- explains config th.tolerance th.oracle m;
+          v.explained <- explains config th.oracle m;
         v.explained
       end
       else begin
@@ -175,7 +174,7 @@ let theory_check config th observations pool model =
               if r >= 0 then Some r else None)
           |> Array.of_list
         in
-        let explained = explains config th.tolerance th.oracle m in
+        let explained = explains config th.oracle m in
         Vec.push th.verdicts { rows; explained };
         explained
       end
@@ -190,7 +189,7 @@ let theory_check config th observations pool model =
   lemmas
 
 let theory_rounds ?(config = default_config) encoding steps =
-  let th = theory config encoding in
+  let th = theory encoding in
   let pool = Vec.create () in
   let observations = Vec.create () in
   List.map
@@ -277,8 +276,8 @@ let certify_sat config encoding observations model =
          let modeled = modeled_inverse config mapping obs.experiment in
          if
            not
-             (Compare.cpi_equal ~epsilon:config.epsilon
-                ~length:(Experiment.length obs.experiment) modeled obs.cycles)
+             (Compare.cpi_equal ~length:(Experiment.length obs.experiment)
+                modeled obs.cycles)
          then
            raise
              (Certification_failure
@@ -390,7 +389,6 @@ let canonical_model config th observations pool model =
 module Distinguish = struct
   type t = {
     config : config;
-    tolerance : Compare.tolerance;
     schemes : Scheme.t array;
     counts : int array array;   (* [counts.(m).(size)]: multisets of
                                    exactly [size] over [m] schemes *)
@@ -424,7 +422,7 @@ module Distinguish = struct
     for size = 1 to top do
       offsets.(size + 1) <- offsets.(size) + counts.(n).(size)
     done;
-    { config; tolerance = Compare.tolerance config.epsilon; schemes; counts;
+    { config; schemes; counts;
       offsets; table = Bytes.make (2 * min offsets.(top + 1) cap) '\000';
       differs = Array.make n false; remains = Array.make (n + 1) false;
       picked = Array.make top 0; copies = Array.make top 0; m1 = None }
@@ -489,8 +487,7 @@ module Distinguish = struct
           let t1 = value1 () in
           incr kernels;
           let t2 = Oracle.Acc.inverse_bounded_frac ~r_max acc2 in
-          if Compare.well_separated_frac ~tolerance:t.tolerance ~length:size
-              t1 t2
+          if Compare.well_separated_frac ~length:size t1 t2
           then raise_notrace Found
         end;
         incr ord
@@ -643,7 +640,7 @@ let find_other_mapping config state specs observations pool m1 tried_counter =
         end
     end
   in
-  let result = search config.max_other_candidates in
+  let result = search max_other_candidates in
   (* Retire this call's blocking clauses; lemmas the solver added for us
      during [check] are already in, so fast-forward the sync mark. *)
   Pmi_smt.Sat.add_clause sat [ retract ];
@@ -682,7 +679,7 @@ let cold config specs observations =
   let pool = Vec.create () in
   let obs = Vec.create () in
   List.iter (fun o -> Vec.push obs (measured o)) observations;
-  (theory config (fresh_encoding config specs), obs, pool)
+  (theory (fresh_encoding config specs), obs, pool)
 
 let explain ?(config = default_config) ~specs ~observations () =
   Obs.span "cegis.explain" @@ fun () ->
@@ -711,10 +708,10 @@ let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () 
     obs
   in
   List.iter (fun (s, _) -> ignore (observe (Experiment.singleton s))) specs;
-  let fm_theory = theory config (fresh_encoding config specs) in
+  let fm_theory = theory (fresh_encoding config specs) in
   let fm_encoding = fm_theory.encoding in
   let other_state =
-    { o_theory = theory config (fresh_encoding config specs); o_synced = 0;
+    { o_theory = theory (fresh_encoding config specs); o_synced = 0;
       o_inseparable = Hashtbl.create 16;
       o_search = Distinguish.create config (List.map fst specs) }
   in
@@ -749,14 +746,13 @@ let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () 
        per check, so an UNSAT the §4.3 culprit search sees follows from
        a single new observation. *)
     let oracle = Oracle.create m1 in
-    let tolerance = fm_theory.tolerance in
     let failing e =
       if
         Vec.exists (fun m -> Experiment.equal m.obs.experiment e) observations
       then false
       else
         not
-          (explains config tolerance oracle
+          (explains config oracle
              (measured { experiment = e; cycles = measure e }))
     in
     Array.find_opt failing sweep
@@ -834,7 +830,7 @@ let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () 
            else distinguish ())
   in
   let rec loop iteration =
-    if iteration > config.max_iterations then
+    if iteration > max_iterations then
       finish (fun s -> Iteration_limit { s with iterations = iteration - 1 })
     else
       match step iteration with

@@ -22,15 +22,16 @@
     If an experiment tells the two apart, convergence was premature: the
     experiment is measured and the loop goes on. *)
 
+(** The profile's shape, the search bound and the trust-but-verify
+    switches.  The rest is fixed: measurements are compared under
+    ε = {!Pmi_measure.Harness.Compare.default_epsilon}, a
+    [find_other_mapping] call examines at most 400 consistent candidates
+    before declaring convergence, and {!infer} stops with
+    [Iteration_limit] after 400 iterations. *)
 type config = {
   num_ports : int;
   r_max : int;
-  epsilon : Pmi_numeric.Rat.t;
   max_experiment_size : int;   (** stratified distinguishing-experiment bound *)
-  max_other_candidates : int;  (** consistent-mapping candidates examined per
-                                   [find_other_mapping] call before declaring
-                                   convergence *)
-  max_iterations : int;        (** Algorithm-2 iteration budget *)
   certify : bool;              (** trust-but-verify: log DRAT proof traces
                                    in every solver and have the independent
                                    checker ({!Pmi_analysis.Drat}) accept a

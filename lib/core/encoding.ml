@@ -12,29 +12,18 @@ type row = {
   spec : instr_spec;
   own : int array;             (* own µop variables, one per port *)
   shared : int array;          (* improper only: shared µop variables *)
-  act : int;                   (* activation variable; -1 = unguarded *)
-  mutable live : bool;         (* false once the row has been retired *)
 }
 
 type t = {
   solver : Sat.t;
   num_ports : int;
-  mutable rows : row array;
+  rows : row array;
 }
 
 let sat t = t.solver
 let num_ports t = t.num_ports
 
-(* Every observable view of the encoding ranges over the live rows only:
-   a retired row's variables stay in the solver (its guarded clauses are
-   inert once the activation literal is unit-negated) but it no longer
-   takes part in decode/freeze/lemma construction. *)
-let live_rows t = Array.to_list t.rows |> List.filter (fun r -> r.live)
-
-let schemes t = List.map (fun r -> (r.scheme, r.spec)) (live_rows t)
-
-let has_scheme t scheme =
-  List.exists (fun r -> Scheme.equal r.scheme scheme) (live_rows t)
+let schemes t = Array.to_list (Array.map (fun r -> (r.scheme, r.spec)) t.rows)
 
 let check_count num_ports c =
   if c < 1 || c > num_ports then
@@ -63,8 +52,7 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
             (match spec with
              | Proper c -> check_count num_ports c
              | Improper { own_ports } -> check_count num_ports own_ports);
-            { scheme; spec; own = fresh_row (); shared = [||]; act = -1;
-              live = true })
+            { scheme; spec; own = fresh_row (); shared = [||] })
          specs)
   in
   (* Cardinality of every own µop. *)
@@ -168,53 +156,6 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
   end;
   t
 
-(* ------------------------------------------------------------------ *)
-(* Guarded rows: append and activation-literal retirement             *)
-(* ------------------------------------------------------------------ *)
-
-let append_row t scheme spec =
-  let count =
-    match spec with
-    | Proper c -> c
-    | Improper _ ->
-      (* Improper rows need the selector machinery over a partner set that
-         would itself have to follow appends/retirements. *)
-      invalid_arg "Encoding.append_row: improper rows are not appendable"
-  in
-  check_count t.num_ports count;
-  if has_scheme t scheme then
-    invalid_arg "Encoding.append_row: scheme already has a live row";
-  let own = Array.init t.num_ports (fun _ -> Sat.fresh_var t.solver) in
-  let act = Sat.fresh_var t.solver in
-  (* The cardinality chain binds only while [act] is assumed: retiring the
-     row is one unit clause, no encoding rebuild. *)
-  Card.exactly ~guard:(Lit.neg_of_var act) t.solver
-    (Array.to_list (Array.map Lit.pos own))
-    count;
-  let row = { scheme; spec; own; shared = [||]; act; live = true } in
-  t.rows <- Array.append t.rows [| row |]
-
-let retire_row t scheme =
-  match
-    List.find_opt
-      (fun r -> r.live && Scheme.equal r.scheme scheme)
-      (Array.to_list t.rows)
-  with
-  | None -> invalid_arg "Encoding.retire_row: no live row for scheme"
-  | Some row ->
-    if row.act < 0 then
-      invalid_arg "Encoding.retire_row: row has no activation literal";
-    (* Dropping the activation literal permanently deactivates the row's
-       cardinality chain and every lemma that mentions the row (lemmas are
-       guarded by the activation literals of the rows they touch). *)
-    Sat.add_clause t.solver [ Lit.neg_of_var row.act ];
-    row.live <- false
-
-let row_assumptions t =
-  List.filter_map
-    (fun r -> if r.act >= 0 then Some (Lit.pos r.act) else None)
-    (live_rows t)
-
 let row_mask model vars =
   let m = ref 0 in
   Array.iteri (fun k v -> if model.(v) then m := !m lor (1 lsl k)) vars;
@@ -229,22 +170,22 @@ let row_usage row ~own ~shared =
 
 let decode t model =
   let mapping = Mapping.create ~num_ports:t.num_ports in
-  List.iter
+  Array.iter
     (fun row ->
        Mapping.set mapping row.scheme
          (row_usage row ~own:(row_mask model row.own)
             ~shared:(row_mask model row.shared)))
-    (live_rows t);
+    t.rows;
   mapping
 
 let mapping_vars t =
   Array.concat
-    (List.concat_map (fun r -> [ r.own; r.shared ]) (live_rows t))
+    (List.concat_map (fun r -> [ r.own; r.shared ]) (Array.to_list t.rows))
 
 let row_index t scheme =
   let rec find i =
     if i = Array.length t.rows then -1
-    else if t.rows.(i).live && Scheme.equal t.rows.(i).scheme scheme then i
+    else if Scheme.equal t.rows.(i).scheme scheme then i
     else find (i + 1)
   in
   find 0
@@ -268,13 +209,9 @@ let decoder t =
 let decoded d = d.mapping
 
 let redecode d model =
-  let rows = d.enc.rows and masks = d.masks in
-  if 2 * Array.length rows <> Array.length masks then
-    invalid_arg "Encoding.redecode: the encoding's rows changed";
+  let masks = d.masks in
   Array.mapi
     (fun i row ->
-       row.live
-       &&
        let own = row_mask model row.own and shared = row_mask model row.shared in
        let changed = own <> masks.(2 * i) || shared <> masks.((2 * i) + 1) in
        if changed then begin
@@ -283,64 +220,25 @@ let redecode d model =
          Mapping.set d.mapping row.scheme (row_usage row ~own ~shared)
        end;
        changed)
-    rows
+    d.enc.rows
 
-let pin_row lits row usage =
-  let assert_row vars ports =
-    Array.iteri
-      (fun k v ->
-         lits := (if Portset.mem k ports then Lit.pos v else Lit.neg_of_var v) :: !lits)
-      vars
-  in
-  match (row.spec, usage) with
-  | Proper _, [ (ports, 1) ] -> assert_row row.own ports
-  | Improper _, [ (a, 1); (b, 1) ] ->
-    (* The improper usage is stored canonically (sorted by port set);
-       try both orientations of (own, shared). *)
-    let own_count =
-      match row.spec with
-      | Improper { own_ports } -> own_ports
-      | Proper _ -> assert false
-    in
-    let own, shared =
-      if Portset.cardinal a = own_count then (a, b) else (b, a)
-    in
-    assert_row row.own own;
-    assert_row row.shared shared
-  | (Proper _ | Improper _), _ ->
-    invalid_arg "Encoding: µop structure mismatch"
-
-let freeze_lits t mapping =
-  let lits = ref [] in
-  List.iter
-    (fun row ->
-       match Mapping.find_opt mapping row.scheme with
-       | Some usage -> pin_row lits row usage
-       | None -> ())
-    (live_rows t);
-  !lits
-
-(* A lemma over the live rows of [schemes]: [refute] turns each µop row's
-   variables (own, then shared) into literals.  Guarded rows scope the
-   lemma to their own lifetime: once the row is retired (act unit-negated)
-   the clause is satisfied and inert, exactly like the cardinality chain
-   it refutes. *)
+(* A lemma over the rows of [schemes]: [refute] turns each µop row's
+   variables (own, then shared) into literals. *)
 let row_lemma t schemes refute =
   let interesting s = List.exists (Scheme.equal s) schemes in
   List.concat_map
     (fun row ->
        if not (interesting row.scheme) then []
-       else
-         (if row.act >= 0 then [ Lit.neg_of_var row.act ] else [])
-         @ refute row.own @ refute row.shared)
-    (live_rows t)
+       else refute row.own @ refute row.shared)
+    (Array.to_list t.rows)
 
 let block_model t model =
-  row_lemma t
-    (List.map (fun r -> r.scheme) (live_rows t))
-    (fun vars ->
-       Array.to_list vars
-       |> List.map (fun v -> if model.(v) then Lit.neg_of_var v else Lit.pos v))
+  let refute vars =
+    Array.to_list vars
+    |> List.map (fun v -> if model.(v) then Lit.neg_of_var v else Lit.pos v)
+  in
+  List.concat_map (fun row -> refute row.own @ refute row.shared)
+    (Array.to_list t.rows)
 
 type violation =
   | Too_slow of Portset.t

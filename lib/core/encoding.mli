@@ -19,15 +19,8 @@
     has such a representative, so no behaviour is lost, while the SAT search
     stops enumerating port renamings of the same mapping.
 
-    {b Guarded rows.}  Rows may also be appended after creation
-    ({!append_row}): such rows are {e guarded} — their cardinality chain is
-    conditional on a fresh activation variable, and every clause built by
-    {!block_model} or {!block_bottleneck} that mentions them carries the
-    negated activation literal.  Assume {!row_assumptions} on each solve
-    to activate them; {!retire_row} permanently drops a row (and every
-    lemma scoped to it) with a single unit clause, no rebuild.  No CEGIS
-    path appends rows today; they are the building block for switching
-    scheme rows on and off inside one persistent encoding. *)
+    The rows are fixed at {!create}, one per blocking instruction of the
+    solve. *)
 
 type instr_spec =
   | Proper of int               (** single µop with the given port count *)
@@ -53,45 +46,23 @@ val sat : t -> Pmi_smt.Sat.t
 val num_ports : t -> int
 
 val schemes : t -> (Pmi_isa.Scheme.t * instr_spec) list
-(** The live rows, in row order (retired rows are excluded everywhere). *)
-
-val append_row : t -> Pmi_isa.Scheme.t -> instr_spec -> unit
-(** Append a guarded row: fresh µop variables plus a fresh activation
-    variable whose negation guards the cardinality chain.
-    The row only binds while its activation literal ({!row_assumptions}) is
-    assumed true.
-    @raise Invalid_argument on an [Improper] spec (store blockers need the
-    selector machinery over a fixed partner set), an out-of-range
-    port count, or a scheme that already has a live row. *)
-
-val retire_row : t -> Pmi_isa.Scheme.t -> unit
-(** Permanently drop a guarded row by unit-negating its activation literal:
-    its cardinality chain and every lemma mentioning it become inert, and
-    the row disappears from {!schemes}/{!decode}/lemma construction.  The
-    variables stay in the solver.
-    @raise Invalid_argument if the scheme has no live row or the row is an
-    unguarded creation-time row. *)
-
-val row_assumptions : t -> Pmi_smt.Lit.t list
-(** The positive activation literals of every live guarded row — assume
-    these on each solve of an encoding with appended rows. *)
+(** The rows, in row order. *)
 
 val decode : t -> bool array -> Pmi_portmap.Mapping.t
 (** Read a port mapping out of a SAT model. *)
 
 val mapping_vars : t -> int array
-(** The [m\[u,k\]] variables of the live rows, in row order: each row's
+(** The [m\[u,k\]] variables of the rows, in row order: each row's
     own µop by ascending port, then its shared µop (improper rows only).
     {!decode} reads exactly these. *)
 
 val row_index : t -> Pmi_isa.Scheme.t -> int
-(** The index of the scheme's live row, as {!redecode} numbers the rows;
+(** The index of the scheme's row, as {!redecode} numbers the rows;
     [-1] when it has none. *)
 
 type decoder
 (** A mapping kept equal to {!decode} of the last model it was given,
-    updated one changed row at a time.  The encoding's rows must not
-    change (no {!append_row} or {!retire_row}) while it is in use. *)
+    updated one changed row at a time. *)
 
 val decoder : t -> decoder
 (** A decoder that has seen no model yet. *)
@@ -102,23 +73,13 @@ val decoded : decoder -> Pmi_portmap.Mapping.t
 
 val redecode : decoder -> bool array -> bool array
 (** [redecode d model] brings [decoded d] to [decode t model] by
-    re-decoding the live rows whose port sets differ from the previous
-    model's (every live row on the first call), and returns one flag per
-    row telling which did.
-    @raise Invalid_argument when the encoding's rows changed. *)
-
-val freeze_lits : t -> Pmi_portmap.Mapping.t -> Pmi_smt.Lit.t list
-(** Literals pinning every live row whose scheme the mapping covers to
-    exactly the mapping's port sets; rows the mapping does not cover are
-    left free.  Part of the guarded-row API: assumed on a solve next to
-    {!row_assumptions}, they pin the covered rows to an accepted mapping.
-    @raise Invalid_argument on an incompatible µop structure. *)
+    re-decoding the rows whose port sets differ from the previous
+    model's (every row on the first call), and returns one flag per
+    row telling which did. *)
 
 val block_model : t -> bool array -> Pmi_smt.Lit.t list
 (** A clause refuting every assignment that agrees with [model] on all µop
-    variables of the live rows.  Guarded rows contribute their negated
-    activation literal, scoping the clause to the rows' lifetimes:
-    retiring any row satisfies (and thereby retires) it. *)
+    variables. *)
 
 (** How a decoded model fails an observation. *)
 type violation =
@@ -143,5 +104,4 @@ val block_bottleneck :
       mapping whose port sets contain the model's is at least as fast.
 
     One lemma covers every mapping with the violating shape, not only the
-    model's own combination of the rows' port sets.  Guarded rows
-    contribute their negated activation literal, as in {!block_model}. *)
+    model's own combination of the rows' port sets. *)

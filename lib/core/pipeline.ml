@@ -354,7 +354,8 @@ let regular_pattern siblings lookup scheme usage =
 let run ?(config = default_config) harness =
   let machine = Harness.machine harness in
   (* Machine-level constants come from the profile under test; the caller's
-     config only chooses tolerances and search budgets (§3.5). *)
+     config chooses the measurement tolerances, the experiment-size bound
+     and certification (§3.5). *)
   let r_max = Machine.r_max machine in
   let num_ports = Machine.num_ports machine in
   let config =

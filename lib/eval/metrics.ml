@@ -47,7 +47,3 @@ type summary = { mape : float; pearson : float; kendall : float }
 
 let summarize pairs =
   { mape = mape pairs; pearson = pearson pairs; kendall = kendall_tau pairs }
-
-let pp_summary ppf (name, s) =
-  Format.fprintf ppf "%-8s MAPE %5.1f%%   PCC %5.2f   Kendall τ %5.2f" name
-    s.mape s.pearson s.kendall

@@ -18,4 +18,3 @@ val kendall_tau : (float * float) list -> float
 type summary = { mape : float; pearson : float; kendall : float }
 
 val summarize : (float * float) list -> summary
-val pp_summary : Format.formatter -> string * summary -> unit

@@ -662,13 +662,3 @@ let find t id =
 let bucket_names t = List.map fst t.buckets
 let bucket t name = List.assoc name t.buckets
 let bucket_of t s = t.bucket_by_id.(Scheme.id s)
-
-let pp_stats ppf t =
-  List.iter
-    (fun (name, members) ->
-       match members with
-       | [] -> Format.fprintf ppf "%-32s %5d@." name 0
-       | repr :: _ ->
-         Format.fprintf ppf "%-32s %5d  e.g. %s@." name (List.length members)
-           (Scheme.name repr))
-    t.buckets

@@ -35,6 +35,3 @@ val bucket : t -> string -> Scheme.t list
 (** @raise Not_found for an unknown bucket name. *)
 
 val bucket_of : t -> Scheme.t -> string
-
-val pp_stats : Format.formatter -> t -> unit
-(** One line per bucket: name, size, representative scheme. *)

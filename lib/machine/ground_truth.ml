@@ -45,5 +45,3 @@ let mapping_for profile catalog =
        Mapping.set mapping scheme (usage_for profile structure))
     (Catalog.schemes catalog);
   mapping
-
-let mapping_of_catalog catalog = mapping_for Profile.zen_plus catalog

@@ -26,8 +26,3 @@ val ports_of_base : Pmi_isa.Iclass.base -> Pmi_portmap.Portset.t
 
 val usage_of_structure : Pmi_isa.Iclass.structure -> Pmi_portmap.Mapping.usage
 (** µop multiset of a scheme with the given structure; empty for [Nullary]. *)
-
-val mapping_of_catalog : Pmi_isa.Catalog.t -> Pmi_portmap.Mapping.t
-(** The full ground-truth port mapping of a catalog (base usage of every
-    scheme, without quirk effects).  This is the hidden mapping the
-    inference algorithm tries to reconstruct. *)

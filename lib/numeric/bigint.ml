@@ -35,7 +35,6 @@ let of_int i =
   end
 
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let is_zero a = a.sign = 0
 let sign a = a.sign

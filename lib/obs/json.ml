@@ -241,4 +241,3 @@ let member key = function
 let to_list = function List xs -> Some xs | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 let to_int = function Num f when Float.is_integer f -> Some (int_of_float f) | _ -> None
-let to_str = function Str s -> Some s | _ -> None

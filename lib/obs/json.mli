@@ -26,4 +26,3 @@ val member : string -> t -> t option
 val to_list : t -> t list option
 val to_float : t -> float option
 val to_int : t -> int option
-val to_str : t -> string option

@@ -1,4 +1,4 @@
-(* Telemetry: spans, counters, gauges, bounded per-domain event rings, and
+(* Telemetry: spans, counters, bounded per-domain event rings, and
    the tree/Chrome-trace exporters.  See obs.mli for the contract.
 
    Layout mirrors Pmi_diag.Race: one atomic enable flag checked first on
@@ -11,14 +11,9 @@ external clock_ns : unit -> int = "pmi_obs_clock_ns" [@@noalloc]
 
 type arg =
   | Int of int
-  | Float of float
   | Str of string
-  | Bool of bool
 
-type kind =
-  | Span
-  | Instant
-  | Counter_sample
+type kind = Span
 
 type event = {
   kind : kind;
@@ -32,7 +27,7 @@ type event = {
 }
 
 let dummy_event =
-  { kind = Instant; name = ""; path = ""; tid = 0; ts_ns = 0; dur_ns = 0;
+  { kind = Span; name = ""; path = ""; tid = 0; ts_ns = 0; dur_ns = 0;
     depth = 0; args = [] }
 
 (* ------------------------------------------------------------------ *)
@@ -75,7 +70,7 @@ type buf = {
 }
 
 (* All buffers of the current generation, for the exporters to merge.
-   The mutex guards registration and the counter/gauge registries only —
+   The mutex guards registration and the counter registry only —
    never the per-event hot path. *)
 let registry_mutex = Mutex.create ()
 let registry : buf list ref = ref []
@@ -189,23 +184,8 @@ let span ?args name f =
       raise e
   end
 
-let instant ?(args = []) name =
-  if Atomic.get enabled_flag then begin
-    let b = get_buf () in
-    let d = b.depth in
-    push_event b
-      { kind = Instant;
-        name;
-        path = (if d = 0 then name else b.frame_path.(d - 1) ^ "/" ^ name);
-        tid = b.tid;
-        ts_ns = now ();
-        dur_ns = 0;
-        depth = d;
-        args }
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Counters and gauges                                                 *)
+(* Counters                                                            *)
 
 type counter = {
   cname : string;
@@ -213,7 +193,6 @@ type counter = {
 }
 
 let counter_tbl : (string, counter) Hashtbl.t = Hashtbl.create 64
-let gauge_tbl : (string, float) Hashtbl.t = Hashtbl.create 16
 
 let counter name =
   Mutex.lock registry_mutex;
@@ -245,29 +224,6 @@ let counters () =
   Mutex.unlock registry_mutex;
   List.sort compare all
 
-let set_gauge name v =
-  if Atomic.get enabled_flag then begin
-    Mutex.lock registry_mutex;
-    Hashtbl.replace gauge_tbl name v;
-    Mutex.unlock registry_mutex;
-    let b = get_buf () in
-    push_event b
-      { kind = Counter_sample;
-        name;
-        path = name;
-        tid = b.tid;
-        ts_ns = now ();
-        dur_ns = 0;
-        depth = b.depth;
-        args = [ ("value", Float v) ] }
-  end
-
-let gauges () =
-  Mutex.lock registry_mutex;
-  let all = Hashtbl.fold (fun name v acc -> (name, v) :: acc) gauge_tbl [] in
-  Mutex.unlock registry_mutex;
-  List.sort compare all
-
 (* ------------------------------------------------------------------ *)
 (* Enable / disable                                                    *)
 
@@ -276,7 +232,6 @@ let enable () =
   Mutex.lock registry_mutex;
   registry := [];
   Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counter_tbl;
-  Hashtbl.reset gauge_tbl;
   Mutex.unlock registry_mutex;
   Atomic.incr generation;
   t0 := clock_ns ();
@@ -310,9 +265,7 @@ let dropped () =
 
 let arg_to_json = function
   | Int i -> Json.Num (float_of_int i)
-  | Float f -> Json.Num f
   | Str s -> Json.Str s
-  | Bool b -> Json.Bool b
 
 let args_to_json args =
   Json.Obj (List.map (fun (k, v) -> (k, arg_to_json v)) args)
@@ -327,19 +280,10 @@ let event_to_json ev =
       ("tid", Json.Num (float_of_int ev.tid));
       ("ts", us ev.ts_ns) ]
   in
-  match ev.kind with
-  | Span ->
-    Json.Obj
-      (common
-       @ [ ("ph", Json.Str "X"); ("dur", us ev.dur_ns);
-           ("args", args_to_json ev.args) ])
-  | Instant ->
-    Json.Obj
-      (common
-       @ [ ("ph", Json.Str "i"); ("s", Json.Str "t");
-           ("args", args_to_json ev.args) ])
-  | Counter_sample ->
-    Json.Obj (common @ [ ("ph", Json.Str "C"); ("args", args_to_json ev.args) ])
+  Json.Obj
+    (common
+     @ [ ("ph", Json.Str "X"); ("dur", us ev.dur_ns);
+         ("args", args_to_json ev.args) ])
 
 let metadata_events (evs : event list) =
   let process =
@@ -412,24 +356,22 @@ let summary () =
   let child_ns : (string, int ref) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun ev ->
-       if ev.kind = Span then begin
-         let calls, ns =
-           match Hashtbl.find_opt totals ev.path with
-           | Some cell -> cell
-           | None ->
-             let cell = (ref 0, ref 0) in
-             Hashtbl.replace totals ev.path cell;
-             cell
-         in
-         Stdlib.incr calls;
-         ns := !ns + ev.dur_ns;
-         match parent_of ev.path with
-         | None -> ()
-         | Some parent ->
-           (match Hashtbl.find_opt child_ns parent with
-            | Some cell -> cell := !cell + ev.dur_ns
-            | None -> Hashtbl.replace child_ns parent (ref ev.dur_ns))
-       end)
+       let calls, ns =
+         match Hashtbl.find_opt totals ev.path with
+         | Some cell -> cell
+         | None ->
+           let cell = (ref 0, ref 0) in
+           Hashtbl.replace totals ev.path cell;
+           cell
+       in
+       Stdlib.incr calls;
+       ns := !ns + ev.dur_ns;
+       match parent_of ev.path with
+       | None -> ()
+       | Some parent ->
+         (match Hashtbl.find_opt child_ns parent with
+          | Some cell -> cell := !cell + ev.dur_ns
+          | None -> Hashtbl.replace child_ns parent (ref ev.dur_ns)))
     evs;
   let paths =
     List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) totals [])
@@ -472,14 +414,6 @@ let summary () =
        (fun (name, v) ->
           Buffer.add_string buf (Printf.sprintf "  %-50s %12d\n" name v))
        cs);
-  (match gauges () with
-   | [] -> ()
-   | gs ->
-     Buffer.add_string buf "gauges:\n";
-     List.iter
-       (fun (name, v) ->
-          Buffer.add_string buf (Printf.sprintf "  %-50s %12.3f\n" name v))
-       gs);
   let lost = dropped () in
   if lost > 0 then
     Buffer.add_string buf (Printf.sprintf "dropped events: %d\n" lost);

@@ -1,5 +1,5 @@
 (** Telemetry for the CEGIS/SAT stack: hierarchical spans, named
-    counters/gauges, and a bounded event ring, with a human-readable tree
+    counters, and a bounded event ring, with a human-readable tree
     summary and a Chrome-trace-format exporter ([chrome://tracing] /
     Perfetto).
 
@@ -29,8 +29,8 @@
 val enabled : unit -> bool
 
 val enable : unit -> unit
-(** Reset all telemetry state (rings, open spans, counters, gauges, drop
-    counts) and start recording.  The trace clock starts at zero here. *)
+(** Reset all telemetry state (rings, open spans, counters, drop counts)
+    and start recording.  The trace clock starts at zero here. *)
 
 val disable : unit -> unit
 (** Stop recording.  Data accumulated so far remains readable. *)
@@ -40,14 +40,12 @@ val set_ring_capacity : int -> unit
     next {!enable}. *)
 
 (* ------------------------------------------------------------------ *)
-(** {1 Spans and instants} *)
+(** {1 Spans} *)
 
-(** Values attachable to spans, instants and samples. *)
+(** Values attachable to spans. *)
 type arg =
   | Int of int
-  | Float of float
   | Str of string
-  | Bool of bool
 
 type frame
 (** Handle for an open span.  A dummy is returned when disabled; closing a
@@ -67,11 +65,8 @@ val span : ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
     exception is recorded as an ["exn"] argument).  When disabled this is
     exactly one atomic load followed by [f ()]. *)
 
-val instant : ?args:(string * arg) list -> string -> unit
-(** A zero-duration event at the current nesting depth. *)
-
 (* ------------------------------------------------------------------ *)
-(** {1 Counters and gauges} *)
+(** {1 Counters} *)
 
 type counter
 (** A named monotone counter.  Creation interns by name, so modules can
@@ -84,27 +79,19 @@ val incr : counter -> unit
 
 val add : counter -> int -> unit
 (** Counters are monotone: raises [Invalid_argument] on a negative
-    increment (use a gauge for values that move both ways). *)
+    increment. *)
 
 val value : counter -> int
 val counters : unit -> (string * int) list
 (** All counters with their current values, sorted by name.  Counters are
     zeroed by {!enable}. *)
 
-val set_gauge : string -> float -> unit
-(** Record the gauge's new value; each call also appends a counter-sample
-    event to the ring, so gauges plot over time in Perfetto. *)
-
-val gauges : unit -> (string * float) list
-(** Latest value per gauge, sorted by name. *)
-
 (* ------------------------------------------------------------------ *)
 (** {1 Reading the recorded data} *)
 
-type kind =
-  | Span
-  | Instant
-  | Counter_sample
+type kind = Span
+(** Every recorded event is a closed span; readers may still filter on
+    [kind]. *)
 
 type event = {
   kind : kind;
@@ -112,7 +99,7 @@ type event = {
   path : string;   (** ['/']-joined names of the enclosing spans + [name] *)
   tid : int;       (** numeric id of the recording domain *)
   ts_ns : int;     (** start, nanoseconds since {!enable} *)
-  dur_ns : int;    (** duration; [0] for instants and samples *)
+  dur_ns : int;    (** duration *)
   depth : int;     (** nesting depth at recording time *)
   args : (string * arg) list;
 }
@@ -133,8 +120,8 @@ val clock_ns : unit -> int
 val chrome_trace : unit -> string
 (** The retained events as Chrome trace format JSON (an object with a
     [traceEvents] array): spans as ["ph":"X"] complete events with
-    microsecond [ts]/[dur], instants as ["ph":"i"], counters and gauge
-    samples as ["ph":"C"], and thread-name metadata per domain.  Loadable
+    microsecond [ts]/[dur], counters as ["ph":"C"] samples, and
+    thread-name metadata per domain.  Loadable
     in [chrome://tracing] and Perfetto. *)
 
 val write_chrome_trace : string -> unit
@@ -142,4 +129,4 @@ val write_chrome_trace : string -> unit
 
 val summary : unit -> string
 (** Human-readable report: the span tree aggregated by path (calls, total,
-    self time), then counters, gauges and the drop count. *)
+    self time), then counters and the drop count. *)

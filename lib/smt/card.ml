@@ -1,12 +1,6 @@
 (* Sequential-counter encoding: registers s_{i,j} mean "at least j of the
    first i+1 literals are true".  Linear in n*k clauses and variables.
 
-   The optional [?guard] literal is prepended to every emitted clause, so
-   the whole constraint is conditional on the guard: pass [guard = ¬act]
-   and the cardinality chain only binds while [act] is assumed true.  The
-   encoding's guarded rows use this to make a row's constraints retirable
-   with one unit clause instead of a rebuild.
-
    One register bank carries both bounds, needing (n-1)*k aux variables
    where an at-most plus an at-least counter would need (n-1)*n for the
    usual k << n.  The register semantics is two-sided: the U clauses force
@@ -14,10 +8,8 @@
    direction), and the L clauses only allow s_{i,j} when that is the case
    (so the final register row can assert the lower bound). *)
 
-let exactly ?guard solver lits k =
-  let emit c =
-    Sat.add_clause solver (match guard with None -> c | Some g -> g :: c)
-  in
+let exactly solver lits k =
+  let emit c = Sat.add_clause solver c in
   let arr = Array.of_list lits in
   let n = Array.length arr in
   if k < 0 || k > n then emit []

@@ -459,32 +459,39 @@ let rec product = function
     let tails = product rest in
     List.concat_map (fun c -> List.map (fun tail -> c :: tail) tails) choices
 
-(* Every mapping the encoding of [specs] admits, by brute force: own rows
-   of the declared size, and each improper row's shared µop equal to the
-   own µop of some other row. *)
-let all_mappings num_ports specs =
+(* Every row assignment the encoding of [specs] admits, by brute force:
+   one (own, shared) pair of port sets per row, own rows of the declared
+   size, and each improper row's shared µop equal to the own µop of some
+   other row (proper rows have no shared µop). *)
+let all_rows num_ports specs =
   let own_size = function
     | Encoding.Proper c -> c
     | Encoding.Improper { own_ports } -> own_ports
   in
   product (List.map (fun (_, spec) -> port_sets num_ports (own_size spec)) specs)
   |> List.concat_map (fun owns ->
-      let usages =
-        List.mapi
-          (fun i ((_, spec), own) ->
-             match spec with
-             | Encoding.Proper _ -> [ [ (own, 1) ] ]
-             | Encoding.Improper _ ->
-               List.filteri (fun j _ -> j <> i) owns
-               |> List.map (fun shared -> [ (own, 1); (shared, 1) ]))
-          (List.combine specs owns)
-      in
-      List.map
-        (fun rows ->
-           let m = Mapping.create ~num_ports in
-           List.iter2 (fun (s, _) u -> Mapping.set m s u) specs rows;
-           m)
-        (product usages))
+      product
+        (List.mapi
+           (fun i ((_, spec), own) ->
+              match spec with
+              | Encoding.Proper _ -> [ (own, None) ]
+              | Encoding.Improper _ ->
+                List.filteri (fun j _ -> j <> i) owns
+                |> List.map (fun shared -> (own, Some shared)))
+           (List.combine specs owns)))
+
+let mapping_of_rows num_ports specs rows =
+  let m = Mapping.create ~num_ports in
+  List.iter2
+    (fun (s, _) (own, shared) ->
+       Mapping.set m s
+         ((own, 1) :: Option.fold ~none:[] ~some:(fun p -> [ (p, 1) ]) shared))
+    specs rows;
+  m
+
+(* Every mapping the encoding of [specs] admits. *)
+let all_mappings num_ports specs =
+  List.map (mapping_of_rows num_ports specs) (all_rows num_ports specs)
 
 (* Soundness of [Encoding.block_bottleneck]: take the k-th model of a
    throwaway encoding, measure its experiment [gap] away from the naive
@@ -648,8 +655,8 @@ let prop_explain_verdict =
 
 (* The incremental theory check re-evaluates an observation only when a
    row of its schemes changed since the encoding's previous check.  Over a
-   random run of models (each a random admissible mapping, often the
-   previous one again or sharing rows with it) and a growing observation
+   random run of models (each a random admissible row assignment, often
+   the previous one again or sharing rows with it) and a growing observation
    list, every round must learn exactly the lemmas a check from scratch
    learns, in the same order. *)
 let prop_theory_incremental_matches_scratch =
@@ -676,20 +683,9 @@ let prop_theory_incremental_matches_scratch =
     (fun (specs, experiments, noise, truth, rounds) ->
        let config = cegis_config num_ports in
        let encoding = Encoding.create ~num_ports specs in
-       (* A shared µop equal to its own merges into one usage entry, which
-          [freeze_lits] cannot pin; those mappings are left out. *)
-       let pinnable m =
-         match Encoding.freeze_lits encoding m with
-         | _ -> true
-         | exception Invalid_argument _ -> false
-       in
-       let mappings =
-         Array.of_list (List.filter pinnable (all_mappings num_ports specs))
-       in
-       Array.length mappings = 0
-       ||
-       let pick k = mappings.(k mod Array.length mappings) in
-       let truth = pick truth in
+       let rows = Array.of_list (all_rows num_ports specs) in
+       let pick k = rows.(k mod Array.length rows) in
+       let truth = mapping_of_rows num_ports specs (pick truth) in
        let observations =
          List.concat
            (List.map2
@@ -707,29 +703,36 @@ let prop_theory_incremental_matches_scratch =
                    [ { Cegis.experiment = e; cycles } ])
               experiments noise)
        in
-       let model_of m =
+       (* [mapping_vars] lists each row's own µop by ascending port, then
+          its shared µop; a model sets exactly the rows' port sets. *)
+       let vars = Encoding.mapping_vars encoding in
+       let model_of rows =
          let model =
            Array.make (Pmi_smt.Sat.num_vars (Encoding.sat encoding)) false
          in
-         List.iter
-           (fun l ->
-              if Pmi_smt.Lit.is_pos l then model.(Pmi_smt.Lit.var l) <- true)
-           (Encoding.freeze_lits encoding m);
+         let next = ref 0 in
+         let fill ports =
+           for k = 0 to num_ports - 1 do
+             model.(vars.(!next)) <- Portset.mem k ports;
+             incr next
+           done
+         in
+         List.iter (fun (own, shared) -> fill own; Option.iter fill shared) rows;
          model
        in
-       (* Each round keeps the previous mapping (repeat = 0) or draws one,
-          and may reveal one more observation. *)
+       (* Each round keeps the previous rows (repeat = 0) or draws new
+          ones, and may reveal one more observation. *)
        let steps =
          let _, _, steps =
            List.fold_left
-             (fun (m, seen, acc) (repeat, k, grow) ->
-                let m = if repeat = 0 then m else pick k in
+             (fun (cur, seen, acc) (repeat, k, grow) ->
+                let cur = if repeat = 0 then cur else pick k in
                 let seen =
                   if grow then min (seen + 1) (List.length observations)
                   else seen
                 in
                 let obs = List.filteri (fun i _ -> i < seen) observations in
-                (m, seen, (obs, model_of m) :: acc))
+                (cur, seen, (obs, model_of cur) :: acc))
              (pick 0, 1, []) rounds
          in
          List.rev steps
@@ -1124,68 +1127,6 @@ let test_block_model_progress () =
   in
   Alcotest.(check int) "exactly two 1-port mappings" 2 (count 0)
 
-let test_guarded_rows () =
-  (* A creation-time row [a] plus an appended, guarded row [b] on 3 ports. *)
-  let catalog = toy_catalog 2 in
-  let a = Catalog.find catalog 0 and b = Catalog.find catalog 1 in
-  let module Sat = Pmi_smt.Sat in
-  let enc =
-    Encoding.create ~num_ports:3 ~symmetry_breaking:false
-      [ (a, Encoding.Proper 1) ]
-  in
-  Encoding.append_row enc b (Encoding.Proper 2);
-  let sat = Encoding.sat enc in
-  let is_sat assumptions =
-    match Sat.solve ~assumptions sat with Sat.Sat _ -> true | Sat.Unsat -> false
-  in
-  (* Literals pinning [b]'s current row to the given ports. *)
-  let pin ports =
-    let m = Mapping.create ~num_ports:3 in
-    Mapping.set m b [ (Portset.of_list ports, 1) ];
-    Encoding.freeze_lits enc m
-  in
-  let act = Encoding.row_assumptions enc in
-  Alcotest.(check int) "one guarded row" 1 (List.length act);
-  (* The row's "exactly 2" chain binds only under its activation literal. *)
-  Alcotest.(check bool) "3 ports allowed while inactive" true
-    (is_sat (pin [ 0; 1; 2 ]));
-  Alcotest.(check bool) "3 ports refuted while active" false
-    (is_sat (pin [ 0; 1; 2 ] @ act));
-  let model =
-    match Sat.solve ~assumptions:act sat with
-    | Sat.Sat model -> model
-    | Sat.Unsat -> Alcotest.fail "active guarded row should be satisfiable"
-  in
-  let usage = Mapping.usage (Encoding.decode enc model) b in
-  let ports = Portset.to_list (fst (List.hd usage)) in
-  Alcotest.(check int) "2 ports while active" 2 (List.length ports);
-  (* A lemma over [b] refutes its port set, but only while the row is
-     active. *)
-  let old_pin = pin ports in
-  Sat.add_clause sat
-    (Encoding.block_bottleneck enc model [ b ] Encoding.Too_fast);
-  Alcotest.(check bool) "lemma binds while active" false
-    (is_sat (old_pin @ act));
-  Alcotest.(check bool) "lemma inert while inactive" true
-    (is_sat old_pin);
-  (* Retiring the row retires the lemma with it: the old variables are
-     free again, even with the lemma's port set pinned. *)
-  Encoding.retire_row enc b;
-  Alcotest.(check int) "no guarded rows left" 0
-    (List.length (Encoding.row_assumptions enc));
-  Alcotest.(check bool) "lemma inert after retirement" true
-    (is_sat old_pin);
-  (* Re-appending the scheme with another count gives a fresh row. *)
-  Encoding.append_row enc b (Encoding.Proper 3);
-  match Sat.solve ~assumptions:(old_pin @ Encoding.row_assumptions enc) sat with
-  | Sat.Sat model ->
-    let m = Encoding.decode enc model in
-    Alcotest.(check int) "re-appended row has 3 ports" 3
-      (Portset.cardinal (fst (List.hd (Mapping.usage m b))));
-    Alcotest.(check int) "creation-time row keeps 1 port" 1
-      (Portset.cardinal (fst (List.hd (Mapping.usage m a))))
-  | Sat.Unsat -> Alcotest.fail "re-appended row should be satisfiable"
-
 let test_symmetry_breaking_reduces_models () =
   let catalog = toy_catalog 1 in
   let scheme = Catalog.find catalog 0 in
@@ -1219,17 +1160,15 @@ let test_symmetry_breaking_reduces_models () =
 (* The search without its table or its prune: every multiset in the same
    order, each evaluated from scratch. *)
 let naive_distinguish config schemes m1 m2 =
-  let tolerance = Pmi_measure.Harness.Compare.tolerance config.Cegis.epsilon in
   let o1 = Oracle.create m1 and o2 = Oracle.create m2 in
   let schemes = Array.of_list schemes in
   let exception Hit of Experiment.t in
   let rec fill size rem start acc =
     if rem = 0 then begin
       let e = Experiment.of_counts acc in
-      let t1 = Oracle.inverse_bounded_frac ~r_max:config.r_max o1 e in
+      let t1 = Oracle.inverse_bounded_frac ~r_max:config.Cegis.r_max o1 e in
       let t2 = Oracle.inverse_bounded_frac ~r_max:config.r_max o2 e in
-      if Pmi_measure.Harness.Compare.well_separated_frac ~tolerance
-          ~length:size t1 t2
+      if Pmi_measure.Harness.Compare.well_separated_frac ~length:size t1 t2
       then raise (Hit e)
     end
     else
@@ -1333,7 +1272,6 @@ let () =
        [ Alcotest.test_case "cardinality" `Quick test_encoding_cardinality;
          Alcotest.test_case "improper blockers (§4.3)" `Quick test_encoding_improper;
          Alcotest.test_case "model blocking" `Quick test_block_model_progress;
-         Alcotest.test_case "guarded rows" `Quick test_guarded_rows;
          Alcotest.test_case "symmetry breaking" `Quick
            test_symmetry_breaking_reduces_models ]);
       ("cegis",

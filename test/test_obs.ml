@@ -36,8 +36,7 @@ let test_span_nesting () =
   let evs =
     with_obs (fun () ->
         Obs.span "outer" (fun () ->
-            Obs.span "inner" (fun () -> ignore (Sys.opaque_identity 0));
-            Obs.instant "mark"))
+            Obs.span "inner" (fun () -> ignore (Sys.opaque_identity 0))))
   in
   let outer = the_span "outer" evs in
   let inner = the_span "inner" evs in
@@ -51,12 +50,6 @@ let test_span_nesting () =
   Alcotest.(check bool) "inner ends before outer" true
     (inner.Obs.ts_ns + inner.Obs.dur_ns
      <= outer.Obs.ts_ns + outer.Obs.dur_ns);
-  (* The instant inherits the nesting context. *)
-  (match List.filter (fun (e : Obs.event) -> e.Obs.kind = Obs.Instant) evs with
-   | [ mark ] ->
-     Alcotest.(check string) "instant path" "outer/mark" mark.Obs.path;
-     Alcotest.(check int) "instant duration" 0 mark.Obs.dur_ns
-   | es -> Alcotest.failf "expected one instant, got %d" (List.length es));
   (* Events come out sorted by start time. *)
   let ts = List.map (fun (e : Obs.event) -> e.Obs.ts_ns) evs in
   Alcotest.(check (list int)) "sorted by ts" (List.sort compare ts) ts
@@ -117,7 +110,7 @@ let test_ring_bounded () =
   | [] -> Alcotest.fail "ring is empty"
 
 (* ------------------------------------------------------------------ *)
-(* Counters and gauges                                                 *)
+(* Counters                                                            *)
 
 let test_counter_monotone () =
   let c = Obs.counter "obs-test.counter" in
@@ -139,21 +132,6 @@ let test_counter_monotone () =
   Alcotest.(check bool) "listed with its value" true
     (List.mem ("obs-test.counter", 43) (Obs.counters ()))
 
-let test_gauges () =
-  Obs.enable ();
-  Obs.set_gauge "obs-test.gauge" 1.5;
-  Obs.set_gauge "obs-test.gauge" 2.5;
-  Obs.disable ();
-  Alcotest.(check bool) "latest value wins" true
-    (List.mem ("obs-test.gauge", 2.5) (Obs.gauges ()));
-  let samples =
-    List.filter
-      (fun (e : Obs.event) -> e.Obs.kind = Obs.Counter_sample)
-      (Obs.events ())
-  in
-  Alcotest.(check bool) "each set_gauge samples the ring" true
-    (List.length samples >= 2)
-
 (* ------------------------------------------------------------------ *)
 (* Disabled mode                                                       *)
 
@@ -167,11 +145,10 @@ let test_disabled_allocates_nothing () =
   let before = Gc.minor_words () in
   for _ = 1 to 100_000 do
     Obs.span "off" body;
-    Obs.incr c;
-    Obs.instant "off"
+    Obs.incr c
   done;
   let words = Gc.minor_words () -. before in
-  (* 100k iterations of span+incr+instant: a strict zero is hostage to
+  (* 100k iterations of span+incr: a strict zero is hostage to
      compiler versions, but anything beyond noise means a box or closure
      crept onto the disabled path. *)
   Alcotest.(check bool)
@@ -185,9 +162,7 @@ let test_disabled_allocates_nothing () =
 let test_chrome_trace_well_formed () =
   Obs.enable ();
   Obs.span ~args:[ ("n", Obs.Int 3); ("tag", Obs.Str "a\"b\\c") ] "chrome"
-    (fun () -> Obs.instant "tick");
-  Obs.incr (Obs.counter "obs-test.chrome");
-  Obs.set_gauge "obs-test.chrome-gauge" 0.25;
+    (fun () -> Obs.span "inner" (fun () -> ()));
   Obs.disable ();
   match Json.parse (Obs.chrome_trace ()) with
   | Error msg -> Alcotest.failf "chrome trace does not parse: %s" msg
@@ -215,8 +190,6 @@ let test_chrome_trace_well_formed () =
     in
     let has ph = List.mem ph phases in
     Alcotest.(check bool) "complete spans" true (has "X");
-    Alcotest.(check bool) "instants" true (has "i");
-    Alcotest.(check bool) "counter samples" true (has "C");
     Alcotest.(check bool) "thread metadata" true (has "M");
     (* X events carry microsecond ts/dur numbers. *)
     List.iter
@@ -444,8 +417,7 @@ let () =
            test_open_spans_not_exported;
          Alcotest.test_case "ring bounded" `Quick test_ring_bounded ]);
       ("counters",
-       [ Alcotest.test_case "monotone" `Quick test_counter_monotone;
-         Alcotest.test_case "gauges" `Quick test_gauges ]);
+       [ Alcotest.test_case "monotone" `Quick test_counter_monotone ]);
       ("disabled",
        [ Alcotest.test_case "zero allocations" `Quick
            test_disabled_allocates_nothing ]);

@@ -509,37 +509,20 @@ let popcount mask =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
   go 0 mask
 
-(* The three ways the encoding uses [exactly]: unguarded (creation-time
-   rows), and guarded by a literal that is true (a retired row: the
-   network must accept any input count) or false (a live row: the network
-   must bind).  The sweep covers every n up to 12, the widest port count
-   of any profile, every k in 0..n and every input assignment, forced via
-   assumptions: soundness and completeness of each network. *)
-type card_mode =
-  | Unguarded
-  | Guard_true
-  | Guard_false
-
-let card_sweep mode () =
+(* The sweep covers every n up to 12, the widest port count of any
+   profile, every k in 0..n and every input assignment, forced via
+   assumptions: soundness and completeness of the network. *)
+let card_sweep () =
   for n = 0 to 12 do
     for k = 0 to n do
       let s = Sat.create () in
-      let guard =
-        if mode = Unguarded then None else Some (Lit.pos (Sat.fresh_var s))
-      in
       let vars = List.init n (fun _ -> Sat.fresh_var s) in
-      Card.exactly ?guard s (List.map Lit.pos vars) k;
-      let assume_guard =
-        match guard with
-        | None -> []
-        | Some g -> [ (if mode = Guard_true then g else Lit.negate g) ]
-      in
+      Card.exactly s (List.map Lit.pos vars) k;
       for mask = 0 to (1 lsl n) - 1 do
         let assumptions =
-          assume_guard
-          @ List.mapi (fun i v -> Lit.make v (mask land (1 lsl i) <> 0)) vars
+          List.mapi (fun i v -> Lit.make v (mask land (1 lsl i) <> 0)) vars
         in
-        let expected = mode = Guard_true || popcount mask = k in
+        let expected = popcount mask = k in
         if is_sat (Sat.solve ~assumptions s) <> expected then
           Alcotest.failf "n=%d k=%d mask=%d: expected %s" n k mask
             (if expected then "SAT" else "UNSAT")
@@ -714,12 +697,7 @@ let () =
          Alcotest.test_case "shared registers" `Quick
            test_card_exactly_shares_registers;
          Alcotest.test_case "exactly is exact (exhaustive)" `Slow
-           (card_sweep Unguarded);
-         Alcotest.test_case
-           "guard true satisfies the network under any input count" `Slow
-           (card_sweep Guard_true);
-         Alcotest.test_case "guard false enforces exactly the declared bound"
-           `Slow (card_sweep Guard_false) ]
+           card_sweep ]
        @ qsuite [ prop_card_exactly_counts ]);
       ("theory",
        [ Alcotest.test_case "cegar loop" `Quick test_theory_loop;
