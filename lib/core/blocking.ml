@@ -5,18 +5,17 @@ module Harness = Pmi_measure.Harness
 
 type config = {
   epsilon : Rat.t;
-  spread_threshold : float;
-  port_tolerance : float;
   max_ports : int;
   r_max : int;
 }
 
 let default_config =
-  { epsilon = Harness.Compare.default_epsilon;
-    spread_threshold = 0.04;
-    port_tolerance = 0.12;
-    max_ports = 4;
-    r_max = 5 }
+  { epsilon = Harness.Compare.default_epsilon; max_ports = 4; r_max = 5 }
+
+let spread_threshold = 0.04
+
+(* How close 1/tp⁻¹ must be to an integer. *)
+let port_tolerance = 0.12
 
 type individual =
   | Hardwired
@@ -39,7 +38,7 @@ let classify_individual ?(config = default_config) harness scheme =
   if has_hardwired_operand scheme then Hardwired
   else begin
   let sample = Harness.run harness (Experiment.singleton scheme) in
-  if sample.Harness.spread_cpi > config.spread_threshold then Unreliable
+  if sample.Harness.spread_cpi > spread_threshold then Unreliable
   else begin
     let postulated = Uop_count.postulated_uops harness scheme in
     (* ticks / precision as a float: the correctly rounded quotient, the
@@ -48,21 +47,21 @@ let classify_individual ?(config = default_config) harness scheme =
       float_of_int sample.Harness.ticks
       /. float_of_int (Harness.precision harness)
     in
-    if cycles > float_of_int (max postulated 1) +. config.port_tolerance then
+    if cycles > float_of_int (max postulated 1) +. port_tolerance then
       (* No port mapping over [postulated] µops can be this slow: the
          divider-style non-pipelined schemes of §4.1.2. *)
       Outside_model
     else if postulated >= 2 then Multi_uop postulated
     else begin
       let throughput = 1.0 /. cycles in
-      if throughput >= float_of_int config.r_max -. config.port_tolerance then
+      if throughput >= float_of_int config.r_max -. port_tolerance then
         (* Streams at the frontend limit: no port usage to observe. *)
         Zero_uop
       else begin
         let n = int_of_float (Float.round throughput) in
         if
           n >= 1 && n <= config.max_ports
-          && Float.abs (throughput -. float_of_int n) <= config.port_tolerance
+          && Float.abs (throughput -. float_of_int n) <= port_tolerance
         then Candidate n
         else Outside_model
       end
@@ -87,9 +86,9 @@ type pair_result = Additive | Not_additive | Unstable_pair
 (* The pair test on ticks: [pair ≈ ti + tj] up to 2ε, with both sides
    over the harness's precision.  Both singletons are looked up, as the
    hit/miss counters expect. *)
-let measure_pair config tolerance harness i j =
+let measure_pair tolerance harness i j =
   let sample = Harness.run harness (Experiment.of_list [ i; j ]) in
-  if sample.Harness.spread_cpi > config.spread_threshold then Unstable_pair
+  if sample.Harness.spread_cpi > spread_threshold then Unstable_pair
   else begin
     let ti = (Harness.run harness (Experiment.singleton i)).Harness.ticks in
     let tj = (Harness.run harness (Experiment.singleton j)).Harness.ticks in
@@ -102,7 +101,7 @@ let measure_pair config tolerance harness i j =
   end
 
 let additive ?(config = default_config) harness i j =
-  measure_pair config (Harness.Compare.tolerance config.epsilon) harness i j
+  measure_pair (Harness.Compare.tolerance config.epsilon) harness i j
   = Additive
 
 (* Union-find over array indices. *)
@@ -124,14 +123,14 @@ let union parent i j =
   if ri <> rj then parent.(ri) <- rj
 
 (* Process one group of candidates that share a port-set size. *)
-let process_group config tolerance harness group =
+let process_group tolerance harness group =
   let members = Array.of_list group in
   let n = Array.length members in
   let adjacency = Array.make_matrix n n false in
   let unstable_pair = Array.make_matrix n n false in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      match measure_pair config tolerance harness members.(i) members.(j) with
+      match measure_pair tolerance harness members.(i) members.(j) with
       | Additive ->
         adjacency.(i).(j) <- true;
         adjacency.(j).(i) <- true
@@ -299,7 +298,7 @@ let filter_candidates ?(config = default_config) ?(prefer = default_preference)
   List.iter
     (fun (count, group) ->
        let class_members, uns, contra =
-         process_group config tolerance harness group
+         process_group tolerance harness group
        in
        unstable := !unstable @ uns;
        contradictory := !contradictory @ contra;

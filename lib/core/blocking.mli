@@ -17,14 +17,15 @@
 
 type config = {
   epsilon : Pmi_numeric.Rat.t;  (** CPI tolerance for throughput equality *)
-  spread_threshold : float;     (** CPI spread above which a measurement is
-                                    considered unreliable *)
-  port_tolerance : float;       (** how close 1/tp⁻¹ must be to an integer *)
   max_ports : int;              (** largest port-set size of any µop *)
   r_max : int;                  (** frontend throughput in instructions/cycle *)
 }
 
 val default_config : config
+
+val spread_threshold : float
+(** CPI spread above which a measurement is considered unreliable (0.04),
+    here and in {!Port_usage}. *)
 
 (** Outcome of benchmarking one scheme individually (§4.1). *)
 type individual =

@@ -127,59 +127,74 @@ let lemma config encoding o model obs =
 
 (* The theory check of one encoding, kept across all of its solves.  An
    observation's verdict is a pure function of the rows of its schemes, so
-   it is re-evaluated only when one of those rows changed since this
-   encoding's previous check; every other observation keeps its verdict.
-   The lemmas are those a check from scratch learns, in the same order.
-   The mapping is decoded in place, changed rows only. *)
-type verdict = { rows : int array; mutable explained : bool }
-
-let rec any_changed changed rows i =
-  i < Array.length rows
-  && (changed.(rows.(i)) || any_changed changed rows (i + 1))
+   it is re-evaluated only when one of those rows changed since the check
+   that last evaluated it; every other observation keeps its verdict.
+   Checks are numbered, and each row carries the number of the check at
+   which its decoded rows last changed.  The lemmas are those a check from
+   scratch learns, in the same order.  The mapping is decoded in place,
+   changed rows only. *)
+type verdict = {
+  rows : int array;
+  mutable explained : bool;
+  mutable at : int;              (* the check that evaluated it; -1 before *)
+}
 
 type theory = {
   encoding : Encoding.t;
   decoder : Encoding.decoder;
   oracle : Oracle.t;             (* over the decoder's mapping *)
-  verdicts : verdict Vec.t;      (* one per observation checked so far *)
+  verdicts : verdict Vec.t;      (* one per observation tracked so far *)
+  changed_at : int array;        (* per row, the check it last changed at *)
+  mutable checks : int;
 }
 
 let theory encoding =
   let decoder = Encoding.decoder encoding in
   { encoding; decoder;
     oracle = Oracle.create (Encoding.decoded decoder);
-    verdicts = Vec.create () }
+    verdicts = Vec.create ();
+    changed_at = Array.make (List.length (Encoding.schemes encoding)) 0;
+    checks = 0 }
+
+(* Give the next observation a verdict slot. *)
+let track th m =
+  let rows =
+    Experiment.schemes m.obs.experiment
+    |> List.filter_map (fun s ->
+        let r = Encoding.row_index th.encoding s in
+        if r >= 0 then Some r else None)
+    |> Array.of_list
+  in
+  Vec.push th.verdicts { rows; explained = false; at = -1 }
+
+(* Start a check: decode the model and stamp the rows it changed. *)
+let decode_model th model =
+  th.checks <- th.checks + 1;
+  Array.iteri
+    (fun r changed -> if changed then th.changed_at.(r) <- th.checks)
+    (Encoding.redecode th.decoder model)
+
+(* Does the decoded mapping explain tracked observation [i]? *)
+let evaluate config th i m =
+  let v = Vec.get th.verdicts i in
+  if v.at < 0 || Array.exists (fun r -> th.changed_at.(r) > v.at) v.rows
+  then begin
+    v.explained <- explains config th.oracle m;
+    v.at <- th.checks
+  end;
+  v.explained
 
 (* Theory check: decode the SAT model, evaluate the observations, and learn
    a lemma for each violated one.  Lemmas are also collected in [pool],
    from which {!sync_lemmas} copies them into the findOtherMapping
    encoding (both number their variables alike). *)
 let theory_check config th observations pool model =
-  let changed = Encoding.redecode th.decoder model in
+  decode_model th model;
   let lemmas = ref [] in
   for i = 0 to Vec.length observations - 1 do
     let m = Vec.get observations i in
-    let explained =
-      if i < Vec.length th.verdicts then begin
-        let v = Vec.get th.verdicts i in
-        if any_changed changed v.rows 0 then
-          v.explained <- explains config th.oracle m;
-        v.explained
-      end
-      else begin
-        let rows =
-          Experiment.schemes m.obs.experiment
-          |> List.filter_map (fun s ->
-              let r = Encoding.row_index th.encoding s in
-              if r >= 0 then Some r else None)
-          |> Array.of_list
-        in
-        let explained = explains config th.oracle m in
-        Vec.push th.verdicts { rows; explained };
-        explained
-      end
-    in
-    if not explained then
+    if i = Vec.length th.verdicts then track th m;
+    if not (evaluate config th i m) then
       lemmas :=
         lemma config th.encoding th.oracle model m.obs :: !lemmas
   done;
@@ -681,10 +696,121 @@ let cold config specs observations =
   List.iter (fun o -> Vec.push obs (measured o)) observations;
   (theory (fresh_encoding config specs), obs, pool)
 
+(* A probe session: one guarded encoding over a round's specs answers
+   every "does some mapping over these rows explain these observations?"
+   question as one solve under assumptions (see {!Encoding.activation}).
+   Each distinct observation, keyed by its experiment and cycles, gets an
+   activation variable and a verdict slot when it first appears; a lemma
+   learned for it is guarded by that variable, so it binds only the
+   questions that switch the observation on.  The encoding is built by the
+   first question. *)
+module Session = struct
+  type state = {
+    th : theory;
+    interned : ((int * int) list, (Rat.t * int) list) Hashtbl.t;
+    tracked : (measured * int) Vec.t;  (* per observation, with its guard *)
+  }
+
+  type t = {
+    config : config;
+    specs : (Scheme.t * Encoding.instr_spec) list;
+    mutable state : state option;
+  }
+
+  let create ?(config = default_config) specs =
+    { config; specs; state = None }
+
+  let state t =
+    match t.state with
+    | Some st -> st
+    | None ->
+      let encoding =
+        Encoding.create ~num_ports:t.config.num_ports
+          ~certify:t.config.certify ~guards:true t.specs
+      in
+      let st =
+        { th = theory encoding; interned = Hashtbl.create 64;
+          tracked = Vec.create () }
+      in
+      t.state <- Some st;
+      st
+
+  (* The observation's index, tracking it first if it is new. *)
+  let intern st obs =
+    let key = Experiment.key obs.experiment in
+    let seen = Option.value ~default:[] (Hashtbl.find_opt st.interned key) in
+    match List.find_opt (fun (c, _) -> Rat.equal c obs.cycles) seen with
+    | Some (_, i) -> i
+    | None ->
+      let i = Vec.length st.tracked in
+      let m = measured obs in
+      Vec.push st.tracked
+        (m, Pmi_smt.Sat.fresh_var (Encoding.sat st.th.encoding));
+      track st.th m;
+      Hashtbl.replace st.interned key ((obs.cycles, i) :: seen);
+      i
+
+  let ask t ~specs ~observations =
+    let st = state t in
+    let th = st.th in
+    let rows = Encoding.activation th.encoding specs in
+    let kept s = List.exists (fun (s', _) -> Scheme.equal s s') specs in
+    let ids =
+      List.map
+        (fun obs ->
+           if not (List.for_all kept (Experiment.schemes obs.experiment)) then
+             invalid_arg "Cegis.Session: observation of a switched-off row";
+           intern st obs)
+        observations
+    in
+    let on = Array.make (Vec.length st.tracked) false in
+    let ids =
+      List.filter
+        (fun i ->
+           let first = not on.(i) in
+           on.(i) <- true;
+           first)
+        ids
+    in
+    let assumptions =
+      rows
+      @ List.init (Vec.length st.tracked) (fun i ->
+          Pmi_smt.Lit.make (snd (Vec.get st.tracked i)) on.(i))
+    in
+    let question = Vec.create () in
+    List.iter (fun i -> Vec.push question (fst (Vec.get st.tracked i))) ids;
+    let check model =
+      decode_model th model;
+      let lemmas =
+        List.filter_map
+          (fun i ->
+             let m, guard = Vec.get st.tracked i in
+             if evaluate t.config th i m then None
+             else
+               Some
+                 (Pmi_smt.Lit.neg_of_var guard
+                  :: lemma t.config th.encoding th.oracle model m.obs))
+          ids
+      in
+      Obs.add c_lemmas (List.length lemmas);
+      lemmas
+    in
+    match
+      certified_solve t.config th.encoding question ~assumptions ~check ()
+    with
+    | Solver.Sat model -> Some model
+    | Solver.Unsat -> None
+
+  let explains t ~specs ~observations =
+    Obs.span "cegis.explain" @@ fun () ->
+    Option.is_some (ask t ~specs ~observations)
+end
+
 let explain ?(config = default_config) ~specs ~observations () =
   Obs.span "cegis.explain" @@ fun () ->
-  let th, obs, pool = cold config specs observations in
-  Option.map (Encoding.decode th.encoding) (find_mapping config th obs pool)
+  let session = Session.create ~config specs in
+  Session.ask session ~specs ~observations
+  |> Option.map (Encoding.decode (Session.state session).th.encoding)
 
 let canonical ?(config = default_config) ~specs ~observations () =
   let th, obs, pool = cold config specs observations in

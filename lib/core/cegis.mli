@@ -186,6 +186,39 @@ val canonical :
     It depends on [specs] and the observations only, so a cold encoding
     returns what {!infer} returned for the same observations. *)
 
+(** Questions of the §4.3 culprit search, all answered on one encoding.
+    A session is opened over a round's specs; each question names a subset
+    of them and of the observations, and asks whether some mapping over
+    those rows explains those observations.  The answer is the verdict of
+    {!explain} on the same subset: the encoding guards every row and
+    every distinct observation (an experiment with its cycles) with an
+    activation variable, each question is one solve under assumptions that
+    switch on its rows and observations and switch off the rest, and its
+    theory check evaluates its own observations only.  A lemma learned
+    for an observation is guarded by that observation's variable, so
+    learned lemmas carry over to later questions without binding those
+    that leave it out. *)
+module Session : sig
+  type t
+
+  val create :
+    ?config:config -> (Pmi_isa.Scheme.t * Encoding.instr_spec) list -> t
+  (** A session over the specs; the encoding is built by the first
+      question. *)
+
+  val explains :
+    t ->
+    specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
+    observations:observation list ->
+    bool
+  (** Does some mapping over [specs] explain every observation?  One
+      [cegis.explain] span.
+      @raise Invalid_argument if a spec is not one of the session's, if
+      [specs] hold an improper instruction without a proper one (as
+      {!Encoding.create} does), or if an observation names a scheme
+      outside [specs]. *)
+end
+
 val explain :
   ?config:config ->
   specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
@@ -193,8 +226,7 @@ val explain :
   unit ->
   Pmi_portmap.Mapping.t option
 (** One standalone [findMapping] call: a mapping over [specs] consistent
-    with the observations, if any.  Used for the §4.3 culprit search when
-    the full inference reports UNSAT ({!Pipeline}).
+    with the observations, if any.  It is a one-question {!Session}.
 
     The theory check learns bottleneck-set lemmas, as {!infer}'s does
     ({!Encoding.block_bottleneck}): a model that is too slow for an

@@ -12,12 +12,15 @@ type row = {
   spec : instr_spec;
   own : int array;             (* own µop variables, one per port *)
   shared : int array;          (* improper only: shared µop variables *)
+  partners : (int * int) list; (* improper only: (partner row, selector) *)
 }
 
 type t = {
   solver : Sat.t;
   num_ports : int;
   rows : row array;
+  guards : int array;          (* per row, its activation variable; empty
+                                  unless created with [~guards:true] *)
 }
 
 let sat t = t.solver
@@ -25,26 +28,35 @@ let num_ports t = t.num_ports
 
 let schemes t = Array.to_list (Array.map (fun r -> (r.scheme, r.spec)) t.rows)
 
+let row_index t scheme =
+  let rec find i =
+    if i = Array.length t.rows then -1
+    else if Scheme.equal t.rows.(i).scheme scheme then i
+    else find (i + 1)
+  in
+  find 0
+
 let check_count num_ports c =
   if c < 1 || c > num_ports then
     invalid_arg "Encoding: port count out of range"
 
-let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
+let is_proper = function Proper _ -> true | Improper _ -> false
+
+let check_proper specs =
+  if
+    List.exists (fun (_, spec) -> not (is_proper spec)) specs
+    && not (List.exists (fun (_, spec) -> is_proper spec) specs)
+  then invalid_arg "Encoding.create: improper instruction without proper ones"
+
+let create ~num_ports ?(symmetry_breaking = true) ?(certify = false)
+    ?(guards = false) specs =
   if num_ports <= 0 then invalid_arg "Encoding.create: num_ports";
   let solver = Sat.create () in
   (* Proof logging must precede every clause, otherwise the trace lacks the
      axioms later derivations resolve against. *)
   if certify then Sat.set_proof_logging solver true;
   let fresh_row () = Array.init num_ports (fun _ -> Sat.fresh_var solver) in
-  let proper_indices =
-    List.filteri (fun _ (_, spec) -> match spec with Proper _ -> true | Improper _ -> false)
-      specs
-    |> List.length
-  in
-  if
-    proper_indices = 0
-    && List.exists (fun (_, s) -> match s with Improper _ -> true | Proper _ -> false) specs
-  then invalid_arg "Encoding.create: improper instruction without proper ones";
+  check_proper specs;
   let rows =
     Array.of_list
       (List.map
@@ -52,7 +64,7 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
             (match spec with
              | Proper c -> check_count num_ports c
              | Improper { own_ports } -> check_count num_ports own_ports);
-            { scheme; spec; own = fresh_row (); shared = [||] })
+            { scheme; spec; own = fresh_row (); shared = [||]; partners = [] })
          specs)
   in
   (* Cardinality of every own µop. *)
@@ -75,8 +87,9 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
          | Proper _ -> row
          | Improper _ ->
            let partners =
-             Array.to_list rows
-             |> List.filter (fun r -> not (Scheme.equal r.scheme row.scheme))
+             List.init (Array.length rows) Fun.id
+             |> List.filter (fun p ->
+                 not (Scheme.equal rows.(p).scheme row.scheme))
            in
            let shared = fresh_row () in
            let selectors =
@@ -84,7 +97,8 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
            in
            Card.exactly solver (Array.to_list (Array.map Lit.pos selectors)) 1;
            List.iteri
-             (fun j partner ->
+             (fun j p ->
+                let partner = rows.(p) in
                 for k = 0 to num_ports - 1 do
                   (* selectors.(j) -> (shared.(k) <-> partner.own.(k)) *)
                   Sat.add_clause solver
@@ -97,10 +111,10 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
                       Lit.neg_of_var partner.own.(k) ]
                 done)
              partners;
-           { row with shared })
+           { row with shared;
+                      partners = List.mapi (fun j p -> (p, selectors.(j))) partners })
       rows
   in
-  let t = { solver; num_ports; rows } in
   if symmetry_breaking then begin
     (* Columns (ports), read along the proper rows, are lexicographically
        non-increasing: col k >= col k+1. *)
@@ -154,7 +168,36 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
       go None xs ys
     done
   end;
-  t
+  (* Row guards come last, so the variables above are numbered as in an
+     unguarded encoding.  An active improper row may not take its shared
+     µop from a row that is switched off. *)
+  let guards =
+    if guards then Array.map (fun _ -> Sat.fresh_var solver) rows else [||]
+  in
+  if guards <> [||] then
+    Array.iteri
+      (fun i row ->
+         List.iter
+           (fun (p, sel) ->
+              Sat.add_clause solver
+                [ Lit.neg_of_var guards.(i); Lit.pos guards.(p);
+                  Lit.neg_of_var sel ])
+           row.partners)
+      rows;
+  { solver; num_ports; rows; guards }
+
+let activation t specs =
+  if t.guards = [||] then invalid_arg "Encoding.activation: no row guards";
+  check_proper specs;
+  let on = Array.make (Array.length t.rows) false in
+  List.iter
+    (fun (scheme, spec) ->
+       let i = row_index t scheme in
+       if i < 0 || t.rows.(i).spec <> spec then
+         invalid_arg "Encoding.activation: no such row";
+       on.(i) <- true)
+    specs;
+  Array.to_list (Array.mapi (fun i g -> Lit.make g on.(i)) t.guards)
 
 let row_mask model vars =
   let m = ref 0 in
@@ -181,14 +224,6 @@ let decode t model =
 let mapping_vars t =
   Array.concat
     (List.concat_map (fun r -> [ r.own; r.shared ]) (Array.to_list t.rows))
-
-let row_index t scheme =
-  let rec find i =
-    if i = Array.length t.rows then -1
-    else if Scheme.equal t.rows.(i).scheme scheme then i
-    else find (i + 1)
-  in
-  find 0
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoding                                                *)

@@ -20,7 +20,16 @@
     stops enumerating port renamings of the same mapping.
 
     The rows are fixed at {!create}, one per blocking instruction of the
-    solve. *)
+    solve.  With row guards, one encoding answers questions about any
+    subset of its rows: each row gets an activation variable, and a
+    question assumes the rows it keeps on and the others off
+    ({!activation}).  A switched-off row is free apart from its own
+    cardinality, and an active improper row cannot take its shared µop
+    from a switched-off row, so an answer is the answer of an unguarded
+    encoding over the kept rows alone.  The column ordering runs over
+    every proper row, switched off or not; since throughput does not
+    change under a renaming of the ports, that loses no mapping of the
+    kept rows either. *)
 
 type instr_spec =
   | Proper of int               (** single µop with the given port count *)
@@ -34,13 +43,25 @@ val create :
   num_ports:int ->
   ?symmetry_breaking:bool ->
   ?certify:bool ->
+  ?guards:bool ->
   (Pmi_isa.Scheme.t * instr_spec) list ->
   t
 (** [~certify:true] turns on the solver's DRAT proof logging {e before} any
     clause is added, so every later verdict carries a complete certificate
-    ([Pmi_smt.Sat.proof]).
+    ([Pmi_smt.Sat.proof]).  [~guards:true] (default [false]) adds one
+    activation variable per row, made after every other variable, so the
+    rest is numbered as without guards; each improper row's partner
+    selector gets the clause [¬act_i ∨ act_p ∨ ¬sel_{i,p}].
     @raise Invalid_argument if a port count is out of range or an improper
     instruction is given without any proper one. *)
+
+val activation :
+  t -> (Pmi_isa.Scheme.t * instr_spec) list -> Pmi_smt.Lit.t list
+(** The assumptions that switch on exactly the rows of the given specs and
+    switch off the others, one literal per row in row order.
+    @raise Invalid_argument if the encoding has no row guards, if a spec
+    is not one of its rows, or, as {!create} does, if the specs hold an
+    improper instruction without any proper one. *)
 
 val sat : t -> Pmi_smt.Sat.t
 val num_ports : t -> int

@@ -13,13 +13,11 @@ module Log = (val Logs.src_log log : Logs.LOG)
 type config = {
   blocking : Blocking.config;
   cegis : Cegis.config;
-  port_usage : Port_usage.config;
 }
 
 let default_config =
   { blocking = Blocking.default_config;
-    cegis = Cegis.default_config;
-    port_usage = Port_usage.default_config }
+    cegis = Cegis.default_config }
 
 type verdict =
   | Excluded_individual of Blocking.individual
@@ -138,13 +136,18 @@ let specs_of harness classes improper =
    suspect is out of the way, the partner owns the anomaly and the suspect
    is exonerated (vpslld paired with vmovd); a partner that is clean on
    its own convicts the suspect (imul against its saturated add
-   partner). *)
+   partner).
+
+   Every question of one call is asked on one {!Cegis.Session} over the
+   round's specs, so the encoding is built once and what it learns about
+   an observation serves every later question that keeps it. *)
 let find_culprit config harness specs observations =
   let observe e =
     { Cegis.experiment = e; cycles = Harness.cycles harness e }
   in
+  let session = Cegis.Session.create ~config specs in
   let explains specs' observations =
-    Cegis.explain ~config ~specs:specs' ~observations () <> None
+    Cegis.Session.explains session ~specs:specs' ~observations
   in
   let specs_without s =
     List.filter (fun (s', _) -> not (Scheme.equal s s')) specs
@@ -359,8 +362,7 @@ let run ?(config = default_config) harness =
   let r_max = Machine.r_max machine in
   let num_ports = Machine.num_ports machine in
   let config =
-    { config with
-      blocking =
+    { blocking =
         { config.blocking with Blocking.r_max; max_ports = r_max - 1 };
       cegis = { config.cegis with Cegis.r_max; num_ports } }
   in
@@ -525,9 +527,7 @@ let run ?(config = default_config) harness =
   Array.iteri
     (fun i s ->
        if pending.(i) = None then begin
-         match
-           Port_usage.characterize ~config:config.port_usage harness ~blockers s
-         with
+         match Port_usage.characterize harness ~blockers s with
          | Port_usage.Usage { usage; spurious; _ } ->
            decide i (Characterized { usage; spurious })
          | Port_usage.Failed f -> decide i (Unstable_result f)

@@ -22,7 +22,6 @@
 type config = {
   blocking : Blocking.config;
   cegis : Cegis.config;
-  port_usage : Port_usage.config;
 }
 
 val default_config : config

@@ -32,14 +32,10 @@ type outcome =
     }
   | Failed of failure
 
-type config = {
-  tolerance : float;
-  spread_threshold : float;
-  spurious_margin : int;
-}
-
-let default_config =
-  { tolerance = 0.35; spread_threshold = 0.04; spurious_margin = 3 }
+(* The µop-count rounding tolerance, and the µops above the postulate
+   that raise the [spurious] flag. *)
+let tolerance = 0.35
+let spurious_margin = 3
 
 let blocking_count harness ~port_set_size scheme =
   let uops = Uop_count.postulated_uops harness scheme in
@@ -53,7 +49,7 @@ let blocking_count harness ~port_set_size scheme =
 
 exception Fail of failure
 
-let characterize ?(config = default_config) harness ~blockers scheme =
+let characterize harness ~blockers scheme =
   let blockers =
     List.sort
       (fun (a : blocker) (b : blocker) ->
@@ -65,7 +61,7 @@ let characterize ?(config = default_config) harness ~blockers scheme =
   let postulated = Uop_count.postulated_uops harness scheme in
   let stable_cycles experiment =
     let sample = Harness.run harness experiment in
-    if sample.Harness.spread_cpi > config.spread_threshold then
+    if sample.Harness.spread_cpi > Blocking.spread_threshold then
       raise (Fail (Unstable (Experiment.to_string experiment)))
     else Harness.sample_cycles harness sample
   in
@@ -82,7 +78,7 @@ let characterize ?(config = default_config) harness ~blockers scheme =
            Uop_count.uops_on_blocked_ports harness ~blocked ~with_i
              ~port_set_size:size
          in
-         match Uop_count.round_uops ~tolerance:config.tolerance measured with
+         match Uop_count.round_uops ~tolerance measured with
          | None -> raise (Fail (Non_integral (ports, Rat.to_float measured)))
          | Some on_ports ->
            (* µops already attributed to proper subsets cannot evade either
@@ -108,7 +104,7 @@ let characterize ?(config = default_config) harness ~blockers scheme =
     Usage
       { usage;
         postulated;
-        spurious = total >= postulated + config.spurious_margin;
+        spurious = total >= postulated + spurious_margin;
         witnesses = List.rev steps }
   | exception Fail f -> Failed f
 

@@ -45,22 +45,12 @@ type outcome =
     }
   | Failed of failure
 
-type config = {
-  tolerance : float;            (** µop-count rounding tolerance *)
-  spread_threshold : float;
-  spurious_margin : int;        (** µops above the postulate that trigger
-                                    the [spurious] flag *)
-}
-
-val default_config : config
-
 val blocking_count :
   Pmi_measure.Harness.t -> port_set_size:int -> Pmi_isa.Scheme.t -> int
 (** The uops.info [k] heuristic:
     [min(100, max(10, |pu|·µopsOf(i), 2·|pu|·max(1, ⌊tp⁻¹(\[i\])⌋)))]. *)
 
 val characterize :
-  ?config:config ->
   Pmi_measure.Harness.t ->
   blockers:blocker list ->
   Pmi_isa.Scheme.t ->

@@ -248,6 +248,39 @@ let test_certified_explain_unsat () =
   | None -> ()
   | Some _ -> Alcotest.fail "no mapping can explain 10 cycles"
 
+(* One certified session: an UNSAT question is certified by the DRAT
+   checker against the goal that negates its assumptions (the rows and
+   observations it switches on and off), and a later SAT question on the
+   same solver passes the model check.  A rejection would raise
+   [Certification_failure]; the counter shows both verdicts were checked. *)
+let test_certified_session () =
+  let catalog = toy_catalog 2 in
+  let config = certified_config 2 in
+  let a = Catalog.find catalog 0 and b = Catalog.find catalog 1 in
+  let specs = [ (a, Encoding.Proper 1); (b, Encoding.Proper 1) ] in
+  let obs e cycles = { Cegis.experiment = e; cycles = Rat.of_int cycles } in
+  let pair = Experiment.of_list [ a; b ] in
+  let singletons =
+    [ obs (Experiment.singleton a) 1; obs (Experiment.singleton b) 1 ]
+  in
+  let session = Cegis.Session.create ~config specs in
+  let checked = Pmi_obs.Obs.counter "cegis.certificates_checked" in
+  Pmi_obs.Obs.enable ();
+  Fun.protect ~finally:Pmi_obs.Obs.disable @@ fun () ->
+  (* The pair cannot take both one and two cycles. *)
+  Alcotest.(check bool) "contradictory pair" false
+    (Cegis.Session.explains session ~specs
+       ~observations:(singletons @ [ obs pair 1; obs pair 2 ]));
+  Alcotest.(check int) "UNSAT certified" 1 (Pmi_obs.Obs.value checked);
+  Alcotest.(check bool) "shared port" true
+    (Cegis.Session.explains session ~specs
+       ~observations:(singletons @ [ obs pair 2 ]));
+  Alcotest.(check bool) "one row" true
+    (Cegis.Session.explains session ~specs:[ List.hd specs ]
+       ~observations:[ List.hd singletons ]);
+  Alcotest.(check bool) "every verdict certified" true
+    (Pmi_obs.Obs.value checked = 3)
+
 (* ------------------------------------------------------------------ *)
 (* Lint on seeded-bad data                                             *)
 (* ------------------------------------------------------------------ *)
@@ -343,7 +376,8 @@ let () =
       ("certified-cegis",
        [ Alcotest.test_case "incremental" `Quick test_certified_cegis_incremental;
          Alcotest.test_case "certified UNSAT" `Quick
-           test_certified_explain_unsat ]);
+           test_certified_explain_unsat;
+         Alcotest.test_case "certified session" `Quick test_certified_session ]);
       ("lint",
        [ Alcotest.test_case "bad usage" `Quick test_lint_bad_usage;
          Alcotest.test_case "clean usage" `Quick test_lint_clean_usage;

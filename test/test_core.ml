@@ -163,7 +163,7 @@ let prop_additive_matches_rat =
        in
        let epsilon = Rat.of_ints bound (2 * H.precision h) in
        let config = { Blocking.default_config with Blocking.epsilon } in
-       let stable = sample.H.spread_cpi <= config.Blocking.spread_threshold in
+       let stable = sample.H.spread_cpi <= Blocking.spread_threshold in
        let expected =
          stable
          && H.Compare.cpi_equal ~epsilon ~length:2 (H.sample_cycles h sample)
@@ -602,6 +602,26 @@ let prop_bottleneck_lemma_sound =
        in
        fails mapping && falsified_by_model && all_fail ())
 
+(* One observation per non-empty experiment (a count per spec): the
+   hidden mapping's value, or an arbitrary quarter-cycle value when its
+   noise draw is 0. *)
+let noisy_observations config specs truth experiments noise =
+  List.concat
+    (List.map2
+       (fun counts (replace, k) ->
+          let e =
+            Experiment.of_counts
+              (List.map2 (fun (s, _) c -> (s, c)) specs counts)
+          in
+          if Experiment.is_empty e then []
+          else
+            let cycles =
+              if replace = 0 then Rat.of_ints k 4
+              else Cegis.modeled_inverse config truth e
+            in
+            [ { Cegis.experiment = e; cycles } ])
+       experiments noise)
+
 (* [Cegis.explain] now learns bottleneck lemmas; its verdict must still be
    exactly "some mapping explains every observation".  Observations are a
    hidden mapping's values, some replaced by arbitrary quarter-cycle
@@ -629,21 +649,7 @@ let prop_explain_verdict =
        let mappings = all_mappings num_ports specs in
        let truth = List.nth mappings (truth mod List.length mappings) in
        let observations =
-         List.concat
-           (List.map2
-              (fun counts (replace, k) ->
-                 let e =
-                   Experiment.of_counts
-                     (List.map2 (fun (s, _) c -> (s, c)) specs counts)
-                 in
-                 if Experiment.is_empty e then []
-                 else
-                   let cycles =
-                     if replace = 0 then Rat.of_ints k 4
-                     else Cegis.modeled_inverse config truth e
-                   in
-                   [ { Cegis.experiment = e; cycles } ])
-              experiments noise)
+         noisy_observations config specs truth experiments noise
        in
        let explains_all m =
          List.for_all (Cegis.consistent config m) observations
@@ -652,6 +658,104 @@ let prop_explain_verdict =
        match Cegis.explain ~config ~specs ~observations () with
        | Some m -> brute && explains_all m
        | None -> not brute)
+
+(* One probe session answers many questions on one guarded encoding.
+   Each question keeps a random subset of the specs (with at least one
+   proper row) and a random subset of the observations that name only kept
+   schemes.  The observations come from one pool, so lemmas learned for
+   them by earlier questions are live in later ones, and an experiment may
+   recur with different cycles.  Every answer must be brute force's over
+   the question's own rows. *)
+let prop_session_verdicts =
+  let num_ports = 4 in
+  let gen =
+    let open QCheck2.Gen in
+    let* specs = gen_specs ~num_ports ~max_schemes:4 in
+    let n = List.length specs in
+    let* experiments =
+      list_size (int_range 1 6) (list_repeat n (int_range 0 3))
+    in
+    let* noise =
+      list_repeat (List.length experiments)
+        (pair (int_range 0 2) (int_range 1 16))
+    in
+    let* truth = nat in
+    let+ questions = list_size (int_range 5 8) (pair nat nat) in
+    (specs, experiments, noise, truth, questions)
+  in
+  QCheck2.Test.make ~name:"session verdicts match brute force" ~count:400 gen
+    (fun (specs, experiments, noise, truth, questions) ->
+       let config = cegis_config num_ports in
+       let mappings = all_mappings num_ports specs in
+       let truth = List.nth mappings (truth mod List.length mappings) in
+       let observations =
+         noisy_observations config specs truth experiments noise
+       in
+       let session = Cegis.Session.create ~config specs in
+       List.for_all
+         (fun (row_bits, obs_bits) ->
+            let chosen i = row_bits land (1 lsl i) <> 0 in
+            let proper_chosen =
+              List.exists
+                (fun (i, (_, spec)) ->
+                   chosen i
+                   && match spec with
+                   | Encoding.Proper _ -> true
+                   | Encoding.Improper _ -> false)
+                (List.mapi (fun i r -> (i, r)) specs)
+            in
+            (* Row 0 is proper, so it stands in when no proper row was
+               drawn. *)
+            let specs' =
+              List.filteri
+                (fun i _ -> chosen i || (i = 0 && not proper_chosen))
+                specs
+            in
+            let kept s = List.exists (fun (s', _) -> Scheme.equal s s') specs' in
+            let observations' =
+              List.filteri
+                (fun j o ->
+                   obs_bits land (1 lsl j) <> 0
+                   && List.for_all kept (Experiment.schemes o.Cegis.experiment))
+                observations
+            in
+            let brute =
+              List.exists
+                (fun m -> List.for_all (Cegis.consistent config m) observations')
+                (all_mappings num_ports specs')
+            in
+            Cegis.Session.explains session ~specs:specs'
+              ~observations:observations'
+            = brute)
+         questions)
+
+(* A question whose rows hold an improper row but no proper one is
+   refused as {!Encoding.create} refuses such specs, and the same
+   experiment measured at other cycles is another observation. *)
+let test_session_edges () =
+  let catalog = toy_catalog 2 in
+  let a = Catalog.find catalog 0 and b = Catalog.find catalog 1 in
+  let specs = [ (a, Encoding.Proper 1); (b, Encoding.Improper { own_ports = 1 }) ] in
+  let config = cegis_config 2 in
+  let session = Cegis.Session.create ~config specs in
+  let improper_only = [ (b, Encoding.Improper { own_ports = 1 }) ] in
+  let cold_error =
+    match Encoding.create ~num_ports:2 improper_only with
+    | _ -> Alcotest.fail "Encoding.create accepted an improper-only spec list"
+    | exception (Invalid_argument _ as e) -> e
+  in
+  Alcotest.check_raises "improper without proper" cold_error (fun () ->
+      ignore
+        (Cegis.Session.explains session ~specs:improper_only
+           ~observations:[]));
+  let at cycles = { Cegis.experiment = Experiment.singleton a; cycles } in
+  let explains cycles =
+    Cegis.Session.explains session ~specs:[ List.hd specs ]
+      ~observations:[ at cycles ]
+  in
+  Alcotest.(check bool) "one cycle" true (explains Rat.one);
+  Alcotest.(check bool) "ten cycles" false (explains (Rat.of_int 10));
+  Alcotest.(check bool) "one cycle again" true (explains Rat.one)
 
 (* The incremental theory check re-evaluates an observation only when a
    row of its schemes changed since the encoding's previous check.  Over a
@@ -687,21 +791,7 @@ let prop_theory_incremental_matches_scratch =
        let pick k = rows.(k mod Array.length rows) in
        let truth = mapping_of_rows num_ports specs (pick truth) in
        let observations =
-         List.concat
-           (List.map2
-              (fun counts (replace, k) ->
-                 let e =
-                   Experiment.of_counts
-                     (List.map2 (fun (s, _) c -> (s, c)) specs counts)
-                 in
-                 if Experiment.is_empty e then []
-                 else
-                   let cycles =
-                     if replace = 0 then Rat.of_ints k 4
-                     else Cegis.modeled_inverse config truth e
-                   in
-                   [ { Cegis.experiment = e; cycles } ])
-              experiments noise)
+         noisy_observations config specs truth experiments noise
        in
        (* [mapping_vars] lists each row's own µop by ascending port, then
           its shared µop; a model sets exactly the rows' port sets. *)
@@ -1295,6 +1385,8 @@ let () =
       ("lemmas",
        [ QCheck_alcotest.to_alcotest prop_bottleneck_lemma_sound;
          QCheck_alcotest.to_alcotest prop_explain_verdict;
+         QCheck_alcotest.to_alcotest prop_session_verdicts;
+         Alcotest.test_case "session edge cases" `Quick test_session_edges;
          QCheck_alcotest.to_alcotest prop_theory_incremental_matches_scratch ]);
       ("relabel",
        [ Alcotest.test_case "perfect alignment" `Quick test_relabel_perfect;
