@@ -448,14 +448,15 @@ let table_figure_tests =
           eval_blocks);
     ("figure5/pmevo-inference", fun () ->
         let config =
-          { Pmi_baselines.Pmevo.default_config with
-            Pmi_baselines.Pmevo.population = 12; generations = 5 }
+          { Pmi_baselines.Pmevo.population = 12; generations = 5 }
         in
         let training =
           Pmi_baselines.Pmevo.training_set ~pairs:40 ~blocks:20 zen_harness
             eval_schemes
         in
-        ignore (Pmi_baselines.Pmevo.infer ~config training eval_schemes));
+        ignore
+          (Pmi_baselines.Pmevo.infer ~config
+             ~num_ports:(Machine.num_ports zen_machine) training eval_schemes));
     ("figure5/palmed-inference", fun () ->
         let config =
           { Pmi_baselines.Palmed.default_config with

@@ -63,18 +63,12 @@ let setup_obs ~trace ~metrics =
         if metrics then prerr_string (Obs.summary ()))
   end
 
-let make_cegis_config opts =
-  { Pipeline.default_config.Pipeline.cegis with
-    Pmi_core.Cegis.certify = opts.certify;
-    store = Lazy.force opts.store }
-
 let run_pipeline opts =
   let harness = make_harness opts in
-  let config =
-    { Pipeline.default_config with Pipeline.cegis = make_cegis_config opts }
-  in
   let t0 = Unix.gettimeofday () in
-  let result = Pipeline.run ~config harness in
+  let result =
+    Pipeline.run ~certify:opts.certify ?store:(Lazy.force opts.store) harness
+  in
   let dt = Unix.gettimeofday () -. t0 in
   Format.printf "pipeline finished in %.1f s (%d benchmarks)@." dt
     (Harness.benchmarks_run harness);
@@ -131,6 +125,19 @@ let table1 opts = print_table1 (run_pipeline opts)
 (* Table 2: inferred port usage of the blocking instructions           *)
 (* ------------------------------------------------------------------ *)
 
+(* The final CEGIS round's statistics and its SAT counters, two lines. *)
+let pp_cegis_digest ppf (stats : Pmi_core.Cegis.stats) =
+  Format.fprintf ppf
+    "CEGIS: %d iterations, %d experiments, %d candidate mappings, %d lemmas@."
+    stats.iterations (List.length stats.observations) stats.candidates_tried
+    stats.theory_lemmas;
+  let s = stats.sat in
+  Format.fprintf ppf
+    "SAT:   %d decisions, %d propagations, %d conflicts, %d restarts, %d \
+     learned (max glue %d), %d deleted by reduction@."
+    s.decisions s.propagations s.conflicts s.restarts s.learned s.max_lbd
+    s.deleted
+
 let print_table2 (harness, result) =
   let machine = Harness.machine harness in
   let docs = Machine.ground_truth machine in
@@ -176,23 +183,7 @@ let print_table2 (harness, result) =
        Format.printf "excluded during inference (§4.3): %s@."
          (Scheme.name k.Blocking.representative))
     result.Pipeline.removed_classes;
-  (match result.Pipeline.cegis_stats with
-   | Some stats ->
-     Format.printf
-       "@.CEGIS: %d iterations, %d experiments, %d candidate mappings, %d lemmas@."
-       stats.Pmi_core.Cegis.iterations
-       (List.length stats.Pmi_core.Cegis.observations)
-       stats.Pmi_core.Cegis.candidates_tried
-       stats.Pmi_core.Cegis.theory_lemmas;
-     let s = stats.Pmi_core.Cegis.sat in
-     Format.printf
-       "SAT:   %d decisions, %d propagations, %d conflicts, %d restarts, \
-        %d learned (max glue %d), %d deleted by reduction@."
-       s.Pmi_smt.Sat.decisions s.Pmi_smt.Sat.propagations
-       s.Pmi_smt.Sat.conflicts s.Pmi_smt.Sat.restarts
-       s.Pmi_smt.Sat.learned s.Pmi_smt.Sat.max_lbd
-       s.Pmi_smt.Sat.deleted
-   | None -> ())
+  Format.printf "@.%a" pp_cegis_digest result.Pipeline.cegis_stats
 
 let table2 opts = print_table2 (run_pipeline opts)
 
@@ -229,23 +220,7 @@ let infer opts =
   Format.printf "@.== CEGIS inference ==@.";
   Format.printf "inferred port usage for %d schemes@."
     (Mapping.size result.Pipeline.mapping);
-  (match result.Pipeline.cegis_stats with
-   | None -> Format.printf "no CEGIS statistics recorded@."
-   | Some stats ->
-     Format.printf
-       "CEGIS: %d iterations, %d experiments, %d candidate mappings, %d \
-        lemmas@."
-       stats.Pmi_core.Cegis.iterations
-       (List.length stats.Pmi_core.Cegis.observations)
-       stats.Pmi_core.Cegis.candidates_tried
-       stats.Pmi_core.Cegis.theory_lemmas;
-     let s = stats.Pmi_core.Cegis.sat in
-     Format.printf
-       "SAT:   %d decisions, %d propagations, %d conflicts, %d restarts, \
-        %d learned (max glue %d), %d deleted by reduction@."
-       s.Pmi_smt.Sat.decisions s.Pmi_smt.Sat.propagations
-       s.Pmi_smt.Sat.conflicts s.Pmi_smt.Sat.restarts
-       s.Pmi_smt.Sat.learned s.Pmi_smt.Sat.max_lbd s.Pmi_smt.Sat.deleted);
+  pp_cegis_digest Format.std_formatter result.Pipeline.cegis_stats;
   if Obs.enabled () then
     Format.printf
       "telemetry: %d events recorded so far (%d dropped); see --trace / \

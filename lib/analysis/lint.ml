@@ -149,7 +149,11 @@ let lint_profile (p : Profile.t) =
 (* Catalogs                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let lint_catalog ?(pair_sample = 40) cat =
+(* Key collisions are checked on every singleton and on the pairs of the
+   first [pair_sample] schemes. *)
+let pair_sample = 40
+
+let lint_catalog cat =
   let subject = "catalog" in
   let out = ref [] in
   let push d = out := d :: !out in

@@ -55,12 +55,11 @@ val lint_profile : Pmi_machine.Profile.t -> diag list
     machine constants, empty/out-of-range base port sets, fma-shadow range,
     and the §3.4 gap requirement ([r_max] must exceed the widest µop). *)
 
-val lint_catalog : ?pair_sample:int -> Pmi_isa.Catalog.t -> diag list
+val lint_catalog : Pmi_isa.Catalog.t -> diag list
 (** Catalog structure: duplicate scheme names (they break the [Mapping_io]
     resolver), scheme ids inconsistent with catalog order, empty buckets,
     and structural [Experiment.key] collisions over all singleton
-    experiments plus pairs of the first [pair_sample] schemes (default
-    40). *)
+    experiments plus pairs of the first 40 schemes. *)
 
 val builtin : ?catalog:Pmi_isa.Catalog.t -> unit -> diag list
 (** Lint everything the repo ships: all machine profiles, the given catalog

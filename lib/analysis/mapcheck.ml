@@ -27,7 +27,7 @@ let diag = Diag.make
 (* [pmi_analysis] sits below [pmi_measure], so the harness tolerance
    (Harness.Compare.default_epsilon = 0.02) is mirrored here as an exact
    rational rather than imported. *)
-let default_epsilon = Rat.of_ints 1 50
+let epsilon = Rat.of_ints 1 50
 
 (* [value] lies outside [expected ± ε·length]: the harness' [cpi_equal]
    tolerance, so no value the CEGIS loop would accept is flagged. *)
@@ -105,10 +105,14 @@ let pair_list_to_string pairs =
   let suffix = if List.length pairs > 8 then ", …" else "" in
   String.concat ", " rendered ^ suffix
 
-(* Experiments exercising the mapping: singletons plus (1,2)-weighted pairs
-   of neighbouring schemes, capped so auditing the 2,980-scheme ground
-   truth stays cheap. *)
-let sample_experiments ~samples m =
+(* Experiments exercising the mapping: [samples] singletons plus
+   (1,2)-weighted pairs of neighbouring schemes, capped so auditing the
+   2,980-scheme ground truth stays cheap.  The first [lp_samples] of them
+   are also solved as the §2.2 LP. *)
+let samples = 12
+let lp_samples = 3
+
+let sample_experiments m =
   let schemes = Array.of_list (Mapping.schemes m) in
   let n = Array.length schemes in
   let singles =
@@ -124,13 +128,12 @@ let sample_experiments ~samples m =
   in
   singles @ pairs
 
-let audit_mapping ?(epsilon = default_epsilon) ?(samples = 12) ?(lp_samples = 3)
-    ?(against = []) ~r_max ~subject m =
+let audit_mapping ?(against = []) ~r_max ~subject m =
   let out = ref [] in
   let push d = out := d :: !out in
   if Mapping.size m > 0 then begin
     let oracle = Oracle.create m in
-    let sampled = sample_experiments ~samples m in
+    let sampled = sample_experiments m in
     (* The sparse kernel the search uses vs the naive bottleneck formula. *)
     List.iter
       (fun e ->

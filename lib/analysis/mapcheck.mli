@@ -35,11 +35,6 @@ type diag = Pmi_diag.Diag.t = {
 
 val errors : diag list -> diag list
 
-val default_epsilon : Pmi_numeric.Rat.t
-(** [1/50], mirroring the harness comparison tolerance
-    ([Pmi_measure.Harness.Compare.default_epsilon]); kept here because
-    [pmi_analysis] sits below the measurement layer. *)
-
 (** {1 Dominance analysis} *)
 
 val interchangeable_ports : Pmi_portmap.Mapping.t -> (int * int) list
@@ -55,9 +50,6 @@ val dominated_ports : Pmi_portmap.Mapping.t -> (int * int) list
 (** {1 Auditor} *)
 
 val audit_mapping :
-  ?epsilon:Pmi_numeric.Rat.t ->
-  ?samples:int ->
-  ?lp_samples:int ->
   ?against:(Pmi_portmap.Experiment.t * Pmi_numeric.Rat.t) list ->
   r_max:int ->
   subject:string ->
@@ -66,16 +58,19 @@ val audit_mapping :
 (** Semantic audit of a concrete mapping:
 
     - [counter-inconsistent] (Error): a recorded observation in [against]
-      lies outside the mapping's exact value ± ε·|e|;
+      lies outside the mapping's exact value ± ε·|e|, with ε = 1/50 (the
+      harness comparison tolerance,
+      [Pmi_measure.Harness.Compare.default_epsilon], mirrored because
+      [pmi_analysis] sits below the measurement layer);
       [observation-unmapped-scheme] (Error) when the mapping cannot
       evaluate it at all.
     - [oracle-mismatch] (Error): the sparse kernel
       ({!Pmi_portmap.Oracle.inverse_bounded}) disagrees with the naive
       bottleneck formula ({!Pmi_portmap.Throughput.inverse_bounded}) on
-      sampled experiments.
+      sampled experiments (12 singletons and 6 pairs at most).
     - [lp-mismatch]/[lp-infeasible] (Error): the bottleneck-formula value
       differs from the §2.2 linear program ({!Pmi_portmap.Lp_model}) on
-      [lp_samples] sampled experiments.
+      the first 3 sampled experiments.
     - [frontend-masked] (Warning): a scheme whose usage can never
       bottleneck — pure experiments of it are always frontend-bound, so
       its row is under-determined by throughput measurements.

@@ -4,10 +4,7 @@ module Experiment = Pmi_portmap.Experiment
 module Harness = Pmi_measure.Harness
 
 type config = {
-  kernel_size : int;
   throughput_classes : int;
-  r_max : int;
-  seed : int;
   measurement_bias : float;
   (** Relative overestimation of cycles by Palmed's own benchmarking
       infrastructure.  The paper cannot run Palmed on its harness and
@@ -16,9 +13,12 @@ type config = {
       the bias emulates that infrastructure mismatch. *)
 }
 
-let default_config =
-  { kernel_size = 8; throughput_classes = 64; r_max = 5; seed = 3;
-    measurement_bias = 1.4 }
+let default_config = { throughput_classes = 64; measurement_bias = 1.4 }
+
+(* Copies of a core instruction per saturating kernel benchmark, and the
+   seed of the infrastructure mismatch. *)
+let kernel_size = 8
+let seed = 3
 
 type resource = {
   name : string;
@@ -27,7 +27,7 @@ type resource = {
 }
 
 type t = {
-  config : config;
+  r_max : int;             (* the machine's frontend width *)
   resource_list : resource list;
   (* Per scheme id: pressure (in cycles per instance) on each resource,
      index-aligned with [resource_list], plus the self-pressure (the
@@ -35,7 +35,7 @@ type t = {
   pressures : (int, float array * float) Hashtbl.t;
 }
 
-let own_cycles _config harness experiment =
+let own_cycles harness experiment =
   Rat.to_float (Harness.cycles harness experiment)
 
 (* Palmed's infrastructure mismatch: every per-instruction quantity it fits
@@ -45,24 +45,23 @@ let own_cycles _config harness experiment =
 let infrastructure_factor config scheme =
   let unit =
     0.5
-    +. Pmi_machine.Noise.jitter ~seed:config.seed
+    +. Pmi_machine.Noise.jitter ~seed
          ~key:(Scheme.id scheme * 0x9E3779B9) ~rep:0 ~amplitude:0.5
   in
   1.0 +. (config.measurement_bias *. unit)
 
 let cpi config harness scheme =
-  own_cycles config harness (Experiment.singleton scheme)
+  own_cycles harness (Experiment.singleton scheme)
   *. infrastructure_factor config scheme
 
-let kernel config resource =
-  Experiment.replicate config.kernel_size resource.representative
+let kernel resource = Experiment.replicate kernel_size resource.representative
 
 (* Extra cycles scheme adds on top of the saturating kernel of [resource]. *)
 let added_pressure config harness resource scheme =
-  let base = Experiment.replicate config.kernel_size resource.representative in
+  let base = kernel resource in
   let combined = Experiment.add scheme base in
-  let t_base = own_cycles config harness base in
-  let t_comb = own_cycles config harness combined in
+  let t_base = own_cycles harness base in
+  let t_comb = own_cycles harness combined in
   Float.max 0.0 (t_comb -. t_base) *. infrastructure_factor config scheme
 
 let infer ?(config = default_config) harness schemes =
@@ -94,7 +93,7 @@ let infer ?(config = default_config) harness schemes =
                kernel_cycles = 0.0 }
            in
            let kernel_cycles =
-             own_cycles config harness (kernel config resource)
+             own_cycles harness (kernel resource)
            in
            resource_list := { resource with kernel_cycles } :: !resource_list
          end
@@ -111,7 +110,9 @@ let infer ?(config = default_config) harness schemes =
        in
        Hashtbl.replace pressures (Scheme.id s) (row, cpi config harness s))
     schemes;
-  { config; resource_list; pressures }
+  { r_max = Pmi_machine.Machine.r_max (Harness.machine harness);
+    resource_list;
+    pressures }
 
 let resources t = List.length t.resource_list
 let supports t scheme = Hashtbl.mem t.pressures (Scheme.id scheme)
@@ -132,7 +133,7 @@ let predict t experiment =
          self := Float.max !self (float_of_int count *. own))
     experiment ();
   let frontend =
-    float_of_int (Experiment.length experiment) /. float_of_int t.config.r_max
+    float_of_int (Experiment.length experiment) /. float_of_int t.r_max
   in
   let worst = Array.fold_left Float.max (Float.max frontend !self) loads in
   (* Report on the harness's quantisation grid. *)

@@ -11,12 +11,10 @@
     kernels of each resource.  Resources have no direct microarchitectural
     identity, which is exactly the drawback the paper discusses (§5). *)
 
+(** Saturating kernels hold 8 copies of a core instruction; the frontend
+    resource has the harness machine's [r_max]. *)
 type config = {
-  kernel_size : int;    (** copies of a core instruction per saturating
-                            kernel benchmark *)
   throughput_classes : int; (** resolution of the core-selection heuristic *)
-  r_max : int;
-  seed : int;
   measurement_bias : float;
   (** Relative cycle overestimation of Palmed's own measurement
       infrastructure.  The paper could not port Palmed to its harness and
@@ -25,6 +23,7 @@ type config = {
 }
 
 val default_config : config
+(** 64 throughput classes and a bias of 1.4. *)
 
 type t
 

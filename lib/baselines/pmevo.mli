@@ -10,19 +10,17 @@
     the optimiser converges to, which is exactly the behaviour the
     evaluation contrasts against. *)
 
+(** The evolution's size.  The rest is fixed: tournaments of 4, crossover
+    rate 0.9, 2.5 expected mutations per child genome, at most 4 µops per
+    instruction, 2 elite individuals copied unchanged each generation, and
+    seed 7. *)
 type config = {
   population : int;
   generations : int;
-  tournament : int;        (** tournament size for selection *)
-  crossover_rate : float;
-  mutation_rate : float;   (** expected mutations per child genome *)
-  max_uops : int;          (** µops allowed per instruction *)
-  num_ports : int;
-  elite : int;             (** individuals copied unchanged each generation *)
-  seed : int;
 }
 
 val default_config : config
+(** 48 individuals over 250 generations. *)
 
 type benchmark = {
   experiment : Pmi_portmap.Experiment.t;
@@ -36,9 +34,10 @@ val training_set :
     five-instruction blocks, measured on the harness. *)
 
 val infer :
-  ?config:config -> benchmark list -> Pmi_isa.Scheme.t list ->
+  ?config:config -> num_ports:int -> benchmark list -> Pmi_isa.Scheme.t list ->
   Pmi_portmap.Mapping.t
-(** Evolve a mapping for the given schemes against the benchmarks. *)
+(** Evolve a mapping over [num_ports] ports (the machine's) for the given
+    schemes against the benchmarks. *)
 
 val fitness : Pmi_portmap.Mapping.t -> benchmark list -> float
 (** Mean absolute percentage error of the mapping on the benchmarks

@@ -45,7 +45,7 @@ let classify_individual ?(config = default_config) harness scheme =
        same one [Rat.to_float] gives. *)
     let cycles =
       float_of_int sample.Harness.ticks
-      /. float_of_int (Harness.precision harness)
+      /. float_of_int Harness.precision
     in
     if cycles > float_of_int (max postulated 1) +. port_tolerance then
       (* No port mapping over [postulated] µops can be this slow: the
@@ -92,7 +92,7 @@ let measure_pair tolerance harness i j =
   else begin
     let ti = (Harness.run harness (Experiment.singleton i)).Harness.ticks in
     let tj = (Harness.run harness (Experiment.singleton j)).Harness.ticks in
-    let p = Harness.precision harness in
+    let p = Harness.precision in
     if
       Harness.Compare.cpi_equal_frac ~tolerance ~length:2
         (sample.Harness.ticks, p) (ti + tj, p)
@@ -247,17 +247,19 @@ let process_group tolerance harness group =
   in
   (class_list, List.rev !unstable, List.rev !contradictory)
 
-let default_preference =
+(* Representatives are picked by mnemonic in this order (earlier is
+   better), the mnemonics of the paper's Table 1. *)
+let preference =
   [ "add"; "vpor"; "vpaddd"; "vminps"; "vbroadcastss"; "vpaddsw"; "vaddps";
     "mov"; "vpslld"; "vpmuldq"; "imul"; "vroundps"; "vmovd" ]
 
-let representative_key prefer scheme =
+let representative_key scheme =
   let mnemonic_rank =
     let rec go i = function
-      | [] -> List.length prefer
+      | [] -> List.length preference
       | m :: rest -> if m = Scheme.mnemonic scheme then i else go (i + 1) rest
     in
-    go 0 prefer
+    go 0 preference
   in
   let width_rank =
     (* Prefer the 32-bit / plain-XMM forms the paper's Table 1 displays. *)
@@ -277,8 +279,7 @@ let representative_key prefer scheme =
   in
   (mnemonic_rank, width_rank, Scheme.id scheme)
 
-let filter_candidates ?(config = default_config) ?(prefer = default_preference)
-    harness candidates =
+let filter_candidates ?(config = default_config) harness candidates =
   (* Candidates can only be redundant when their port sets have equal size,
      so the pairing stage works one size group at a time. *)
   let by_count = Hashtbl.create 8 in
@@ -307,7 +308,7 @@ let filter_candidates ?(config = default_config) ?(prefer = default_preference)
             let representative =
               List.fold_left
                 (fun best s ->
-                   if representative_key prefer s < representative_key prefer best
+                   if representative_key s < representative_key best
                    then s
                    else best)
                 (List.hd members) members

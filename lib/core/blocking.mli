@@ -22,6 +22,9 @@ type config = {
 }
 
 val default_config : config
+(** ε = {!Pmi_measure.Harness.Compare.default_epsilon} and Zen+'s shape
+    ([max_ports] 4, [r_max] 5).  {!Pipeline.run} takes [r_max] from its
+    machine and [max_ports] as [r_max - 1]. *)
 
 val spread_threshold : float
 (** CPI spread above which a measurement is considered unreliable (0.04),
@@ -57,14 +60,13 @@ type filtering = {
 
 val filter_candidates :
   ?config:config ->
-  ?prefer:string list ->
   Pmi_measure.Harness.t ->
   (Pmi_isa.Scheme.t * int) list ->
   filtering
 (** [filter_candidates harness candidates] runs the pairing stage on
-    [(scheme, port_count)] candidates.  [prefer] orders representative
-    selection by mnemonic (earlier is better); ties break towards lower
-    variant and id. *)
+    [(scheme, port_count)] candidates.  A class's representative is its
+    member whose mnemonic comes first in the paper's Table 1 order, then
+    one with a 32-bit or 128-bit operand, then the lowest id. *)
 
 val additive :
   ?config:config ->

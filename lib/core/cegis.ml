@@ -750,7 +750,8 @@ module Session = struct
       Hashtbl.replace st.interned key ((obs.cycles, i) :: seen);
       i
 
-  let ask t ~specs ~observations =
+  let explains t ~specs ~observations =
+    Obs.span "cegis.explain" @@ fun () ->
     let st = state t in
     let th = st.th in
     let rows = Encoding.activation th.encoding specs in
@@ -798,19 +799,9 @@ module Session = struct
     match
       certified_solve t.config th.encoding question ~assumptions ~check ()
     with
-    | Solver.Sat model -> Some model
-    | Solver.Unsat -> None
-
-  let explains t ~specs ~observations =
-    Obs.span "cegis.explain" @@ fun () ->
-    Option.is_some (ask t ~specs ~observations)
+    | Solver.Sat _ -> true
+    | Solver.Unsat -> false
 end
-
-let explain ?(config = default_config) ~specs ~observations () =
-  Obs.span "cegis.explain" @@ fun () ->
-  let session = Session.create ~config specs in
-  Session.ask session ~specs ~observations
-  |> Option.map (Encoding.decode (Session.state session).th.encoding)
 
 let canonical ?(config = default_config) ~specs ~observations () =
   let th, obs, pool = cold config specs observations in

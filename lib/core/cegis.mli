@@ -66,6 +66,9 @@ exception Certification_failure of string
     result must not be trusted. *)
 
 val default_config : config
+(** Zen+'s shape (10 ports, [r_max] 5), experiments of up to 5
+    instructions, no certification and no store.  {!Pipeline.run} takes
+    the shape from its machine. *)
 
 type observation = {
   experiment : Pmi_portmap.Experiment.t;
@@ -189,15 +192,20 @@ val canonical :
 (** Questions of the §4.3 culprit search, all answered on one encoding.
     A session is opened over a round's specs; each question names a subset
     of them and of the observations, and asks whether some mapping over
-    those rows explains those observations.  The answer is the verdict of
-    {!explain} on the same subset: the encoding guards every row and
-    every distinct observation (an experiment with its cycles) with an
-    activation variable, each question is one solve under assumptions that
+    those rows explains those observations.  The encoding guards every row
+    and every distinct observation (an experiment with its cycles) with an
+    activation variable; each question is one solve under assumptions that
     switch on its rows and observations and switch off the rest, and its
-    theory check evaluates its own observations only.  A lemma learned
-    for an observation is guarded by that observation's variable, so
-    learned lemmas carry over to later questions without binding those
-    that leave it out. *)
+    theory check evaluates its own observations only.
+
+    The theory check learns bottleneck-set lemmas, as {!infer}'s does
+    ({!Encoding.block_bottleneck}): a model that is too slow for an
+    observation refutes every mapping that keeps the µops inside its
+    bottleneck set inside it, and a model that is too fast refutes every
+    mapping whose port sets contain its own.  A lemma learned for an
+    observation is guarded by that observation's variable, so learned
+    lemmas carry over to later questions without binding those that leave
+    it out. *)
 module Session : sig
   type t
 
@@ -218,19 +226,3 @@ module Session : sig
       {!Encoding.create} does), or if an observation names a scheme
       outside [specs]. *)
 end
-
-val explain :
-  ?config:config ->
-  specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
-  observations:observation list ->
-  unit ->
-  Pmi_portmap.Mapping.t option
-(** One standalone [findMapping] call: a mapping over [specs] consistent
-    with the observations, if any.  It is a one-question {!Session}.
-
-    The theory check learns bottleneck-set lemmas, as {!infer}'s does
-    ({!Encoding.block_bottleneck}): a model that is too slow for an
-    observation refutes every mapping that keeps the µops inside its
-    bottleneck set inside it, and a model that is too fast refutes every
-    mapping whose port sets contain its own.  Only the verdict is read;
-    the mapping returned is whichever model SAT finds first. *)

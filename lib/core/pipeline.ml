@@ -10,15 +10,6 @@ let log = Logs.Src.create "pmi.pipeline" ~doc:"end-to-end case study"
 
 module Log = (val Logs.src_log log : Logs.LOG)
 
-type config = {
-  blocking : Blocking.config;
-  cegis : Cegis.config;
-}
-
-let default_config =
-  { blocking = Blocking.default_config;
-    cegis = Cegis.default_config }
-
 type verdict =
   | Excluded_individual of Blocking.individual
   | Excluded_pairing
@@ -53,7 +44,7 @@ type t = {
   alignment : Relabel.alignment option;
   improper : Scheme.t list;
   blockers : Port_usage.blocker list;
-  cegis_stats : Cegis.stats option;
+  cegis_stats : Cegis.stats;
   mapping : Mapping.t;
   funnel : funnel;
 }
@@ -220,7 +211,7 @@ let run_cegis config harness classes improper =
   let rec attempt classes improper removed =
     let specs = specs_of harness classes improper in
     let infer ~refute_early =
-      Cegis.infer ~config:config.cegis ~refute_early ~measure ~specs ()
+      Cegis.infer ~config ~refute_early ~measure ~specs ()
     in
     (* Every round checks the sweep early, so a round that holds a §4.3
        anomaly reaches UNSAT without converging first.  A round that
@@ -239,7 +230,7 @@ let run_cegis config harness classes improper =
     | Cegis.Iteration_limit _ ->
       failwith "Pipeline: CEGIS iteration limit exceeded"
     | Cegis.No_consistent_mapping stats ->
-      (match find_culprit config.cegis harness specs stats.Cegis.observations with
+      (match find_culprit config harness specs stats.Cegis.observations with
        | None -> failwith "Pipeline: observations admit no mapping and no culprit"
        | Some victims ->
          Log.info (fun m ->
@@ -354,17 +345,17 @@ let regular_pattern siblings lookup scheme usage =
 (* The study                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(config = default_config) harness =
+let run ?(certify = false) ?store harness =
   let machine = Harness.machine harness in
-  (* Machine-level constants come from the profile under test; the caller's
-     config chooses the measurement tolerances, the experiment-size bound
-     and certification (§3.5). *)
+  (* The port count and the frontend width come from the machine under
+     test; the caller chooses only certification (§3.5). *)
   let r_max = Machine.r_max machine in
   let num_ports = Machine.num_ports machine in
-  let config =
-    { blocking =
-        { config.blocking with Blocking.r_max; max_ports = r_max - 1 };
-      cegis = { config.cegis with Cegis.r_max; num_ports } }
+  let blocking =
+    { Blocking.default_config with Blocking.r_max; max_ports = r_max - 1 }
+  in
+  let cegis =
+    { Cegis.default_config with Cegis.r_max; num_ports; certify; store }
   in
   let catalog = Machine.catalog machine in
   let schemes = Catalog.schemes catalog in
@@ -374,7 +365,7 @@ let run ?(config = default_config) harness =
   let decide i v = pending.(i) <- Some v in
   (* Stage 1 (§4.1): benchmark every scheme individually. *)
   let stage1 =
-    Array.map (Blocking.classify_individual ~config:config.blocking harness)
+    Array.map (Blocking.classify_individual ~config:blocking harness)
       schemes
   in
   let candidates = ref [] in
@@ -391,11 +382,11 @@ let run ?(config = default_config) harness =
   let max_port_set =
     List.fold_left (fun acc (_, p) -> max acc p) 1 candidates
   in
-  Bottleneck.check ~r_max:config.blocking.Blocking.r_max ~max_port_set;
+  Bottleneck.check ~r_max ~max_port_set;
   (* Stage 2 (§4.2): pair candidates, drop unstable and contradictory ones
      and everything sharing their mnemonics. *)
   let filtering =
-    Blocking.filter_candidates ~config:config.blocking harness candidates
+    Blocking.filter_candidates ~config:blocking harness candidates
   in
   let bad_mnemonics = Hashtbl.create 16 in
   List.iter
@@ -417,7 +408,7 @@ let run ?(config = default_config) harness =
   (* Stage 3 (§4.3): infer the blocking-instruction mapping. *)
   let improper = find_improper catalog in
   let blocker_mapping_raw, stats, kept_classes, kept_improper, removed_classes =
-    run_cegis config harness filtering.Blocking.classes improper
+    run_cegis cegis harness filtering.Blocking.classes improper
   in
   (* Exclude schemes sharing a mnemonic with a culprit class member. *)
   let culprit_mnemonics = Hashtbl.create 8 in
@@ -541,7 +532,7 @@ let run ?(config = default_config) harness =
       pending
   in
   (* Final mapping. *)
-  let mapping = Mapping.create ~num_ports:config.cegis.Cegis.num_ports in
+  let mapping = Mapping.create ~num_ports in
   let class_ports_by_rep = Hashtbl.create 16 in
   List.iter
     (fun k ->
@@ -617,7 +608,7 @@ let run ?(config = default_config) harness =
     alignment;
     improper = kept_improper;
     blockers;
-    cegis_stats = Some stats;
+    cegis_stats = stats;
     mapping;
     funnel }
 

@@ -19,13 +19,6 @@
     + characterise every remaining scheme against the blocking suite with
       the adapted Algorithm 1 (§4.4) and assemble the final port mapping. *)
 
-type config = {
-  blocking : Blocking.config;
-  cegis : Cegis.config;
-}
-
-val default_config : config
-
 (** Per-scheme verdict (indexed by scheme id in the result). *)
 type verdict =
   | Excluded_individual of Blocking.individual
@@ -68,16 +61,20 @@ type t = {
                                                  class representatives plus
                                                  the store blocker, with
                                                  renamed ports *)
-  cegis_stats : Cegis.stats option;
+  cegis_stats : Cegis.stats;                 (** the final CEGIS round *)
   mapping : Pmi_portmap.Mapping.t;           (** the full final mapping *)
   funnel : funnel;
 }
 
-val run : ?config:config -> Pmi_measure.Harness.t -> t
-(** Run the whole study on the harness's machine.  Improper store blockers
-    are located in the catalog by shape (a storing [mov m32] and a storing
-    128-bit vector move); when absent (reduced test catalogs), the store
-    port is simply not blocked. *)
+val run :
+  ?certify:bool -> ?store:Pmi_store.Store.t -> Pmi_measure.Harness.t -> t
+(** Run the whole study on the harness's machine.  The port count and the
+    frontend width [r_max] (§3.4) are the machine's; blocking candidates
+    may use up to [r_max - 1] ports.  [certify] and [store] are
+    {!Cegis.config}'s trust-but-verify switches (default off, no store).
+    Improper store blockers are located in the catalog by shape (a storing
+    [mov m32] and a storing 128-bit vector move); when absent (reduced
+    test catalogs), the store port is simply not blocked. *)
 
 val verdict : t -> Pmi_isa.Scheme.t -> verdict
 

@@ -63,7 +63,7 @@ let characterize harness ~blockers scheme =
     let sample = Harness.run harness experiment in
     if sample.Harness.spread_cpi > Blocking.spread_threshold then
       raise (Fail (Unstable (Experiment.to_string experiment)))
-    else Harness.sample_cycles harness sample
+    else Harness.sample_cycles sample
   in
   match
     List.fold_left

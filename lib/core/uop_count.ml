@@ -23,7 +23,7 @@ let postulated_uops harness scheme =
 let uops_on_blocked_ports harness ~blocked ~with_i ~port_set_size =
   let t_with = (Harness.run harness with_i).Harness.ticks in
   let t_without = (Harness.run harness blocked).Harness.ticks in
-  Rat.of_ints ((t_with - t_without) * port_set_size) (Harness.precision harness)
+  Rat.of_ints ((t_with - t_without) * port_set_size) Harness.precision
 
 let round_uops ~tolerance value =
   let f = Rat.to_float value in

@@ -9,7 +9,6 @@ module Palmed = Pmi_baselines.Palmed
 type options = {
   scheme_subset : int;
   block_count : int;
-  block_size : int;
   seed : int;
   pmevo : Pmevo.config;
   palmed : Palmed.config;
@@ -18,7 +17,6 @@ type options = {
 let default_options =
   { scheme_subset = 577;
     block_count = 5000;
-    block_size = 5;
     seed = 5;
     pmevo = Pmevo.default_config;
     palmed = Palmed.default_config }
@@ -26,11 +24,8 @@ let default_options =
 let quick_options =
   { scheme_subset = 60;
     block_count = 300;
-    block_size = 5;
     seed = 5;
-    pmevo =
-      { Pmevo.default_config with
-        Pmevo.population = 24; generations = 30 };
+    pmevo = { Pmevo.population = 24; generations = 30 };
     palmed = { Palmed.default_config with Palmed.throughput_classes = 32 } }
 
 type model_result = {
@@ -47,12 +42,16 @@ type t = {
   palmed : model_result;
 }
 
+(* Five instructions per basic block, as in the paper. *)
+let block_size = 5
+
 let result name pairs =
   { model = name; pairs; summary = Metrics.summarize pairs }
 
 let run ?(options = default_options) harness ~mapping =
   let machine = Harness.machine harness in
   let r_max = Pmi_machine.Machine.r_max machine in
+  let num_ports = Pmi_machine.Machine.num_ports machine in
   let covered =
     List.filter (Mapping.supports mapping)
       (Array.to_list (Pmi_isa.Catalog.schemes (Pmi_machine.Machine.catalog machine)))
@@ -62,7 +61,7 @@ let run ?(options = default_options) harness ~mapping =
   in
   let blocks =
     Blocks.generate ~seed:(options.seed + 1) ~count:options.block_count
-      ~block_size:options.block_size schemes
+      ~block_size schemes
   in
   let measured_ipc =
     List.map
@@ -94,7 +93,7 @@ let run ?(options = default_options) harness ~mapping =
     let training =
       Pmevo.training_set ~seed:(options.seed + 2) harness schemes
     in
-    Pmevo.infer ~config:options.pmevo training schemes
+    Pmevo.infer ~config:options.pmevo ~num_ports training schemes
   in
   let pmevo = result "PMEvo" (predict (oracle_inverse pmevo_mapping false)) in
   (* Palmed: conjunctive resource model inferred on the same machine. *)

@@ -8,14 +8,15 @@
     as predicted-vs-measured heatmaps.
 
     Prediction conventions match the paper: our model solves the §2.2 LP
-    and caps the result at the 5-IPC frontend; PMEvo's predictions are
-    deliberately {e not} adjusted for the IPC bottleneck (footnote 10);
-    Palmed's resource model contains a frontend resource natively. *)
+    and caps the result at the machine's frontend width (5 IPC on Zen+);
+    PMEvo's predictions are deliberately {e not} adjusted for the IPC
+    bottleneck (footnote 10); Palmed's resource model contains a frontend
+    resource natively.  PMEvo evolves over the machine's port count and
+    Palmed's frontend resource has the machine's width. *)
 
 type options = {
   scheme_subset : int;    (** paper: 577 *)
   block_count : int;      (** paper: 5,000 *)
-  block_size : int;       (** paper: 5 *)
   seed : int;
   pmevo : Pmi_baselines.Pmevo.config;
   palmed : Pmi_baselines.Palmed.config;

@@ -1,18 +1,18 @@
-type t = {
-  counts : int array array;   (* counts.(row).(col); row 0 = highest bin *)
-  bins : int;
-  rows : int;
-  bin_width : float;
-  max_predicted : float;
-}
+(* Ten columns over 0-5 measured IPC.  The predicted axis has as many rows
+   of the same width as the highest prediction needs, and at least ten. *)
+let bins = 10
+let max_measured = 5.0
+let bin_width = max_measured /. float_of_int bins
+
+(* counts.(row).(col); row 0 = highest bin *)
+type t = int array array
 
 let glyphs = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@' |]
 
-let make ?(bins = 10) ?(max_measured = 5.0) pairs =
+let make pairs =
   let max_predicted =
     List.fold_left (fun acc (p, _) -> Float.max acc p) max_measured pairs
   in
-  let bin_width = max_measured /. float_of_int bins in
   let rows = int_of_float (Float.ceil (max_predicted /. bin_width)) in
   let rows = max bins rows in
   let counts = Array.make_matrix rows bins 0 in
@@ -25,14 +25,13 @@ let make ?(bins = 10) ?(max_measured = 5.0) pairs =
        let row = rows - 1 - row_from_bottom in
        counts.(row).(col) <- counts.(row).(col) + 1)
     pairs;
-  { counts; bins; rows; bin_width; max_predicted }
+  counts
 
-let render t =
+let render counts =
   let buf = Buffer.create 1024 in
+  let rows = Array.length counts in
   let peak =
-    Array.fold_left
-      (fun acc row -> Array.fold_left max acc row)
-      1 t.counts
+    Array.fold_left (fun acc row -> Array.fold_left max acc row) 1 counts
   in
   let glyph count =
     if count = 0 then ' '
@@ -49,13 +48,13 @@ let render t =
     end
   in
   Buffer.add_string buf "predicted IPC\n";
-  for row = 0 to t.rows - 1 do
-    let upper = float_of_int (t.rows - row) *. t.bin_width in
+  for row = 0 to rows - 1 do
+    let upper = float_of_int (rows - row) *. bin_width in
     Buffer.add_string buf (Printf.sprintf "%5.1f |" upper);
-    for col = 0 to t.bins - 1 do
+    for col = 0 to bins - 1 do
       (* Mark the diagonal cell of each column with brackets. *)
-      let diagonal = t.rows - 1 - row = col in
-      let c = glyph t.counts.(row).(col) in
+      let diagonal = rows - 1 - row = col in
+      let c = glyph counts.(row).(col) in
       if diagonal then begin
         Buffer.add_char buf '[';
         Buffer.add_char buf c;
@@ -70,13 +69,13 @@ let render t =
     Buffer.add_char buf '\n'
   done;
   Buffer.add_string buf "      +";
-  Buffer.add_string buf (String.make (3 * t.bins) '-');
+  Buffer.add_string buf (String.make (3 * bins) '-');
   Buffer.add_char buf '\n';
   Buffer.add_string buf "       ";
-  for col = 0 to t.bins - 1 do
+  for col = 0 to bins - 1 do
     if col mod 2 = 1 then
       Buffer.add_string buf
-        (Printf.sprintf "%6.1f" (float_of_int (col + 1) *. t.bin_width))
+        (Printf.sprintf "%6.1f" (float_of_int (col + 1) *. bin_width))
   done;
   Buffer.add_string buf "  measured IPC\n";
   Buffer.contents buf

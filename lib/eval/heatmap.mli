@@ -6,11 +6,10 @@
 
 type t
 
-val make :
-  ?bins:int -> ?max_measured:float -> (float * float) list -> t
-(** [make pairs] from (predicted, measured) IPC pairs.  The predicted axis
-    extends beyond [max_measured] if a model overshoots (as PMEvo does in
-    the paper). *)
+val make : (float * float) list -> t
+(** [make pairs] from (predicted, measured) IPC pairs, in ten 0.5-IPC bins
+    per axis from 0 to 5.  The predicted axis extends beyond 5 if a model
+    overshoots (as PMEvo does in the paper). *)
 
 val render : t -> string
 val pp : Format.formatter -> t -> unit

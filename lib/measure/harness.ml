@@ -61,26 +61,24 @@ module Cache = Race.Tracked_table (Key)
    without the lock. *)
 type t = {
   machine : Machine.t;
-  reps : int;
-  precision : int;
   cache : sample Cache.t;
   lock : Race.lock;
   hits : int Atomic.t;
   misses : int Atomic.t;
 }
 
-let create ?(reps = 11) ?(precision = 1000) machine =
-  if reps <= 0 || precision <= 0 then invalid_arg "Harness.create";
+(* The paper's median-of-11, reported in millicycles. *)
+let reps = 11
+let precision = 1000
+
+let create machine =
   { machine;
-    reps;
-    precision;
     cache = Cache.create ~name:"harness.cache" 4096;
     lock = Race.create_lock "harness.lock";
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
 
 let machine t = t.machine
-let precision t = t.precision
 
 (* Insertion sort on the unboxed float array: a handful of repetitions,
    and no boxed float per comparison as the polymorphic [Array.sort]
@@ -109,15 +107,15 @@ let run t experiment =
         Atomic.incr t.misses;
         Obs.incr c_mem_misses;
         Obs.span "harness.measure" (fun () ->
-            let runs = Machine.samples t.machine ~reps:t.reps experiment in
+            let runs = Machine.samples t.machine ~reps experiment in
             sort_runs runs;
-            let median = runs.(t.reps / 2) in
-            let low = runs.(0) and high = runs.(t.reps - 1) in
+            let median = runs.(reps / 2) in
+            let low = runs.(0) and high = runs.(reps - 1) in
             let len = Experiment.length experiment in
             let spread_cpi =
               if len = 0 then 0.0 else (high -. low) /. float_of_int len
             in
-            let p = float_of_int t.precision in
+            let p = float_of_int precision in
             let sample =
               { ticks = int_of_float (Float.round (median *. p));
                 spread_cpi;
@@ -126,8 +124,8 @@ let run t experiment =
             Cache.replace t.cache key sample;
             sample))
 
-let sample_cycles t sample = Rat.of_ints sample.ticks t.precision
-let cycles t experiment = sample_cycles t (run t experiment)
+let sample_cycles sample = Rat.of_ints sample.ticks precision
+let cycles t experiment = sample_cycles (run t experiment)
 
 let cpi t experiment =
   let len = Experiment.length experiment in

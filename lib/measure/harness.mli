@@ -1,8 +1,8 @@
 (** nanoBench-style measurement harness (§4).
 
-    Every experiment is run [reps] times on the simulated machine; the
-    harness reports the median inverse throughput (quantised to the
-    harness's precision, as a real measurement report would be), the
+    Every experiment is run 11 times on the simulated machine (the paper's
+    median-of-11); the harness reports the median inverse throughput
+    (quantised to millicycles, as a real measurement report would be), the
     observed CPI spread across repetitions, and the retired-ops counter.
     Results are memoised: repeated queries for the same experiment do not
     re-run the benchmark, mirroring the experiment cache of the paper's
@@ -19,8 +19,8 @@
 
 type sample = {
   ticks : int;
-  (** The median inverse throughput quantised onto the harness's
-      precision grid: [round (median · precision)], so the sample stands
+  (** The median inverse throughput quantised onto the {!precision}
+      grid: [round (median · precision)], so the sample stands
       for [ticks / precision] cycles per iteration.  It is kept as a
       native int; {!sample_cycles} builds the exact rational. *)
   spread_cpi : float;           (** (max - min) / |e| across repetitions *)
@@ -29,26 +29,25 @@ type sample = {
 
 type t
 
-val create : ?reps:int -> ?precision:int -> Pmi_machine.Machine.t -> t
-(** [reps] defaults to 11 (the paper's median-of-11); [precision] is the
-    denominator of the quantisation grid, default 1000 (millicycles). *)
+val create : Pmi_machine.Machine.t -> t
 
 val machine : t -> Pmi_machine.Machine.t
 
-val precision : t -> int
-(** The denominator of the quantisation grid of every {!sample.ticks}. *)
+val precision : int
+(** The denominator of the quantisation grid of every {!sample.ticks}:
+    1000 (millicycles). *)
 
 val run : t -> Pmi_portmap.Experiment.t -> sample
 (** The experiment's sample, measured on a cache miss.  The cache is keyed
     by the experiment's canonical [(scheme id, count)] pairs
     ({!Pmi_portmap.Experiment.key}), packed into one int array. *)
 
-val sample_cycles : t -> sample -> Pmi_numeric.Rat.t
+val sample_cycles : sample -> Pmi_numeric.Rat.t
 (** [ticks / precision] as an exact rational: the sample's median inverse
     throughput. *)
 
 val cycles : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
-(** [sample_cycles t (run t e)]. *)
+(** [sample_cycles (run t e)]. *)
 
 val cpi : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
 (** Median cycles divided by experiment length.

@@ -55,7 +55,10 @@ let falsified_by model lits =
        v < Array.length model && (if Lit.is_pos l then not model.(v) else model.(v)))
     lits
 
-let solve ?(assumptions = []) ?(max_rounds = 100_000) ~check sat =
+(* Divergence guard: a theory loop this long means a broken encoding. *)
+let max_rounds = 100_000
+
+let solve ?(assumptions = []) ~check sat =
   let rec loop round =
     if round > max_rounds then failwith "Smt.Solver.solve: theory loop diverges"
     else begin

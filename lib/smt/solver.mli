@@ -12,7 +12,6 @@ type result =
 
 val solve :
   ?assumptions:Lit.t list ->
-  ?max_rounds:int ->
   check:(bool array -> Lit.t list list) ->
   Sat.t ->
   result
@@ -22,5 +21,5 @@ val solve :
     least one lemma must be falsified by the rejected model (enforced by
     assertion) so that every round makes progress.
 
-    @raise Failure if [max_rounds] (default 100,000) is exceeded, which
-    indicates a diverging theory encoding. *)
+    @raise Failure after 100,000 rounds, which indicates a diverging
+    theory encoding. *)

@@ -232,10 +232,10 @@ let expect_converged label = function
 let test_certified_cegis_incremental () =
   expect_converged "incremental" (certified_cegis figure4b)
 
-let test_certified_explain_unsat () =
-  (* A single 1-port instruction cannot take 10 cycles: the certified
-     find_mapping call must reach a checker-accepted UNSAT and report no
-     consistent mapping rather than raise. *)
+let test_certified_unsat () =
+  (* A single 1-port instruction cannot take 10 cycles: the one question
+     of a certified session must reach a checker-accepted UNSAT and answer
+     no rather than raise. *)
   let catalog = toy_catalog 1 in
   let config = certified_config 1 in
   let scheme = Catalog.find catalog 0 in
@@ -244,9 +244,9 @@ let test_certified_explain_unsat () =
     [ { Cegis.experiment = Experiment.singleton scheme;
         cycles = Rat.of_int 10 } ]
   in
-  match Cegis.explain ~config ~specs ~observations () with
-  | None -> ()
-  | Some _ -> Alcotest.fail "no mapping can explain 10 cycles"
+  let session = Cegis.Session.create ~config specs in
+  Alcotest.(check bool) "no mapping can explain 10 cycles" false
+    (Cegis.Session.explains session ~specs ~observations)
 
 (* One certified session: an UNSAT question is certified by the DRAT
    checker against the goal that negates its assumptions (the rows and
@@ -375,8 +375,7 @@ let () =
        @ qsuite [ prop_drat_random ]);
       ("certified-cegis",
        [ Alcotest.test_case "incremental" `Quick test_certified_cegis_incremental;
-         Alcotest.test_case "certified UNSAT" `Quick
-           test_certified_explain_unsat;
+         Alcotest.test_case "certified UNSAT" `Quick test_certified_unsat;
          Alcotest.test_case "certified session" `Quick test_certified_session ]);
       ("lint",
        [ Alcotest.test_case "bad usage" `Quick test_lint_bad_usage;

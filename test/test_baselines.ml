@@ -57,6 +57,7 @@ let prop_rng_uniformish =
 let catalog = Catalog.reduced ~per_bucket:3 ()
 let machine = Machine.create catalog
 let harness = Harness.create machine
+let num_ports = Machine.num_ports machine
 
 let schemes =
   List.concat_map (Catalog.bucket catalog)
@@ -80,11 +81,9 @@ let test_pmevo_training_set () =
     (List.for_all (fun b -> Rat.sign b.Pmevo.cycles > 0) training)
 
 let test_pmevo_learns_singletons () =
-  let config =
-    { Pmevo.default_config with Pmevo.population = 16; generations = 15 }
-  in
+  let config = { Pmevo.population = 16; generations = 15 } in
   let training = Pmevo.training_set ~pairs:40 ~blocks:20 harness schemes in
-  let mapping = Pmevo.infer ~config training schemes in
+  let mapping = Pmevo.infer ~config ~num_ports training schemes in
   (* Every scheme must be mapped and most singleton predictions should be
      within 30% (the seeded population nails them at generation zero). *)
   Alcotest.(check bool) "all mapped" true
@@ -102,17 +101,32 @@ let test_pmevo_learns_singletons () =
     (2 * List.length close >= List.length schemes)
 
 let test_pmevo_deterministic () =
-  let config =
-    { Pmevo.default_config with Pmevo.population = 8; generations = 3 }
-  in
+  let config = { Pmevo.population = 8; generations = 3 } in
   let training = Pmevo.training_set ~pairs:10 ~blocks:5 harness schemes in
-  let m1 = Pmevo.infer ~config training schemes in
-  let m2 = Pmevo.infer ~config training schemes in
+  let m1 = Pmevo.infer ~config ~num_ports training schemes in
+  let m2 = Pmevo.infer ~config ~num_ports training schemes in
   List.iter
     (fun s ->
        Alcotest.(check bool) "same usage" true
          (Mapping.equal_usage (Mapping.usage m1 s) (Mapping.usage m2 s)))
     schemes
+
+(* PMEvo evolves over the port count it is given: the machine's, 12 on
+   the golden-cove profile rather than Zen+'s 10. *)
+let test_pmevo_machine_ports () =
+  let golden =
+    Machine.create ~config:Machine.quiet_config
+      ~profile:Pmi_machine.Profile.golden_cove catalog
+  in
+  let training =
+    Pmevo.training_set ~pairs:10 ~blocks:5 (Harness.create golden) schemes
+  in
+  let mapping =
+    Pmevo.infer ~config:{ Pmevo.population = 8; generations = 3 }
+      ~num_ports:(Machine.num_ports golden) training schemes
+  in
+  Alcotest.(check int) "machine's port count" (Machine.num_ports golden)
+    (Mapping.num_ports mapping)
 
 let test_pmevo_fitness_perfect_mapping () =
   (* The machine's own ground truth must score better than a random one. *)
@@ -173,6 +187,26 @@ let test_palmed_bias_slows_predictions () =
   Alcotest.(check bool) "bias predicts slower" true
     (Rat.compare (Palmed.predict biased e) (Palmed.predict fair e) >= 0)
 
+(* Palmed's frontend resource has the harness machine's width.  On the
+   golden-cove profile (6 instructions per cycle) 60 nops take 10 cycles;
+   a frontend of Zen+'s width 5 would predict 12.  The prediction is 10.02:
+   the nop's own pressure is fitted from a millicycle-quantised
+   measurement (0.167 cycles). *)
+let test_palmed_machine_frontend () =
+  let nops = Catalog.of_list [ ("nop", [], Iclass.plain Iclass.Nullary) ] in
+  let nop = Catalog.find nops 0 in
+  let golden =
+    Harness.create
+      (Machine.create ~config:Machine.quiet_config
+         ~profile:Pmi_machine.Profile.golden_cove nops)
+  in
+  let model = Palmed.infer ~config:unbiased golden [ nop ] in
+  let block = Experiment.replicate 60 nop in
+  Alcotest.(check string) "measured" "10"
+    (Rat.to_string (Harness.cycles golden block));
+  Alcotest.(check (float 0.1)) "predicted" 10.0
+    (Rat.to_float (Palmed.predict model block))
+
 let test_palmed_unknown_scheme () =
   let model = Palmed.infer ~config:unbiased harness [ List.hd schemes ] in
   let foreign = List.hd (Catalog.bucket catalog "blocking/fp-mul-cmp") in
@@ -192,6 +226,8 @@ let () =
        [ Alcotest.test_case "training set" `Quick test_pmevo_training_set;
          Alcotest.test_case "learns singletons" `Slow test_pmevo_learns_singletons;
          Alcotest.test_case "deterministic" `Quick test_pmevo_deterministic;
+         Alcotest.test_case "machine's port count" `Quick
+           test_pmevo_machine_ports;
          Alcotest.test_case "fitness sanity" `Quick test_pmevo_fitness_perfect_mapping ]);
       ("palmed",
        [ Alcotest.test_case "resource discovery" `Quick test_palmed_resources_discovered;
@@ -200,4 +236,6 @@ let () =
            test_palmed_conjunctive_monotone;
          Alcotest.test_case "infrastructure bias" `Quick
            test_palmed_bias_slows_predictions;
+         Alcotest.test_case "machine's frontend" `Quick
+           test_palmed_machine_frontend;
          Alcotest.test_case "unknown scheme" `Quick test_palmed_unknown_scheme ]) ]

@@ -140,13 +140,10 @@ let test_culprits () =
 
 let test_final_round () =
   let r = Lazy.force result in
-  match r.Pipeline.cegis_stats with
-  | None -> Alcotest.fail "no CEGIS statistics"
-  | Some stats ->
-    let experiments = List.length stats.Cegis.observations in
-    if experiments < 55 || experiments > 59 then
-      Alcotest.failf "final round measured %d experiments, outside the \
-                      paper's 55-59" experiments
+  let experiments = List.length r.Pipeline.cegis_stats.Cegis.observations in
+  if experiments < 55 || experiments > 59 then
+    Alcotest.failf "final round measured %d experiments, outside the \
+                    paper's 55-59" experiments
 
 (* Figure 5(a) as `pmi_repro figure5` prints it: model, then MAPE %, PCC
    and Kendall τ at the printed precision. *)

@@ -256,7 +256,7 @@ let test_harness_median_and_cache () =
   let e = mix [ (add_rr, 4); (imul, 1) ] in
   let s1 = Pmi_measure.Harness.run harness e in
   let s2 = Pmi_measure.Harness.run harness e in
-  let cycles = Pmi_measure.Harness.sample_cycles harness in
+  let cycles = Pmi_measure.Harness.sample_cycles in
   Alcotest.check rat "cached" (cycles s1) (cycles s2);
   Alcotest.(check int) "one benchmark" 1 (Pmi_measure.Harness.benchmarks_run harness);
   (* Median of a stable measurement lands within ε of the truth. *)
@@ -611,7 +611,7 @@ let test_cache_identity () =
   Alcotest.(check int) "one miss" 1 (H.cache_misses h);
   Alcotest.(check int) "one hit" 1 (H.cache_hits h);
   Alcotest.check rat "cycles are ticks / precision"
-    (Rat.of_ints s1.H.ticks (H.precision h)) (H.cycles h e)
+    (Rat.of_ints s1.H.ticks H.precision) (H.cycles h e)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
