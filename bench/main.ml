@@ -251,16 +251,17 @@ let ground_truth = Machine.ground_truth zen_machine
 
 let zen_oracle = Oracle.create ground_truth
 
-(* Standing accumulator holding [zen_block]; the incremental benchmark
-   perturbs it by one scheme, queries, and restores it. *)
+(* Standing accumulator holding [zen_block]'s rows; the incremental
+   benchmark perturbs it by one row, queries, and restores it. *)
 let zen_acc =
-  let acc = Oracle.Acc.create zen_oracle in
+  let acc = Oracle.Acc.create () in
   List.iter
-    (fun (s, n) -> Oracle.Acc.add acc s n)
+    (fun (s, n) -> Oracle.Acc.add_row acc (Mapping.row ground_truth s) n)
     (Experiment.to_counts zen_block);
   acc
 
-let acc_delta = List.hd (Experiment.schemes zen_block)
+let acc_delta =
+  Mapping.row ground_truth (List.hd (Experiment.schemes zen_block))
 
 (* An inseparable pair over real Zen+ schemes: the ground truth's rows of
    one scheme per blocking bucket, and the same rows with the port numbers
@@ -319,11 +320,11 @@ let micro_tests =
     ("oracle/memoized-full", fun () ->
         ignore (Oracle.inverse_bounded ~r_max:5 zen_oracle zen_block));
     ("oracle/memoized", fun () ->
-        (* ±one scheme on a standing accumulator + query: the inner step of
-           the stratified CEGIS search. *)
-        Oracle.Acc.add zen_acc acc_delta 1;
-        ignore (Oracle.Acc.inverse_bounded ~r_max:5 zen_acc);
-        Oracle.Acc.remove zen_acc acc_delta 1);
+        (* ±one row on a standing accumulator + native query: the inner
+           step of the stratified CEGIS search. *)
+        Oracle.Acc.add_row zen_acc acc_delta 1;
+        ignore (Oracle.Acc.inverse_bounded_frac ~r_max:5 zen_acc);
+        Oracle.Acc.remove_row zen_acc acc_delta 1);
     (* Machine and harness costs per measurement. *)
     ("machine/samples-11", fun () ->
         ignore (Machine.samples zen_machine ~reps:11 zen_block));

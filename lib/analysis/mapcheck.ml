@@ -229,8 +229,7 @@ let audit_mapping ?(against = []) ~r_max ~subject m =
   end;
   List.rev !out
 
-let audit_profile ?catalog (p : Profile.t) =
-  let cat = match catalog with Some c -> c | None -> Catalog.zen_plus () in
+let audit_profile cat (p : Profile.t) =
   let subject = Printf.sprintf "ground truth (%s)" p.name in
   let gt = Pmi_machine.Ground_truth.mapping_for p cat in
   let arity =
@@ -244,4 +243,4 @@ let audit_profile ?catalog (p : Profile.t) =
 
 let builtin ?catalog () =
   let cat = match catalog with Some c -> c | None -> Catalog.zen_plus () in
-  List.concat_map (fun p -> audit_profile ~catalog:cat p) Profile.all
+  List.concat_map (audit_profile cat) Profile.all

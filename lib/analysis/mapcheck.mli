@@ -8,7 +8,7 @@
 
     Two layers:
 
-    - {b Auditor} ({!audit_mapping}, {!audit_profile}, {!builtin}) — emits
+    - {b Auditor} ({!audit_mapping}, {!builtin}) — emits
       {!Pmi_diag.Diag} findings: counter-consistency replays of recorded
       observations against a mapping (CounterPoint-style, [Error] when an
       observation lies outside the mapping's value ± ε·|e|), exact-rational
@@ -77,14 +77,10 @@ val audit_mapping :
     - [interchangeable-ports]/[dominated-port] (Warning): dominance
       analysis results, one finding per mapping. *)
 
-val audit_profile :
-  ?catalog:Pmi_isa.Catalog.t -> Pmi_machine.Profile.t -> diag list
-(** Pair the profile with its ground-truth mapping: [arity-drift] (Error)
-    on num_ports disagreement, then {!audit_mapping} under the profile's
-    [r_max]. *)
-
 val builtin : ?catalog:Pmi_isa.Catalog.t -> unit -> diag list
 (** Audit everything the repo ships: every {!Pmi_machine.Profile.t} with
-    its ground-truth mapping over the (default full Zen+) catalog.  Zero
+    its ground-truth mapping over the (default full Zen+) catalog,
+    [arity-drift] (Error) when the two disagree on the port count, then
+    {!audit_mapping} under the profile's [r_max].  Zero
     [Error]s expected — enforced by [test/test_mapcheck.ml] and the
     [pmi_repro mapcheck]/[pmi_repro lint] CLI gates. *)

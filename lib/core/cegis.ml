@@ -455,8 +455,7 @@ module Distinguish = struct
 
   let start t m1 =
     Bytes.fill t.table 0 (Bytes.length t.table) '\000';
-    t.m1 <-
-      Some (Array.map (row m1) t.schemes, Oracle.Acc.create (Oracle.create m1))
+    t.m1 <- Some (Array.map (row m1) t.schemes, Oracle.Acc.create ())
 
   let find t m2 =
     Obs.span "cegis.distinguish" @@ fun () ->
@@ -467,11 +466,11 @@ module Distinguish = struct
     in
     let n = Array.length t.schemes and r_max = t.config.r_max in
     let rows2 = Array.map (row m2) t.schemes in
-    let acc2 = Oracle.Acc.create (Oracle.create m2) in
+    let acc2 = Oracle.Acc.create () in
     for i = n - 1 downto 0 do
       let r1 = rows1.(i) and r2 = rows2.(i) in
       t.differs.(i) <-
-        not (r1 == r2 || Mapping.equal_usage r1.usage r2.usage);
+        not (r1 == r2 || (r1.masks = r2.masks && r1.counts = r2.counts));
       t.remains.(i) <- t.differs.(i) || t.remains.(i + 1)
     done;
     let ord = ref 0 and depth = ref 0 in

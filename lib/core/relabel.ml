@@ -106,10 +106,6 @@ let try_constraints num_ports constraints =
   in
   go [] constraints
 
-let popcount =
-  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
-  go 0
-
 let align ~docs mapping =
   let num_ports = Mapping.num_ports mapping in
   let items =
@@ -127,7 +123,8 @@ let align ~docs mapping =
   let n = Array.length schemes in
   (* Search drop sets in order of increasing size. *)
   let masks = List.init (1 lsl n) Fun.id in
-  let masks = List.sort (fun a b -> compare (popcount a) (popcount b)) masks in
+  let size mask = Portset.cardinal (Portset.of_mask mask) in
+  let masks = List.sort (fun a b -> compare (size a) (size b)) masks in
   let rec try_masks = function
     | [] -> None
     | mask :: rest ->

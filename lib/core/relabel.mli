@@ -27,4 +27,3 @@ val align :
 val apply : int array -> Pmi_portmap.Mapping.t -> Pmi_portmap.Mapping.t
 (** Rename every port of every usage through the permutation. *)
 
-val apply_usage : int array -> Pmi_portmap.Mapping.usage -> Pmi_portmap.Mapping.usage

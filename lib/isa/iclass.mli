@@ -62,6 +62,4 @@ val macro_ops : structure -> int
     two macro-ops; microcoded schemes retire one macro-op per µop. *)
 
 val base_to_string : base -> string
-val structure_to_string : structure -> string
-val quirk_to_string : quirk -> string
 val pp : Format.formatter -> t -> unit

@@ -23,7 +23,6 @@ val ymm : ?access:access -> unit -> t
 val mem : ?access:access -> int -> t
 val imm : int -> t
 
-val is_memory : t -> bool
 val memory_width : t -> int option
 val is_memory_read : t -> bool
 val is_memory_write : t -> bool

@@ -25,16 +25,13 @@ let quiet_config =
     unreliable_amplitude = 0.0 }
 
 (* What the simulator needs of one scheme: its scaled µop masses per
-   instance as parallel (port mask, mass) rows, with no zero masses or
-   empty masks, alone and in the company that triggers its quirk, and
-   whether it is such company for the fma and vmovd quirks.  It depends on
-   the scheme's class and the profile only. *)
+   instance as a compiled row, alone and in the company that triggers its
+   quirk, and whether it is such company for the fma and vmovd quirks.  It
+   depends on the scheme's class and the profile only. *)
 type sim = {
   klass : Iclass.t;
-  masks : int array;
-  masses : int array;
-  paired_masks : int array;
-  paired_masses : int array;
+  plain : Mapping.row;
+  paired : Mapping.row;
   paired_by : Iclass.quirk option; (* Fma_lines, Gpr_cross or None *)
   fma_trigger : bool;
   cross_trigger : bool;
@@ -86,8 +83,10 @@ let gpr_cross_ports profile =
     (profile.Profile.ports_of_base Iclass.Vec_to_gpr)
 
 (* The [sim] of a scheme, from its class: the phantom pressure of the
-   quirks (see the .mli for the catalogue) is folded into its rows. *)
-let make_sim profile klass =
+   quirks (see the .mli for the catalogue) is folded into its rows, which
+   [Mapping.set] compiles on a mapping of the call's own, so that no state
+   is shared between machines or domains. *)
+let make_sim profile scheme klass =
   let ports_of = profile.Profile.ports_of_base in
   let { Iclass.structure; quirk } = klass in
   let usage = Ground_truth.usage_for profile structure in
@@ -96,7 +95,8 @@ let make_sim profile klass =
     | Some Iclass.Div_slow -> scale * profile.Profile.div_occupancy
     | _ -> scale
   in
-  let rows ~paired =
+  let rows = Mapping.create ~num_ports:profile.Profile.num_ports in
+  let row ~paired =
     let base =
       List.map
         (fun (ports, n) ->
@@ -129,25 +129,21 @@ let make_sim profile klass =
           | Iclass.Tp_unstable | Iclass.Div_slow )
       | None -> []
     in
-    let kept =
-      List.filter (fun (ports, m) -> m <> 0 && not (Portset.is_empty ports))
-        (base @ extra)
-    in
-    ( Array.of_list (List.map (fun (ports, _) -> Portset.to_mask ports) kept),
-      Array.of_list (List.map snd kept) )
+    Mapping.set rows scheme
+      (List.filter (fun (ports, _) -> not (Portset.is_empty ports))
+         (base @ extra));
+    Mapping.row rows scheme
   in
-  let masks, masses = rows ~paired:false in
-  let paired_masks, paired_masses = rows ~paired:true in
+  let plain = row ~paired:false in
+  let paired = row ~paired:true in
   let touches ports =
     List.exists
       (fun (ps, _) -> not (Portset.is_empty (Portset.inter ps ports)))
       usage
   in
   { klass;
-    masks;
-    masses;
-    paired_masks;
-    paired_masses;
+    plain;
+    paired;
     paired_by =
       (match quirk with
        | Some (Iclass.Fma_lines | Iclass.Gpr_cross) -> quirk
@@ -157,10 +153,13 @@ let make_sim profile klass =
     cross_trigger =
       quirk <> Some Iclass.Gpr_cross && touches (gpr_cross_ports profile) }
 
+(* The memo's placeholder: a real [plain Nullary] sim (its usage is empty
+   on every profile), so a scheme of that class is served from it. *)
 let unknown =
-  { klass = Iclass.plain Iclass.Nullary; masks = [||]; masses = [||];
-    paired_masks = [||]; paired_masses = [||]; paired_by = None;
-    fma_trigger = false; cross_trigger = false }
+  let klass = Iclass.plain Iclass.Nullary in
+  make_sim Profile.zen_plus
+    (Scheme.make ~id:0 ~mnemonic:"" ~operands:[] ~variant:0 ~klass)
+    klass
 
 (* The memo is keyed by id and checked against the class, the only input,
    so a scheme from another catalog that reuses an id is still right. *)
@@ -172,7 +171,7 @@ let sim t scheme =
     && (memo.(id).klass == klass || memo.(id).klass = klass)
   then memo.(id)
   else begin
-    let s = make_sim t.profile klass in
+    let s = make_sim t.profile scheme klass in
     let memo =
       if id < Array.length memo then memo
       else begin
@@ -185,48 +184,6 @@ let sim t scheme =
     memo.(id) <- s;
     s
   end
-
-(* Scaled-integer µop masses of one experiment iteration, as parallel
-   arrays of distinct port masks and their masses.  A quirk that needs
-   company takes its paired rows when another scheme of the experiment
-   triggers it (a scheme never triggers its own quirk). *)
-let scaled_masses t experiment =
-  let fma = Experiment.exists (fun s _ -> (sim t s).fma_trigger) experiment in
-  let cross =
-    Experiment.exists (fun s _ -> (sim t s).cross_trigger) experiment
-  in
-  let masks = ref (Array.make 8 0) and masses = ref (Array.make 8 0) in
-  let k = ref 0 in
-  let credit mask m =
-    let i = ref 0 in
-    while !i < !k && !masks.(!i) <> mask do incr i done;
-    if !i < !k then !masses.(!i) <- !masses.(!i) + m
-    else begin
-      if !k = Array.length !masks then begin
-        masks := Array.append !masks !masks;
-        masses := Array.append !masses !masses
-      end;
-      !masks.(!k) <- mask;
-      !masses.(!k) <- m;
-      incr k
-    end
-  in
-  Experiment.fold
-    (fun scheme count () ->
-       let s = sim t scheme in
-       let paired =
-         match s.paired_by with
-         | Some Iclass.Fma_lines -> fma
-         | Some Iclass.Gpr_cross -> cross
-         | _ -> false
-       in
-       let ms = if paired then s.paired_masks else s.masks in
-       let xs = if paired then s.paired_masses else s.masses in
-       for j = 0 to Array.length ms - 1 do
-         credit ms.(j) (xs.(j) * count)
-       done)
-    experiment ();
-  (Array.sub !masks 0 !k, Array.sub !masses 0 !k)
 
 let ms_stall profile experiment =
   (* Microcoded schemes are emitted by the microcode sequencer at a fixed
@@ -249,10 +206,27 @@ let ms_stall profile experiment =
 
 (* max (ports, frontend) + stall, on native fractions (every term is a
    few hundred at most), unreduced.  The port bound is the bottleneck
-   optimum of the scaled masses, by Oracle's kernel. *)
+   optimum of the experiment's scaled rows, accumulated in an [Oracle.Acc].
+   A quirk that needs company takes its paired row when another scheme of
+   the experiment triggers it (a scheme never triggers its own quirk). *)
 let true_inverse_frac t experiment =
-  let masks, masses = scaled_masses t experiment in
-  let pn, pd = Oracle.masses_frac masks masses in
+  let fma = Experiment.exists (fun s _ -> (sim t s).fma_trigger) experiment in
+  let cross =
+    Experiment.exists (fun s _ -> (sim t s).cross_trigger) experiment
+  in
+  let acc = Oracle.Acc.create () in
+  Experiment.fold
+    (fun scheme count () ->
+       let s = sim t scheme in
+       let paired =
+         match s.paired_by with
+         | Some Iclass.Fma_lines -> fma
+         | Some Iclass.Gpr_cross -> cross
+         | _ -> false
+       in
+       Oracle.Acc.add_row acc (if paired then s.paired else s.plain) count)
+    experiment ();
+  let pn, pd = Oracle.Acc.inverse_frac acc in
   let pd = pd * scale in
   let fn = Experiment.length experiment and fd = t.profile.Profile.r_max in
   let num, den = if pn * fd >= fn * pd then (pn, pd) else (fn, fd) in

@@ -49,12 +49,12 @@ val num_ports : t -> int
 
 val true_inverse : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
 (** Noise-free inverse throughput including all quirk effects: the
-    bottleneck optimum of the quirk-adjusted µop masses
-    ({!Pmi_portmap.Oracle.masses_frac}), capped below by the frontend
-    bound [|e| / r_max], plus the microcode-sequencer stall.  Each
-    scheme's quirk-adjusted masses are worked out once, on its first use;
-    the experiment's profile is assembled afresh on every call, and
-    repeated measurements are the harness's cache's job. *)
+    bottleneck optimum of the quirk-adjusted µop masses (added row by row
+    to a {!Pmi_portmap.Oracle.Acc}), capped below by the frontend bound
+    [|e| / r_max], plus the microcode-sequencer stall.  Each scheme's
+    quirk-adjusted rows are compiled once, on its first use; the
+    experiment's profile is assembled afresh on every call, and repeated
+    measurements are the harness's cache's job. *)
 
 val samples : t -> reps:int -> Pmi_portmap.Experiment.t -> float array
 (** [reps] noisy steady-state measurements of cycles per experiment

@@ -127,11 +127,6 @@ let run t experiment =
 let sample_cycles sample = Rat.of_ints sample.ticks precision
 let cycles t experiment = sample_cycles (run t experiment)
 
-let cpi t experiment =
-  let len = Experiment.length experiment in
-  if len = 0 then invalid_arg "Harness.cpi: empty experiment";
-  Rat.div (cycles t experiment) (Rat.of_int len)
-
 let retired_ops t experiment = (run t experiment).retired_ops
 
 let benchmarks_run t =

@@ -49,10 +49,6 @@ val sample_cycles : sample -> Pmi_numeric.Rat.t
 val cycles : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
 (** [sample_cycles (run t e)]. *)
 
-val cpi : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
-(** Median cycles divided by experiment length.
-    @raise Invalid_argument on an empty experiment. *)
-
 val retired_ops : t -> Pmi_portmap.Experiment.t -> int
 val benchmarks_run : t -> int
 (** Distinct experiments measured so far. *)

@@ -26,7 +26,7 @@ let pressures mapping experiment =
     (* Cannot happen for well-formed mappings; keep the analysis total. *)
     Array.make num_ports Rat.zero
 
-let analyze ?(r_max = 5) mapping experiment =
+let analyze ~r_max mapping experiment =
   let inverse_throughput = Throughput.inverse mapping experiment in
   let bounded_cycles =
     Throughput.inverse_bounded ~r_max mapping experiment

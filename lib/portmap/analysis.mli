@@ -21,10 +21,10 @@ type t = {
   (** per distinct scheme: its µops and its occurrence count *)
 }
 
-val analyze :
-  ?r_max:int -> Mapping.t -> Experiment.t -> t
-(** @raise Throughput.Unsupported when the mapping does not cover a scheme
-    of the block.  [r_max] defaults to 5 (Zen+). *)
+val analyze : r_max:int -> Mapping.t -> Experiment.t -> t
+(** [r_max] is the machine's frontend width (§3.4).
+    @raise Throughput.Unsupported when the mapping does not cover a scheme
+    of the block. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render an mca-style report: summary line, port-pressure table, and the

@@ -2,11 +2,11 @@ module Scheme = Pmi_isa.Scheme
 
 type usage = (Portset.t * int) list
 
-(* A row is compiled once, when it is set, into the flat arrays the
-   throughput kernel reads.  The table is keyed by scheme id; ids are dense
-   catalog indices, so they hash to themselves. *)
-type row = {
-  scheme : Scheme.t; usage : usage; masks : int array; counts : int array }
+(* A row is stored once, as the flat arrays the throughput kernel reads,
+   in [normalize_usage]'s order; the usage list is decoded on demand.  The
+   table is keyed by scheme id; ids are dense catalog indices, so they hash
+   to themselves. *)
+type row = { scheme : Scheme.t; masks : int array; counts : int array }
 
 module Table =
   Hashtbl.Make (struct type t = int let equal = Int.equal let hash id = id end)
@@ -36,8 +36,7 @@ let normalize_usage usage =
 
 let validate t usage =
   List.iter
-    (fun ((ports : Portset.t), n) ->
-       if n <= 0 then invalid_arg "Mapping.set: non-positive multiplicity";
+    (fun ((ports : Portset.t), _) ->
        if Portset.is_empty ports then invalid_arg "Mapping.set: empty port set";
        if not (Portset.subset ports (Portset.full t.num_ports)) then
          invalid_arg "Mapping.set: port out of range")
@@ -48,16 +47,18 @@ let set t scheme usage =
   validate t usage;
   let masks = Array.of_list (List.map (fun (p, _) -> Portset.to_mask p) usage) in
   let counts = Array.of_list (List.map snd usage) in
-  Table.replace t.table (Scheme.id scheme) { scheme; usage; masks; counts }
+  Table.replace t.table (Scheme.id scheme) { scheme; masks; counts }
+
+let decode r =
+  List.init (Array.length r.masks) (fun j ->
+      (Portset.of_mask r.masks.(j), r.counts.(j)))
 
 let find_opt t scheme =
-  match Table.find_opt t.table (Scheme.id scheme) with
-  | Some r -> Some r.usage
-  | None -> None
+  Option.map decode (Table.find_opt t.table (Scheme.id scheme))
 
 let row t scheme = Table.find t.table (Scheme.id scheme)
 
-let usage t scheme = (row t scheme).usage
+let usage t scheme = decode (row t scheme)
 
 let supports t scheme = Table.mem t.table (Scheme.id scheme)
 

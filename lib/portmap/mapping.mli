@@ -15,14 +15,18 @@ val create : num_ports:int -> t
 val num_ports : t -> int
 
 val set : t -> Pmi_isa.Scheme.t -> usage -> unit
-(** Define (or replace) the port usage of a scheme.
-    @raise Invalid_argument if a port set is empty, mentions a port
-    [>= num_ports], or a multiplicity is non-positive. *)
+(** Define (or replace) the port usage of a scheme, as
+    {!normalize_usage} leaves it: µops with a non-positive multiplicity
+    are dropped.
+    @raise Invalid_argument if a kept port set is empty or mentions a port
+    [>= num_ports]. *)
 
 type row = private {
-  scheme : Pmi_isa.Scheme.t; usage : usage; masks : int array; counts : int array }
-(** A scheme's entry, with its usage compiled by {!set} into flat arrays of
-    port masks and multiplicities for {!Oracle}.  Never mutate them. *)
+  scheme : Pmi_isa.Scheme.t; masks : int array; counts : int array }
+(** A scheme's entry: its usage as {!set} stores it, the one copy, in two
+    parallel arrays of port masks ({!Portset.to_mask}) and multiplicities,
+    in {!normalize_usage}'s order.  {!Oracle} reads the arrays; {!usage}
+    and {!find_opt} decode them into a fresh list.  Never mutate them. *)
 
 val row : t -> Pmi_isa.Scheme.t -> row
 (** @raise Not_found if the scheme has no entry. *)

@@ -160,33 +160,19 @@ let inverse_bounded_frac ~r_max t experiment =
   let p = query t experiment in
   bounded ~r_max (Experiment.length experiment) p.best_num p.best_den
 
-let rat (num, den) = Rat.of_ints num den
-
 let inverse_bounded ~r_max t experiment =
-  rat (inverse_bounded_frac ~r_max t experiment)
-
-let masses_frac masks masses =
-  if Array.length masks <> Array.length masses then
-    invalid_arg "Oracle.masses_frac";
-  let p = { (profile ()) with k = Array.length masks; masks; mass = masses } in
-  best p;
-  (p.best_num, p.best_den)
+  let num, den = inverse_bounded_frac ~r_max t experiment in
+  Rat.of_ints num den
 
 module Acc = struct
-  type oracle = t
+  type t = { profile : profile; mutable len : int }
 
-  type nonrec t = {
-    oracle : oracle;
-    profile : profile;
-    mutable len : int;
-  }
-
-  let create oracle = { oracle; profile = profile (); len = 0 }
+  let create () = { profile = profile (); len = 0 }
   let length acc = acc.len
   let distinct_masks acc = acc.profile.k
 
-  let add_row_named name acc (r : Mapping.row) count =
-    if count < 0 then invalid_arg name;
+  let add_row acc (r : Mapping.row) count =
+    if count < 0 then invalid_arg "Oracle.Acc.add_row";
     if count > 0 then begin
       credit_row acc.profile r count;
       acc.len <- acc.len + count
@@ -195,8 +181,8 @@ module Acc = struct
   (* Checked before anything moves, so a refused removal leaves the
      accumulator as it was.  A mask whose mass reaches zero leaves the
      profile, which keeps k small. *)
-  let remove_row_named name acc (r : Mapping.row) count =
-    if count < 0 then invalid_arg name;
+  let remove_row acc (r : Mapping.row) count =
+    if count < 0 then invalid_arg "Oracle.Acc.remove_row";
     if count > 0 then begin
       let p = acc.profile and n = Array.length r.masks in
       let fits = ref (count <= acc.len) and j = ref 0 in
@@ -205,7 +191,7 @@ module Acc = struct
         fits := i >= 0 && p.mass.(i) >= r.counts.(!j) * count;
         incr j
       done;
-      if not !fits then invalid_arg name;
+      if not !fits then invalid_arg "Oracle.Acc.remove_row";
       for j = 0 to n - 1 do
         let i = slot p r.masks.(j) in
         let m = p.mass.(i) - (r.counts.(j) * count) in
@@ -220,30 +206,17 @@ module Acc = struct
       acc.len <- acc.len - count
     end
 
-  let add_row acc r count = add_row_named "Oracle.Acc.add_row" acc r count
-
-  let remove_row acc r count =
-    remove_row_named "Oracle.Acc.remove_row" acc r count
-
-  let add acc scheme count =
-    add_row_named "Oracle.Acc.add" acc (row acc.oracle scheme) count
-
-  let remove acc scheme count =
-    remove_row_named "Oracle.Acc.remove" acc (row acc.oracle scheme) count
-
   let reset acc =
     acc.profile.k <- 0;
     acc.len <- 0
 
-  let inverse acc =
+  let inverse_frac acc =
     let p = acc.profile in
     best p;
-    Rat.of_ints p.best_num p.best_den
+    (p.best_num, p.best_den)
 
   let inverse_bounded_frac ~r_max acc =
     let p = acc.profile in
     best p;
     bounded ~r_max acc.len p.best_num p.best_den
-
-  let inverse_bounded ~r_max acc = rat (inverse_bounded_frac ~r_max acc)
 end

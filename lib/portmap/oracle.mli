@@ -13,10 +13,10 @@
 
     All results are exact and agree with {!Throughput} up to
     {!Pmi_numeric.Rat.equal} (property-tested in [test/test_oracle.ml]).
-    The [_frac] queries return the value as a native [(num, den)] pair,
-    [den > 0], for hot loops that compare fractions without building a
-    {!Pmi_numeric.Rat.t}; the port bound is [(mass q*, |q*|)] unreduced,
-    q* the smallest maximising mask. *)
+    The [_frac] queries, the only ones {!Acc} has, return the value as a
+    native [(num, den)] pair, [den > 0], for hot loops that compare
+    fractions without building a {!Pmi_numeric.Rat.t}; the port bound is
+    [(mass q*, |q*|)] unreduced, q* the smallest maximising mask. *)
 
 type t
 
@@ -42,56 +42,38 @@ val inverse_bounded_frac : r_max:int -> t -> Experiment.t -> int * int
 (** {!inverse_bounded} as a native [(num, den)] pair.
     @raise Throughput.Unsupported *)
 
-val masses_frac : int array -> int array -> int * int
-(** [masses_frac masks masses]: the bottleneck optimum
-    [max over ∅≠Q of mass(Q)/|Q|] of a mass profile given directly, as
-    parallel arrays of port masks ({!Portset.to_mask}) and their
-    non-negative µop masses, by the same kernel as every other query.  A
-    native [(num, den)] pair, [(0, 1)] for empty arrays.  This is the entry
-    point for callers that build their own profile (the simulated machine,
-    whose quirks add phantom masses no mapping row has).
-    @raise Invalid_argument when the arrays differ in length. *)
-
 val bottleneck_set : t -> Experiment.t -> Portset.t
 (** The smallest mask (as an integer) attaining the optimum; empty for an
     empty experiment. *)
 
-(** Incremental experiment accumulator: the mass profile of a working
-    experiment, updated by ±one scheme at a time.  This is the inner loop
-    of the stratified distinguishing-experiment search: moving to a
-    neighbouring multiset costs one profile update, and each throughput
-    query runs the sparse kernel on the standing profile. *)
+(** Mass-profile accumulator: the µop masses of a working experiment,
+    built from compiled rows ({!Mapping.row}) and updated by ±[count]
+    copies of one row at a time.  It is the one way a profile is built
+    outside a single query: the stratified distinguishing-experiment
+    search walks one (moving to a neighbouring multiset costs one row
+    update), and the simulated machine assembles each experiment's
+    quirk-adjusted rows in one.  A row need not come from any particular
+    mapping; equal masks of different rows merge. *)
 module Acc : sig
-  type oracle := t
   type t
 
-  val create : oracle -> t
+  val create : unit -> t
   (** An empty accumulator (the empty experiment). *)
 
-  val add : t -> Pmi_isa.Scheme.t -> int -> unit
-  (** Add [count] copies of the scheme.  @raise Throughput.Unsupported *)
-
-  val remove : t -> Pmi_isa.Scheme.t -> int -> unit
-  (** Remove [count] copies previously added.  A mask whose mass reaches
-      zero leaves the profile.
-      @raise Invalid_argument ["Oracle.Acc.remove"] on a negative count or
-      when the removal would take the length or any mask's mass below zero;
-      the accumulator is then unchanged.
-      @raise Throughput.Unsupported *)
-
   val add_row : t -> Mapping.row -> int -> unit
-  (** {!add} of a row resolved by the caller, so a walk that adds the same
-      scheme many times looks it up once.  The row need not come from the
-      accumulator's own mapping.
+  (** Add [count] copies of the row.
       @raise Invalid_argument ["Oracle.Acc.add_row"] on a negative count. *)
 
   val remove_row : t -> Mapping.row -> int -> unit
-  (** {!remove} of a row resolved by the caller, with the same checks.
-      @raise Invalid_argument ["Oracle.Acc.remove_row"] where {!remove}
-      raises ["Oracle.Acc.remove"]; the accumulator is then unchanged. *)
+  (** Remove [count] copies previously added.  A mask whose mass reaches
+      zero leaves the profile.
+      @raise Invalid_argument ["Oracle.Acc.remove_row"] on a negative count
+      or when the removal would take the length or any mask's mass below
+      zero; the accumulator is then unchanged. *)
 
   val length : t -> int
-  (** Instruction count of the current experiment. *)
+  (** Instruction count of the current experiment: the sum of the counts
+      added, less those removed. *)
 
   val distinct_masks : t -> int
   (** Distinct port masks with positive mass in the current experiment:
@@ -99,9 +81,11 @@ module Acc : sig
 
   val reset : t -> unit
 
-  val inverse : t -> Pmi_numeric.Rat.t
-  val inverse_bounded : r_max:int -> t -> Pmi_numeric.Rat.t
+  val inverse_frac : t -> int * int
+  (** The bottleneck optimum of the profile as a native [(num, den)]
+      pair, [(mass q*, |q*|)] unreduced; [(0, 1)] when empty. *)
 
   val inverse_bounded_frac : r_max:int -> t -> int * int
-  (** {!inverse_bounded} as a native [(num, den)] pair. *)
+  (** {!inverse_frac} capped below by the §3.4 frontend bound
+      [length / r_max], as {!Oracle.inverse_bounded_frac}. *)
 end

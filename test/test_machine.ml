@@ -471,7 +471,9 @@ let prop_of_counts_reference =
          (Experiment.to_counts (Experiment.of_counts pairs))
          (of_counts_reference pairs))
 
-(* The simulator as it was: list-built masses, recomputed per call. *)
+(* The simulator as it was: list-built masses, recomputed per call, and
+   scored by the naive bottleneck formula, which shares no code with the
+   kernel the simulator calls. *)
 let reference_true_inverse m experiment =
   let profile = Machine.profile m in
   let scale = 20 in
@@ -530,10 +532,12 @@ let reference_true_inverse m experiment =
          bump profile.Profile.fma_shadow (scale * uops * count)
        | _ -> ())
     experiment ();
-  let masks = Array.of_list (List.map fst !acc) in
-  let masses = Array.of_list (List.map snd !acc) in
-  let pn, pd = Oracle.masses_frac masks masses in
-  let ports = Rat.of_ints pn (pd * scale) in
+  let ports =
+    Rat.div
+      (Throughput.of_masses
+         (List.map (fun (mask, m) -> (Portset.of_mask mask, m)) !acc))
+      (Rat.of_int scale)
+  in
   let frontend =
     Rat.of_ints (Experiment.length experiment) profile.Profile.r_max
   in

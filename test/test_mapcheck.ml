@@ -112,6 +112,42 @@ let test_mutations_flagged () =
   (* Port-set shift that is not a permutation of the whole mapping. *)
   mutate "mul {1,2}->{0,1}" mul [ (Portset.of_list [ 0; 1 ], 1) ]
 
+(* MapCheck copies the harness's ε, because [pmi_analysis] sits below
+   [pmi_measure].  The copy must agree with the harness at the edge: an
+   observation exactly ε·|e| from the model is accepted by both, and one a
+   millicycle beyond is refused by both, on either side of the model. *)
+let test_epsilon_matches_harness () =
+  let module Compare = Pmi_measure.Harness.Compare in
+  let truth = toy_truth () in
+  List.iter
+    (fun e ->
+       let length = Experiment.length e in
+       let expected = Throughput.inverse_bounded ~r_max:toy_r_max truth e in
+       let edge = Rat.mul Compare.default_epsilon (Rat.of_int length) in
+       List.iter
+         (fun (what, offset, accepted) ->
+            List.iter
+              (fun observed ->
+                 let label =
+                   Printf.sprintf "%s = %s (%s)" (Experiment.to_string e)
+                     (Rat.to_string observed) what
+                 in
+                 let flagged =
+                   List.exists
+                     (fun d -> d.Mapcheck.rule = "counter-inconsistent")
+                     (audit_against [ (e, observed) ] truth)
+                 in
+                 Alcotest.(check bool) (label ^ ": harness") accepted
+                   (Compare.cpi_equal ~length observed expected);
+                 Alcotest.(check bool) (label ^ ": MapCheck") accepted
+                   (not flagged))
+              [ Rat.add expected offset; Rat.sub expected offset ])
+         [ ("at ε·|e|", edge, true);
+           ("a millicycle beyond", Rat.add edge (Rat.of_ints 1 1000), false) ])
+    [ Experiment.singleton add;
+      Experiment.of_counts [ (add, 2); (fma, 1) ];
+      Experiment.of_counts [ (mul, 3); (fma, 2) ] ]
+
 let test_dominance () =
   let truth = toy_truth () in
   Alcotest.(check (list (pair int int))) "toy has no interchangeable pair"
@@ -190,6 +226,8 @@ let () =
            test_truth_consistent;
          Alcotest.test_case "seeded mutations flagged" `Quick
            test_mutations_flagged;
+         Alcotest.test_case "epsilon edge agrees with the harness" `Quick
+           test_epsilon_matches_harness;
          Alcotest.test_case "dominance analysis" `Quick test_dominance;
          Alcotest.test_case "24-port mapping audited" `Quick
            test_wide_mapping ]);

@@ -183,24 +183,27 @@ let prop_bottleneck_optimal =
        && Rat.equal (Oracle.inverse o e)
             (Rat.of_ints mass (Portset.cardinal q)))
 
+let rat_of (num, den) = Rat.of_ints num den
+let acc_value acc = rat_of (Oracle.Acc.inverse_frac acc)
+
 (* The accumulator must agree with the naive oracle after any add/remove
-   walk.  Each scheme is added in unit steps plus [extra] copies that are
-   removed again, exercising both profile-update directions. *)
+   walk.  Each scheme's row is added in unit steps plus [extra] copies
+   that are removed again, exercising both profile-update directions. *)
 let acc_walk_agrees m counts extras r_max =
   let e = build_experiment counts in
-  let acc = Oracle.Acc.create (Oracle.create m) in
+  let acc = Oracle.Acc.create () in
   List.iteri
     (fun i n ->
-       let s = Catalog.find random_catalog i in
+       let r = Mapping.row m (Catalog.find random_catalog i) in
        let extra = List.nth extras i in
-       Oracle.Acc.add acc s extra;
-       for _ = 1 to n do Oracle.Acc.add acc s 1 done;
-       Oracle.Acc.remove acc s extra)
+       Oracle.Acc.add_row acc r extra;
+       for _ = 1 to n do Oracle.Acc.add_row acc r 1 done;
+       Oracle.Acc.remove_row acc r extra)
     counts;
   Oracle.Acc.length acc = Experiment.length e
-  && Rat.equal (Oracle.Acc.inverse acc) (Throughput.inverse m e)
+  && Rat.equal (acc_value acc) (Throughput.inverse m e)
   && Rat.equal
-       (Oracle.Acc.inverse_bounded ~r_max acc)
+       (rat_of (Oracle.Acc.inverse_bounded_frac ~r_max acc))
        (Throughput.inverse_bounded ~r_max m e)
 
 let extras_gen =
@@ -244,11 +247,12 @@ let test_submask_branch () =
   Mapping.set m add [ (p [ 0 ], 1); (p [ 0; 1 ], 1) ];
   Mapping.set m mul [ (p [ 1 ], 2); (p [ 1; 2 ], 1) ];
   Mapping.set m fma [ (p [ 0; 2 ], 1); (p [ 0; 1; 2 ], 3) ];
-  let acc = Oracle.Acc.create (Oracle.create m) in
-  List.iter (fun s -> Oracle.Acc.add acc s 2) [ add; mul; fma ];
+  let acc = Oracle.Acc.create () in
+  List.iter
+    (fun s -> Oracle.Acc.add_row acc (Mapping.row m s) 2) [ add; mul; fma ];
   Alcotest.(check int) "k = 6 > |U| = 3" 6 (Oracle.Acc.distinct_masks acc);
   let e = Experiment.of_counts [ (add, 2); (mul, 2); (fma, 2) ] in
-  Alcotest.check rat "= naive" (Throughput.inverse m e) (Oracle.Acc.inverse acc)
+  Alcotest.check rat "= naive" (Throughput.inverse m e) (acc_value acc)
 
 (* A seeded Figure 5 style fixture on the 12-port golden-cove ground
    truth, against the simplex LP of §2.2, which shares no code with the
@@ -271,61 +275,47 @@ let test_golden_cove_lp () =
     (Pmi_eval.Blocks.generate ~seed:15 ~count:40 ~block_size:5 covered)
 
 (* Removing what was never added is refused and leaves the accumulator
-   unchanged; a mask whose mass reaches zero leaves the profile. *)
+   unchanged; a mask whose mass reaches zero leaves the profile.  [add]'s
+   mask {0,1} is also [fma]'s, so "partly never added" refuses a row whose
+   other mask is missing. *)
 let test_acc_remove_checked () =
   let m = toy_mapping () in
-  let acc = Oracle.Acc.create (Oracle.create m) in
-  let refused what f =
-    Alcotest.check_raises what (Invalid_argument "Oracle.Acc.remove") f
-  in
-  Oracle.Acc.add acc add 2;
-  refused "never added" (fun () -> Oracle.Acc.remove acc mul 1);
-  refused "partly never added" (fun () -> Oracle.Acc.remove acc fma 1);
-  refused "beyond the length" (fun () -> Oracle.Acc.remove acc add 3);
-  refused "negative count" (fun () -> Oracle.Acc.remove acc add (-1));
-  Alcotest.(check int) "length kept" 2 (Oracle.Acc.length acc);
-  Alcotest.check rat "value kept" Rat.one (Oracle.Acc.inverse acc);
-  Oracle.Acc.add acc mul 1;
-  Alcotest.(check int) "two masks" 2 (Oracle.Acc.distinct_masks acc);
-  Oracle.Acc.remove acc mul 1;
-  Alcotest.(check int) "zero-mass mask dropped" 1
-    (Oracle.Acc.distinct_masks acc);
-  refused "dropped mask" (fun () -> Oracle.Acc.remove acc mul 1);
-  Oracle.Acc.remove acc add 2;
-  Alcotest.(check int) "empty" 0 (Oracle.Acc.distinct_masks acc);
-  Alcotest.check rat "empty value" Rat.zero (Oracle.Acc.inverse acc);
-  (* The row-level ops make the same checks. *)
   let row = Mapping.row m in
+  let acc = Oracle.Acc.create () in
   let refused what f =
     Alcotest.check_raises what (Invalid_argument "Oracle.Acc.remove_row") f
   in
   Oracle.Acc.add_row acc (row add) 2;
-  refused "row never added" (fun () -> Oracle.Acc.remove_row acc (row mul) 1);
-  refused "row partly never added" (fun () ->
+  refused "never added" (fun () -> Oracle.Acc.remove_row acc (row mul) 1);
+  refused "partly never added" (fun () ->
       Oracle.Acc.remove_row acc (row fma) 1);
-  refused "row beyond the length" (fun () ->
+  refused "beyond the length" (fun () ->
       Oracle.Acc.remove_row acc (row add) 3);
-  refused "row negative count" (fun () ->
+  refused "negative count" (fun () ->
       Oracle.Acc.remove_row acc (row add) (-1));
   Alcotest.check_raises "add_row negative count"
     (Invalid_argument "Oracle.Acc.add_row") (fun () ->
         Oracle.Acc.add_row acc (row add) (-1));
-  Alcotest.(check int) "row length kept" 2 (Oracle.Acc.length acc);
-  Alcotest.check rat "row value kept" Rat.one (Oracle.Acc.inverse acc);
+  Alcotest.(check int) "length kept" 2 (Oracle.Acc.length acc);
+  Alcotest.check rat "value kept" Rat.one (acc_value acc);
   Oracle.Acc.add_row acc (row mul) 1;
+  Alcotest.(check int) "two masks" 2 (Oracle.Acc.distinct_masks acc);
   Oracle.Acc.remove_row acc (row mul) 1;
-  Alcotest.(check int) "row zero-mass mask dropped" 1
+  Alcotest.(check int) "zero-mass mask dropped" 1
     (Oracle.Acc.distinct_masks acc);
+  refused "dropped mask" (fun () -> Oracle.Acc.remove_row acc (row mul) 1);
   Oracle.Acc.remove_row acc (row add) 2;
-  Alcotest.(check int) "row empty" 0 (Oracle.Acc.distinct_masks acc)
+  Alcotest.(check int) "empty" 0 (Oracle.Acc.distinct_masks acc);
+  Alcotest.(check (pair int int)) "empty value" (0, 1)
+    (Oracle.Acc.inverse_frac acc)
 
 let test_acc_reset () =
   let m = toy_mapping () in
-  let acc = Oracle.Acc.create (Oracle.create m) in
-  Oracle.Acc.add acc fma 3;
+  let acc = Oracle.Acc.create () in
+  Oracle.Acc.add_row acc (Mapping.row m fma) 3;
   Oracle.Acc.reset acc;
   Alcotest.(check int) "length" 0 (Oracle.Acc.length acc);
-  Alcotest.check rat "inverse" Rat.zero (Oracle.Acc.inverse acc)
+  Alcotest.(check (pair int int)) "inverse" (0, 1) (Oracle.Acc.inverse_frac acc)
 
 (* ------------------------------------------------------------------ *)
 (* The exact kernel triple against a brute-force lattice scan          *)
@@ -377,35 +367,6 @@ let prop_exact_triple =
        && Oracle.inverse_bounded_frac ~r_max o e = bounded
        && Portset.to_mask (Oracle.bottleneck_set o e) = q)
 
-(* [masses_frac] takes raw parallel arrays: repeated masks and zero masses
-   count as they stand. *)
-let prop_masses_frac =
-  QCheck2.Test.make ~name:"masses_frac with repeated masks and zero masses"
-    ~count:300
-    QCheck2.Gen.(
-      list_size (int_range 0 10) (pair (int_range 1 63) (int_range 0 3)))
-    (fun masses ->
-       let _, num, den = brute_force ~ports:6 masses in
-       Oracle.masses_frac
-         (Array.of_list (List.map fst masses))
-         (Array.of_list (List.map snd masses))
-       = (num, den))
-
-let test_masses_frac_cases () =
-  let check what expected masks masses =
-    Alcotest.(check (pair int int)) what expected
-      (Oracle.masses_frac masks masses)
-  in
-  check "empty" (0, 1) [||] [||];
-  check "all zero" (0, 1) [| 1; 3; 1 |] [| 0; 0; 0 |];
-  check "repeated mask, unreduced" (2, 2) [| 3; 3 |] [| 1; 1 |];
-  check "repeated mask merges" (4, 1) [| 1; 2; 1 |] [| 1; 3; 3 |];
-  check "tie to the smallest mask" (1, 1) [| 1; 2 |] [| 1; 1 |];
-  check "zero mass ignored" (3, 2) [| 3; 4 |] [| 3; 0 |];
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Oracle.masses_frac")
-    (fun () -> ignore (Oracle.masses_frac [| 1 |] [||]))
-
 (* A random walk of adds and removes (a removal only of copies the
    multiset holds) leaves the same profile as adding the final multiset to
    a fresh accumulator: the same mask count, length and unreduced pair. *)
@@ -417,24 +378,25 @@ let prop_acc_walk_fresh =
         (list_size (int_range 0 40)
            (triple (int_range 0 (num_random_schemes - 1)) (int_range 1 3) bool)))
     (fun ((usages, _), steps) ->
-       let o = Oracle.create (build_mapping usages) in
-       let walked = Oracle.Acc.create o in
+       let row = Mapping.row (build_mapping usages) in
+       let walked = Oracle.Acc.create () in
        let held = Array.make num_random_schemes 0 in
        List.iter
          (fun (i, n, add) ->
-            let s = Catalog.find random_catalog i in
+            let r = row (Catalog.find random_catalog i) in
             if add then begin
-              Oracle.Acc.add walked s n;
+              Oracle.Acc.add_row walked r n;
               held.(i) <- held.(i) + n
             end
             else if held.(i) >= n then begin
-              Oracle.Acc.remove walked s n;
+              Oracle.Acc.remove_row walked r n;
               held.(i) <- held.(i) - n
             end)
          steps;
-       let fresh = Oracle.Acc.create o in
+       let fresh = Oracle.Acc.create () in
        Array.iteri
-         (fun i n -> Oracle.Acc.add fresh (Catalog.find random_catalog i) n)
+         (fun i n ->
+            Oracle.Acc.add_row fresh (row (Catalog.find random_catalog i)) n)
          held;
        let view acc =
          ( Oracle.Acc.distinct_masks acc,
@@ -519,9 +481,7 @@ let () =
              prop_bottleneck_optimal; prop_exact_triple ]);
       ("kernel",
        [ Alcotest.test_case "submask branch" `Quick test_submask_branch ]
-       @ qsuite kernel_shapes
-       @ [ Alcotest.test_case "masses_frac cases" `Quick test_masses_frac_cases ]
-       @ qsuite [ prop_masses_frac ]);
+       @ qsuite kernel_shapes);
       ("acc",
        [ Alcotest.test_case "reset" `Quick test_acc_reset;
          Alcotest.test_case "remove checked" `Quick test_acc_remove_checked ]

@@ -174,6 +174,35 @@ let test_mapping_copy_independent () =
   Alcotest.(check bool) "original unchanged" true
     (Mapping.equal_usage (Mapping.usage m add) [ (both, 1) ])
 
+(* A mapping stores each row once, as the compiled arrays; [usage] and
+   [find_opt] decode them.  On 1 to 12 ports, with repeated port sets and
+   zero counts, every view of a set row is [normalize_usage] of what was
+   set. *)
+let prop_mapping_row_views =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 12 >>= fun ports ->
+      map
+        (fun u -> (ports, u))
+        (list_size (int_range 0 6)
+           (pair (int_range 1 ((1 lsl ports) - 1)) (int_range 0 3))))
+  in
+  QCheck2.Test.make ~name:"row arrays, usage and find_opt agree" ~count:300 gen
+    (fun (ports, u) ->
+       let u = List.map (fun (mask, n) -> (Portset.of_mask mask, n)) u in
+       let m = Mapping.create ~num_ports:ports in
+       Mapping.set m add u;
+       let expected = Mapping.normalize_usage u in
+       let r = Mapping.row m add in
+       let masks = List.map (fun (p, _) -> Portset.to_mask p) expected in
+       let counts = List.map snd expected in
+       Mapping.usage m add = expected
+       && Mapping.find_opt m add = Some expected
+       && Mapping.uop_count m add = List.fold_left ( + ) 0 counts
+       && r.Mapping.scheme == add
+       && r.masks = Array.of_list masks
+       && r.counts = Array.of_list counts)
+
 (* ------------------------------------------------------------------ *)
 (* LP cross-check                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -436,7 +465,8 @@ let () =
       ("mapping",
        [ Alcotest.test_case "normalisation" `Quick test_mapping_normalisation;
          Alcotest.test_case "validation" `Quick test_mapping_validation;
-         Alcotest.test_case "copy independence" `Quick test_mapping_copy_independent ]);
+         Alcotest.test_case "copy independence" `Quick test_mapping_copy_independent ]
+       @ qsuite [ prop_mapping_row_views ]);
       ("lp",
        [ Alcotest.test_case "toy agreement" `Quick test_lp_matches_formula_toy ]
        @ qsuite [ prop_lp_equals_formula ]);
