@@ -610,7 +610,7 @@ let check_regression ~history ~against results =
     Printf.eprintf "check-regression: cannot read current run: %s\n" msg;
     exit 2
   | Ok baseline, Ok current ->
-    (match Gate.compare_runs ~baseline ~current () with
+    (match Gate.compare_runs ~baseline ~current with
      | Error msg ->
        Printf.eprintf "check-regression: %s\n" msg;
        exit 2

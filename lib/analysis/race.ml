@@ -483,32 +483,6 @@ let afetch_add a d =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tracked hash tables                                                 *)
-
-module Tracked_table (H : Hashtbl.HashedType) = struct
-  module Tbl = Hashtbl.Make (H)
-
-  type 'v t = {
-    tbl : 'v Tbl.t;
-    loc : location;
-  }
-
-  let create ~name n = { tbl = Tbl.create n; loc = location name }
-
-  let find_opt t k =
-    touch_read t.loc;
-    Tbl.find_opt t.tbl k
-
-  let replace t k v =
-    touch_write t.loc;
-    Tbl.replace t.tbl k v
-
-  let length t =
-    touch_read t.loc;
-    Tbl.length t.tbl
-end
-
-(* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
 
 let kind_to_string = function

@@ -87,8 +87,10 @@ val holding : lock -> (unit -> 'a) -> 'a
 (* ------------------------------------------------------------------ *)
 (** {1 Tracked locations}
 
-    Each tracked cell, atomic or table carries one shadow word for its
-    logical memory location (a coarse region for a whole table). *)
+    Each tracked cell or atomic carries one shadow word for its logical
+    memory location.  A structure guarded as one region (the harness's
+    experiment cache) is a tracked cell holding it: read on every lookup,
+    written on every insert. *)
 
 (** {2 Tracked cells} *)
 
@@ -113,22 +115,6 @@ val aget : 'a tracked_atomic -> 'a
 val aset : 'a tracked_atomic -> 'a -> unit
 val acas : 'a tracked_atomic -> 'a -> 'a -> bool
 val afetch_add : int tracked_atomic -> int -> int
-
-(** {2 Tracked hash tables}
-
-    A [Hashtbl.Make] table whose every operation touches one shadow
-    location (the table is tracked as a single coarse region: any
-    unordered lookup/insert pair is a race).  Mirrors the handful of
-    operations the experiment cache actually uses. *)
-
-module Tracked_table (H : Hashtbl.HashedType) : sig
-  type 'v t
-
-  val create : name:string -> int -> 'v t
-  val find_opt : 'v t -> H.t -> 'v option
-  val replace : 'v t -> H.t -> 'v -> unit
-  val length : 'v t -> int
-end
 
 (* ------------------------------------------------------------------ *)
 (** {1 Reports} *)

@@ -84,14 +84,12 @@ type filtering = {
 type pair_result = Additive | Not_additive | Unstable_pair
 
 (* The pair test on ticks: [pair ≈ ti + tj] up to 2ε, with both sides
-   over the harness's precision.  Both singletons are looked up, as the
-   hit/miss counters expect. *)
-let measure_pair tolerance harness i j =
+   over the harness's precision; [ti] and [tj] are the singletons'
+   ticks. *)
+let measure_pair tolerance harness (i, ti) (j, tj) =
   let sample = Harness.run harness (Experiment.of_list [ i; j ]) in
   if sample.Harness.spread_cpi > spread_threshold then Unstable_pair
   else begin
-    let ti = (Harness.run harness (Experiment.singleton i)).Harness.ticks in
-    let tj = (Harness.run harness (Experiment.singleton j)).Harness.ticks in
     let p = Harness.precision in
     if
       Harness.Compare.cpi_equal_frac ~tolerance ~length:2
@@ -100,9 +98,70 @@ let measure_pair tolerance harness i j =
     else Not_additive
   end
 
+let with_ticks harness s =
+  (s, (Harness.run harness (Experiment.singleton s)).Harness.ticks)
+
 let additive ?(config = default_config) harness i j =
-  measure_pair (Harness.Compare.tolerance config.epsilon) harness i j
+  measure_pair (Harness.Compare.tolerance config.epsilon) harness
+    (with_ticks harness i) (with_ticks harness j)
   = Additive
+
+(* Sets of indices below n as bit rows: [words n] ints of [word] bits. *)
+let word = Sys.int_size
+let words n = (n + word - 1) / word
+let mem r i = (r.(i / word) lsr (i mod word)) land 1 = 1
+let set r i = r.(i / word) <- r.(i / word) lor (1 lsl (i mod word))
+let clear r i = r.(i / word) <- r.(i / word) land lnot (1 lsl (i mod word))
+
+let bits_of n (row : bool array) =
+  let r = Array.make (words n) 0 in
+  Array.iteri (fun k b -> if b then set r k) row;
+  r
+
+(* Bits set in a word, by summing bit fields of doubling width; the
+   byte sums meet in the top byte, which holds up to 127. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
+
+(* [counts.(s)]: the conflict triangles at every live s, the pairs a < b
+   of live neighbours of s (other than s) with b not in row a.  For each
+   such a, that is the live neighbours of s above a outside row a: a
+   popcount of N(s) ∧ ¬row(a) ∧ above(a) per word. *)
+let triangles_into counts rows alive n =
+  let nw = words n in
+  let ns = Array.make nw 0 in
+  for s = 0 to n - 1 do
+    counts.(s) <- 0;
+    if mem alive s then begin
+      let row = rows.(s) in
+      for w = 0 to nw - 1 do ns.(w) <- row.(w) land alive.(w) done;
+      clear ns s;
+      let t = ref 0 in
+      for w = 0 to nw - 1 do
+        let x = ref ns.(w) in
+        while !x <> 0 do
+          let low = !x land (- !x) in
+          x := !x lxor low;
+          let r = popcount (low - 1) in
+          let ra = rows.((w * word) + r) in
+          t := !t + popcount (ns.(w) land lnot ra.(w) land ((-2) lsl r));
+          for w' = w + 1 to nw - 1 do
+            t := !t + popcount (ns.(w') land lnot ra.(w'))
+          done
+        done
+      done;
+      counts.(s) <- !t
+    end
+  done
+
+let triangle_counts adjacency alive =
+  let n = Array.length adjacency in
+  let counts = Array.make n 0 in
+  triangles_into counts (Array.map (bits_of n) adjacency) (bits_of n alive) n;
+  counts
 
 (* Union-find over array indices. *)
 let find parent i =
@@ -128,9 +187,11 @@ let process_group tolerance harness group =
   let n = Array.length members in
   let adjacency = Array.make_matrix n n false in
   let unstable_pair = Array.make_matrix n n false in
+  (* Each member's singleton ticks, read once for all of its pairs. *)
+  let singles = Array.map (with_ticks harness) members in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      match measure_pair tolerance harness members.(i) members.(j) with
+      match measure_pair tolerance harness singles.(i) singles.(j) with
       | Additive ->
         adjacency.(i).(j) <- true;
         adjacency.(j).(i) <- true
@@ -186,39 +247,21 @@ let process_group tolerance harness group =
      candidate involved in strictly more conflict triangles than its
      neighbours until the additivity relation is transitive. *)
   let contradictory = ref [] in
-  let neighbours = Array.make n 0 in
+  let rows = Array.map (bits_of n) adjacency in
+  let live = bits_of n alive in
+  let triangles = Array.make n 0 in
   let rec prune () =
-    let triangles = Array.make n 0 in
-    let any = ref false in
-    for s = 0 to n - 1 do
-      if alive.(s) then begin
-        let deg = ref 0 in
-        for k = 0 to n - 1 do
-          if k <> s && alive.(k) && adjacency.(s).(k) then begin
-            neighbours.(!deg) <- k;
-            incr deg
-          end
-        done;
-        for a = 0 to !deg - 1 do
-          let row = adjacency.(neighbours.(a)) in
-          for b = a + 1 to !deg - 1 do
-            if not row.(neighbours.(b)) then begin
-              triangles.(s) <- triangles.(s) + 1;
-              any := true
-            end
-          done
-        done
-      end
-    done;
-    if !any then begin
-      (* Drop the primary offenders: everything within a factor of two of
-         the worst triangle count.  Connector schemes like fma sit in vastly
-         more conflict triangles than the classes they bridge, so this
-         removes a whole family per round and converges quickly. *)
-      let worst = Array.fold_left max 0 triangles in
+    triangles_into triangles rows live n;
+    (* Drop the primary offenders: everything within a factor of two of
+       the worst triangle count.  Connector schemes like fma sit in vastly
+       more conflict triangles than the classes they bridge, so this
+       removes a whole family per round and converges quickly. *)
+    let worst = Array.fold_left max 0 triangles in
+    if worst > 0 then begin
       for s = 0 to n - 1 do
         if alive.(s) && 2 * triangles.(s) > worst then begin
           alive.(s) <- false;
+          clear live s;
           contradictory := members.(s) :: !contradictory
         end
       done;

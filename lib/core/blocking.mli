@@ -75,3 +75,10 @@ val additive :
   bool
 (** The §3.2 redundancy check: [tp⁻¹(\[i,j\]) = tp⁻¹(\[i\]) + tp⁻¹(\[j\])]
     up to ε. *)
+
+val triangle_counts : bool array array -> bool array -> int array
+(** [triangle_counts adjacency alive]: for each live [s], the conflict
+    triangles the pairing stage's prune counts at it, the pairs [a < b]
+    of live neighbours of [s] (other than [s]) with [adjacency.(a).(b)]
+    false; 0 for every other [s].  The prune computes these on bit rows,
+    with popcounts. *)

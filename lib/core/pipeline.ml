@@ -5,6 +5,7 @@ module Mapping = Pmi_portmap.Mapping
 module Experiment = Pmi_portmap.Experiment
 module Harness = Pmi_measure.Harness
 module Machine = Pmi_machine.Machine
+module Obs = Pmi_obs.Obs
 
 let log = Logs.Src.create "pmi.pipeline" ~doc:"end-to-end case study"
 
@@ -220,17 +221,21 @@ let run_cegis config harness classes improper =
        are the paper's.  The harness caches every measurement, so the
        re-run measures almost nothing new. *)
     let outcome =
-      match infer ~refute_early:true with
-      | Cegis.Converged _ -> infer ~refute_early:false
-      | (Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _) as early ->
-        early
+      Obs.span "pipeline.cegis" (fun () ->
+          match infer ~refute_early:true with
+          | Cegis.Converged _ -> infer ~refute_early:false
+          | (Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _) as early
+            -> early)
     in
     match outcome with
     | Cegis.Converged (m, stats) -> (m, stats, classes, improper, removed)
     | Cegis.Iteration_limit _ ->
       failwith "Pipeline: CEGIS iteration limit exceeded"
     | Cegis.No_consistent_mapping stats ->
-      (match find_culprit config harness specs stats.Cegis.observations with
+      (match
+         Obs.span "pipeline.culprit" (fun () ->
+             find_culprit config harness specs stats.Cegis.observations)
+       with
        | None -> failwith "Pipeline: observations admit no mapping and no culprit"
        | Some victims ->
          Log.info (fun m ->
@@ -365,8 +370,9 @@ let run ?(certify = false) ?store harness =
   let decide i v = pending.(i) <- Some v in
   (* Stage 1 (§4.1): benchmark every scheme individually. *)
   let stage1 =
-    Array.map (Blocking.classify_individual ~config:blocking harness)
-      schemes
+    Obs.span "pipeline.individual" (fun () ->
+        Array.map (Blocking.classify_individual ~config:blocking harness)
+          schemes)
   in
   let candidates = ref [] in
   Array.iteri
@@ -386,7 +392,8 @@ let run ?(certify = false) ?store harness =
   (* Stage 2 (§4.2): pair candidates, drop unstable and contradictory ones
      and everything sharing their mnemonics. *)
   let filtering =
-    Blocking.filter_candidates ~config:blocking harness candidates
+    Obs.span "pipeline.pairing" (fun () ->
+        Blocking.filter_candidates ~config:blocking harness candidates)
   in
   let bad_mnemonics = Hashtbl.create 16 in
   List.iter
@@ -434,29 +441,35 @@ let run ?(certify = false) ?store harness =
       (List.map (fun k -> k.Blocking.representative) kept_classes
        @ kept_improper)
   in
-  let alignment = Relabel.align ~docs blocker_mapping_raw in
-  let blocker_mapping =
-    match alignment with
-    | Some a ->
-      let renamed = Relabel.apply a.Relabel.permutation blocker_mapping_raw in
-      (* Schemes the renaming had to drop are the frontend-masked
-         ambiguities ("[0,6,7,8]"-style add variants); like the paper, we
-         resolve them in favour of the documented port set (§4.3: "We use
-         [6,7,8,9] in the rest of the algorithm as it is consistent with
-         the documentation"). *)
-      List.iter
-        (fun s ->
-           match List.assoc_opt s docs with
-           | Some doc_usage ->
-             Log.info (fun m ->
-                 m "resolving masked ambiguity of %s to the documented %s"
-                   (Scheme.name s)
-                   (Mapping.usage_to_string doc_usage));
-             Mapping.set renamed s doc_usage
-           | None -> ())
-        a.Relabel.dropped;
-      renamed
-    | None -> blocker_mapping_raw
+  let alignment, blocker_mapping =
+    Obs.span "pipeline.relabel" (fun () ->
+        let alignment = Relabel.align ~docs blocker_mapping_raw in
+        let blocker_mapping =
+          match alignment with
+          | Some a ->
+            let renamed =
+              Relabel.apply a.Relabel.permutation blocker_mapping_raw
+            in
+            (* Schemes the renaming had to drop are the frontend-masked
+               ambiguities ("[0,6,7,8]"-style add variants); like the paper, we
+               resolve them in favour of the documented port set (§4.3: "We use
+               [6,7,8,9] in the rest of the algorithm as it is consistent with
+               the documentation"). *)
+            List.iter
+              (fun s ->
+                 match List.assoc_opt s docs with
+                 | Some doc_usage ->
+                   Log.info (fun m ->
+                       m "resolving masked ambiguity of %s to the documented %s"
+                         (Scheme.name s)
+                         (Mapping.usage_to_string doc_usage));
+                   Mapping.set renamed s doc_usage
+                 | None -> ())
+              a.Relabel.dropped;
+            renamed
+          | None -> blocker_mapping_raw
+        in
+        (alignment, blocker_mapping))
   in
   (* Stage 5 (§4.4): characterise everything else against the suite. *)
   let class_ports k =
@@ -515,15 +528,16 @@ let run ?(certify = false) ?store harness =
          k.Blocking.members)
     kept_classes;
   (* Remaining schemes: the adapted Algorithm 1. *)
-  Array.iteri
-    (fun i s ->
-       if pending.(i) = None then begin
-         match Port_usage.characterize harness ~blockers s with
-         | Port_usage.Usage { usage; spurious; _ } ->
-           decide i (Characterized { usage; spurious })
-         | Port_usage.Failed f -> decide i (Unstable_result f)
-       end)
-    schemes;
+  Obs.span "pipeline.characterize" (fun () ->
+      Array.iteri
+        (fun i s ->
+           if pending.(i) = None then begin
+             match Port_usage.characterize harness ~blockers s with
+             | Port_usage.Usage { usage; spurious; _ } ->
+               decide i (Characterized { usage; spurious })
+             | Port_usage.Failed f -> decide i (Unstable_result f)
+           end)
+        schemes);
   let verdicts =
     Array.map
       (function

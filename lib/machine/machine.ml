@@ -35,6 +35,8 @@ type sim = {
   paired_by : Iclass.quirk option; (* Fma_lines, Gpr_cross or None *)
   fma_trigger : bool;
   cross_trigger : bool;
+  tier : int; (* 2 inherently unreliable, 1 unstable in pairs, else 0 *)
+  ms_cycles : int; (* microcode-sequencer stall per instance *)
 }
 
 type t = {
@@ -68,8 +70,6 @@ let measurement_count t = Atomic.get t.measurements
    runs on scaled integers.  The vpmuldq-style slowdown is the finest
    effect: 1/20 cycle of extra port pressure per instance. *)
 let scale = 20
-
-let quirk_of scheme = (Scheme.klass scheme).Iclass.quirk
 
 (* Quirk coupling sets, derived from the profile's layout so that the §4.2
    and §4.3 phenomena exist on every simulated microarchitecture. *)
@@ -151,7 +151,22 @@ let make_sim profile scheme klass =
     fma_trigger =
       quirk <> Some Iclass.Fma_lines && touches (fma_trigger_ports profile);
     cross_trigger =
-      quirk <> Some Iclass.Gpr_cross && touches (gpr_cross_ports profile) }
+      quirk <> Some Iclass.Gpr_cross && touches (gpr_cross_ports profile);
+    tier =
+      (match quirk with
+       | Some (Iclass.Imm64_unreliable | Iclass.High8) -> 2
+       | Some (Iclass.Pair_unstable | Iclass.Tp_unstable) -> 1
+       | _ -> 0);
+    ms_cycles =
+      (match quirk with
+       | Some Iclass.Ms_microcode ->
+         (* Microcoded schemes are emitted by the microcode sequencer at
+            a fixed rate while the rest of the frontend stalls (§4.4);
+            the sequencer hands back to the decoders only on a cycle
+            boundary. *)
+         let rate = profile.Profile.ms_ops_per_cycle in
+         (Iclass.macro_ops structure + rate - 1) / rate
+       | _ -> 0) }
 
 (* The memo's placeholder: a real [plain Nullary] sim (its usage is empty
    on every profile), so a scheme of that class is served from it. *)
@@ -185,71 +200,62 @@ let sim t scheme =
     s
   end
 
-let ms_stall profile experiment =
-  (* Microcoded schemes are emitted by the microcode sequencer at a fixed
-     rate while the rest of the frontend stalls (§4.4); the sequencer hands
-     back to the decoders only on a cycle boundary. *)
-  let rate = profile.Profile.ms_ops_per_cycle in
-  let cycles_for macro = (macro + rate - 1) / rate in
-  let stall =
-    Experiment.fold
-      (fun scheme count acc ->
-         match quirk_of scheme with
-         | Some Iclass.Ms_microcode ->
-           acc
-           + (count
-              * cycles_for (Iclass.macro_ops (Scheme.klass scheme).Iclass.structure))
-         | Some _ | None -> acc)
-      experiment 0
+(* What one scan over an experiment yields for both the noise-free value
+   and the noise: whether any scheme triggers the fma or vmovd quirk, the
+   highest noise tier, the microcode stall, the length, the number of
+   distinct schemes and the noise key. *)
+type scan = {
+  fma : bool;
+  cross : bool;
+  tier : int;
+  stall : int;
+  length : int;
+  distinct : int;
+  key : int;
+}
+
+let scan t experiment =
+  let rec go fma cross tier stall length distinct key = function
+    | [] -> { fma; cross; tier; stall; length; distinct; key }
+    | (scheme, count) :: rest ->
+      let s = sim t scheme in
+      go (fma || s.fma_trigger) (cross || s.cross_trigger) (max tier s.tier)
+        (stall + (count * s.ms_cycles)) (length + count) (distinct + 1)
+        (Noise.key_add key ~id:(Scheme.id scheme) ~count)
+        rest
   in
-  stall
+  go false false 0 0 0 0 Noise.key_empty (Experiment.to_counts experiment)
 
 (* max (ports, frontend) + stall, on native fractions (every term is a
    few hundred at most), unreduced.  The port bound is the bottleneck
    optimum of the experiment's scaled rows, accumulated in an [Oracle.Acc].
    A quirk that needs company takes its paired row when another scheme of
    the experiment triggers it (a scheme never triggers its own quirk). *)
-let true_inverse_frac t experiment =
-  let fma = Experiment.exists (fun s _ -> (sim t s).fma_trigger) experiment in
-  let cross =
-    Experiment.exists (fun s _ -> (sim t s).cross_trigger) experiment
-  in
+let inverse_of t sc experiment =
   let acc = Oracle.Acc.create () in
-  Experiment.fold
-    (fun scheme count () ->
-       let s = sim t scheme in
-       let paired =
-         match s.paired_by with
-         | Some Iclass.Fma_lines -> fma
-         | Some Iclass.Gpr_cross -> cross
-         | _ -> false
-       in
-       Oracle.Acc.add_row acc (if paired then s.paired else s.plain) count)
-    experiment ();
+  let rec add = function
+    | [] -> ()
+    | (scheme, count) :: rest ->
+      let s = sim t scheme in
+      let paired =
+        match s.paired_by with
+        | Some Iclass.Fma_lines -> sc.fma
+        | Some Iclass.Gpr_cross -> sc.cross
+        | _ -> false
+      in
+      Oracle.Acc.add_row acc (if paired then s.paired else s.plain) count;
+      add rest
+  in
+  add (Experiment.to_counts experiment);
   let pn, pd = Oracle.Acc.inverse_frac acc in
   let pd = pd * scale in
-  let fn = Experiment.length experiment and fd = t.profile.Profile.r_max in
+  let fn = sc.length and fd = t.profile.Profile.r_max in
   let num, den = if pn * fd >= fn * pd then (pn, pd) else (fn, fd) in
-  (num + (ms_stall t.profile experiment * den), den)
+  (num + (sc.stall * den), den)
 
 let true_inverse t experiment =
-  let num, den = true_inverse_frac t experiment in
+  let num, den = inverse_of t (scan t experiment) experiment in
   Rat.of_ints num den
-
-(* Noise tier of an experiment: inherently unreliable schemes dominate,
-   then pairing instability (which only shows when at least two distinct
-   schemes run together), then the baseline jitter. *)
-let amplitude t experiment =
-  let has q =
-    Experiment.exists (fun s _ -> quirk_of s = Some q) experiment
-  in
-  if has Iclass.Imm64_unreliable || has Iclass.High8 then
-    t.config.unreliable_amplitude
-  else if
-    Experiment.distinct experiment >= 2
-    && (has Iclass.Pair_unstable || has Iclass.Tp_unstable)
-  then t.config.unstable_amplitude
-  else t.config.noise_amplitude
 
 let c_measurements = Pmi_obs.Obs.counter "machine.measurements"
 
@@ -257,22 +263,25 @@ let samples t ~reps experiment =
   if reps < 0 then invalid_arg "Machine.samples";
   ignore (Atomic.fetch_and_add t.measurements reps);
   Pmi_obs.Obs.add c_measurements reps;
+  let sc = scan t experiment in
   (* Both parts are exact in a float, so this is the correctly rounded
      quotient [Rat.to_float] gives of the reduced fraction. *)
   let base =
-    let num, den = true_inverse_frac t experiment in
+    let num, den = inverse_of t sc experiment in
     float_of_int num /. float_of_int den
   in
-  let amp = amplitude t experiment in
-  if amp = 0.0 then Array.make reps base
-  else begin
-    let seed = t.config.seed and key = Noise.hash_experiment experiment in
-    let runs = Array.make reps base in
-    for rep = 0 to reps - 1 do
-      runs.(rep) <- base *. (1.0 +. Noise.jitter ~seed ~key ~rep ~amplitude:amp)
-    done;
-    runs
-  end
+  (* Noise tier: inherently unreliable schemes dominate, then pairing
+     instability (which only shows when at least two distinct schemes run
+     together), then the baseline jitter. *)
+  let amplitude =
+    if sc.tier = 2 then t.config.unreliable_amplitude
+    else if sc.tier = 1 && sc.distinct >= 2 then t.config.unstable_amplitude
+    else t.config.noise_amplitude
+  in
+  let runs = Array.make reps base in
+  if amplitude <> 0.0 then
+    Noise.jitter_all runs ~seed:t.config.seed ~key:sc.key ~amplitude;
+  runs
 
 let true_uop_count t experiment =
   Experiment.fold

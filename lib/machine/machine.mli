@@ -52,16 +52,19 @@ val true_inverse : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
     bottleneck optimum of the quirk-adjusted µop masses (added row by row
     to a {!Pmi_portmap.Oracle.Acc}), capped below by the frontend bound
     [|e| / r_max], plus the microcode-sequencer stall.  Each scheme's
-    quirk-adjusted rows are compiled once, on its first use; the
-    experiment's profile is assembled afresh on every call, and repeated
-    measurements are the harness's cache's job. *)
+    quirk-adjusted rows, trigger flags, noise tier and stall are worked
+    out once, on its first use; one scan over the experiment then yields
+    what {!samples} also needs, its profile is assembled afresh on every
+    call, and repeated measurements are the harness's cache's job. *)
 
 val samples : t -> reps:int -> Pmi_portmap.Experiment.t -> float array
 (** [reps] noisy steady-state measurements of cycles per experiment
     iteration: element [rep] is repetition [rep]'s sample, the noise-free
     value jittered by {!Noise.jitter}[ ~rep].  The noise-free value, the
-    noise amplitude and the noise key are computed once for all
-    repetitions.  @raise Invalid_argument on a negative [reps]. *)
+    noise amplitude and the noise key come from one scan over the
+    experiment, shared with {!true_inverse}'s computation, and
+    {!Noise.jitter_all} fills the repetitions.
+    @raise Invalid_argument on a negative [reps]. *)
 
 val retired_ops : t -> Pmi_portmap.Experiment.t -> int
 (** The PMCx0C1 "Retired Uops" counter reading for one iteration: it counts

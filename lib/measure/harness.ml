@@ -17,51 +17,116 @@ type sample = {
   retired_ops : int;
 }
 
-(* The cache key: an experiment's canonical (scheme id, count) pairs
-   packed into one int array, so an entry costs the GC one small block
-   for its key and a lookup reads one. *)
-module Key = struct
-  type t = int array
+(* The cache: one open-addressing table over a growing int arena, so an
+   entry costs the GC no block of its own.  An entry is [hash; k; id_1;
+   n_1; ...; id_k; n_k; ticks; spread bits; retired ops] at some offset
+   of [arena]; [slots] (a power of two, at most half full, linear
+   probing) holds entry offsets, -1 where empty.  A probe hashes and
+   compares straight off the experiment's (scheme, count) list, and a hit
+   rebuilds its sample from the arena. *)
+type table = {
+  mutable slots : int array;
+  mutable arena : int array;
+  mutable used : int; (* arena words in use *)
+  mutable entries : int;
+}
 
-  let of_experiment e =
-    let k = Array.make (2 * Experiment.distinct e) 0 in
-    ignore
-      (Experiment.fold
-         (fun s n i ->
-            k.(i) <- Pmi_isa.Scheme.id s;
-            k.(i + 1) <- n;
-            i + 2)
-         e 0);
-    k
+let hash_counts counts =
+  let rec go h = function
+    | [] -> h
+    | (s, n) :: rest ->
+      go ((((h * 1_000_003) + Pmi_isa.Scheme.id s) * 1_000_003) + n) rest
+  in
+  let h = go 17 counts * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 32)) land max_int
 
-  let equal (a : t) (b : t) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
-    from 0
+(* Does the entry at [o] hold exactly [counts]? *)
+let entry_matches arena o counts =
+  let stop = o + 2 + (2 * arena.(o + 1)) in
+  let rec go j = function
+    | [] -> j = stop
+    | (s, n) :: rest ->
+      j < stop
+      && arena.(j) = Pmi_isa.Scheme.id s
+      && arena.(j + 1) = n
+      && go (j + 2) rest
+  in
+  go (o + 2) counts
 
-  let hash (a : t) =
-    let h = ref 17 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h * 1_000_003) + a.(i)
-    done;
-    let h = !h * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 32)) land max_int
-end
+(* The slot of the entry holding [counts], or the empty slot where it
+   goes. *)
+let probe tbl h counts =
+  let mask = Array.length tbl.slots - 1 in
+  let rec go i =
+    let o = tbl.slots.(i) in
+    if o < 0 || (tbl.arena.(o) = h && entry_matches tbl.arena o counts) then i
+    else go ((i + 1) land mask)
+  in
+  go (h land mask)
 
-module Cache = Race.Tracked_table (Key)
+(* A spread is never negative, so its float bits have the sign bit clear
+   and survive the 63-bit int once the sign extension is masked off. *)
+let bits_of_spread x = Int64.to_int (Int64.bits_of_float x)
+let spread_of_bits b =
+  Int64.float_of_bits (Int64.logand (Int64.of_int b) Int64.max_int)
+
+let sample_at arena o =
+  let v = o + 2 + (2 * arena.(o + 1)) in
+  { ticks = arena.(v);
+    spread_cpi = spread_of_bits arena.(v + 1);
+    retired_ops = arena.(v + 2) }
+
+let grow_slots tbl =
+  let slots = Array.make (2 * Array.length tbl.slots) (-1) in
+  let mask = Array.length slots - 1 in
+  let o = ref 0 in
+  while !o < tbl.used do
+    let rec free i = if slots.(i) < 0 then i else free ((i + 1) land mask) in
+    slots.(free (tbl.arena.(!o) land mask)) <- !o;
+    o := !o + 5 + (2 * tbl.arena.(!o + 1))
+  done;
+  tbl.slots <- slots
+
+let insert tbl slot h counts sample =
+  let k = List.length counts in
+  let size = 5 + (2 * k) in
+  if tbl.used + size > Array.length tbl.arena then begin
+    let arena =
+      Array.make (max (tbl.used + size) (2 * Array.length tbl.arena)) 0
+    in
+    Array.blit tbl.arena 0 arena 0 tbl.used;
+    tbl.arena <- arena
+  end;
+  let a = tbl.arena and o = tbl.used in
+  a.(o) <- h;
+  a.(o + 1) <- k;
+  let rec fill j = function
+    | [] -> j
+    | (s, n) :: rest ->
+      a.(j) <- Pmi_isa.Scheme.id s;
+      a.(j + 1) <- n;
+      fill (j + 2) rest
+  in
+  let v = fill (o + 2) counts in
+  a.(v) <- sample.ticks;
+  a.(v + 1) <- bits_of_spread sample.spread_cpi;
+  a.(v + 2) <- sample.retired_ops;
+  tbl.used <- o + size;
+  tbl.slots.(slot) <- o;
+  tbl.entries <- tbl.entries + 1;
+  if 2 * tbl.entries > Array.length tbl.slots then grow_slots tbl
 
 (* The cache and the underlying machine are shared mutable state: a
    parallel sweep (the sanitizer's harness workload) hits [run] from
    several domains at once.  One harness-wide lock covers the
    probe/measure/insert sequence — the mutex is real even with the
    sanitizer off, and doubles as the happens-before edge the race detector
-   checks.  Hit/miss counters are atomics so the accessors can read them
-   without the lock. *)
+   checks, which sees the table as one tracked location: read on a probe,
+   written on an insert.  Hit/miss counters are atomics so the accessors
+   can read them without the lock. *)
 type t = {
   machine : Machine.t;
-  cache : sample Cache.t;
+  cache : table Race.tracked_ref;
   lock : Race.lock;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -73,7 +138,10 @@ let precision = 1000
 
 let create machine =
   { machine;
-    cache = Cache.create ~name:"harness.cache" 4096;
+    cache =
+      Race.tracked_ref ~name:"harness.cache"
+        { slots = Array.make 1024 (-1); arena = Array.make 2048 0; used = 0;
+          entries = 0 };
     lock = Race.create_lock "harness.lock";
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
@@ -95,34 +163,41 @@ let sort_runs (runs : float array) =
     runs.(!j + 1) <- x
   done
 
+let measure t experiment =
+  let runs = Machine.samples t.machine ~reps experiment in
+  sort_runs runs;
+  let median = runs.(reps / 2) in
+  let low = runs.(0) and high = runs.(reps - 1) in
+  let len = Experiment.length experiment in
+  let spread_cpi =
+    if len = 0 then 0.0 else (high -. low) /. float_of_int len
+  in
+  let p = float_of_int precision in
+  { ticks = int_of_float (Float.round (median *. p));
+    spread_cpi;
+    retired_ops = Machine.retired_ops t.machine experiment }
+
 let run t experiment =
   Race.with_lock t.lock (fun () ->
-      let key = Key.of_experiment experiment in
-      match Cache.find_opt t.cache key with
-      | Some sample ->
+      let counts = Experiment.to_counts experiment in
+      let h = hash_counts counts in
+      let tbl = Race.read t.cache in
+      let slot = probe tbl h counts in
+      let o = tbl.slots.(slot) in
+      if o >= 0 then begin
         Atomic.incr t.hits;
         Obs.incr c_mem_hits;
-        sample
-      | None ->
+        sample_at tbl.arena o
+      end
+      else begin
         Atomic.incr t.misses;
         Obs.incr c_mem_misses;
         Obs.span "harness.measure" (fun () ->
-            let runs = Machine.samples t.machine ~reps experiment in
-            sort_runs runs;
-            let median = runs.(reps / 2) in
-            let low = runs.(0) and high = runs.(reps - 1) in
-            let len = Experiment.length experiment in
-            let spread_cpi =
-              if len = 0 then 0.0 else (high -. low) /. float_of_int len
-            in
-            let p = float_of_int precision in
-            let sample =
-              { ticks = int_of_float (Float.round (median *. p));
-                spread_cpi;
-                retired_ops = Machine.retired_ops t.machine experiment }
-            in
-            Cache.replace t.cache key sample;
-            sample))
+            let sample = measure t experiment in
+            insert tbl slot h counts sample;
+            Race.write t.cache tbl;
+            sample)
+      end)
 
 let sample_cycles sample = Rat.of_ints sample.ticks precision
 let cycles t experiment = sample_cycles (run t experiment)
@@ -130,7 +205,7 @@ let cycles t experiment = sample_cycles (run t experiment)
 let retired_ops t experiment = (run t experiment).retired_ops
 
 let benchmarks_run t =
-  Race.with_lock t.lock (fun () -> Cache.length t.cache)
+  Race.with_lock t.lock (fun () -> (Race.read t.cache).entries)
 
 let cache_hits t = Atomic.get t.hits
 let cache_misses t = Atomic.get t.misses
@@ -147,41 +222,55 @@ module Compare = struct
     Rat.compare (Rat.abs (Rat.sub t1 t2)) bound > 0
 
   (* ε as the native tests read it, worked out once: its parts as ints,
-     and their magnitudes for the overflow bound below.  [native] is false
-     when a part does not fit an int; the tests then run on [Rat]. *)
+     and the bits a fraction part may not have for the native test to be
+     overflow-free under ε (all of them when a part of ε does not fit an
+     int; the tests then run on [Rat]). *)
   type tolerance = {
     epsilon : Rat.t;
-    native : bool;
     en : int;
     ed : int;
-    mag_en : float;
-    mag_ed : float;
+    part_mask : int;
   }
 
-  let mag x = Float.max 1. (Float.abs (float_of_int x))
+  (* |scale| and |length| below 2^small_bits take the native test. *)
+  let small_bits = 10
+  let small_mask = lnot ((1 lsl small_bits) - 1)
+
+  (* The bit length of a non-negative int; 63 for a negative one. *)
+  let bits x =
+    let rec go b = if b < 63 && x lsr b <> 0 then go (b + 1) else b in
+    go 0
 
   let tolerance epsilon =
     match
       (Bigint.to_int_opt (Rat.num epsilon), Bigint.to_int_opt (Rat.den epsilon))
     with
     | Some en, Some ed ->
-      { epsilon; native = true; en; ed; mag_en = mag en; mag_ed = mag ed }
-    | _ -> { epsilon; native = false; en = 0; ed = 1; mag_en = 1.; mag_ed = 1. }
+      (* Parts below 2^part_bits keep |n1·d2 − n2·d1|·ε_den (under
+         2^(2·part_bits + 1 + bits ε_den)) and scale·ε_num·length·d1·d2
+         (under 2^(2·small_bits + bits ε_num + 2·part_bits)) within 2^62. *)
+      let part_bits =
+        min ((61 - bits ed) / 2) ((62 - (2 * small_bits) - bits (abs en)) / 2)
+      in
+      let part_mask =
+        if part_bits <= 0 then -1 else lnot ((1 lsl part_bits) - 1)
+      in
+      { epsilon; en; ed; part_mask }
+    | _ -> { epsilon; en = 0; ed = 1; part_mask = -1 }
 
   let default_tolerance = tolerance default_epsilon
 
   (* The sign of |n1/d1 − n2/d2| − scale·ε·length, from the same test
      cross-multiplied onto native ints: |n1·d2 − n2·d1|·ε_den against
-     scale·ε_num·length·d1·d2.  A float estimate of each side, with every
-     factor taken at least 1 in magnitude, bounds every intermediate
-     product; below 2^61 none of them can overflow.  Otherwise the test
-     runs on [Rat]. *)
+     scale·ε_num·length·d1·d2.  An integer guard on the magnitudes of
+     the parts, the scale and the length bounds every intermediate
+     product below 2^62, so none can overflow (a negative magnitude, from
+     [min_int], fails the guard).  Otherwise the test runs on [Rat]. *)
   let gap_sign ~scale tol ~length (n1, d1) (n2, d2) =
-    let limit = 0x1p61 in
     if
-      tol.native && d1 > 0 && d2 > 0
-      && ((mag n1 *. mag d2) +. (mag n2 *. mag d1)) *. tol.mag_ed < limit
-      && mag scale *. tol.mag_en *. mag length *. mag d1 *. mag d2 < limit
+      d1 > 0 && d2 > 0
+      && (abs n1 lor abs n2 lor d1 lor d2) land tol.part_mask = 0
+      && (abs scale lor abs length) land small_mask = 0
     then
       compare
         (abs ((n1 * d2) - (n2 * d1)) * tol.ed)

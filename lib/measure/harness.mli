@@ -10,9 +10,10 @@
 
     A harness is safe to share across domains: the probe/measure/insert
     sequence runs under a harness-wide lock (a {!Pmi_diag.Race.with_lock}
-    mutex, so the concurrency sanitizer sees the edge) and the hit/miss
-    counters are atomics.  Telemetry counts the cache's answers under
-    [harness.cache.mem.{hit,miss}].
+    mutex, so the concurrency sanitizer sees the edge; the sanitizer
+    tracks the cache as one location, read on a probe and written on an
+    insert) and the hit/miss counters are atomics.  Telemetry counts the
+    cache's answers under [harness.cache.mem.{hit,miss}].
 
     Measurements live for the process only: every run measures what it
     asks for afresh, which is what the paper's Algorithm 2 assumes. *)
@@ -38,9 +39,13 @@ val precision : int
     1000 (millicycles). *)
 
 val run : t -> Pmi_portmap.Experiment.t -> sample
-(** The experiment's sample, measured on a cache miss.  The cache is keyed
-    by the experiment's canonical [(scheme id, count)] pairs
-    ({!Pmi_portmap.Experiment.key}), packed into one int array. *)
+(** The experiment's sample, measured on a cache miss.  The cache is one
+    open-addressing table keyed by the experiment's canonical
+    [(scheme id, count)] pairs ({!Pmi_portmap.Experiment.key}), probed
+    straight off {!Pmi_portmap.Experiment.to_counts} without building a
+    key.  An entry lives in a flat int arena, not as a heap block of its
+    own, so a hit returns a fresh record equal ([=], not [==]) to the one
+    the miss returned. *)
 
 val sample_cycles : sample -> Pmi_numeric.Rat.t
 (** [ticks / precision] as an exact rational: the sample's median inverse

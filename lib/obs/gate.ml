@@ -106,14 +106,14 @@ type verdict = {
   regressed : bool;
 }
 
-let default_threshold = 0.25
+let threshold = 0.25
 
 (* Benches are compared by name; ones present on only one side are
    skipped (machines differ in which sections they ran), and count-type
    records never gate (counters drift legitimately with policy changes).
    An Error means the records are incomparable and the caller should not
    conclude anything — most importantly on a schema-version mismatch. *)
-let compare_runs ?(threshold = default_threshold) ~baseline ~current () =
+let compare_runs ~baseline ~current =
   let version_of run =
     match run.version with
     | Some v -> Ok v
@@ -172,5 +172,5 @@ let report verdicts =
      else
        Printf.sprintf "regression gate: %d of %d benches regressed (>%.0f%%)\n"
          (List.length regs) (List.length verdicts)
-         (default_threshold *. 100.));
+         (threshold *. 100.));
   Buffer.contents buf

@@ -2,7 +2,7 @@
 
     Compares one [bench --json] run against the newest entry of a
     [BENCH_sat.json]-style history file and flags any named bench whose
-    wall-clock regressed by more than the threshold (25% by default).
+    wall-clock regressed by more than {!threshold} (25%).
     Only timing records gate; [count]-type solver statistics are carried
     along but never fail the gate.  Runs without a matching
     [schema_version] are {e incomparable}: the comparison returns [Error]
@@ -46,11 +46,12 @@ type verdict = {
   regressed : bool;    (** [ratio > 1 + threshold] *)
 }
 
-val default_threshold : float
+val threshold : float
+(** 0.25: a bench regresses when it takes more than 1.25 times its
+    baseline. *)
 
 val compare_runs :
-  ?threshold:float -> baseline:run -> current:run -> unit ->
-  (verdict list, string) result
+  baseline:run -> current:run -> (verdict list, string) result
 (** One verdict per bench named in both runs, in the current run's order.
     [Error] when either side lacks a schema version or the versions
     differ. *)

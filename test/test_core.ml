@@ -1310,6 +1310,57 @@ let prop_distinguish_matches_naive =
               candidates)
          references)
 
+(* The prune's triangle count on bit rows against the nested loops it
+   replaced, on random graphs across word boundaries (a bit row word holds
+   [Sys.int_size] bits). *)
+let triangle_counts_reference adjacency alive =
+  let n = Array.length adjacency in
+  Array.init n (fun s ->
+      if not alive.(s) then 0
+      else begin
+        let neighbours =
+          List.filter
+            (fun k -> k <> s && alive.(k) && adjacency.(s).(k))
+            (List.init n Fun.id)
+        in
+        let rec count = function
+          | [] -> 0
+          | a :: rest ->
+            List.length (List.filter (fun b -> not adjacency.(a).(b)) rest)
+            + count rest
+        in
+        count neighbours
+      end)
+
+let prop_triangle_counts =
+  let gen =
+    QCheck2.Gen.(
+      let* n =
+        oneof [ int_range 1 200; oneofl [ 62; 63; 64; 124; 125; 126; 189 ] ]
+      in
+      let* density = float_range 0.0 1.0 and* live = float_range 0.0 1.0 in
+      let* seed = int in
+      return (n, density, live, seed))
+  in
+  QCheck2.Test.make ~name:"bitset triangle counts = nested loops" ~count:200
+    ~print:(fun (n, d, l, seed) ->
+        Printf.sprintf "n=%d density=%g live=%g seed=%d" n d l seed)
+    gen
+    (fun (n, density, live, seed) ->
+       let rng = Random.State.make [| seed |] in
+       let adjacency = Array.make_matrix n n false in
+       for i = 0 to n - 1 do
+         for j = i + 1 to n - 1 do
+           if Random.State.float rng 1.0 < density then begin
+             adjacency.(i).(j) <- true;
+             adjacency.(j).(i) <- true
+           end
+         done
+       done;
+       let alive = Array.init n (fun _ -> Random.State.float rng 1.0 < live) in
+       Blocking.triangle_counts adjacency alive
+       = triangle_counts_reference adjacency alive)
+
 let () =
   Alcotest.run "core"
     [ ("uop-count",
@@ -1324,7 +1375,8 @@ let () =
          Alcotest.test_case "additivity (§3.2)" `Quick test_additivity;
          Alcotest.test_case "candidate filtering (§4.2)" `Slow
            test_filter_candidates_small;
-         QCheck_alcotest.to_alcotest prop_additive_matches_rat ]);
+         QCheck_alcotest.to_alcotest prop_additive_matches_rat;
+         QCheck_alcotest.to_alcotest prop_triangle_counts ]);
       ("encoding",
        [ Alcotest.test_case "cardinality" `Quick test_encoding_cardinality;
          Alcotest.test_case "improper blockers (§4.3)" `Quick test_encoding_improper;

@@ -278,18 +278,24 @@ let test_compare_epsilon () =
     (well_separated ~length:1 Rat.one (Rat.of_ints 103 100))
 
 (* The native-int comparisons against the [Rat] ones they shortcut.  Part
-   magnitudes come in three classes: small, where every product fits a
-   native int; 2^30, where the cross products overflow 63 bits; and near
-   max_int.  A third of the cases put the second value exactly at
-   ε·|e| or 2ε·|e| from the first, where the verdicts flip. *)
+   magnitudes come in classes: small, where every product fits a native
+   int; 2^17 to 2^21 and lengths past 2^10, on either side of the integer
+   guard that picks the native test (parts below 2^18 to 2^21 for these
+   ε); 2^30, where the cross products overflow 63 bits; and near
+   max_int.  A third of the cases put the second value exactly at ε·|e|
+   or 2ε·|e| from the first, where the verdicts flip. *)
 let frac_case_gen =
   let open QCheck2.Gen in
-  let* bound = oneofl [ 1_000; 1 lsl 30; max_int / 4 ] in
+  let* bound =
+    oneofl
+      [ 1_000; 1 lsl 17; 1 lsl 18; 1 lsl 19; 1 lsl 20; 1 lsl 21; 1 lsl 30;
+        max_int / 4 ]
+  in
   let* n1 = int_range (-bound) bound
   and* d1 = int_range 1 bound
   and* ep = int_range 0 50
   and* eq = int_range 1 1000
-  and* length = int_range 0 20
+  and* length = oneof [ int_range 0 20; int_range 1000 1050 ]
   and* boundary = oneofl [ None; None; Some 1; Some 2; Some (-1); Some (-2) ]
   and* n2 = int_range (-bound) bound
   and* d2 = int_range 1 bound in
@@ -609,13 +615,137 @@ let test_cache_identity () =
   let e = Experiment.of_list [ vpor; add_rr; imul ] in
   let permuted = Experiment.of_counts [ (imul, 1); (vpor, 1); (add_rr, 1) ] in
   let s1 = H.run h e in
+  let measured = Machine.measurement_count noisy in
   let s2 = H.run h permuted in
-  Alcotest.(check bool) "hit returns the stored sample" true (s1 == s2);
+  (* No record is kept per entry: a hit rebuilds the stored sample
+     without measuring. *)
+  Alcotest.(check bool) "hit returns the stored sample" true (s1 = s2);
+  Alcotest.(check int) "hit measures nothing" measured
+    (Machine.measurement_count noisy);
   Alcotest.(check int) "one entry" 1 (H.benchmarks_run h);
   Alcotest.(check int) "one miss" 1 (H.cache_misses h);
   Alcotest.(check int) "one hit" 1 (H.cache_hits h);
   Alcotest.check rat "cycles are ticks / precision"
     (Rat.of_ints s1.H.ticks H.precision) (H.cycles h e)
+
+(* The harness's flat cache against a [Hashtbl] memo over the samples a
+   second machine measures, with the harness's median and spread worked
+   out here.  Each case asks about 10,000 experiments with over 8,192
+   distinct ones, so the slot array (1,024 slots at first, at most half
+   full) grows at least four times; repeats come back in a permuted
+   order.  Each case runs at the default noise and at a fourfold jitter,
+   whose spreads pass 2.0, where a spread's float bits use the top bit
+   of a 63-bit int. *)
+let prop_flat_cache_reference =
+  let module H = Pmi_measure.Harness in
+  let ids = Catalog.size catalog in
+  let gen =
+    QCheck2.Gen.(
+      (* Shrinking 10,000-element lists would outlast any failure report. *)
+      no_shrink
+        (let scheme_count = pair (int_bound (ids - 1)) (int_range 1 40) in
+         let* fresh =
+           list_repeat 9000 (list_size (int_range 1 6) scheme_count)
+         in
+         let* repeats = list_repeat 1200 (int_bound 8999) in
+         let* seed = int in
+         return (fresh, repeats, seed)))
+  in
+  let agrees config asks =
+    let h = H.create (Machine.create ~config catalog) in
+    let reference = Machine.create ~config catalog in
+    let memo = Hashtbl.create 16 in
+    let hits = ref 0 and misses = ref 0 in
+    let expected e =
+      match Hashtbl.find_opt memo (Experiment.key e) with
+      | Some s -> incr hits; s
+      | None ->
+        incr misses;
+        let runs = Machine.samples reference ~reps:11 e in
+        Array.sort Float.compare runs;
+        let len = Experiment.length e in
+        let s =
+          { H.ticks = int_of_float (Float.round (runs.(5) *. 1000.));
+            spread_cpi =
+              (if len = 0 then 0.0
+               else (runs.(10) -. runs.(0)) /. float_of_int len);
+            retired_ops = Machine.retired_ops reference e }
+        in
+        Hashtbl.replace memo (Experiment.key e) s;
+        s
+    in
+    let same =
+      List.for_all
+        (fun e ->
+           let s = H.run h e and r = expected e in
+           s.H.ticks = r.H.ticks
+           && Int64.equal
+                (Int64.bits_of_float s.H.spread_cpi)
+                (Int64.bits_of_float r.H.spread_cpi)
+           && s.H.retired_ops = r.H.retired_ops)
+        asks
+    in
+    let widest =
+      Hashtbl.fold (fun _ r acc -> max acc r.H.spread_cpi) memo 0.0
+    in
+    ( same
+      && Hashtbl.length memo > 8192
+      && H.cache_hits h = !hits
+      && H.cache_misses h = !misses
+      && H.benchmarks_run h = Hashtbl.length memo,
+      widest )
+  in
+  QCheck2.Test.make ~name:"flat cache = Hashtbl memo" ~count:3
+    ~print:(fun (_, _, seed) -> Printf.sprintf "seed %d" seed)
+    gen
+    (fun (fresh, repeats, seed) ->
+       let fresh = Array.of_list fresh in
+       let asks =
+         List.map
+           (fun items ->
+              Experiment.of_counts
+                (List.map (fun (id, n) -> (Catalog.find catalog id, n)) items))
+           (Array.to_list fresh
+            @ List.map (fun i -> List.rev fresh.(i)) repeats)
+       in
+       let quiet, _ =
+         agrees { Machine.default_config with Machine.seed } asks
+       in
+       let loud, widest =
+         agrees
+           { Machine.seed; noise_amplitude = 4.0; unstable_amplitude = 4.0;
+             unreliable_amplitude = 4.0 }
+           asks
+       in
+       quiet && loud && widest > 2.0)
+
+(* Experiments whose (id, count) pairs hash alike under the cache's
+   polynomial hash (multiplier P = 1_000_003, pairs in ascending id): one
+   more in the count of the first pair is one P² less in the count of the
+   second, and one more in an id is the count P + 1 on the id below.
+   The cache must still tell them apart, so each is a miss with its own
+   sample. *)
+let test_cache_collisions () =
+  let module H = Pmi_measure.Harness in
+  let p = 1_000_003 in
+  let a, b =
+    if Scheme.id vpor < Scheme.id add_rr then (vpor, add_rr) else (add_rr, vpor)
+  in
+  let below = Catalog.find catalog (Scheme.id a - 1) in
+  let colliding =
+    [ (mix [ (a, 3); (b, (p * p) + 7) ], mix [ (a, 4); (b, 7) ]);
+      (mix [ (below, p + 1) ], mix [ (a, 1) ]) ]
+  in
+  List.iter
+    (fun (e1, e2) ->
+       let h = H.create noisy in
+       let s1 = H.run h e1 and s2 = H.run h e2 in
+       let fresh e = H.run (H.create noisy) e in
+       Alcotest.(check int) "two entries" 2 (H.benchmarks_run h);
+       Alcotest.(check int) "two misses" 2 (H.cache_misses h);
+       Alcotest.(check bool) "first sample" true (s1 = fresh e1);
+       Alcotest.(check bool) "second sample" true (s2 = fresh e2))
+    colliding
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -643,10 +773,11 @@ let () =
          Alcotest.test_case "blocking shape" `Quick test_port_uops_blocking_shape ]);
       ("native",
        [ Alcotest.test_case "quirk classes" `Quick test_quirk_classes_covered;
-         Alcotest.test_case "cache identity" `Quick test_cache_identity ]
+         Alcotest.test_case "cache identity" `Quick test_cache_identity;
+         Alcotest.test_case "colliding keys" `Quick test_cache_collisions ]
        @ qsuite
            [ prop_tick_pair_verdict; prop_of_counts_reference;
-             prop_simulator_reference ]);
+             prop_simulator_reference; prop_flat_cache_reference ]);
       ("noise",
        [ Alcotest.test_case "deterministic" `Quick test_measurement_deterministic;
          Alcotest.test_case "tiers" `Quick test_noise_tiers;

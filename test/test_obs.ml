@@ -324,7 +324,7 @@ let test_gate_flags_slowdown () =
         timing "oracle/zen-block" 55000.;
         timing "brand-new-bench" 1. ]
   in
-  (match Gate.compare_runs ~baseline ~current:cur () with
+  (match Gate.compare_runs ~baseline ~current:cur with
    | Error msg -> Alcotest.failf "comparable runs rejected: %s" msg
    | Ok verdicts ->
      Alcotest.(check int) "only shared benches compared" 2
@@ -346,7 +346,8 @@ let test_gate_flags_slowdown () =
       | vs -> Alcotest.failf "expected one regression, got %d" (List.length vs)));
   (* Within threshold: clean. *)
   match
-    Gate.compare_runs ~baseline ~current:(current [ timing "sat/random-3sat" 120000. ]) ()
+    Gate.compare_runs ~baseline
+      ~current:(current [ timing "sat/random-3sat" 120000. ])
   with
   | Ok verdicts ->
     Alcotest.(check int) "no regression at 1.2x" 0
@@ -369,14 +370,13 @@ let test_gate_rejects_incomparable () =
      Alcotest.(check (option int)) "legacy has no version" None
        legacy.Gate.version;
      expect_error "legacy record"
-       (Gate.compare_runs ~baseline ~current:legacy ())
+       (Gate.compare_runs ~baseline ~current:legacy)
    | Error msg -> Alcotest.failf "legacy record did not parse: %s" msg);
   (* And a future schema version must not be misread. *)
   expect_error "schema-version mismatch"
     (Gate.compare_runs ~baseline
        ~current:{ (current [ timing "sat/random-3sat" 1. ]) with
-                  Gate.version = Some (Gate.schema_version + 1) }
-       ())
+                  Gate.version = Some (Gate.schema_version + 1) })
 
 (* Repeated runs gate on each bench's fastest record: one slow run of a
    bench is noise, a bench slow in every run is a regression. *)
@@ -391,7 +391,7 @@ let test_gate_fastest_of_runs () =
        [ ("a", Some 100.); ("b", Some 290.); ("c", Some 5.) ]
        (List.map (fun r -> (r.Gate.name, r.Gate.ns_per_run)) run.Gate.records);
      let baseline = current [ timing "a" 90.; timing "b" 100. ] in
-     (match Gate.compare_runs ~baseline ~current:run () with
+     (match Gate.compare_runs ~baseline ~current:run with
       | Error msg -> Alcotest.failf "compare: %s" msg
       | Ok verdicts ->
         Alcotest.(check (list string)) "only the bench slow in both runs"
