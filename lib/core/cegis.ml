@@ -20,6 +20,7 @@ let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_distinguish_memo = Obs.counter "cegis.distinguish.memo_hits"
 let c_distinguish_leaves = Obs.counter "cegis.distinguish.leaves"
 let c_distinguish_kernels = Obs.counter "cegis.distinguish.kernels"
+let c_distinguish_relabeled = Obs.counter "cegis.distinguish.relabeled"
 
 (* Process-wide episode tally; per-run numbers are snapshots around one
    inference (the repo never runs two inferences concurrently). *)
@@ -390,36 +391,70 @@ let canonical_model config th observations pool model =
    is deterministic, so it is a smallest experiment.
 
    Two things keep the walk cheap without moving that hit:
-   - A leaf whose schemes all have the same row in m1 and m2 has equal
-     throughputs by construction, so it cannot separate them.  The walk
-     counts the differing schemes chosen so far and skips a subtree as
-     soon as none is chosen and none remains.
-   - m1 and the schemes stay fixed for a whole [find_other_mapping] call.
-     Leaves are numbered in walk order across the strata (a skipped
-     subtree advances the ordinal by its leaf count), and m1's value at a
-     leaf is tabulated under its ordinal the first time it is computed.
-     A miss rebuilds m1's profile from the leaf's rows, so m1 needs no
-     walk of its own.
-   m2 is walked on one accumulator, which moves by one row per step. *)
+   - Bottleneck-set throughput does not change when ports are renamed.
+     Each [find] builds a port bijection π greedily, scheme by scheme,
+     under which as many schemes as it can have m2's row equal to π of
+     m1's; π is the identity unless it agrees on more schemes than the
+     identity does.  A leaf made of agreeing schemes only has m2's mass
+     profile equal to π of m1's, so equal throughputs, and cannot separate
+     the two.  The walk counts the disagreeing schemes chosen so far and
+     skips a subtree as soon as none is chosen and none remains.
+   - Leaves are numbered in walk order across the strata (a skipped
+     subtree advances the ordinal by its leaf count), so an ordinal fixes
+     the leaf's schemes and copies.  Rows are interned to small ids, once
+     per search, and a leaf's key under a mapping packs the ids of its
+     schemes' rows.  Each ordinal has one slot per side (m1, m2) holding
+     the last key evaluated there with its value.  A slot is checked
+     against the key and never cleared, so values carry over to later
+     candidates and reference mappings with the same rows.  A miss
+     rebuilds the profile from the leaf's rows on one accumulator. *)
 module Distinguish = struct
+  (* A partial port renaming π: the ports of [from.(c)] go onto the ports
+     of [onto.(c)], for the [k] classes c, which partition every port.
+     Constraints π(A) = B can all be met exactly when each class meets A
+     and B in equally many ports, that is when the ports' membership
+     vectors over the A's and over the B's are equal multisets;
+     [refine] splits every class by one more constraint. *)
+  type renaming = { from : int array; onto : int array; mutable k : int }
+
+  (* The reference mapping m1: its rows, their ids, and the order in
+     which π tries the schemes, fewest ports first (small port sets pin π
+     down soonest, so a row that no renaming explains is less likely to
+     steer π away from the rest). *)
+  type reference = {
+    rows : Mapping.row array;
+    ids : int array;
+    order : int array;
+  }
+
   type t = {
     config : config;
     schemes : Scheme.t array;
     counts : int array array;   (* [counts.(m).(size)]: multisets of
                                    exactly [size] over [m] schemes *)
     offsets : int array;        (* ordinal of each stratum's first leaf *)
-    table : Bytes.t;            (* m1's value per leaf ordinal, 16 bits *)
-    differs : bool array;       (* the scheme's rows in m1 and m2 differ *)
-    remains : bool array;       (* some scheme at index >= i differs *)
+    bits : int;                 (* bits of one row id in a key *)
+    ids : (int array * int array, int) Hashtbl.t;
+                                (* interned rows' masks and counts, ids
+                                   from 1 *)
+    mutable slots : int array;  (* [2·ord + side]: [key lsl 16 lor value],
+                                   0 when empty *)
+    renaming : renaming;
+    agrees : bool array;        (* the scheme's m2 row is π of its m1 row *)
+    remains : bool array;       (* some scheme at index >= i disagrees *)
     picked : int array;         (* the leaf's schemes, by index, *)
     copies : int array;         (* and their copy counts *)
-    mutable m1 : (Mapping.row array * Oracle.Acc.t) option;
+    acc : Oracle.Acc.t;
+    mutable m1 : reference option;
   }
 
   exception Found
 
-  (* Past this many leaves, the larger strata go untabulated. *)
-  let cap = 1 lsl 20
+  (* Past this many leaves, the larger strata go without slots. *)
+  let cap = 1 lsl 18
+
+  (* Every port a row can name (bits 0 to 61). *)
+  let all_ports = max_int
 
   let create config schemes =
     let schemes = Array.of_list schemes in
@@ -437,10 +472,16 @@ module Distinguish = struct
     for size = 1 to top do
       offsets.(size + 1) <- offsets.(size) + counts.(n).(size)
     done;
-    { config; schemes; counts;
-      offsets; table = Bytes.make (2 * min offsets.(top + 1) cap) '\000';
-      differs = Array.make n false; remains = Array.make (n + 1) false;
-      picked = Array.make top 0; copies = Array.make top 0; m1 = None }
+    let classes = Sys.int_size - 1 in
+    { config; schemes; counts; offsets;
+      (* A key of [top] ids and a 16-bit value fill at most 62 bits. *)
+      bits = 46 / max 1 top;
+      ids = Hashtbl.create 64; slots = [||];
+      renaming =
+        { from = Array.make classes 0; onto = Array.make classes 0; k = 0 };
+      agrees = Array.make n false; remains = Array.make (n + 1) false;
+      picked = Array.make top 0; copies = Array.make top 0;
+      acc = Oracle.Acc.create (); m1 = None }
 
   (* A value packs as [num lsl 6 lor den]; 0, an empty slot, stands for
      one too large to pack, which is then recomputed at every visit. *)
@@ -453,54 +494,179 @@ module Distinguish = struct
   let row m s =
     try Mapping.row m s with Not_found -> raise (Throughput.Unsupported s)
 
+  (* The row's id, or 0 once the ids a key can hold run out. *)
+  let intern t (r : Mapping.row) =
+    let content = (r.masks, r.counts) in
+    match Hashtbl.find_opt t.ids content with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length t.ids + 1 in
+      if id >= 1 lsl t.bits then 0
+      else begin
+        Hashtbl.add t.ids content id;
+        id
+      end
+
+  let popcount x =
+    let x = x - ((x lsr 1) land 0x1555555555555555) in
+    let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+    let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+    let x = x + (x lsr 8) in
+    let x = x + (x lsr 16) in
+    (x + (x lsr 32)) land 0x7f
+
+  (* Add the constraint π(a) = b; false when π can no longer meet it, in
+     which case [pi] is left part-refined. *)
+  let refine pi a b =
+    let ok = ref true and c = ref 0 and k = pi.k in
+    while !ok && !c < k do
+      let f = pi.from.(!c) and o = pi.onto.(!c) in
+      let fa = f land a and ob = o land b in
+      if popcount fa <> popcount ob then ok := false
+      else if fa <> 0 && fa <> f then begin
+        pi.from.(!c) <- fa;
+        pi.onto.(!c) <- ob;
+        pi.from.(pi.k) <- f land lnot a;
+        pi.onto.(pi.k) <- o land lnot b;
+        pi.k <- pi.k + 1
+      end;
+      incr c
+    done;
+    !ok
+
+  (* Refine [pi] so that it renames r1 into r2, if it can: r1's µops
+     [j..] are paired in turn with unused µops of r2 of the same count,
+     backtracking over the choices.  On failure [pi] is as it was. *)
+  let rec renames pi (r1 : Mapping.row) (r2 : Mapping.row) used j =
+    j = Array.length r1.masks
+    || begin
+      let k = pi.k in
+      let from = Array.sub pi.from 0 k and onto = Array.sub pi.onto 0 k in
+      let pairs i =
+        (not used.(i))
+        && r1.counts.(j) = r2.counts.(i)
+        && begin
+          used.(i) <- true;
+          let ok =
+            refine pi r1.masks.(j) r2.masks.(i)
+            && renames pi r1 r2 used (j + 1)
+          in
+          if not ok then begin
+            used.(i) <- false;
+            Array.blit from 0 pi.from 0 k;
+            Array.blit onto 0 pi.onto 0 k;
+            pi.k <- k
+          end;
+          ok
+        end
+      in
+      let rec any i = i < Array.length r2.masks && (pairs i || any (i + 1)) in
+      any 0
+    end
+
   let start t m1 =
-    Bytes.fill t.table 0 (Bytes.length t.table) '\000';
-    t.m1 <- Some (Array.map (row m1) t.schemes, Oracle.Acc.create ())
+    let rows = Array.map (row m1) t.schemes in
+    let weight (r : Mapping.row) =
+      Array.fold_left (fun w mask -> w + popcount mask) 0 r.masks
+    in
+    let order = Array.init (Array.length rows) Fun.id in
+    Array.stable_sort
+      (fun a b -> compare (weight rows.(a)) (weight rows.(b)))
+      order;
+    t.m1 <- Some { rows; ids = Array.map (intern t) rows; order }
+
+  (* Fill [agrees] for the greedy π, or for the identity when π agrees
+     on no more schemes than it; true for π. *)
+  let relabel t { rows = rows1; order; _ } rows2 =
+    let same (r1 : Mapping.row) (r2 : Mapping.row) =
+      r1 == r2 || (r1.masks = r2.masks && r1.counts = r2.counts)
+    in
+    let n = Array.length rows1 in
+    let identity = ref 0 in
+    for i = 0 to n - 1 do
+      if same rows1.(i) rows2.(i) then incr identity
+    done;
+    let renamed = ref 0 in
+    if !identity < n then begin
+      let pi = t.renaming in
+      pi.from.(0) <- all_ports;
+      pi.onto.(0) <- all_ports;
+      pi.k <- 1;
+      Array.iter
+        (fun i ->
+           let r1 = rows1.(i) and r2 = rows2.(i) in
+           let len = Array.length r1.masks in
+           t.agrees.(i) <-
+             len = Array.length r2.masks
+             && renames pi r1 r2 (Array.make len false) 0;
+           if t.agrees.(i) then incr renamed)
+        order
+    end;
+    !renamed > !identity
+    || begin
+      for i = 0 to n - 1 do
+        t.agrees.(i) <- same rows1.(i) rows2.(i)
+      done;
+      false
+    end
+
+  let reference t =
+    match t.m1 with
+    | Some m1 -> m1
+    | None -> invalid_arg "Cegis.Distinguish.find"
+
+  let agreeing t m2 =
+    ignore (relabel t (reference t) (Array.map (row m2) t.schemes));
+    List.filteri (fun i _ -> t.agrees.(i)) (Array.to_list t.schemes)
 
   let find t m2 =
     Obs.span "cegis.distinguish" @@ fun () ->
-    let rows1, acc1 =
-      match t.m1 with
-      | Some m1 -> m1
-      | None -> invalid_arg "Cegis.Distinguish.find"
-    in
+    let m1 = reference t in
+    let rows1 = m1.rows and ids1 = m1.ids in
     let n = Array.length t.schemes and r_max = t.config.r_max in
     let rows2 = Array.map (row m2) t.schemes in
-    let acc2 = Oracle.Acc.create () in
+    let ids2 = Array.map (intern t) rows2 in
+    if relabel t m1 rows2 then Obs.incr c_distinguish_relabeled;
     for i = n - 1 downto 0 do
-      let r1 = rows1.(i) and r2 = rows2.(i) in
-      t.differs.(i) <-
-        not (r1 == r2 || (r1.masks = r2.masks && r1.counts = r2.counts));
-      t.remains.(i) <- t.differs.(i) || t.remains.(i + 1)
+      t.remains.(i) <- (not t.agrees.(i)) || t.remains.(i + 1)
     done;
+    if Array.length t.slots = 0 then begin
+      let leaves = t.offsets.(Array.length t.offsets - 1) in
+      t.slots <- Array.make (2 * min leaves cap) 0
+    end;
     let ord = ref 0 and depth = ref 0 in
     let leaves = ref 0 and kernels = ref 0 in
-    let value1 () =
-      let tabled = 2 * !ord < Bytes.length t.table in
-      let packed =
-        if tabled then Bytes.get_uint16_ne t.table (2 * !ord) else 0
-      in
-      if packed <> 0 then unpack packed
+    (* The leaf's value under the rows whose key is [key] (-1 when the key
+       does not pack), from the [side]'s slot when it holds that key. *)
+    let value rows side key =
+      let i = (2 * !ord) + side in
+      let slotted = key > 0 && i < Array.length t.slots in
+      let slot = if slotted then t.slots.(i) else 0 in
+      if slotted && slot lsr 16 = key then unpack (slot land 0xffff)
       else begin
-        Oracle.Acc.reset acc1;
+        Oracle.Acc.reset t.acc;
         for d = 0 to !depth - 1 do
-          Oracle.Acc.add_row acc1 rows1.(t.picked.(d)) t.copies.(d)
+          Oracle.Acc.add_row t.acc rows.(t.picked.(d)) t.copies.(d)
         done;
         incr kernels;
-        let v = Oracle.Acc.inverse_bounded_frac ~r_max acc1 in
-        if tabled then Bytes.set_uint16_ne t.table (2 * !ord) (pack v);
+        let v = Oracle.Acc.inverse_bounded_frac ~r_max t.acc in
+        let packed = pack v in
+        if slotted && packed <> 0 then t.slots.(i) <- (key lsl 16) lor packed;
         v
       end
     in
+    let extend key id =
+      if key < 0 || id = 0 then -1 else (key lsl t.bits) lor id
+    in
     (* [rem] instructions still to place on schemes [start..]; [differing]
-       of the schemes chosen so far differ between m1 and m2. *)
-    let rec fill size rem start differing =
+       of the schemes chosen so far disagree; [key1] and [key2] are the
+       chosen rows' keys under m1 and m2. *)
+    let rec fill size rem start differing key1 key2 =
       if rem = 0 then begin
         if differing > 0 then begin
           incr leaves;
-          let t1 = value1 () in
-          incr kernels;
-          let t2 = Oracle.Acc.inverse_bounded_frac ~r_max acc2 in
+          let t1 = value rows1 0 key1 in
+          let t2 = value rows2 1 key2 in
           if Compare.well_separated_frac ~length:size t1 t2
           then raise_notrace Found
         end;
@@ -515,19 +681,18 @@ module Distinguish = struct
             i := n
           end
           else begin
-            let r2 = rows2.(s) in
             let differing' =
-              if t.differs.(s) then differing + 1 else differing
+              if t.agrees.(s) then differing else differing + 1
             in
+            let key1' = extend key1 ids1.(s)
+            and key2' = extend key2 ids2.(s) in
             t.picked.(!depth) <- s;
             incr depth;
             for c = 1 to rem do
-              Oracle.Acc.add_row acc2 r2 1;
               t.copies.(!depth - 1) <- c;
-              fill size (rem - c) (s + 1) differing'
+              fill size (rem - c) (s + 1) differing' key1' key2'
             done;
             decr depth;
-            Oracle.Acc.remove_row acc2 r2 rem;
             incr i
           end
         done
@@ -537,7 +702,7 @@ module Distinguish = struct
       if size > t.config.max_experiment_size then None
       else begin
         ord := t.offsets.(size);
-        match fill size size 0 0 with
+        match fill size size 0 0 0 0 with
         | () -> stratum (size + 1)
         | exception Found ->
           Some
@@ -569,7 +734,7 @@ let same_mapping specs m1 m2 =
    distinguishing search came back empty: the search is a pure function of
    the config, the two mappings and the spec schemes, so a repeat of the
    pair needs no second search.  [o_search] is the one search state, with
-   its m1 table, that every call shares. *)
+   its kept leaf values, that every call shares. *)
 type other_state = {
   o_theory : theory;
   mutable o_synced : int;

@@ -124,29 +124,46 @@ val theory_rounds :
     of copies), for the first one whose bounded throughputs under two
     mappings are well separated (2ε·|e|).
 
-    One [t] serves every search against one reference mapping m1.  m1's
-    value at each multiset is computed once and kept in a table that
-    {!start} clears.  Multisets whose schemes all have the same row in
-    both mappings are never evaluated, since their throughputs are equal
-    by construction.  The [cegis.distinguish.leaves] and
-    [cegis.distinguish.kernels] counters add up the multisets evaluated
-    and the throughput kernels run. *)
+    Two things make the walk cheaper without changing its answer.
+    - Throughput does not change when ports are renamed.  Each {!find}
+      builds a port bijection π greedily under which as many schemes as
+      it can have m2's row equal to π of m1's row.  π is the identity
+      unless it agrees on more schemes than the identity does.  Multisets
+      made only of agreeing schemes are never evaluated, since their
+      throughputs are equal by construction.
+    - Leaf values are kept across calls.  Each multiset has one slot per
+      mapping side, keyed by the ids of the rows it was evaluated on, so
+      a later candidate or reference mapping with the same rows there
+      reuses the value.
+
+    The [cegis.distinguish.leaves] and [cegis.distinguish.kernels]
+    counters add up the multisets evaluated and the throughput kernels
+    run.  [cegis.distinguish.relabeled] counts the {!find} calls whose π
+    beat the identity. *)
 module Distinguish : sig
   type t
 
   val create : config -> Pmi_isa.Scheme.t list -> t
-  (** A search over the schemes, in this order.  Its table is allocated
-      here, once. *)
+  (** A search over the schemes, in this order.  The slots are allocated
+      by the first {!find}. *)
 
   val start : t -> Pmi_portmap.Mapping.t -> unit
-  (** Make the mapping m1, the reference of the following {!find} calls,
-      and clear the table.  The mapping must not be mutated until the next
-      [start].
+  (** Make the mapping m1 the reference of the following {!find} calls.
+      Kept values stay: each is checked against its rows before use.  The
+      mapping must not be mutated until the next [start].
       @raise Pmi_portmap.Throughput.Unsupported if it lacks a scheme. *)
 
   val find : t -> Pmi_portmap.Mapping.t -> Pmi_portmap.Experiment.t option
   (** The first experiment in search order that separates m1 from the
       given mapping, if any.
+      @raise Invalid_argument before the first {!start}.
+      @raise Pmi_portmap.Throughput.Unsupported if the mapping lacks a
+      scheme. *)
+
+  val agreeing : t -> Pmi_portmap.Mapping.t -> Pmi_isa.Scheme.t list
+  (** The schemes whose multisets {!find} against the mapping skips:
+      those whose row in it is π of their row in m1.  They are at least as
+      many as the schemes whose two rows are equal.
       @raise Invalid_argument before the first {!start}.
       @raise Pmi_portmap.Throughput.Unsupported if the mapping lacks a
       scheme. *)

@@ -37,15 +37,22 @@ type outcome =
 let tolerance = 0.35
 let spurious_margin = 3
 
-let blocking_count harness ~port_set_size scheme =
-  let uops = Uop_count.postulated_uops harness scheme in
-  let tp1 =
-    Rat.to_float (Harness.cycles harness (Experiment.singleton scheme))
-  in
+(* The blocker copies for a port set of [port_set_size], from the
+   scheme's postulated µops and its singleton cycles [tp1], which
+   [characterize] works out once per scheme. *)
+let copies ~port_set_size ~uops ~tp1 =
   min 100
     (max 10
        (max (port_set_size * uops)
           (2 * port_set_size * max 1 (int_of_float (Float.floor tp1)))))
+
+let singleton_cycles harness scheme =
+  Rat.to_float (Harness.cycles harness (Experiment.singleton scheme))
+
+let blocking_count harness ~port_set_size scheme =
+  copies ~port_set_size
+    ~uops:(Uop_count.postulated_uops harness scheme)
+    ~tp1:(singleton_cycles harness scheme)
 
 exception Fail of failure
 
@@ -59,6 +66,7 @@ let characterize harness ~blockers scheme =
       blockers
   in
   let postulated = Uop_count.postulated_uops harness scheme in
+  let tp1 = singleton_cycles harness scheme in
   let stable_cycles experiment =
     let sample = Harness.run harness experiment in
     if sample.Harness.spread_cpi > Blocking.spread_threshold then
@@ -69,7 +77,7 @@ let characterize harness ~blockers scheme =
     List.fold_left
       (fun (found, steps) { scheme = blocker; ports } ->
          let size = Portset.cardinal ports in
-         let k = blocking_count harness ~port_set_size:size scheme in
+         let k = copies ~port_set_size:size ~uops:postulated ~tp1 in
          let blocked = Experiment.replicate k blocker in
          let with_i = Experiment.add scheme blocked in
          let baseline = stable_cycles blocked in

@@ -17,19 +17,26 @@ type sample = {
   retired_ops : int;
 }
 
-(* The cache: one open-addressing table over a growing int arena, so an
-   entry costs the GC no block of its own.  An entry is [hash; k; id_1;
-   n_1; ...; id_k; n_k; ticks; spread bits; retired ops] at some offset
-   of [arena]; [slots] (a power of two, at most half full, linear
-   probing) holds entry offsets, -1 where empty.  A probe hashes and
-   compares straight off the experiment's (scheme, count) list, and a hit
-   rebuilds its sample from the arena. *)
+(* The cache: one open-addressing table over an int arena, so an entry
+   costs the GC no block of its own.  An entry is [hash; k; id_1; n_1;
+   ...; id_k; n_k; ticks; spread bits; retired ops] at some offset o of
+   the arena, which is word [o land page_mask] of page [o lsr page_bits].
+   No entry straddles a page, so growing the arena copies nothing but the
+   first page, which starts small and doubles up to the page size; later
+   pages come at full size.  [slots] (a power of two, at most half full,
+   linear probing) holds entry offsets, -1 where empty.  A probe hashes
+   and compares straight off the experiment's (scheme, count) list, and a
+   hit rebuilds its sample from the arena. *)
 type table = {
   mutable slots : int array;
-  mutable arena : int array;
-  mutable used : int; (* arena words in use *)
+  mutable pages : int array array;
+  mutable used : int; (* offset of the arena's next free word *)
   mutable entries : int;
 }
+
+let page_bits = 16
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
 
 let hash_counts counts =
   let rec go h = function
@@ -40,15 +47,15 @@ let hash_counts counts =
   let h = go 17 counts * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 32)) land max_int
 
-(* Does the entry at [o] hold exactly [counts]? *)
-let entry_matches arena o counts =
-  let stop = o + 2 + (2 * arena.(o + 1)) in
+(* Does the entry at word [o] of [page] hold exactly [counts]? *)
+let entry_matches page o counts =
+  let stop = o + 2 + (2 * page.(o + 1)) in
   let rec go j = function
     | [] -> j = stop
     | (s, n) :: rest ->
       j < stop
-      && arena.(j) = Pmi_isa.Scheme.id s
-      && arena.(j + 1) = n
+      && page.(j) = Pmi_isa.Scheme.id s
+      && page.(j + 1) = n
       && go (j + 2) rest
   in
   go (o + 2) counts
@@ -59,8 +66,11 @@ let probe tbl h counts =
   let mask = Array.length tbl.slots - 1 in
   let rec go i =
     let o = tbl.slots.(i) in
-    if o < 0 || (tbl.arena.(o) = h && entry_matches tbl.arena o counts) then i
-    else go ((i + 1) land mask)
+    if o < 0 then i
+    else
+      let page = tbl.pages.(o lsr page_bits) and j = o land page_mask in
+      if page.(j) = h && entry_matches page j counts then i
+      else go ((i + 1) land mask)
   in
   go (h land mask)
 
@@ -70,34 +80,51 @@ let bits_of_spread x = Int64.to_int (Int64.bits_of_float x)
 let spread_of_bits b =
   Int64.float_of_bits (Int64.logand (Int64.of_int b) Int64.max_int)
 
-let sample_at arena o =
-  let v = o + 2 + (2 * arena.(o + 1)) in
-  { ticks = arena.(v);
-    spread_cpi = spread_of_bits arena.(v + 1);
-    retired_ops = arena.(v + 2) }
+let sample_at tbl o =
+  let page = tbl.pages.(o lsr page_bits) and o = o land page_mask in
+  let v = o + 2 + (2 * page.(o + 1)) in
+  { ticks = page.(v);
+    spread_cpi = spread_of_bits page.(v + 1);
+    retired_ops = page.(v + 2) }
 
 let grow_slots tbl =
   let slots = Array.make (2 * Array.length tbl.slots) (-1) in
   let mask = Array.length slots - 1 in
-  let o = ref 0 in
-  while !o < tbl.used do
-    let rec free i = if slots.(i) < 0 then i else free ((i + 1) land mask) in
-    slots.(free (tbl.arena.(!o) land mask)) <- !o;
-    o := !o + 5 + (2 * tbl.arena.(!o + 1))
-  done;
+  let rec free i = if slots.(i) < 0 then i else free ((i + 1) land mask) in
+  Array.iter
+    (fun o ->
+       if o >= 0 then
+         let h = tbl.pages.(o lsr page_bits).(o land page_mask) in
+         slots.(free (h land mask)) <- o)
+    tbl.slots;
   tbl.slots <- slots
+
+(* The offset of [size] free words that do not straddle a page. *)
+let reserve tbl size =
+  if size > page_size then invalid_arg "Harness.run: experiment too large";
+  let p = tbl.used lsr page_bits and i = tbl.used land page_mask in
+  if p < Array.length tbl.pages && i + size <= Array.length tbl.pages.(p)
+  then tbl.used
+  else if p = 0 && i + size <= page_size then begin
+    let first = tbl.pages.(0) in
+    let grown =
+      Array.make (min page_size (max (i + size) (2 * Array.length first))) 0
+    in
+    Array.blit first 0 grown 0 i;
+    tbl.pages.(0) <- grown;
+    tbl.used
+  end
+  else begin
+    let p = Array.length tbl.pages in
+    tbl.pages <- Array.append tbl.pages [| Array.make page_size 0 |];
+    p lsl page_bits
+  end
 
 let insert tbl slot h counts sample =
   let k = List.length counts in
   let size = 5 + (2 * k) in
-  if tbl.used + size > Array.length tbl.arena then begin
-    let arena =
-      Array.make (max (tbl.used + size) (2 * Array.length tbl.arena)) 0
-    in
-    Array.blit tbl.arena 0 arena 0 tbl.used;
-    tbl.arena <- arena
-  end;
-  let a = tbl.arena and o = tbl.used in
+  let offset = reserve tbl size in
+  let a = tbl.pages.(offset lsr page_bits) and o = offset land page_mask in
   a.(o) <- h;
   a.(o + 1) <- k;
   let rec fill j = function
@@ -111,8 +138,8 @@ let insert tbl slot h counts sample =
   a.(v) <- sample.ticks;
   a.(v + 1) <- bits_of_spread sample.spread_cpi;
   a.(v + 2) <- sample.retired_ops;
-  tbl.used <- o + size;
-  tbl.slots.(slot) <- o;
+  tbl.used <- offset + size;
+  tbl.slots.(slot) <- offset;
   tbl.entries <- tbl.entries + 1;
   if 2 * tbl.entries > Array.length tbl.slots then grow_slots tbl
 
@@ -140,8 +167,8 @@ let create machine =
   { machine;
     cache =
       Race.tracked_ref ~name:"harness.cache"
-        { slots = Array.make 1024 (-1); arena = Array.make 2048 0; used = 0;
-          entries = 0 };
+        { slots = Array.make 1024 (-1); pages = [| Array.make 2048 0 |];
+          used = 0; entries = 0 };
     lock = Race.create_lock "harness.lock";
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
@@ -187,7 +214,7 @@ let run t experiment =
       if o >= 0 then begin
         Atomic.incr t.hits;
         Obs.incr c_mem_hits;
-        sample_at tbl.arena o
+        sample_at tbl o
       end
       else begin
         Atomic.incr t.misses;

@@ -43,9 +43,11 @@ val run : t -> Pmi_portmap.Experiment.t -> sample
     open-addressing table keyed by the experiment's canonical
     [(scheme id, count)] pairs ({!Pmi_portmap.Experiment.key}), probed
     straight off {!Pmi_portmap.Experiment.to_counts} without building a
-    key.  An entry lives in a flat int arena, not as a heap block of its
-    own, so a hit returns a fresh record equal ([=], not [==]) to the one
-    the miss returned. *)
+    key.  An entry lives in an int arena of fixed-size pages, not as a
+    heap block of its own, so a hit returns a fresh record equal ([=], not
+    [==]) to the one the miss returned.
+    @raise Invalid_argument on a miss for an experiment of more than
+    32,765 distinct schemes, whose entry would not fit one page. *)
 
 val sample_cycles : sample -> Pmi_numeric.Rat.t
 (** [ticks / precision] as an exact rational: the sample's median inverse

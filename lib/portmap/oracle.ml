@@ -178,34 +178,6 @@ module Acc = struct
       acc.len <- acc.len + count
     end
 
-  (* Checked before anything moves, so a refused removal leaves the
-     accumulator as it was.  A mask whose mass reaches zero leaves the
-     profile, which keeps k small. *)
-  let remove_row acc (r : Mapping.row) count =
-    if count < 0 then invalid_arg "Oracle.Acc.remove_row";
-    if count > 0 then begin
-      let p = acc.profile and n = Array.length r.masks in
-      let fits = ref (count <= acc.len) and j = ref 0 in
-      while !fits && !j < n do
-        let i = slot p r.masks.(!j) in
-        fits := i >= 0 && p.mass.(i) >= r.counts.(!j) * count;
-        incr j
-      done;
-      if not !fits then invalid_arg "Oracle.Acc.remove_row";
-      for j = 0 to n - 1 do
-        let i = slot p r.masks.(j) in
-        let m = p.mass.(i) - (r.counts.(j) * count) in
-        if m > 0 then p.mass.(i) <- m
-        else begin
-          let last = p.k - 1 in
-          p.masks.(i) <- p.masks.(last);
-          p.mass.(i) <- p.mass.(last);
-          p.k <- last
-        end
-      done;
-      acc.len <- acc.len - count
-    end
-
   let reset acc =
     acc.profile.k <- 0;
     acc.len <- 0

@@ -47,13 +47,13 @@ val bottleneck_set : t -> Experiment.t -> Portset.t
     empty experiment. *)
 
 (** Mass-profile accumulator: the µop masses of a working experiment,
-    built from compiled rows ({!Mapping.row}) and updated by ±[count]
-    copies of one row at a time.  It is the one way a profile is built
-    outside a single query: the stratified distinguishing-experiment
-    search walks one (moving to a neighbouring multiset costs one row
-    update), and the simulated machine assembles each experiment's
-    quirk-adjusted rows in one.  A row need not come from any particular
-    mapping; equal masks of different rows merge. *)
+    built from compiled rows ({!Mapping.row}), [count] copies of one row
+    at a time, and emptied by {!reset}.  It is the one way a profile is
+    built outside a single query: the stratified distinguishing-experiment
+    search rebuilds one for each leaf value it has not kept, and the
+    simulated machine assembles each experiment's quirk-adjusted rows in
+    one.  A row need not come from any particular mapping; equal masks of
+    different rows merge. *)
 module Acc : sig
   type t
 
@@ -64,16 +64,9 @@ module Acc : sig
   (** Add [count] copies of the row.
       @raise Invalid_argument ["Oracle.Acc.add_row"] on a negative count. *)
 
-  val remove_row : t -> Mapping.row -> int -> unit
-  (** Remove [count] copies previously added.  A mask whose mass reaches
-      zero leaves the profile.
-      @raise Invalid_argument ["Oracle.Acc.remove_row"] on a negative count
-      or when the removal would take the length or any mask's mass below
-      zero; the accumulator is then unchanged. *)
-
   val length : t -> int
   (** Instruction count of the current experiment: the sum of the counts
-      added, less those removed. *)
+      added since the last {!reset}. *)
 
   val distinct_masks : t -> int
   (** Distinct port masks with positive mass in the current experiment:

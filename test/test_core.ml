@@ -1244,11 +1244,33 @@ let naive_distinguish config schemes m1 m2 =
   in
   stratum 1
 
-(* Two reference mappings in turn on one search state, each against a run
-   of candidates that differ from it in no row, in one row, in every row,
-   or by a port renaming (every row differs, no experiment separates
-   them), and from the candidate before in one row or in all.  Each answer
-   must be the naive search's. *)
+(* A mapping of the toy schemes, one row of (mask, count) pairs each. *)
+let rows_mapping ~num_ports schemes rows =
+  let m = Mapping.create ~num_ports in
+  List.iter2
+    (fun s row ->
+       Mapping.set m s
+         (Mapping.normalize_usage
+            (List.map (fun (mask, c) -> (Portset.of_mask mask, c)) row)))
+    schemes rows;
+  m
+
+(* The mask with port p moved to [List.nth renaming p]. *)
+let rename_mask renaming mask =
+  let renamed = ref 0 in
+  List.iteri
+    (fun p q ->
+       if mask land (1 lsl p) <> 0 then renamed := !renamed lor (1 lsl q))
+    renaming;
+  !renamed
+
+(* Two reference mappings in turn on one search state, then the first
+   again, each against a run of candidates that differ from it in no row,
+   in one row, in every row, or by a port renaming (every row differs, no
+   experiment separates them), and from the candidate before in one row or
+   in all.  The search keeps leaf values across all of it, so a value
+   kept for the first reference must be checked, not trusted, when it
+   comes back.  Each answer must be the naive search's. *)
 let prop_distinguish_matches_naive =
   let gen =
     let open QCheck2.Gen in
@@ -1273,27 +1295,11 @@ let prop_distinguish_matches_naive =
     (fun (num_ports, n, references) ->
        let config = cegis_config num_ports in
        let schemes = Array.to_list (Catalog.schemes (toy_catalog n)) in
-       let mapping rows =
-         let m = Mapping.create ~num_ports in
-         List.iter2
-           (fun s row ->
-              Mapping.set m s
-                (Mapping.normalize_usage
-                   (List.map (fun (mask, c) -> (Portset.of_mask mask, c)) row)))
-           schemes rows;
-         m
-       in
+       let mapping = rows_mapping ~num_ports schemes in
        let search = Cegis.Distinguish.create config schemes in
        List.for_all
          (fun (rows, (j, row), others, renaming) ->
-            let rename (mask, c) =
-              let renamed = ref 0 in
-              List.iteri
-                (fun p q -> if mask land (1 lsl p) <> 0 then
-                    renamed := !renamed lor (1 lsl q))
-                renaming;
-              (!renamed, c)
-            in
+            let rename (mask, c) = (rename_mask renaming mask, c) in
             let m1 = mapping rows in
             let change = List.mapi (fun i r -> if i = j then row else r) in
             let renamed = List.map (List.map rename) rows in
@@ -1308,7 +1314,120 @@ let prop_distinguish_matches_naive =
                    (Cegis.Distinguish.find search m2)
                    (naive_distinguish config schemes m1 m2))
               candidates)
-         references)
+         (references @ [ List.hd references ]))
+
+(* More distinct rows than a key can hold: at experiment size 4 a key
+   packs four row ids of 11 bits, so the search names 2,047 rows at most,
+   and here it meets 2,079 (every one- and two-µop row on 6 ports with
+   unit counts, and the one-µop rows twice over), so the last leaves it
+   meets go without slots.  One search throughout, a new reference every
+   hundred candidates; each answer must be the naive search's. *)
+let test_distinguish_many_rows () =
+  let num_ports = 6 in
+  let config = cegis_config num_ports in
+  let schemes = Array.to_list (Catalog.schemes (toy_catalog 2)) in
+  let mapping = rows_mapping ~num_ports schemes in
+  let masks = List.init 63 (fun m -> m + 1) in
+  let rows =
+    Array.of_list
+      (List.concat_map (fun a -> [ [ (a, 1) ]; [ (a, 2) ] ]) masks
+       @ List.concat_map
+           (fun a ->
+              List.filter_map
+                (fun b -> if b > a then Some [ (a, 1); (b, 1) ] else None)
+                masks)
+           masks)
+  in
+  let total = Array.length rows in
+  Alcotest.(check int) "distinct rows" 2079 total;
+  let search = Cegis.Distinguish.create config schemes in
+  let m1 = ref (mapping [ rows.(0); rows.(1) ]) in
+  for i = 0 to total - 1 do
+    if i mod 100 = 0 then begin
+      m1 := mapping [ rows.(i); rows.(0) ];
+      Cegis.Distinguish.start search !m1
+    end;
+    let m2 = mapping [ rows.((i * 7) mod total); rows.(i) ] in
+    Alcotest.(check (option string))
+      (Printf.sprintf "candidate %d" i)
+      (Option.map Experiment.to_string
+         (naive_distinguish config schemes !m1 m2))
+      (Option.map Experiment.to_string (Cegis.Distinguish.find search m2))
+  done
+
+(* Every count list of 1 up to [size] instructions over [schemes]. *)
+let rec multisets size = function
+  | [] -> if size >= 0 then [ [] ] else []
+  | s :: rest ->
+    List.concat_map
+      (fun c ->
+         List.map
+           (fun tail -> if c = 0 then tail else (s, c) :: tail)
+           (multisets (size - c) rest))
+      (List.init (size + 1) Fun.id)
+
+(* The schemes the search treats as agreeing can never tell the mappings
+   apart.  m2 is m1 with its ports renamed on some schemes (and one µop's
+   count raised on some of those), with random rows on the others.  Every
+   multiset of up to 3 agreeing instructions has the same bounded
+   throughput under both mappings, and the agreeing schemes are never
+   fewer than those whose two rows are equal. *)
+let prop_relabel_sound =
+  let gen =
+    let open QCheck2.Gen in
+    let* num_ports = int_range 1 12 in
+    let* n = int_range 1 6 in
+    let usage =
+      list_size (int_range 1 3)
+        (pair (int_range 1 ((1 lsl num_ports) - 1)) (int_range 1 2))
+    in
+    let* rows = list_repeat n usage in
+    let* kinds = list_repeat n (int_range 0 2) in
+    let* others = list_repeat n usage in
+    let+ renaming = shuffle_l (List.init num_ports Fun.id) in
+    (num_ports, rows, kinds, others, renaming)
+  in
+  QCheck2.Test.make ~name:"relabel agreement is sound" ~count:500 gen
+    (fun (num_ports, rows, kinds, others, renaming) ->
+       let config = cegis_config num_ports in
+       let schemes =
+         Array.to_list (Catalog.schemes (toy_catalog (List.length rows)))
+       in
+       let mapping = rows_mapping ~num_ports schemes in
+       let renamed =
+         List.map2
+           (fun (row, kind) other ->
+              match kind with
+              | 0 -> List.map (fun (m, c) -> (rename_mask renaming m, c)) row
+              | 1 ->
+                List.mapi
+                  (fun j (m, c) ->
+                     (rename_mask renaming m, if j = 0 then c + 1 else c))
+                  row
+              | _ -> other)
+           (List.combine rows kinds) others
+       in
+       let m1 = mapping rows and m2 = mapping renamed in
+       let search = Cegis.Distinguish.create config schemes in
+       Cegis.Distinguish.start search m1;
+       let agreeing = Cegis.Distinguish.agreeing search m2 in
+       let equal =
+         List.filter
+           (fun s ->
+              Mapping.equal_usage (Mapping.usage m1 s) (Mapping.usage m2 s))
+           schemes
+       in
+       let r_max = config.Cegis.r_max in
+       List.length agreeing >= List.length equal
+       && List.for_all
+            (fun counts ->
+               counts = []
+               ||
+               let e = Experiment.of_counts counts in
+               Rat.equal
+                 (Throughput.inverse_bounded ~r_max m1 e)
+                 (Throughput.inverse_bounded ~r_max m2 e))
+            (multisets 3 agreeing))
 
 (* The prune's triangle count on bit rows against the nested loops it
    replaced, on random graphs across word boundaries (a bit row word holds
@@ -1399,6 +1518,9 @@ let () =
            test_pipeline_final_round_in_paper_order;
          Alcotest.test_case "sanitized run" `Quick test_cegis_sanitized;
          QCheck_alcotest.to_alcotest prop_distinguish_matches_naive;
+         Alcotest.test_case "distinguishing search past the row ids" `Quick
+           test_distinguish_many_rows;
+         QCheck_alcotest.to_alcotest prop_relabel_sound;
          Alcotest.test_case "canonical mapping from a cold encoding" `Quick
            test_cegis_canonical ]);
       ("lemmas",

@@ -632,10 +632,11 @@ let test_cache_identity () =
    second machine measures, with the harness's median and spread worked
    out here.  Each case asks about 10,000 experiments with over 8,192
    distinct ones, so the slot array (1,024 slots at first, at most half
-   full) grows at least four times; repeats come back in a permuted
-   order.  Each case runs at the default noise and at a fourfold jitter,
-   whose spreads pass 2.0, where a spread's float bits use the top bit
-   of a 63-bit int. *)
+   full) grows at least four times, and their entries (5 words plus 2
+   per scheme) fill more than one of the arena's 2^16-word pages; repeats
+   come back in a permuted order.  Each case runs at the default noise
+   and at a fourfold jitter, whose spreads pass 2.0, where a spread's
+   float bits use the top bit of a 63-bit int. *)
 let prop_flat_cache_reference =
   let module H = Pmi_measure.Harness in
   let ids = Catalog.size catalog in
@@ -655,12 +656,13 @@ let prop_flat_cache_reference =
     let h = H.create (Machine.create ~config catalog) in
     let reference = Machine.create ~config catalog in
     let memo = Hashtbl.create 16 in
-    let hits = ref 0 and misses = ref 0 in
+    let hits = ref 0 and misses = ref 0 and words = ref 0 in
     let expected e =
       match Hashtbl.find_opt memo (Experiment.key e) with
       | Some s -> incr hits; s
       | None ->
         incr misses;
+        words := !words + 5 + (2 * List.length (Experiment.to_counts e));
         let runs = Machine.samples reference ~reps:11 e in
         Array.sort Float.compare runs;
         let len = Experiment.length e in
@@ -690,6 +692,7 @@ let prop_flat_cache_reference =
     in
     ( same
       && Hashtbl.length memo > 8192
+      && !words > 1 lsl 16
       && H.cache_hits h = !hits
       && H.cache_misses h = !misses
       && H.benchmarks_run h = Hashtbl.length memo,

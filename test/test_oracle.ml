@@ -186,19 +186,17 @@ let prop_bottleneck_optimal =
 let rat_of (num, den) = Rat.of_ints num den
 let acc_value acc = rat_of (Oracle.Acc.inverse_frac acc)
 
-(* The accumulator must agree with the naive oracle after any add/remove
-   walk.  Each scheme's row is added in unit steps plus [extra] copies
-   that are removed again, exercising both profile-update directions. *)
+(* The accumulator must agree with the naive oracle after any add/reset
+   walk.  [extra] copies of each scheme's row go in first and are cleared
+   by a reset; then each row is added in unit steps. *)
 let acc_walk_agrees m counts extras r_max =
   let e = build_experiment counts in
   let acc = Oracle.Acc.create () in
+  let row i = Mapping.row m (Catalog.find random_catalog i) in
+  List.iteri (fun i extra -> Oracle.Acc.add_row acc (row i) extra) extras;
+  Oracle.Acc.reset acc;
   List.iteri
-    (fun i n ->
-       let r = Mapping.row m (Catalog.find random_catalog i) in
-       let extra = List.nth extras i in
-       Oracle.Acc.add_row acc r extra;
-       for _ = 1 to n do Oracle.Acc.add_row acc r 1 done;
-       Oracle.Acc.remove_row acc r extra)
+    (fun i n -> for _ = 1 to n do Oracle.Acc.add_row acc (row i) 1 done)
     counts;
   Oracle.Acc.length acc = Experiment.length e
   && Rat.equal (acc_value acc) (Throughput.inverse m e)
@@ -210,7 +208,7 @@ let extras_gen =
   QCheck2.Gen.(list_repeat num_random_schemes (int_range 0 2))
 
 let prop_acc_agrees =
-  QCheck2.Test.make ~name:"Acc add/remove path = naive on the result" ~count:300
+  QCheck2.Test.make ~name:"Acc add/reset path = naive on the result" ~count:300
     QCheck2.Gen.(triple mapping_experiment_gen extras_gen (int_range 1 6))
     (fun ((usages, counts), extras, r_max) ->
        acc_walk_agrees (build_mapping usages) counts extras r_max)
@@ -274,40 +272,28 @@ let test_golden_cove_lp () =
          (Oracle.inverse o e))
     (Pmi_eval.Blocks.generate ~seed:15 ~count:40 ~block_size:5 covered)
 
-(* Removing what was never added is refused and leaves the accumulator
-   unchanged; a mask whose mass reaches zero leaves the profile.  [add]'s
-   mask {0,1} is also [fma]'s, so "partly never added" refuses a row whose
-   other mask is missing. *)
-let test_acc_remove_checked () =
+(* A negative count is refused and leaves the accumulator unchanged, and
+   a zero count adds nothing; equal masks of different rows merge ([fma]
+   holds both [add]'s mask {0,1} and [mul]'s {1}). *)
+let test_acc_add_checked () =
   let m = toy_mapping () in
   let row = Mapping.row m in
   let acc = Oracle.Acc.create () in
-  let refused what f =
-    Alcotest.check_raises what (Invalid_argument "Oracle.Acc.remove_row") f
-  in
   Oracle.Acc.add_row acc (row add) 2;
-  refused "never added" (fun () -> Oracle.Acc.remove_row acc (row mul) 1);
-  refused "partly never added" (fun () ->
-      Oracle.Acc.remove_row acc (row fma) 1);
-  refused "beyond the length" (fun () ->
-      Oracle.Acc.remove_row acc (row add) 3);
-  refused "negative count" (fun () ->
-      Oracle.Acc.remove_row acc (row add) (-1));
   Alcotest.check_raises "add_row negative count"
     (Invalid_argument "Oracle.Acc.add_row") (fun () ->
         Oracle.Acc.add_row acc (row add) (-1));
+  Oracle.Acc.add_row acc (row mul) 0;
   Alcotest.(check int) "length kept" 2 (Oracle.Acc.length acc);
+  Alcotest.(check int) "one mask" 1 (Oracle.Acc.distinct_masks acc);
   Alcotest.check rat "value kept" Rat.one (acc_value acc);
   Oracle.Acc.add_row acc (row mul) 1;
   Alcotest.(check int) "two masks" 2 (Oracle.Acc.distinct_masks acc);
-  Oracle.Acc.remove_row acc (row mul) 1;
-  Alcotest.(check int) "zero-mass mask dropped" 1
-    (Oracle.Acc.distinct_masks acc);
-  refused "dropped mask" (fun () -> Oracle.Acc.remove_row acc (row mul) 1);
-  Oracle.Acc.remove_row acc (row add) 2;
-  Alcotest.(check int) "empty" 0 (Oracle.Acc.distinct_masks acc);
-  Alcotest.(check (pair int int)) "empty value" (0, 1)
-    (Oracle.Acc.inverse_frac acc)
+  Oracle.Acc.add_row acc (row fma) 1;
+  Alcotest.(check int) "merged" 2 (Oracle.Acc.distinct_masks acc);
+  Alcotest.(check int) "length" 4 (Oracle.Acc.length acc);
+  (* mass({0,1}) = 2 + 2 + 1 + 1 over two ports. *)
+  Alcotest.(check (pair int int)) "value" (6, 2) (Oracle.Acc.inverse_frac acc)
 
 let test_acc_reset () =
   let m = toy_mapping () in
@@ -367,16 +353,17 @@ let prop_exact_triple =
        && Oracle.inverse_bounded_frac ~r_max o e = bounded
        && Portset.to_mask (Oracle.bottleneck_set o e) = q)
 
-(* A random walk of adds and removes (a removal only of copies the
-   multiset holds) leaves the same profile as adding the final multiset to
-   a fresh accumulator: the same mask count, length and unreduced pair. *)
+(* A random walk of adds and resets leaves the same profile as adding
+   what was added since the last reset to a fresh accumulator: the same
+   mask count, length and unreduced pair. *)
 let prop_acc_walk_fresh =
   QCheck2.Test.make ~name:"Acc walk = fresh profile of the same multiset"
     ~count:300
     QCheck2.Gen.(
       pair mapping_experiment_gen
         (list_size (int_range 0 40)
-           (triple (int_range 0 (num_random_schemes - 1)) (int_range 1 3) bool)))
+           (triple (int_range 0 (num_random_schemes - 1)) (int_range 1 3)
+              (frequencyl [ (4, true); (1, false) ]))))
     (fun ((usages, _), steps) ->
        let row = Mapping.row (build_mapping usages) in
        let walked = Oracle.Acc.create () in
@@ -388,9 +375,9 @@ let prop_acc_walk_fresh =
               Oracle.Acc.add_row walked r n;
               held.(i) <- held.(i) + n
             end
-            else if held.(i) >= n then begin
-              Oracle.Acc.remove_row walked r n;
-              held.(i) <- held.(i) - n
+            else begin
+              Oracle.Acc.reset walked;
+              Array.fill held 0 num_random_schemes 0
             end)
          steps;
        let fresh = Oracle.Acc.create () in
@@ -484,7 +471,7 @@ let () =
        @ qsuite kernel_shapes);
       ("acc",
        [ Alcotest.test_case "reset" `Quick test_acc_reset;
-         Alcotest.test_case "remove checked" `Quick test_acc_remove_checked ]
+         Alcotest.test_case "add checked" `Quick test_acc_add_checked ]
        @ qsuite [ prop_acc_agrees; prop_acc_walk_fresh ]);
       ("pool",
        [ Alcotest.test_case "parallel_for covers indices" `Quick
