@@ -85,9 +85,9 @@ type pair_result = Additive | Not_additive | Unstable_pair
 
 (* The pair test on ticks: [pair ≈ ti + tj] up to 2ε, with both sides
    over the harness's precision; [ti] and [tj] are the singletons'
-   ticks. *)
+   ticks.  A pair is asked once, so it is measured and not cached. *)
 let measure_pair tolerance harness (i, ti) (j, tj) =
-  let sample = Harness.run harness (Experiment.of_list [ i; j ]) in
+  let sample = Harness.measure harness (Experiment.of_list [ i; j ]) in
   if sample.Harness.spread_cpi > spread_threshold then Unstable_pair
   else begin
     let p = Harness.precision in

@@ -66,7 +66,10 @@ val filter_candidates :
 (** [filter_candidates harness candidates] runs the pairing stage on
     [(scheme, port_count)] candidates.  A class's representative is its
     member whose mnemonic comes first in the paper's Table 1 order, then
-    one with a 32-bit or 128-bit operand, then the lowest id. *)
+    one with a 32-bit or 128-bit operand, then the lowest id.  It reads
+    each candidate's singleton from the harness cache once and measures
+    each pair of a size group once with {!Pmi_measure.Harness.measure},
+    caching none of them. *)
 
 val additive :
   ?config:config ->
@@ -74,7 +77,8 @@ val additive :
   Pmi_isa.Scheme.t -> Pmi_isa.Scheme.t ->
   bool
 (** The §3.2 redundancy check: [tp⁻¹(\[i,j\]) = tp⁻¹(\[i\]) + tp⁻¹(\[j\])]
-    up to ε. *)
+    up to ε.  The pair is measured afresh, as {!filter_candidates}
+    measures it. *)
 
 val triangle_counts : bool array array -> bool array -> int array
 (** [triangle_counts adjacency alive]: for each live [s], the conflict

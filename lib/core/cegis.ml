@@ -974,8 +974,7 @@ let canonical ?(config = default_config) ~specs ~observations () =
        Encoding.decode th.encoding (canonical_model config th obs pool model))
     (find_mapping config th obs pool)
 
-let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () =
-  Obs.span "cegis.infer" @@ fun () ->
+let algorithm2 config ~refute_early ~measure ~specs =
   let pool = Vec.create () in
   let observations = Vec.create () in
   let episodes_before = Atomic.get episode_count in
@@ -1119,3 +1118,23 @@ let infer ?(config = default_config) ?(refute_early = false) ~measure ~specs () 
       | None -> loop (iteration + 1)
   in
   loop 1
+
+let outcome_name = function
+  | Converged _ -> "converged"
+  | No_consistent_mapping _ -> "unsat"
+  | Iteration_limit _ -> "limit"
+
+let infer ?(config = default_config) ?(refute_early = false) ?round ~measure
+    ~specs () =
+  let args =
+    ("order", Obs.Str (if refute_early then "early" else "paper"))
+    :: (match round with None -> [] | Some r -> [ ("round", Obs.Int r) ])
+  in
+  let frame = Obs.enter ~args "cegis.infer" in
+  match algorithm2 config ~refute_early ~measure ~specs with
+  | outcome ->
+    Obs.leave ~args:[ ("verdict", Obs.Str (outcome_name outcome)) ] frame;
+    outcome
+  | exception e ->
+    Obs.leave ~args:[ ("exn", Obs.Str (Printexc.to_string e)) ] frame;
+    raise e

@@ -172,6 +172,7 @@ end
 val infer :
   ?config:config ->
   ?refute_early:bool ->
+  ?round:int ->
   measure:(Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t) ->
   specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
   unit ->
@@ -191,7 +192,12 @@ val infer :
     round whose observations hold a §4.3 anomaly then reaches UNSAT in a
     few iterations instead of converging first.  The sweep experiments
     observed early take the place of distinguishing experiments, so a
-    converged round measures a different experiment set. *)
+    converged round measures a different experiment set.
+
+    The run is one [cegis.infer] span, whose arguments are [order]
+    ([early] or [paper]), [round] when given (the §4.3 culprit round the
+    caller counts; nothing else reads it) and, at its end, [verdict]
+    ([converged], [unsat] or [limit]). *)
 
 val canonical :
   ?config:config ->

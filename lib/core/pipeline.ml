@@ -209,17 +209,19 @@ let find_culprit config harness specs observations =
 
 let run_cegis config harness classes improper =
   let measure e = Harness.cycles harness e in
-  let rec attempt classes improper removed =
+  let rec attempt round classes improper removed =
     let specs = specs_of harness classes improper in
     let infer ~refute_early =
-      Cegis.infer ~config ~refute_early ~measure ~specs ()
+      Cegis.infer ~config ~refute_early ~round ~measure ~specs ()
     in
     (* Every round checks the sweep early, so a round that holds a §4.3
        anomaly reaches UNSAT without converging first.  A round that
        converges anyway is re-run in the paper's order, and that run's
        result is the one reported: its final mapping and experiment count
-       are the paper's.  The harness caches every measurement, so the
-       re-run measures almost nothing new. *)
+       are the paper's.  The harness caches what CEGIS measures, so the
+       re-run measures almost nothing new.  Both runs' [cegis.infer] spans
+       carry the round's index (0 for the first), their order and their
+       verdict. *)
     let outcome =
       Obs.span "pipeline.cegis" (fun () ->
           match infer ~refute_early:true with
@@ -249,9 +251,9 @@ let run_cegis config harness classes improper =
            List.partition (fun k -> is_victim k.Blocking.representative) classes
          in
          let improper' = List.filter (fun s -> not (is_victim s)) improper in
-         attempt classes' improper' (removed @ removed_classes))
+         attempt (round + 1) classes' improper' (removed @ removed_classes))
   in
-  attempt classes improper []
+  attempt 0 classes improper []
 
 (* ------------------------------------------------------------------ *)
 (* Regular-pattern detection (§4.4)                                    *)

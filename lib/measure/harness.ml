@@ -146,11 +146,12 @@ let insert tbl slot h counts sample =
 (* The cache and the underlying machine are shared mutable state: a
    parallel sweep (the sanitizer's harness workload) hits [run] from
    several domains at once.  One harness-wide lock covers the
-   probe/measure/insert sequence — the mutex is real even with the
-   sanitizer off, and doubles as the happens-before edge the race detector
-   checks, which sees the table as one tracked location: read on a probe,
-   written on an insert.  Hit/miss counters are atomics so the accessors
-   can read them without the lock. *)
+   probe/measure/insert sequence of [run], and [measure]'s benchmark —
+   the mutex is real even with the sanitizer off, and doubles as the
+   happens-before edge the race detector checks, which sees the table as
+   one tracked location: read on a probe, written on an insert.
+   Hit/miss counters are atomics so the accessors can read them without
+   the lock. *)
 type t = {
   machine : Machine.t;
   cache : table Race.tracked_ref;
@@ -190,7 +191,8 @@ let sort_runs (runs : float array) =
     runs.(!j + 1) <- x
   done
 
-let measure t experiment =
+(* The sample of one benchmark, measured now. *)
+let median_sample t experiment =
   let runs = Machine.samples t.machine ~reps experiment in
   sort_runs runs;
   let median = runs.(reps / 2) in
@@ -203,6 +205,15 @@ let measure t experiment =
   { ticks = int_of_float (Float.round (median *. p));
     spread_cpi;
     retired_ops = Machine.retired_ops t.machine experiment }
+
+(* A benchmark run now, counted as a miss; the caller holds the lock. *)
+let measure_locked t experiment =
+  Atomic.incr t.misses;
+  Obs.incr c_mem_misses;
+  Obs.span "harness.measure" (fun () -> median_sample t experiment)
+
+let measure t experiment =
+  Race.with_lock t.lock (fun () -> measure_locked t experiment)
 
 let run t experiment =
   Race.with_lock t.lock (fun () ->
@@ -217,13 +228,10 @@ let run t experiment =
         sample_at tbl o
       end
       else begin
-        Atomic.incr t.misses;
-        Obs.incr c_mem_misses;
-        Obs.span "harness.measure" (fun () ->
-            let sample = measure t experiment in
-            insert tbl slot h counts sample;
-            Race.write t.cache tbl;
-            sample)
+        let sample = measure_locked t experiment in
+        insert tbl slot h counts sample;
+        Race.write t.cache tbl;
+        sample
       end)
 
 let sample_cycles sample = Rat.of_ints sample.ticks precision
@@ -231,11 +239,9 @@ let cycles t experiment = sample_cycles (run t experiment)
 
 let retired_ops t experiment = (run t experiment).retired_ops
 
-let benchmarks_run t =
-  Race.with_lock t.lock (fun () -> (Race.read t.cache).entries)
-
 let cache_hits t = Atomic.get t.hits
 let cache_misses t = Atomic.get t.misses
+let benchmarks_run = cache_misses
 
 module Compare = struct
   let default_epsilon = Rat.of_ints 2 100

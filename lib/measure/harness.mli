@@ -4,16 +4,19 @@
     median-of-11); the harness reports the median inverse throughput
     (quantised to millicycles, as a real measurement report would be), the
     observed CPI spread across repetitions, and the retired-ops counter.
-    Results are memoised: repeated queries for the same experiment do not
-    re-run the benchmark, mirroring the experiment cache of the paper's
-    artifact.
+    {!run} memoises its results: repeated queries for the same experiment
+    do not re-run the benchmark, mirroring the experiment cache of the
+    paper's artifact.  {!measure} runs the benchmark and keeps nothing,
+    for experiments asked once (the §4.2 pairs); an experiment measured
+    both ways is measured twice, to the same sample.
 
-    A harness is safe to share across domains: the probe/measure/insert
-    sequence runs under a harness-wide lock (a {!Pmi_diag.Race.with_lock}
-    mutex, so the concurrency sanitizer sees the edge; the sanitizer
-    tracks the cache as one location, read on a probe and written on an
-    insert) and the hit/miss counters are atomics.  Telemetry counts the
-    cache's answers under [harness.cache.mem.{hit,miss}].
+    A harness is safe to share across domains: {!run}'s
+    probe/measure/insert sequence and {!measure}'s benchmark run under a
+    harness-wide lock (a {!Pmi_diag.Race.with_lock} mutex, so the
+    concurrency sanitizer sees the edge; the sanitizer tracks the cache as
+    one location, read on a probe and written on an insert) and the
+    hit/miss counters are atomics.  Telemetry counts the cache's answers
+    under [harness.cache.mem.{hit,miss}], a {!measure} as a miss.
 
     Measurements live for the process only: every run measures what it
     asks for afresh, which is what the paper's Algorithm 2 assumes. *)
@@ -49,6 +52,14 @@ val run : t -> Pmi_portmap.Experiment.t -> sample
     @raise Invalid_argument on a miss for an experiment of more than
     32,765 distinct schemes, whose entry would not fit one page. *)
 
+val measure : t -> Pmi_portmap.Experiment.t -> sample
+(** The experiment's sample, measured now and not entered in the cache:
+    the sample a {!run} miss returns (the noise is a function of the
+    machine's seed, the experiment and the repetition), counted as a miss
+    is (a [harness.cache.mem.miss], a [harness.measure] span, one more
+    {!cache_misses} and {!benchmarks_run}).  A later {!run} of the same
+    experiment misses. *)
+
 val sample_cycles : sample -> Pmi_numeric.Rat.t
 (** [ticks / precision] as an exact rational: the sample's median inverse
     throughput. *)
@@ -58,13 +69,15 @@ val cycles : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
 
 val retired_ops : t -> Pmi_portmap.Experiment.t -> int
 val benchmarks_run : t -> int
-(** Distinct experiments measured so far. *)
+(** Benchmarks measured so far: every {!run} miss and every {!measure}.
+    An experiment measured more than once counts each time. *)
 
 val cache_hits : t -> int
-(** Queries answered from the in-memory experiment cache. *)
+(** {!run} queries answered from the in-memory experiment cache. *)
 
 val cache_misses : t -> int
-(** Queries that missed the in-memory cache ([= benchmarks_run]). *)
+(** {!run} queries that missed the cache, plus {!measure} calls: every
+    query that ran a benchmark ([= benchmarks_run]). *)
 
 (** ε-tolerant throughput comparisons (§3.3.4, §4). *)
 module Compare : sig

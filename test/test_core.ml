@@ -231,6 +231,48 @@ let test_filter_candidates_small () =
          c.Blocking.members)
     result.Blocking.classes
 
+(* The pairing stage measures every pair of a size group once and keeps
+   none of them: after stage 1 has cached the singletons, it runs
+   Σ n(n-1)/2 benchmarks over the size groups, reads each candidate's
+   singleton from the cache once, and a later [run] of any pair misses. *)
+let test_pairing_measures_once () =
+  let module H = Pmi_measure.Harness in
+  let small = Catalog.reduced ~per_bucket:2 () in
+  let h = H.create (Pmi_machine.Machine.create small) in
+  let candidates =
+    Array.to_list (Catalog.schemes small)
+    |> List.filter_map (fun s ->
+        match Blocking.classify_individual h s with
+        | Blocking.Candidate n -> Some (s, n)
+        | Blocking.Hardwired | Blocking.Unreliable | Blocking.Zero_uop
+        | Blocking.Outside_model | Blocking.Multi_uop _ -> None)
+  in
+  let groups =
+    List.sort_uniq compare (List.map snd candidates)
+    |> List.map (fun n -> List.filter (fun (_, m) -> m = n) candidates)
+  in
+  let rec pairs = function
+    | [] -> []
+    | (a, _) :: rest ->
+      List.map (fun (b, _) -> Experiment.of_list [ a; b ]) rest @ pairs rest
+  in
+  let all_pairs = List.concat_map pairs groups in
+  Alcotest.(check bool) "several size groups" true (List.length groups > 1);
+  let benchmarks = H.benchmarks_run h and hits = H.cache_hits h in
+  ignore (Blocking.filter_candidates h candidates);
+  Alcotest.(check int) "one benchmark per pair"
+    (List.fold_left
+       (fun acc g -> let n = List.length g in acc + (n * (n - 1) / 2))
+       0 groups)
+    (H.benchmarks_run h - benchmarks);
+  Alcotest.(check int) "one singleton read per candidate"
+    (List.length candidates) (H.cache_hits h - hits);
+  let misses = H.cache_misses h and hits = H.cache_hits h in
+  List.iter (fun e -> ignore (H.run h e)) all_pairs;
+  Alcotest.(check int) "no pair was cached" (List.length all_pairs)
+    (H.cache_misses h - misses);
+  Alcotest.(check int) "no hit" hits (H.cache_hits h)
+
 (* ------------------------------------------------------------------ *)
 (* CEGIS on toy architectures (§3.3, Figure 4)                         *)
 (* ------------------------------------------------------------------ *)
@@ -972,6 +1014,60 @@ let test_pipeline_final_round_in_paper_order () =
     (fun (name, expected) (_, got) -> Alcotest.(check int) name expected got)
     (counters paper) (counters reported)
 
+(* A reduced pipeline's [cegis.infer] spans, read back from the trace:
+   each culprit round (0 for the first) runs early first, a round that
+   converges early runs again in the paper's order, every other round
+   moves on to the next, and the last run converged in the paper's
+   order. *)
+let test_pipeline_infer_spans () =
+  let catalog = Catalog.reduced ~per_bucket:2 () in
+  let harness =
+    Pmi_measure.Harness.create (Pmi_machine.Machine.create catalog)
+  in
+  let module Obs = Pmi_obs.Obs in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () -> ignore (Pipeline.run harness));
+  Alcotest.(check int) "no event dropped" 0 (Obs.dropped ());
+  let suffix = "pipeline.cegis/cegis.infer" in
+  let runs =
+    List.filter_map
+      (fun (e : Obs.event) ->
+         let n = String.length e.path and k = String.length suffix in
+         if e.name <> "cegis.infer" then None
+         else begin
+           Alcotest.(check string) "under pipeline.cegis" suffix
+             (String.sub e.path (max 0 (n - k)) (min n k));
+           let str key =
+             match List.assoc_opt key e.args with
+             | Some (Obs.Str v) -> v
+             | Some (Obs.Int v) -> string_of_int v
+             | None -> "-"
+           in
+           Some (str "round", str "order", str "verdict")
+         end)
+      (Obs.events ())
+  in
+  let rec check = function
+    | (r, "early", "converged") :: ((r', order, _) :: _ as rest) ->
+      Alcotest.(check (pair string string)) "converged early, then paper"
+        (r, "paper") (r', order);
+      check rest
+    | (r, _, _) :: ((r', order, _) :: _ as rest) ->
+      Alcotest.(check (pair string string)) "next round, early"
+        (string_of_int (int_of_string r + 1), "early") (r', order);
+      check rest
+    | [ last ] ->
+      let unsat = List.filter (fun (_, _, v) -> v = "unsat") runs in
+      Alcotest.(check (triple string string string)) "last run"
+        (string_of_int (List.length unsat), "paper", "converged")
+        last
+    | [] -> Alcotest.fail "no cegis.infer span"
+  in
+  Alcotest.(check (pair string string)) "first run" ("0", "early")
+    (match runs with (r, order, _) :: _ -> (r, order) | [] -> ("-", "-"));
+  check runs;
+  Alcotest.(check bool) "a culprit round ran first" true (List.length runs > 2)
+
 (* The same run with the CDCL invariant sanitizer on in both of its
    solvers: the invariants hold at every level-0 boundary, including the
    exit after each complete model, where the decision heap is emptied in
@@ -1494,6 +1590,8 @@ let () =
          Alcotest.test_case "additivity (§3.2)" `Quick test_additivity;
          Alcotest.test_case "candidate filtering (§4.2)" `Slow
            test_filter_candidates_small;
+         Alcotest.test_case "pairing measures each pair once" `Quick
+           test_pairing_measures_once;
          QCheck_alcotest.to_alcotest prop_additive_matches_rat;
          QCheck_alcotest.to_alcotest prop_triangle_counts ]);
       ("encoding",
@@ -1516,6 +1614,8 @@ let () =
          Alcotest.test_case "early refutation" `Quick test_cegis_refute_early;
          Alcotest.test_case "final round in the paper's order" `Quick
            test_pipeline_final_round_in_paper_order;
+         Alcotest.test_case "cegis.infer spans per round" `Quick
+           test_pipeline_infer_spans;
          Alcotest.test_case "sanitized run" `Quick test_cegis_sanitized;
          QCheck_alcotest.to_alcotest prop_distinguish_matches_naive;
          Alcotest.test_case "distinguishing search past the row ids" `Quick

@@ -622,7 +622,7 @@ let test_cache_identity () =
   Alcotest.(check bool) "hit returns the stored sample" true (s1 = s2);
   Alcotest.(check int) "hit measures nothing" measured
     (Machine.measurement_count noisy);
-  Alcotest.(check int) "one entry" 1 (H.benchmarks_run h);
+  Alcotest.(check int) "one benchmark" 1 (H.benchmarks_run h);
   Alcotest.(check int) "one miss" 1 (H.cache_misses h);
   Alcotest.(check int) "one hit" 1 (H.cache_hits h);
   Alcotest.check rat "cycles are ticks / precision"
@@ -722,6 +722,54 @@ let prop_flat_cache_reference =
        in
        quiet && loud && widest > 2.0)
 
+(* [measure] on one fresh harness against [run] on another of the same
+   machine, over distinct random experiments: the same sample, counted
+   as one benchmark, and nothing kept, so the next [run] of the
+   experiment misses (to the same sample) and the one after it hits. *)
+let prop_measure_is_uncached_run =
+  let module H = Pmi_measure.Harness in
+  let ids = Catalog.size catalog in
+  let gen =
+    QCheck2.Gen.(
+      pair int
+        (list_size (int_range 1 30)
+           (list_size (int_range 1 6)
+              (pair (int_bound (ids - 1)) (int_range 1 40)))))
+  in
+  QCheck2.Test.make ~name:"measure = run, with nothing kept" ~count:50 gen
+    (fun (seed, asks) ->
+       let m =
+         Machine.create ~config:{ Machine.default_config with seed } catalog
+       in
+       let measured = H.create m and cached = H.create m in
+       let experiments =
+         List.map
+           (fun items ->
+              Experiment.of_counts
+                (List.map (fun (id, n) -> (Catalog.find catalog id, n)) items))
+           asks
+         |> List.sort_uniq (fun a b ->
+             compare (Experiment.key a) (Experiment.key b))
+       in
+       List.for_all
+         (fun e ->
+            let misses = H.cache_misses measured
+            and benchmarks = H.benchmarks_run measured
+            and hits = H.cache_hits measured in
+            let counted ~runs ~hit =
+              H.cache_misses measured = misses + runs
+              && H.benchmarks_run measured = benchmarks + runs
+              && H.cache_hits measured = hits + hit
+            in
+            let s = H.measure measured e in
+            s = H.run cached e
+            && counted ~runs:1 ~hit:0
+            && H.run measured e = s
+            && counted ~runs:2 ~hit:0
+            && H.run measured e = s
+            && counted ~runs:2 ~hit:1)
+         experiments)
+
 (* Experiments whose (id, count) pairs hash alike under the cache's
    polynomial hash (multiplier P = 1_000_003, pairs in ascending id): one
    more in the count of the first pair is one P² less in the count of the
@@ -744,7 +792,7 @@ let test_cache_collisions () =
        let h = H.create noisy in
        let s1 = H.run h e1 and s2 = H.run h e2 in
        let fresh e = H.run (H.create noisy) e in
-       Alcotest.(check int) "two entries" 2 (H.benchmarks_run h);
+       Alcotest.(check int) "two benchmarks" 2 (H.benchmarks_run h);
        Alcotest.(check int) "two misses" 2 (H.cache_misses h);
        Alcotest.(check bool) "first sample" true (s1 = fresh e1);
        Alcotest.(check bool) "second sample" true (s2 = fresh e2))
@@ -780,7 +828,8 @@ let () =
          Alcotest.test_case "colliding keys" `Quick test_cache_collisions ]
        @ qsuite
            [ prop_tick_pair_verdict; prop_of_counts_reference;
-             prop_simulator_reference; prop_flat_cache_reference ]);
+             prop_simulator_reference; prop_flat_cache_reference;
+             prop_measure_is_uncached_run ]);
       ("noise",
        [ Alcotest.test_case "deterministic" `Quick test_measurement_deterministic;
          Alcotest.test_case "tiers" `Quick test_noise_tiers;
